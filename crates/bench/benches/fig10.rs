@@ -14,7 +14,6 @@ use tp_trace::SelectionConfig;
 use tp_workloads::{suite, Size};
 
 fn main() {
-    let models = [CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
     let mut table =
         Table::new("% IPC over base", &["RET", "MLB-RET", "FG", "FG+MLB-RET", "paper(FG+MLB)"]);
     table.precision(1);
@@ -24,7 +23,7 @@ fn main() {
     for w in suite(Size::Full) {
         let base = run_selection(&w.program, SelectionConfig::base()).stats.ipc();
         let mut row = Vec::new();
-        for model in models {
+        for &model in &CiModel::ALL[1..] {
             let ipc = run_model(&w.program, model).stats.ipc();
             row.push(improvement_pct(ipc, base));
         }

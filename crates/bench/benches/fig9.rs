@@ -17,19 +17,11 @@ fn main() {
     for w in suite(Size::Full) {
         let base = run_selection(&w.program, SelectionConfig::base()).stats.ipc();
         let row = [
-            improvement_pct(
-                run_selection(&w.program, SelectionConfig::with_ntb()).stats.ipc(),
-                base,
-            ),
-            improvement_pct(
-                run_selection(&w.program, SelectionConfig::with_fg()).stats.ipc(),
-                base,
-            ),
-            improvement_pct(
-                run_selection(&w.program, SelectionConfig::with_fg_ntb()).stats.ipc(),
-                base,
-            ),
-        ];
+            SelectionConfig::with_ntb(),
+            SelectionConfig::with_fg(),
+            SelectionConfig::with_fg_ntb(),
+        ]
+        .map(|sel| improvement_pct(run_selection(&w.program, sel).stats.ipc(), base));
         table.row(w.name, &row);
     }
     println!("{table}");

@@ -17,7 +17,7 @@ fn main() {
     t2.precision(0);
     let workloads = suite(Size::Full);
     for w in &workloads {
-        let p = profile_branches(&w.program, runner::RUN_BUDGET);
+        let p = profile_branches(&w.program, runner::CELL_BUDGET);
         t2.row(w.name, &[p.instructions as f64]);
     }
     println!("{t2}");
@@ -32,7 +32,7 @@ fn main() {
     );
     table.precision(1);
     for w in &workloads {
-        let p = profile_branches(&w.program, runner::RUN_BUDGET);
+        let p = profile_branches(&w.program, runner::CELL_BUDGET);
         table.row(
             w.name,
             &[

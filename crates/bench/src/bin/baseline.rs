@@ -25,11 +25,11 @@
 //! throughput report as the detailed document's `sampled` section — how
 //! the checked-in `BENCH_speed.json` records the measured ffwd speedup.
 
+use tp_bench::cli::{self, usage_error, Args};
 use tp_bench::ffwd::{ffwd_section_json, run_ffwd_bench, speedup_geomean};
 use tp_bench::sampled::{default_sample_for, run_sampled_grid_on, sampled_to_json};
 use tp_bench::speed::{
-    guard_violations, parse_size, run_grid_on, to_json_with_sampled, SuiteChoice, BASELINE_MODELS,
-    SWEEP_PES,
+    guard_violations, run_grid_on, to_json_with_sampled, SuiteChoice, SWEEP_PES,
 };
 use tp_core::{CiModel, TraceProcessorConfig};
 use tp_workloads::Size;
@@ -43,97 +43,58 @@ fn main() {
     let mut sample = false;
     let mut ffwd_bench = false;
     let mut suite_choice = SuiteChoice::Synth;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => size = Size::Small,
             "--sample" => sample = true,
             "--ffwd-bench" => ffwd_bench = true,
-            "--size" => {
-                size = match args.next().as_deref().and_then(parse_size) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("unknown --size (tiny|small|full|long)");
-                        std::process::exit(2);
-                    }
-                }
+            "--size" => size = args.size("--size"),
+            "--suite" => suite_choice = args.suite("--suite"),
+            "--pes" => {
+                pes = args
+                    .value("--pes")
+                    .split(',')
+                    .map(|p| cli::parse_num("--pes", p))
+                    .collect::<Result<_, _>>()
+                    .unwrap_or_else(|e| usage_error(e));
+                pes_set = true;
             }
-            "--suite" => {
-                suite_choice = match args.next().as_deref().and_then(SuiteChoice::parse) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("unknown --suite (synth|rv|all)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--pes" => match args.next() {
-                Some(list) => {
-                    pes = list
-                        .split(',')
-                        .map(|p| {
-                            p.parse().unwrap_or_else(|_| {
-                                eprintln!("bad --pes entry {p:?}");
-                                std::process::exit(2);
-                            })
-                        })
-                        .collect();
-                    pes_set = true;
-                }
-                None => {
-                    eprintln!("--pes requires a comma-separated list, e.g. 4,8,16");
-                    std::process::exit(2);
-                }
-            },
             "--pe-sweep" => {
                 pes = SWEEP_PES.to_vec();
                 pes_set = true;
             }
             "--guard" => guard = true,
-            "--out" => match args.next() {
-                Some(p) => out = Some(p),
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: baseline [--smoke | --size tiny|small|full|long] \
-                     [--suite synth|rv|all] [--pes N[,N..]|--pe-sweep] [--guard] [--sample] \
-                     [--ffwd-bench] [--out PATH]"
-                );
-                std::process::exit(2);
-            }
+            "--out" => out = Some(args.value("--out")),
+            other => usage_error(format!(
+                "unknown argument {other:?}\n\
+                 usage: baseline [--smoke | --size tiny|small|full|long] \
+                 [--suite synth|rv|all] [--pes N[,N..]|--pe-sweep] [--guard] [--sample] \
+                 [--ffwd-bench] [--out PATH]"
+            )),
         }
     }
     // Validate every configuration the grid will run, reporting the
     // offending field instead of panicking mid-grid (a bad `--pes` value
     // lands here).
-    for &model in &BASELINE_MODELS {
+    for model in CiModel::ALL {
         for &p in &pes {
             let mut cfg = TraceProcessorConfig::paper(model);
             cfg.num_pes = p;
-            if let Err(e) = cfg.validate() {
-                eprintln!("invalid configuration for {}: {e}", model.name());
-                std::process::exit(2);
-            }
+            cli::validated(cfg, model.name());
         }
     }
     if sample {
         // Reject flags the sampled grid does not honour rather than
         // silently ignoring them (a no-op --guard would be a false green).
         if guard || pes_set || ffwd_bench {
-            eprintln!("--sample does not support --guard/--pes/--pe-sweep/--ffwd-bench");
-            std::process::exit(2);
+            usage_error("--sample does not support --guard/--pes/--pe-sweep/--ffwd-bench");
         }
         // Sampled output is a different schema; never default onto the
         // checked-in detailed baseline.
         let out = out.unwrap_or_else(|| String::from("BENCH_sampled.json"));
         let sample_cfg = default_sample_for(size);
-        let cells =
-            run_sampled_grid_on(&suite_choice.workloads(size), &BASELINE_MODELS, &sample_cfg);
+        let cells = run_sampled_grid_on(&suite_choice.workloads(size), &CiModel::ALL, &sample_cfg);
         println!(
             "{:<10} {:<11} {:>10} {:>4} {:>7} {:>6} {:>8} {:>7}",
             "bench", "model", "instrs", "K", "frac%", "ipc", "ci95", "secs"
@@ -158,7 +119,7 @@ fn main() {
         return;
     }
     let out = out.unwrap_or_else(|| String::from("BENCH_speed.json"));
-    let cells = run_grid_on(&suite_choice.workloads(size), &BASELINE_MODELS, &pes);
+    let cells = run_grid_on(&suite_choice.workloads(size), &CiModel::ALL, &pes);
     println!(
         "{:<10} {:<11} {:>3} {:>9} {:>9} {:>6} {:>8} {:>7} {:>7} {:>12}",
         "bench",

@@ -18,22 +18,9 @@ use tp_cfg::{BranchKind, CfgAnalysis, CfgReport};
 use tp_workloads::{Size, Workload};
 
 fn main() {
-    let mut positional = Vec::new();
-    let mut json = false;
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--json" => json = true,
-            _ => positional.push(a),
-        }
-    }
+    let (positional, json) = tp_bench::cli::positional_and_switch("--json");
     let workloads: Vec<Workload> = match positional.first() {
-        Some(name) => match tp_workloads::by_name(name, Size::Full) {
-            Ok(w) => vec![w],
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
+        Some(name) => vec![tp_bench::cli::workload(name, Size::Full)],
         None => tp_workloads::all_workloads(Size::Full),
     };
     let single = !positional.is_empty();

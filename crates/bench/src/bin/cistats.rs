@@ -13,55 +13,26 @@
 
 use std::collections::HashMap;
 
+use tp_bench::cli;
+use tp_bench::runner::run_cell;
 use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::Pc;
 use tp_trace::SelectionConfig;
 
-const MODELS: [CiModel; 4] = [CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
-
 fn main() {
-    let mut positional = Vec::new();
-    let mut json = false;
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--json" => json = true,
-            _ => positional.push(a),
-        }
-    }
+    let (positional, json) = cli::positional_and_switch("--json");
     let name = positional.first().cloned().unwrap_or_else(|| "compress".into());
     let model_arg = positional.get(1).cloned();
-    let w = match tp_workloads::by_name(&name, tp_workloads::Size::Full) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let w = cli::workload(&name, tp_workloads::Size::Full);
     if json && model_arg.is_none() {
-        eprintln!("--json requires a model (base|RET|MLB-RET|FG|FG+MLB-RET)");
-        std::process::exit(2);
+        cli::usage_error("--json requires a model (base|RET|MLB-RET|FG|FG+MLB-RET)");
     }
     if let Some(m) = model_arg {
-        let model = match m.as_str() {
-            "base" => CiModel::None,
-            "RET" => CiModel::Ret,
-            "MLB-RET" => CiModel::MlbRet,
-            "FG" => CiModel::Fg,
-            "FG+MLB-RET" => CiModel::FgMlbRet,
-            other => {
-                eprintln!("unknown model {other:?} (base|RET|MLB-RET|FG|FG+MLB-RET)");
-                std::process::exit(2);
-            }
-        };
+        let model = cli::parse_model(&m).unwrap_or_else(|e| cli::usage_error(e));
         let mut cfg = TraceProcessorConfig::paper(model);
         cfg.log_mispredicts = true;
-        if let Err(e) = cfg.validate() {
-            eprintln!("invalid configuration: {e}");
-            std::process::exit(2);
-        }
-        let mut sim = TraceProcessor::new(&w.program, cfg);
-        let run = sim.run(50_000_000).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(run.halted, "{name} did not halt");
+        let mut sim = TraceProcessor::new(&w.program, cli::validated(cfg, model.name()));
+        let run = run_cell(&mut sim, &name, model.name()).result;
         let s = run.stats;
         if json {
             let p = run.predictor;
@@ -157,7 +128,7 @@ fn main() {
         base.full_squashes,
         base.avg_trace_len()
     );
-    for m in MODELS {
+    for &m in &CiModel::ALL[1..] {
         let r = tp_bench::run_model(&w.program, m);
         let s = r.stats;
         println!("{:>10}: ipc {:.2} ({:+.1}%) brmisp {:.1}% cgci {}/{} fgci {} fullsq {} reclaims {} redisp {} rebinds {} reissue {} (marks: val {} rebind {} snoop {})",

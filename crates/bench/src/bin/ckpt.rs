@@ -25,58 +25,26 @@
 //! wall-clock speedup of sampled execution on the long gcc/go/compress
 //! variants.
 
+use tp_bench::cli::{
+    self, boot_checkpoint, file_error, find_program, read_checkpoint, usage_error,
+    validated_config, warm_model, Args,
+};
 use tp_bench::ffwd::{run_ffwd_bench, speedup_geomean};
-use tp_bench::sampled::{cross_check, run_sampled, SampleConfig};
-use tp_bench::speed::{parse_size, size_name};
-use tp_ckpt::{Checkpoint, FastForward};
-use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use tp_bench::sampled::{cross_check, SampleConfig};
+use tp_bench::speed::size_name;
+use tp_ckpt::FastForward;
+use tp_core::CiModel;
 use tp_isa::func::Machine;
-use tp_isa::Frontend;
-use tp_isa::Program;
-use tp_workloads::{all_workloads, Size, Workload};
+use tp_workloads::{all_workloads, suite, Size};
 
 fn usage() -> ! {
-    eprintln!(
+    usage_error(
         "usage: ckpt create --workload NAME [--size tiny|small|full|long] \
          [--model base|RET|MLB-RET|FG|FG+MLB-RET] [--ffwd N] --out PATH\n\
          \x20      ckpt inspect PATH\n\
          \x20      ckpt verify PATH [--resume N]\n\
-         \x20      ckpt smoke [--out PATH]"
+         \x20      ckpt smoke [--out PATH]",
     );
-    std::process::exit(2);
-}
-
-/// Workload lookup with the registry's friendly unknown-name message.
-fn by_name(name: &str, size: Size) -> Workload {
-    tp_workloads::by_name(name, size).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_model(s: &str) -> CiModel {
-    match s {
-        "base" => CiModel::None,
-        "RET" => CiModel::Ret,
-        "MLB-RET" => CiModel::MlbRet,
-        "FG" => CiModel::Fg,
-        "FG+MLB-RET" => CiModel::FgMlbRet,
-        other => {
-            eprintln!("unknown model {other:?} (base|RET|MLB-RET|FG|FG+MLB-RET)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Builds and validates the detailed configuration for a model, reporting
-/// the offending field on bad input instead of panicking.
-fn validated_config(model: CiModel) -> TraceProcessorConfig {
-    let cfg = TraceProcessorConfig::paper(model);
-    if let Err(e) = cfg.validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
-    }
-    cfg
 }
 
 fn main() {
@@ -93,21 +61,19 @@ fn main() {
 fn create(args: &[String]) {
     let (mut workload, mut size, mut model) = (None, Size::Full, CiModel::None);
     let (mut ffwd_budget, mut out) = (20_000u64, None);
-    let mut it = args.iter();
+    let mut it = Args::new(args.to_vec());
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workload" => workload = it.next().cloned(),
-            "--size" => size = it.next().and_then(|s| parse_size(s)).unwrap_or_else(|| usage()),
-            "--model" => model = parse_model(it.next().map_or("", String::as_str)),
-            "--ffwd" => {
-                ffwd_budget = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--out" => out = it.next().cloned(),
+            "--workload" => workload = Some(it.value("--workload")),
+            "--size" => size = it.size("--size"),
+            "--model" => model = it.model("--model"),
+            "--ffwd" => ffwd_budget = it.num("--ffwd"),
+            "--out" => out = Some(it.value("--out")),
             _ => usage(),
         }
     }
     let (Some(workload), Some(out)) = (workload, out) else { usage() };
-    let w = by_name(&workload, size);
+    let w = cli::workload(&workload, size);
     let cfg = validated_config(model);
     let mut ff = FastForward::new(&w.program, &cfg);
     ff.set_frontend(w.frontend);
@@ -125,17 +91,6 @@ fn create(args: &[String]) {
         s.traces,
         if s.halted { ", halted" } else { "" }
     );
-}
-
-fn read_checkpoint(path: &str) -> Checkpoint {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("reading {path}: {e}");
-        std::process::exit(1);
-    });
-    Checkpoint::decode(&bytes).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(1);
-    })
 }
 
 fn inspect(args: &[String]) {
@@ -175,56 +130,18 @@ fn inspect(args: &[String]) {
     }
 }
 
-/// Finds the workload program a checkpoint was captured from by
-/// fingerprint search over both suites at every size. A fingerprint hit
-/// is additionally frontend-checked; on a miss, a same-name workload in
-/// the *other* frontend's suite produces a named mismatch diagnosis
-/// instead of a bare "not found".
-fn find_program(ckpt: &Checkpoint) -> Result<(Program, Size, Frontend), String> {
-    let mut name_twin: Option<Frontend> = None;
-    for size in [Size::Tiny, Size::Small, Size::Full, Size::Long] {
-        for w in all_workloads(size) {
-            if ckpt.verify_program(&w.program).is_ok() {
-                return match ckpt.verify_frontend(w.frontend) {
-                    Ok(()) => Ok((w.program, size, w.frontend)),
-                    Err(e) => Err(e.to_string()),
-                };
-            }
-            if w.name == ckpt.program_name && w.frontend != ckpt.frontend {
-                name_twin = Some(w.frontend);
-            }
-        }
-    }
-    match name_twin {
-        Some(twin) => Err(format!(
-            "checkpoint records the {} frontend for `{}`; the workload of that name in this \
-             build is {twin} — wrong ISA (no fingerprint matches)",
-            ckpt.frontend, ckpt.program_name
-        )),
-        None => Err(format!(
-            "no {} workload matches fingerprint {:016x} (captured from `{}`)",
-            ckpt.frontend, ckpt.program_fingerprint, ckpt.program_name
-        )),
-    }
-}
-
 fn verify(args: &[String]) {
     let Some(path) = args.first() else { usage() };
     let mut resume = 10_000u64;
-    let mut it = args[1..].iter();
+    let mut it = Args::new(args[1..].to_vec());
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--resume" => {
-                resume = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
+            "--resume" => resume = it.num("--resume"),
             _ => usage(),
         }
     }
     let ckpt = read_checkpoint(path);
-    let (program, size, frontend) = find_program(&ckpt).unwrap_or_else(|msg| {
-        eprintln!("{path}: {msg}");
-        std::process::exit(1);
-    });
+    let (program, size, frontend) = find_program(&ckpt).unwrap_or_else(|msg| file_error(path, msg));
     println!("program   : {} at size {} ({frontend})", ckpt.program_name, size_name(size));
 
     // 1. Functional resume equals a straight run.
@@ -239,13 +156,7 @@ fn verify(args: &[String]) {
         resumed.retired() - ckpt.retired
     );
 
-    let warm_selection = ckpt.warm.as_ref().map(|w| w.selection);
-    let model = match warm_selection {
-        Some(sel) if sel.fg && sel.ntb => CiModel::FgMlbRet,
-        Some(sel) if sel.fg => CiModel::Fg,
-        Some(sel) if sel.ntb => CiModel::MlbRet,
-        _ => CiModel::None,
-    };
+    let model = warm_model(&ckpt);
 
     // 2. The interpreter and superblock fast-forward engines agree byte
     // for byte at this checkpoint's position (meaningful for warmed
@@ -273,18 +184,10 @@ fn verify(args: &[String]) {
 
     // 3. A detailed interval boots and runs under full oracle verification.
     let cfg = validated_config(model).with_oracle();
-    let boot = ckpt.boot_image(&program, &cfg).unwrap_or_else(|e| {
-        eprintln!("{path}: boot failed: {e}");
-        std::process::exit(1);
-    });
-    let mut sim = TraceProcessor::from_checkpoint(&program, cfg, boot).unwrap_or_else(|e| {
-        eprintln!("{path}: boot rejected: {e}");
-        std::process::exit(1);
-    });
-    let r = sim.run_interval(resume.min(5_000)).unwrap_or_else(|e| {
-        eprintln!("{path}: detailed interval failed: {e}");
-        std::process::exit(1);
-    });
+    let mut sim = boot_checkpoint(path, &ckpt, &program, cfg);
+    let r = sim
+        .run_interval(resume.min(5_000))
+        .unwrap_or_else(|e| file_error(path, format!("detailed interval failed: {e}")));
     println!(
         "detailed  : OK ({} instructions retired oracle-verified under {}, ipc {:.3})",
         r.stats.retired_instrs,
@@ -296,26 +199,18 @@ fn verify(args: &[String]) {
 
 fn smoke(args: &[String]) {
     let mut out = String::from("ckpt_smoke.tpckpt");
-    let mut it = args.iter();
+    let mut it = Args::new(args.to_vec());
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out = it.next().cloned().unwrap_or_else(|| usage()),
+            "--out" => out = it.value("--out"),
             _ => usage(),
         }
     }
     // 1. Create, inspect, verify a checkpoint (the uploaded artifact).
-    create(&[
-        "--workload".into(),
-        "gcc".into(),
-        "--size".into(),
-        "full".into(),
-        "--model".into(),
-        "MLB-RET".into(),
-        "--ffwd".into(),
-        "20000".into(),
-        "--out".into(),
-        out.clone(),
-    ]);
+    let fixed = "--workload gcc --size full --model MLB-RET --ffwd 20000 --out";
+    let mut argv: Vec<String> = fixed.split(' ').map(String::from).collect();
+    argv.push(out.clone());
+    create(&argv);
     inspect(std::slice::from_ref(&out));
     verify(std::slice::from_ref(&out));
 
@@ -345,7 +240,8 @@ fn smoke(args: &[String]) {
     );
 
     // 3. Sampled IPC within 5% of the full run on the tiny suite.
-    let checks = cross_check(Size::Tiny, &[CiModel::None, CiModel::MlbRet], &SampleConfig::dense());
+    let tiny = suite(Size::Tiny);
+    let checks = cross_check(&tiny, &[CiModel::None, CiModel::MlbRet], &SampleConfig::dense());
     let mut worst: f64 = 0.0;
     for c in &checks {
         println!(
@@ -366,27 +262,22 @@ fn smoke(args: &[String]) {
 
     // 4. Sampled execution of the long variants is >= 3x faster than a
     // full detailed run.
-    let (mut full_wall, mut sampled_wall) = (0.0f64, 0.0f64);
-    for name in ["gcc", "go", "compress"] {
-        let w = by_name(name, Size::Long);
-        let cfg = validated_config(CiModel::None);
-        let t = std::time::Instant::now();
-        let mut sim = TraceProcessor::new(&w.program, cfg.clone());
-        let full = sim.run(u64::MAX).unwrap_or_else(|e| panic!("{name} long: {e}"));
-        assert!(full.halted, "{name} long did not halt");
-        let fw = t.elapsed().as_secs_f64();
-        let run = run_sampled(&w.program, &cfg, &SampleConfig::sparse());
-        let err = 100.0 * (run.ipc_estimate() - full.stats.ipc()).abs() / full.stats.ipc();
+    let long = ["gcc", "go", "compress"].map(|name| cli::workload(name, Size::Long));
+    let checks = cross_check(&long, &[CiModel::None], &SampleConfig::sparse());
+    for c in &checks {
         println!(
-            "speedup   : {name:<10} {} instrs: detailed {fw:.1}s, sampled {:.1}s ({:.1}x, \
-             ipc err {err:.2}%)",
-            full.stats.retired_instrs,
-            run.wall_seconds,
-            fw / run.wall_seconds
+            "speedup   : {:<10} {} instrs: detailed {:.1}s, sampled {:.1}s ({:.1}x, \
+             ipc err {:.2}%)",
+            c.workload,
+            c.sampled.total_instrs,
+            c.full_wall,
+            c.sampled.wall_seconds,
+            c.speedup(),
+            c.rel_err_pct()
         );
-        full_wall += fw;
-        sampled_wall += run.wall_seconds;
     }
+    let full_wall: f64 = checks.iter().map(|c| c.full_wall).sum();
+    let sampled_wall: f64 = checks.iter().map(|c| c.sampled.wall_seconds).sum();
     let speedup = full_wall / sampled_wall;
     assert!(
         speedup >= 3.0,

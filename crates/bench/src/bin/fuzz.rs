@@ -40,6 +40,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use tp_bench::cli::{usage_error, Args};
 use tp_bench::tap::capture_program;
 use tp_fuzz::emit::{emit_rv, emit_synth};
 use tp_fuzz::gen::generate;
@@ -47,7 +48,7 @@ use tp_fuzz::harness::{Divergence, Harness, Isa, Outcome};
 use tp_fuzz::shrink::shrink;
 use tp_fuzz::{emit_rv_source, FuzzConfig};
 
-struct Args {
+struct FuzzArgs {
     seed: u64,
     count: u64,
     budget: u64,
@@ -60,8 +61,8 @@ struct Args {
     quiet: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+fn parse_args() -> FuzzArgs {
+    let mut args = FuzzArgs {
         seed: 0,
         count: 500,
         budget: 2_000_000,
@@ -73,43 +74,27 @@ fn parse_args() -> Args {
         do_shrink: false,
         quiet: false,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = Args::from_env();
     while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
         match a.as_str() {
-            "--seed" => args.seed = val("--seed").parse().expect("--seed: u64"),
-            "--count" => args.count = val("--count").parse().expect("--count: u64"),
-            "--budget" => args.budget = val("--budget").parse().expect("--budget: u64"),
-            "--jobs" => args.jobs = val("--jobs").parse().expect("--jobs: usize"),
-            "--config" => match val("--config").as_str() {
-                "default" => args.config = FuzzConfig::default(),
-                "small" => args.config = FuzzConfig::small(),
-                other => {
-                    eprintln!("unknown config {other:?}; expected default|small");
-                    std::process::exit(2);
-                }
-            },
-            "--machine" => match val("--machine").as_str() {
-                "paper" => args.small_machine = false,
-                "small" => args.small_machine = true,
-                other => {
-                    eprintln!("unknown machine {other:?}; expected paper|small");
-                    std::process::exit(2);
-                }
-            },
+            "--seed" => args.seed = it.num("--seed"),
+            "--count" => args.count = it.num("--count"),
+            "--budget" => args.budget = it.num("--budget"),
+            "--jobs" => args.jobs = it.num("--jobs"),
+            "--config" => {
+                args.config = it.pick(
+                    "--config",
+                    &[("default", FuzzConfig::default()), ("small", FuzzConfig::small())],
+                );
+            }
+            "--machine" => {
+                args.small_machine = it.pick("--machine", &[("paper", false), ("small", true)]);
+            }
             "--cfg-oracle" => args.cfg_oracle = true,
             "--inject-bug" => args.inject_bug = true,
             "--shrink" => args.do_shrink = true,
             "--quiet" => args.quiet = true,
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown argument {other:?}")),
         }
     }
     args

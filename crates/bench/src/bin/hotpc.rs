@@ -2,9 +2,8 @@
 
 fn main() {
     for name in ["go", "jpeg", "compress", "perl"] {
-        let w =
-            tp_workloads::by_name(name, tp_workloads::Size::Full).expect("fixed names are valid");
-        let p = tp_bench::profile_branches(&w.program, 50_000_000);
+        let w = tp_bench::cli::workload(name, tp_workloads::Size::Full);
+        let p = tp_bench::profile_branches(&w.program, tp_bench::runner::CELL_BUDGET);
         println!("== {name}: overall {:.1}%  (BTB profiling)", p.overall_misp_rate());
         for (pc, execs, misps) in p.hottest().into_iter().take(5) {
             println!(

@@ -25,35 +25,24 @@
 //! or `simprof --diff OLD.json NEW.json [--gate] [--ipc-tol PCT]
 //! [--md PATH]`.
 
+use tp_bench::cli::{self, usage_error, Args};
 use tp_bench::json;
 use tp_bench::metrics::{
     collect_grid, collect_phases, diff_documents, metrics_to_json, metrics_to_markdown,
     DiffThresholds, MetricsCell, PhaseReport,
 };
 use tp_bench::sampled::default_sample_for;
-use tp_bench::speed::{parse_size, SuiteChoice, BASELINE_MODELS};
+use tp_bench::speed::SuiteChoice;
 use tp_core::CiModel;
-use tp_workloads::{by_name, Size};
-
-fn parse_model(s: &str) -> Option<CiModel> {
-    Some(match s {
-        "base" => CiModel::None,
-        "RET" => CiModel::Ret,
-        "MLB-RET" => CiModel::MlbRet,
-        "FG" => CiModel::Fg,
-        "FG+MLB-RET" => CiModel::FgMlbRet,
-        _ => return None,
-    })
-}
+use tp_workloads::Size;
 
 fn usage() -> ! {
-    eprintln!(
+    usage_error(
         "usage: simprof [--size tiny|small|full|long] [--suite synth|rv|all] \
          [--workload NAME] [--model base|RET|MLB-RET|FG|FG+MLB-RET] [--sample] \
          [--json PATH] [--md PATH]\n\
-         \x20      simprof --diff OLD.json NEW.json [--gate] [--ipc-tol PCT] [--md PATH]"
+         \x20      simprof --diff OLD.json NEW.json [--gate] [--ipc-tol PCT] [--md PATH]",
     );
-    std::process::exit(2);
 }
 
 fn main() {
@@ -67,43 +56,19 @@ fn main() {
     let mut diff: Option<(String, String)> = None;
     let mut gate = false;
     let mut thresholds = DiffThresholds::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--size" => match args.next().as_deref().and_then(parse_size) {
-                Some(s) => size = s,
-                None => usage(),
-            },
-            "--suite" => match args.next().as_deref().and_then(SuiteChoice::parse) {
-                Some(s) => suite_choice = s,
-                None => usage(),
-            },
-            "--workload" => match args.next() {
-                Some(w) => workload = Some(w),
-                None => usage(),
-            },
-            "--model" => match args.next().as_deref().and_then(parse_model) {
-                Some(m) => model = Some(m),
-                None => usage(),
-            },
+            "--size" => size = args.size("--size"),
+            "--suite" => suite_choice = args.suite("--suite"),
+            "--workload" => workload = Some(args.value("--workload")),
+            "--model" => model = Some(args.model("--model")),
             "--sample" => sample = true,
-            "--json" => match args.next() {
-                Some(p) => json_out = Some(p),
-                None => usage(),
-            },
-            "--md" => match args.next() {
-                Some(p) => md_out = Some(p),
-                None => usage(),
-            },
-            "--diff" => match (args.next(), args.next()) {
-                (Some(o), Some(n)) => diff = Some((o, n)),
-                _ => usage(),
-            },
+            "--json" => json_out = Some(args.value("--json")),
+            "--md" => md_out = Some(args.value("--md")),
+            "--diff" => diff = Some((args.value("--diff"), args.value("--diff"))),
             "--gate" => gate = true,
-            "--ipc-tol" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(p) => thresholds.ipc_pct = p,
-                None => usage(),
-            },
+            "--ipc-tol" => thresholds.ipc_pct = args.num("--ipc-tol"),
             _ => usage(),
         }
     }
@@ -112,8 +77,7 @@ fn main() {
         return;
     }
     if gate {
-        eprintln!("--gate only applies to --diff");
-        std::process::exit(2);
+        usage_error("--gate only applies to --diff");
     }
     run_report(size, suite_choice, workload.as_deref(), model, sample, json_out, md_out);
 }
@@ -128,18 +92,12 @@ fn run_report(
     md_out: Option<String>,
 ) {
     let workloads = match workload {
-        Some(name) => match by_name(name, size) {
-            Ok(w) => vec![w],
-            Err(e) => {
-                eprintln!("unknown workload {:?}; available: {:?}", e.name, e.available);
-                std::process::exit(2);
-            }
-        },
+        Some(name) => vec![cli::workload(name, size)],
         None => suite_choice.workloads(size),
     };
     let models: Vec<CiModel> = match model {
         Some(m) => vec![m],
-        None => BASELINE_MODELS.to_vec(),
+        None => CiModel::ALL.to_vec(),
     };
     let cells: Vec<MetricsCell> = collect_grid(&workloads, &models);
     let phases: Vec<PhaseReport> = if sample {
@@ -205,18 +163,15 @@ fn run_diff(
 ) {
     let read = |path: &str| -> json::Json {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("reading {path}: {e}");
-            std::process::exit(2);
+            usage_error(format!("reading {path}: {e}"));
         });
         json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("parsing {path}: {e}");
-            std::process::exit(2);
+            usage_error(format!("parsing {path}: {e}"));
         })
     };
     let (old, new) = (read(old_path), read(new_path));
     let report = diff_documents(&old, &new, thresholds).unwrap_or_else(|e| {
-        eprintln!("diff failed: {e}");
-        std::process::exit(2);
+        usage_error(format!("diff failed: {e}"));
     });
     println!(
         "perf-trend: {} cells compared, {} regressions, {} warnings",

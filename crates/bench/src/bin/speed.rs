@@ -30,10 +30,11 @@
 //! non-zero if the attached run is more than `PCT` percent slower (CI
 //! gates at 1.0: the event bus must stay free when nobody listens).
 
-use std::time::Instant;
+use tp_bench::cli::{usage_error, validated_config, Args};
 use tp_bench::ffwd::{ffwd_to_json, run_ffwd_bench, speedup_geomean};
+use tp_bench::runner::{try_run_cell, CellRun};
 use tp_bench::sampled::{default_sample_for, run_sampled_as};
-use tp_bench::speed::{parse_size, SuiteChoice};
+use tp_bench::speed::SuiteChoice;
 use tp_bench::tap::{measure_observability_overhead, ObsVariant};
 use tp_ckpt::FastForward;
 use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
@@ -48,61 +49,22 @@ fn main() {
     let mut ckpt_dir: Option<String> = None;
     let mut events_guard: Option<f64> = None;
     let mut suite_choice = SuiteChoice::Synth;
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--size" => match args.next().as_deref().and_then(parse_size) {
-                Some(s) => size = s,
-                None => {
-                    eprintln!("--size requires tiny|small|full|long");
-                    std::process::exit(2);
-                }
-            },
-            "--suite" => match args.next().as_deref().and_then(SuiteChoice::parse) {
-                Some(s) => suite_choice = s,
-                None => {
-                    eprintln!("--suite requires synth|rv|all");
-                    std::process::exit(2);
-                }
-            },
+            "--size" => size = args.size("--size"),
+            "--suite" => suite_choice = args.suite("--suite"),
             "--sample" => sample = true,
             "--ffwd-bench" => ffwd_bench = true,
-            "--out" => match args.next() {
-                Some(p) => out = Some(p),
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--gate" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(g) => gate = Some(g),
-                None => {
-                    eprintln!("--gate requires a minimum speedup, e.g. 1.0");
-                    std::process::exit(2);
-                }
-            },
-            "--ckpt" => match args.next() {
-                Some(d) => ckpt_dir = Some(d),
-                None => {
-                    eprintln!("--ckpt requires a directory");
-                    std::process::exit(2);
-                }
-            },
-            "--events-guard" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(p) => events_guard = Some(p),
-                None => {
-                    eprintln!("--events-guard requires a max overhead percentage, e.g. 1.0");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown argument {other:?}");
-                eprintln!(
-                    "usage: speed [--size tiny|small|full|long] [--suite synth|rv|all] \
-                     [--sample] [--ckpt DIR] [--ffwd-bench [--out PATH] [--gate MIN]]"
-                );
-                std::process::exit(2);
-            }
+            "--out" => out = Some(args.value("--out")),
+            "--gate" => gate = Some(args.num("--gate")),
+            "--ckpt" => ckpt_dir = Some(args.value("--ckpt")),
+            "--events-guard" => events_guard = Some(args.num("--events-guard")),
+            other => usage_error(format!(
+                "unknown argument {other:?}\n\
+                 usage: speed [--size tiny|small|full|long] [--suite synth|rv|all] \
+                 [--sample] [--ckpt DIR] [--ffwd-bench [--out PATH] [--gate MIN]]"
+            )),
         }
     }
     if let Some(max_pct) = events_guard {
@@ -114,14 +76,9 @@ fn main() {
         return;
     }
     if out.is_some() || gate.is_some() {
-        eprintln!("--out/--gate only apply to --ffwd-bench");
-        std::process::exit(2);
+        usage_error("--out/--gate only apply to --ffwd-bench");
     }
-    let cfg = TraceProcessorConfig::paper(CiModel::None);
-    if let Err(e) = cfg.validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
-    }
+    let cfg = validated_config(CiModel::None);
     if sample {
         run_sampled_table(size, suite_choice, &cfg, ckpt_dir.as_deref());
     } else {
@@ -147,7 +104,9 @@ fn run_events_guard(max_pct: f64) {
     }
     let pct = probe.overhead_pct(ObsVariant::NullSink);
     let slack = 0.02; // seconds; tiny runs are short enough to jitter
-    if probe.null_sink_seconds > probe.bare_seconds * (1.0 + max_pct / 100.0) + slack {
+    if probe.seconds(ObsVariant::NullSink)
+        > probe.seconds(ObsVariant::Bare) * (1.0 + max_pct / 100.0) + slack
+    {
         eprintln!("events-guard FAILED: NullSink overhead {pct:.2}% > {max_pct:.2}%");
         std::process::exit(1);
     }
@@ -208,22 +167,17 @@ fn run_detailed_table(size: Size, suite_choice: SuiteChoice, cfg: &TraceProcesso
     );
     for w in suite_choice.workloads(size) {
         let mut sim = TraceProcessor::new(&w.program, cfg.clone());
-        let t = Instant::now();
-        match sim.run(100_000_000) {
-            Ok(r) => {
-                let s = r.stats;
+        match try_run_cell(&mut sim, w.name, "base") {
+            Ok(CellRun { result, wall_seconds }) => {
+                let s = result.stats;
                 println!("{:<10} {:>9} {:>8} {:>6.2} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>6.1} {:>6.1} {:>7} {:>7}",
                     w.name, s.retired_instrs, s.cycles, s.ipc(), s.branch_misp_rate(),
                     s.trace_misp_rate(), s.tcache_miss_rate(), s.avg_trace_len(),
-                    t.elapsed().as_secs_f64(),
+                    wall_seconds,
                     100.0 * s.predicted_traces as f64 / s.retired_traces.max(1) as f64,
                     s.full_squashes, s.dispatched_traces);
             }
-            Err(e) => println!(
-                "{:<10} ERROR {}",
-                w.name,
-                &format!("{e}")[..120.min(format!("{e}").len())]
-            ),
+            Err(e) => println!("{:<10} ERROR {}", w.name, &e[..120.min(e.len())]),
         }
     }
 }

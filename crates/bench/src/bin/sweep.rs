@@ -10,6 +10,7 @@
 
 use std::time::Instant;
 
+use tp_bench::speed::parse_size;
 use tp_bench::sweep::{run_sweep_parallel, SweepJob};
 use tp_core::{CiModel, TraceProcessorConfig};
 use tp_stats::Table;
@@ -17,14 +18,11 @@ use tp_trace::SelectionConfig;
 use tp_workloads::{suite, Size};
 
 fn main() {
-    let size = match std::env::args().nth(1).as_deref() {
-        None | Some("small") => Size::Small,
-        Some("tiny") => Size::Tiny,
-        Some("full") => Size::Full,
-        Some(other) => {
-            eprintln!("unknown size {other:?}; expected tiny|small|full");
-            std::process::exit(2);
-        }
+    let size = match std::env::args().nth(1) {
+        None => Size::Small,
+        Some(s) => parse_size(&s).filter(|&size| size != Size::Long).unwrap_or_else(|| {
+            tp_bench::cli::usage_error(format!("unknown size {s:?}; expected tiny|small|full"))
+        }),
     };
     let configs: Vec<(&str, TraceProcessorConfig)> = vec![
         ("base", TraceProcessorConfig::baseline(SelectionConfig::base())),
@@ -37,10 +35,7 @@ fn main() {
         ("FG+MLB-RET", TraceProcessorConfig::paper(CiModel::FgMlbRet)),
     ];
     for (label, cfg) in &configs {
-        if let Err(e) = cfg.validate() {
-            eprintln!("invalid configuration for {label}: {e}");
-            std::process::exit(2);
-        }
+        tp_bench::cli::validated(cfg.clone(), label);
     }
     let workloads = suite(size);
     let jobs: Vec<SweepJob<'_>> = workloads

@@ -36,40 +36,27 @@
 //! error; the trace documents are written either way — capturing the
 //! events leading up to a failure is the whole point of the tap.
 
-use tp_bench::speed::{parse_size, size_name};
+use tp_bench::cli::{
+    self, boot_checkpoint, file_error, find_program, read_checkpoint, usage_error,
+    validated_config, warm_model,
+};
+use tp_bench::speed::size_name;
 use tp_bench::tap::{capture_interval, capture_program, capture_sampled, Capture};
-use tp_ckpt::Checkpoint;
-use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use tp_core::CiModel;
 use tp_fuzz::harness::{Harness, Isa};
 use tp_fuzz::{emit_rv_source, generate, FuzzConfig};
-use tp_isa::Program;
-use tp_workloads::{all_workloads, Size};
+use tp_workloads::Size;
 
 fn usage() -> ! {
-    eprintln!(
+    usage_error(
         "usage: tracetap --workload NAME [--size tiny|small|full|long] [--model M] [--budget N]\n\
          \x20      tracetap --workload NAME --sample [--rounds N] [--model M]\n\
          \x20      tracetap --ckpt PATH [--interval N] [--model M]\n\
          \x20      tracetap --fuzz-seed S [--isa synth|rv] [--machine paper|small]\n\
          \x20               [--config default|small] [--model M] [--budget N]\n\
          common: --out PATH (default tracetap.trace.json), --counters PATH\n\
-         models: base|RET|MLB-RET|FG|FG+MLB-RET"
+         models: base|RET|MLB-RET|FG|FG+MLB-RET",
     );
-    std::process::exit(2);
-}
-
-fn parse_model(s: &str) -> CiModel {
-    match s {
-        "base" => CiModel::None,
-        "RET" => CiModel::Ret,
-        "MLB-RET" => CiModel::MlbRet,
-        "FG" => CiModel::Fg,
-        "FG+MLB-RET" => CiModel::FgMlbRet,
-        other => {
-            eprintln!("unknown model {other:?} (base|RET|MLB-RET|FG|FG+MLB-RET)");
-            std::process::exit(2);
-        }
-    }
 }
 
 struct Args {
@@ -106,56 +93,30 @@ fn parse_args() -> Args {
         sample: false,
         rounds: 16,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = cli::Args::from_env();
     while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
         match a.as_str() {
-            "--workload" => args.workload = Some(val("--workload")),
-            "--size" => {
-                args.size = parse_size(&val("--size")).unwrap_or_else(|| usage());
+            "--workload" => args.workload = Some(it.value("--workload")),
+            "--size" => args.size = it.size("--size"),
+            "--ckpt" => args.ckpt = Some(it.value("--ckpt")),
+            "--interval" => args.interval = it.num("--interval"),
+            "--fuzz-seed" => args.fuzz_seed = Some(it.num("--fuzz-seed")),
+            "--isa" => args.isa = it.pick("--isa", &[("synth", Isa::Synth), ("rv", Isa::Rv)]),
+            "--machine" => {
+                args.small_machine = it.pick("--machine", &[("paper", false), ("small", true)]);
             }
-            "--ckpt" => args.ckpt = Some(val("--ckpt")),
-            "--interval" => {
-                args.interval = val("--interval").parse().expect("--interval: u64");
+            "--config" => {
+                args.config = it.pick(
+                    "--config",
+                    &[("default", FuzzConfig::default()), ("small", FuzzConfig::small())],
+                );
             }
-            "--fuzz-seed" => {
-                args.fuzz_seed = Some(val("--fuzz-seed").parse().expect("--fuzz-seed: u64"));
-            }
-            "--isa" => match val("--isa").as_str() {
-                "synth" => args.isa = Isa::Synth,
-                "rv" => args.isa = Isa::Rv,
-                other => {
-                    eprintln!("unknown isa {other:?}; expected synth|rv");
-                    std::process::exit(2);
-                }
-            },
-            "--machine" => match val("--machine").as_str() {
-                "paper" => args.small_machine = false,
-                "small" => args.small_machine = true,
-                other => {
-                    eprintln!("unknown machine {other:?}; expected paper|small");
-                    std::process::exit(2);
-                }
-            },
-            "--config" => match val("--config").as_str() {
-                "default" => args.config = FuzzConfig::default(),
-                "small" => args.config = FuzzConfig::small(),
-                other => {
-                    eprintln!("unknown config {other:?}; expected default|small");
-                    std::process::exit(2);
-                }
-            },
-            "--model" => args.model = Some(parse_model(&val("--model"))),
-            "--budget" => args.budget = val("--budget").parse().expect("--budget: u64"),
-            "--out" => args.out = val("--out"),
-            "--counters" => args.counters = Some(val("--counters")),
+            "--model" => args.model = Some(it.model("--model")),
+            "--budget" => args.budget = it.num("--budget"),
+            "--out" => args.out = it.value("--out"),
+            "--counters" => args.counters = Some(it.value("--counters")),
             "--sample" => args.sample = true,
-            "--rounds" => args.rounds = val("--rounds").parse().expect("--rounds: u64"),
+            "--rounds" => args.rounds = it.num("--rounds"),
             other => {
                 eprintln!("unknown argument {other:?}");
                 usage();
@@ -163,15 +124,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn validated_config(model: CiModel) -> TraceProcessorConfig {
-    let cfg = TraceProcessorConfig::paper(model);
-    if let Err(e) = cfg.validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
-    }
-    cfg
 }
 
 fn main() {
@@ -225,10 +177,7 @@ fn write_doc(path: &str, body: &str) {
 }
 
 fn run_sampled_capture(args: &Args, name: &str) {
-    let w = tp_workloads::by_name(name, args.size).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let w = cli::workload(name, args.size);
     let model = args.model.unwrap_or(CiModel::MlbRet);
     let cfg = validated_config(model);
     let sample = tp_bench::sampled::default_sample_for(args.size);
@@ -245,10 +194,7 @@ fn run_sampled_capture(args: &Args, name: &str) {
 }
 
 fn run_workload(args: &Args, name: &str) -> (String, Capture) {
-    let w = tp_workloads::by_name(name, args.size).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let w = cli::workload(name, args.size);
     let model = args.model.unwrap_or(CiModel::MlbRet);
     let cfg = validated_config(model);
     let label = format!("{name}/{} ({}) under {}", size_name(args.size), w.frontend, model.name());
@@ -256,38 +202,13 @@ fn run_workload(args: &Args, name: &str) -> (String, Capture) {
 }
 
 fn run_checkpoint(args: &Args, path: &str) -> (String, Capture) {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("reading {path}: {e}");
-        std::process::exit(1);
-    });
-    let ckpt = Checkpoint::decode(&bytes).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(1);
-    });
-    let (program, size) = find_program(&ckpt).unwrap_or_else(|| {
-        eprintln!(
-            "{path}: no {} workload matches fingerprint {:016x} (captured from `{}`)",
-            ckpt.frontend, ckpt.program_fingerprint, ckpt.program_name
-        );
-        std::process::exit(1);
-    });
+    let ckpt = read_checkpoint(path);
+    let (program, size, _) = find_program(&ckpt).unwrap_or_else(|msg| file_error(path, msg));
     // Default the model to the checkpoint's warmed trace selection, the
     // same derivation `ckpt verify` uses; `--model` overrides it.
-    let model = args.model.unwrap_or(match ckpt.warm.as_ref().map(|w| w.selection) {
-        Some(sel) if sel.fg && sel.ntb => CiModel::FgMlbRet,
-        Some(sel) if sel.fg => CiModel::Fg,
-        Some(sel) if sel.ntb => CiModel::MlbRet,
-        _ => CiModel::None,
-    });
+    let model = args.model.unwrap_or_else(|| warm_model(&ckpt));
     let cfg = validated_config(model);
-    let boot = ckpt.boot_image(&program, &cfg).unwrap_or_else(|e| {
-        eprintln!("{path}: boot failed: {e}");
-        std::process::exit(1);
-    });
-    let mut sim = TraceProcessor::from_checkpoint(&program, cfg, boot).unwrap_or_else(|e| {
-        eprintln!("{path}: boot rejected: {e}");
-        std::process::exit(1);
-    });
+    let mut sim = boot_checkpoint(path, &ckpt, &program, cfg);
     let label = format!(
         "{}/{} resumed at {} retired under {}",
         ckpt.program_name,
@@ -296,19 +217,6 @@ fn run_checkpoint(args: &Args, path: &str) -> (String, Capture) {
         model.name()
     );
     (label, capture_interval(&mut sim, args.interval))
-}
-
-/// Finds the workload a checkpoint was captured from by fingerprint
-/// search over both suites at every size (frontend-checked).
-fn find_program(ckpt: &Checkpoint) -> Option<(Program, Size)> {
-    for size in [Size::Tiny, Size::Small, Size::Full, Size::Long] {
-        for w in all_workloads(size) {
-            if ckpt.verify_program(&w.program).is_ok() && ckpt.verify_frontend(w.frontend).is_ok() {
-                return Some((w.program, size));
-            }
-        }
-    }
-    None
 }
 
 fn run_fuzz_seed(args: &Args, seed: u64) -> (String, Capture) {

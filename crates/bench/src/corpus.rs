@@ -16,11 +16,9 @@ use tp_isa::asm::Asm;
 use tp_isa::func::{ArchState, Machine};
 use tp_isa::synth::{self, SynthConfig};
 use tp_isa::{AluOp, Cond, Program, Reg};
-use tp_workloads::{by_name, Size};
+use tp_workloads::{by_name, Size, Workload};
 
-/// Every control-independence model, in the canonical probe order.
-pub const MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
+use crate::runner::run_cell;
 
 /// One deterministic probe outcome.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,22 +110,9 @@ pub fn run_probe_against(
 ) -> ProbeResult {
     let cfg = TraceProcessorConfig::paper(model).with_oracle();
     let mut sim = TraceProcessor::new(program, cfg);
-    let r = sim.run(50_000_000).unwrap_or_else(|e| panic!("{name} {model:?}: {e}"));
-    assert!(r.halted, "{name} {model:?} did not halt");
+    let stats = run_cell(&mut sim, name, model.name()).result.stats;
     assert_eq!(&sim.arch_state(), expected, "{name} {model:?} diverged");
-    ProbeResult {
-        cycles: r.stats.cycles,
-        retired: r.stats.retired_instrs,
-        digest: state_digest(&sim),
-    }
-}
-
-/// Single-cell convenience wrapper: computes the oracle itself. Prefer
-/// [`oracle_state`] + [`run_probe_against`] when probing several models of
-/// one program (the full corpus would otherwise re-emulate each program
-/// five times).
-pub fn run_probe(name: &str, program: &Program, model: CiModel) -> ProbeResult {
-    run_probe_against(name, program, model, &oracle_state(program))
+    ProbeResult { cycles: stats.cycles, retired: stats.retired_instrs, digest: state_digest(&sim) }
 }
 
 /// The canonical one-line rendering of a probe cell — the historical
@@ -143,13 +128,33 @@ pub fn probe_row(name: &str, model: CiModel, r: ProbeResult) -> String {
     )
 }
 
+/// The `simstats.txt` fixture rows: every workload in `workloads` under
+/// every model, one `{workload} {model:?} {stats:?}` line per cell.
+/// `attach` prepares each simulator before its run, so observation-only
+/// checks can attach sinks and still compare the same bytes.
+pub fn simstats_rows(
+    workloads: &[Workload],
+    mut attach: impl FnMut(&Workload, &mut TraceProcessor<'_>),
+) -> String {
+    let mut rows = String::new();
+    for w in workloads {
+        for model in CiModel::ALL {
+            let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model));
+            attach(w, &mut sim);
+            let stats = run_cell(&mut sim, w.name, model.name()).result.stats;
+            rows.push_str(&format!("{} {model:?} {stats:?}\n", w.name));
+        }
+    }
+    rows
+}
+
 /// Runs the full 25-cell corpus (5 programs x 5 models) and returns the
 /// canonical rows in order.
 pub fn probe_rows() -> Vec<String> {
     let mut rows = Vec::new();
     for (name, program) in probe_programs() {
         let expected = oracle_state(&program);
-        for model in MODELS {
+        for model in CiModel::ALL {
             let r = run_probe_against(name, &program, model, &expected);
             rows.push(probe_row(name, model, r));
         }
@@ -164,8 +169,9 @@ mod tests {
     #[test]
     fn quickstart_probe_is_deterministic() {
         let p = quickstart_program();
-        let a = run_probe("quickstart", &p, CiModel::None);
-        let b = run_probe("quickstart", &p, CiModel::None);
+        let expected = oracle_state(&p);
+        let a = run_probe_against("quickstart", &p, CiModel::None, &expected);
+        let b = run_probe_against("quickstart", &p, CiModel::None, &expected);
         assert_eq!(a, b);
         assert!(a.cycles > 0 && a.retired > 0);
     }

@@ -1,7 +1,8 @@
-//! Experiment harness library: branch profiling (Table 5), shared run
-//! helpers, and paper-reference data used by the bench targets in
-//! `benches/`.
+//! Experiment harness library: branch profiling (Table 5), the shared cell
+//! runner and sampled driver, the bins' CLI layer, and paper-reference
+//! data used by the bench targets in `benches/`.
 
+pub mod cli;
 pub mod corpus;
 pub mod ffwd;
 pub mod json;
@@ -16,16 +17,15 @@ pub mod tap;
 
 pub use ffwd::{ffwd_to_json, run_ffwd_bench, speedup_geomean, FfwdBenchCell};
 pub use profile::{profile_branches, BranchClass, BranchProfile};
-pub use runner::{run_model, run_selection, RunSummary};
+pub use runner::{run_cell, run_model, run_selection, try_run_cell, CellRun};
 pub use sampled::{
-    cross_check, default_sample_for, run_sampled, run_sampled_grid, sampled_to_json, CrossCheck,
-    Interval, SampleConfig, SampledCell, SampledRun,
+    cross_check, default_sample_for, run_sampled, run_sampled_with, sampled_to_json, CrossCheck,
+    Interval, RoundObserver, SampleConfig, SampledCell, SampledRun,
 };
 pub use sweep::{
     run_sweep_parallel, run_sweep_sequential, run_sweep_with_threads, SweepJob, SweepResult,
 };
 pub use tap::{
-    capture_interval, capture_program, capture_sampled, measure_null_sink_overhead,
-    measure_observability_overhead, Capture, ObsVariant, ObservabilityProbe, OverheadProbe,
-    SampledCapture,
+    capture_interval, capture_program, capture_sampled, measure_observability_overhead, Capture,
+    ObsVariant, ObservabilityProbe, SampledCapture,
 };

@@ -8,8 +8,10 @@
 //!   tp-cfg so CGCI detections land in the reconvergence-distance
 //!   histogram) and the host stage profiler attached, and keeps the
 //!   derived distributions next to the headline stats.
-//! * **Phase series** — a sampled run instrumented per leg: the first
-//!   detailed interval is the *cold* phase (it boots the initial image,
+//! * **Phase series** — an observer of the one sampled driver
+//!   ([`run_sampled_with`]): it attaches a [`MetricsSink`] after each
+//!   round's warmup and records one point per leg. The first detailed
+//!   interval is the *cold* phase (it boots the initial image,
 //!   bit-identical to a full run's start), later intervals are *steady*,
 //!   and the functional fast-forward legs appear as instruction-only
 //!   points. One merged [`Metrics`] per phase rides along.
@@ -21,7 +23,6 @@
 //!   warn-only. This is the CI perf-trend gate.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use tp_cfg::CfgAnalysis;
 use tp_core::{CiModel, SimStats, TraceProcessor, TraceProcessorConfig};
@@ -31,8 +32,9 @@ use tp_stats::Table;
 use tp_workloads::{Size, Workload};
 
 use crate::json::Json;
-use crate::sampled::SampleConfig;
-use crate::speed::{size_name, CELL_BUDGET};
+use crate::runner::run_cell;
+use crate::sampled::{run_sampled_with, Interval, RoundObserver, SampleConfig};
+use crate::speed::size_name;
 
 /// The static immediate-post-dominator map of every conditional branch
 /// that has one: `branch pc -> re-convergence pc`, straight from the
@@ -94,20 +96,16 @@ pub fn collect_cell(w: &Workload, model: CiModel) -> MetricsCell {
     let mut sim = TraceProcessor::new(&w.program, cfg);
     sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom_map(&w.program))));
     sim.attach_stage_profiler();
-    let t = Instant::now();
-    let r = sim.run(CELL_BUDGET).unwrap_or_else(|e| panic!("{} {model:?}: {e}", w.name));
-    let wall_seconds = t.elapsed().as_secs_f64();
-    assert!(r.halted, "{} {model:?} did not halt", w.name);
+    let cell = run_cell(&mut sim, w.name, model.name());
     let profiler = *sim.take_stage_profiler().expect("profiler attached above");
     // Release first: the drain emits balancing close events for still-open
     // spans, which the sink must see before it is detached.
-    let mut bus = sim.release_event_bus();
-    let sink = bus.take::<MetricsSink>().expect("metrics sink attached above");
+    let sink = sim.release_event_bus().take::<MetricsSink>().expect("attached above");
     MetricsCell {
         workload: w.name,
         model,
-        stats: r.stats,
-        wall_seconds,
+        stats: cell.result.stats,
+        wall_seconds: cell.wall_seconds,
         metrics: sink.into_metrics(),
         profiler,
     }
@@ -119,13 +117,7 @@ pub fn collect_cell(w: &Workload, model: CiModel) -> MetricsCell {
 ///
 /// As [`collect_cell`].
 pub fn collect_grid(workloads: &[Workload], models: &[CiModel]) -> Vec<MetricsCell> {
-    let mut cells = Vec::new();
-    for w in workloads {
-        for &model in models {
-            cells.push(collect_cell(w, model));
-        }
-    }
-    cells
+    workloads.iter().flat_map(|w| models.iter().map(move |&m| collect_cell(w, m))).collect()
 }
 
 /// One point of a sampled run's phase series.
@@ -147,11 +139,8 @@ pub struct PhasePoint {
 impl PhasePoint {
     /// The leg's IPC (0 for functional legs).
     pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instrs as f64 / self.cycles as f64
-        }
+        Interval { start_retired: self.start_retired, instrs: self.instrs, cycles: self.cycles }
+            .ipc()
     }
 }
 
@@ -173,104 +162,70 @@ pub struct PhaseReport {
     pub halted: bool,
 }
 
-/// Runs `w` under `model` with sampled simulation, attaching a fresh
-/// metrics sink to every detailed interval (after its warmup leg, so the
-/// distributions cover measured work only) and merging the results by
-/// phase.
+/// Runs `w` under `model` through the sampled driver as an observer that
+/// attaches a fresh metrics sink to every detailed interval (after its
+/// warmup leg, so the distributions cover measured work only) and merges
+/// the results by phase.
 ///
 /// # Panics
 ///
-/// Panics if the simulator deadlocks or a checkpoint fails to
-/// round-trip — bugs, not results.
+/// As [`run_sampled_as`](crate::sampled::run_sampled_as).
 pub fn collect_phases(w: &Workload, model: CiModel, sample: &SampleConfig) -> PhaseReport {
-    use tp_ckpt::{Checkpoint, FastForward};
-    use tp_isa::func::MachineState;
-
     let cfg = TraceProcessorConfig::paper(model);
-    let ipdom = ipdom_map(&w.program);
-    let mut ff = FastForward::new(&w.program, &cfg);
-    ff.set_frontend(w.frontend);
-    let mut points = Vec::new();
-    let mut cold = Metrics::default();
-    let mut steady = Metrics::default();
-    let mut halted = false;
-    let mut round = 0u64;
-    let mut index = 0u64;
-    while !halted && !ff.halted() {
-        let ckpt = Checkpoint::decode(&ff.checkpoint().encode())
-            .unwrap_or_else(|e| panic!("{}: checkpoint round-trip failed: {e}", w.name));
-        let boot = ckpt
-            .boot_image(&w.program, &cfg)
-            .unwrap_or_else(|e| panic!("{}: checkpoint boot failed: {e}", w.name));
-        let mut sim = TraceProcessor::from_checkpoint(&w.program, cfg.clone(), boot)
-            .unwrap_or_else(|e| panic!("{}: boot rejected: {e}", w.name));
-        let this_warmup = if round == 0 { 0 } else { sample.warmup };
-        sim.run_interval(this_warmup).unwrap_or_else(|e| panic!("{} warmup: {e}", w.name));
-        let (w_instrs, w_cycles) = (sim.stats().retired_instrs, sim.stats().cycles);
+    let report = PhaseReport {
+        workload: w.name,
+        model,
+        points: Vec::new(),
+        cold: Metrics::default(),
+        steady: Metrics::default(),
+        halted: false,
+    };
+    let mut obs = PhaseObserver { ipdom: ipdom_map(&w.program), report };
+    let run = run_sampled_with(&w.program, w.frontend, &cfg, sample, &mut obs);
+    PhaseReport { halted: run.halted, ..obs.report }
+}
+
+/// The [`collect_phases`] observer: fills the report's points and merged
+/// per-phase [`Metrics`].
+struct PhaseObserver {
+    ipdom: HashMap<u32, u32>,
+    report: PhaseReport,
+}
+
+impl PhaseObserver {
+    fn push(&mut self, phase: &'static str, start_retired: u64, instrs: u64, cycles: u64) {
+        let points = &mut self.report.points;
+        points.push(PhasePoint {
+            index: points.len() as u64,
+            phase,
+            start_retired,
+            instrs,
+            cycles,
+        });
+    }
+}
+
+impl RoundObserver for PhaseObserver {
+    fn warmed(&mut self, _round: u64, sim: &mut TraceProcessor<'_>) {
         // Attach after warmup: warmup events are pipeline-priming noise.
-        sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom.clone())));
-        let r = sim.run_interval(sample.interval).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        halted = r.halted;
-        let instrs = r.stats.retired_instrs - w_instrs;
-        let cycles = r.stats.cycles - w_cycles;
-        let (pc, retired_delta) = sim.retired_frontier();
-        let regs = sim.arch_state().regs;
-        let state = MachineState {
-            regs,
-            mem: sim.committed_mem_words().into_iter().collect(),
-            pc,
-            halted,
-            retired: ckpt.retired + retired_delta,
-        };
+        sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(self.ipdom.clone())));
+    }
+
+    fn interval_end(&mut self, round: u64, iv: Option<&Interval>, sim: &mut TraceProcessor<'_>) {
         // Release before teardown so drained close events reach the sink.
-        let mut bus = sim.release_event_bus();
-        let sink = bus.take::<MetricsSink>().expect("metrics sink attached above");
+        let sink = sim.release_event_bus().take::<MetricsSink>().expect("attached after warmup");
+        let Some(iv) = iv else { return };
+        let cold = round == 0;
+        self.push(if cold { "cold" } else { "steady" }, iv.start_retired, iv.instrs, iv.cycles);
+        let merged = if cold { &mut self.report.cold } else { &mut self.report.steady };
+        merged.merge(sink.metrics());
+    }
+
+    fn skipped(&mut self, start: u64, instrs: u64) {
         if instrs > 0 {
-            points.push(PhasePoint {
-                index,
-                phase: if round == 0 { "cold" } else { "steady" },
-                start_retired: ckpt.retired + w_instrs,
-                instrs,
-                cycles,
-            });
-            index += 1;
-            if round == 0 {
-                cold.merge(sink.metrics());
-            } else {
-                steady.merge(sink.metrics());
-            }
-        }
-        let warm = sim.into_warm();
-        ff.adopt(state, warm);
-        round += 1;
-        if halted {
-            break;
-        }
-        // Same deterministic jitter as the sampled runner, so the phase
-        // series measures the exact legs `run_sampled` would.
-        let jittered = if sample.skip == 0 {
-            0
-        } else {
-            let h = round.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
-            sample.skip / 2 + h % sample.skip
-        };
-        let before = ff.retired();
-        let s = ff
-            .skip(jittered)
-            .unwrap_or_else(|e| panic!("{}: fast-forward left the program: {e}", w.name));
-        halted = s.halted;
-        if ff.retired() > before {
-            points.push(PhasePoint {
-                index,
-                phase: "ffwd",
-                start_retired: before,
-                instrs: ff.retired() - before,
-                cycles: 0,
-            });
-            index += 1;
+            self.push("ffwd", start, instrs, 0);
         }
     }
-    PhaseReport { workload: w.name, model, points, cold, steady, halted: true }
 }
 
 fn num(x: f64) -> String {
@@ -750,14 +705,15 @@ mod tests {
 
     #[test]
     fn regenerated_snapshots_diff_clean_and_perturbation_trips_gate() {
-        use crate::speed::{run_grid, to_json, DEFAULT_PES};
+        use crate::speed::{run_grid_on, to_json, DEFAULT_PES};
         use tp_core::CiModel;
         // Two independent regenerations of the speed document: simulated
         // figures are deterministic, host wall-clock is not — the diff
         // must report zero regressions either way.
         let models = [CiModel::None, CiModel::MlbRet];
-        let a = run_grid(Size::Tiny, &models, &DEFAULT_PES);
-        let b = run_grid(Size::Tiny, &models, &DEFAULT_PES);
+        let workloads = tp_workloads::suite(Size::Tiny);
+        let a = run_grid_on(&workloads, &models, &DEFAULT_PES);
+        let b = run_grid_on(&workloads, &models, &DEFAULT_PES);
         let (da, db) = (
             parse(&to_json(&a, Size::Tiny)).expect("valid"),
             parse(&to_json(&b, Size::Tiny)).expect("valid"),

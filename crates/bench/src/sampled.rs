@@ -12,6 +12,14 @@
 //! binary format — there is exactly one boot path, the one the `ckpt`
 //! binary and CI artifacts use.
 //!
+//! The round protocol — checkpoint boot → warmup → measured interval →
+//! warm hand-back → jittered skip — is written once, in
+//! [`run_sampled_with`]. Analyses attach to it as a [`RoundObserver`]
+//! with hooks after boot, after warmup, at interval end (before the
+//! detailed model is torn down) and after each skip, plus an early stop.
+//! [`run_sampled_as`] is the driver with the no-op observer `()`; the
+//! metrics phase series and the sampled event capture are observers.
+//!
 //! Aggregation follows the standard systematic-sampling estimate: the IPC
 //! estimate is `sum(interval instructions) / sum(interval cycles)`, and
 //! the reported error bound is a 95% confidence interval over the
@@ -25,7 +33,9 @@ use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::func::MachineState;
 use tp_isa::{Frontend, Program};
 use tp_stats::RecoveryAttribution;
-use tp_workloads::{suite, Size, Workload};
+use tp_workloads::{Size, Workload};
+
+use crate::runner::run_cell;
 
 /// The sampling regime: how much detail per round, and how far to
 /// fast-forward between rounds.
@@ -60,11 +70,6 @@ impl SampleConfig {
     /// full detailed runs.
     pub fn sparse() -> SampleConfig {
         SampleConfig { warmup: 1_500, interval: 12_000, skip: 100_000 }
-    }
-
-    /// The per-round detailed footprint.
-    pub fn detailed_per_round(&self) -> u64 {
-        self.warmup + self.interval
     }
 }
 
@@ -229,7 +234,60 @@ pub fn run_sampled_as(
     cfg: &TraceProcessorConfig,
     sample: &SampleConfig,
 ) -> SampledRun {
-    let name = program.name().to_string();
+    run_sampled_with(program, frontend, cfg, sample, &mut ())
+}
+
+/// Per-round hooks into the sampled driver ([`run_sampled_with`]). Every
+/// hook defaults to a no-op, so an analysis implements only the points it
+/// watches. `round` counts detailed legs from 0; the simulator handed to a
+/// hook is the round's freshly booted detailed model.
+pub trait RoundObserver {
+    /// The round booted from its checkpoint at retired-instruction `at`;
+    /// the warmup leg runs next.
+    fn booted(&mut self, _round: u64, _at: u64, _sim: &mut TraceProcessor<'_>) {}
+
+    /// The warmup leg finished; the measured interval runs next.
+    fn warmed(&mut self, _round: u64, _sim: &mut TraceProcessor<'_>) {}
+
+    /// The measured interval finished (`None` when it retired nothing).
+    /// The simulator is torn down and its warm state handed back next.
+    fn interval_end(
+        &mut self,
+        _round: u64,
+        _interval: Option<&Interval>,
+        _sim: &mut TraceProcessor<'_>,
+    ) {
+    }
+
+    /// A functional skip leg retired `instrs` instructions from `start`.
+    fn skipped(&mut self, _start: u64, _instrs: u64) {}
+
+    /// Whether to stop before booting the next round (an early stop leaves
+    /// the returned run's `halted` false).
+    fn done(&self) -> bool {
+        false
+    }
+}
+
+/// The no-op observer of a plain sampled run.
+impl RoundObserver for () {}
+
+/// The sampled driver: runs `program` round by round, calling `obs` at
+/// each hook. [`run_sampled_as`] is this driver with the no-op observer;
+/// the phase series ([`crate::metrics::collect_phases`]) and the sampled
+/// event capture ([`crate::tap::capture_sampled`]) are observers of it.
+///
+/// # Panics
+///
+/// As [`run_sampled`].
+pub fn run_sampled_with<O: RoundObserver>(
+    program: &Program,
+    frontend: Frontend,
+    cfg: &TraceProcessorConfig,
+    sample: &SampleConfig,
+    obs: &mut O,
+) -> SampledRun {
+    let name = program.name();
     let t = Instant::now();
     let mut ff = FastForward::new(program, cfg);
     ff.set_frontend(frontend);
@@ -240,7 +298,7 @@ pub fn run_sampled_as(
     let mut halted = false;
     let mut round = 0u64;
     let mut ffwd_wall = 0.0f64;
-    while !halted && !ff.halted() {
+    while !halted && !ff.halted() && !obs.done() {
         // Detailed leg, booted through the binary checkpoint format.
         let ckpt = Checkpoint::decode(&ff.checkpoint().encode())
             .unwrap_or_else(|e| panic!("{name}: checkpoint round-trip failed: {e}"));
@@ -249,13 +307,13 @@ pub fn run_sampled_as(
             .unwrap_or_else(|e| panic!("{name}: checkpoint boot failed: {e}"));
         let mut sim = TraceProcessor::from_checkpoint(program, cfg.clone(), boot)
             .unwrap_or_else(|e| panic!("{name}: boot rejected: {e}"));
+        obs.booted(round, ckpt.retired, &mut sim);
         // The first round boots the *initial* state — bit-identical to how
         // a full run starts — so its cold-start cycles are real cost and
         // must be measured, not discarded. Later rounds boot mid-program
         // with an artificially empty pipeline; their warmup absorbs that
         // boot transient.
         let this_warmup = if round == 0 { 0 } else { sample.warmup };
-        round += 1;
         sim.run_interval(this_warmup).unwrap_or_else(|e| panic!("{name} warmup: {e}"));
         let (w_instrs, w_cycles) = (sim.stats().retired_instrs, sim.stats().cycles);
         // The simulator's ledger is cumulative since boot; snapshot it so
@@ -263,15 +321,23 @@ pub fn run_sampled_as(
         // the discarded warmup leg.
         let w_attr = sim.attribution().clone();
         warmup_instrs += w_instrs;
+        obs.warmed(round, &mut sim);
         let r = sim.run_interval(sample.interval).unwrap_or_else(|e| panic!("{name}: {e}"));
         let instrs = r.stats.retired_instrs - w_instrs;
         let cycles = r.stats.cycles - w_cycles;
-        if instrs > 0 {
-            intervals.push(Interval { start_retired: ckpt.retired + w_instrs, instrs, cycles });
+        let interval = (instrs > 0).then_some(Interval {
+            start_retired: ckpt.retired + w_instrs,
+            instrs,
+            cycles,
+        });
+        if let Some(iv) = interval {
+            intervals.push(iv);
             attribution.merge(&r.attribution.since(&w_attr));
             detailed_instrs += instrs;
         }
         halted = r.halted;
+        obs.interval_end(round, interval.as_ref(), &mut sim);
+        round += 1;
         // Hand the architectural frontier and the interval's trained
         // structures back to the fast-forward engine. Memory must be the
         // *full* committed image, not the normalized `arch_state` view:
@@ -304,12 +370,14 @@ pub fn run_sampled_as(
             let h = round.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
             sample.skip / 2 + h % sample.skip
         };
+        let before = ff.retired();
         let leg = Instant::now();
         let s = ff
             .skip(jittered)
             .unwrap_or_else(|e| panic!("{name}: fast-forward left the program: {e}"));
         ffwd_wall += leg.elapsed().as_secs_f64();
         halted = s.halted;
+        obs.skipped(before, ff.retired() - before);
     }
     SampledRun {
         intervals,
@@ -317,7 +385,7 @@ pub fn run_sampled_as(
         detailed_instrs,
         warmup_instrs,
         ffwd_instrs: ff.retired() - detailed_instrs - warmup_instrs,
-        halted: true,
+        halted: halted || ff.halted(),
         wall_seconds: t.elapsed().as_secs_f64(),
         ffwd_wall_seconds: ffwd_wall,
         attribution,
@@ -344,16 +412,8 @@ pub struct SampledCell {
     pub run: SampledRun,
 }
 
-/// Runs every workload of `size` sampled under every model in `models`.
-///
-/// # Panics
-///
-/// As [`run_sampled`].
-pub fn run_sampled_grid(size: Size, models: &[CiModel], sample: &SampleConfig) -> Vec<SampledCell> {
-    run_sampled_grid_on(&suite(size), models, sample)
-}
-
-/// [`run_sampled_grid`] over an explicit workload list (any suite mix).
+/// Runs every workload in `workloads` sampled under every model in
+/// `models`.
 ///
 /// # Panics
 ///
@@ -363,18 +423,15 @@ pub fn run_sampled_grid_on(
     models: &[CiModel],
     sample: &SampleConfig,
 ) -> Vec<SampledCell> {
-    let mut cells = Vec::new();
-    for w in workloads {
-        for &model in models {
-            let cfg = TraceProcessorConfig::paper(model);
-            cells.push(SampledCell {
-                workload: w.name,
-                model,
-                run: run_sampled_as(&w.program, w.frontend, &cfg, sample),
-            });
+    let cell = |w: &Workload, model: CiModel| {
+        let cfg = TraceProcessorConfig::paper(model);
+        SampledCell {
+            workload: w.name,
+            model,
+            run: run_sampled_as(&w.program, w.frontend, &cfg, sample),
         }
-    }
-    cells
+    };
+    workloads.iter().flat_map(|w| models.iter().map(move |&m| cell(w, m))).collect()
 }
 
 /// Renders a sampled grid as the `tp-bench/sampled/v2` JSON document
@@ -461,36 +518,35 @@ impl CrossCheck {
     }
 }
 
-/// Runs every workload of `size` both ways (full detailed, then sampled)
-/// under each model and returns the comparisons — the sampled-accuracy
+/// Runs every workload in `workloads` both ways (full detailed, then
+/// sampled) under each model and returns the comparisons — the sampled-accuracy
 /// validation behind the CI smoke step and the acceptance tests.
 ///
 /// # Panics
 ///
 /// Panics if any run deadlocks or fails to halt.
-pub fn cross_check(size: Size, models: &[CiModel], sample: &SampleConfig) -> Vec<CrossCheck> {
+pub fn cross_check(
+    workloads: &[Workload],
+    models: &[CiModel],
+    sample: &SampleConfig,
+) -> Vec<CrossCheck> {
     let mut out = Vec::new();
-    for w in suite(size) {
+    for w in workloads {
         for &model in models {
             let cfg = TraceProcessorConfig::paper(model);
-            let t = Instant::now();
             let mut sim = TraceProcessor::new(&w.program, cfg.clone());
-            let full = sim
-                .run(crate::speed::CELL_BUDGET)
-                .unwrap_or_else(|e| panic!("{} {model:?}: {e}", w.name));
-            assert!(full.halted, "{} {model:?} did not halt", w.name);
-            let full_wall = t.elapsed().as_secs_f64();
-            let sampled = run_sampled(&w.program, &cfg, sample);
+            let full = run_cell(&mut sim, w.name, model.name());
+            let sampled = run_sampled_as(&w.program, w.frontend, &cfg, sample);
             assert_eq!(
-                sampled.total_instrs, full.stats.retired_instrs,
+                sampled.total_instrs, full.result.stats.retired_instrs,
                 "{} {model:?}: sampled run covered a different instruction count",
                 w.name
             );
             out.push(CrossCheck {
                 workload: w.name,
                 model,
-                full_ipc: full.stats.ipc(),
-                full_wall,
+                full_ipc: full.result.stats.ipc(),
+                full_wall: full.wall_seconds,
                 sampled,
             });
         }

@@ -12,12 +12,12 @@
 //! ROADMAP tracks). The JSON emitter is hand-rolled because the build is
 //! offline.
 
-use std::time::Instant;
-
 use tp_core::{CiModel, SimStats, TraceProcessor, TraceProcessorConfig};
 use tp_predict::TracePredictorStats;
 use tp_stats::RecoveryAttribution;
 use tp_workloads::{all_workloads, rv_suite, suite, Size, Workload};
+
+use crate::runner::{run_cell, CellRun};
 
 /// Which workload suite a measurement grid runs over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,16 +31,7 @@ pub enum SuiteChoice {
 }
 
 impl SuiteChoice {
-    /// The label used in CLI parsing and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SuiteChoice::Synth => "synth",
-            SuiteChoice::Rv => "rv",
-            SuiteChoice::All => "all",
-        }
-    }
-
-    /// Parses a suite label (the inverse of [`SuiteChoice::name`]).
+    /// Parses a suite label (`synth`, `rv` or `all`).
     pub fn parse(s: &str) -> Option<SuiteChoice> {
         match s {
             "synth" => Some(SuiteChoice::Synth),
@@ -60,19 +51,11 @@ impl SuiteChoice {
     }
 }
 
-/// The model grid of the speed baseline: the paper's full five-model
-/// matrix (§6.2).
-pub const BASELINE_MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
-
 /// The default PE-count axis (the paper's 16-PE machine).
 pub const DEFAULT_PES: [usize; 1] = [16];
 
 /// The full PE-count sweep axis.
 pub const SWEEP_PES: [usize; 3] = [4, 8, 16];
-
-/// Instruction budget per cell (workloads halt well before it).
-pub const CELL_BUDGET: u64 = 100_000_000;
 
 /// One `(workload, model, PE count)` measurement.
 #[derive(Clone, Debug)]
@@ -104,22 +87,13 @@ impl SpeedCell {
     }
 }
 
-/// Runs the whole grid: every workload of `size` under every model in
+/// Runs the whole grid: every workload in `workloads` under every model in
 /// `models`, at every PE count in `pe_counts`.
 ///
 /// # Panics
 ///
 /// Panics if any cell deadlocks or fails to halt — a baseline must never
 /// be recorded from a broken run.
-pub fn run_grid(size: Size, models: &[CiModel], pe_counts: &[usize]) -> Vec<SpeedCell> {
-    run_grid_on(&suite(size), models, pe_counts)
-}
-
-/// [`run_grid`] over an explicit workload list (any suite mix).
-///
-/// # Panics
-///
-/// As [`run_grid`].
 pub fn run_grid_on(
     workloads: &[Workload],
     models: &[CiModel],
@@ -132,12 +106,7 @@ pub fn run_grid_on(
                 let mut cfg = TraceProcessorConfig::paper(model);
                 cfg.num_pes = pes;
                 let mut sim = TraceProcessor::new(&w.program, cfg);
-                let t = Instant::now();
-                let r = sim
-                    .run(CELL_BUDGET)
-                    .unwrap_or_else(|e| panic!("{} {model:?} {pes}pe: {e}", w.name));
-                let wall_seconds = t.elapsed().as_secs_f64();
-                assert!(r.halted, "{} {model:?} {pes}pe did not halt", w.name);
+                let CellRun { result: r, wall_seconds } = run_cell(&mut sim, w.name, model.name());
                 cells.push(SpeedCell {
                     workload: w.name,
                     model,
@@ -295,7 +264,7 @@ mod tests {
 
     #[test]
     fn tiny_grid_runs_and_serializes() {
-        let cells = run_grid(Size::Tiny, &[CiModel::None, CiModel::Fg], &DEFAULT_PES);
+        let cells = run_grid_on(&suite(Size::Tiny), &[CiModel::None, CiModel::Fg], &DEFAULT_PES);
         assert_eq!(cells.len(), 16, "two cells per workload");
         assert!(cells.iter().all(|c| c.stats.retired_instrs > 0 && c.stats.cycles > 0));
         let json = to_json(&cells, Size::Tiny);
@@ -316,7 +285,7 @@ mod tests {
     #[test]
     fn pe_axis_produces_distinct_cells() {
         let w = "m88ksim";
-        let cells: Vec<SpeedCell> = run_grid(Size::Tiny, &[CiModel::None], &[4, 16])
+        let cells: Vec<SpeedCell> = run_grid_on(&suite(Size::Tiny), &[CiModel::None], &[4, 16])
             .into_iter()
             .filter(|c| c.workload == w)
             .collect();

@@ -16,10 +16,10 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use tp_core::TraceProcessorConfig;
+use tp_core::{RunResult, TraceProcessorConfig};
 use tp_isa::Program;
 
-use crate::runner::{run_with, RunSummary};
+use crate::runner::run_with;
 
 /// One independent sweep cell: a labelled configuration applied to a
 /// workload program.
@@ -43,7 +43,7 @@ pub struct SweepResult {
     /// Configuration label, copied from the job.
     pub label: String,
     /// Headline numbers of the run.
-    pub summary: RunSummary,
+    pub summary: RunResult,
 }
 
 /// Runs every job, one config per core, returning results in job order.
@@ -82,7 +82,7 @@ pub fn run_sweep_with_threads(jobs: Vec<SweepJob<'_>>, threads: usize) -> Vec<Sw
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(i) else { break };
-                let summary = run_with(job.program, job.cfg.clone());
+                let summary = run_with(job.program, job.cfg.clone(), &job.label);
                 *results[i].lock().expect("result slot poisoned") =
                     Some(SweepResult { workload: job.workload, label: job.label.clone(), summary });
             });
@@ -102,10 +102,9 @@ pub fn run_sweep_with_threads(jobs: Vec<SweepJob<'_>>, threads: usize) -> Vec<Sw
 /// Panics if any simulation deadlocks (a bug, not a result).
 pub fn run_sweep_sequential(jobs: Vec<SweepJob<'_>>) -> Vec<SweepResult> {
     jobs.into_iter()
-        .map(|job| SweepResult {
-            workload: job.workload,
-            label: job.label,
-            summary: run_with(job.program, job.cfg),
+        .map(|job| {
+            let summary = run_with(job.program, job.cfg, &job.label);
+            SweepResult { workload: job.workload, label: job.label, summary }
         })
         .collect()
 }

@@ -1,16 +1,18 @@
 //! Event capture: attach the `tp-events` sinks to a simulator, run it,
 //! and render the captured documents. Shared by the `tracetap` binary and
-//! the fuzz binary's divergence capture.
+//! the fuzz binary's divergence capture. A sampled capture is an observer
+//! of the one sampled driver, so its intervals are exactly a sampled
+//! run's. Also home of the observability overhead probe behind
+//! `speed --events-guard`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use tp_ckpt::{Checkpoint, FastForward};
 use tp_core::{TraceProcessor, TraceProcessorConfig};
 use tp_events::{ChromeTraceSink, CounterTimelineSink};
-use tp_isa::func::MachineState;
 use tp_isa::{Frontend, Program};
 
-use crate::sampled::SampleConfig;
+use crate::runner::run_cell;
+use crate::sampled::{run_sampled_with, Interval, RoundObserver, SampleConfig};
 
 /// A finished event capture: both rendered JSON documents plus the run's
 /// headline numbers.
@@ -82,17 +84,18 @@ pub struct SampledCapture {
 
 /// Captures a sampled run's events on one coherent timeline.
 ///
-/// Mirrors the sampled runner's round structure (checkpoint boot →
-/// warmup → measured interval → fast-forward skip), reusing a *single*
-/// [`ChromeTraceSink`] across the detailed intervals: each interval's
-/// simulator restarts at cycle 0, so before re-attaching the sink its
-/// timeline base is advanced past everything already captured and the
-/// interval is stamped with `(interval index, retired-instruction
-/// offset)` on a dedicated `sampling` track. Fast-forward legs appear as
-/// gaps: the base also advances by one cycle per functionally skipped
-/// instruction (an IPC-1 proxy — the legs execute in the functional
-/// model, which has no cycle clock), so interval spacing reflects skip
-/// lengths without pretending cycle accuracy.
+/// An observer of the one sampled driver
+/// ([`run_sampled_with`](crate::sampled::run_sampled_with)) that reuses a
+/// *single* [`ChromeTraceSink`] across the detailed intervals, attached at
+/// each boot: each interval's simulator restarts at cycle 0, so before
+/// re-attaching the sink its timeline base is advanced past everything
+/// already captured and the interval is stamped with `(interval index,
+/// retired-instruction offset)` on a dedicated `sampling` track.
+/// Fast-forward legs appear as gaps: the base also advances by one cycle
+/// per functionally skipped instruction (an IPC-1 proxy — the legs
+/// execute in the functional model, which has no cycle clock), so
+/// interval spacing reflects skip lengths without pretending cycle
+/// accuracy.
 ///
 /// At most `max_rounds` detailed intervals are captured (the trace file
 /// grows with every event; a tap wants the first few intervals, not the
@@ -100,8 +103,7 @@ pub struct SampledCapture {
 ///
 /// # Panics
 ///
-/// Panics if the simulator deadlocks or a checkpoint fails to
-/// round-trip — bugs, not results.
+/// As [`run_sampled_as`](crate::sampled::run_sampled_as).
 pub fn capture_sampled(
     program: &Program,
     frontend: Frontend,
@@ -109,97 +111,53 @@ pub fn capture_sampled(
     sample: &SampleConfig,
     max_rounds: u64,
 ) -> SampledCapture {
-    let name = program.name().to_string();
-    let mut ff = FastForward::new(program, cfg);
-    ff.set_frontend(frontend);
-    let mut sink = Box::new(ChromeTraceSink::new());
-    let mut base = 0u64;
-    let mut halted = false;
-    let mut round = 0u64;
-    while !halted && !ff.halted() && round < max_rounds {
-        let ckpt = Checkpoint::decode(&ff.checkpoint().encode())
-            .unwrap_or_else(|e| panic!("{name}: checkpoint round-trip failed: {e}"));
-        let boot = ckpt
-            .boot_image(program, cfg)
-            .unwrap_or_else(|e| panic!("{name}: checkpoint boot failed: {e}"));
-        let mut sim = TraceProcessor::from_checkpoint(program, cfg.clone(), boot)
-            .unwrap_or_else(|e| panic!("{name}: boot rejected: {e}"));
-        sink.set_base(base);
-        sink.mark_interval(round, ckpt.retired);
-        sim.attach_event_sink(sink);
-        let this_warmup = if round == 0 { 0 } else { sample.warmup };
-        round += 1;
-        sim.run_interval(this_warmup).unwrap_or_else(|e| panic!("{name} warmup: {e}"));
-        let r = sim.run_interval(sample.interval).unwrap_or_else(|e| panic!("{name}: {e}"));
-        halted = r.halted;
-        base += sim.now();
-        let mut bus = sim.release_event_bus();
-        sink = bus.take::<ChromeTraceSink>().expect("attached above");
-        let (pc, retired_delta) = sim.retired_frontier();
-        let regs = sim.arch_state().regs;
-        let state = MachineState {
-            regs,
-            mem: sim.committed_mem_words().into_iter().collect(),
-            pc,
-            halted,
-            retired: ckpt.retired + retired_delta,
-        };
-        let warm = sim.into_warm();
-        ff.adopt(state, warm);
-        if halted {
-            break;
-        }
-        // Functional skip, mirroring the sampled runner's deterministic
-        // jitter so the captured intervals line up with a sampled run's.
-        let jittered = if sample.skip == 0 {
-            0
-        } else {
-            let h = round.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
-            sample.skip / 2 + h % sample.skip
-        };
-        let before = ff.retired();
-        let s = ff
-            .skip(jittered)
-            .unwrap_or_else(|e| panic!("{name}: fast-forward left the program: {e}"));
-        halted = s.halted;
-        // Lay the skipped leg out as a visible gap at an IPC-1 proxy.
-        base += ff.retired() - before;
-    }
+    let mut obs = CaptureObserver {
+        sink: Some(Box::new(ChromeTraceSink::new())),
+        base: 0,
+        rounds: 0,
+        max_rounds,
+    };
+    let run = run_sampled_with(program, frontend, cfg, sample, &mut obs);
     SampledCapture {
-        chrome_json: sink.to_json(),
-        intervals: round,
-        total_instrs: ff.retired(),
-        halted: halted || ff.halted(),
+        chrome_json: obs.sink.expect("returned at interval end").to_json(),
+        intervals: obs.rounds,
+        total_instrs: run.total_instrs,
+        halted: run.halted,
     }
 }
 
-/// Paired wall-clock measurement for the disabled-bus overhead guard:
-/// the tiny synthetic suite under MLB-RET, run with the bus unattached
-/// and with a [`NullSink`](tp_events::NullSink) attached (empty interest
-/// mask — every emission site stays masked off, but the attach plumbing
-/// is live). Each figure is the minimum over the repetitions, taken in
-/// alternating order so machine drift hits both variants equally.
-#[derive(Clone, Copy, Debug)]
-pub struct OverheadProbe {
-    /// Best wall-clock with no sink attached, in seconds.
-    pub bare_seconds: f64,
-    /// Best wall-clock with a `NullSink` attached, in seconds.
-    pub attached_seconds: f64,
+/// The [`capture_sampled`] observer.
+struct CaptureObserver {
+    /// The one sink, parked here between intervals.
+    sink: Option<Box<ChromeTraceSink>>,
+    /// Timeline offset of the next interval, in cycles.
+    base: u64,
+    rounds: u64,
+    max_rounds: u64,
 }
 
-impl OverheadProbe {
-    /// Attached overhead relative to the bare run, in percent (negative
-    /// when the attached run happened to be faster).
-    pub fn overhead_pct(&self) -> f64 {
-        100.0 * (self.attached_seconds / self.bare_seconds - 1.0)
+impl RoundObserver for CaptureObserver {
+    fn booted(&mut self, round: u64, at: u64, sim: &mut TraceProcessor<'_>) {
+        let mut sink = self.sink.take().expect("returned at interval end");
+        sink.set_base(self.base);
+        sink.mark_interval(round, at);
+        sim.attach_event_sink(sink);
+        self.rounds += 1;
     }
-}
 
-/// Runs the disabled-bus overhead probe ([`OverheadProbe`]) with `reps`
-/// repetitions per variant.
-pub fn measure_null_sink_overhead(reps: usize) -> OverheadProbe {
-    let p = measure_observability_overhead(reps);
-    OverheadProbe { bare_seconds: p.bare_seconds, attached_seconds: p.null_sink_seconds }
+    fn interval_end(&mut self, _round: u64, _iv: Option<&Interval>, sim: &mut TraceProcessor<'_>) {
+        self.base += sim.now();
+        self.sink = sim.release_event_bus().take::<ChromeTraceSink>();
+    }
+
+    fn skipped(&mut self, _start: u64, instrs: u64) {
+        // Lay the skipped leg out as a visible gap at an IPC-1 proxy.
+        self.base += instrs;
+    }
+
+    fn done(&self) -> bool {
+        self.rounds >= self.max_rounds
+    }
 }
 
 /// An observability configuration of the simulator, for paired overhead
@@ -245,30 +203,20 @@ impl ObsVariant {
 /// design, so their figures are reported, not gated.
 #[derive(Clone, Copy, Debug)]
 pub struct ObservabilityProbe {
-    /// Best bare wall-clock, seconds.
-    pub bare_seconds: f64,
-    /// Best wall-clock with a `NullSink` attached, seconds.
-    pub null_sink_seconds: f64,
-    /// Best wall-clock with a full-interest `MetricsSink` attached.
-    pub metrics_seconds: f64,
-    /// Best wall-clock with the stage profiler enabled.
-    pub profiler_seconds: f64,
+    /// Best wall-clock per variant, seconds, indexed in [`ObsVariant::ALL`]
+    /// order.
+    pub best_seconds: [f64; 4],
 }
 
 impl ObservabilityProbe {
     /// A variant's overhead relative to the bare run, in percent.
     pub fn overhead_pct(&self, v: ObsVariant) -> f64 {
-        100.0 * (self.seconds(v) / self.bare_seconds - 1.0)
+        100.0 * (self.seconds(v) / self.seconds(ObsVariant::Bare) - 1.0)
     }
 
     /// A variant's best wall-clock, seconds.
     pub fn seconds(&self, v: ObsVariant) -> f64 {
-        match v {
-            ObsVariant::Bare => self.bare_seconds,
-            ObsVariant::NullSink => self.null_sink_seconds,
-            ObsVariant::MetricsAttached => self.metrics_seconds,
-            ObsVariant::ProfilerEnabled => self.profiler_seconds,
-        }
+        self.best_seconds[v as usize]
     }
 }
 
@@ -279,20 +227,15 @@ impl ObservabilityProbe {
 pub fn measure_observability_overhead(reps: usize) -> ObservabilityProbe {
     let workloads = tp_workloads::suite(tp_workloads::Size::Tiny);
     let cfg = TraceProcessorConfig::paper(tp_core::CiModel::MlbRet);
-    let mut best = [f64::MAX; 4];
+    let mut best_seconds = [f64::MAX; 4];
     for rep in 0..reps.max(1) {
         for i in 0..ObsVariant::ALL.len() {
             let v = ObsVariant::ALL[(i + rep) % ObsVariant::ALL.len()];
-            let idx = ObsVariant::ALL.iter().position(|&x| x == v).expect("in ALL");
-            best[idx] = best[idx].min(time_tiny_suite(&workloads, &cfg, v));
+            let t = time_tiny_suite(&workloads, &cfg, v);
+            best_seconds[v as usize] = best_seconds[v as usize].min(t);
         }
     }
-    ObservabilityProbe {
-        bare_seconds: best[0],
-        null_sink_seconds: best[1],
-        metrics_seconds: best[2],
-        profiler_seconds: best[3],
-    }
+    ObservabilityProbe { best_seconds }
 }
 
 fn time_tiny_suite(
@@ -300,7 +243,8 @@ fn time_tiny_suite(
     cfg: &TraceProcessorConfig,
     variant: ObsVariant,
 ) -> f64 {
-    let t = std::time::Instant::now();
+    let model = tp_core::CiModel::MlbRet.name();
+    let mut total = 0.0;
     for w in workloads {
         let mut sim = TraceProcessor::new(&w.program, cfg.clone());
         match variant {
@@ -311,10 +255,9 @@ fn time_tiny_suite(
             }
             ObsVariant::ProfilerEnabled => sim.attach_stage_profiler(),
         }
-        let r = sim.run(5_000_000).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        assert!(r.halted, "{} did not halt", w.name);
+        total += run_cell(&mut sim, w.name, model).wall_seconds;
     }
-    t.elapsed().as_secs_f64()
+    total
 }
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {

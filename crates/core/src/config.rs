@@ -93,6 +93,11 @@ pub enum CiModel {
 }
 
 impl CiModel {
+    /// Every model, in the paper's order (§6.2): the matrix each harness
+    /// grid runs.
+    pub const ALL: [CiModel; 5] =
+        [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
+
     /// The paper's name for this model.
     pub fn name(self) -> &'static str {
         match self {
@@ -102,6 +107,11 @@ impl CiModel {
             CiModel::Fg => "FG",
             CiModel::FgMlbRet => "FG+MLB-RET",
         }
+    }
+
+    /// Parses a model name (the exact inverse of [`CiModel::name`]).
+    pub fn from_name(s: &str) -> Option<CiModel> {
+        CiModel::ALL.into_iter().find(|m| m.name() == s)
     }
 
     /// The trace selection each model uses (Section 6.2 pairs each CI model
@@ -326,6 +336,15 @@ mod tests {
         assert_eq!(CiModel::MlbRet.name(), "MLB-RET");
         assert_eq!(CiModel::Fg.name(), "FG");
         assert_eq!(CiModel::FgMlbRet.name(), "FG+MLB-RET");
+    }
+
+    #[test]
+    fn model_names_round_trip() {
+        for m in CiModel::ALL {
+            assert_eq!(CiModel::from_name(m.name()), Some(m));
+        }
+        assert_eq!(CiModel::from_name("mlb-ret"), None);
+        assert_eq!(CiModel::from_name("None"), None);
     }
 
     #[test]

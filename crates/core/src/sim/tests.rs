@@ -9,9 +9,6 @@ use tp_isa::func::Machine;
 use tp_isa::synth::{self, SynthConfig};
 use tp_isa::{AluOp, Cond};
 
-const ALL_MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
-
 fn run_verified(program: &Program, model: CiModel) -> RunResult {
     let cfg = TraceProcessorConfig::paper(model).with_oracle();
     let mut sim = TraceProcessor::new(program, cfg);
@@ -163,7 +160,7 @@ fn call_heavy_program() -> Program {
 
 #[test]
 fn straightline_commits_correctly() {
-    for model in ALL_MODELS {
+    for model in CiModel::ALL {
         let r = run_verified(&straightline_program(), model);
         assert_eq!(r.stats.retired_instrs, 8);
     }
@@ -171,7 +168,7 @@ fn straightline_commits_correctly() {
 
 #[test]
 fn counted_loop_all_models() {
-    for model in ALL_MODELS {
+    for model in CiModel::ALL {
         let r = run_verified(&counted_loop_program(300), model);
         assert!(r.stats.ipc() > 0.3, "{model:?} ipc {}", r.stats.ipc());
     }
@@ -179,7 +176,7 @@ fn counted_loop_all_models() {
 
 #[test]
 fn hammock_loop_all_models() {
-    for model in ALL_MODELS {
+    for model in CiModel::ALL {
         run_verified(&hammock_loop_program(), model);
     }
 }
@@ -205,7 +202,7 @@ fn mlb_recoveries_trigger_on_unpredictable_loops() {
 
 #[test]
 fn unpredictable_loops_all_models() {
-    for model in ALL_MODELS {
+    for model in CiModel::ALL {
         run_verified(&unpredictable_loops_program(), model);
     }
 }
@@ -221,7 +218,7 @@ fn ret_recoveries_trigger_on_calls() {
 
 #[test]
 fn call_heavy_all_models() {
-    for model in ALL_MODELS {
+    for model in CiModel::ALL {
         run_verified(&call_heavy_program(), model);
     }
 }
@@ -231,7 +228,7 @@ fn synthetic_programs_match_oracle_small() {
     let cfg = SynthConfig::small();
     for seed in 0..6 {
         let p = synth::generate(&cfg, seed);
-        for model in ALL_MODELS {
+        for model in CiModel::ALL {
             run_verified(&p, model);
         }
     }
@@ -242,7 +239,7 @@ fn synthetic_programs_match_oracle_default() {
     let cfg = SynthConfig::default();
     for seed in 100..104 {
         let p = synth::generate(&cfg, seed);
-        for model in ALL_MODELS {
+        for model in CiModel::ALL {
             run_verified(&p, model);
         }
     }
@@ -265,7 +262,7 @@ fn stats_are_consistent() {
 
 #[test]
 fn small_config_works() {
-    for model in ALL_MODELS {
+    for model in CiModel::ALL {
         let cfg = TraceProcessorConfig::small(model).with_oracle();
         let p = counted_loop_program(50);
         let mut sim = TraceProcessor::new(&p, cfg);
@@ -290,7 +287,7 @@ fn wakeup_index_matches_rescan_every_cycle() {
         synth::generate(&SynthConfig::small(), 11),
     ];
     for p in &programs {
-        for model in ALL_MODELS {
+        for model in CiModel::ALL {
             let cfg = TraceProcessorConfig::paper(model).with_oracle();
             let mut sim = TraceProcessor::new(p, cfg);
             let mut cycles = 0u64;

@@ -21,10 +21,6 @@ use crate::ast::FuzzAst;
 use crate::emit::{emit_rv, emit_synth};
 use crate::gen::{generate, FuzzConfig};
 
-/// All five paper models, base first.
-pub const MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
-
 /// Which frontend a program was emitted through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Isa {
@@ -121,7 +117,7 @@ impl Default for Harness {
         Harness {
             oracle_budget: 2_000_000,
             sim_slack: 64,
-            models: MODELS.to_vec(),
+            models: CiModel::ALL.to_vec(),
             isas: vec![Isa::Synth, Isa::Rv],
             small_machine: false,
             inject_cgci_stall_bug: false,

@@ -38,5 +38,5 @@ pub use emit::{
     TABLE_BASE,
 };
 pub use gen::{generate, FuzzConfig};
-pub use harness::{Divergence, Harness, Isa, Outcome, MODELS};
+pub use harness::{Divergence, Harness, Isa, Outcome};
 pub use shrink::{shrink, ShrinkStats};

@@ -15,8 +15,7 @@ fn main() {
         let w = by_name(name, Size::Small).unwrap();
         println!("== {name}: {}", w.description);
         let mut base_ipc = 0.0;
-        for model in [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet]
-        {
+        for model in CiModel::ALL {
             let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model));
             let r = sim.run(10_000_000).expect("run completes");
             let s = r.stats;

@@ -10,14 +10,8 @@
 //!
 //! Run with: `cargo run --release --example oracle_verify`
 
-use tp_bench::corpus::{oracle_state, probe_programs, probe_row, run_probe_against, MODELS};
-
 fn main() {
-    for (name, program) in probe_programs() {
-        let expected = oracle_state(&program);
-        for model in MODELS {
-            let r = run_probe_against(name, &program, model, &expected);
-            println!("{}", probe_row(name, model, r));
-        }
+    for row in tp_bench::corpus::probe_rows() {
+        println!("{row}");
     }
 }

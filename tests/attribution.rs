@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 
+use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_events::{Category, CategoryMask, Event, RingSink};
 use trace_processor::tp_isa::asm::Asm;
@@ -19,15 +20,10 @@ use trace_processor::tp_isa::{AluOp, Cond, Program, Reg};
 use trace_processor::tp_stats::attr::{BranchClass, Heuristic, RecoveryOutcome};
 use trace_processor::tp_workloads::{by_name, Size};
 
-const ALL_MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
-
 fn run(program: &Program, model: CiModel) -> trace_processor::tp_core::RunResult {
     let cfg = TraceProcessorConfig::paper(model).with_oracle();
     let mut sim = TraceProcessor::new(program, cfg);
-    let r = sim.run(50_000_000).unwrap_or_else(|e| panic!("{model:?}: {e}"));
-    assert!(r.halted, "{model:?} did not halt");
-    r
+    run_cell(&mut sim, program.name(), model.name()).result
 }
 
 /// A loop-exit kernel: an outer work loop around an inner list-walk whose
@@ -108,7 +104,7 @@ fn hammock_kernel() -> Program {
 fn ledger_retired_counts_sum_to_mispredicts() {
     for (name, size) in [("compress", Size::Tiny), ("li", Size::Tiny), ("go", Size::Tiny)] {
         let w = by_name(name, size).unwrap();
-        for model in ALL_MODELS {
+        for model in CiModel::ALL {
             let r = run(&w.program, model);
             assert_eq!(
                 r.attribution.retired_total(),
@@ -243,8 +239,7 @@ fn cgci_events_balance_against_ledger() {
             1 << 20,
             CategoryMask::of(&[Category::Cgci]),
         )));
-        let r = sim.run(50_000_000).unwrap_or_else(|e| panic!("{name} {model:?}: {e}"));
-        assert!(r.halted, "{name} {model:?} did not halt");
+        let r = run_cell(&mut sim, name, model.name()).result;
         let mut bus = sim.release_event_bus();
         let ring = bus.take::<RingSink>().expect("ring sink attached above");
         assert_eq!(ring.dropped(), 0, "{name} {model:?}: ring overflowed");

@@ -11,11 +11,9 @@
 //! targets, and indirect targets) can explain. An `OracleMismatch` failure
 //! names the branch, the heuristic, and the unjustifiable PC.
 
+use tp_bench::run_cell;
 use tp_core::{CiModel, SimError, TraceProcessor, TraceProcessorConfig};
 use tp_workloads::{all_workloads, Size};
-
-const MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
 
 /// Both suites, all models, with the CFG oracle checking every CGCI
 /// attempt (and the functional oracle checking every retirement, so a
@@ -24,12 +22,10 @@ const MODELS: [CiModel; 5] =
 #[test]
 fn cgci_detections_are_statically_justified_everywhere() {
     for w in all_workloads(Size::Tiny) {
-        for model in MODELS {
+        for model in CiModel::ALL {
             let cfg = TraceProcessorConfig::paper(model).with_oracle().with_cfg_oracle();
             let mut sim = TraceProcessor::new(&w.program, cfg);
-            let result =
-                sim.run(50_000_000).unwrap_or_else(|e| panic!("{} under {model:?}: {e}", w.name));
-            assert!(result.halted, "{} under {model:?} did not halt", w.name);
+            run_cell(&mut sim, w.name, model.name());
         }
     }
 }
@@ -40,9 +36,7 @@ fn cgci_detections_are_statically_justified_everywhere() {
 fn cfg_oracle_is_behaviour_invisible() {
     let w = &all_workloads(Size::Tiny)[1]; // gcc: exercises CGCI + indirect dispatch
     for model in [CiModel::Ret, CiModel::MlbRet] {
-        let base = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model))
-            .run(50_000_000)
-            .expect("base run completes");
+        let base = tp_bench::run_model(&w.program, model);
         let mut sim =
             TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model).with_cfg_oracle());
         let checked = sim.run(50_000_000).expect("oracle run completes");

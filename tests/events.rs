@@ -8,44 +8,32 @@
 //!   exactly one `TraceRetired` or `TraceSquashed` (run-end residents are
 //!   closed as synthetic `drained` squashes when the bus is released).
 //! * **The Chrome trace document is schema-valid** — it parses as JSON
-//!   (hand-rolled parser; the build is offline), every `traceEvents`
+//!   (tp-bench's own JSON reader; the build is offline), every `traceEvents`
 //!   element carries the required `ph`/`ts`/`pid`/`tid` fields, `B`/`E`
 //!   spans are stack-balanced per track, and timestamps are monotone
 //!   per track.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
+use tp_bench::corpus::simstats_rows;
+use tp_bench::json::{parse, Json};
+use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_events::{Category, CategoryMask, Event, RingSink};
 use trace_processor::tp_workloads::{by_name, suite, Size};
-
-const MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
 
 /// Attaching a sink must not move a single counter: the tiny suite under
 /// all five models, with a full-interest ring attached, must match the
 /// golden `simstats.txt` fixture byte for byte.
 #[test]
 fn attached_bus_leaves_golden_simstats_rows_byte_identical() {
-    let mut actual = String::new();
-    for w in suite(Size::Tiny) {
-        for model in MODELS {
-            let cfg = TraceProcessorConfig::paper(model);
-            let mut sim = TraceProcessor::new(&w.program, cfg);
-            sim.attach_event_sink(Box::new(RingSink::new(4_096)));
-            assert!(sim.events_attached());
-            let r = sim.run(5_000_000).unwrap_or_else(|e| panic!("{} {model:?}: {e}", w.name));
-            assert!(r.halted, "{} {model:?} did not halt", w.name);
-            let _ = writeln!(actual, "{} {model:?} {:?}", w.name, r.stats);
-        }
-    }
-    let path =
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/simstats.txt");
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {path:?}: {e}"));
+    let actual = simstats_rows(&suite(Size::Tiny), |_, sim| {
+        sim.attach_event_sink(Box::new(RingSink::new(4_096)));
+        assert!(sim.events_attached());
+    });
     assert_eq!(
-        golden, actual,
+        include_str!("golden/simstats.txt"),
+        actual,
         "attaching an event sink changed simulator behaviour — the bus must be observation-only"
     );
 }
@@ -68,8 +56,7 @@ fn every_dispatch_is_closed_exactly_once() {
             1 << 22,
             CategoryMask::of(&[Category::Trace]),
         )));
-        let r = sim.run(5_000_000).unwrap_or_else(|e| panic!("{name} {model:?}: {e}"));
-        assert!(r.halted, "{name} {model:?} did not halt");
+        let r = run_cell(&mut sim, name, model.name()).result;
         let mut bus = sim.release_event_bus();
         let ring = bus.take::<RingSink>().expect("ring sink attached above");
         assert_eq!(ring.dropped(), 0, "{name} {model:?}: ring overflowed; grow the capacity");
@@ -128,7 +115,7 @@ fn chrome_trace_document_is_schema_valid() {
     let cap = tp_bench::capture_program(&w.program, cfg, 20_000);
     assert!(cap.error.is_none(), "{:?}", cap.error);
 
-    let doc = json::parse(&cap.chrome_json);
+    let doc = parse(&cap.chrome_json).expect("the capture is valid JSON");
     let rows = doc.get("traceEvents").and_then(Json::as_array).expect("traceEvents array");
     assert!(rows.len() > 100, "suspiciously small capture: {} rows", rows.len());
 
@@ -171,216 +158,5 @@ fn chrome_trace_document_is_schema_valid() {
     }
     for ((pid, tid), (depth, _)) in tracks {
         assert_eq!(depth, 0, "unbalanced B/E spans left open on track (pid {pid}, tid {tid})");
-    }
-}
-
-use json::Json;
-
-/// A deliberately minimal JSON parser — just enough to validate the
-/// sink's own output without a dependency (the build is offline). Panics
-/// on malformed input, which *is* the test failure.
-mod json {
-    use std::collections::HashMap;
-
-    #[derive(Debug)]
-    pub enum Json {
-        Null,
-        Bool(#[allow(dead_code)] bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(HashMap<String, Json>),
-    }
-
-    impl Json {
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(m) => m.get(key),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Json::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            match self {
-                Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(input: &str) -> Json {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-        let v = p.value();
-        p.skip_ws();
-        assert_eq!(p.pos, p.bytes.len(), "trailing garbage at byte {}", p.pos);
-        v
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.bytes.get(self.pos).is_some_and(u8::is_ascii_whitespace) {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> u8 {
-            *self.bytes.get(self.pos).unwrap_or_else(|| panic!("eof at byte {}", self.pos))
-        }
-
-        fn expect(&mut self, b: u8) {
-            assert_eq!(self.peek(), b, "expected {:?} at byte {}", b as char, self.pos);
-            self.pos += 1;
-        }
-
-        fn value(&mut self) -> Json {
-            self.skip_ws();
-            match self.peek() {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Json::Str(self.string()),
-                b't' => self.literal("true", Json::Bool(true)),
-                b'f' => self.literal("false", Json::Bool(false)),
-                b'n' => self.literal("null", Json::Null),
-                _ => self.number(),
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Json) -> Json {
-            let end = self.pos + word.len();
-            assert_eq!(
-                self.bytes.get(self.pos..end),
-                Some(word.as_bytes()),
-                "bad literal at byte {}",
-                self.pos
-            );
-            self.pos = end;
-            v
-        }
-
-        fn object(&mut self) -> Json {
-            self.expect(b'{');
-            let mut m = HashMap::new();
-            self.skip_ws();
-            if self.peek() == b'}' {
-                self.pos += 1;
-                return Json::Obj(m);
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string();
-                self.skip_ws();
-                self.expect(b':');
-                m.insert(key, self.value());
-                self.skip_ws();
-                match self.peek() {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Json::Obj(m);
-                    }
-                    c => panic!("expected ',' or '}}', got {:?} at byte {}", c as char, self.pos),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Json {
-            self.expect(b'[');
-            let mut v = Vec::new();
-            self.skip_ws();
-            if self.peek() == b']' {
-                self.pos += 1;
-                return Json::Arr(v);
-            }
-            loop {
-                v.push(self.value());
-                self.skip_ws();
-                match self.peek() {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Json::Arr(v);
-                    }
-                    c => panic!("expected ',' or ']', got {:?} at byte {}", c as char, self.pos),
-                }
-            }
-        }
-
-        fn string(&mut self) -> String {
-            self.expect(b'"');
-            let mut s = String::new();
-            loop {
-                match self.peek() {
-                    b'"' => {
-                        self.pos += 1;
-                        return s;
-                    }
-                    b'\\' => {
-                        self.pos += 1;
-                        let c = self.peek();
-                        self.pos += 1;
-                        s.push(match c {
-                            b'"' => '"',
-                            b'\\' => '\\',
-                            b'/' => '/',
-                            b'n' => '\n',
-                            b't' => '\t',
-                            other => {
-                                panic!(
-                                    "unsupported escape \\{} at byte {}",
-                                    other as char, self.pos
-                                )
-                            }
-                        });
-                    }
-                    _ => {
-                        // Consume one UTF-8 scalar (the sink emits plain
-                        // ASCII, but don't split a multi-byte sequence).
-                        let rest = &self.bytes[self.pos..];
-                        let text = std::str::from_utf8(rest).expect("valid utf-8");
-                        let Some(c) = text.chars().next() else { panic!("eof in string") };
-                        s.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Json {
-            let start = self.pos;
-            while self.bytes.get(self.pos).is_some_and(|b| {
-                b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-            }) {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-            Json::Num(text.parse().unwrap_or_else(|e| panic!("bad number {text:?}: {e}")))
-        }
     }
 }

@@ -37,7 +37,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use tp_bench::corpus::simstats_rows;
+use trace_processor::tp_core::{CiModel, TraceProcessorConfig};
 use trace_processor::tp_workloads::{suite, Size};
 
 fn golden_path(file: &str) -> PathBuf {
@@ -118,28 +119,11 @@ fn sampled_row_matches_golden() {
     check_against_golden("sampled.txt", &actual);
 }
 
-const MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
-
-fn simstats_rows(workloads: &[trace_processor::tp_workloads::Workload]) -> String {
-    let mut actual = String::new();
-    for w in workloads {
-        for model in MODELS {
-            let cfg = TraceProcessorConfig::paper(model);
-            let mut sim = TraceProcessor::new(&w.program, cfg);
-            let r = sim.run(5_000_000).unwrap_or_else(|e| panic!("{} {model:?}: {e}", w.name));
-            assert!(r.halted, "{} {model:?} did not halt", w.name);
-            let _ = writeln!(actual, "{} {model:?} {:?}", w.name, r.stats);
-        }
-    }
-    actual
-}
-
 /// Per-workload `SimStats` snapshots (tiny suite x all five models) must
 /// match the fixture field-for-field.
 #[test]
 fn simstats_match_golden() {
-    check_against_golden("simstats.txt", &simstats_rows(&suite(Size::Tiny)));
+    check_against_golden("simstats.txt", &simstats_rows(&suite(Size::Tiny), |_, _| {}));
 }
 
 /// The RV64 suite's `SimStats` snapshots (tiny rv suite x all five models):
@@ -148,5 +132,5 @@ fn simstats_match_golden() {
 #[test]
 fn rv_simstats_match_golden() {
     use trace_processor::tp_workloads::rv_suite;
-    check_against_golden("rv_simstats.txt", &simstats_rows(&rv_suite(Size::Tiny)));
+    check_against_golden("rv_simstats.txt", &simstats_rows(&rv_suite(Size::Tiny), |_, _| {}));
 }

@@ -15,42 +15,27 @@
 //!   or the unmapped counter, and their sum equals the attribution
 //!   ledger's CGCI event count exactly.
 
-use std::fmt::Write as _;
-
+use tp_bench::corpus::simstats_rows;
 use tp_bench::metrics::ipdom_map;
+use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_events::RingSink;
 use trace_processor::tp_metrics::{Histogram, MetricsSink, EXACT_BUCKETS};
 use trace_processor::tp_stats::{BranchClass, Heuristic, RecoveryOutcome};
 use trace_processor::tp_workloads::{all_workloads, by_name, suite, Size};
 
-const MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
-
 /// Attaching the metrics sink (ipdom-joined) and enabling the stage
 /// profiler must not move a single simulated counter: same fixture, same
 /// bytes, as the bare golden run.
 #[test]
 fn metrics_sink_and_profiler_leave_golden_simstats_rows_byte_identical() {
-    let mut actual = String::new();
-    for w in suite(Size::Tiny) {
-        let ipdom = ipdom_map(&w.program);
-        for model in MODELS {
-            let cfg = TraceProcessorConfig::paper(model);
-            let mut sim = TraceProcessor::new(&w.program, cfg);
-            sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom.clone())));
-            sim.attach_stage_profiler();
-            let r = sim.run(5_000_000).unwrap_or_else(|e| panic!("{} {model:?}: {e}", w.name));
-            assert!(r.halted, "{} {model:?} did not halt", w.name);
-            let _ = writeln!(actual, "{} {model:?} {:?}", w.name, r.stats);
-        }
-    }
-    let path =
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/simstats.txt");
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden fixture {path:?}: {e}"));
+    let actual = simstats_rows(&suite(Size::Tiny), |w, sim| {
+        sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom_map(&w.program))));
+        sim.attach_stage_profiler();
+    });
     assert_eq!(
-        golden, actual,
+        include_str!("golden/simstats.txt"),
+        actual,
         "metrics observation changed simulator behaviour — the sink and profiler must be \
          observation-only"
     );
@@ -148,8 +133,7 @@ fn ring_sink_drop_counter_accounts_for_capacity_overflow() {
     // Reference: a ring large enough to keep everything.
     let mut sim = TraceProcessor::new(&w.program, cfg.clone());
     sim.attach_event_sink(Box::new(RingSink::new(1 << 22)));
-    let r = sim.run(5_000_000).unwrap();
-    assert!(r.halted);
+    run_cell(&mut sim, w.name, "FG+MLB-RET");
     let mut bus = sim.release_event_bus();
     let full = bus.take::<RingSink>().expect("attached above");
     assert_eq!(full.dropped(), 0, "reference ring must not overflow");
@@ -158,8 +142,7 @@ fn ring_sink_drop_counter_accounts_for_capacity_overflow() {
     // A tiny ring sees the same stream and drops the excess, counted.
     let mut sim = TraceProcessor::new(&w.program, cfg);
     sim.attach_event_sink(Box::new(RingSink::new(64)));
-    let r = sim.run(5_000_000).unwrap();
-    assert!(r.halted);
+    run_cell(&mut sim, w.name, "FG+MLB-RET");
     let mut bus = sim.release_event_bus();
     let tiny = bus.take::<RingSink>().expect("attached above");
     assert_eq!(tiny.events().len(), 64, "ring keeps exactly its capacity");
@@ -180,8 +163,7 @@ fn take_after_release_yields_each_sink_once() {
     let mut sim = TraceProcessor::new(&w.program, cfg);
     sim.attach_event_sink(Box::new(RingSink::new(1 << 16)));
     sim.attach_event_sink(Box::new(MetricsSink::new()));
-    let r = sim.run(5_000_000).unwrap();
-    assert!(r.halted);
+    run_cell(&mut sim, w.name, "MLB-RET");
     let mut bus = sim.release_event_bus();
     let metrics = bus.take::<MetricsSink>().expect("metrics sink attached");
     assert!(metrics.metrics().traces_retired.get() > 0);
@@ -200,12 +182,11 @@ fn cgci_battery_distance_histogram_matches_ledger_exactly() {
     let mut total_detections = 0u64;
     for w in all_workloads(Size::Tiny) {
         let ipdom = ipdom_map(&w.program);
-        for model in MODELS {
+        for model in CiModel::ALL {
             let cfg = TraceProcessorConfig::paper(model);
             let mut sim = TraceProcessor::new(&w.program, cfg);
             sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom.clone())));
-            let r = sim.run(5_000_000).unwrap_or_else(|e| panic!("{} {model:?}: {e}", w.name));
-            assert!(r.halted, "{} {model:?} did not halt", w.name);
+            let r = run_cell(&mut sim, w.name, model.name()).result;
             let mut bus = sim.release_event_bus();
             let m = bus.take::<MetricsSink>().expect("attached above").into_metrics();
             let mut ledger_cgci = 0;

@@ -2,6 +2,7 @@
 //! the right mechanisms fire for the right workloads, and the statistics
 //! stay self-consistent.
 
+use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_workloads::{by_name, suite, Size};
 
@@ -10,8 +11,7 @@ fn fgci_fires_on_hammock_heavy_workloads() {
     for name in ["compress", "jpeg"] {
         let w = by_name(name, Size::Small).unwrap();
         let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(CiModel::Fg));
-        let r = sim.run(20_000_000).expect("completes");
-        assert!(r.halted);
+        let r = run_cell(&mut sim, name, "FG").result;
         assert!(r.stats.fgci_recoveries > 0, "{name}: no FGCI recoveries: {:?}", r.stats);
         assert!(r.stats.preserved_traces > 0, "{name}: nothing preserved");
     }
@@ -22,8 +22,7 @@ fn cgci_reconverges_on_loop_and_call_workloads() {
     for name in ["li", "go", "compress"] {
         let w = by_name(name, Size::Small).unwrap();
         let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(CiModel::MlbRet));
-        let r = sim.run(20_000_000).expect("completes");
-        assert!(r.halted);
+        let r = run_cell(&mut sim, name, "MLB-RET").result;
         assert!(r.stats.cgci_attempts > 0, "{name}: no CGCI attempts");
         assert!(
             r.stats.cgci_reconverged * 100 >= r.stats.cgci_attempts * 30,
@@ -55,7 +54,7 @@ fn stats_stay_consistent_across_suite() {
 fn models_commit_identical_instruction_counts() {
     let w = by_name("perl", Size::Tiny).unwrap();
     let mut counts = Vec::new();
-    for model in [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet] {
+    for model in CiModel::ALL {
         let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model));
         let r = sim.run(20_000_000).expect("completes");
         counts.push(r.stats.retired_instrs);

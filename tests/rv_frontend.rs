@@ -21,13 +21,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_isa::func::Machine;
 use trace_processor::tp_rv::{corpus, decode, RvCond, RvIOp, RvInst, RvOp, RvShift};
 use trace_processor::tp_workloads::{rv_suite, Size};
-
-const MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
 
 /// Assemble → decode → re-assemble on every corpus program: decoding each
 /// assembled 32-bit word and re-encoding the decoded instruction must
@@ -103,11 +101,10 @@ fn rv_suite_matches_functional_machine_under_all_models() {
     for w in rv_suite(Size::Tiny) {
         let mut oracle = Machine::new(&w.program);
         oracle.run(u64::MAX).expect("functional run completes");
-        for model in MODELS {
+        for model in CiModel::ALL {
             let cfg = TraceProcessorConfig::paper(model).with_oracle();
             let mut sim = TraceProcessor::new(&w.program, cfg);
-            let r = sim.run(100_000_000).unwrap_or_else(|e| panic!("{} {model:?}: {e}", w.name));
-            assert!(r.halted, "{} {model:?} did not halt", w.name);
+            let r = run_cell(&mut sim, w.name, model.name()).result;
             assert_eq!(
                 r.stats.retired_instrs,
                 oracle.retired(),
@@ -124,7 +121,7 @@ fn rv_suite_matches_functional_machine_under_all_models() {
 #[test]
 fn rv_suite_ci_dominance() {
     use tp_bench::speed::{guard_violations, run_grid_on, SuiteChoice};
-    let cells = run_grid_on(&SuiteChoice::Rv.workloads(Size::Tiny), &MODELS, &[16]);
+    let cells = run_grid_on(&SuiteChoice::Rv.workloads(Size::Tiny), &CiModel::ALL, &[16]);
     let violations = guard_violations(&cells);
     assert!(violations.is_empty(), "CI models lose to base: {violations:?}");
     let mut wins = Vec::new();

@@ -7,16 +7,18 @@
 //! * functional warming works: a detailed interval booted from a warmed
 //!   checkpoint mispredicts less than the same interval booted cold;
 //! * the sampled IPC estimate agrees with a full detailed run within 5%
-//!   on the whole tiny suite for the base and MLB-RET models.
+//!   on the whole tiny suite for the base and MLB-RET models;
+//! * the phase series and the sampled event capture observe exactly the
+//!   intervals of a plain sampled run.
 
-use tp_bench::sampled::{cross_check, SampleConfig};
+use tp_bench::sampled::{cross_check, Interval, SampleConfig};
 use trace_processor::tp_ckpt::{Checkpoint, FastForward};
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_isa::asm::Asm;
 use trace_processor::tp_isa::func::Machine;
 use trace_processor::tp_isa::synth::{self, SynthConfig};
 use trace_processor::tp_isa::{AluOp, Cond, Program, Reg};
-use trace_processor::tp_workloads::Size;
+use trace_processor::tp_workloads::{by_name, suite, Size};
 
 fn mem_digest(m: &Machine<'_>) -> u64 {
     let st = m.arch_state();
@@ -180,7 +182,8 @@ fn zero_overwrite_survives_interval_handoff() {
 /// full detailed run's IPC.
 #[test]
 fn sampled_ipc_within_5_percent_of_full_run() {
-    let checks = cross_check(Size::Tiny, &[CiModel::None, CiModel::MlbRet], &SampleConfig::dense());
+    let tiny = suite(Size::Tiny);
+    let checks = cross_check(&tiny, &[CiModel::None, CiModel::MlbRet], &SampleConfig::dense());
     assert_eq!(checks.len(), 16, "8 workloads x 2 models");
     for c in &checks {
         assert!(
@@ -193,4 +196,32 @@ fn sampled_ipc_within_5_percent_of_full_run() {
             c.rel_err_pct()
         );
     }
+}
+
+/// There is one sampled-round driver: the plain sampled run, the metrics
+/// phase series and the sampled event capture all observe the same
+/// rounds, so they measure exactly the same intervals.
+#[test]
+fn sampled_observers_see_the_driver_intervals() {
+    let w = by_name("compress", Size::Tiny).unwrap();
+    let cfg = TraceProcessorConfig::paper(CiModel::MlbRet);
+    let sample = SampleConfig { warmup: 100, interval: 400, skip: 800 };
+    let run = tp_bench::sampled::run_sampled_as(&w.program, w.frontend, &cfg, &sample);
+    assert!(run.intervals.len() > 2, "{} intervals: too few", run.intervals.len());
+
+    let phases = tp_bench::metrics::collect_phases(&w, CiModel::MlbRet, &sample);
+    let detailed: Vec<Interval> = phases
+        .points
+        .iter()
+        .filter(|p| p.phase != "ffwd")
+        .map(|p| Interval { start_retired: p.start_retired, instrs: p.instrs, cycles: p.cycles })
+        .collect();
+    assert_eq!(detailed, run.intervals);
+    let skipped: u64 = phases.points.iter().filter(|p| p.phase == "ffwd").map(|p| p.instrs).sum();
+    assert_eq!(skipped, run.ffwd_instrs);
+
+    let cap = tp_bench::capture_sampled(&w.program, w.frontend, &cfg, &sample, u64::MAX);
+    assert!(cap.halted);
+    assert_eq!(cap.intervals, run.intervals.len() as u64);
+    assert_eq!(cap.total_instrs, run.total_instrs);
 }

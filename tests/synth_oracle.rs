@@ -6,12 +6,10 @@
 //! the build environment is offline; the seeds below were chosen to spread
 //! across the generator's support and are stable run to run.
 
+use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_isa::func::Machine;
 use trace_processor::tp_isa::synth::{self, SynthConfig};
-
-const MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
 
 /// Twelve seeds spread over the original `0..10_000` proptest domain.
 const SEEDS: [u64; 12] = [0, 1, 7, 42, 123, 999, 1234, 2718, 3141, 5000, 8191, 9999];
@@ -22,11 +20,10 @@ fn random_programs_commit_oracle_state() {
         let program = synth::generate(&SynthConfig::small(), seed);
         let mut oracle = Machine::new(&program);
         oracle.run(u64::MAX).expect("oracle in range");
-        for model in MODELS {
+        for model in CiModel::ALL {
             let cfg = TraceProcessorConfig::paper(model);
             let mut sim = TraceProcessor::new(&program, cfg);
-            let r = sim.run(10_000_000).unwrap_or_else(|e| panic!("seed {seed} {model:?}: {e}"));
-            assert!(r.halted, "seed {seed} {model:?} did not halt");
+            let r = run_cell(&mut sim, &format!("seed {seed}"), model.name()).result;
             assert_eq!(
                 sim.arch_state(),
                 oracle.arch_state(),
@@ -46,7 +43,6 @@ fn random_programs_with_larger_windows() {
         // Oracle-verified run (per-trace checking) with the full model.
         let cfg = TraceProcessorConfig::paper(CiModel::FgMlbRet).with_oracle();
         let mut sim = TraceProcessor::new(&program, cfg);
-        let r = sim.run(10_000_000).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert!(r.halted);
+        run_cell(&mut sim, &format!("seed {seed}"), "FG+MLB-RET");
     }
 }

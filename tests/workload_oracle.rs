@@ -1,24 +1,20 @@
 //! Cross-crate integration: every workload commits exactly the functional
 //! simulator's architectural state under every control-independence model.
 
+use tp_bench::run_cell;
 use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::func::Machine;
 use tp_workloads::{suite, Size};
-
-const MODELS: [CiModel; 5] =
-    [CiModel::None, CiModel::Ret, CiModel::MlbRet, CiModel::Fg, CiModel::FgMlbRet];
 
 #[test]
 fn all_workloads_match_oracle_under_all_models() {
     for w in suite(Size::Tiny) {
         let mut oracle = Machine::new(&w.program);
         oracle.run(u64::MAX).expect("oracle completes");
-        for model in MODELS {
+        for model in CiModel::ALL {
             let cfg = TraceProcessorConfig::paper(model).with_oracle();
             let mut sim = TraceProcessor::new(&w.program, cfg);
-            let result =
-                sim.run(50_000_000).unwrap_or_else(|e| panic!("{} under {model:?}: {e}", w.name));
-            assert!(result.halted, "{} under {model:?} did not halt", w.name);
+            run_cell(&mut sim, w.name, model.name());
             assert_eq!(
                 sim.arch_state(),
                 oracle.arch_state(),
