@@ -135,10 +135,12 @@ impl TraceProcessor<'_> {
         ctx: &CycleCtx,
     ) {
         let trace = pending.trace;
+        self.reserve_pregs(trace.len());
         let map_before = self.current_map;
         self.pes[pe].gen += 1;
-        let gen = self.pes[pe].gen;
-        let mut slots: Vec<Slot> = Vec::with_capacity(trace.len());
+        // Refill the PE's slot buffer in place, keeping its capacity.
+        let mut slots = std::mem::take(&mut self.pes[pe].slots);
+        slots.clear();
         for (i, ti) in trace.insts().iter().enumerate() {
             let mut slot = Slot::new(*ti);
             for (k, &(_, oref)) in ti.srcs.iter().flatten().enumerate() {
@@ -165,15 +167,6 @@ impl TraceProcessor<'_> {
             let w = trace.last_writer(*r).expect("live-out has a writer");
             map_after[r.index()] = slots[w].dest.expect("writer has a destination");
         }
-        // Register readers.
-        for (i, slot) in slots.iter().enumerate() {
-            for preg in slot.srcs.iter().flatten() {
-                if *preg != PhysRegId::ZERO {
-                    self.readers.entry(*preg).or_default().push((pe, gen, i));
-                    self.reader_count += 1;
-                }
-            }
-        }
         let num_slots = slots.len();
         let p = &mut self.pes[pe];
         p.occupied = true;
@@ -186,6 +179,13 @@ impl TraceProcessor<'_> {
         p.repairs = 0;
         p.dispatched_at = ctx.now;
         self.current_map = map_after;
+        for i in 0..num_slots {
+            for k in 0..2 {
+                if let Some(preg) = self.pes[pe].slots[i].srcs[k] {
+                    self.register_reader(preg, pe, i);
+                }
+            }
+        }
         match insert_before {
             Some(b) => self.list.insert_before(pe, b),
             None => self.list.push_tail(pe),

@@ -54,7 +54,7 @@ use tp_trace::{Bit, EndReason, Selector, Trace};
 
 use crate::boot::{BootError, BootImage, WarmBoot};
 use crate::config::TraceProcessorConfig;
-use crate::pe::{FetchSource, Pe, SlotState};
+use crate::pe::{FetchSource, Pe, Slot, SlotState};
 use crate::pe_list::PeList;
 use crate::physreg::{PhysRegFile, PhysRegId, RenameMap};
 use crate::stats::SimStats;
@@ -249,12 +249,15 @@ type SlotRef = (usize, u64, usize);
 ///    until a bus is granted). Bits for unoccupied PEs are zero.
 /// 2. **Waiters.** A `Waiting` slot whose bit is clear is registered in
 ///    `waiters[p]` (under its PE's current generation) for *every* source
-///    `p` that is not yet produced. Production is monotone within a run,
-///    so firing `p` can only shrink the unproduced set; the entry for `p`
-///    is consumed at fire time while registrations on the remaining
-///    unproduced sources keep the slot reachable. Stale entries (gen
-///    mismatch, slot no longer `Waiting`) are dropped at fire time; the
-///    transition back into `Waiting` always re-enqueues.
+///    `p` that is not yet produced. Production is monotone per register
+///    *incarnation* (from allocation until the register is freed), so
+///    firing `p` can only shrink the unproduced set; the entry for `p` is
+///    consumed at fire time while registrations on the remaining
+///    unproduced sources keep the slot reachable. A register's list is
+///    cleared when the register is freed, so a recycled id starts with no
+///    subscribers. Stale entries (gen mismatch, slot no longer `Waiting`)
+///    are dropped at fire time, or pruned when a push finds the list at
+///    capacity; the transition back into `Waiting` always re-enqueues.
 /// 3. **Completions.** Every slot in `Executing`/`MemAccess { done_at }`
 ///    has a `(done_at, pe, slot, gen)` entry in `completions`. Entries are
 ///    popped when due and validated (generation *and* exact `done_at`)
@@ -273,8 +276,9 @@ struct WakeupIndex {
     /// Per-PE bitmask of issue candidates (invariant 1). Trace length is
     /// bounded at 32 by selection, so a `u64` per PE always suffices.
     ready: Vec<u64>,
-    /// Per-physical-register wait lists (invariant 2).
-    waiters: FxHashMap<PhysRegId, Vec<SlotRef>>,
+    /// Per-physical-register wait lists, indexed by register id
+    /// (invariant 2).
+    waiters: Vec<Vec<SlotRef>>,
     /// Min-heap of `(done_at, pe, slot, gen)` completion events
     /// (invariant 3). Ties pop in `(pe, slot)` order, matching the legacy
     /// physical-index scan order.
@@ -283,16 +287,68 @@ struct WakeupIndex {
     loads_by_word: FxHashMap<Addr, Vec<SlotRef>>,
 }
 
-/// Minimum subscription-map size before an amortized sweep is considered
-/// (comfortably above the live window's worst case of
-/// `16 PEs x 32 slots x 2 sources`).
+/// Minimum load-registry size before an amortized sweep is considered
+/// (comfortably above the live window's worst case of `16 PEs x 32 slots`).
 const GC_FLOOR: usize = 4096;
+
+/// Whether a reader registration on `preg` is still live: the slot exists
+/// under the registered generation and still reads `preg`. The keep
+/// predicate of [`TraceProcessor::propagate_value_change`] and of
+/// reader-list pruning.
+fn reader_live(pes: &[Pe], (pe, gen, slot): SlotRef, preg: PhysRegId) -> bool {
+    let p = &pes[pe];
+    p.occupied && p.gen == gen && slot < p.slots.len() && p.slots[slot].srcs.contains(&Some(preg))
+}
+
+/// Whether a wait-list subscription on `preg` can still wake anything: a
+/// live reader ([`reader_live`]) that is still `Waiting`.
+fn waiter_live(pes: &[Pe], r: SlotRef, preg: PhysRegId) -> bool {
+    reader_live(pes, r, preg) && pes[r.0].slots[r.2].state == SlotState::Waiting
+}
+
+/// Appends `entry` to `preg`'s list in a dense per-register table. A push
+/// that finds the list at capacity first prunes it in place with `keep`
+/// (and still grows it if that leaves it over half full), so a register
+/// that stays live for a whole run, such as an untouched `retired_map`
+/// entry, cannot collect dead wrong-path subscriptions without bound. The
+/// pruned entries are exactly those the list's consumer would skip.
+fn push_pruned(
+    lists: &mut Vec<Vec<SlotRef>>,
+    preg: PhysRegId,
+    entry: SlotRef,
+    keep: impl FnMut(&SlotRef) -> bool,
+) {
+    if lists.len() <= preg.index() {
+        lists.resize_with(preg.index() + 1, Vec::new);
+    }
+    let list = &mut lists[preg.index()];
+    if list.len() == list.capacity() {
+        list.retain(keep);
+        if list.len() > list.capacity() / 2 {
+            list.reserve(list.len());
+        }
+    }
+    list.push(entry);
+}
+
+/// Every physical register the simulator can still name (the roots listed
+/// in [`crate::physreg`], except the zero register, which the file keeps
+/// itself).
+fn preg_roots<'a>(pes: &'a [Pe], maps: [&'a RenameMap; 2]) -> impl Iterator<Item = PhysRegId> + 'a {
+    let pe_maps = pes.iter().flat_map(|p| p.map_before.iter().chain(&p.map_after));
+    let slots = pes
+        .iter()
+        .filter(|p| p.occupied)
+        .flat_map(|p| &p.slots)
+        .flat_map(|s| s.srcs.iter().flatten().chain(&s.dest));
+    maps.into_iter().flatten().chain(pe_maps).chain(slots).copied()
+}
 
 impl WakeupIndex {
     fn new(num_pes: usize) -> WakeupIndex {
         WakeupIndex {
             ready: vec![0; num_pes],
-            waiters: FxHashMap::default(),
+            waiters: Vec::new(),
             completions: BinaryHeap::new(),
             loads_by_word: FxHashMap::default(),
         }
@@ -319,7 +375,12 @@ pub struct TraceProcessor<'p> {
     pes: Vec<Pe>,
     list: PeList,
     pregs: PhysRegFile,
-    readers: FxHashMap<PhysRegId, Vec<(usize, u64, usize)>>,
+    /// Per-physical-register reader lists, indexed by register id: the
+    /// slots to reissue when the register's value changes. Cleared when
+    /// the register is freed: a re-dispatched slot keeps its generation,
+    /// so a stale entry could otherwise become valid again against a
+    /// recycled id.
+    readers: Vec<Vec<SlotRef>>,
     current_map: RenameMap,
     /// Architectural rename map of *retired* state: the physical register
     /// holding each architectural register's committed value.
@@ -346,22 +407,20 @@ pub struct TraceProcessor<'p> {
     result_bus_next_due: u64,
     // Event-driven wakeup/issue index (see [`WakeupIndex`]).
     wakeup: WakeupIndex,
-    /// Live entry counts and doubling thresholds for the amortized sweeps
-    /// of the three subscription maps (`waiters`, `readers`,
-    /// `loads_by_word`). Wrong-path consumers subscribe to producers that
-    /// are squashed before ever producing, so without collection the maps
-    /// grow with *dispatched* (not retired) instructions and the hot-path
-    /// hash operations thrash the cache. Each sweep drops exactly the
-    /// entries validation would ignore anyway, so collection is
-    /// behaviour-invisible; thresholds double after each sweep for O(1)
-    /// amortized cost.
-    waiter_count: usize,
-    waiters_gc_at: usize,
-    reader_count: usize,
-    readers_gc_at: usize,
+    /// Live entry count and doubling threshold for the amortized sweep of
+    /// the load registry (`loads_by_word`, keyed by word address). Loads
+    /// of squashed traces stay registered until a snoop visits their word,
+    /// so without collection the registry grows with *dispatched* loads.
+    /// The sweep drops exactly the entries validation would ignore anyway,
+    /// so collection is behaviour-invisible; the threshold doubles after
+    /// each sweep for O(1) amortized cost. (The per-register lists need no
+    /// sweep: they are pruned at capacity and cleared when their register
+    /// is freed.)
     load_count: usize,
     loads_gc_at: usize,
-    // Reusable per-cycle scratch buffers (avoid steady-state allocation).
+    // Reusable scratch buffers (avoid steady-state allocation).
+    /// Preserved trace-repair suffix (`replace_trace`).
+    scratch_slots: Vec<Slot>,
     scratch_order: Vec<usize>,
     scratch_due: Vec<(usize, usize, u64, u64)>,
     scratch_grants: Vec<u32>,
@@ -548,7 +607,7 @@ impl<'p> TraceProcessor<'p> {
             pes,
             list: PeList::new(cfg.num_pes),
             pregs,
-            readers: FxHashMap::default(),
+            readers: Vec::new(),
             current_map: arch_map,
             retired_map: arch_map,
             fetch_hist: hist.clone(),
@@ -569,12 +628,9 @@ impl<'p> TraceProcessor<'p> {
             cache_bus_next_due: u64::MAX,
             result_bus_next_due: u64::MAX,
             wakeup: WakeupIndex::new(cfg.num_pes),
-            waiter_count: 0,
-            waiters_gc_at: GC_FLOOR,
-            reader_count: 0,
-            readers_gc_at: GC_FLOOR,
             load_count: 0,
             loads_gc_at: GC_FLOOR,
+            scratch_slots: Vec::new(),
             scratch_order: Vec::new(),
             scratch_due: Vec::new(),
             scratch_grants: Vec::new(),
@@ -782,14 +838,8 @@ impl<'p> TraceProcessor<'p> {
     ///
     /// Returns [`SimError::OracleMismatch`] under oracle verification.
     pub fn step_cycle(&mut self) -> Result<(), SimError> {
-        // Amortized collection of the subscription maps (behaviour-
-        // invisible: only entries that validation would skip are dropped).
-        if self.waiter_count > self.waiters_gc_at {
-            self.gc_waiters();
-        }
-        if self.reader_count > self.readers_gc_at {
-            self.gc_readers();
-        }
+        // Amortized collection of the load registry (behaviour-invisible:
+        // only entries that validation would skip are dropped).
         if self.load_count > self.loads_gc_at {
             self.gc_loads();
         }
@@ -857,12 +907,22 @@ impl<'p> TraceProcessor<'p> {
     /// reference a physical register produced by that trace or any younger
     /// trace. Gated behind `TP_PARANOID` (read once at construction)
     /// because it is O(window^2). Also cross-checks the wakeup index
-    /// against a brute-force rescan after every stage.
+    /// against a brute-force rescan after every stage, and checks that
+    /// every register root names an allocated register (a missed root
+    /// would otherwise alias a recycled register silently).
     fn paranoid_check(&self, stage: &str) {
         if !self.paranoid {
             return;
         }
         self.assert_event_index_coherent();
+        for preg in preg_roots(&self.pes, [&self.current_map, &self.retired_map]) {
+            assert!(
+                self.pregs.is_allocated(preg),
+                "cycle {} after {stage}: root {preg:?} names a freed physical register\n{}",
+                self.now,
+                self.dump_window()
+            );
+        }
         // ARB coherence: every speculative version must belong to a live,
         // in-window store slot that performed at that word. An orphaned
         // version is a use-after-free of memory state: the forwarding key
@@ -1044,36 +1104,29 @@ impl<'p> TraceProcessor<'p> {
         s
     }
 
+    /// Registers slot `slot` of `pe` (under its current generation) as a
+    /// reader of `preg`, for selective reissue on a value change.
     fn register_reader(&mut self, preg: PhysRegId, pe: usize, slot: usize) {
         if preg == PhysRegId::ZERO {
             return;
         }
         let gen = self.pes[pe].gen;
-        self.readers.entry(preg).or_default().push((pe, gen, slot));
-        self.reader_count += 1;
+        let pes = &self.pes;
+        push_pruned(&mut self.readers, preg, (pe, gen, slot), |&r| reader_live(pes, r, preg));
     }
 
     /// Marks every live consumer of `preg` for selective reissue.
     fn propagate_value_change(&mut self, preg: PhysRegId, not_before: u64) {
-        let Some(list) = self.readers.get_mut(&preg) else { return };
-        let entries = std::mem::take(list);
-        let total = entries.len();
-        let mut kept = Vec::with_capacity(entries.len());
-        for (pe, gen, slot) in entries {
-            let p = &mut self.pes[pe];
-            if p.occupied && p.gen == gen && slot < p.slots.len() {
-                // Only reissue if this slot still actually reads the preg.
-                if p.slots[slot].srcs.iter().flatten().any(|&s| s == preg) {
-                    kept.push((pe, gen, slot));
-                }
-            }
-        }
-        self.stats.value_change_marks += kept.len() as u64;
-        for &(pe, _, slot) in &kept {
+        let Some(list) = self.readers.get_mut(preg.index()) else { return };
+        let pes = &self.pes;
+        list.retain(|&r| reader_live(pes, r, preg));
+        self.stats.value_change_marks += list.len() as u64;
+        // Marking only touches slot state and the wait lists, never this
+        // reader list, so indexing it stays valid across the calls.
+        for k in 0..self.readers[preg.index()].len() {
+            let (pe, _, slot) = self.readers[preg.index()][k];
             self.mark_reissue_slot(pe, slot, not_before);
         }
-        self.reader_count -= total - kept.len();
-        *self.readers.entry(preg).or_default() = kept;
     }
 
     // ------------------------------------------------------------------
@@ -1122,8 +1175,10 @@ impl<'p> TraceProcessor<'p> {
         for &p in srcs.iter().flatten() {
             if !self.pregs.get(p).ready {
                 all_produced = false;
-                self.wakeup.waiters.entry(p).or_default().push((pe, gen, slot));
-                self.waiter_count += 1;
+                let pes = &self.pes;
+                push_pruned(&mut self.wakeup.waiters, p, (pe, gen, slot), |&r| {
+                    waiter_live(pes, r, p)
+                });
             }
         }
         if all_produced {
@@ -1140,9 +1195,10 @@ impl<'p> TraceProcessor<'p> {
     /// its ready bit set. Called exactly once per register, on its first
     /// production (value *changes* go through selective reissue instead).
     fn wake_waiters(&mut self, preg: PhysRegId) {
-        let Some(entries) = self.wakeup.waiters.remove(&preg) else { return };
-        self.waiter_count -= entries.len();
-        for (pe, gen, slot) in entries {
+        let Some(list) = self.wakeup.waiters.get_mut(preg.index()) else { return };
+        // Taken out and handed back emptied, keeping its capacity.
+        let mut entries = std::mem::take(list);
+        for &(pe, gen, slot) in &entries {
             let p = &self.pes[pe];
             if !p.occupied || p.gen != gen || slot >= p.slots.len() {
                 continue; // stale: squashed or replaced
@@ -1155,6 +1211,8 @@ impl<'p> TraceProcessor<'p> {
             }
             // else: still subscribed to the remaining unproduced source(s).
         }
+        entries.clear();
+        self.wakeup.waiters[preg.index()] = entries;
     }
 
     /// Schedules the completion event for a slot that just entered
@@ -1200,46 +1258,32 @@ impl<'p> TraceProcessor<'p> {
         self.result_bus_queue.push_back(req);
     }
 
-    /// Sweeps stale wait-list subscriptions: entries whose generation died
-    /// (squash/replace), whose slot left `Waiting`, or whose slot no
-    /// longer reads the key register. Exactly the entries
-    /// [`Self::wake_waiters`] would drop on sight, so dropping them early
-    /// never changes behaviour — the invariant only requires live
-    /// `Waiting` slots to stay subscribed to their unproduced sources,
-    /// and those entries are kept.
-    fn gc_waiters(&mut self) {
-        let pes = &self.pes;
-        self.wakeup.waiters.retain(|&preg, entries| {
-            entries.retain(|&(pe, gen, slot)| {
-                let p = &pes[pe];
-                p.occupied
-                    && p.gen == gen
-                    && slot < p.slots.len()
-                    && p.slots[slot].state == SlotState::Waiting
-                    && p.slots[slot].srcs.iter().flatten().any(|&q| q == preg)
-            });
-            !entries.is_empty()
-        });
-        self.waiter_count = self.wakeup.waiters.values().map(Vec::len).sum();
-        self.waiters_gc_at = GC_FLOOR.max(self.waiter_count * 2);
+    /// Makes room in the register file for renaming a trace of `len`
+    /// instructions, sweeping when the file has reached its threshold (the
+    /// policy of [`crate::physreg`]). Called before the rename starts,
+    /// while every live register is rooted. Paranoid runs sweep before
+    /// every rename, recycling registers as early as the roots allow, so
+    /// a missed root surfaces in short runs too.
+    fn reserve_pregs(&mut self, len: usize) {
+        if self.pregs.grow_for(len) || self.paranoid {
+            self.sweep_pregs();
+        }
     }
 
-    /// Sweeps stale reader registrations, mirroring the keep condition of
-    /// [`Self::propagate_value_change`].
-    fn gc_readers(&mut self) {
-        let pes = &self.pes;
-        self.readers.retain(|&preg, entries| {
-            entries.retain(|&(pe, gen, slot)| {
-                let p = &pes[pe];
-                p.occupied
-                    && p.gen == gen
-                    && slot < p.slots.len()
-                    && p.slots[slot].srcs.iter().flatten().any(|&q| q == preg)
-            });
-            !entries.is_empty()
+    /// Reclaims every physical register no root names (the roots of
+    /// [`crate::physreg`]), clearing each freed register's reader and wait
+    /// lists so a recycled id starts with none. Never called while a
+    /// half-renamed trace's registers are unrooted.
+    fn sweep_pregs(&mut self) {
+        let roots = preg_roots(&self.pes, [&self.current_map, &self.retired_map]);
+        let (readers, waiters) = (&mut self.readers, &mut self.wakeup.waiters);
+        self.pregs.sweep(roots, |id| {
+            for lists in [&mut *readers, &mut *waiters] {
+                if let Some(list) = lists.get_mut(id.index()) {
+                    list.clear();
+                }
+            }
         });
-        self.reader_count = self.readers.values().map(Vec::len).sum();
-        self.readers_gc_at = GC_FLOOR.max(self.reader_count * 2);
     }
 
     /// Sweeps stale load-registry entries (dead generations and loads
@@ -1263,15 +1307,25 @@ impl<'p> TraceProcessor<'p> {
     }
 
     /// Footprint of the wakeup index, for leak diagnostics and tests:
-    /// `(waiter entries, waiter keys, completion events, load entries)`.
+    /// `(waiter entries, registers with waiters, completion events, load
+    /// entries)`.
     #[doc(hidden)]
     pub fn index_footprint(&self) -> (usize, usize, usize, usize) {
         (
-            self.wakeup.waiters.values().map(Vec::len).sum(),
-            self.wakeup.waiters.len(),
+            self.wakeup.waiters.iter().map(Vec::len).sum(),
+            self.wakeup.waiters.iter().filter(|w| !w.is_empty()).count(),
             self.wakeup.completions.len(),
             self.wakeup.loads_by_word.values().map(Vec::len).sum(),
         )
+    }
+
+    /// Footprint of the physical register file, for leak diagnostics and
+    /// tests: `(capacity, live high-water)`. Capacity counts every register
+    /// the file holds, live or free; the high-water is the largest live set
+    /// any sweep found (0 before the first sweep).
+    #[doc(hidden)]
+    pub fn preg_footprint(&self) -> (usize, usize) {
+        (self.pregs.len(), self.pregs.live_high_water())
     }
 
     /// Brute-force cross-check of the wakeup index against the window
@@ -1324,7 +1378,7 @@ impl<'p> TraceProcessor<'p> {
                                 assert!(
                                     self.wakeup
                                         .waiters
-                                        .get(&q)
+                                        .get(q.index())
                                         .is_some_and(|w| w.contains(&(pe, gen, i))),
                                     "cycle {}: pe{pe} slot {i} waits on {q:?} but is not \
                                      subscribed to it",

@@ -563,6 +563,7 @@ impl TraceProcessor<'_> {
     /// instructions are replaced). Re-registers readers under a new
     /// generation.
     fn replace_trace(&mut self, pe: usize, fault_slot: usize, repaired: Arc<Trace>) {
+        self.reserve_pregs(repaired.len());
         let old_len = self.pes[pe].slots.len();
         let new_len = repaired.len();
         let prefix_len = (fault_slot + 1).min(new_len);
@@ -594,10 +595,11 @@ impl TraceProcessor<'_> {
         }
         self.pes[pe].gen += 1;
         let map_before = self.pes[pe].map_before;
-        let mut old_slots = std::mem::take(&mut self.pes[pe].slots);
-        let suffix: Vec<Slot> = old_slots.drain(old_len - common..).collect();
-        old_slots.truncate(prefix_len);
-        let mut slots = old_slots;
+        let mut slots = std::mem::take(&mut self.pes[pe].slots);
+        let mut suffix = std::mem::take(&mut self.scratch_slots);
+        suffix.clear();
+        suffix.extend(slots.drain(old_len - common..));
+        slots.truncate(prefix_len);
         // Refresh prefix metadata from the repaired trace (same
         // instructions; embedded outcomes/coverage may differ).
         for (i, s) in slots.iter_mut().enumerate() {
@@ -625,7 +627,7 @@ impl TraceProcessor<'_> {
         // metadata. Branch re-verification happens below, once source
         // rebinding has decided which slots reissue — a resolved outcome is
         // only meaningful while the slot's inputs still stand.
-        for (k, mut s) in suffix.into_iter().enumerate() {
+        for (k, mut s) in suffix.drain(..).enumerate() {
             let new_ti = repaired.insts()[middle_end + k];
             if self.paranoid {
                 assert_eq!(s.ti.inst, new_ti.inst, "suffix match changed an instruction");
@@ -633,6 +635,7 @@ impl TraceProcessor<'_> {
             s.ti = new_ti;
             slots.push(s);
         }
+        self.scratch_slots = suffix;
         // Rebind all sources and allocate fresh middle destinations;
         // prefix and preserved suffix keep their physical registers.
         for i in 0..slots.len() {

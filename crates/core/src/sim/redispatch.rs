@@ -190,7 +190,6 @@ impl TraceProcessor<'_> {
             return;
         }
         let map_before = self.current_map;
-        let gen = self.pes[pe].gen;
         let now = ctx.now;
         let trace = self.pes[pe].trace.clone();
         let mut new_readers: Vec<(PhysRegId, usize)> = Vec::new();
@@ -225,8 +224,7 @@ impl TraceProcessor<'_> {
             }
         }
         for (preg, i) in new_readers {
-            self.readers.entry(preg).or_default().push((pe, gen, i));
-            self.reader_count += 1;
+            self.register_reader(preg, pe, i);
         }
         // Selective reissue re-enqueues exactly the re-dispatched consumers
         // whose source names changed — nothing else moved in this PE.

@@ -115,7 +115,6 @@ impl TraceProcessor<'_> {
             return;
         }
         let retired_map = self.retired_map;
-        let gen = self.pes[head].gen;
         let now = ctx.now;
         let mut rebound: Vec<(PhysRegId, usize)> = Vec::new();
         let mut requeue: Vec<usize> = Vec::new();
@@ -147,8 +146,7 @@ impl TraceProcessor<'_> {
         }
         self.stats.head_rebinds += rebound.len() as u64;
         for (preg, i) in rebound {
-            self.readers.entry(preg).or_default().push((head, gen, i));
-            self.reader_count += 1;
+            self.register_reader(preg, head, i);
         }
         // Rebound live-ins re-enter the wakeup index (retired registers
         // are always produced, so these become issue candidates at once).

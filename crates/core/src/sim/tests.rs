@@ -56,10 +56,15 @@ fn counted_loop_program(n: i32) -> Program {
 
 /// Data-dependent hammocks inside a loop: heavy FGCI territory.
 fn hammock_loop_program() -> Program {
+    hammock_loop_program_n(200)
+}
+
+/// [`hammock_loop_program`] with `n` loop iterations.
+fn hammock_loop_program_n(n: i32) -> Program {
     let mut a = Asm::new("hammocks");
     let (r1, r2, r3, r4, r5) = (Reg::new(1), Reg::new(2), Reg::new(3), Reg::new(4), Reg::new(5));
     a.li64(r5, tp_isa::DATA_BASE as i64);
-    a.li(r1, 200); // iterations
+    a.li(r1, n); // iterations
     a.li(r2, 0);
     a.label("top");
     // Load pseudo-random word and branch on it.
@@ -301,10 +306,10 @@ fn wakeup_index_matches_rescan_every_cycle() {
     }
 }
 
-/// The subscription-map entry counters drive the amortized sweeps; if they
-/// drift from the true sizes, collection either thrashes or never fires.
-/// After a run heavy enough to trigger all three sweeps, the counters must
-/// equal a recount.
+/// The load-registry entry counter drives its amortized sweep; if it
+/// drifts from the true size, collection either thrashes or never fires.
+/// After a run heavy enough to trigger the sweep, the counter must equal a
+/// recount.
 #[test]
 fn index_footprint_counters_stay_exact() {
     let p = unpredictable_loops_program();
@@ -312,30 +317,64 @@ fn index_footprint_counters_stay_exact() {
         let cfg = TraceProcessorConfig::paper(model);
         let mut sim = TraceProcessor::new(&p, cfg);
         sim.run(5_000_000).unwrap();
-        let (waiters, _, _, loads) = sim.index_footprint();
-        assert_eq!(waiters, sim.waiter_count, "{model:?} waiter count drifted");
+        let (_, _, _, loads) = sim.index_footprint();
         assert_eq!(loads, sim.load_count, "{model:?} load count drifted");
-        let readers: usize = sim.readers.values().map(Vec::len).sum();
-        assert_eq!(readers, sim.reader_count, "{model:?} reader count drifted");
     }
 }
 
-/// A mid-run wakeup-index sweep must not change behaviour: compare a run
-/// against one whose GC thresholds are forced to fire constantly.
+/// Register recycling and load-registry collection must not change
+/// behaviour: a run that sweeps the register file (and the load registry)
+/// before *every* cycle, with the oracle on and the wakeup index checked
+/// after every cycle, must match a default run's statistics and final
+/// architectural state. Forcing a sweep each cycle recycles registers as
+/// early as the roots allow, so a missed root shows up as an oracle
+/// mismatch, a use-after-free assertion or a statistics diff.
 #[test]
-fn gc_sweeps_are_behaviour_invisible() {
-    let p = hammock_loop_program();
-    let cfg = TraceProcessorConfig::paper(CiModel::FgMlbRet);
-    let mut base = TraceProcessor::new(&p, cfg.clone());
-    let base_r = base.run(5_000_000).unwrap();
-    let mut swept = TraceProcessor::new(&p, cfg);
-    while !swept.halted() {
-        // Force every sweep to run each cycle.
-        swept.waiters_gc_at = 0;
-        swept.readers_gc_at = 0;
-        swept.loads_gc_at = 0;
-        swept.step_cycle().unwrap();
-        swept.assert_event_index_coherent();
+fn register_sweeps_are_behaviour_invisible() {
+    let programs = [hammock_loop_program(), unpredictable_loops_program(), call_heavy_program()];
+    for p in &programs {
+        for model in CiModel::ALL {
+            let cfg = TraceProcessorConfig::paper(model).with_oracle();
+            let mut base = TraceProcessor::new(p, cfg.clone());
+            let base_r = base.run(5_000_000).unwrap();
+            let mut swept = TraceProcessor::new(p, cfg);
+            while !swept.halted() {
+                swept.sweep_pregs();
+                swept.loads_gc_at = 0;
+                swept.step_cycle().unwrap_or_else(|e| panic!("{} {model:?}: {e}", p.name()));
+                swept.assert_event_index_coherent();
+                assert!(swept.now() < 200_000, "{} {model:?} did not halt", p.name());
+            }
+            let label = format!("{} {model:?}", p.name());
+            assert_eq!(base_r.stats, *swept.stats(), "{label}: sweeps changed statistics");
+            assert_eq!(base.arch_state(), swept.arch_state(), "{label}: sweeps changed state");
+        }
     }
-    assert_eq!(base_r.stats, *swept.stats(), "sweeps changed observable behaviour");
+}
+
+/// The register file's size is bounded by the window, not by run length: a
+/// mispredict-heavy kernel run 8x longer ends with exactly the same file
+/// capacity, below a bound derived from the machine (every PE's slots
+/// several times over, plus the architectural registers).
+#[test]
+fn register_file_footprint_is_flat_in_run_length() {
+    let footprint = |n: i32| {
+        let p = hammock_loop_program_n(n);
+        let cfg = TraceProcessorConfig::paper(CiModel::FgMlbRet);
+        let bound = cfg.num_pes * 32 * 4 + Reg::COUNT;
+        let mut sim = TraceProcessor::new(&p, cfg);
+        // The production sweep policy, even under TP_PARANOID (which
+        // sweeps before every rename and so sizes the file differently).
+        sim.paranoid = false;
+        let r = sim.run(50_000_000).unwrap();
+        assert!(r.halted);
+        let (capacity, high_water) = sim.preg_footprint();
+        assert!(high_water > 0, "{n}: the run never recycled a register");
+        assert!(high_water <= capacity && capacity <= bound, "{n}: {capacity} > {bound}");
+        (capacity, r.stats.dispatched_traces)
+    };
+    let (short, short_dispatched) = footprint(400);
+    let (long, long_dispatched) = footprint(3200);
+    assert!(long_dispatched > 7 * short_dispatched, "the long run must dispatch ~8x more");
+    assert_eq!(short, long, "register file capacity grew with run length");
 }
