@@ -6,7 +6,7 @@
 //! cycle model only executes the intervals, while the fast-forward engine
 //! executes the skips functionally *with predictor warming* and carries
 //! the detailed model's own trained structures across each skip
-//! ([`FastForward::adopt`]), so every interval starts with the predictor
+//! ([`FastForward::adopt_interval`]), so every interval starts with the predictor
 //! state an uninterrupted detailed run would have had. Every checkpoint
 //! handed to the detailed model goes through a full encode/decode of the
 //! binary format — there is exactly one boot path, the one the `ckpt`
@@ -30,7 +30,6 @@ use std::time::Instant;
 
 use tp_ckpt::{Checkpoint, FastForward};
 use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
-use tp_isa::func::MachineState;
 use tp_isa::{Frontend, Program};
 use tp_stats::RecoveryAttribution;
 use tp_workloads::{Size, Workload};
@@ -242,9 +241,10 @@ pub fn run_sampled_as(
 /// watches. `round` counts detailed legs from 0; the simulator handed to a
 /// hook is the round's freshly booted detailed model.
 pub trait RoundObserver {
-    /// The round booted from its checkpoint at retired-instruction `at`;
-    /// the warmup leg runs next.
-    fn booted(&mut self, _round: u64, _at: u64, _sim: &mut TraceProcessor<'_>) {}
+    /// The round booted from `ckpt` (the fast-forward's frontier after a
+    /// round trip through the binary format; `ckpt.retired` is where the
+    /// round starts). The warmup leg runs next.
+    fn booted(&mut self, _round: u64, _ckpt: &Checkpoint, _sim: &mut TraceProcessor<'_>) {}
 
     /// The warmup leg finished; the measured interval runs next.
     fn warmed(&mut self, _round: u64, _sim: &mut TraceProcessor<'_>) {}
@@ -307,7 +307,7 @@ pub fn run_sampled_with<O: RoundObserver>(
             .unwrap_or_else(|e| panic!("{name}: checkpoint boot failed: {e}"));
         let mut sim = TraceProcessor::from_checkpoint(program, cfg.clone(), boot)
             .unwrap_or_else(|e| panic!("{name}: boot rejected: {e}"));
-        obs.booted(round, ckpt.retired, &mut sim);
+        obs.booted(round, &ckpt, &mut sim);
         // The first round boots the *initial* state — bit-identical to how
         // a full run starts — so its cold-start cycles are real cost and
         // must be measured, not discarded. Later rounds boot mid-program
@@ -338,22 +338,12 @@ pub fn run_sampled_with<O: RoundObserver>(
         halted = r.halted;
         obs.interval_end(round, interval.as_ref(), &mut sim);
         round += 1;
-        // Hand the architectural frontier and the interval's trained
-        // structures back to the fast-forward engine. Memory must be the
-        // *full* committed image, not the normalized `arch_state` view:
-        // a store of zero over non-zero initial data is real state a
-        // normalized map would lose.
-        let (pc, retired_delta) = sim.retired_frontier();
-        let regs = sim.arch_state().regs;
-        let state = MachineState {
-            regs,
-            mem: sim.committed_mem_words().into_iter().collect(),
-            pc,
-            halted,
-            retired: ckpt.retired + retired_delta,
-        };
-        let warm = sim.into_warm();
-        ff.adopt(state, warm);
+        // Hand the interval back to the fast-forward engine, which still
+        // stands at the checkpoint this round booted from: it applies the
+        // interval's architectural frontier and committed words in place
+        // (a store of zero over non-zero data included) and adopts the
+        // trained structures.
+        ff.adopt_interval(sim).unwrap_or_else(|e| panic!("{name}: hand-back rejected: {e}"));
         if halted {
             break;
         }

@@ -7,6 +7,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use tp_ckpt::Checkpoint;
 use tp_core::{TraceProcessor, TraceProcessorConfig};
 use tp_events::{ChromeTraceSink, CounterTimelineSink};
 use tp_isa::{Frontend, Program};
@@ -137,10 +138,10 @@ struct CaptureObserver {
 }
 
 impl RoundObserver for CaptureObserver {
-    fn booted(&mut self, round: u64, at: u64, sim: &mut TraceProcessor<'_>) {
+    fn booted(&mut self, round: u64, ckpt: &Checkpoint, sim: &mut TraceProcessor<'_>) {
         let mut sink = self.sink.take().expect("returned at interval end");
         sink.set_base(self.base);
-        sink.mark_interval(round, at);
+        sink.mark_interval(round, ckpt.retired);
         sim.attach_event_sink(sink);
         self.rounds += 1;
     }

@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 
 use tp_isa::fxhash::FxHashMap;
+use tp_isa::mem::PagedMem;
 use tp_isa::{Addr, Word};
 
 /// An opaque sequence handle identifying one memory instruction in the
@@ -46,6 +47,10 @@ struct Version {
 
 /// The address resolution buffer plus the architectural memory backing it.
 ///
+/// The backing is a [`PagedMem`] whose marks record every word committed
+/// since the ARB was created ([`Arb::committed_since_boot`]) — the delta a
+/// detailed interval hands back to a functional machine.
+///
 /// # Example
 ///
 /// ```
@@ -64,17 +69,23 @@ struct Version {
 #[derive(Clone, Debug, Default)]
 pub struct Arb {
     versions: FxHashMap<u64, Vec<Version>>,
-    backing: FxHashMap<u64, Word>,
+    backing: PagedMem,
 }
 
 impl Arb {
     /// Creates an ARB whose architectural memory is initialized from
     /// `(byte address, word)` pairs.
     pub fn new(data: impl IntoIterator<Item = (Addr, Word)>) -> Arb {
-        let mut backing = FxHashMap::default();
+        let mut backing = PagedMem::default();
         for (addr, w) in data {
-            backing.insert(addr >> 3, w);
+            backing.set(addr >> 3, w, false);
         }
+        Arb::with_backing(backing)
+    }
+
+    /// Creates an ARB over an already-built architectural memory (its
+    /// marks, normally none, count as committed since boot).
+    pub fn with_backing(backing: PagedMem) -> Arb {
         Arb { versions: FxHashMap::default(), backing }
     }
 
@@ -121,7 +132,7 @@ impl Arb {
             .max_by_key(|v| key(v.handle));
         match best {
             Some(v) => LoadResult { value: v.value, source: Some(v.handle) },
-            None => LoadResult { value: self.backing_word(addr), source: None },
+            None => LoadResult { value: self.backing.load(addr >> 3), source: None },
         }
     }
 
@@ -141,19 +152,19 @@ impl Arb {
         if list.is_empty() {
             self.versions.remove(&word);
         }
-        self.backing.insert(word, v.value);
+        self.backing.set(word, v.value, true);
     }
 
     /// Reads architectural memory (committed state only).
     pub fn backing_word(&self, addr: Addr) -> Word {
-        self.backing.get(&(addr >> 3)).copied().unwrap_or(0)
+        self.backing.peek(addr >> 3)
     }
 
     /// Normalized snapshot of architectural memory: non-zero words keyed by
     /// word index, comparable with
     /// [`ArchState::mem`](tp_isa::func::ArchState).
     pub fn arch_mem(&self) -> BTreeMap<u64, Word> {
-        self.backing.iter().filter(|(_, &w)| w != 0).map(|(&a, &w)| (a, w)).collect()
+        self.backing.touched().filter(|&(_, w)| w != 0).collect()
     }
 
     /// The full committed memory image as `(word index, value)` pairs,
@@ -163,7 +174,15 @@ impl Arb {
     /// resume built from the normalized view would resurrect the initial
     /// value.
     pub fn backing_words(&self) -> impl Iterator<Item = (u64, Word)> + '_ {
-        self.backing.iter().map(|(&a, &w)| (a, w))
+        self.backing.touched()
+    }
+
+    /// Every word committed since the ARB was created, once each with its
+    /// last committed value, as ascending `(word index, value)` pairs.
+    /// Words committed back to their boot value are included: this is the
+    /// set of words written, not the set that changed.
+    pub fn committed_since_boot(&self) -> impl Iterator<Item = (u64, Word)> + '_ {
+        self.backing.marked()
     }
 
     /// Number of speculative versions currently buffered (all addresses).
@@ -273,6 +292,43 @@ mod tests {
         arb.store(0x0, SeqHandle(1), 0);
         arb.commit(0x0, SeqHandle(1));
         assert!(arb.arch_mem().is_empty());
+    }
+
+    /// A committed zero over non-zero boot data: `arch_mem` drops the word,
+    /// `backing_words` keeps it (with its zero), and a never-written zero
+    /// boot word stays in `backing_words` but is not committed.
+    #[test]
+    fn backing_words_keep_zero_words_that_arch_mem_drops() {
+        let mut arb = Arb::new([(0x0, 3), (0x8, 0), (0x10, 5)]);
+        arb.store(0x0, SeqHandle(1), 0);
+        arb.commit(0x0, SeqHandle(1));
+        let mut words: Vec<_> = arb.backing_words().collect();
+        words.sort_unstable();
+        assert_eq!(words, vec![(0, 0), (1, 0), (2, 5)]);
+        assert_eq!(arb.arch_mem().into_iter().collect::<Vec<_>>(), vec![(2, 5)]);
+        assert_eq!(arb.committed_since_boot().collect::<Vec<_>>(), vec![(0, 0)]);
+    }
+
+    /// Commits onto pages the boot image never touched (below, between
+    /// and far above it) create pages on demand; every committed word is
+    /// reported once, ascending, with its last value.
+    #[test]
+    fn commits_onto_pages_absent_from_the_boot_image() {
+        let mut arb = Arb::new([(0x1000, 1)]);
+        let far = 0xFFFF_FFFF_FFFF_FFF8;
+        for (h, addr, v) in [(1, far, 7), (2, 0x8, 2), (3, 0x2008, 4), (4, 0x8, 9)] {
+            arb.store(addr, SeqHandle(h), v);
+            arb.commit(addr, SeqHandle(h));
+        }
+        assert_eq!(arb.backing_word(0x1000), 1);
+        assert_eq!(arb.backing_word(far), 7);
+        assert_eq!(arb.load(0x2008, SeqHandle(9), k), LoadResult { value: 4, source: None });
+        assert_eq!(arb.backing_word(0x2010), 0, "untouched word on a new page reads zero");
+        assert_eq!(
+            arb.committed_since_boot().collect::<Vec<_>>(),
+            vec![(1, 9), (0x2008 >> 3, 4), (far >> 3, 7)]
+        );
+        assert_eq!(arb.backing_words().count(), 4);
     }
 
     #[test]

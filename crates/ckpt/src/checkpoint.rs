@@ -140,6 +140,15 @@ pub enum CkptError {
         /// Checksum computed over the stream contents.
         computed: u64,
     },
+    /// A detailed interval offered to
+    /// [`FastForward::adopt_interval`] did not boot from the fast-forward's
+    /// current frontier, so its memory delta does not apply there.
+    StaleInterval {
+        /// The fast-forward's frontier: resume PC and instructions retired.
+        frontier: (Pc, u64),
+        /// The position the interval booted from.
+        booted: (Pc, u64),
+    },
 }
 
 impl fmt::Display for CkptError {
@@ -173,6 +182,12 @@ impl fmt::Display for CkptError {
                 f,
                 "checkpoint checksum mismatch: stored {stored:016x}, \
                  contents hash to {computed:016x} — the file is corrupt"
+            ),
+            CkptError::StaleInterval { frontier, booted } => write!(
+                f,
+                "detailed interval booted at pc {} after {} instructions, but the \
+                 fast-forward stands at pc {} after {} — its delta does not apply",
+                booted.0, booted.1, frontier.0, frontier.1
             ),
         }
     }
@@ -234,7 +249,7 @@ pub struct WarmImages {
 pub struct Checkpoint {
     /// Name of the source program.
     pub program_name: String,
-    /// Fingerprint of the source program (see [`program_fingerprint`]).
+    /// Fingerprint of the source program ([`Program::fingerprint`]).
     pub program_fingerprint: u64,
     /// The frontend (source ISA) the program came from. Part of the
     /// program's identity: workload lookup is per-frontend, so a capture
@@ -253,30 +268,6 @@ pub struct Checkpoint {
     pub mem_delta: Vec<(u64, Word)>,
     /// Warmed predictor images, if captured.
     pub warm: Option<WarmImages>,
-}
-
-/// A stable FNV-1a fingerprint of a program: instruction image, entry
-/// point, and initial data. Recorded in every checkpoint and verified at
-/// load, since a checkpoint is meaningless against any other program.
-pub fn program_fingerprint(program: &Program) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix_bytes = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix_bytes(program.name().as_bytes());
-    mix_bytes(&(program.entry() as u64).to_le_bytes());
-    mix_bytes(&(program.len() as u64).to_le_bytes());
-    for inst in program.insts() {
-        mix_bytes(format!("{inst}").as_bytes());
-    }
-    for (addr, word) in program.data() {
-        mix_bytes(&addr.to_le_bytes());
-        mix_bytes(&word.to_le_bytes());
-    }
-    h
 }
 
 impl Checkpoint {
@@ -298,7 +289,7 @@ impl Checkpoint {
             .collect();
         Checkpoint {
             program_name: program.name().to_string(),
-            program_fingerprint: program_fingerprint(program),
+            program_fingerprint: program.fingerprint(),
             frontend,
             pc: state.pc,
             retired: state.retired,
@@ -324,7 +315,7 @@ impl Checkpoint {
         let program = machine.program();
         Checkpoint {
             program_name: program.name().to_string(),
-            program_fingerprint: program_fingerprint(program),
+            program_fingerprint: program.fingerprint(),
             frontend,
             pc: machine.pc(),
             retired: machine.retired(),
@@ -335,24 +326,13 @@ impl Checkpoint {
         }
     }
 
-    /// The full memory image (initial data plus the dirty delta) as
-    /// `(word index, value)` pairs.
-    pub fn mem_image(&self, program: &Program) -> Vec<(u64, Word)> {
-        let mut image: std::collections::BTreeMap<u64, Word> =
-            program.data().map(|(a, w)| (a >> 3, w)).collect();
-        for &(w, v) in &self.mem_delta {
-            image.insert(w, v);
-        }
-        image.into_iter().collect()
-    }
-
     /// Verifies this checkpoint was captured from `program`.
     ///
     /// # Errors
     ///
     /// [`CkptError::ProgramMismatch`] when the fingerprints differ.
     pub fn verify_program(&self, program: &Program) -> Result<(), CkptError> {
-        let offered = program_fingerprint(program);
+        let offered = program.fingerprint();
         if offered != self.program_fingerprint {
             return Err(CkptError::ProgramMismatch {
                 name: self.program_name.clone(),
@@ -389,19 +369,10 @@ impl Checkpoint {
     /// program.
     pub fn machine<'p>(&self, program: &'p Program) -> Result<Machine<'p>, CkptError> {
         self.verify_program(program)?;
-        Ok(Machine::from_state(program, self.machine_state(program)))
-    }
-
-    /// The machine state recorded by the checkpoint (unverified; prefer
-    /// [`Checkpoint::machine`]).
-    pub fn machine_state(&self, program: &Program) -> MachineState {
-        MachineState {
-            regs: self.regs,
-            mem: self.mem_image(program).into_iter().collect(),
-            pc: self.pc,
-            halted: self.halted,
-            retired: self.retired,
-        }
+        let mut machine = Machine::new(program);
+        let delta = self.mem_delta.iter().copied();
+        machine.apply_delta(self.regs, self.pc, self.retired, self.halted, delta);
+        Ok(machine)
     }
 
     /// Rebuilds the warm structures for a detailed boot under `cfg`,
@@ -476,7 +447,7 @@ impl Checkpoint {
         Ok(BootImage {
             pc: self.pc,
             regs: self.regs,
-            mem: self.mem_image(program),
+            mem_delta: self.mem_delta.clone(),
             retired: self.retired,
             halted: self.halted,
             warm: self.warm_boot(program, cfg)?,
@@ -500,24 +471,24 @@ impl Checkpoint {
             w.i64(r);
         }
         // Dirty-page memory delta. The page bitmap is decoded in ascending
-        // bit order, so the values of each page must be emitted in the
-        // same order — normalize here rather than trusting `mem_delta`'s
-        // ordering (the fields are public; capture() sorts, a hand-built
-        // checkpoint might not).
+        // bit order with one value per set bit, so each word must appear
+        // once and in order — normalize here rather than trusting
+        // `mem_delta` (the fields are public; capture sorts, a hand-built
+        // checkpoint might not). A repeated word keeps its last value.
         let mut delta = self.mem_delta.clone();
         delta.sort_by_key(|&(word, _)| word);
-        let mut pages: std::collections::BTreeMap<u64, Vec<(u64, Word)>> = Default::default();
-        for &(word, v) in &delta {
-            pages.entry(word >> 6).or_default().push((word, v));
-        }
-        w.u32(pages.len() as u32);
-        for (page, words) in &pages {
-            w.u64(*page);
-            let mut bitmap = 0u64;
-            for &(word, _) in words {
-                bitmap |= 1 << (word & 63);
+        delta.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
             }
-            w.u64(bitmap);
+            same
+        });
+        let pages: Vec<&[(u64, Word)]> = delta.chunk_by(|a, b| a.0 >> 6 == b.0 >> 6).collect();
+        w.u32(pages.len() as u32);
+        for words in pages {
+            w.u64(words[0].0 >> 6);
+            w.u64(words.iter().fold(0u64, |bitmap, &(word, _)| bitmap | 1 << (word & 63)));
             for &(_, v) in words {
                 w.i64(v);
             }

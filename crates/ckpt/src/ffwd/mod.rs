@@ -38,11 +38,13 @@ use std::sync::Arc;
 use engine::Engine;
 pub use engine::EngineStats;
 use tp_cache::{DCache, ICache, TraceCache};
-use tp_core::{TraceProcessorConfig, WarmBoot};
+use tp_core::{TraceProcessor, TraceProcessorConfig, WarmBoot};
 use tp_isa::func::{Machine, MachineState, PcOutOfRange, Step};
 use tp_isa::{Frontend, Inst, Pc, Program};
 use tp_predict::{Btb, Gshare, NextTracePredictor, Ras, TraceHistory};
 use tp_trace::{Bit, OutcomeSource, SelectionConfig, Selector, Trace};
+
+use crate::CkptError;
 
 /// The warm structures maintained during fast-forward: everything
 /// [`WarmBoot`] carries into the detailed simulator, plus a gshare
@@ -207,16 +209,20 @@ impl<'p> FastForward<'p> {
     /// A fast-forward at the program entry with cold structures sized for
     /// `cfg`.
     pub fn new(program: &'p Program, cfg: &TraceProcessorConfig) -> FastForward<'p> {
-        FastForward::with_warm(program, Machine::new(program).capture(), Warm::cold(cfg))
+        FastForward::on_machine(Machine::new(program), Warm::cold(cfg))
     }
 
     /// Resumes a fast-forward from an explicit machine state and warm set
     /// (continuing after a detailed interval, or from a decoded
     /// checkpoint).
     pub fn with_warm(program: &'p Program, state: MachineState, warm: Warm) -> FastForward<'p> {
+        FastForward::on_machine(Machine::from_state(program, state), warm)
+    }
+
+    fn on_machine(machine: Machine<'p>, warm: Warm) -> FastForward<'p> {
         FastForward {
-            program,
-            machine: Machine::from_state(program, state),
+            program: machine.program(),
+            machine,
             selector: Selector::new(warm.selection),
             engine: Some(Engine::new(warm.selection)),
             warm,
@@ -263,8 +269,51 @@ impl<'p> FastForward<'p> {
     /// finished detailed interval (the gshare predictor, which the cycle
     /// model does not maintain, carries over from this driver's own
     /// warming and simply misses the interval's branches).
+    ///
+    /// This rebuilds the machine from a full state, O(memory image);
+    /// [`FastForward::adopt_interval`] is the O(interval) equivalent.
     pub fn adopt(&mut self, state: MachineState, warm: WarmBoot) {
         self.machine = Machine::from_state(self.program, state);
+        self.adopt_warm(warm);
+    }
+
+    /// Adopts a finished detailed interval booted from this driver's
+    /// current frontier (a checkpoint taken here and not skipped past
+    /// since): its registers, retired frontier, halt flag and committed
+    /// memory words are applied to the live machine in place, and its
+    /// trained structures are taken as [`FastForward::adopt`] takes them.
+    /// The cost scales with the words the interval committed, not with
+    /// the program's memory. The result is the state `adopt` would build
+    /// from the interval's full committed image, so every later checkpoint
+    /// is byte-identical.
+    ///
+    /// As with `adopt`, the interval's stores bypass the superblock
+    /// engine's code-page invalidation.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::StaleInterval`], naming both positions, when the
+    /// processor did not boot from this driver's current frontier; the
+    /// driver is left unchanged.
+    pub fn adopt_interval(&mut self, sim: TraceProcessor<'_>) -> Result<(), CkptError> {
+        let frontier = (self.machine.pc(), self.machine.retired());
+        let booted = sim.boot_frontier();
+        if booted != frontier {
+            return Err(CkptError::StaleInterval { frontier, booted });
+        }
+        let (pc, retired) = sim.retired_frontier();
+        self.machine.apply_delta(
+            sim.arch_regs(),
+            pc,
+            frontier.1 + retired,
+            sim.halted(),
+            sim.committed_since_boot(),
+        );
+        self.adopt_warm(sim.into_warm());
+        Ok(())
+    }
+
+    fn adopt_warm(&mut self, warm: WarmBoot) {
         // The adopted structures invalidate the engine's record of what it
         // filled last; its refill dedupes must start over.
         if let Some(engine) = &mut self.engine {

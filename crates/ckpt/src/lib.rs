@@ -16,9 +16,10 @@
 //!    [`BootImage`](tp_core::BootImage) from it.
 //! 3. [`tp_core::TraceProcessor::from_checkpoint`] boots the detailed
 //!    model at the checkpoint for a measurement interval; its trained
-//!    structures and architectural frontier then flow back into the next
-//!    fast-forward leg ([`FastForward::adopt`]), so warming is continuous
-//!    across the whole run.
+//!    structures, architectural frontier and committed memory words then
+//!    flow back into the next fast-forward leg as a delta
+//!    ([`FastForward::adopt_interval`]), so warming is continuous across
+//!    the whole run and a round costs O(interval), not O(memory).
 //!
 //! The sampled *runner* that alternates these legs and aggregates
 //! per-interval IPC with error bounds lives in `tp-bench`
@@ -29,7 +30,7 @@ pub mod checkpoint;
 pub mod ffwd;
 pub mod wire;
 
-pub use checkpoint::{program_fingerprint, Checkpoint, CkptError, TraceLine, WarmImages};
+pub use checkpoint::{Checkpoint, CkptError, TraceLine, WarmImages};
 pub use ffwd::{EngineStats, FastForward, SkipSummary, Warm};
 pub use wire::WireError;
 

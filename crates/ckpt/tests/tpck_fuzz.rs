@@ -94,3 +94,20 @@ fn random_garbage_never_panics() {
         assert!(Checkpoint::decode(&buf).is_err());
     }
 }
+
+/// A hand-built delta naming a word twice encodes the last value once (it
+/// used to write two values under one bitmap bit, which `decode` then
+/// rejected as a non-ascending page). Order does not matter either: the
+/// stream is that of the sorted, de-duplicated delta.
+#[test]
+fn repeated_delta_word_encodes_last_write_once() {
+    let (original, _) = sample_bytes();
+    let word = 59 << 6 | 5;
+    let mut dup = original.clone();
+    dup.mem_delta = vec![(word + 70, 3), (word, 1), (word + 1, 2), (word, 4)];
+    let mut clean = original;
+    clean.mem_delta = vec![(word, 4), (word + 1, 2), (word + 70, 3)];
+    let bytes = dup.encode();
+    assert_eq!(bytes, clean.encode());
+    assert_eq!(Checkpoint::decode(&bytes).expect("decodes"), clean);
+}

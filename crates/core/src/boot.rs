@@ -3,7 +3,8 @@
 //! The sampled-simulation subsystem (`tp-ckpt`) fast-forwards a program
 //! functionally, then boots the detailed cycle model at an arbitrary
 //! point: [`BootImage`] carries the architectural state to resume from
-//! (PC, registers, full memory image) plus an optional [`WarmBoot`] of
+//! (PC, registers, the memory delta against the program's data image) plus
+//! an optional [`WarmBoot`] of
 //! predictor/cache structures functionally warmed during the fast-forward,
 //! so a detailed measurement interval does not start cold. The inverse
 //! direction — [`TraceProcessor::into_warm`](crate::TraceProcessor::into_warm)
@@ -60,10 +61,11 @@ pub struct BootImage {
     pub pc: Pc,
     /// Architectural register values.
     pub regs: [Word; Reg::COUNT],
-    /// The full committed memory image as `(word index, value)` pairs
-    /// (word index = byte address `>> 3`). Words absent from the image
-    /// read as zero, so a normalized (zero-word-free) image is lossless.
-    pub mem: Vec<(u64, Word)>,
+    /// The committed memory as a delta against the program's initial data
+    /// image: `(word index, value)` pairs (word index = byte address
+    /// `>> 3`), ascending, applied over the data image at boot. Words in
+    /// neither read as zero.
+    pub mem_delta: Vec<(u64, Word)>,
     /// Instructions retired before the checkpoint (bookkeeping only; the
     /// booted processor's own statistics start at zero).
     pub retired: u64,
@@ -76,13 +78,14 @@ pub struct BootImage {
 
 impl BootImage {
     /// The boot image of a fresh run: entry PC, zero registers, the
-    /// program's initial data image, and no warm state. Booting from this
+    /// program's initial data image (an empty delta), and no warm state.
+    /// Booting from this
     /// is identical to [`TraceProcessor::new`](crate::TraceProcessor::new).
     pub fn fresh(program: &Program) -> BootImage {
         BootImage {
             pc: program.entry(),
             regs: [0; Reg::COUNT],
-            mem: program.data().map(|(addr, w)| (addr >> 3, w)).collect(),
+            mem_delta: Vec::new(),
             retired: 0,
             halted: false,
             warm: None,

@@ -44,8 +44,9 @@ use std::sync::Arc;
 use tp_cache::{Arb, DCache, ICache, SeqHandle, TraceCache};
 use tp_cfg::{CfgAnalysis, ReconvClass};
 use tp_events::{Category, Event, EventBus, EventSink};
-use tp_isa::func::{ArchState, Machine, MachineState};
+use tp_isa::func::{ArchState, Machine};
 use tp_isa::fxhash::FxHashMap;
+use tp_isa::mem::PagedMem;
 use tp_isa::{Addr, Pc, Program, Reg, Word};
 use tp_metrics::{ScopedStageTimer, Stage, StageProfiler};
 use tp_predict::{Btb, NextTracePredictor, Ras, TraceHistory, TracePredictorStats};
@@ -450,6 +451,9 @@ pub struct TraceProcessor<'p> {
     /// frontier a functional machine would resume from (checkpoint capture
     /// between sampled intervals).
     retired_next_pc: Pc,
+    /// The architectural position booted from: resume PC and instructions
+    /// retired before boot ([`TraceProcessor::boot_frontier`]).
+    boot_frontier: (Pc, u64),
     stats: SimStats,
     /// The misprediction outcome-attribution ledger. Observation-only:
     /// nothing in the simulator reads it back.
@@ -581,17 +585,17 @@ impl<'p> TraceProcessor<'p> {
             ),
         };
         let pes = (0..cfg.num_pes).map(|_| Pe::empty(hist.clone())).collect();
+        // Committed memory is the program's data image with the boot delta
+        // on top; the delta is not "committed since boot", so it is unmarked.
+        let mut mem = PagedMem::from_program(program);
+        for &(word, value) in &boot.mem_delta {
+            mem.set(word, value, false);
+        }
         let oracle = cfg.verify_with_oracle.then(|| {
-            Machine::from_state(
-                program,
-                MachineState {
-                    regs: boot.regs,
-                    mem: boot.mem.iter().copied().collect(),
-                    pc: boot.pc,
-                    halted: boot.halted,
-                    retired: boot.retired,
-                },
-            )
+            let mut m = Machine::new(program);
+            let delta = boot.mem_delta.iter().copied();
+            m.apply_delta(boot.regs, boot.pc, boot.retired, boot.halted, delta);
+            m
         });
         TraceProcessor {
             program,
@@ -603,7 +607,7 @@ impl<'p> TraceProcessor<'p> {
             tcache,
             icache,
             dcache,
-            arb: Arb::new(boot.mem.iter().map(|&(w, v)| (w << 3, v))),
+            arb: Arb::with_backing(mem),
             pes,
             list: PeList::new(cfg.num_pes),
             pregs,
@@ -645,6 +649,7 @@ impl<'p> TraceProcessor<'p> {
             last_retire_cycle: 0,
             halted: boot.halted,
             retired_next_pc: boot.pc,
+            boot_frontier: (boot.pc, boot.retired),
             stats: SimStats::default(),
             attribution: RecoveryAttribution::new(),
             misp_log: Vec::new(),
@@ -758,6 +763,26 @@ impl<'p> TraceProcessor<'p> {
     /// data is real state.
     pub fn committed_mem_words(&self) -> Vec<(u64, Word)> {
         self.arb.backing_words().collect()
+    }
+
+    /// The committed architectural registers (without the memory snapshot
+    /// [`TraceProcessor::arch_state`] materializes).
+    pub fn arch_regs(&self) -> [Word; Reg::COUNT] {
+        self.arch_regs
+    }
+
+    /// Every memory word committed since boot, once each with its last
+    /// committed value, as ascending `(word index, value)` pairs: the
+    /// interval's memory delta against the state it booted from. The cost
+    /// scales with the words the interval wrote, not with memory size.
+    pub fn committed_since_boot(&self) -> impl Iterator<Item = (u64, Word)> + '_ {
+        self.arb.committed_since_boot()
+    }
+
+    /// The architectural position this processor booted from: the resume
+    /// PC and the instructions retired before boot (zero for a fresh run).
+    pub fn boot_frontier(&self) -> (Pc, u64) {
+        self.boot_frontier
     }
 
     /// Whether the program's `Halt` has retired.

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::fxhash::FxHashMap;
+use crate::mem::{PagedMem, PAGE_WORDS};
 use crate::{Addr, Inst, Pc, Program, Reg, Word};
 
 /// Error produced when execution leaves the program image.
@@ -92,144 +92,6 @@ pub struct MachineState {
     pub retired: u64,
 }
 
-/// Words per memory page (matches the checkpoint format's dirty-page
-/// granularity: page index = word index >> 6).
-const PAGE_WORDS: usize = 64;
-
-/// One 64-word memory page with word-granular bookkeeping bitmaps.
-///
-/// `touched` marks words the machine knows about (initial data image plus
-/// every stored word) — the set [`Machine::capture`] must reproduce.
-/// `stored` marks words written by a `Store` (or resumed already differing
-/// from the initial image): only these can diverge from the program's data
-/// image, so a checkpoint delta never has to scan the rest.
-#[derive(Clone, Debug)]
-struct Page {
-    /// Page number (`word index >> 6`).
-    no: u64,
-    words: [Word; PAGE_WORDS],
-    touched: u64,
-    stored: u64,
-}
-
-impl Page {
-    fn empty(no: u64) -> Page {
-        Page { no, words: [0; PAGE_WORDS], touched: 0, stored: 0 }
-    }
-}
-
-/// Sparse paged memory: 64-word zero-initialized pages keyed by
-/// `word index >> 6`.
-///
-/// Pages live in a flat vector; the hash index maps page number → slot and
-/// is consulted only when the one-entry lookup cache (the last page
-/// touched) misses, so the hot execution loop pays one compare plus one
-/// array index per access instead of a hash probe.
-#[derive(Clone, Debug)]
-struct PagedMem {
-    pages: Vec<Page>,
-    index: FxHashMap<u64, u32>,
-    /// Page number of the cached slot; `u64::MAX` when nothing is cached.
-    last_page: u64,
-    last_slot: u32,
-}
-
-impl Default for PagedMem {
-    fn default() -> PagedMem {
-        PagedMem {
-            pages: Vec::new(),
-            index: FxHashMap::default(),
-            last_page: u64::MAX,
-            last_slot: 0,
-        }
-    }
-}
-
-impl PagedMem {
-    /// Slot of `page_no` if the page exists, refreshing the lookup cache.
-    #[inline]
-    fn slot_of(&mut self, page_no: u64) -> Option<u32> {
-        if self.last_page == page_no {
-            return Some(self.last_slot);
-        }
-        let slot = *self.index.get(&page_no)?;
-        self.last_page = page_no;
-        self.last_slot = slot;
-        Some(slot)
-    }
-
-    /// Reads a word (0 if untouched). Never allocates.
-    #[inline]
-    fn load(&mut self, word: u64) -> Word {
-        match self.slot_of(word >> 6) {
-            Some(s) => self.pages[s as usize].words[(word & 63) as usize],
-            None => 0,
-        }
-    }
-
-    /// Reads a word without refreshing the lookup cache (shared-reference
-    /// inspection paths).
-    fn peek(&self, word: u64) -> Word {
-        let page_no = word >> 6;
-        let slot = if self.last_page == page_no {
-            Some(self.last_slot)
-        } else {
-            self.index.get(&page_no).copied()
-        };
-        match slot {
-            Some(s) => self.pages[s as usize].words[(word & 63) as usize],
-            None => 0,
-        }
-    }
-
-    /// Writes a word, marking it touched and (when `stored`) dirty.
-    #[inline]
-    fn set(&mut self, word: u64, value: Word, stored: bool) {
-        let page_no = word >> 6;
-        let slot = match self.slot_of(page_no) {
-            Some(s) => s,
-            None => {
-                let s = self.pages.len() as u32;
-                self.pages.push(Page::empty(page_no));
-                self.index.insert(page_no, s);
-                self.last_page = page_no;
-                self.last_slot = s;
-                s
-            }
-        };
-        let page = &mut self.pages[slot as usize];
-        let bit = 1u64 << (word & 63);
-        page.words[(word & 63) as usize] = value;
-        page.touched |= bit;
-        if stored {
-            page.stored |= bit;
-        }
-    }
-
-    /// Whether `word` is touched (in the capture image).
-    fn is_touched(&self, word: u64) -> bool {
-        self.index
-            .get(&(word >> 6))
-            .is_some_and(|&s| self.pages[s as usize].touched >> (word & 63) & 1 == 1)
-    }
-
-    /// Every touched word as `(word index, value)`, unordered.
-    fn iter_touched(&self) -> impl Iterator<Item = (u64, Word)> + '_ {
-        self.pages.iter().flat_map(|p| {
-            (0..PAGE_WORDS)
-                .filter(move |&i| p.touched >> i & 1 == 1)
-                .map(move |i| ((p.no << 6) | i as u64, p.words[i]))
-        })
-    }
-
-    /// Pages holding at least one stored word, ascending by page number.
-    fn stored_pages(&self) -> Vec<&Page> {
-        let mut pages: Vec<&Page> = self.pages.iter().filter(|p| p.stored != 0).collect();
-        pages.sort_unstable_by_key(|p| p.no);
-        pages
-    }
-}
-
 /// The functional simulator.
 ///
 /// # Example
@@ -252,10 +114,10 @@ impl PagedMem {
 pub struct Machine<'p> {
     program: &'p Program,
     regs: [Word; Reg::COUNT],
+    /// Memory; marked words are the ones a store wrote (or a resume or
+    /// hand-back set): only those can differ from the program's data
+    /// image, so [`Machine::mem_delta`] never scans the rest.
     mem: PagedMem,
-    /// The program's initial data image by word index; the reference the
-    /// dirty delta ([`Machine::mem_delta`]) is computed against.
-    initial: FxHashMap<u64, Word>,
     pc: Pc,
     halted: bool,
     retired: u64,
@@ -265,17 +127,10 @@ impl<'p> Machine<'p> {
     /// Creates a machine at the program's entry point with the initial data
     /// image loaded.
     pub fn new(program: &'p Program) -> Machine<'p> {
-        let mut mem = PagedMem::default();
-        let mut initial = FxHashMap::default();
-        for (addr, word) in program.data() {
-            mem.set(addr >> 3, word, false);
-            initial.insert(addr >> 3, word);
-        }
         Machine {
             program,
             regs: [0; Reg::COUNT],
-            mem,
-            initial,
+            mem: PagedMem::from_program(program),
             pc: program.entry(),
             halted: false,
             retired: 0,
@@ -288,32 +143,56 @@ impl<'p> Machine<'p> {
     /// program (the caller is responsible for that pairing; the checkpoint
     /// format records a program fingerprint for exactly this check).
     pub fn from_state(program: &'p Program, state: MachineState) -> Machine<'p> {
-        let initial: FxHashMap<u64, Word> =
-            program.data().map(|(addr, word)| (addr >> 3, word)).collect();
         let mut mem = PagedMem::default();
+        // Both maps ascend by word, so one merge pass finds each word's
+        // initial value. Words still holding it cannot contribute to a
+        // dirty delta; only resumed words that already diverged are marked.
+        let mut initial = program.data().map(|(addr, w)| (addr >> 3, w)).peekable();
         for (&word, &value) in &state.mem {
-            // Words still holding their initial value cannot contribute to
-            // a dirty delta; only resumed words that already diverged need
-            // the `stored` mark.
-            let stored = initial.get(&word).copied().unwrap_or(0) != value;
-            mem.set(word, value, stored);
+            while initial.next_if(|&(w, _)| w < word).is_some() {}
+            let init = initial.next_if(|&(w, _)| w == word).map_or(0, |(_, v)| v);
+            mem.set(word, value, init != value);
         }
         Machine {
             program,
             regs: state.regs,
             mem,
-            initial,
             pc: state.pc,
             halted: state.halted,
             retired: state.retired,
         }
     }
 
+    /// Moves the machine to a later point of the same run, reached by
+    /// another executor from this machine's current state: a detailed
+    /// interval booted from it, or a checkpoint's dirty delta applied to a
+    /// fresh machine. `stores` are the `(word index, value)` pairs written
+    /// on the way; they go through the same marking path as this machine's
+    /// own stores, so [`Machine::mem_delta`] stays exact. Registers, PC,
+    /// retired count and halt flag are replaced. The cost is
+    /// O(`stores`), independent of the memory image's size.
+    pub fn apply_delta(
+        &mut self,
+        regs: [Word; Reg::COUNT],
+        pc: Pc,
+        retired: u64,
+        halted: bool,
+        stores: impl IntoIterator<Item = (u64, Word)>,
+    ) {
+        for (word, value) in stores {
+            self.mem.set(word, value, true);
+        }
+        self.regs = regs;
+        self.pc = pc;
+        self.retired = retired;
+        self.halted = halted;
+    }
+
     /// Captures the complete machine state for later [`Machine::from_state`].
     pub fn capture(&self) -> MachineState {
         MachineState {
             regs: self.regs,
-            mem: self.mem.iter_touched().collect(),
+            mem: self.mem.touched().collect(),
             pc: self.pc,
             halted: self.halted,
             retired: self.retired,
@@ -323,7 +202,7 @@ impl<'p> Machine<'p> {
     /// Iterates every touched memory word as `(word index, value)`,
     /// including words holding zero (unlike [`Machine::arch_state`]).
     pub fn mem_words(&self) -> impl Iterator<Item = (u64, Word)> + '_ {
-        self.mem.iter_touched()
+        self.mem.touched()
     }
 
     /// The dirty memory delta against the program's initial data image, as
@@ -335,16 +214,21 @@ impl<'p> Machine<'p> {
     /// with every word the machine has ever touched.
     pub fn mem_delta(&self) -> Vec<(u64, Word)> {
         let mut delta = Vec::new();
-        for p in self.mem.stored_pages() {
-            let mut bits = p.stored;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let word = (p.no << 6) | i as u64;
-                let value = p.words[i];
-                if self.initial.get(&word).copied().unwrap_or(0) != value {
-                    delta.push((word, value));
+        // The current page's initial words, refilled from one ordered
+        // range query per page.
+        let mut page = u64::MAX;
+        let mut initial = [0 as Word; PAGE_WORDS];
+        for (word, value) in self.mem.marked() {
+            if word >> 6 != page {
+                page = word >> 6;
+                initial = [0; PAGE_WORDS];
+                let base = page << 9;
+                for (addr, w) in self.program.data_range(base..=base + 8 * PAGE_WORDS as Addr - 1) {
+                    initial[(addr >> 3) as usize & 63] = w;
                 }
+            }
+            if initial[(word & 63) as usize] != value {
+                delta.push((word, value));
             }
         }
         delta
@@ -393,10 +277,7 @@ impl<'p> Machine<'p> {
 
     /// Takes a normalized snapshot of the architectural state.
     pub fn arch_state(&self) -> ArchState {
-        ArchState {
-            regs: self.regs,
-            mem: self.mem.iter_touched().filter(|&(_, w)| w != 0).collect(),
-        }
+        ArchState { regs: self.regs, mem: self.mem.touched().filter(|&(_, w)| w != 0).collect() }
     }
 
     /// Executes one instruction.

@@ -8,7 +8,9 @@
 //!   the synthetic benchmark kernels),
 //! * a [`func::Machine`] functional (architectural) simulator that serves as
 //!   the golden reference for the cycle-level trace processor in `tp-core`,
-//! * a [`synth`] structured random-program generator used by property tests.
+//! * a [`synth`] structured random-program generator used by property tests,
+//! * [`mem::PagedMem`], the sparse paged word memory behind both the
+//!   functional machine and the trace processor's committed memory.
 //!
 //! Programs are word-indexed: a [`Pc`] is an index into [`Program::insts`],
 //! and every instruction occupies one slot. Memory is an array of 64-bit
@@ -42,6 +44,7 @@ pub mod asm;
 pub mod func;
 pub mod fxhash;
 pub mod inst;
+pub mod mem;
 pub mod program;
 pub mod reg;
 pub mod synth;

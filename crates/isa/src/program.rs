@@ -2,6 +2,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::RangeBounds;
+use std::sync::OnceLock;
 
 use crate::{Addr, Inst, Pc, Word};
 
@@ -12,7 +14,7 @@ use crate::{Addr, Inst, Pc, Word};
 /// the [`synth`](crate::synth) generator) and consumed by both the functional
 /// simulator and the trace processor. [`Program::validate`] checks the static
 /// well-formedness invariants that the rest of the system relies on.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Program {
     name: String,
     insts: Vec<Inst>,
@@ -23,7 +25,24 @@ pub struct Program {
     /// metadata for static analysis — execution and checkpoint fingerprints
     /// ignore it.
     code_ptrs: BTreeSet<Addr>,
+    /// [`Program::fingerprint`], computed on first use: hashing a large
+    /// data image is not free, and most programs are never checkpointed.
+    fingerprint: OnceLock<u64>,
 }
+
+/// Equality is over the program's contents; the fingerprint cache is
+/// derived from them and ignored.
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        self.name == other.name
+            && self.insts == other.insts
+            && self.entry == other.entry
+            && self.data == other.data
+            && self.code_ptrs == other.code_ptrs
+    }
+}
+
+impl Eq for Program {}
 
 /// Error returned when a [`Program`] fails validation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,6 +108,7 @@ impl Program {
             entry,
             data: data.into_iter().collect(),
             code_ptrs: BTreeSet::new(),
+            fingerprint: OnceLock::new(),
         };
         program.validate()?;
         Ok(program)
@@ -176,6 +196,42 @@ impl Program {
     /// The initial data image as `(byte address, word)` pairs.
     pub fn data(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
         self.data.iter().map(|(&a, &w)| (a, w))
+    }
+
+    /// The initial data words whose byte addresses fall in `addrs`, as
+    /// ascending `(byte address, word)` pairs.
+    pub fn data_range(
+        &self,
+        addrs: impl RangeBounds<Addr>,
+    ) -> impl Iterator<Item = (Addr, Word)> + '_ {
+        self.data.range(addrs).map(|(&a, &w)| (a, w))
+    }
+
+    /// A stable FNV-1a fingerprint of the program: name, entry point,
+    /// instruction image and initial data (not the code-pointer metadata).
+    /// Checkpoints record it and verify it at load, since a checkpoint is
+    /// meaningless against any other program. Computed once, on first use.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut mix_bytes = |bytes: &[u8]| {
+                for &b in bytes {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x1000_0000_01b3);
+                }
+            };
+            mix_bytes(self.name.as_bytes());
+            mix_bytes(&(self.entry as u64).to_le_bytes());
+            mix_bytes(&(self.len() as u64).to_le_bytes());
+            for inst in &self.insts {
+                mix_bytes(format!("{inst}").as_bytes());
+            }
+            for (addr, word) in self.data() {
+                mix_bytes(&addr.to_le_bytes());
+                mix_bytes(&word.to_le_bytes());
+            }
+            h
+        })
     }
 
     /// Data-image addresses known to hold code pointers (see
@@ -298,5 +354,22 @@ mod tests {
     fn error_display_messages() {
         assert!(ProgramError::Empty.to_string().contains("no instructions"));
         assert!(ProgramError::UnalignedData { addr: 3 }.to_string().contains("aligned"));
+    }
+
+    /// The fingerprint is pinned (checkpoint files record it), and the
+    /// lazily filled cache plays no part in equality.
+    #[test]
+    fn fingerprint_is_stable_and_ignored_by_eq() {
+        let mut a = crate::asm::Asm::new("fpr");
+        a.li(Reg::new(1), 5);
+        a.store(Reg::new(1), Reg::ZERO, 0x108);
+        a.halt();
+        a.data_word(0x100, -7);
+        a.data_word(0x4000, 99);
+        let p = a.assemble().unwrap();
+        let fresh = p.clone();
+        assert_eq!(p.fingerprint(), 0x2a28_84f9_e381_6d84);
+        assert_eq!(p, fresh, "a filled cache must not break equality");
+        assert_eq!(fresh.fingerprint(), p.fingerprint());
     }
 }

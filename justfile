@@ -121,7 +121,8 @@ fuzz MACHINE="paper" START="0":
 # Sampled-simulation smoke (CI): create/inspect/verify a checkpoint
 # (artifact: ckpt_smoke.tpckpt), assert sampled IPC within 5% of full
 # detailed runs on the tiny suite, and demonstrate the >= 3x wall-clock
-# speedup of sampled execution on the long gcc/go/compress variants.
+# speedup of sampled execution on the long gcc/go/compress/strhash
+# variants, in aggregate and on strhash (a 240K-word data image) alone.
 sample-smoke:
     cargo run --release -p tp-bench --bin ckpt -- smoke --out ckpt_smoke.tpckpt
 

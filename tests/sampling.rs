@@ -9,16 +9,22 @@
 //! * the sampled IPC estimate agrees with a full detailed run within 5%
 //!   on the whole tiny suite for the base and MLB-RET models;
 //! * the phase series and the sampled event capture observe exactly the
-//!   intervals of a plain sampled run.
+//!   intervals of a plain sampled run;
+//! * the in-place delta hand-back is exact: every round's checkpoint
+//!   bytes, the intervals and the final state equal those of the
+//!   full-state hand-back, a stale interval is rejected, and the words a
+//!   detailed run reports as committed are exactly the functional stores.
 
-use tp_bench::sampled::{cross_check, Interval, SampleConfig};
-use trace_processor::tp_ckpt::{Checkpoint, FastForward};
+use std::collections::BTreeMap;
+
+use tp_bench::sampled::{cross_check, run_sampled_with, Interval, RoundObserver, SampleConfig};
+use trace_processor::tp_ckpt::{Checkpoint, CkptError, FastForward};
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_isa::asm::Asm;
-use trace_processor::tp_isa::func::Machine;
+use trace_processor::tp_isa::func::{ArchState, Machine, MachineState};
 use trace_processor::tp_isa::synth::{self, SynthConfig};
-use trace_processor::tp_isa::{AluOp, Cond, Program, Reg};
-use trace_processor::tp_workloads::{by_name, suite, Size};
+use trace_processor::tp_isa::{AluOp, Cond, Frontend, Program, Reg, Word};
+use trace_processor::tp_workloads::{by_name, rv_suite, suite, Size};
 
 fn mem_digest(m: &Machine<'_>) -> u64 {
     let st = m.arch_state();
@@ -224,4 +230,210 @@ fn sampled_observers_see_the_driver_intervals() {
     assert!(cap.halted);
     assert_eq!(cap.intervals, run.intervals.len() as u64);
     assert_eq!(cap.total_instrs, run.total_instrs);
+}
+
+/// A kernel whose stores cover every hand-back corner: zero over initial
+/// data, the initial value stored back (written but unchanged), a fresh
+/// non-zero word, and zero into a never-initialized word — all revisited
+/// across many rounds.
+fn zero_store_kernel() -> Program {
+    let mut a = Asm::new("zero-stores");
+    let (i, off, v, t) = (Reg::new(1), Reg::new(2), Reg::new(3), Reg::new(4));
+    a.li(i, 300);
+    a.label("top");
+    a.alui(AluOp::And, off, i, 7);
+    a.alui(AluOp::Shl, off, off, 3);
+    a.load(v, off, 0x100);
+    a.alu(AluOp::Add, v, v, i);
+    a.store(v, off, 0x2000); // fresh word
+    a.store(Reg::ZERO, off, 0x4000); // zero into a never-initialized word
+    a.alui(AluOp::And, t, i, 8);
+    a.branch(Cond::Eq, t, Reg::ZERO, "restore");
+    a.store(Reg::ZERO, off, 0x100); // zero over initial data
+    a.jump("next");
+    a.label("restore");
+    a.alui(AluOp::Shr, t, off, 3);
+    a.addi(t, t, 1000);
+    a.store(t, off, 0x100); // the initial value, stored back
+    a.label("next");
+    a.addi(i, i, -1);
+    a.branch(Cond::Gt, i, Reg::ZERO, "top");
+    a.halt();
+    for k in 0..8 {
+        a.data_word(0x100 + 8 * k, 1000 + k as Word);
+    }
+    a.assemble().expect("valid program")
+}
+
+/// What one sampled run produced, round by round.
+#[derive(Debug, PartialEq)]
+struct Rounds {
+    /// Every round's boot checkpoint, encoded.
+    ckpts: Vec<Vec<u8>>,
+    intervals: Vec<Interval>,
+    total_instrs: u64,
+}
+
+/// Records the driver's boot checkpoints.
+#[derive(Default)]
+struct CkptLog(Vec<Vec<u8>>);
+
+impl RoundObserver for CkptLog {
+    fn booted(&mut self, _round: u64, ckpt: &Checkpoint, _sim: &mut TraceProcessor<'_>) {
+        self.0.push(ckpt.encode());
+    }
+}
+
+/// The reference hand-back: rebuild the machine from the interval's full
+/// committed image.
+fn full_state_handback<'p>(ff: &mut FastForward<'p>, sim: TraceProcessor<'p>) {
+    let (pc, retired) = sim.retired_frontier();
+    let state = MachineState {
+        regs: sim.arch_state().regs,
+        mem: sim.committed_mem_words().into_iter().collect(),
+        pc,
+        halted: sim.halted(),
+        retired: ff.retired() + retired,
+    };
+    ff.adopt(state, sim.into_warm());
+}
+
+fn delta_handback<'p>(ff: &mut FastForward<'p>, sim: TraceProcessor<'p>) {
+    ff.adopt_interval(sim).expect("the interval booted at the frontier");
+}
+
+/// The sampled round protocol of `run_sampled_with`, written out with a
+/// pluggable hand-back. Returns the rounds and the final machine state.
+fn rounds_with<'p>(
+    program: &'p Program,
+    frontend: Frontend,
+    cfg: &TraceProcessorConfig,
+    sample: &SampleConfig,
+    handback: fn(&mut FastForward<'p>, TraceProcessor<'p>),
+) -> (Rounds, ArchState) {
+    let mut ff = FastForward::new(program, cfg);
+    ff.set_frontend(frontend);
+    let mut out = Rounds { ckpts: Vec::new(), intervals: Vec::new(), total_instrs: 0 };
+    for round in 0u64.. {
+        let bytes = ff.checkpoint().encode();
+        let ckpt = Checkpoint::decode(&bytes).expect("round-trip");
+        out.ckpts.push(bytes);
+        let boot = ckpt.boot_image(program, cfg).expect("boot image");
+        let mut sim = TraceProcessor::from_checkpoint(program, cfg.clone(), boot).expect("boot");
+        sim.run_interval(if round == 0 { 0 } else { sample.warmup }).expect("warmup");
+        let (w_instrs, w_cycles) = (sim.stats().retired_instrs, sim.stats().cycles);
+        let r = sim.run_interval(sample.interval).expect("interval");
+        if r.stats.retired_instrs > w_instrs {
+            out.intervals.push(Interval {
+                start_retired: ckpt.retired + w_instrs,
+                instrs: r.stats.retired_instrs - w_instrs,
+                cycles: r.stats.cycles - w_cycles,
+            });
+        }
+        handback(&mut ff, sim);
+        if r.halted {
+            break;
+        }
+        let h = (round + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
+        if ff.skip(sample.skip / 2 + h % sample.skip).expect("skip").halted {
+            break;
+        }
+    }
+    out.total_instrs = ff.retired();
+    (out, ff.machine().arch_state())
+}
+
+/// The delta hand-back is exactly the full-state one: through the driver
+/// and through a local loop, every round boots from byte-identical
+/// checkpoint bytes, measures identical intervals, and the run ends in the
+/// same state as a straight functional run — on the tiny suite of both
+/// frontends plus the zero-store kernel, under base and MLB-RET.
+#[test]
+fn delta_handback_equals_full_state_handback() {
+    let sample = SampleConfig { warmup: 30, interval: 100, skip: 80 };
+    let mut programs: Vec<(String, Program, Frontend)> = suite(Size::Tiny)
+        .into_iter()
+        .chain(rv_suite(Size::Tiny))
+        .map(|w| (w.name.to_string(), w.program, w.frontend))
+        .collect();
+    programs.push(("zero-stores".to_string(), zero_store_kernel(), Frontend::Synth));
+    for (name, program, frontend) in &programs {
+        let mut straight = Machine::new(program);
+        straight.run(u64::MAX).expect("halts");
+        for model in [CiModel::None, CiModel::MlbRet] {
+            let ctx = format!("{name} {}", model.name());
+            let cfg = TraceProcessorConfig::paper(model);
+            let (reference, ref_state) =
+                rounds_with(program, *frontend, &cfg, &sample, full_state_handback);
+            let (delta, delta_state) =
+                rounds_with(program, *frontend, &cfg, &sample, delta_handback);
+            assert!(reference.ckpts.len() > 2, "{ctx}: too few rounds");
+            assert_eq!(delta, reference, "{ctx}: local loop diverged");
+            assert_eq!(delta_state, ref_state, "{ctx}: final state diverged");
+            assert_eq!(ref_state, straight.arch_state(), "{ctx}: final state is not the program's");
+
+            let mut log = CkptLog::default();
+            let run = run_sampled_with(program, *frontend, &cfg, &sample, &mut log);
+            let driver =
+                Rounds { ckpts: log.0, intervals: run.intervals, total_instrs: run.total_instrs };
+            assert_eq!(driver, reference, "{ctx}: driver diverged from the full-state hand-back");
+        }
+    }
+}
+
+/// The hand-back fails closed: an interval booted from a checkpoint the
+/// fast-forward has since moved past is rejected with both positions
+/// named, and the fast-forward is left untouched.
+#[test]
+fn stale_interval_is_rejected() {
+    let program = zero_store_kernel();
+    let cfg = TraceProcessorConfig::paper(CiModel::MlbRet);
+    let mut ff = FastForward::new(&program, &cfg);
+    ff.skip(200).expect("skip");
+    let ckpt = ff.checkpoint();
+    let boot = ckpt.boot_image(&program, &cfg).expect("boot image");
+    let mut sim = TraceProcessor::from_checkpoint(&program, cfg.clone(), boot).expect("boot");
+    sim.run_interval(100).expect("interval");
+    ff.skip(150).expect("skip");
+    let before = ff.checkpoint().encode();
+    let err = ff.adopt_interval(sim).expect_err("stale interval adopted");
+    assert_eq!(
+        err,
+        CkptError::StaleInterval {
+            frontier: (ff.machine().pc(), ff.retired()),
+            booted: (ckpt.pc, ckpt.retired),
+        }
+    );
+    let msg = err.to_string();
+    for n in [ckpt.retired, ff.retired()] {
+        assert!(msg.contains(&n.to_string()), "{msg}: position {n} not named");
+    }
+    assert_eq!(ff.checkpoint().encode(), before, "a rejected hand-back changed the machine");
+}
+
+/// On a full detailed run, the words the processor reports as committed
+/// since boot are exactly the functional machine's stores over the same
+/// instructions: each stored word once, ascending, with its last value.
+#[test]
+fn committed_since_boot_equals_functional_stores() {
+    let mut programs: Vec<Program> = ["compress", "go", "qsort", "strhash"]
+        .into_iter()
+        .map(|name| by_name(name, Size::Tiny).unwrap().program)
+        .collect();
+    programs.push(zero_store_kernel());
+    for program in &programs {
+        let mut m = Machine::new(program);
+        let mut stores = BTreeMap::new();
+        while !m.halted() {
+            let step = m.step().expect("stays in program");
+            if let (Some(ea), trace_processor::tp_isa::Inst::Store { .. }) = (step.ea, step.inst) {
+                stores.insert(ea >> 3, m.mem_word(ea));
+            }
+        }
+        let mut sim = TraceProcessor::new(program, TraceProcessorConfig::paper(CiModel::MlbRet));
+        sim.run(u64::MAX).expect("runs");
+        assert!(sim.halted());
+        let committed: Vec<(u64, Word)> = sim.committed_since_boot().collect();
+        assert_eq!(committed, stores.into_iter().collect::<Vec<_>>(), "{}", program.name());
+    }
 }
