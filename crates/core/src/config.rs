@@ -5,12 +5,22 @@ use std::fmt;
 use tp_predict::TracePredictorConfig;
 use tp_trace::SelectionConfig;
 
+/// The largest supported `num_pes`: PE indices are narrowed to one byte
+/// wherever the core stores them.
+pub const MAX_PES: usize = 256;
+
 /// An invalid parameter combination, naming the offending field so CLI
 /// frontends can report it without a panic backtrace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// `num_pes` below the minimum of two.
     TooFewPes {
+        /// The configured value.
+        num_pes: usize,
+    },
+    /// `num_pes` above [`MAX_PES`]: PE indices are narrowed to one byte
+    /// (register-file ownership, packed window references).
+    TooManyPes {
         /// The configured value.
         num_pes: usize,
     },
@@ -41,6 +51,9 @@ impl fmt::Display for ConfigError {
         match *self {
             ConfigError::TooFewPes { num_pes } => {
                 write!(f, "num_pes = {num_pes}: need at least two PEs")
+            }
+            ConfigError::TooManyPes { num_pes } => {
+                write!(f, "num_pes = {num_pes}: at most {MAX_PES} PEs are supported")
             }
             ConfigError::ZeroIssueWidth => {
                 write!(f, "pe_issue_width = 0: issue width must be non-zero")
@@ -290,6 +303,9 @@ impl TraceProcessorConfig {
         if self.num_pes < 2 {
             return Err(ConfigError::TooFewPes { num_pes: self.num_pes });
         }
+        if self.num_pes > MAX_PES {
+            return Err(ConfigError::TooManyPes { num_pes: self.num_pes });
+        }
         if self.pe_issue_width < 1 {
             return Err(ConfigError::ZeroIssueWidth);
         }
@@ -363,6 +379,18 @@ mod tests {
         let err = c.validate().unwrap_err();
         assert_eq!(err, ConfigError::MlbWithoutNtbSelection);
         assert!(err.to_string().contains("requires ntb"), "{err}");
+    }
+
+    #[test]
+    fn num_pes_is_bounded_by_one_byte_indices() {
+        let mut c = TraceProcessorConfig::paper(CiModel::None);
+        c.num_pes = MAX_PES;
+        assert_eq!(MAX_PES, 256);
+        c.validate().unwrap();
+        c.num_pes = MAX_PES + 1;
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, ConfigError::TooManyPes { num_pes: 257 });
+        assert!(err.to_string().contains("num_pes = 257"), "{err}");
     }
 
     #[test]

@@ -85,7 +85,8 @@ pub struct Slot {
     pub load_src: Option<u64>,
     /// For stores: whether a version is currently in the ARB.
     pub store_performed: bool,
-    /// Unresolved misprediction discovered by this slot.
+    /// Unresolved misprediction discovered by this slot. Written only
+    /// through [`Pe::set_fault`], which keeps the PE's fault mask coherent.
     pub fault: Option<Fault>,
     /// How many times the slot issued (statistics).
     pub issues: u32,
@@ -120,6 +121,17 @@ impl Slot {
             issues: 0,
             was_mispredicted: false,
             attr: None,
+        }
+    }
+
+    /// The fault a completed conditional branch raises: its resolved
+    /// outcome against the outcome embedded in the trace.
+    pub fn branch_fault(&self) -> Option<Fault> {
+        match self.outcome {
+            Some(actual) if Some(actual) != self.ti.embedded_taken => {
+                Some(Fault::CondBranch { actual })
+            }
+            _ => None,
         }
     }
 
@@ -178,6 +190,10 @@ pub struct Pe {
     pub trace: Arc<Trace>,
     /// Instruction slots, one per trace instruction.
     pub slots: Vec<Slot>,
+    /// Fault mask: bit `i` is set iff `slots[i].fault` is `Some` (traces
+    /// are at most 64 slots long, like the wakeup index's ready masks).
+    /// Written only by [`Pe::set_fault`] and [`Pe::recompute_faults`].
+    faults: u64,
     /// Rename map checkpoint *before* this trace.
     pub map_before: RenameMap,
     /// Rename map *after* this trace (before = after of the previous PE).
@@ -210,6 +226,7 @@ impl Pe {
             gen: 0,
             trace: dummy,
             slots: Vec::new(),
+            faults: 0,
             map_before: [PhysRegId::ZERO; tp_isa::Reg::COUNT],
             map_after: [PhysRegId::ZERO; tp_isa::Reg::COUNT],
             hist_before: hist,
@@ -219,9 +236,38 @@ impl Pe {
         }
     }
 
+    /// The fault mask: bit `i` is set iff slot `i` holds a fault.
+    pub fn faults(&self) -> u64 {
+        self.faults
+    }
+
     /// Index of the oldest slot holding an unresolved fault.
     pub fn first_fault(&self) -> Option<usize> {
-        self.slots.iter().position(|s| s.fault.is_some())
+        (self.faults != 0).then(|| self.faults.trailing_zeros() as usize)
+    }
+
+    /// Records (or clears) the unresolved fault of `slot`, keeping the
+    /// fault mask coherent. The only writer of [`Slot::fault`].
+    pub fn set_fault(&mut self, slot: usize, fault: Option<Fault>) {
+        self.slots[slot].fault = fault;
+        if fault.is_some() {
+            self.faults |= 1 << slot;
+        } else {
+            self.faults &= !(1u64 << slot);
+        }
+    }
+
+    /// The fault mask as a scan of the slots finds it (what
+    /// [`Pe::faults`] must always equal).
+    pub fn scan_faults(&self) -> u64 {
+        let faulting = self.slots.iter().enumerate().filter(|(_, s)| s.fault.is_some());
+        faulting.fold(0, |m, (i, _)| m | 1 << i)
+    }
+
+    /// Rebuilds the fault mask from the slots, after they were replaced,
+    /// cleared or moved wholesale.
+    pub fn recompute_faults(&mut self) {
+        self.faults = self.scan_faults();
     }
 
     /// Whether every slot has completed (trace is ready to retire, pending
@@ -292,9 +338,30 @@ mod tests {
         pe.slots =
             vec![Slot::new(ti(Inst::Nop)), Slot::new(ti(Inst::Nop)), Slot::new(ti(Inst::Nop))];
         assert_eq!(pe.first_fault(), None);
-        pe.slots[2].fault = Some(Fault::CondBranch { actual: false });
-        pe.slots[1].fault = Some(Fault::CondBranch { actual: true });
+        pe.set_fault(2, Some(Fault::CondBranch { actual: false }));
+        pe.set_fault(1, Some(Fault::CondBranch { actual: true }));
         assert_eq!(pe.first_fault(), Some(1));
+        assert_eq!(pe.faults(), 0b110);
+        pe.set_fault(1, None);
+        assert_eq!(pe.first_fault(), Some(2));
+        assert!(pe.slots[1].fault.is_none());
+        pe.recompute_faults();
+        assert_eq!(pe.faults(), 0b100);
+        pe.set_fault(2, None);
+        assert_eq!(pe.first_fault(), None);
+    }
+
+    #[test]
+    fn branch_fault_compares_outcome_with_embedded() {
+        let br = Inst::Branch { cond: tp_isa::Cond::Eq, rs: Reg::new(1), rt: Reg::ZERO, target: 0 };
+        let mut t = ti(br);
+        t.embedded_taken = Some(true);
+        let mut s = Slot::new(t);
+        assert_eq!(s.branch_fault(), None, "unresolved");
+        s.outcome = Some(true);
+        assert_eq!(s.branch_fault(), None);
+        s.outcome = Some(false);
+        assert_eq!(s.branch_fault(), Some(Fault::CondBranch { actual: false }));
     }
 
     #[test]

@@ -239,14 +239,8 @@ impl TraceProcessor<'_> {
         let Some(entries) = self.wakeup.loads_by_word.get(&word) else { return };
         let victims: Vec<(usize, usize)> = entries
             .iter()
-            .filter(|&&(pe, gen, slot)| {
-                let p = &self.pes[pe];
-                p.occupied
-                    && p.gen == gen
-                    && slot < p.slots.len()
-                    && p.slots[slot].load_src == Some(store_h.0)
-            })
-            .map(|&(pe, _, slot)| (pe, slot))
+            .filter(|r| r.live(&self.pes).is_some_and(|s| s.load_src == Some(store_h.0)))
+            .map(|r| (r.pe(), r.slot()))
             .collect();
         for (pe, slot) in victims {
             self.pes[pe].slots[slot].load_src = None;
@@ -265,8 +259,9 @@ impl TraceProcessor<'_> {
         let now = self.now;
         let mut reissues: Vec<(usize, usize)> = Vec::new();
         let before = entries.len();
-        entries.retain(|&(pe, gen, i)| {
-            let Some(s) = self.live_load(pe, gen, i, word) else { return false };
+        entries.retain(|&r| {
+            let Some(s) = self.live_load(r, word) else { return false };
+            let (pe, i) = (r.pe(), r.slot());
             // Only loads that already sampled memory can be victims.
             if !matches!(s.state, SlotState::MemAccess { .. } | SlotState::Done) {
                 return true;
@@ -311,10 +306,10 @@ impl TraceProcessor<'_> {
         let now = self.now;
         let mut reissues: Vec<(usize, usize)> = Vec::new();
         let before = entries.len();
-        entries.retain(|&(pe, gen, i)| {
-            let Some(s) = self.live_load(pe, gen, i, word) else { return false };
-            if pe != skip_pe && s.load_src == Some(store_h.0) {
-                reissues.push((pe, i));
+        entries.retain(|&r| {
+            let Some(s) = self.live_load(r, word) else { return false };
+            if r.pe() != skip_pe && s.load_src == Some(store_h.0) {
+                reissues.push((r.pe(), r.slot()));
             }
             true
         });
@@ -332,13 +327,9 @@ impl TraceProcessor<'_> {
     /// of the registered generation whose sampled address maps to `word`.
     /// Returns the slot, or `None` for stale entries (which the caller
     /// garbage-collects from the registry).
-    fn live_load(&self, pe: usize, gen: u64, slot: usize, word: Addr) -> Option<&crate::pe::Slot> {
-        let p = &self.pes[pe];
-        if !p.occupied || p.gen != gen || slot >= p.slots.len() || !self.list.contains(pe) {
-            return None;
-        }
-        let s = &p.slots[slot];
-        if !matches!(s.ti.inst, Inst::Load { .. }) {
+    fn live_load(&self, r: SlotRef, word: Addr) -> Option<&crate::pe::Slot> {
+        let s = r.live(&self.pes)?;
+        if !self.list.contains(r.pe()) || !matches!(s.ti.inst, Inst::Load { .. }) {
             return None;
         }
         (s.mem_addr? >> 3 == word).then_some(s)

@@ -31,25 +31,23 @@ impl TraceProcessor<'_> {
         // scan order exactly.
         let mut due = std::mem::take(&mut self.scratch_due);
         due.clear();
-        while let Some(&std::cmp::Reverse((t, pe, slot, gen))) = self.wakeup.completions.peek() {
+        while let Some(&std::cmp::Reverse((t, r))) = self.wakeup.completions.peek() {
             if t > now {
                 break;
             }
             self.wakeup.completions.pop();
-            due.push((pe, slot, t, gen));
+            due.push((r, t));
         }
-        due.sort_unstable_by_key(|&(pe, slot, _, _)| (pe, slot));
-        for &(pe, slot, t, gen) in &due {
-            let p = &self.pes[pe];
-            if !p.occupied || p.gen != gen || slot >= p.slots.len() {
-                continue;
-            }
-            let live = match p.slots[slot].state {
+        // At most one entry per slot is live, so ordering by the whole
+        // reference (pe, slot, gen) visits live entries in (pe, slot) order.
+        due.sort_unstable();
+        for &(r, t) in &due {
+            let live = r.live(&self.pes).is_some_and(|s| match s.state {
                 SlotState::Executing { done_at } | SlotState::MemAccess { done_at } => done_at == t,
                 _ => false,
-            };
+            });
             if live {
-                self.complete_slot(pe, slot);
+                self.complete_slot(r.pe(), r.slot());
             }
         }
         self.scratch_due = due;
@@ -102,17 +100,13 @@ impl TraceProcessor<'_> {
         // Verify control instructions.
         let inst = self.pes[pe].slots[slot].ti.inst;
         if inst.is_cond_branch() {
-            let (pc, faulted) = {
-                let s = &mut self.pes[pe].slots[slot];
-                let actual = s.outcome.expect("branch executed");
-                s.fault = if Some(actual) != s.ti.embedded_taken {
-                    Some(Fault::CondBranch { actual })
-                } else {
-                    None
-                };
-                (s.ti.pc, s.fault.is_some())
+            let (pc, fault) = {
+                let s = &self.pes[pe].slots[slot];
+                assert!(s.outcome.is_some(), "branch executed");
+                (s.ti.pc, s.branch_fault())
             };
-            if faulted && self.events.wants(Category::Recovery) {
+            self.pes[pe].set_fault(slot, fault);
+            if fault.is_some() && self.events.wants(Category::Recovery) {
                 self.events.emit(
                     now,
                     Event::MispredictDetected {
@@ -143,8 +137,7 @@ impl TraceProcessor<'_> {
         match self.list.next(pe) {
             Some(succ) => {
                 let ok = Some(self.pes[succ].trace.id().start()) == actual;
-                self.pes[pe].slots[slot].fault =
-                    if ok { None } else { Some(Fault::Indirect { actual }) };
+                self.pes[pe].set_fault(slot, (!ok).then_some(Fault::Indirect { actual }));
                 if !ok && self.events.wants(Category::Recovery) {
                     self.events.emit(
                         self.now,
@@ -159,7 +152,7 @@ impl TraceProcessor<'_> {
             }
             None => {
                 // This PE is the tail: redirect pending fetches if needed.
-                self.pes[pe].slots[slot].fault = None;
+                self.pes[pe].set_fault(slot, None);
                 let front_start = self.fetch_queue.front().map(|p| p.trace.id().start());
                 match (front_start, actual) {
                     (Some(f), Some(t)) if f == t => {}

@@ -172,6 +172,7 @@ impl TraceProcessor<'_> {
         p.occupied = true;
         p.trace = trace;
         p.slots = slots;
+        p.recompute_faults();
         p.map_before = map_before;
         p.map_after = map_after;
         p.hist_before = pending.hist_before;

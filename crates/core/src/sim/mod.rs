@@ -51,7 +51,7 @@ use tp_isa::{Addr, Pc, Program, Reg, Word};
 use tp_metrics::{ScopedStageTimer, Stage, StageProfiler};
 use tp_predict::{Btb, NextTracePredictor, Ras, TraceHistory, TracePredictorStats};
 use tp_stats::attr::{AttrKey, RecoveryAttribution, RecoveryOutcome};
-use tp_trace::{Bit, EndReason, Selector, Trace};
+use tp_trace::{Bit, EndReason, OperandRef, Selector, Trace};
 
 use crate::boot::{BootError, BootImage, WarmBoot};
 use crate::config::TraceProcessorConfig;
@@ -220,9 +220,49 @@ struct BusReq {
     since: u64,
 }
 
-/// A `(pe, gen, slot)` reference into the window, validated against the
-/// PE's generation counter before use (stale entries are dropped lazily).
-type SlotRef = (usize, u64, usize);
+/// A `(pe, slot, gen)` reference into the window packed into one word:
+/// `pe << 56 | slot << 48 | gen`, with the PE's generation counter in the
+/// low 48 bits. References are validated against the PE's current
+/// generation before use (stale entries are dropped lazily). The packing
+/// orders exactly like the `(pe, slot, gen)` tuple, which the completion
+/// heap's tie-breaking relies on. `num_pes` is at most
+/// [`crate::config::MAX_PES`] and traces hold at most 256 slots, so both
+/// indices fit a byte; 2^48 generations outlast any run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct SlotRef(u64);
+
+impl SlotRef {
+    const GEN_BITS: u32 = 48;
+    const GEN_MASK: u64 = (1 << Self::GEN_BITS) - 1;
+
+    fn new(pe: usize, slot: usize, gen: u64) -> SlotRef {
+        debug_assert!(pe < 256 && slot < 256 && gen <= Self::GEN_MASK, "{pe} {slot} {gen}");
+        SlotRef((pe as u64) << 56 | (slot as u64) << Self::GEN_BITS | gen & Self::GEN_MASK)
+    }
+
+    fn pe(self) -> usize {
+        (self.0 >> 56) as usize
+    }
+
+    fn slot(self) -> usize {
+        (self.0 >> Self::GEN_BITS & 0xff) as usize
+    }
+
+    fn gen(self) -> u64 {
+        self.0 & Self::GEN_MASK
+    }
+
+    /// The referenced slot, if its PE is occupied under the referenced
+    /// generation and still holds that many slots.
+    fn live(self, pes: &[Pe]) -> Option<&Slot> {
+        let p = &pes[self.pe()];
+        if p.occupied && p.gen & Self::GEN_MASK == self.gen() {
+            p.slots.get(self.slot())
+        } else {
+            None
+        }
+    }
+}
 
 /// Event-driven wakeup/issue index.
 ///
@@ -270,6 +310,27 @@ type SlotRef = (usize, u64, usize);
 ///    rescanning the window. A reissued load that moved words re-registers
 ///    under the new word; the old entry dies on the word check.
 ///
+/// Every entry names its slot with a one-word [`SlotRef`]
+/// (`pe << 56 | slot << 48 | gen`, a 48-bit generation), which orders
+/// like the `(pe, slot, gen)` tuple, so completion ties pop in the legacy
+/// physical-index order.
+///
+/// Two further window facts are kept up to date as events happen, so no
+/// stage rescans the window to recover them, and are checked by the same
+/// cross-check:
+///
+/// 5. **Fault masks.** Each occupied PE's mask ([`Pe::faults`]) has bit
+///    `i` set *iff* `slots[i].fault` is `Some`. Every fault write goes
+///    through [`Pe::set_fault`]; `replace_trace` rebuilds the mask once
+///    after it moves the slots, and dispatch and squash reset it.
+///    Recovery's oldest-fault search is then one word test per PE.
+/// 6. **Binding.** Every occupied slot's `LiveIn(r)` operand is bound to
+///    its PE's `map_before[r]` (`r0` to the zero register). Dispatch,
+///    `replace_trace`, the re-dispatch pass and the head re-ground each
+///    establish it. It makes the head re-ground exact on its fast path: a
+///    head whose `map_before` agrees with `retired_map` on every live-in
+///    has nothing to rebind.
+///
 /// All structures tolerate stale entries (validation is cheap and local);
 /// what they must never do is *lose* a live slot — that turns into a
 /// deadlock, which the invariant checker and the golden corpus guard.
@@ -280,10 +341,10 @@ struct WakeupIndex {
     /// Per-physical-register wait lists, indexed by register id
     /// (invariant 2).
     waiters: Vec<Vec<SlotRef>>,
-    /// Min-heap of `(done_at, pe, slot, gen)` completion events
-    /// (invariant 3). Ties pop in `(pe, slot)` order, matching the legacy
+    /// Min-heap of `(done_at, slot)` completion events (invariant 3).
+    /// Ties pop in `(pe, slot, gen)` order, matching the legacy
     /// physical-index scan order.
-    completions: BinaryHeap<Reverse<(u64, usize, usize, u64)>>,
+    completions: BinaryHeap<Reverse<(u64, SlotRef)>>,
     /// Loads that sampled memory, indexed by word address (invariant 4).
     loads_by_word: FxHashMap<Addr, Vec<SlotRef>>,
 }
@@ -296,15 +357,14 @@ const GC_FLOOR: usize = 4096;
 /// under the registered generation and still reads `preg`. The keep
 /// predicate of [`TraceProcessor::propagate_value_change`] and of
 /// reader-list pruning.
-fn reader_live(pes: &[Pe], (pe, gen, slot): SlotRef, preg: PhysRegId) -> bool {
-    let p = &pes[pe];
-    p.occupied && p.gen == gen && slot < p.slots.len() && p.slots[slot].srcs.contains(&Some(preg))
+fn reader_live(pes: &[Pe], r: SlotRef, preg: PhysRegId) -> bool {
+    r.live(pes).is_some_and(|s| s.srcs.contains(&Some(preg)))
 }
 
 /// Whether a wait-list subscription on `preg` can still wake anything: a
 /// live reader ([`reader_live`]) that is still `Waiting`.
 fn waiter_live(pes: &[Pe], r: SlotRef, preg: PhysRegId) -> bool {
-    reader_live(pes, r, preg) && pes[r.0].slots[r.2].state == SlotState::Waiting
+    r.live(pes).is_some_and(|s| s.state == SlotState::Waiting && s.srcs.contains(&Some(preg)))
 }
 
 /// Appends `entry` to `preg`'s list in a dense per-register table. A push
@@ -423,7 +483,7 @@ pub struct TraceProcessor<'p> {
     /// Preserved trace-repair suffix (`replace_trace`).
     scratch_slots: Vec<Slot>,
     scratch_order: Vec<usize>,
-    scratch_due: Vec<(usize, usize, u64, u64)>,
+    scratch_due: Vec<(SlotRef, u64)>,
     scratch_grants: Vec<u32>,
     /// Cached `TP_PARANOID` environment flag (reading the environment once
     /// per stage per cycle is measurable on the hot path).
@@ -1135,9 +1195,9 @@ impl<'p> TraceProcessor<'p> {
         if preg == PhysRegId::ZERO {
             return;
         }
-        let gen = self.pes[pe].gen;
+        let r = SlotRef::new(pe, slot, self.pes[pe].gen);
         let pes = &self.pes;
-        push_pruned(&mut self.readers, preg, (pe, gen, slot), |&r| reader_live(pes, r, preg));
+        push_pruned(&mut self.readers, preg, r, |&r| reader_live(pes, r, preg));
     }
 
     /// Marks every live consumer of `preg` for selective reissue.
@@ -1149,8 +1209,8 @@ impl<'p> TraceProcessor<'p> {
         // Marking only touches slot state and the wait lists, never this
         // reader list, so indexing it stays valid across the calls.
         for k in 0..self.readers[preg.index()].len() {
-            let (pe, _, slot) = self.readers[preg.index()][k];
-            self.mark_reissue_slot(pe, slot, not_before);
+            let r = self.readers[preg.index()][k];
+            self.mark_reissue_slot(r.pe(), r.slot(), not_before);
         }
     }
 
@@ -1194,16 +1254,14 @@ impl<'p> TraceProcessor<'p> {
             assert_eq!(self.pes[pe].slots[slot].state, SlotState::Waiting);
             assert!(slot < 64, "trace longer than the ready bitmask");
         }
-        let gen = self.pes[pe].gen;
+        let r = SlotRef::new(pe, slot, self.pes[pe].gen);
         let srcs = self.pes[pe].slots[slot].srcs;
         let mut all_produced = true;
         for &p in srcs.iter().flatten() {
             if !self.pregs.get(p).ready {
                 all_produced = false;
                 let pes = &self.pes;
-                push_pruned(&mut self.wakeup.waiters, p, (pe, gen, slot), |&r| {
-                    waiter_live(pes, r, p)
-                });
+                push_pruned(&mut self.wakeup.waiters, p, r, |&r| waiter_live(pes, r, p));
             }
         }
         if all_produced {
@@ -1223,16 +1281,15 @@ impl<'p> TraceProcessor<'p> {
         let Some(list) = self.wakeup.waiters.get_mut(preg.index()) else { return };
         // Taken out and handed back emptied, keeping its capacity.
         let mut entries = std::mem::take(list);
-        for &(pe, gen, slot) in &entries {
-            let p = &self.pes[pe];
-            if !p.occupied || p.gen != gen || slot >= p.slots.len() {
+        for &r in &entries {
+            let Some(s) = r.live(&self.pes) else {
                 continue; // stale: squashed or replaced
-            }
-            if p.slots[slot].state != SlotState::Waiting {
+            };
+            if s.state != SlotState::Waiting {
                 continue; // re-enqueued on its next transition into Waiting
             }
-            if p.slots[slot].srcs.iter().flatten().all(|&q| self.pregs.get(q).ready) {
-                self.wakeup.ready[pe] |= 1 << slot;
+            if s.srcs.iter().flatten().all(|&q| self.pregs.get(q).ready) {
+                self.wakeup.ready[r.pe()] |= 1 << r.slot();
             }
             // else: still subscribed to the remaining unproduced source(s).
         }
@@ -1243,22 +1300,22 @@ impl<'p> TraceProcessor<'p> {
     /// Schedules the completion event for a slot that just entered
     /// `Executing`/`MemAccess` with the given `done_at` (invariant 3).
     fn note_inflight(&mut self, pe: usize, slot: usize, done_at: u64) {
-        let gen = self.pes[pe].gen;
-        self.wakeup.completions.push(Reverse((done_at, pe, slot, gen)));
+        let r = SlotRef::new(pe, slot, self.pes[pe].gen);
+        self.wakeup.completions.push(Reverse((done_at, r)));
     }
 
     /// Indexes a load that sampled memory at `addr` so store/undo snoops
     /// can find it without rescanning the window (invariant 4).
     fn note_load_sampled(&mut self, pe: usize, slot: usize, addr: Addr) {
-        let gen = self.pes[pe].gen;
+        let r = SlotRef::new(pe, slot, self.pes[pe].gen);
         let bucket = self.wakeup.loads_by_word.entry(addr >> 3).or_default();
         // A reissued load may sample the same word twice under one
         // generation; keep at most one entry so a snoop reissues (and
         // counts) it exactly once.
         let before = bucket.len();
-        bucket.retain(|&(p, _, s)| !(p == pe && s == slot));
+        bucket.retain(|&e| !(e.pe() == pe && e.slot() == slot));
         self.load_count -= before - bucket.len();
-        bucket.push((pe, gen, slot));
+        bucket.push(r);
         self.load_count += 1;
     }
 
@@ -1317,13 +1374,9 @@ impl<'p> TraceProcessor<'p> {
         let pes = &self.pes;
         let list = &self.list;
         self.wakeup.loads_by_word.retain(|&word, entries| {
-            entries.retain(|&(pe, gen, slot)| {
-                let p = &pes[pe];
-                p.occupied
-                    && p.gen == gen
-                    && slot < p.slots.len()
-                    && list.contains(pe)
-                    && p.slots[slot].mem_addr.is_some_and(|a| a >> 3 == word)
+            entries.retain(|&r| {
+                list.contains(r.pe())
+                    && r.live(pes).is_some_and(|s| s.mem_addr.is_some_and(|a| a >> 3 == word))
             });
             !entries.is_empty()
         });
@@ -1353,10 +1406,11 @@ impl<'p> TraceProcessor<'p> {
         (self.pregs.len(), self.pregs.live_high_water())
     }
 
-    /// Brute-force cross-check of the wakeup index against the window
-    /// (the [`WakeupIndex`] invariants, verbatim). O(window x slots); used
-    /// by tests after every cycle of adversarial runs and by `TP_PARANOID`
-    /// runs after every stage. Not part of the public API.
+    /// Brute-force cross-check of the wakeup index, the fault masks and the
+    /// live-in binding against the window (the [`WakeupIndex`] invariants,
+    /// verbatim). O(window x slots); used by tests after every cycle of
+    /// adversarial runs and by `TP_PARANOID` runs after every stage. Not
+    /// part of the public API.
     ///
     /// # Panics
     ///
@@ -1372,8 +1426,27 @@ impl<'p> TraceProcessor<'p> {
                 );
                 continue;
             }
-            let gen = p.gen;
+            assert_eq!(
+                p.faults(),
+                p.scan_faults(),
+                "cycle {}: pe{pe} fault mask disagrees with its slots",
+                self.now
+            );
             for (i, s) in p.slots.iter().enumerate() {
+                let this = SlotRef::new(pe, i, p.gen);
+                for (k, &(r, oref)) in s.ti.srcs.iter().flatten().enumerate() {
+                    let want = match oref {
+                        OperandRef::LiveIn(_) if r.is_zero() => PhysRegId::ZERO,
+                        OperandRef::LiveIn(_) => p.map_before[r.index()],
+                        OperandRef::Local(_) => continue,
+                    };
+                    assert_eq!(
+                        s.srcs[k],
+                        Some(want),
+                        "cycle {}: pe{pe} slot {i} live-in {r} is not bound to map_before",
+                        self.now
+                    );
+                }
                 let bit = self.wakeup.ready[pe] >> i & 1 == 1;
                 match s.state {
                     SlotState::Waiting => {
@@ -1404,7 +1477,7 @@ impl<'p> TraceProcessor<'p> {
                                     self.wakeup
                                         .waiters
                                         .get(q.index())
-                                        .is_some_and(|w| w.contains(&(pe, gen, i))),
+                                        .is_some_and(|w| w.contains(&this)),
                                     "cycle {}: pe{pe} slot {i} waits on {q:?} but is not \
                                      subscribed to it",
                                     self.now
@@ -1414,10 +1487,7 @@ impl<'p> TraceProcessor<'p> {
                     }
                     SlotState::Executing { done_at } | SlotState::MemAccess { done_at } => {
                         assert!(
-                            self.wakeup
-                                .completions
-                                .iter()
-                                .any(|&Reverse(e)| e == (done_at, pe, i, gen)),
+                            self.wakeup.completions.iter().any(|&Reverse(e)| e == (done_at, this)),
                             "cycle {}: pe{pe} slot {i} in flight (done_at={done_at}) without \
                              a completion event",
                             self.now
@@ -1442,7 +1512,7 @@ impl<'p> TraceProcessor<'p> {
                             self.wakeup
                                 .loads_by_word
                                 .get(&(a >> 3))
-                                .is_some_and(|w| w.contains(&(pe, gen, i))),
+                                .is_some_and(|w| w.contains(&this)),
                             "cycle {}: pe{pe} slot {i} sampled word {:#x} but is not in the \
                              load snoop index",
                             self.now,

@@ -162,7 +162,7 @@ impl TraceProcessor<'_> {
                     self.current_map = self.pes[pe].map_after;
                 }
                 self.set_mode(FetchMode::Normal);
-                self.pes[pe].slots[slot].fault = None;
+                self.pes[pe].set_fault(slot, None);
                 self.fetch_hist = self.rebuild_history();
                 self.expected = match actual {
                     Some(t) => ExpectedNext::Known(t),
@@ -601,23 +601,14 @@ impl TraceProcessor<'_> {
         suffix.extend(slots.drain(old_len - common..));
         slots.truncate(prefix_len);
         // Refresh prefix metadata from the repaired trace (same
-        // instructions; embedded outcomes/coverage may differ).
+        // instructions; embedded outcomes/coverage may differ). The (former)
+        // fault branch re-verifies against its new embedded outcome below.
         for (i, s) in slots.iter_mut().enumerate() {
             let new_ti = repaired.insts()[i];
             if self.paranoid {
                 assert_eq!(s.ti.inst, new_ti.inst, "repair changed a prefix instruction");
             }
             s.ti = new_ti;
-            // Re-verify the (former) fault branch against its new embedded
-            // outcome.
-            if new_ti.inst.is_cond_branch() && s.state == SlotState::Done {
-                s.fault = match s.outcome {
-                    Some(actual) if Some(actual) != new_ti.embedded_taken => {
-                        Some(Fault::CondBranch { actual })
-                    }
-                    _ => None,
-                };
-            }
         }
         // Fresh middle slots.
         for i in prefix_len..middle_end {
@@ -636,6 +627,8 @@ impl TraceProcessor<'_> {
             slots.push(s);
         }
         self.scratch_slots = suffix;
+        // Preserved suffix slots whose source names moved (bit per slot).
+        let mut rebound = 0u64;
         // Rebind all sources and allocate fresh middle destinations;
         // prefix and preserved suffix keep their physical registers.
         for i in 0..slots.len() {
@@ -660,22 +653,9 @@ impl TraceProcessor<'_> {
             // A preserved suffix slot whose source names moved (its value
             // now comes from the repaired middle) selectively reissues —
             // the same rule the re-dispatch pass applies across traces.
-            // Its stale outcome proves nothing, so any fault it carried is
-            // dropped: re-execution re-verifies against the repaired
-            // trace's embedded outcome at completion. Only a slot whose
-            // inputs still stand re-verifies its resolved outcome here.
-            if i >= middle_end {
-                if srcs != old_srcs {
-                    slots[i].fault = None;
-                    let _ = slots[i].mark_reissue(self.now + 1);
-                } else if slots[i].ti.inst.is_cond_branch() && slots[i].state == SlotState::Done {
-                    slots[i].fault = match slots[i].outcome {
-                        Some(actual) if Some(actual) != slots[i].ti.embedded_taken => {
-                            Some(Fault::CondBranch { actual })
-                        }
-                        _ => None,
-                    };
-                }
+            if i >= middle_end && srcs != old_srcs {
+                rebound |= 1 << i;
+                let _ = slots[i].mark_reissue(self.now + 1);
             }
             let is_liveout = match ti.dest {
                 Some(d) => repaired.last_writer(d) == Some(i),
@@ -697,6 +677,21 @@ impl TraceProcessor<'_> {
         }
         self.pes[pe].slots = slots;
         self.pes[pe].trace = repaired.clone();
+        // Faults: the suffix carried its own and may have shifted, so the
+        // mask is rebuilt once. A rebound suffix slot's stale outcome proves
+        // nothing, so its fault is dropped (re-execution re-verifies at
+        // completion); every other resolved branch of the prefix and suffix
+        // re-verifies against the repaired trace's embedded outcome.
+        let p = &mut self.pes[pe];
+        p.recompute_faults();
+        for i in (0..prefix_len).chain(middle_end..new_len) {
+            if rebound >> i & 1 == 1 {
+                p.set_fault(i, None);
+            } else if p.slots[i].ti.inst.is_cond_branch() && p.slots[i].state == SlotState::Done {
+                let fault = p.slots[i].branch_fault();
+                p.set_fault(i, fault);
+            }
+        }
         // Recompute map_after.
         let mut map_after = map_before;
         for r in repaired.live_outs() {
@@ -794,6 +789,7 @@ impl TraceProcessor<'_> {
         self.pes[pe].occupied = false;
         self.pes[pe].gen += 1;
         self.pes[pe].slots.clear();
+        self.pes[pe].recompute_faults();
         // The gen bump invalidates the PE's waiter/completion/load-registry
         // entries; the ready bits are positional and must clear eagerly.
         self.index_reset_pe(pe);

@@ -110,8 +110,19 @@ impl TraceProcessor<'_> {
     /// traces were squashed) can leave stale bindings; re-grounding the head
     /// restores them and selectively reissues affected instructions —
     /// without it the head could wait forever on a squashed producer.
+    ///
+    /// Under the binding invariant (every live-in operand is bound to its
+    /// PE's `map_before`; see [`WakeupIndex`]) a head whose `map_before`
+    /// already agrees with retired state on every live-in has nothing to
+    /// rebind, so the slot walk is skipped.
     fn reground_head(&mut self, head: usize, ctx: &CycleCtx) {
-        if !self.pes[head].occupied {
+        let p = &self.pes[head];
+        if !p.occupied
+            || p.trace
+                .live_ins()
+                .iter()
+                .all(|r| p.map_before[r.index()] == self.retired_map[r.index()])
+        {
             return;
         }
         let retired_map = self.retired_map;

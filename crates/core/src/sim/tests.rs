@@ -378,3 +378,22 @@ fn register_file_footprint_is_flat_in_run_length() {
     assert!(long_dispatched > 7 * short_dispatched, "the long run must dispatch ~8x more");
     assert_eq!(short, long, "register file capacity grew with run length");
 }
+
+/// A packed window reference must round-trip its fields at their limits
+/// and order exactly like the `(pe, slot, gen)` tuple it replaced, so the
+/// completion heap pops ties in the same order.
+#[test]
+fn slot_ref_round_trips_and_orders_like_its_tuple() {
+    let max_gen = (1u64 << 48) - 1;
+    for (pe, slot, gen) in [(0, 0, 0), (255, 255, max_gen), (255, 0, 1), (1, 255, max_gen - 1)] {
+        let r = SlotRef::new(pe, slot, gen);
+        assert_eq!((r.pe(), r.slot(), r.gen()), (pe, slot, gen));
+    }
+    let tuples = [(0, 0, 5), (0, 1, 0), (3, 2, max_gen), (3, 3, 0), (255, 255, 1), (2, 200, 7)];
+    for a in tuples {
+        for b in tuples {
+            let (ra, rb) = (SlotRef::new(a.0, a.1, a.2), SlotRef::new(b.0, b.1, b.2));
+            assert_eq!(ra.cmp(&rb), a.cmp(&b), "{a:?} vs {b:?}");
+        }
+    }
+}

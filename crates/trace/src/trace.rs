@@ -179,6 +179,9 @@ pub struct Trace {
     next_pc: Option<Pc>,
     live_ins: Vec<Reg>,
     live_outs: Vec<Reg>,
+    /// Slot of each architectural register's last writer, built by
+    /// [`Trace::assemble`] (a function of `insts`, so equality is unchanged).
+    last_writer: [Option<u8>; Reg::COUNT],
 }
 
 impl Trace {
@@ -229,7 +232,7 @@ impl Trace {
             insts.push(TraceInst { pc, inst, embedded_taken, srcs, dest, fgci_covered });
         }
         let live_outs: Vec<Reg> = Reg::all().filter(|r| last_writer[r.index()].is_some()).collect();
-        Trace { id, insts, end, next_pc, live_ins, live_outs }
+        Trace { id, insts, end, next_pc, live_ins, live_outs, last_writer }
     }
 
     /// The trace's identifier.
@@ -278,7 +281,7 @@ impl Trace {
 
     /// Slot index of the last writer of `r` inside the trace, if any.
     pub fn last_writer(&self, r: Reg) -> Option<usize> {
-        self.insts.iter().rposition(|ti| ti.dest == Some(r))
+        self.last_writer[r.index()].map(usize::from)
     }
 
     /// Whether the trace's final instruction is a return (needed by the RET
@@ -385,6 +388,55 @@ mod tests {
         assert_eq!(t.last_writer(r(1)), Some(2));
         assert_eq!(t.last_writer(r(3)), Some(1));
         assert_eq!(t.last_writer(r(9)), None);
+    }
+
+    /// The table `assemble` stores must answer exactly like a reverse scan
+    /// of the instructions, for every architectural register.
+    fn assert_last_writer_matches_scan(t: &Trace) {
+        for reg in Reg::all() {
+            let scan = t.insts().iter().rposition(|ti| ti.dest == Some(reg));
+            assert_eq!(t.last_writer(reg), scan, "{reg} in {t}");
+        }
+    }
+
+    #[test]
+    fn last_writer_table_matches_reverse_scan() {
+        let traces = [
+            // Repeated writers of r1 and r3, a read of r0, a writer of
+            // nothing in between.
+            vec![
+                (0, Inst::AluImm { op: AluOp::Add, rd: r(1), rs: Reg::ZERO, imm: 1 }, None, false),
+                (1, Inst::Alu { op: AluOp::Add, rd: r(3), rs: r(1), rt: r(1) }, None, false),
+                (2, Inst::Nop, None, false),
+                (3, Inst::AluImm { op: AluOp::Add, rd: r(1), rs: r(3), imm: 2 }, None, false),
+                (4, Inst::Alu { op: AluOp::Sub, rd: r(3), rs: Reg::ZERO, rt: r(1) }, None, false),
+                (5, Inst::AluImm { op: AluOp::Add, rd: r(1), rs: r(1), imm: 3 }, None, false),
+            ],
+            // No writer at all.
+            vec![
+                (0, Inst::Nop, None, false),
+                (
+                    1,
+                    Inst::Branch { cond: Cond::Eq, rs: r(1), rt: Reg::ZERO, target: 0 },
+                    Some(true),
+                    false,
+                ),
+            ],
+            // A single writer in the last slot.
+            vec![
+                (0, Inst::Nop, None, false),
+                (1, Inst::AluImm { op: AluOp::Add, rd: r(31), rs: r(31), imm: 1 }, None, false),
+            ],
+        ];
+        for raw in &traces {
+            let t = Trace::assemble(TraceId::new(0, 0, 0), raw, EndReason::MaxLen, Some(9));
+            assert_last_writer_matches_scan(&t);
+        }
+        let t = Trace::assemble(TraceId::new(0, 0, 0), &traces[0], EndReason::MaxLen, Some(9));
+        assert_eq!(t.last_writer(r(1)), Some(5));
+        assert_eq!(t.last_writer(r(3)), Some(4));
+        assert_eq!(t.last_writer(Reg::ZERO), None);
+        assert_eq!(t.last_writer(r(2)), None);
     }
 
     #[test]

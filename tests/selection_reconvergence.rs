@@ -91,3 +91,47 @@ fn fg_selection_reconverges_for_every_outcome_pattern() {
         assert!(sel.trace.len() <= 32);
     }
 }
+
+/// `Trace::last_writer` answers from a table built at assembly; it must
+/// agree with a reverse scan of the instructions for every register of
+/// every trace the selector builds over the tiny corpus (both frontends,
+/// all four selection configurations, every start PC, under all-taken,
+/// all-not-taken and PC-hashed outcomes).
+#[test]
+fn last_writer_table_matches_scan_over_the_tiny_corpus() {
+    use trace_processor::tp_trace::ClosureOutcomes;
+    use trace_processor::tp_workloads::{rv_suite, suite, Size};
+    let configs = [
+        SelectionConfig::base(),
+        SelectionConfig::with_ntb(),
+        SelectionConfig::with_fg(),
+        SelectionConfig::with_fg_ntb(),
+    ];
+    let mut checked = 0usize;
+    for w in suite(Size::Tiny).into_iter().chain(rv_suite(Size::Tiny)) {
+        let program = &w.program;
+        for config in configs {
+            let selector = Selector::new(config);
+            let mut bit = Bit::new(8192, 4);
+            for pattern in 0..3u32 {
+                for start in 0..program.len() as u32 {
+                    let mut outcomes = ClosureOutcomes::new(
+                        |_, pc, _| match pattern {
+                            0 => true,
+                            1 => false,
+                            _ => pc.wrapping_mul(0x9e37_79b9) >> 31 == 1,
+                        },
+                        |_, _| None,
+                    );
+                    let t = selector.select(program, start, &mut bit, &mut outcomes).trace;
+                    for reg in Reg::all() {
+                        let scan = t.insts().iter().rposition(|ti| ti.dest == Some(reg));
+                        assert_eq!(t.last_writer(reg), scan, "{}: {reg} in {t}", w.name);
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 1000, "only {checked} traces selected");
+}
