@@ -22,15 +22,14 @@
 //! `--guard`/`--pes`/`--pe-sweep`, which only apply to the detailed grid.
 //! `--ffwd-bench` additionally benchmarks the fast-forward engines
 //! (interpreter vs superblock) on the *long*-size suite and embeds the
-//! throughput report as the detailed document's `sampled` section — how
-//! the checked-in `BENCH_speed.json` records the measured ffwd speedup.
+//! throughput report (`tp-bench/ffwd/v1`) as the detailed document's
+//! `sampled` section — how the checked-in `BENCH_speed.json` records the
+//! measured ffwd speedup.
 
 use tp_bench::cli::{self, usage_error, Args};
 use tp_bench::ffwd::{ffwd_section_json, run_ffwd_bench, speedup_geomean};
 use tp_bench::sampled::{default_sample_for, run_sampled_grid_on, sampled_to_json};
-use tp_bench::speed::{
-    guard_violations, run_grid_on, to_json_with_sampled, SuiteChoice, SWEEP_PES,
-};
+use tp_bench::speed::{guard_violations, run_grid_on, to_json, SuiteChoice, SWEEP_PES};
 use tp_core::{CiModel, TraceProcessorConfig};
 use tp_workloads::Size;
 
@@ -114,7 +113,7 @@ fn main() {
             );
         }
         let json = sampled_to_json(&cells, size, &sample_cfg);
-        std::fs::write(&out, json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+        std::fs::write(&out, json.to_string()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
         println!("wrote {out}");
         return;
     }
@@ -180,12 +179,12 @@ fn main() {
             speedup_geomean(&ffwd_cells),
             model.name()
         );
-        Some(ffwd_section_json(&ffwd_cells, Size::Long, model, 4))
+        Some(ffwd_section_json(&ffwd_cells, Size::Long, model))
     } else {
         None
     };
-    let json = to_json_with_sampled(&cells, size, sampled_section.as_deref());
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    let json = to_json(&cells, size, sampled_section);
+    std::fs::write(&out, json.to_string()).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     println!("wrote {out}");
     if guard {
         let violations = guard_violations(&cells);

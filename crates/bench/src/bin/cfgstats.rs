@@ -14,6 +14,7 @@
 //! Exit status is non-zero iff any reported workload has lint findings,
 //! so CI can run the text report as a corpus health check.
 
+use tp_bench::json::Json;
 use tp_cfg::{BranchKind, CfgAnalysis, CfgReport};
 use tp_workloads::{Size, Workload};
 
@@ -26,12 +27,9 @@ fn main() {
     let single = !positional.is_empty();
 
     if json {
-        let docs: Vec<String> = workloads.iter().map(report_json).collect();
-        if single {
-            println!("{}", docs[0]);
-        } else {
-            println!("[\n{}\n]", docs.join(",\n"));
-        }
+        let mut docs: Vec<Json> = workloads.iter().map(report_json).collect();
+        let doc = if single { docs.remove(0) } else { Json::Arr(docs) };
+        print!("{doc}");
         return;
     }
 
@@ -40,6 +38,7 @@ fn main() {
         let analysis = CfgAnalysis::build(&w.program);
         let r = CfgReport::build(&w.program, &analysis);
         findings += r.lint.len();
+        let (dist, region) = samples(&r);
         println!(
             "{:>10} ({:?}): {} insts, {} fns, {} loops (depth {}), {} branches \
              [loop {}+{} hammock {} fnexit {}], indirect {}/{} resolved, \
@@ -57,10 +56,10 @@ fn main() {
             r.count(BranchKind::FunctionExit),
             r.resolved_indirect_sites,
             r.indirect_sites,
-            pct(&dist_samples(&r), 50),
-            pct(&dist_samples(&r), 100),
-            pct(&region_samples(&r), 50),
-            pct(&region_samples(&r), 100),
+            pct(&dist, 50),
+            pct(&dist, 100),
+            pct(&region, 50),
+            pct(&region, 100),
             if r.lint.is_empty() {
                 String::new()
             } else {
@@ -90,20 +89,16 @@ fn main() {
     }
 }
 
-/// Sorted re-convergence distances (absolute) over branches that have one.
-fn dist_samples(r: &CfgReport) -> Vec<u64> {
-    let mut v: Vec<u64> =
-        r.branches.iter().filter_map(|b| b.distance).map(i64::unsigned_abs).collect();
-    v.sort_unstable();
-    v
-}
-
-/// Sorted control-dependent region sizes over branches that have one.
-fn region_samples(r: &CfgReport) -> Vec<u64> {
-    let mut v: Vec<u64> =
-        r.branches.iter().filter_map(|b| b.region_size).map(|s| s as u64).collect();
-    v.sort_unstable();
-    v
+/// Sorted re-convergence distances (absolute) and control-dependent region
+/// sizes, each over the branches that have one.
+fn samples(r: &CfgReport) -> (Vec<u64>, Vec<u64>) {
+    let sorted = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        v
+    };
+    let dist = r.branches.iter().filter_map(|b| b.distance).map(i64::unsigned_abs);
+    let region = r.branches.iter().filter_map(|b| b.region_size).map(|s| s as u64);
+    (sorted(dist.collect()), sorted(region.collect()))
 }
 
 /// The `p`-th percentile of a sorted sample (100 = max); 0 when empty.
@@ -116,40 +111,35 @@ fn pct(sorted: &[u64], p: usize) -> u64 {
 }
 
 /// One workload's `tp-bench/cfgstats/v1` JSON document.
-fn report_json(w: &Workload) -> String {
+fn report_json(w: &Workload) -> Json {
     let analysis = CfgAnalysis::build(&w.program);
     let r = CfgReport::build(&w.program, &analysis);
-    let dist = dist_samples(&r);
-    let region = region_samples(&r);
-    let kinds: Vec<String> =
-        BranchKind::ALL.iter().map(|&k| format!("\"{}\": {}", k.label(), r.count(k))).collect();
-    let lint: Vec<String> = r.lint.iter().map(|f| format!("\"{f}\"")).collect();
-    format!(
-        "{{\n  \"schema\": \"tp-bench/cfgstats/v1\",\n  \"workload\": \"{}\",\n  \
-         \"frontend\": \"{:?}\",\n  \"insts\": {},\n  \"functions\": {},\n  \
-         \"reachable_insts\": {},\n  \"loops\": {},\n  \"max_loop_depth\": {},\n  \
-         \"indirect_sites\": {},\n  \"resolved_indirect_sites\": {},\n  \
-         \"branches\": {{\"total\": {}, {}}},\n  \
-         \"reconv_distance\": {{\"p50\": {}, \"p90\": {}, \"max\": {}}},\n  \
-         \"region_size\": {{\"p50\": {}, \"p90\": {}, \"max\": {}}},\n  \
-         \"lint\": [{}]\n}}",
-        r.name,
-        w.frontend,
-        r.insts,
-        r.functions,
-        r.reachable_insts,
-        r.loops,
-        r.max_loop_depth,
-        r.indirect_sites,
-        r.resolved_indirect_sites,
-        r.branches.len(),
-        kinds.join(", "),
-        pct(&dist, 50),
-        pct(&dist, 90),
-        pct(&dist, 100),
-        pct(&region, 50),
-        pct(&region, 90),
-        pct(&region, 100),
-        lint.join(", "),
-    )
+    let (dist, region) = samples(&r);
+    let spread = |s: &[u64]| {
+        Json::obj([
+            ("p50", pct(s, 50).into()),
+            ("p90", pct(s, 90).into()),
+            ("max", pct(s, 100).into()),
+        ])
+    };
+    let mut branches = Json::obj([("total", r.branches.len().into())]);
+    for k in BranchKind::ALL {
+        branches.push(k.label(), r.count(k));
+    }
+    Json::obj([
+        ("schema", "tp-bench/cfgstats/v1".into()),
+        ("workload", r.name.as_str().into()),
+        ("frontend", format!("{:?}", w.frontend).into()),
+        ("insts", r.insts.into()),
+        ("functions", r.functions.into()),
+        ("reachable_insts", r.reachable_insts.into()),
+        ("loops", r.loops.into()),
+        ("max_loop_depth", r.max_loop_depth.into()),
+        ("indirect_sites", r.indirect_sites.into()),
+        ("resolved_indirect_sites", r.resolved_indirect_sites.into()),
+        ("branches", branches),
+        ("reconv_distance", spread(&dist)),
+        ("region_size", spread(&region)),
+        ("lint", Json::Arr(r.lint.iter().map(|f| f.to_string().into()).collect())),
+    ])
 }

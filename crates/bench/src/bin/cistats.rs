@@ -14,7 +14,9 @@
 use std::collections::HashMap;
 
 use tp_bench::cli;
+use tp_bench::json::Json;
 use tp_bench::runner::run_cell;
+use tp_bench::speed::predictor_json;
 use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::Pc;
 use tp_trace::SelectionConfig;
@@ -35,33 +37,20 @@ fn main() {
         let run = run_cell(&mut sim, &name, model.name()).result;
         let s = run.stats;
         if json {
-            let p = run.predictor;
-            println!(
-                "{{\n  \"schema\": \"tp-bench/cistats/v1\",\n  \"workload\": \"{name}\",\n  \
-                 \"model\": \"{}\",\n  \"ipc\": {:.6},\n  \"cycles\": {},\n  \
-                 \"retired_instrs\": {},\n  \"retired_cond_branches\": {},\n  \
-                 \"retired_cond_mispredicts\": {},\n  \"branch_misp_rate_pct\": {:.6},\n  \
-                 \"predictor\": {{\"predictions\": {}, \"path_hits\": {}, \"simple_hits\": {}, \
-                 \"no_prediction\": {}, \"path_tag_evictions\": {}, \"path_repoints\": {}, \
-                 \"simple_tag_evictions\": {}, \"simple_repoints\": {}}},\n  \
-                 \"attribution\": {}\n}}",
-                model.name(),
-                s.ipc(),
-                s.cycles,
-                s.retired_instrs,
-                s.retired_cond_branches,
-                s.retired_cond_mispredicts,
-                s.branch_misp_rate(),
-                p.predictions,
-                p.path_hits,
-                p.simple_hits,
-                p.no_prediction,
-                p.path_tag_evictions,
-                p.path_repoints,
-                p.simple_tag_evictions,
-                p.simple_repoints,
-                run.attribution.to_json(),
-            );
+            let doc = Json::obj([
+                ("schema", "tp-bench/cistats/v1".into()),
+                ("workload", name.as_str().into()),
+                ("model", model.name().into()),
+                ("ipc", s.ipc().into()),
+                ("cycles", s.cycles.into()),
+                ("retired_instrs", s.retired_instrs.into()),
+                ("retired_cond_branches", s.retired_cond_branches.into()),
+                ("retired_cond_mispredicts", s.retired_cond_mispredicts.into()),
+                ("branch_misp_rate_pct", s.branch_misp_rate().into()),
+                ("predictor", predictor_json(&run.predictor)),
+                ("attribution", run.attribution.to_json()),
+            ]);
+            print!("{doc}");
             return;
         }
         println!(

@@ -143,7 +143,7 @@ fn run_report(
         );
     }
     if let Some(path) = json_out {
-        std::fs::write(&path, metrics_to_json(&cells, size, &phases))
+        std::fs::write(&path, metrics_to_json(&cells, size, &phases).to_string())
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }

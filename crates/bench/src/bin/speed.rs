@@ -19,7 +19,7 @@
 //! each workload runs to halt under the reference interpreter and under
 //! the superblock engine (asserting byte-identical TPCK checkpoints),
 //! printing per-workload throughput and speedup. `--out PATH` writes the
-//! `tp-bench/sampled/v2` throughput JSON (the CI artifact); `--gate MIN`
+//! `tp-bench/ffwd/v1` throughput JSON (the CI artifact); `--gate MIN`
 //! exits non-zero if the geometric-mean speedup falls below `MIN` (CI
 //! gates at 1.0: the superblock engine must never be slower).
 //!
@@ -31,7 +31,7 @@
 //! gates at 1.0: the event bus must stay free when nobody listens).
 
 use tp_bench::cli::{usage_error, validated_config, Args};
-use tp_bench::ffwd::{ffwd_to_json, run_ffwd_bench, speedup_geomean};
+use tp_bench::ffwd::{ffwd_section_json, run_ffwd_bench, speedup_geomean};
 use tp_bench::runner::{try_run_cell, CellRun};
 use tp_bench::sampled::{default_sample_for, run_sampled_as};
 use tp_bench::speed::SuiteChoice;
@@ -136,7 +136,7 @@ fn run_ffwd_table(size: Size, suite_choice: SuiteChoice, out: Option<&str>, gate
     let geomean = speedup_geomean(&cells);
     println!("geomean speedup: {geomean:.1}x (superblock over interpreter, {})", model.name());
     if let Some(path) = out {
-        std::fs::write(path, ffwd_to_json(&cells, size, model))
+        std::fs::write(path, ffwd_section_json(&cells, size, model).to_string())
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }

@@ -1,7 +1,7 @@
 //! Trace tap: run any (workload, model) cell — or resume a TPCK
 //! checkpoint, or replay a fuzzer reproducer — with the `tp-events` bus
 //! attached, and write Chrome trace-event JSON (loads directly in
-//! perfetto / `chrome://tracing`) plus an optional counter timeline.
+//! perfetto / `chrome://tracing`) plus an optional metrics document.
 //!
 //! ```text
 //! tracetap --workload NAME [--size tiny|small|full|long] [--model M] [--budget N]
@@ -11,8 +11,9 @@
 //! ```
 //!
 //! Common flags: `--out PATH` (Chrome trace JSON, default
-//! `tracetap.trace.json`) and `--counters PATH` (compact counter-timeline
-//! JSON, only written when requested).
+//! `tracetap.trace.json`) and `--metrics PATH` (the `MetricsSink` counters
+//! and distributions of the same run — the `metrics` payload of a
+//! `tp-bench/metrics/v1` cell — only written when requested).
 //!
 //! * `--workload` runs a fresh simulator on a named workload for up to
 //!   `--budget` retired instructions (default 200 000).
@@ -54,7 +55,7 @@ fn usage() -> ! {
          \x20      tracetap --ckpt PATH [--interval N] [--model M]\n\
          \x20      tracetap --fuzz-seed S [--isa synth|rv] [--machine paper|small]\n\
          \x20               [--config default|small] [--model M] [--budget N]\n\
-         common: --out PATH (default tracetap.trace.json), --counters PATH\n\
+         common: --out PATH (default tracetap.trace.json), --metrics PATH\n\
          models: base|RET|MLB-RET|FG|FG+MLB-RET",
     );
 }
@@ -71,7 +72,7 @@ struct Args {
     model: Option<CiModel>,
     budget: u64,
     out: String,
-    counters: Option<String>,
+    metrics: Option<String>,
     sample: bool,
     rounds: u64,
 }
@@ -89,7 +90,7 @@ fn parse_args() -> Args {
         model: None,
         budget: 200_000,
         out: String::from("tracetap.trace.json"),
-        counters: None,
+        metrics: None,
         sample: false,
         rounds: 16,
     };
@@ -114,7 +115,7 @@ fn parse_args() -> Args {
             "--model" => args.model = Some(it.model("--model")),
             "--budget" => args.budget = it.num("--budget"),
             "--out" => args.out = it.value("--out"),
-            "--counters" => args.counters = Some(it.value("--counters")),
+            "--metrics" => args.metrics = Some(it.value("--metrics")),
             "--sample" => args.sample = true,
             "--rounds" => args.rounds = it.num("--rounds"),
             other => {
@@ -150,8 +151,8 @@ fn main() {
         run_fuzz_seed(&args, args.fuzz_seed.expect("mode checked above"))
     };
     write_doc(&args.out, &cap.chrome_json);
-    if let Some(path) = &args.counters {
-        write_doc(path, &cap.counters_json);
+    if let Some(path) = &args.metrics {
+        write_doc(path, &cap.metrics_json.to_string());
     }
     println!(
         "{label}: {} retired, {} cycles{}{}",

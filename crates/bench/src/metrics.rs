@@ -28,10 +28,10 @@ use tp_cfg::CfgAnalysis;
 use tp_core::{CiModel, SimStats, TraceProcessor, TraceProcessorConfig};
 use tp_isa::{Pc, Program};
 use tp_metrics::{Metrics, MetricsSink, StageProfiler};
+use tp_stats::json::Json;
 use tp_stats::Table;
 use tp_workloads::{Size, Workload};
 
-use crate::json::Json;
 use crate::runner::run_cell;
 use crate::sampled::{run_sampled_with, Interval, RoundObserver, SampleConfig};
 use crate::speed::size_name;
@@ -228,64 +228,49 @@ impl RoundObserver for PhaseObserver {
     }
 }
 
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// Renders a collection grid (and optional phase reports) as the
+/// A collection grid (and optional phase reports) as the
 /// `tp-bench/metrics/v1` JSON document.
-pub fn metrics_to_json(cells: &[MetricsCell], size: Size, phases: &[PhaseReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tp-bench/metrics/v1\",\n");
-    s.push_str(&format!("  \"suite_size\": \"{}\",\n", size_name(size)));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str("    {");
-        s.push_str(&format!("\"workload\": \"{}\", ", c.workload));
-        s.push_str(&format!("\"model\": \"{}\", ", c.model.name()));
-        s.push_str(&format!("\"instrs\": {}, ", c.stats.retired_instrs));
-        s.push_str(&format!("\"cycles\": {}, ", c.stats.cycles));
-        s.push_str(&format!("\"ipc\": {}, ", num(c.stats.ipc())));
-        s.push_str(&format!("\"wall_seconds\": {}, ", num(c.wall_seconds)));
-        s.push_str(&format!("\"instrs_per_sec\": {}, ", num(c.instrs_per_sec())));
-        s.push_str(&format!("\"metrics\": {}, ", c.metrics.to_json()));
-        s.push_str(&format!("\"profiler\": {}", c.profiler.to_json()));
-        s.push_str(if i + 1 == cells.len() { "}\n" } else { "},\n" });
+pub fn metrics_to_json(cells: &[MetricsCell], size: Size, phases: &[PhaseReport]) -> Json {
+    let cell = |c: &MetricsCell| {
+        Json::obj([
+            ("workload", c.workload.into()),
+            ("model", c.model.name().into()),
+            ("instrs", c.stats.retired_instrs.into()),
+            ("cycles", c.stats.cycles.into()),
+            ("ipc", c.stats.ipc().into()),
+            ("wall_seconds", c.wall_seconds.into()),
+            ("instrs_per_sec", c.instrs_per_sec().into()),
+            ("metrics", c.metrics.to_json()),
+            ("profiler", c.profiler.to_json()),
+        ])
+    };
+    let point = |pt: &PhasePoint| {
+        Json::obj([
+            ("index", pt.index.into()),
+            ("phase", pt.phase.into()),
+            ("start_retired", pt.start_retired.into()),
+            ("instrs", pt.instrs.into()),
+            ("cycles", pt.cycles.into()),
+        ])
+    };
+    let phase = |p: &PhaseReport| {
+        Json::obj([
+            ("workload", p.workload.into()),
+            ("model", p.model.name().into()),
+            ("points", Json::Arr(p.points.iter().map(point).collect())),
+            ("cold", p.cold.to_json()),
+            ("steady", p.steady.to_json()),
+        ])
+    };
+    let mut doc = Json::obj([
+        ("schema", "tp-bench/metrics/v1".into()),
+        ("suite_size", size_name(size).into()),
+        ("cells", Json::Arr(cells.iter().map(cell).collect())),
+    ]);
+    if !phases.is_empty() {
+        doc.push("phases", Json::Arr(phases.iter().map(phase).collect()));
     }
-    s.push_str("  ]");
-    if phases.is_empty() {
-        s.push('\n');
-    } else {
-        s.push_str(",\n  \"phases\": [\n");
-        for (i, p) in phases.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"workload\": \"{}\", ", p.workload));
-            s.push_str(&format!("\"model\": \"{}\", ", p.model.name()));
-            s.push_str("\"points\": [");
-            for (j, pt) in p.points.iter().enumerate() {
-                s.push_str(&format!(
-                    "{{\"index\": {}, \"phase\": \"{}\", \"start_retired\": {}, \
-                     \"instrs\": {}, \"cycles\": {}}}",
-                    pt.index, pt.phase, pt.start_retired, pt.instrs, pt.cycles
-                ));
-                if j + 1 != p.points.len() {
-                    s.push_str(", ");
-                }
-            }
-            s.push_str("], ");
-            s.push_str(&format!("\"cold\": {}, ", p.cold.to_json()));
-            s.push_str(&format!("\"steady\": {}", p.steady.to_json()));
-            s.push_str(if i + 1 == phases.len() { "}\n" } else { "},\n" });
-        }
-        s.push_str("  ]\n");
-    }
-    s.push_str("}\n");
-    s
+    doc
 }
 
 /// Renders a collection grid (and optional phase reports) as a markdown
@@ -472,12 +457,8 @@ pub fn diff_documents(old: &Json, new: &Json, th: &DiffThresholds) -> Result<Dif
             format!("{w}/{m}")
         })
     };
-    let mut new_by_key: HashMap<String, &Json> = HashMap::new();
-    for c in new_cells {
-        if let Some(k) = key(c) {
-            new_by_key.insert(k, c);
-        }
-    }
+    let new_by_key: HashMap<String, &Json> =
+        new_cells.iter().filter_map(|c| Some((key(c)?, c))).collect();
     let mut report = DiffReport::default();
     let mut matched: std::collections::HashSet<String> = std::collections::HashSet::new();
     for oc in old_cells {
@@ -531,15 +512,13 @@ fn diff_cell(k: &str, oc: &Json, nc: &Json, th: &DiffThresholds, report: &mut Di
         push_host_row(report, k, "instrs_per_sec", o, n, th);
     }
     // Distribution percentiles (metrics/v1 cells): deterministic — gated.
+    // Compared in the baseline document's order.
     if let (Some(od), Some(nd)) = (dist_obj(oc), dist_obj(nc)) {
-        let mut names: Vec<&String> = od.keys().collect();
-        names.sort();
-        for name in names {
-            let Some(nh) = nd.get(name.as_str()) else {
+        for (name, oh) in od {
+            let Some((_, nh)) = nd.iter().find(|(n, _)| n == name) else {
                 report.warnings.push(format!("{k}: distribution {name} missing from candidate"));
                 continue;
             };
-            let oh = &od[name.as_str()];
             for p in ["p50", "p90", "p99"] {
                 let (Some(o), Some(n)) = (oh.num(p), nh.num(p)) else { continue };
                 let regressed = o > 0.0 && n > o * (1.0 + th.percentile_pct / 100.0);
@@ -595,17 +574,14 @@ fn push_host_row(
     }
 }
 
-fn dist_obj(cell: &Json) -> Option<&HashMap<String, Json>> {
-    match cell.get("metrics")?.get("distributions")? {
-        Json::Obj(m) => Some(m),
-        _ => None,
-    }
+fn dist_obj(cell: &Json) -> Option<&[(String, Json)]> {
+    cell.get("metrics")?.get("distributions")?.as_object()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use tp_stats::json::parse;
     use tp_workloads::{by_name, Size};
 
     #[test]
@@ -650,7 +626,7 @@ mod tests {
     fn json_report_parses_back() {
         let w = by_name("compress", Size::Tiny).unwrap();
         let cells = vec![collect_cell(&w, CiModel::None)];
-        let doc = metrics_to_json(&cells, Size::Tiny, &[]);
+        let doc = metrics_to_json(&cells, Size::Tiny, &[]).to_string();
         let v = parse(&doc).expect("valid json");
         assert_eq!(v.str("schema"), Some("tp-bench/metrics/v1"));
         let cells = v.get("cells").and_then(Json::as_array).unwrap();
@@ -714,10 +690,7 @@ mod tests {
         let workloads = tp_workloads::suite(Size::Tiny);
         let a = run_grid_on(&workloads, &models, &DEFAULT_PES);
         let b = run_grid_on(&workloads, &models, &DEFAULT_PES);
-        let (da, db) = (
-            parse(&to_json(&a, Size::Tiny)).expect("valid"),
-            parse(&to_json(&b, Size::Tiny)).expect("valid"),
-        );
+        let (da, db) = (to_json(&a, Size::Tiny, None), to_json(&b, Size::Tiny, None));
         let r = diff_documents(&da, &db, &DiffThresholds::default()).unwrap();
         assert!(r.gate_ok(), "spurious regressions: {:?}", r.regressions);
         assert_eq!(r.compared_cells, 16, "8 workloads x 2 models");
@@ -727,7 +700,7 @@ mod tests {
         for c in &mut perturbed {
             c.stats.cycles = c.stats.cycles * 20 / 19;
         }
-        let dp = parse(&to_json(&perturbed, Size::Tiny)).expect("valid");
+        let dp = to_json(&perturbed, Size::Tiny, None);
         let r = diff_documents(&da, &dp, &DiffThresholds::default()).unwrap();
         assert!(!r.gate_ok(), "a 5% IPC drop must trip the gate");
         assert_eq!(r.regressions.len(), 16, "{:?}", r.regressions);

@@ -88,8 +88,6 @@ pub struct BranchProfile {
     pub static_region_sum: u64,
     /// Enclosed-conditional-branch sum over FGCI-branch executions.
     pub region_branch_sum: u64,
-    /// Per-PC (executions, mispredictions), for diagnostics.
-    pub per_pc: HashMap<Pc, (u64, u64)>,
 }
 
 impl BranchProfile {
@@ -160,14 +158,6 @@ impl BranchProfile {
             self.region_branch_sum as f64 / n as f64
         }
     }
-
-    /// Per-PC misprediction counts, sorted descending (diagnostics).
-    pub fn hottest(&self) -> Vec<(Pc, u64, u64)> {
-        let mut v: Vec<(Pc, u64, u64)> =
-            self.per_pc.iter().map(|(&pc, &(b, m))| (pc, b, m)).collect();
-        v.sort_by_key(|&(_, _, m)| std::cmp::Reverse(m));
-        v
-    }
 }
 
 impl BranchProfile {
@@ -220,11 +210,6 @@ pub fn profile_branches(program: &Program, budget: u64) -> BranchProfile {
             profile.region_branch_sum += r.cond_branches as u64;
         }
         profile.bump(class, mispredicted);
-        let e = profile.per_pc.entry(pc).or_default();
-        e.0 += 1;
-        if mispredicted {
-            e.1 += 1;
-        }
     }
     profile.instructions = machine.retired();
     profile

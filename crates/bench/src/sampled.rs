@@ -31,6 +31,7 @@ use std::time::Instant;
 use tp_ckpt::{Checkpoint, FastForward};
 use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::{Frontend, Program};
+use tp_stats::json::Json;
 use tp_stats::RecoveryAttribution;
 use tp_workloads::{Size, Workload};
 
@@ -429,48 +430,42 @@ pub fn run_sampled_grid_on(
 /// throughput (`ffwd_instrs_per_sec`, superblock engine) and its wall
 /// time; the interpreter-vs-superblock comparison lives in the `sampled`
 /// section of `BENCH_speed.json` (see [`crate::ffwd`]).
-pub fn sampled_to_json(cells: &[SampledCell], size: Size, sample: &SampleConfig) -> String {
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.6}")
-        } else {
-            "0.0".to_string()
-        }
-    }
+pub fn sampled_to_json(cells: &[SampledCell], size: Size, sample: &SampleConfig) -> Json {
     let total_wall: f64 = cells.iter().map(|c| c.run.wall_seconds).sum();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tp-bench/sampled/v2\",\n");
-    s.push_str(&format!("  \"suite_size\": \"{}\",\n", crate::speed::size_name(size)));
-    s.push_str(&format!(
-        "  \"sample\": {{\"warmup\": {}, \"interval\": {}, \"skip\": {}}},\n",
-        sample.warmup, sample.interval, sample.skip
-    ));
-    s.push_str(&format!("  \"wall_seconds_total\": {},\n", num(total_wall)));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
+    let cell = |c: &SampledCell| {
         let r = &c.run;
-        s.push_str("    {");
-        s.push_str(&format!("\"workload\": \"{}\", ", c.workload));
-        s.push_str(&format!("\"model\": \"{}\", ", c.model.name()));
-        s.push_str(&format!("\"total_instrs\": {}, ", r.total_instrs));
-        s.push_str(&format!("\"intervals\": {}, ", r.intervals.len()));
-        s.push_str(&format!("\"detailed_instrs\": {}, ", r.detailed_instrs));
-        s.push_str(&format!("\"warmup_instrs\": {}, ", r.warmup_instrs));
-        s.push_str(&format!("\"ffwd_instrs\": {}, ", r.ffwd_instrs));
-        s.push_str(&format!("\"ffwd_wall_seconds\": {}, ", num(r.ffwd_wall_seconds)));
-        s.push_str(&format!("\"ffwd_instrs_per_sec\": {}, ", num(r.ffwd_instrs_per_sec())));
-        s.push_str(&format!("\"ipc_estimate\": {}, ", num(r.ipc_estimate())));
-        s.push_str(&format!("\"ipc_ci95\": {}, ", num(r.ipc_ci95())));
-        s.push_str(&format!("\"estimated_cycles\": {}, ", num(r.estimated_cycles())));
-        s.push_str(&format!("\"detailed_fraction\": {}, ", num(r.detailed_fraction())));
-        s.push_str(&format!("\"wall_seconds\": {}, ", num(r.wall_seconds)));
-        s.push_str("\"attribution\": ");
-        s.push_str(&r.attribution.to_json());
-        s.push_str(if i + 1 == cells.len() { "}\n" } else { "},\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+        Json::obj([
+            ("workload", c.workload.into()),
+            ("model", c.model.name().into()),
+            ("total_instrs", r.total_instrs.into()),
+            ("intervals", r.intervals.len().into()),
+            ("detailed_instrs", r.detailed_instrs.into()),
+            ("warmup_instrs", r.warmup_instrs.into()),
+            ("ffwd_instrs", r.ffwd_instrs.into()),
+            ("ffwd_wall_seconds", r.ffwd_wall_seconds.into()),
+            ("ffwd_instrs_per_sec", r.ffwd_instrs_per_sec().into()),
+            ("ipc_estimate", r.ipc_estimate().into()),
+            ("ipc_ci95", r.ipc_ci95().into()),
+            ("estimated_cycles", r.estimated_cycles().into()),
+            ("detailed_fraction", r.detailed_fraction().into()),
+            ("wall_seconds", r.wall_seconds.into()),
+            ("attribution", r.attribution.to_json()),
+        ])
+    };
+    Json::obj([
+        ("schema", "tp-bench/sampled/v2".into()),
+        ("suite_size", crate::speed::size_name(size).into()),
+        (
+            "sample",
+            Json::obj([
+                ("warmup", sample.warmup.into()),
+                ("interval", sample.interval.into()),
+                ("skip", sample.skip.into()),
+            ]),
+        ),
+        ("wall_seconds_total", total_wall.into()),
+        ("cells", Json::Arr(cells.iter().map(cell).collect())),
+    ])
 }
 
 /// One workload's sampled-vs-full comparison.

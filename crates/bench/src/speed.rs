@@ -9,11 +9,11 @@
 //! introspection (the `tp-bench/speed/v2` additions that make per-cell
 //! regressions diagnosable), and the *simulator's* throughput (wall
 //! seconds, retired instructions per second — the perf trajectory the
-//! ROADMAP tracks). The JSON emitter is hand-rolled because the build is
-//! offline.
+//! ROADMAP tracks).
 
 use tp_core::{CiModel, SimStats, TraceProcessor, TraceProcessorConfig};
 use tp_predict::TracePredictorStats;
+use tp_stats::json::Json;
 use tp_stats::RecoveryAttribution;
 use tp_workloads::{all_workloads, rv_suite, suite, Size, Workload};
 
@@ -172,90 +172,69 @@ pub fn size_name(size: Size) -> &'static str {
 
 /// Parses a suite-size label (the inverse of [`size_name`]).
 pub fn parse_size(s: &str) -> Option<Size> {
-    match s {
-        "tiny" => Some(Size::Tiny),
-        "small" => Some(Size::Small),
-        "full" => Some(Size::Full),
-        "long" => Some(Size::Long),
-        _ => None,
-    }
+    [Size::Tiny, Size::Small, Size::Full, Size::Long].into_iter().find(|&z| size_name(z) == s)
 }
 
-fn num(x: f64) -> String {
-    // JSON number: finite, fixed precision (the digest-stable part of the
-    // file is the integer counters; rates are derived convenience values).
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_string()
-    }
+/// The next-trace predictor's introspection counters as a JSON object —
+/// the `predictor` member of `BENCH_speed.json` cells and of
+/// `cistats --json`.
+pub fn predictor_json(p: &TracePredictorStats) -> Json {
+    Json::obj([
+        ("predictions", p.predictions.into()),
+        ("path_hits", p.path_hits.into()),
+        ("simple_hits", p.simple_hits.into()),
+        ("no_prediction", p.no_prediction.into()),
+        ("path_tag_evictions", p.path_tag_evictions.into()),
+        ("path_repoints", p.path_repoints.into()),
+        ("simple_tag_evictions", p.simple_tag_evictions.into()),
+        ("simple_repoints", p.simple_repoints.into()),
+    ])
 }
 
-/// Renders the grid as the `BENCH_speed.json` document
-/// (`tp-bench/speed/v2` schema; see README "Benchmarking").
-pub fn to_json(cells: &[SpeedCell], size: Size) -> String {
-    to_json_with_sampled(cells, size, None)
-}
-
-/// [`to_json`] with an optional pre-rendered `sampled` section — the
-/// fast-forward throughput report from [`crate::ffwd::ffwd_section_json`]
-/// (a JSON object, embedded verbatim the way attribution ledgers are).
-pub fn to_json_with_sampled(cells: &[SpeedCell], size: Size, sampled: Option<&str>) -> String {
+/// The grid as the `BENCH_speed.json` document (`tp-bench/speed/v2`
+/// schema; see README "Benchmarking"), with an optional `sampled` section:
+/// the fast-forward throughput report from [`crate::ffwd::ffwd_section_json`].
+pub fn to_json(cells: &[SpeedCell], size: Size, sampled: Option<Json>) -> Json {
     let total_wall: f64 = cells.iter().map(|c| c.wall_seconds).sum();
     let total_instrs: u64 = cells.iter().map(|c| c.stats.retired_instrs).sum();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"tp-bench/speed/v2\",\n");
-    s.push_str(&format!("  \"suite_size\": \"{}\",\n", size_name(size)));
-    s.push_str(&format!("  \"wall_seconds_total\": {},\n", num(total_wall)));
-    s.push_str(&format!("  \"retired_instrs_total\": {total_instrs},\n"));
-    s.push_str(&format!(
-        "  \"instrs_per_sec_total\": {},\n",
-        num(if total_wall > 0.0 { total_instrs as f64 / total_wall } else { 0.0 })
-    ));
+    let mut doc = Json::obj([
+        ("schema", "tp-bench/speed/v2".into()),
+        ("suite_size", size_name(size).into()),
+        ("wall_seconds_total", total_wall.into()),
+        ("retired_instrs_total", total_instrs.into()),
+        (
+            "instrs_per_sec_total",
+            (if total_wall > 0.0 { total_instrs as f64 / total_wall } else { 0.0 }).into(),
+        ),
+    ]);
     if let Some(section) = sampled {
-        s.push_str(&format!("  \"sampled\": {section},\n"));
+        doc.push("sampled", section);
     }
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
+    let cell = |c: &SpeedCell| {
         let st = &c.stats;
-        s.push_str("    {");
-        s.push_str(&format!("\"workload\": \"{}\", ", c.workload));
-        s.push_str(&format!("\"model\": \"{}\", ", c.model.name()));
-        s.push_str(&format!("\"pes\": {}, ", c.pes));
-        s.push_str(&format!("\"instrs\": {}, ", st.retired_instrs));
-        s.push_str(&format!("\"cycles\": {}, ", st.cycles));
-        s.push_str(&format!("\"ipc\": {}, ", num(st.ipc())));
-        s.push_str(&format!("\"wall_seconds\": {}, ", num(c.wall_seconds)));
-        s.push_str(&format!("\"instrs_per_sec\": {}, ", num(c.instrs_per_sec())));
-        s.push_str(&format!("\"branch_misp_rate_pct\": {}, ", num(st.branch_misp_rate())));
-        s.push_str(&format!("\"branch_misp_per_kilo\": {}, ", num(st.branch_misp_per_kilo())));
-        s.push_str(&format!("\"trace_misp_rate_pct\": {}, ", num(st.trace_misp_rate())));
-        s.push_str(&format!("\"trace_misp_per_kilo\": {}, ", num(st.trace_misp_per_kilo())));
-        s.push_str(&format!("\"avg_trace_len\": {}, ", num(st.avg_trace_len())));
-        s.push_str(&format!("\"dispatched_traces\": {}, ", st.dispatched_traces));
-        s.push_str(&format!("\"squashed_traces\": {}, ", st.squashed_traces));
-        s.push_str(&format!("\"reissue_events\": {}, ", st.reissue_events));
-        let p = &c.predictor;
-        s.push_str(&format!(
-            "\"predictor\": {{\"predictions\": {}, \"path_hits\": {}, \"simple_hits\": {}, \
-             \"no_prediction\": {}, \"path_tag_evictions\": {}, \"path_repoints\": {}, \
-             \"simple_tag_evictions\": {}, \"simple_repoints\": {}}}, ",
-            p.predictions,
-            p.path_hits,
-            p.simple_hits,
-            p.no_prediction,
-            p.path_tag_evictions,
-            p.path_repoints,
-            p.simple_tag_evictions,
-            p.simple_repoints
-        ));
-        s.push_str("\"attribution\": ");
-        s.push_str(&c.attribution.to_json());
-        s.push_str(if i + 1 == cells.len() { "}\n" } else { "},\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+        Json::obj([
+            ("workload", c.workload.into()),
+            ("model", c.model.name().into()),
+            ("pes", c.pes.into()),
+            ("instrs", st.retired_instrs.into()),
+            ("cycles", st.cycles.into()),
+            ("ipc", st.ipc().into()),
+            ("wall_seconds", c.wall_seconds.into()),
+            ("instrs_per_sec", c.instrs_per_sec().into()),
+            ("branch_misp_rate_pct", st.branch_misp_rate().into()),
+            ("branch_misp_per_kilo", st.branch_misp_per_kilo().into()),
+            ("trace_misp_rate_pct", st.trace_misp_rate().into()),
+            ("trace_misp_per_kilo", st.trace_misp_per_kilo().into()),
+            ("avg_trace_len", st.avg_trace_len().into()),
+            ("dispatched_traces", st.dispatched_traces.into()),
+            ("squashed_traces", st.squashed_traces.into()),
+            ("reissue_events", st.reissue_events.into()),
+            ("predictor", predictor_json(&c.predictor)),
+            ("attribution", c.attribution.to_json()),
+        ])
+    };
+    doc.push("cells", Json::Arr(cells.iter().map(cell).collect()));
+    doc
 }
 
 #[cfg(test)]
@@ -267,19 +246,33 @@ mod tests {
         let cells = run_grid_on(&suite(Size::Tiny), &[CiModel::None, CiModel::Fg], &DEFAULT_PES);
         assert_eq!(cells.len(), 16, "two cells per workload");
         assert!(cells.iter().all(|c| c.stats.retired_instrs > 0 && c.stats.cycles > 0));
-        let json = to_json(&cells, Size::Tiny);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"schema\": \"tp-bench/speed/v2\""));
-        assert!(json.contains("\"suite_size\": \"tiny\""));
-        assert!(json.contains("\"workload\": \"compress\""));
-        assert!(json.contains("\"model\": \"base\""));
-        assert!(json.contains("\"pes\": 16"));
-        assert!(json.contains("\"predictor\""));
-        assert!(json.contains("\"attribution\""));
-        // 8 workloads x 2 models.
-        assert_eq!(json.matches("\"workload\"").count(), 16);
+        let doc = crate::json::parse(&to_json(&cells, Size::Tiny, None).to_string()).unwrap();
+        assert_eq!(
+            (doc.str("schema"), doc.str("suite_size")),
+            (Some("tp-bench/speed/v2"), Some("tiny"))
+        );
+        // 8 workloads x 2 models, in grid order.
+        let rows = doc.get("cells").and_then(Json::as_array).unwrap();
+        assert_eq!(rows.len(), 16);
+        assert_eq!(
+            (rows[0].str("workload"), rows[0].str("model")),
+            (Some("compress"), Some("base"))
+        );
+        assert_eq!(rows[0].num("pes"), Some(16.0));
+        assert!(rows
+            .iter()
+            .all(|r| r.get("predictor").and_then(|p| p.num("predictions")).is_some()));
         // An FG cell on a branchy workload has attribution rows.
-        assert!(json.contains("fgci-repair"), "{json}");
+        let ledger = rows.iter().filter_map(|r| r.get("attribution")?.as_array()).flatten();
+        assert!(ledger.clone().any(|a| a.str("outcome") == Some("fgci-repair")), "{ledger:?}");
+    }
+
+    /// The checked-in baseline is the renderer's own output: parsing it
+    /// and rendering it again reproduces the file byte for byte.
+    #[test]
+    fn checked_in_baseline_round_trips_byte_for_byte() {
+        let file = include_str!("../../../BENCH_speed.json");
+        assert_eq!(crate::json::parse(file).unwrap().to_string(), file);
     }
 
     #[test]

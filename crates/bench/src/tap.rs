@@ -1,28 +1,32 @@
-//! Event capture: attach the `tp-events` sinks to a simulator, run it,
-//! and render the captured documents. Shared by the `tracetap` binary and
-//! the fuzz binary's divergence capture. A sampled capture is an observer
-//! of the one sampled driver, so its intervals are exactly a sampled
-//! run's. Also home of the observability overhead probe behind
-//! `speed --events-guard`.
+//! Event capture: attach a Chrome-trace sink and a `MetricsSink` to a
+//! simulator, run it, and render the captured documents. Shared by the
+//! `tracetap` binary and the fuzz binary's divergence capture. A sampled
+//! capture is an observer of the one sampled driver, so its intervals are
+//! exactly a sampled run's. Also home of the observability overhead probe
+//! behind `speed --events-guard`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tp_ckpt::Checkpoint;
 use tp_core::{TraceProcessor, TraceProcessorConfig};
-use tp_events::{ChromeTraceSink, CounterTimelineSink};
+use tp_events::ChromeTraceSink;
 use tp_isa::{Frontend, Program};
+use tp_metrics::MetricsSink;
+use tp_stats::json::Json;
 
+use crate::metrics::ipdom_map;
 use crate::runner::run_cell;
 use crate::sampled::{run_sampled_with, Interval, RoundObserver, SampleConfig};
 
-/// A finished event capture: both rendered JSON documents plus the run's
-/// headline numbers.
+/// A finished event capture: the Chrome trace, the metrics derived from
+/// the same event stream, and the run's headline numbers.
 #[derive(Clone, Debug)]
 pub struct Capture {
     /// Chrome trace-event JSON (loads in perfetto / `chrome://tracing`).
     pub chrome_json: String,
-    /// Compact counter-timeline JSON (`tp-events/counters/v1`).
-    pub counters_json: String,
+    /// The run's [`Metrics`](tp_metrics::Metrics) as JSON, reconvergence
+    /// distances joined against the static ipdoms as in `simprof`.
+    pub metrics_json: Json,
     /// How the run ended: `None` for a clean stop, `Some(description)` for
     /// a simulator error or panic. The capture up to the failure point
     /// stands either way — that is the whole point of a trace tap.
@@ -36,13 +40,14 @@ pub struct Capture {
     pub cycles: u64,
 }
 
-/// Attaches Chrome-trace and counter sinks to `sim`, runs up to `interval`
+/// Attaches Chrome-trace and metrics sinks to `sim`, runs up to `interval`
 /// more retired instructions, and renders the capture. The bus is always
 /// released, so a simulator error — or even a panic — mid-run still yields
 /// the events recorded up to that point.
 pub fn capture_interval(sim: &mut TraceProcessor<'_>, interval: u64) -> Capture {
     sim.attach_event_sink(Box::new(ChromeTraceSink::new()));
-    sim.attach_event_sink(Box::new(CounterTimelineSink::new()));
+    let ipdom = ipdom_map(sim.program());
+    sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom)));
     let outcome = catch_unwind(AssertUnwindSafe(|| sim.run_interval(interval)));
     let error = match outcome {
         Ok(Ok(_)) => None,
@@ -51,10 +56,10 @@ pub fn capture_interval(sim: &mut TraceProcessor<'_>, interval: u64) -> Capture 
     };
     let mut bus = sim.release_event_bus();
     let chrome = bus.take::<ChromeTraceSink>().expect("attached above");
-    let counters = bus.take::<CounterTimelineSink>().expect("attached above");
+    let metrics = bus.take::<MetricsSink>().expect("attached above");
     Capture {
         chrome_json: chrome.to_json(),
-        counters_json: counters.to_json(),
+        metrics_json: metrics.metrics().to_json(),
         error,
         halted: sim.halted(),
         retired: sim.stats().retired_instrs,
@@ -281,7 +286,14 @@ mod tests {
         let cap = capture_program(&w.program, cfg, 2_000);
         assert!(cap.error.is_none(), "{:?}", cap.error);
         assert!(cap.retired > 0);
-        assert!(cap.chrome_json.contains("\"traceEvents\""));
-        assert!(cap.counters_json.contains("tp-events/counters/v1"));
+        let chrome = crate::json::parse(&cap.chrome_json).expect("valid Chrome JSON");
+        assert!(chrome.get("traceEvents").and_then(Json::as_array).is_some_and(|e| !e.is_empty()));
+        let counters = cap.metrics_json.get("counters").expect("counters");
+        assert!(counters.num("traces_retired").is_some_and(|n| n > 0.0));
+        assert!(cap
+            .metrics_json
+            .get("distributions")
+            .and_then(|d| d.get("trace-residency"))
+            .is_some());
     }
 }

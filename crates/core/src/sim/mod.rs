@@ -845,6 +845,11 @@ impl<'p> TraceProcessor<'p> {
         self.boot_frontier
     }
 
+    /// The program being simulated.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
     /// Whether the program's `Halt` has retired.
     pub fn halted(&self) -> bool {
         self.halted

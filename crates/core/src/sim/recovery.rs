@@ -497,6 +497,12 @@ impl TraceProcessor<'_> {
                 self.stats.fgci_recoveries += 1;
                 let preserved: Vec<usize> = self.list.iter_after(pe).collect();
                 self.stats.preserved_traces += preserved.len() as u64;
+                if self.events.wants(Category::Trace) {
+                    for &p in &preserved {
+                        let pc = self.pes[p].trace.id().start();
+                        self.events.emit(self.now, Event::TracePreserved { pe: p as u8, pc });
+                    }
+                }
                 let cell = self.attribution.cell_mut(rec.attr);
                 cell.events += 1;
                 cell.recovery_cycles += rec.ready_at - rec.started_at;

@@ -333,7 +333,7 @@ mod tests {
         let json = sink.to_json();
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 2);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        tp_stats::json::parse(&json).expect("valid JSON");
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"name\":\"PE 1\""));
         assert!(json.contains("\"end\":\"retired\""));

@@ -14,26 +14,26 @@
 //!   simulator computes depends on it, so golden statistics rows are
 //!   byte-identical whether or not sinks are attached.
 //!
-//! Three sinks ship with the crate:
+//! Two sinks ship with the crate:
 //!
 //! * [`ChromeTraceSink`] — Chrome trace-event JSON (one pid per PE,
 //!   duration events for trace residency, instants for squash/repair,
 //!   counter tracks for window pressure) that loads directly in
 //!   perfetto / `chrome://tracing`;
-//! * [`CounterTimelineSink`] — a compact bucketed counter timeline that
-//!   merges into the existing `cistats`/attribution JSON outputs;
 //! * [`RingSink`] — an in-memory ring buffer for tests and ad-hoc
 //!   analysis.
+//!
+//! Counts and distributions derived from the stream live one layer up,
+//! in `tp-metrics`' `MetricsSink`: the one counter vocabulary over the
+//! events, next to the simulator's own `SimStats`.
 
 pub mod bus;
 pub mod chrome;
-pub mod counters;
 pub mod event;
 pub mod ring;
 
 pub use bus::{EventBus, EventSink, NullSink};
 pub use chrome::ChromeTraceSink;
-pub use counters::CounterTimelineSink;
 pub use event::{
     BusChannel, Category, CategoryMask, Event, FetchPath, MispredictKind, RecoveryPlan, StallReason,
 };

@@ -12,6 +12,7 @@
 use std::cell::Cell;
 use std::time::Instant;
 
+use tp_stats::json::Json;
 use tp_stats::Table;
 
 /// The eight pipeline-stage modules of the detailed model, in the order
@@ -118,19 +119,13 @@ impl StageProfiler {
 
     /// The breakdown as a JSON object keyed by stage label, each value
     /// `{nanos, calls}`.
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = Stage::ALL
-            .iter()
-            .map(|&s| {
-                format!(
-                    "\"{}\": {{\"nanos\": {}, \"calls\": {}}}",
-                    s.label(),
-                    self.nanos(s),
-                    self.calls(s)
-                )
-            })
-            .collect();
-        format!("{{{}}}", rows.join(", "))
+    pub fn to_json(&self) -> Json {
+        Json::obj(Stage::ALL.map(|s| {
+            (
+                s.label(),
+                Json::obj([("nanos", self.nanos(s).into()), ("calls", self.calls(s).into())]),
+            )
+        }))
     }
 }
 

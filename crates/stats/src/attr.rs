@@ -14,6 +14,7 @@
 //!
 //! The ledger is pure observation: it carries no simulator behaviour.
 
+use crate::json::Json;
 use crate::Table;
 
 /// Ledger branch classes: what kind of conditional branch mispredicted.
@@ -266,31 +267,22 @@ impl RecoveryAttribution {
     /// Renders the ledger as a JSON array of cell objects (one per
     /// non-zero `(class, heuristic, outcome)` cell, canonical order) — the
     /// machine-readable counterpart of [`RecoveryAttribution::table`],
-    /// shared by `BENCH_speed.json` and `cistats --json`. Hand-rolled
-    /// because the build is offline.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, ((class, heur, outcome), cell)) in self.nonzero().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"class\": \"{}\", \"heuristic\": \"{}\", \"outcome\": \"{}\", \
-                 \"events\": {}, \"retired\": {}, \"squashed\": {}, \"preserved\": {}, \
-                 \"redispatched\": {}, \"recovery_cycles\": {}}}",
-                class.label(),
-                heur.label(),
-                outcome.label(),
-                cell.events,
-                cell.retired,
-                cell.traces_squashed,
-                cell.traces_preserved,
-                cell.traces_redispatched,
-                cell.recovery_cycles
-            ));
-        }
-        s.push(']');
-        s
+    /// shared by `BENCH_speed.json` and `cistats --json`.
+    pub fn to_json(&self) -> Json {
+        let cell = |((class, heur, outcome), cell): (AttrKey, &AttrCell)| {
+            Json::obj([
+                ("class", class.label().into()),
+                ("heuristic", heur.label().into()),
+                ("outcome", outcome.label().into()),
+                ("events", cell.events.into()),
+                ("retired", cell.retired.into()),
+                ("squashed", cell.traces_squashed.into()),
+                ("preserved", cell.traces_preserved.into()),
+                ("redispatched", cell.traces_redispatched.into()),
+                ("recovery_cycles", cell.recovery_cycles.into()),
+            ])
+        };
+        Json::Arr(self.nonzero().map(cell).collect())
     }
 
     /// Renders the Table-6-style per-class breakdown: one row per non-zero
@@ -395,11 +387,12 @@ mod tests {
         a.cell_mut(key).events = 2;
         a.cell_mut(key).traces_preserved = 5;
         let json = a.to_json();
-        assert_eq!(json.matches('{').count(), 1);
-        assert!(json.contains("\"class\": \"backward\""), "{json}");
-        assert!(json.contains("\"heuristic\": \"MLB\""), "{json}");
-        assert!(json.contains("\"preserved\": 5"), "{json}");
-        assert_eq!(RecoveryAttribution::new().to_json(), "[]");
+        let cells = json.as_array().expect("an array");
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].str("class"), Some("backward"));
+        assert_eq!(cells[0].str("heuristic"), Some("MLB"));
+        assert_eq!(cells[0].num("preserved"), Some(5.0));
+        assert_eq!(RecoveryAttribution::new().to_json(), Json::Arr(vec![]));
     }
 
     #[test]

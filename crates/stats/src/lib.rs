@@ -1,9 +1,11 @@
 //! Statistics utilities shared by the simulator and the experiment
 //! harnesses: rate helpers, means, a fixed-width table printer that the
 //! benches use to reproduce the paper's tables, and the misprediction
-//! outcome-attribution ledger ([`attr`]).
+//! outcome-attribution ledger ([`attr`]), and the one JSON layer every
+//! harness document is built and read through ([`json`]).
 
 pub mod attr;
+pub mod json;
 pub mod table;
 
 pub use attr::{AttrCell, AttrKey, BranchClass, Heuristic, RecoveryAttribution, RecoveryOutcome};

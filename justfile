@@ -1,7 +1,7 @@
 # Task runner for the trace-processor workspace.
 #
 # `just build` / `just test` mirror the tier-1 verification command;
-# `just sweep` runs the parallel experiment grid (one config per core).
+# `just loc` prints the net Rust line count the ROADMAP tracks.
 
 # List available recipes.
 default:
@@ -18,6 +18,11 @@ test:
 # Tier-1 verification in one shot.
 verify: build test
 
+# Net Rust LOC as the ROADMAP counts it: every `*.rs` under crates, src,
+# tests and examples.
+loc:
+    find crates src tests examples -name '*.rs' | xargs wc -l | tail -1
+
 # Format + lint exactly as CI runs them.
 lint:
     cargo fmt --check
@@ -26,11 +31,6 @@ lint:
 # Paper tables and figures (sequential, full-size workloads).
 bench:
     cargo bench -p tp-bench
-
-# Parallel configuration sweep: workloads x configs, one cell per core.
-# SIZE is tiny|small|full (paper numbers use full).
-sweep SIZE="small":
-    cargo run --release -p tp-bench --bin sweep {{SIZE}}
 
 # Deterministic oracle probe — diff two runs to prove a refactor is
 # cycle-identical.
@@ -46,9 +46,9 @@ baseline SIZE="full":
 
 # Fast-forward engine benchmark: interpreter vs superblock on both suites,
 # asserting byte-identical TPCK checkpoints per cell; writes
-# BENCH_ffwd.json (the `sampled` throughput schema, standalone). CI runs
-# the small variant with `--gate 1.0` — the superblock engine must never
-# be slower than the interpreter.
+# BENCH_ffwd.json (tp-bench/ffwd/v1, the `sampled` section standalone).
+# CI runs the small variant with `--gate 1.0` — the superblock engine must
+# never be slower than the interpreter.
 ffwd-bench SIZE="long":
     cargo run --release -p tp-bench --bin speed -- --ffwd-bench --size {{SIZE}} --suite all --out BENCH_ffwd.json
 
@@ -127,7 +127,7 @@ sample-smoke:
     cargo run --release -p tp-bench --bin ckpt -- smoke --out ckpt_smoke.tpckpt
 
 # Sampled baseline over the long suite (the workloads only tractable
-# sampled): writes BENCH_sampled.json (tp-bench/sampled/v1).
+# sampled): writes BENCH_sampled.json (tp-bench/sampled/v2).
 sample-baseline:
     cargo run --release -p tp-bench --bin baseline -- --sample --size long --out BENCH_sampled.json
 
@@ -138,11 +138,12 @@ ckpt WORKLOAD="gcc" SIZE="full" FFWD="20000" OUT="ckpt.tpckpt":
 
 # Event capture: run WORKLOAD at SIZE under MODEL with the tp-events bus
 # attached and write Chrome trace-event JSON (load OUT in
-# https://ui.perfetto.dev or chrome://tracing) plus a counter timeline.
+# https://ui.perfetto.dev or chrome://tracing) plus the run's metrics
+# (MetricsSink counters and distributions).
 # The tracetap bin also resumes TPCK checkpoints (--ckpt PATH) and
 # replays fuzzer reproducers (--fuzz-seed S) — see its --help usage.
 tracetap WORKLOAD="go" SIZE="tiny" MODEL="MLB-RET" BUDGET="50000" OUT="tracetap.trace.json":
-    cargo run --release -p tp-bench --bin tracetap -- --workload {{WORKLOAD}} --size {{SIZE}} --model {{MODEL}} --budget {{BUDGET}} --out {{OUT}} --counters tracetap.counters.json
+    cargo run --release -p tp-bench --bin tracetap -- --workload {{WORKLOAD}} --size {{SIZE}} --model {{MODEL}} --budget {{BUDGET}} --out {{OUT}} --metrics tracetap.metrics.json
 
 # Disabled-bus overhead guard, exactly as CI runs it: the event bus must
 # stay free when no sink is attached (tiny suite, bare vs NullSink,

@@ -14,6 +14,10 @@
 //!   x 5-model grid, every CGCI detection lands in the distance histogram
 //!   or the unmapped counter, and their sum equals the attribution
 //!   ledger's CGCI event count exactly.
+//! * **Counter conservation** — over the same grid, every trace count the
+//!   `MetricsSink` derives from the event stream equals the simulator's
+//!   own `SimStats` tally: one counter vocabulary, two independent
+//!   derivations that must agree.
 
 use tp_bench::corpus::simstats_rows;
 use tp_bench::metrics::ipdom_map;
@@ -213,4 +217,33 @@ fn cgci_battery_distance_histogram_matches_ledger_exactly() {
         }
     }
     assert!(total_detections > 0, "the battery must exercise CGCI detections");
+}
+
+/// The event stream and `SimStats` count the same trace lifecycle: the
+/// sink's dispatch/retire/squash/preserve/re-dispatch counters equal the
+/// simulator's on every cell, and every CGCI attempt opens one window.
+/// (Mispredicts and recovery starts are not equated with the ledger:
+/// transient faults and indirect full squashes legitimately differ.)
+#[test]
+fn counter_conservation_event_counts_match_simstats() {
+    for w in all_workloads(Size::Tiny) {
+        for model in CiModel::ALL {
+            let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model));
+            sim.attach_event_sink(Box::new(MetricsSink::new()));
+            let s = run_cell(&mut sim, w.name, model.name()).result.stats;
+            let m = sim.release_event_bus().take::<MetricsSink>().expect("attached").into_metrics();
+            let cell = format!("{} {}", w.name, model.name());
+            for (what, events, stats) in [
+                ("dispatched", m.traces_dispatched, s.dispatched_traces),
+                ("retired", m.traces_retired, s.retired_traces),
+                ("squashed", m.traces_squashed, s.squashed_traces),
+                ("preserved", m.traces_preserved, s.preserved_traces),
+                ("redispatched", m.traces_redispatched, s.redispatched_traces),
+                ("cgci opened vs attempts", m.cgci_opened, s.cgci_attempts),
+            ] {
+                assert_eq!(events.get(), stats, "{cell}: {what}: events vs SimStats");
+            }
+            assert!(m.cgci_closed.get() <= m.cgci_opened.get(), "{cell}: more closes than opens");
+        }
+    }
 }
