@@ -5,11 +5,13 @@
 //! * **Report** (default): runs the metrics collection grid — every
 //!   selected workload under every selected model with the full-interest
 //!   [`MetricsSink`](tp_metrics::MetricsSink) and the host stage profiler
-//!   attached — and prints per-cell distribution and stage-profile
-//!   tables. `--json PATH` writes the `tp-bench/metrics/v1` document,
-//!   `--md PATH` the markdown report. `--sample` additionally runs each
-//!   cell under sampled simulation and appends the cold/steady/ffwd phase
-//!   series.
+//!   attached — and prints per-cell distribution, stage-profile and
+//!   work-counter tables (the simulator's deterministic bookkeeping per
+//!   1000 retired instructions: global registers allocated, reader and
+//!   wait-list pushes, register-file sweeps). `--json PATH` writes the
+//!   `tp-bench/metrics/v1` document, `--md PATH` the markdown report.
+//!   `--sample` additionally runs each cell under sampled simulation and
+//!   appends the cold/steady/ffwd phase series.
 //!
 //! * **Diff** (`--diff OLD NEW`): compares two harness JSON documents
 //!   (`tp-bench/speed/v2` or `tp-bench/metrics/v1`) cell by cell.
@@ -118,6 +120,7 @@ fn run_report(
         );
         print!("{}", c.metrics.table());
         print!("{}", c.profiler.table());
+        print!("{}", c.work_table());
     }
     for p in &phases {
         let (cold, steady): (Vec<_>, Vec<_>) =

@@ -25,11 +25,11 @@
 use std::collections::HashMap;
 
 use tp_cfg::CfgAnalysis;
-use tp_core::{CiModel, SimStats, TraceProcessor, TraceProcessorConfig};
+use tp_core::{CiModel, SimStats, TraceProcessor, TraceProcessorConfig, WorkCounters};
 use tp_isa::{Pc, Program};
 use tp_metrics::{Metrics, MetricsSink, StageProfiler};
 use tp_stats::json::Json;
-use tp_stats::Table;
+use tp_stats::{per_kilo, Table};
 use tp_workloads::{Size, Workload};
 
 use crate::runner::run_cell;
@@ -72,9 +72,25 @@ pub struct MetricsCell {
     pub metrics: Metrics,
     /// Host wall-time per pipeline stage.
     pub profiler: StageProfiler,
+    /// The simulator's deterministic bookkeeping counters.
+    pub work: WorkCounters,
 }
 
 impl MetricsCell {
+    /// The bookkeeping counters per 1000 retired instructions, by name.
+    pub fn work_per_kinstr(&self) -> [(&'static str, f64); 4] {
+        self.work.named().map(|(name, n)| (name, per_kilo(n, self.stats.retired_instrs)))
+    }
+
+    /// [`MetricsCell::work_per_kinstr`] as a one-row table.
+    pub fn work_table(&self) -> Table {
+        let per_kinstr = self.work_per_kinstr();
+        let names: Vec<&str> = per_kinstr.iter().map(|&(name, _)| name).collect();
+        let mut t = Table::new("work", &names);
+        t.precision(3).row("per kinstr", &per_kinstr.map(|(_, v)| v));
+        t
+    }
+
     /// Simulator throughput: retired instructions per host second.
     pub fn instrs_per_sec(&self) -> f64 {
         if self.wall_seconds <= 0.0 {
@@ -108,6 +124,7 @@ pub fn collect_cell(w: &Workload, model: CiModel) -> MetricsCell {
         wall_seconds: cell.wall_seconds,
         metrics: sink.into_metrics(),
         profiler,
+        work: sim.work_counters(),
     }
 }
 
@@ -242,6 +259,7 @@ pub fn metrics_to_json(cells: &[MetricsCell], size: Size, phases: &[PhaseReport]
             ("instrs_per_sec", c.instrs_per_sec().into()),
             ("metrics", c.metrics.to_json()),
             ("profiler", c.profiler.to_json()),
+            ("work_per_kinstr", Json::obj(c.work_per_kinstr().map(|(k, v)| (k, Json::from(v))))),
         ])
     };
     let point = |pt: &PhasePoint| {
@@ -289,6 +307,8 @@ pub fn metrics_to_markdown(cells: &[MetricsCell], phases: &[PhaseReport]) -> Str
         s.push_str(&c.metrics.table().to_markdown());
         s.push('\n');
         s.push_str(&c.profiler.table().to_markdown());
+        s.push('\n');
+        s.push_str(&c.work_table().to_markdown());
     }
     for p in phases {
         let detailed = p.points.iter().filter(|pt| pt.phase != "ffwd");
@@ -633,6 +653,8 @@ mod tests {
         assert_eq!(cells[0].str("workload"), Some("compress"));
         assert!(cells[0].get("metrics").and_then(|m| m.get("distributions")).is_some());
         assert!(cells[0].get("profiler").is_some());
+        let work = cells[0].get("work_per_kinstr").expect("work counters");
+        assert!(work.get("global_regs_allocated").is_some_and(|v| v.as_f64() > Some(0.0)));
     }
 
     fn speed_doc(ipc: f64, ips: f64) -> Json {

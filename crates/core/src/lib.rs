@@ -66,4 +66,4 @@ pub mod stats;
 pub use boot::{BootError, BootImage, WarmBoot};
 pub use config::{CgciHeuristic, CiModel, ConfigError, TraceProcessorConfig, MAX_PES};
 pub use sim::{MispredictRecord, RunResult, SimError, TraceProcessor};
-pub use stats::SimStats;
+pub use stats::{SimStats, WorkCounters};

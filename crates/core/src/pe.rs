@@ -51,18 +51,61 @@ pub enum Fault {
     },
 }
 
+/// Where a slot reads one source operand: the paper's two-level register
+/// file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Src {
+    /// A live-in: a register of the global file.
+    Global(PhysRegId),
+    /// A value produced inside the trace: the published result of this
+    /// slot of the same PE (the PE's local register file).
+    Local(u8),
+}
+
+/// A slot's result as its consumers see it: written at completion only
+/// (`Slot::value` is overwritten at issue), kept across reissues, and
+/// moved with the slot when a trace repair shifts it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Published {
+    /// The value last published.
+    pub value: Word,
+    /// Whether a value has been published at all.
+    pub produced: bool,
+    /// Cycle from which the slot's own PE may read the value (`u64::MAX`
+    /// until produced).
+    pub ready_at: u64,
+}
+
+impl Published {
+    /// Nothing published yet.
+    pub const NONE: Published = Published { value: 0, produced: false, ready_at: u64::MAX };
+
+    /// Whether a consumer in the same PE may read the value at `now`.
+    #[inline]
+    pub fn readable(&self, now: u64) -> bool {
+        self.produced && now >= self.ready_at
+    }
+}
+
 /// One instruction slot in a PE.
 #[derive(Clone, Debug)]
 pub struct Slot {
     /// The trace instruction occupying the slot.
     pub ti: TraceInst,
-    /// Resolved source physical registers.
-    pub srcs: [Option<PhysRegId>; 2],
-    /// Destination physical register.
-    pub dest: Option<PhysRegId>,
+    /// Where each source operand is read from.
+    pub srcs: [Option<Src>; 2],
+    /// The slot's global register, if it has one. Allocated for a trace
+    /// live-out (at dispatch, or when a repair promotes the slot) and kept
+    /// for the rest of the slot's life, even if a later repair demotes it:
+    /// younger traces may still name it until re-dispatch rebinds them.
+    pub global: Option<PhysRegId>,
     /// Whether the destination is a trace live-out (its value crosses PEs
     /// via a global result bus).
     pub is_liveout: bool,
+    /// The slot's consumers in its PE: bit `i` of element `k` is set iff
+    /// slot `i`'s `k`-th operand is [`Src::Local`] of this slot. Set when
+    /// the trace's operands are bound (dispatch, repair).
+    pub consumers: [u64; 2],
     /// Execution state.
     pub state: SlotState,
     /// A new input arrived while in flight / after completion: reissue.
@@ -71,8 +114,8 @@ pub struct Slot {
     pub not_before: u64,
     /// Latest computed destination value.
     pub value: Word,
-    /// Whether `value` has been produced at least once.
-    pub has_value: bool,
+    /// The result published to consumers at the last completion.
+    pub out: Published,
     /// Latest computed branch outcome.
     pub outcome: Option<bool>,
     /// Latest computed indirect target.
@@ -105,13 +148,14 @@ impl Slot {
         Slot {
             ti,
             srcs: [None; 2],
-            dest: None,
+            global: None,
             is_liveout: false,
+            consumers: [0; 2],
             state: SlotState::Waiting,
             pending_reissue: false,
             not_before: 0,
             value: 0,
-            has_value: false,
+            out: Published::NONE,
             outcome: None,
             indirect_target: None,
             mem_addr: None,

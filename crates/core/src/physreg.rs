@@ -1,31 +1,38 @@
 //! Physical registers and the global register file.
 //!
-//! Every dispatched instruction with a destination allocates a physical
-//! register, as live-outs are renamed into the paper's global register
-//! file. Registers are recycled by mark-sweep, so the file's size is
-//! bounded by the window rather than by run length.
+//! The register file has two levels, as in the paper. A value produced and
+//! consumed inside one trace stays in its PE: the producing slot publishes
+//! it ([`crate::pe::Published`]) and its consumers read it as a
+//! [`crate::pe::Src::Local`] operand. Only trace live-outs are renamed into
+//! this global file: a dispatched instruction allocates a global register
+//! only when it is a live-out, and a trace repair allocates one for a
+//! preserved slot it promotes to live-out. Registers are recycled by
+//! mark-sweep, so the file's size is bounded by the window rather than by
+//! run length.
 //!
 //! **Roots.** A register stays allocated while any of these names it:
 //! - every PE's `map_before`/`map_after` (unoccupied PEs included: it is
 //!   cheap and conservative);
 //! - the speculative `current_map` and the committed `retired_map`;
-//! - every occupied PE's slot sources and destinations;
+//! - every occupied PE's global source operands and the slots' global
+//!   registers (a slot keeps its register for its whole life, even when a
+//!   repair demotes it);
 //! - [`PhysRegId::ZERO`].
 //!
 //! Nothing else can ever name a register again: every rename reads one of
 //! these maps, and selective reissue or a control-independent trace only
-//! reads registers its slots already hold. A wrong-path destination of a
+//! reads registers its slots already hold. A wrong-path live-out of a
 //! squashed trace, or a value every map has moved past, is garbage.
 //!
 //! **Sweep policy.** [`PhysRegFile::alloc`] pops the free list. Before
-//! renaming a trace, the simulator reserves room for it
+//! renaming a trace, the simulator reserves room for its live-outs
 //! ([`PhysRegFile::grow_for`]): while the free list is too short, the file
 //! grows up to its sweep threshold, `max(SWEEP_FLOOR, 2 × live after the
 //! last sweep)`; at the threshold the simulator sweeps once, and the file
-//! grows past it only if the sweep freed too little. Renaming a trace is
-//! the only allocation site, and every live register is rooted there (a
-//! half-renamed trace's registers would not be, so no sweep runs mid-trace).
-//! A sweep at a file of `n` registers is paid for by at least `n / 2`
+//! grows past it only if the sweep freed too little. Renaming a trace (at
+//! dispatch or repair) is the only allocation site, and every live register
+//! is rooted there (a half-renamed trace's registers would not be, so no
+//! sweep runs mid-trace). A sweep at a file of `n` registers is paid for by at least `n / 2`
 //! allocations since the last one: amortized O(1) per allocation. Because
 //! growth stops exactly at the threshold, a window whose live set stays
 //! under half the floor keeps a file of exactly `SWEEP_FLOOR` registers
@@ -39,10 +46,11 @@
 
 use tp_isa::Word;
 
-/// File size below which no sweep runs. A 16-PE window of 32-instruction
-/// traces roots well under half of it, so each sweep frees over a thousand
-/// registers and the file stays at exactly this size.
-const SWEEP_FLOOR: usize = 2048;
+/// File size below which no sweep runs. Only live-outs hold global
+/// registers, so a 16-PE window roots well under half of it (at most 240
+/// registers on any `full` workload under any model), each sweep frees
+/// hundreds of registers, and the file stays at exactly this size.
+const SWEEP_FLOOR: usize = 1024;
 
 /// Identifies a physical register.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

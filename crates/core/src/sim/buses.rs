@@ -95,9 +95,7 @@ impl TraceProcessor<'_> {
                         matches!(p.slots[req.slot].state, SlotState::WaitingBus { .. })
                             && self.list.contains(req.pe)
                     }
-                    BusKind::Result => {
-                        p.slots[req.slot].is_liveout && p.slots[req.slot].dest.is_some()
-                    }
+                    BusKind::Result => p.slots[req.slot].is_liveout,
                 }
             };
             if !valid {
@@ -116,7 +114,8 @@ impl TraceProcessor<'_> {
             match kind {
                 BusKind::Cache => self.perform_mem_access(req.pe, req.slot),
                 BusKind::Result => {
-                    let dest = self.pes[req.pe].slots[req.slot].dest.expect("validated");
+                    let slot = &self.pes[req.pe].slots[req.slot];
+                    let dest = slot.global.expect("a live-out has a global register");
                     let r = self.pregs.get_mut(dest);
                     if r.ready && r.global_ready_at == u64::MAX {
                         r.global_ready_at = now + self.cfg.bypass_latency;
@@ -193,11 +192,10 @@ impl TraceProcessor<'_> {
             }
             Inst::Store { .. } => {
                 let _ = self.dcache.access(ea);
-                let (old_performed, old_addr, old_value) = {
+                let (old_performed, old_addr) = {
                     let s = &self.pes[pe].slots[slot];
-                    (s.store_performed, s.mem_addr, s.has_value.then_some(s.value))
+                    (s.store_performed, s.mem_addr)
                 };
-                let _ = old_value;
                 // A reissued store that moved must undo its old version.
                 // The undo snoop must NOT skip this store's own PE: the PE
                 // is alive, and a program-order-later load in the same

@@ -3,51 +3,56 @@
 //!
 //! Implements the execution/completion half of the paper's processing
 //! elements (§2, "Trace processor microarchitecture"): slots whose
-//! execution latency has elapsed publish their destination value to the
-//! physical register file, request a global result bus when the value is a
-//! trace live-out, and — because the simulator is execution-driven —
-//! re-trigger selective reissue of consumers when a reissued producer's
-//! value actually changed (§5's selective recovery model). Completing
-//! control instructions are verified here: conditional branches against the
-//! outcome embedded in the trace, and trace-ending indirect transfers
-//! against the successor trace in the window, registering a
-//! [`Fault`](crate::pe::Fault) for the recovery stage when they disagree.
+//! execution latency has elapsed publish their destination value in their
+//! PE (and to their global register, if they have one), request a global
+//! result bus when the value is a trace live-out, and — because the
+//! simulator is execution-driven — re-trigger selective reissue of
+//! consumers when a reissued producer's value actually changed (§5's
+//! selective recovery model). Completing control instructions are
+//! verified here: conditional branches against the outcome embedded in the
+//! trace, and trace-ending indirect transfers against the successor trace
+//! in the window, registering a [`Fault`](crate::pe::Fault) for the
+//! recovery stage when they disagree.
 //!
-//! **Mutates:** slot state/values, the physical register file, the
-//! result-bus request queue, the BTB (indirect target updates), and — for a
-//! mispredicted *tail* indirect — the fetch queue/history/expectation.
+//! **Mutates:** slot state/values/published results, the global register
+//! file, the result-bus request queue, the BTB (indirect target updates),
+//! and — for a mispredicted *tail* indirect — the fetch
+//! queue/history/expectation.
 
 use super::*;
-use crate::pe::Fault;
+use crate::pe::{Fault, Published};
 
 impl TraceProcessor<'_> {
     pub(super) fn complete_stage(&mut self, ctx: &CycleCtx) {
         let now = ctx.now;
-        // Drain every completion event due this cycle from the time-indexed
-        // heap instead of rescanning the window. Events are validated at
-        // processing time (generation, state, exact `done_at`) so stale
-        // entries from squashes/replacements/reissues fall out harmlessly,
-        // and are sorted by (pe, slot) to reproduce the legacy physical
-        // scan order exactly.
+        // Drain every completion event due this cycle from the timing
+        // wheel instead of rescanning the window. Events are validated
+        // (generation, state, exact `done_at`) so stale entries from
+        // squashes/replacements/reissues fall out harmlessly, and the live
+        // ones are completed in (pe, slot) order, the legacy physical scan
+        // order. Validating them all before completing any is exact:
+        // completing a slot never changes another slot's generation, state
+        // or `done_at` (an in-flight slot it marks for reissue is only
+        // flagged), and at most one event per slot is live.
         let mut due = std::mem::take(&mut self.scratch_due);
         due.clear();
-        while let Some(&std::cmp::Reverse((t, r))) = self.wakeup.completions.peek() {
-            if t > now {
-                break;
-            }
-            self.wakeup.completions.pop();
-            due.push((r, t));
-        }
-        // At most one entry per slot is live, so ordering by the whole
-        // reference (pe, slot, gen) visits live entries in (pe, slot) order.
-        due.sort_unstable();
-        for &(r, t) in &due {
-            let live = r.live(&self.pes).is_some_and(|s| match s.state {
+        due.resize(self.pes.len(), 0);
+        let pes = &self.pes;
+        self.wakeup.completions.drain_due(now, |r, t| {
+            let live = r.live(pes).is_some_and(|s| match s.state {
                 SlotState::Executing { done_at } | SlotState::MemAccess { done_at } => done_at == t,
                 _ => false,
             });
             if live {
-                self.complete_slot(r.pe(), r.slot());
+                due[r.pe()] |= 1 << r.slot();
+            }
+        });
+        for (pe, &mask) in due.iter().enumerate() {
+            let mut mask = mask;
+            while mask != 0 {
+                let slot = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                self.complete_slot(pe, slot);
             }
         }
         self.scratch_due = due;
@@ -66,37 +71,39 @@ impl TraceProcessor<'_> {
             }
             s.state = SlotState::Done;
         }
-        // Publish the destination value.
-        let (dest, value, is_liveout) = {
-            let s = &self.pes[pe].slots[slot];
-            (s.dest, s.value, s.is_liveout)
-        };
-        if let Some(d) = dest {
-            let (first_production, value_changed) = {
-                let r = self.pregs.get_mut(d);
-                let first = !r.ready;
-                let changed = r.ready && r.value != value;
+        // Publish the destination value: in the PE for its local
+        // consumers, and to the global register, if the slot has one.
+        let s = &mut self.pes[pe].slots[slot];
+        if s.ti.dest.is_some() {
+            let (value, is_liveout, global) = (s.value, s.is_liveout, s.global);
+            let first_production = !s.out.produced;
+            let value_changed = s.out.produced && s.out.value != value;
+            s.out = Published { value, produced: true, ready_at: now };
+            if let Some(g) = global {
+                let r = self.pregs.get_mut(g);
                 r.value = value;
                 r.ready = true;
                 r.local_ready_at = now;
                 // Live-out values re-arm global visibility and (re)request a
-                // result bus; local values are never read by other PEs.
+                // result bus. A slot a repair demoted keeps its register, and
+                // younger traces may still read it until re-dispatch
+                // rebinds them, so its value is visible at once.
                 r.global_ready_at = if is_liveout { u64::MAX } else { now };
-                (first, changed)
-            };
+            }
             if is_liveout {
                 let gen = self.pes[pe].gen;
                 self.push_result_req(BusReq { pe, gen, slot, since: now });
             }
             if first_production {
-                // First production: wake consumers subscribed to this
-                // register in the wakeup index.
-                self.wake_waiters(d);
+                // First production: wake the consumers waiting on it.
+                self.wake_local_consumers(pe, slot);
+                if let Some(g) = global {
+                    self.wake_waiters(g);
+                }
             } else if value_changed {
-                self.propagate_value_change(d, now + 1);
+                self.propagate_value_change(pe, slot, now + 1);
             }
         }
-        self.pes[pe].slots[slot].has_value = true;
         // Verify control instructions.
         let inst = self.pes[pe].slots[slot].ti.inst;
         if inst.is_cond_branch() {

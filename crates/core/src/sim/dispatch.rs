@@ -3,7 +3,7 @@
 //!
 //! Implements trace dispatch (§2): one trace per cycle leaves the fetch
 //! queue, its live-ins are renamed through the current speculative map, its
-//! live-outs are allocated fresh physical registers, and it is appended at
+//! live-outs are allocated fresh global registers, and it is appended at
 //! the tail of the PE list — or, during CGCI insertion (§4), linked into
 //! the *middle* of the window immediately before the preserved
 //! control-independent trace. When the window is full during insertion,
@@ -11,13 +11,20 @@
 //! dispatch bus is shared with re-dispatch passes
 //! ([`redispatch`](super::redispatch)), which take priority.
 //!
+//! The register file has two levels, as in the paper: values produced and
+//! consumed inside the trace stay in the PE. A `Local(j)` operand is bound
+//! to slot `j`'s published result, and only live-ins and live-outs touch
+//! the global file. So only live-outs allocate a global register, only
+//! live-in operands register as readers, and only unproduced live-ins are
+//! subscribed to wait lists. Local producers reach their consumers through
+//! per-slot consumer masks linked here from the bound operands.
+//!
 //! **Mutates:** the fetch queue/mode, the target PE (slots, rename maps,
 //! generation), the PE list, the speculative rename-map chain, reader
-//! registrations, the physical register file (allocations), and statistics.
+//! registrations, the global register file (allocations), and statistics.
 
 use super::*;
 use crate::pe::Slot;
-use tp_trace::OperandRef;
 
 impl TraceProcessor<'_> {
     pub(super) fn dispatch_stage(&mut self, ctx: &CycleCtx, prof: Option<&StageProfiler>) {
@@ -107,6 +114,38 @@ impl TraceProcessor<'_> {
         self.dispatch_trace(pe, pending, insert_before, ctx);
     }
 
+    /// Registers a just-dispatched trace's live-in operands as readers and
+    /// seeds the wakeup index, in one pass over its slots: what
+    /// [`Self::register_reader`] and [`Self::index_enqueue`] do slot by
+    /// slot. Every slot starts `Waiting` and every local producer is fresh,
+    /// so a slot with a local operand is not ready and only unproduced
+    /// live-ins subscribe to wait lists. Local operands touch no list: the
+    /// consumer masks name their readers.
+    fn seed_dispatched(&mut self, pe: usize) {
+        let gen = self.pes[pe].gen;
+        let mut ready = 0u64;
+        for i in 0..self.pes[pe].slots.len() {
+            let r = SlotRef::new(pe, i, gen);
+            let mut all_produced = true;
+            for q in self.pes[pe].slots[i].srcs.into_iter().flatten() {
+                let Src::Global(p) = q else {
+                    all_produced = false;
+                    continue;
+                };
+                self.register_reader(p, pe, i);
+                if !self.pregs.get(p).ready {
+                    all_produced = false;
+                    let pes = &self.pes;
+                    let pushes = &mut self.work.waiter_pushes;
+                    let waiters = &mut self.wakeup.waiters;
+                    push_pruned(waiters, pushes, p, r, |&r| waiter_live(pes, r, p));
+                }
+            }
+            ready |= u64::from(all_produced) << i;
+        }
+        self.wakeup.ready[pe] = ready;
+    }
+
     /// Whether a trace starting at `start` is a consistent successor of the
     /// trace in `pred`. (Also used by retirement's stale-boundary safety
     /// net.)
@@ -127,7 +166,7 @@ impl TraceProcessor<'_> {
         }
     }
 
-    fn dispatch_trace(
+    pub(super) fn dispatch_trace(
         &mut self,
         pe: usize,
         pending: Pending,
@@ -135,38 +174,25 @@ impl TraceProcessor<'_> {
         ctx: &CycleCtx,
     ) {
         let trace = pending.trace;
-        self.reserve_pregs(trace.len());
+        self.reserve_pregs(trace.live_outs().len());
         let map_before = self.current_map;
         self.pes[pe].gen += 1;
         // Refill the PE's slot buffer in place, keeping its capacity.
         let mut slots = std::mem::take(&mut self.pes[pe].slots);
         slots.clear();
         for (i, ti) in trace.insts().iter().enumerate() {
-            let mut slot = Slot::new(*ti);
+            slots.push(Slot::new(*ti));
+            let slot = slots.last_mut().expect("pushed above");
             for (k, &(_, oref)) in ti.srcs.iter().flatten().enumerate() {
-                let preg = match oref {
-                    OperandRef::LiveIn(r) if r.is_zero() => PhysRegId::ZERO,
-                    OperandRef::LiveIn(r) => map_before[r.index()],
-                    OperandRef::Local(j) => {
-                        slots[j as usize].dest.expect("local producer has a destination")
-                    }
-                };
-                slot.srcs[k] = Some(preg);
+                slot.srcs[k] = Some(Self::bind(oref, &map_before));
             }
-            if ti.dest.is_some() {
-                slot.dest = Some(self.pregs.alloc(Some(pe as u8)));
+            slot.is_liveout = ti.dest.is_some_and(|d| trace.last_writer(d) == Some(i));
+            if slot.is_liveout {
+                slot.global = Some(self.alloc_global(pe));
             }
-            slot.is_liveout = match ti.dest {
-                Some(d) => trace.last_writer(d) == Some(i),
-                None => false,
-            };
-            slots.push(slot);
         }
-        let mut map_after = map_before;
-        for r in trace.live_outs() {
-            let w = trace.last_writer(*r).expect("live-out has a writer");
-            map_after[r.index()] = slots[w].dest.expect("writer has a destination");
-        }
+        link_local_consumers(&mut slots);
+        let map_after = Self::map_after(&trace, &slots, map_before);
         let num_slots = slots.len();
         let p = &mut self.pes[pe];
         p.occupied = true;
@@ -180,23 +206,11 @@ impl TraceProcessor<'_> {
         p.repairs = 0;
         p.dispatched_at = ctx.now;
         self.current_map = map_after;
-        for i in 0..num_slots {
-            for k in 0..2 {
-                if let Some(preg) = self.pes[pe].slots[i].srcs[k] {
-                    self.register_reader(preg, pe, i);
-                }
-            }
-        }
         match insert_before {
             Some(b) => self.list.insert_before(pe, b),
             None => self.list.push_tail(pe),
         }
-        // Seed the wakeup index: every slot starts Waiting; slots with
-        // unproduced sources subscribe to their producers' wait lists.
-        self.index_reset_pe(pe);
-        for i in 0..num_slots {
-            self.index_enqueue(pe, i);
-        }
+        self.seed_dispatched(pe);
         self.stats.dispatched_traces += 1;
         if self.events.wants(Category::Trace) {
             let pc = self.pes[pe].trace.id().start();

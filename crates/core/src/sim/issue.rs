@@ -2,14 +2,15 @@
 //! them.
 //!
 //! Implements the per-PE issue logic (§2): each PE independently selects up
-//! to `pe_issue_width` waiting instructions whose source physical registers
-//! are readable (locally bypassed within the producing PE, or globally
-//! visible after a result-bus broadcast) and begins execution. Because the
-//! simulator is execution-driven, values are computed *here*, with
-//! whatever operand values are currently visible — wrong-path and
+//! to `pe_issue_width` waiting instructions whose sources are readable (a
+//! local source from its producer slot's published result, a live-in from
+//! the global register file once it is visible: at once to its producing
+//! PE, to the others after a result-bus broadcast) and begins execution.
+//! Because the simulator is execution-driven, values are computed *here*,
+//! with whatever operand values are currently visible — wrong-path and
 //! stale-input execution happen for real and are corrected by selective
-//! reissue. Memory operations perform address generation and then queue for
-//! a shared cache bus ([`buses`](super::buses)) rather than completing
+//! reissue. Memory operations perform address generation and then queue
+//! for a shared cache bus ([`buses`](super::buses)) rather than completing
 //! directly.
 //!
 //! Selection is event-driven: instead of rescanning every slot of every PE
@@ -46,13 +47,14 @@ impl TraceProcessor<'_> {
                 let slot = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let ready = {
-                    let s = &self.pes[pe].slots[slot];
+                    let slots = &self.pes[pe].slots;
+                    let s = &slots[slot];
                     s.state == SlotState::Waiting
                         && s.not_before <= now
-                        && s.srcs
-                            .iter()
-                            .flatten()
-                            .all(|&p| self.pregs.readable_by(p, pe as u8, now))
+                        && s.srcs.iter().flatten().all(|&q| match q {
+                            Src::Global(p) => self.pregs.readable_by(p, pe as u8, now),
+                            Src::Local(j) => slots[j as usize].out.readable(now),
+                        })
                 };
                 if !ready {
                     // Time-gated (visibility or penalty): poll again next
@@ -84,11 +86,14 @@ impl TraceProcessor<'_> {
         let now = self.now;
         let gen = self.pes[pe].gen;
         let (inst, a, b) = {
-            let s = &self.pes[pe].slots[slot];
-            let mut it = s.srcs.iter().flatten();
-            let a = it.next().map_or(0, |&p| self.pregs.get(p).value);
-            let b = it.next().map_or(0, |&p| self.pregs.get(p).value);
-            (s.ti.inst, a, b)
+            let slots = &self.pes[pe].slots;
+            let value = |q: &Option<Src>| match *q {
+                Some(Src::Global(p)) => self.pregs.get(p).value,
+                Some(Src::Local(j)) => slots[j as usize].out.value,
+                None => 0,
+            };
+            let s = &slots[slot];
+            (s.ti.inst, value(&s.srcs[0]), value(&s.srcs[1]))
         };
         // `done_at` for directly-executing slots; memory operations go to
         // the cache-bus queue instead and complete after their grant.

@@ -55,10 +55,10 @@ use tp_trace::{Bit, EndReason, OperandRef, Selector, Trace};
 
 use crate::boot::{BootError, BootImage, WarmBoot};
 use crate::config::TraceProcessorConfig;
-use crate::pe::{FetchSource, Pe, Slot, SlotState};
+use crate::pe::{FetchSource, Pe, Slot, SlotState, Src};
 use crate::pe_list::PeList;
 use crate::physreg::{PhysRegFile, PhysRegId, RenameMap};
-use crate::stats::SimStats;
+use crate::stats::{SimStats, WorkCounters};
 
 /// Errors terminating a simulation abnormally.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -224,9 +224,8 @@ struct BusReq {
 /// `pe << 56 | slot << 48 | gen`, with the PE's generation counter in the
 /// low 48 bits. References are validated against the PE's current
 /// generation before use (stale entries are dropped lazily). The packing
-/// orders exactly like the `(pe, slot, gen)` tuple, which the completion
-/// heap's tie-breaking relies on. `num_pes` is at most
-/// [`crate::config::MAX_PES`] and traces hold at most 256 slots, so both
+/// orders exactly like the `(pe, slot, gen)` tuple. `num_pes` is at most
+/// [`crate::config::MAX_PES`] and traces hold at most 64 slots, so both
 /// indices fit a byte; 2^48 generations outlast any run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct SlotRef(u64);
@@ -282,26 +281,29 @@ impl SlotRef {
 /// [`TraceProcessor::assert_event_index_coherent`]:
 ///
 /// 1. **Ready bits.** `ready[pe]` has bit `slot` set *iff* the slot is in
-///    state [`SlotState::Waiting`] and every source physical register has
-///    been produced (`PhysReg::ready`). Time gating (`not_before`,
-///    local/global visibility cycles) is deliberately *not* part of the
-///    bit: the issue stage re-polls those cheap comparisons, because
-///    global visibility can move (result-bus re-arm sets it to `u64::MAX`
-///    until a bus is granted). Bits for unoccupied PEs are zero.
+///    state [`SlotState::Waiting`] and every source has been produced: a
+///    global source's register is `PhysReg::ready`, a local source's
+///    producer slot has published (`Published::produced`). Time gating
+///    (`not_before`, local/global visibility cycles) is deliberately *not*
+///    part of the bit: the issue stage re-polls those cheap comparisons,
+///    because global visibility can move (result-bus re-arm sets it to
+///    `u64::MAX` until a bus is granted). Bits for unoccupied PEs are zero.
 /// 2. **Waiters.** A `Waiting` slot whose bit is clear is registered in
-///    `waiters[p]` (under its PE's current generation) for *every* source
-///    `p` that is not yet produced. Production is monotone per register
-///    *incarnation* (from allocation until the register is freed), so
-///    firing `p` can only shrink the unproduced set; the entry for `p` is
-///    consumed at fire time while registrations on the remaining
-///    unproduced sources keep the slot reachable. A register's list is
-///    cleared when the register is freed, so a recycled id starts with no
-///    subscribers. Stale entries (gen mismatch, slot no longer `Waiting`)
-///    are dropped at fire time, or pruned when a push finds the list at
-///    capacity; the transition back into `Waiting` always re-enqueues.
+///    `waiters[p]` (under its PE's current generation) for *every* global
+///    source `p` that is not yet produced. Production is monotone per
+///    register *incarnation* (from allocation until the register is
+///    freed), so firing `p` can only shrink the unproduced set; the entry
+///    for `p` is consumed at fire time while registrations on the
+///    remaining unproduced sources keep the slot reachable. A register's
+///    list is cleared when the register is freed, so a recycled id starts
+///    with no subscribers. Stale entries (gen mismatch, slot no longer
+///    `Waiting`) are dropped at fire time, or pruned when a push finds the
+///    list at capacity; the transition back into `Waiting` always
+///    re-enqueues. Local sources are never subscribed: invariant 7 covers
+///    them.
 /// 3. **Completions.** Every slot in `Executing`/`MemAccess { done_at }`
 ///    has a `(done_at, pe, slot, gen)` entry in `completions`. Entries are
-///    popped when due and validated (generation *and* exact `done_at`)
+///    drained when due and validated (generation *and* exact `done_at`)
 ///    before completing; `replace_trace` re-enqueues surviving in-flight
 ///    prefix slots under the bumped generation.
 /// 4. **Sampled loads.** Every load slot with `mem_addr = Some(a)` has an
@@ -311,9 +313,9 @@ impl SlotRef {
 ///    under the new word; the old entry dies on the word check.
 ///
 /// Every entry names its slot with a one-word [`SlotRef`]
-/// (`pe << 56 | slot << 48 | gen`, a 48-bit generation), which orders
-/// like the `(pe, slot, gen)` tuple, so completion ties pop in the legacy
-/// physical-index order.
+/// (`pe << 56 | slot << 48 | gen`, a 48-bit generation). The completion
+/// stage completes each cycle's due slots in `(pe, slot)` order, the
+/// legacy physical-index order.
 ///
 /// Two further window facts are kept up to date as events happen, so no
 /// stage rescans the window to recover them, and are checked by the same
@@ -329,7 +331,16 @@ impl SlotRef {
 ///    `replace_trace`, the re-dispatch pass and the head re-ground each
 ///    establish it. It makes the head re-ground exact on its fast path: a
 ///    head whose `map_before` agrees with `retired_map` on every live-in
-///    has nothing to rebind.
+///    has nothing to rebind. Every `Local(j)` operand is bound to
+///    [`Src::Local`]`(j)`, the published result of slot `j`.
+/// 7. **Consumer masks.** Local values never touch the global lists. Each
+///    slot carries the masks of the slots whose first and second operands
+///    read it ([`Slot::consumers`]), linked from the bound operands
+///    whenever a whole trace is (re)bound: at dispatch and at repair, which
+///    shifts slots. Slot `j`'s first publication sets the ready bit of
+///    every `Waiting` consumer whose sources are now all produced, and a
+///    changed value marks every consumer for reissue. The published
+///    results move with their slots.
 ///
 /// All structures tolerate stale entries (validation is cheap and local);
 /// what they must never do is *lose* a live slot — that turns into a
@@ -341,12 +352,76 @@ struct WakeupIndex {
     /// Per-physical-register wait lists, indexed by register id
     /// (invariant 2).
     waiters: Vec<Vec<SlotRef>>,
-    /// Min-heap of `(done_at, slot)` completion events (invariant 3).
-    /// Ties pop in `(pe, slot, gen)` order, matching the legacy
-    /// physical-index scan order.
-    completions: BinaryHeap<Reverse<(u64, SlotRef)>>,
+    /// `(done_at, slot)` completion events (invariant 3).
+    completions: CompletionWheel,
     /// Loads that sampled memory, indexed by word address (invariant 4).
     loads_by_word: FxHashMap<Addr, Vec<SlotRef>>,
+}
+
+/// Buckets of the completion timing wheel: one per cycle of its horizon.
+const WHEEL: u64 = 64;
+
+/// The completion events of [`WakeupIndex`] invariant 3: a timing wheel of
+/// [`WHEEL`] buckets for events due within the wheel's horizon, and a heap
+/// for the rest. The completion stage orders each cycle's due events
+/// itself, so the order they are drained in does not matter.
+#[derive(Default)]
+struct CompletionWheel {
+    /// `buckets[t % WHEEL]` holds the events due at cycle `t`, for every
+    /// `t` that was in `(now, now + WHEEL)` when the event was pushed.
+    /// Empty until the first such push: sampled runs build a simulator per
+    /// interval.
+    buckets: Vec<Vec<(u64, SlotRef)>>,
+    /// Events due at or before their push cycle, or `WHEEL` or more cycles
+    /// after it.
+    overflow: BinaryHeap<Reverse<(u64, SlotRef)>>,
+}
+
+impl CompletionWheel {
+    /// Schedules `r` to complete at `done_at`; `now` is the current cycle.
+    fn push(&mut self, now: u64, done_at: u64, r: SlotRef) {
+        if done_at > now && done_at - now < WHEEL {
+            if self.buckets.is_empty() {
+                self.buckets.resize_with(WHEEL as usize, Vec::new);
+            }
+            self.buckets[(done_at % WHEEL) as usize].push((done_at, r));
+        } else {
+            self.overflow.push(Reverse((done_at, r)));
+        }
+    }
+
+    /// Hands every event due at or before `now` to `due(slot, done_at)`,
+    /// removing it, in no particular order. The completion stage runs
+    /// every cycle, so the bucket of `now` holds exactly the wheel's events
+    /// due at `now`: an event pushed at cycle `p < now` lands there only if
+    /// it is due at `now` (it is due before `p + WHEEL`), and one pushed at
+    /// `now` comes after this call.
+    fn drain_due(&mut self, now: u64, mut due: impl FnMut(SlotRef, u64)) {
+        if let Some(bucket) = self.buckets.get_mut((now % WHEEL) as usize) {
+            for (t, r) in bucket.drain(..) {
+                debug_assert_eq!(t, now, "wheel bucket out of phase");
+                due(r, t);
+            }
+        }
+        while let Some(&Reverse((t, r))) = self.overflow.peek() {
+            if t > now {
+                break;
+            }
+            self.overflow.pop();
+            due(r, t);
+        }
+    }
+
+    /// Whether the event is scheduled (in either part).
+    fn contains(&self, event: (u64, SlotRef)) -> bool {
+        self.buckets.iter().flatten().any(|&e| e == event)
+            || self.overflow.iter().any(|&Reverse(e)| e == event)
+    }
+
+    /// Scheduled events, stale ones included.
+    fn len(&self) -> usize {
+        self.buckets.iter().map(Vec::len).sum::<usize>() + self.overflow.len()
+    }
 }
 
 /// Minimum load-registry size before an amortized sweep is considered
@@ -358,27 +433,61 @@ const GC_FLOOR: usize = 4096;
 /// predicate of [`TraceProcessor::propagate_value_change`] and of
 /// reader-list pruning.
 fn reader_live(pes: &[Pe], r: SlotRef, preg: PhysRegId) -> bool {
-    r.live(pes).is_some_and(|s| s.srcs.contains(&Some(preg)))
+    r.live(pes).is_some_and(|s| s.srcs.contains(&Some(Src::Global(preg))))
 }
 
 /// Whether a wait-list subscription on `preg` can still wake anything: a
 /// live reader ([`reader_live`]) that is still `Waiting`.
 fn waiter_live(pes: &[Pe], r: SlotRef, preg: PhysRegId) -> bool {
-    r.live(pes).is_some_and(|s| s.state == SlotState::Waiting && s.srcs.contains(&Some(preg)))
+    r.live(pes)
+        .is_some_and(|s| s.state == SlotState::Waiting && s.srcs.contains(&Some(Src::Global(preg))))
 }
 
-/// Appends `entry` to `preg`'s list in a dense per-register table. A push
-/// that finds the list at capacity first prunes it in place with `keep`
-/// (and still grows it if that leaves it over half full), so a register
-/// that stays live for a whole run, such as an untouched `retired_map`
-/// entry, cannot collect dead wrong-path subscriptions without bound. The
-/// pruned entries are exactly those the list's consumer would skip.
+/// Links each slot of a PE to its local consumers ([`Slot::consumers`]):
+/// bit `i` of `slots[j].consumers[k]` is set iff slot `i`'s `k`-th operand
+/// is `Src::Local(j)`. Run whenever a whole trace's operands were bound.
+fn link_local_consumers(slots: &mut [Slot]) {
+    for s in slots.iter_mut() {
+        s.consumers = [0; 2];
+    }
+    for i in 0..slots.len() {
+        for k in 0..2 {
+            if let Some(Src::Local(j)) = slots[i].srcs[k] {
+                slots[j as usize].consumers[k] |= 1 << i;
+            }
+        }
+    }
+}
+
+/// Whether a source operand of a slot in a PE holding `slots` has been
+/// produced (the dataflow condition of [`WakeupIndex`] invariant 1).
+fn src_produced(slots: &[Slot], pregs: &PhysRegFile, src: Src) -> bool {
+    match src {
+        Src::Global(p) => pregs.get(p).ready,
+        Src::Local(j) => slots[j as usize].out.produced,
+    }
+}
+
+/// Whether every source of `slot` (in a PE holding `slots`) is produced.
+fn all_produced(slots: &[Slot], pregs: &PhysRegFile, slot: &Slot) -> bool {
+    slot.srcs.iter().flatten().all(|&q| src_produced(slots, pregs, q))
+}
+
+/// Appends `entry` to `preg`'s list in a dense per-register table,
+/// counting the push. A push that finds the list at capacity first prunes
+/// it in place with `keep` (and still grows it if that leaves it over half
+/// full), so a register that stays live for a whole run, such as an
+/// untouched `retired_map` entry, cannot collect dead wrong-path
+/// subscriptions without bound. The pruned entries are exactly those the
+/// list's consumer would skip.
 fn push_pruned(
     lists: &mut Vec<Vec<SlotRef>>,
+    pushes: &mut u64,
     preg: PhysRegId,
     entry: SlotRef,
     keep: impl FnMut(&SlotRef) -> bool,
 ) {
+    *pushes += 1;
     if lists.len() <= preg.index() {
         lists.resize_with(preg.index() + 1, Vec::new);
     }
@@ -396,13 +505,15 @@ fn push_pruned(
 /// in [`crate::physreg`], except the zero register, which the file keeps
 /// itself).
 fn preg_roots<'a>(pes: &'a [Pe], maps: [&'a RenameMap; 2]) -> impl Iterator<Item = PhysRegId> + 'a {
-    let pe_maps = pes.iter().flat_map(|p| p.map_before.iter().chain(&p.map_after));
-    let slots = pes
-        .iter()
-        .filter(|p| p.occupied)
-        .flat_map(|p| &p.slots)
-        .flat_map(|s| s.srcs.iter().flatten().chain(&s.dest));
-    maps.into_iter().flatten().chain(pe_maps).chain(slots).copied()
+    let pe_maps = pes.iter().flat_map(|p| p.map_before.iter().chain(&p.map_after)).copied();
+    let slots = pes.iter().filter(|p| p.occupied).flat_map(|p| &p.slots).flat_map(|s| {
+        let globals = s.srcs.iter().filter_map(|&q| match q {
+            Some(Src::Global(p)) => Some(p),
+            _ => None,
+        });
+        globals.chain(s.global)
+    });
+    maps.into_iter().flatten().copied().chain(pe_maps).chain(slots)
 }
 
 impl WakeupIndex {
@@ -410,7 +521,7 @@ impl WakeupIndex {
         WakeupIndex {
             ready: vec![0; num_pes],
             waiters: Vec::new(),
-            completions: BinaryHeap::new(),
+            completions: CompletionWheel::default(),
             loads_by_word: FxHashMap::default(),
         }
     }
@@ -437,11 +548,14 @@ pub struct TraceProcessor<'p> {
     list: PeList,
     pregs: PhysRegFile,
     /// Per-physical-register reader lists, indexed by register id: the
-    /// slots to reissue when the register's value changes. Cleared when
-    /// the register is freed: a re-dispatched slot keeps its generation,
-    /// so a stale entry could otherwise become valid again against a
-    /// recycled id.
+    /// slots to reissue when the register's value changes (global sources
+    /// only; a local value reaches its readers through its slot's
+    /// consumer masks). Cleared when the register is freed: a re-dispatched
+    /// slot keeps its generation, so a stale entry could otherwise become
+    /// valid again against a recycled id.
     readers: Vec<Vec<SlotRef>>,
+    /// Deterministic bookkeeping counters ([`TraceProcessor::work_counters`]).
+    work: WorkCounters,
     current_map: RenameMap,
     /// Architectural rename map of *retired* state: the physical register
     /// holding each architectural register's committed value.
@@ -483,7 +597,8 @@ pub struct TraceProcessor<'p> {
     /// Preserved trace-repair suffix (`replace_trace`).
     scratch_slots: Vec<Slot>,
     scratch_order: Vec<usize>,
-    scratch_due: Vec<(SlotRef, u64)>,
+    /// Per-PE masks of the slots completing this cycle.
+    scratch_due: Vec<u64>,
     scratch_grants: Vec<u32>,
     /// Cached `TP_PARANOID` environment flag (reading the environment once
     /// per stage per cycle is measurable on the hot path).
@@ -672,6 +787,7 @@ impl<'p> TraceProcessor<'p> {
             list: PeList::new(cfg.num_pes),
             pregs,
             readers: Vec::new(),
+            work: WorkCounters::default(),
             current_map: arch_map,
             retired_map: arch_map,
             fetch_hist: hist.clone(),
@@ -781,6 +897,15 @@ impl<'p> TraceProcessor<'p> {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &SimStats {
         &self.stats
+    }
+
+    /// Bookkeeping work done so far: global registers allocated, reader
+    /// and wait-list pushes, register-file sweeps. Deterministic (a function
+    /// of the program and configuration, not of the host), and kept out of
+    /// [`SimStats`] so the golden statistics rows do not depend on how the
+    /// simulator does its bookkeeping.
+    pub fn work_counters(&self) -> WorkCounters {
+        self.work
     }
 
     /// The misprediction outcome-attribution ledger accumulated so far.
@@ -1039,7 +1164,7 @@ impl<'p> TraceProcessor<'p> {
                 let preg = self.pes[q].map_before[r.index()];
                 for &younger in &order[qi..] {
                     for (si, sl) in self.pes[younger].slots.iter().enumerate() {
-                        if sl.dest == Some(preg) {
+                        if sl.global == Some(preg) {
                             panic!(
                                 "cycle {} after {stage}: pe{q} map_before[{r}] = {preg:?} \
                                  is produced by pe{younger} slot {si} (not older)\n{}",
@@ -1174,13 +1299,19 @@ impl<'p> TraceProcessor<'p> {
             );
             for (i, sl) in p.slots.iter().enumerate() {
                 if sl.state != SlotState::Done || sl.pending_reissue {
-                    let vals: Vec<(u32, Word, bool)> = sl
+                    let vals: Vec<(String, Word, bool)> = sl
                         .srcs
                         .iter()
                         .flatten()
-                        .map(|&pp| {
-                            let r = self.pregs.get(pp);
-                            (pp.0, r.value, r.ready)
+                        .map(|&q| match q {
+                            Src::Global(pp) => {
+                                let r = self.pregs.get(pp);
+                                (format!("p{}", pp.0), r.value, r.ready)
+                            }
+                            Src::Local(j) => {
+                                let out = p.slots[j as usize].out;
+                                (format!("s{j}"), out.value, out.produced)
+                            }
                         })
                         .collect();
                     let _ = write!(
@@ -1194,6 +1325,33 @@ impl<'p> TraceProcessor<'p> {
         s
     }
 
+    /// Where an operand pre-renamed as `oref` reads its value, in a trace
+    /// whose live-ins rename through `map_before`.
+    fn bind(oref: OperandRef, map_before: &RenameMap) -> Src {
+        match oref {
+            OperandRef::LiveIn(r) if r.is_zero() => Src::Global(PhysRegId::ZERO),
+            OperandRef::LiveIn(r) => Src::Global(map_before[r.index()]),
+            OperandRef::Local(j) => Src::Local(j),
+        }
+    }
+
+    /// The rename map after `trace` (occupying `slots`): `map_before` with
+    /// each live-out renamed to its last writer's global register.
+    fn map_after(trace: &Trace, slots: &[Slot], map_before: RenameMap) -> RenameMap {
+        let mut map = map_before;
+        for r in trace.live_outs() {
+            let w = trace.last_writer(*r).expect("live-out has a writer");
+            map[r.index()] = slots[w].global.expect("a live-out has a global register");
+        }
+        map
+    }
+
+    /// Allocates a global register for a live-out of the trace in `pe`.
+    fn alloc_global(&mut self, pe: usize) -> PhysRegId {
+        self.work.global_regs_allocated += 1;
+        self.pregs.alloc(Some(pe as u8))
+    }
+
     /// Registers slot `slot` of `pe` (under its current generation) as a
     /// reader of `preg`, for selective reissue on a value change.
     fn register_reader(&mut self, preg: PhysRegId, pe: usize, slot: usize) {
@@ -1202,11 +1360,33 @@ impl<'p> TraceProcessor<'p> {
         }
         let r = SlotRef::new(pe, slot, self.pes[pe].gen);
         let pes = &self.pes;
-        push_pruned(&mut self.readers, preg, r, |&r| reader_live(pes, r, preg));
+        let pushes = &mut self.work.reader_pushes;
+        push_pruned(&mut self.readers, pushes, preg, r, |&r| reader_live(pes, r, preg));
     }
 
-    /// Marks every live consumer of `preg` for selective reissue.
-    fn propagate_value_change(&mut self, preg: PhysRegId, not_before: u64) {
+    /// Marks every consumer of slot `slot`'s changed result for selective
+    /// reissue: the same-PE readers named by the slot's consumer masks,
+    /// then the live readers of the slot's global register, if it has one.
+    ///
+    /// `value_change_marks` counts operands, not slots, as the readers'
+    /// registrations always did (one per operand): a slot reading the
+    /// producer in both operands sits in both masks and counts 2. The
+    /// marking order does not matter: [`Self::mark_reissue_slot`] only
+    /// raises the slot's `not_before` to a maximum and sets its own state
+    /// flags, and the [`Self::index_enqueue`] it may trigger only ORs a
+    /// ready bit or appends to wait lists, whose consumers act on the set
+    /// of entries, not their order. A slot marked twice (both masks, or a
+    /// duplicate registration) is a no-op the second time.
+    fn propagate_value_change(&mut self, pe: usize, slot: usize, not_before: u64) {
+        let [first, second] = self.pes[pe].slots[slot].consumers;
+        self.stats.value_change_marks += u64::from(first.count_ones() + second.count_ones());
+        let mut mask = first | second;
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            self.mark_reissue_slot(pe, i, not_before);
+        }
+        let Some(preg) = self.pes[pe].slots[slot].global else { return };
         let Some(list) = self.readers.get_mut(preg.index()) else { return };
         let pes = &self.pes;
         list.retain(|&r| reader_live(pes, r, preg));
@@ -1251,9 +1431,10 @@ impl<'p> TraceProcessor<'p> {
 
     /// Registers a `Waiting` slot with the wakeup index: sets its ready
     /// bit when every source has been produced, otherwise subscribes it to
-    /// each unproduced source's wait list (invariants 1 and 2). Must be
-    /// called on every transition into `Waiting` and after every source
-    /// rebind of a `Waiting` slot.
+    /// each unproduced global source's wait list (invariants 1 and 2; an
+    /// unproduced local source is covered by its producer's consumer mask,
+    /// invariant 7). Must be called on every transition into `Waiting` and
+    /// after every source rebind of a `Waiting` slot.
     fn index_enqueue(&mut self, pe: usize, slot: usize) {
         if self.paranoid {
             assert_eq!(self.pes[pe].slots[slot].state, SlotState::Waiting);
@@ -1262,11 +1443,16 @@ impl<'p> TraceProcessor<'p> {
         let r = SlotRef::new(pe, slot, self.pes[pe].gen);
         let srcs = self.pes[pe].slots[slot].srcs;
         let mut all_produced = true;
-        for &p in srcs.iter().flatten() {
-            if !self.pregs.get(p).ready {
-                all_produced = false;
+        for &q in srcs.iter().flatten() {
+            if src_produced(&self.pes[pe].slots, &self.pregs, q) {
+                continue;
+            }
+            all_produced = false;
+            if let Src::Global(p) = q {
                 let pes = &self.pes;
-                push_pruned(&mut self.wakeup.waiters, p, r, |&r| waiter_live(pes, r, p));
+                let pushes = &mut self.work.waiter_pushes;
+                let waiters = &mut self.wakeup.waiters;
+                push_pruned(waiters, pushes, p, r, |&r| waiter_live(pes, r, p));
             }
         }
         if all_produced {
@@ -1293,7 +1479,7 @@ impl<'p> TraceProcessor<'p> {
             if s.state != SlotState::Waiting {
                 continue; // re-enqueued on its next transition into Waiting
             }
-            if s.srcs.iter().flatten().all(|&q| self.pregs.get(q).ready) {
+            if all_produced(&self.pes[r.pe()].slots, &self.pregs, s) {
                 self.wakeup.ready[r.pe()] |= 1 << r.slot();
             }
             // else: still subscribed to the remaining unproduced source(s).
@@ -1302,11 +1488,31 @@ impl<'p> TraceProcessor<'p> {
         self.wakeup.waiters[preg.index()] = entries;
     }
 
+    /// The local counterpart of [`Self::wake_waiters`], called once per
+    /// slot occupancy on the slot's first publication: every `Waiting`
+    /// consumer in its consumer masks whose sources are now all produced
+    /// gets its ready bit set. Visiting consumers that were not
+    /// waiting on this producer is harmless: a `Waiting` slot with all
+    /// sources produced already has its bit (invariant 1).
+    fn wake_local_consumers(&mut self, pe: usize, producer: usize) {
+        let [first, second] = self.pes[pe].slots[producer].consumers;
+        let mut mask = first | second;
+        let slots = &self.pes[pe].slots;
+        while mask != 0 {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let s = &slots[i];
+            if s.state == SlotState::Waiting && all_produced(slots, &self.pregs, s) {
+                self.wakeup.ready[pe] |= 1 << i;
+            }
+        }
+    }
+
     /// Schedules the completion event for a slot that just entered
     /// `Executing`/`MemAccess` with the given `done_at` (invariant 3).
     fn note_inflight(&mut self, pe: usize, slot: usize, done_at: u64) {
         let r = SlotRef::new(pe, slot, self.pes[pe].gen);
-        self.wakeup.completions.push(Reverse((done_at, r)));
+        self.wakeup.completions.push(self.now, done_at, r);
     }
 
     /// Indexes a load that sampled memory at `addr` so store/undo snoops
@@ -1345,14 +1551,14 @@ impl<'p> TraceProcessor<'p> {
         self.result_bus_queue.push_back(req);
     }
 
-    /// Makes room in the register file for renaming a trace of `len`
-    /// instructions, sweeping when the file has reached its threshold (the
-    /// policy of [`crate::physreg`]). Called before the rename starts,
-    /// while every live register is rooted. Paranoid runs sweep before
-    /// every rename, recycling registers as early as the roots allow, so
-    /// a missed root surfaces in short runs too.
-    fn reserve_pregs(&mut self, len: usize) {
-        if self.pregs.grow_for(len) || self.paranoid {
+    /// Makes room in the register file for renaming a trace with
+    /// `live_outs` live-outs, sweeping when the file has reached its
+    /// threshold (the policy of [`crate::physreg`]). Called before the
+    /// rename starts, while every live register is rooted. Paranoid runs
+    /// sweep before every rename, recycling registers as early as the roots
+    /// allow, so a missed root surfaces in short runs too.
+    fn reserve_pregs(&mut self, live_outs: usize) {
+        if self.pregs.grow_for(live_outs) || self.paranoid {
             self.sweep_pregs();
         }
     }
@@ -1362,6 +1568,7 @@ impl<'p> TraceProcessor<'p> {
     /// lists so a recycled id starts with none. Never called while a
     /// half-renamed trace's registers are unrooted.
     fn sweep_pregs(&mut self) {
+        self.work.sweeps += 1;
         let roots = preg_roots(&self.pes, [&self.current_map, &self.retired_map]);
         let (readers, waiters) = (&mut self.readers, &mut self.wakeup.waiters);
         self.pregs.sweep(roots, |id| {
@@ -1437,30 +1644,26 @@ impl<'p> TraceProcessor<'p> {
                 "cycle {}: pe{pe} fault mask disagrees with its slots",
                 self.now
             );
+            self.assert_local_file_coherent(pe);
             for (i, s) in p.slots.iter().enumerate() {
                 let this = SlotRef::new(pe, i, p.gen);
                 for (k, &(r, oref)) in s.ti.srcs.iter().flatten().enumerate() {
-                    let want = match oref {
-                        OperandRef::LiveIn(_) if r.is_zero() => PhysRegId::ZERO,
-                        OperandRef::LiveIn(_) => p.map_before[r.index()],
-                        OperandRef::Local(_) => continue,
-                    };
                     assert_eq!(
                         s.srcs[k],
-                        Some(want),
-                        "cycle {}: pe{pe} slot {i} live-in {r} is not bound to map_before",
+                        Some(Self::bind(oref, &p.map_before)),
+                        "cycle {}: pe{pe} slot {i} operand {r} is not bound to its {oref:?}",
                         self.now
                     );
                 }
                 let bit = self.wakeup.ready[pe] >> i & 1 == 1;
                 match s.state {
                     SlotState::Waiting => {
-                        let unproduced: Vec<PhysRegId> = s
+                        let unproduced: Vec<Src> = s
                             .srcs
                             .iter()
                             .flatten()
                             .copied()
-                            .filter(|&q| !self.pregs.get(q).ready)
+                            .filter(|&q| !src_produced(&p.slots, &self.pregs, q))
                             .collect();
                         if unproduced.is_empty() {
                             assert!(
@@ -1478,6 +1681,9 @@ impl<'p> TraceProcessor<'p> {
                                 self.now
                             );
                             for q in unproduced {
+                                // A local source needs no subscription: its
+                                // producer's consumer mask names this slot.
+                                let Src::Global(q) = q else { continue };
                                 assert!(
                                     self.wakeup
                                         .waiters
@@ -1492,7 +1698,7 @@ impl<'p> TraceProcessor<'p> {
                     }
                     SlotState::Executing { done_at } | SlotState::MemAccess { done_at } => {
                         assert!(
-                            self.wakeup.completions.iter().any(|&Reverse(e)| e == (done_at, this)),
+                            self.wakeup.completions.contains((done_at, this)),
                             "cycle {}: pe{pe} slot {i} in flight (done_at={done_at}) without \
                              a completion event",
                             self.now
@@ -1542,6 +1748,60 @@ impl<'p> TraceProcessor<'p> {
                     self.now,
                     req.since,
                     next_due
+                );
+            }
+        }
+    }
+
+    /// The local half of the two-level register file of occupied PE `pe`
+    /// against a rescan ([`WakeupIndex`] invariant 7): each slot's
+    /// instruction against its trace's, its consumer masks against the
+    /// slots' local operands, and its published result against its state
+    /// and its global register, if any.
+    fn assert_local_file_coherent(&self, pe: usize) {
+        let p = &self.pes[pe];
+        let now = self.now;
+        let mut masks = vec![[0u64; 2]; p.slots.len()];
+        for (i, s) in p.slots.iter().enumerate() {
+            for (k, q) in s.srcs.iter().enumerate() {
+                if let Some(Src::Local(j)) = *q {
+                    assert!((j as usize) < i, "cycle {now}: pe{pe} slot {i} reads younger {j}");
+                    masks[j as usize][k] |= 1 << i;
+                }
+            }
+        }
+        for (j, s) in p.slots.iter().enumerate() {
+            assert_eq!(
+                (s.ti, s.consumers),
+                (p.trace.insts()[j], masks[j]),
+                "cycle {now}: pe{pe} slot {j}'s consumer masks disagree with its operands"
+            );
+            let out = s.out;
+            assert!(
+                out.produced == (out.ready_at != u64::MAX)
+                    && (!out.produced || out.ready_at <= now),
+                "cycle {now}: pe{pe} slot {j} published {out:?}"
+            );
+            let has_dest = s.ti.dest.is_some();
+            assert!(
+                out.produced || !has_dest || s.state != SlotState::Done,
+                "cycle {now}: pe{pe} slot {j} completed without publishing"
+            );
+            assert!(
+                has_dest || (!s.is_liveout && s.global.is_none() && masks[j] == [0, 0]),
+                "cycle {now}: pe{pe} slot {j} has no destination but a register or readers"
+            );
+            assert!(
+                !s.is_liveout || s.global.is_some(),
+                "cycle {now}: pe{pe} live-out slot {j} has no global register"
+            );
+            if let Some(g) = s.global {
+                let r = self.pregs.get(g);
+                assert!(
+                    (r.ready, r.value, r.local_ready_at, r.producer_pe)
+                        == (out.produced, out.value, out.ready_at, Some(pe as u8)),
+                    "cycle {now}: pe{pe} slot {j}'s global register {g:?} ({r:?}) disagrees \
+                     with its published result {out:?}"
                 );
             }
         }

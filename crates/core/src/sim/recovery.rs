@@ -18,7 +18,8 @@
 //! **Mutates:** the in-flight [`Recovery`], PE slots/traces/rename maps of
 //! the repaired PE, squashed PEs and the PE list, the ARB (store undo), the
 //! BIT (re-selection), the fetch queue/history/mode/expectation, reader
-//! registrations, bus request queues, and statistics.
+//! registrations, the global register file (fresh live-outs of a repaired
+//! trace), bus request queues, and statistics.
 
 use super::*;
 use crate::config::CgciHeuristic;
@@ -569,7 +570,9 @@ impl TraceProcessor<'_> {
     /// instructions are replaced). Re-registers readers under a new
     /// generation.
     fn replace_trace(&mut self, pe: usize, fault_slot: usize, repaired: Arc<Trace>) {
-        self.reserve_pregs(repaired.len());
+        // Middle live-outs and promoted slots together need at most one
+        // global register per live-out.
+        self.reserve_pregs(repaired.live_outs().len());
         let old_len = self.pes[pe].slots.len();
         let new_len = repaired.len();
         let prefix_len = (fault_slot + 1).min(new_len);
@@ -633,54 +636,76 @@ impl TraceProcessor<'_> {
             slots.push(s);
         }
         self.scratch_slots = suffix;
-        // Preserved suffix slots whose source names moved (bit per slot).
+        // Preserved suffix slots whose operands moved (bit per slot).
         let mut rebound = 0u64;
-        // Rebind all sources and allocate fresh middle destinations;
-        // prefix and preserved suffix keep their physical registers.
-        for i in 0..slots.len() {
-            let ti = slots[i].ti;
-            let old_srcs = slots[i].srcs;
+        // Where an old operand's producer sits in the repaired trace: a
+        // live-in names a global register, which cannot equal a local
+        // producer (the rename invariant forbids a trace reading its own
+        // live-outs through its map). A prefix producer keeps its index, a
+        // suffix producer moves by the length change `new_len - old_len`,
+        // and an old middle producer is gone (`None`: any operand that
+        // read it changed).
+        let moved = |old: Src| match old {
+            Src::Local(j) if (j as usize) < prefix_len => Some(old),
+            Src::Local(j) if (j as usize) >= old_len - common => {
+                Some(Src::Local((j as usize + new_len - old_len) as u8))
+            }
+            Src::Local(_) => None,
+            Src::Global(_) => Some(old),
+        };
+        // Rebind all sources and allocate fresh middle live-outs; prefix
+        // and preserved suffix keep their published results and global
+        // registers.
+        for (i, slot) in slots.iter_mut().enumerate() {
+            let ti = slot.ti;
+            let old_srcs = slot.srcs;
             let mut srcs = [None; 2];
-            for (k, &(r, oref)) in ti.srcs.iter().flatten().enumerate() {
-                let preg = match oref {
-                    OperandRef::LiveIn(lr) if lr.is_zero() => PhysRegId::ZERO,
-                    OperandRef::LiveIn(lr) => map_before[lr.index()],
-                    OperandRef::Local(j) => {
-                        let _ = r;
-                        slots[j as usize].dest.expect("local producer has a destination")
-                    }
-                };
-                srcs[k] = Some(preg);
+            for (k, &(_, oref)) in ti.srcs.iter().flatten().enumerate() {
+                srcs[k] = Some(Self::bind(oref, &map_before));
             }
-            slots[i].srcs = srcs;
-            if i >= prefix_len && i < middle_end {
-                slots[i].dest = ti.dest.map(|_| self.pregs.alloc(Some(pe as u8)));
-            }
-            // A preserved suffix slot whose source names moved (its value
-            // now comes from the repaired middle) selectively reissues —
-            // the same rule the re-dispatch pass applies across traces.
-            if i >= middle_end && srcs != old_srcs {
+            slot.srcs = srcs;
+            // A preserved suffix slot whose operands moved (a value now
+            // comes from the repaired middle, or from a different producer)
+            // selectively reissues — the same rule the re-dispatch pass
+            // applies across traces. A fresh middle producer always counts
+            // as a change: no old operand maps into the middle.
+            let changed = |(old, new): (&Option<Src>, &Option<Src>)| old.and_then(moved) != *new;
+            if i >= middle_end && old_srcs.iter().zip(&srcs).any(changed) {
                 rebound |= 1 << i;
-                let _ = slots[i].mark_reissue(self.now + 1);
+                let _ = slot.mark_reissue(self.now + 1);
             }
-            let is_liveout = match ti.dest {
-                Some(d) => repaired.last_writer(d) == Some(i),
-                None => false,
-            };
-            let was_liveout = slots[i].is_liveout;
-            slots[i].is_liveout = is_liveout;
+            let is_liveout = ti.dest.is_some_and(|d| repaired.last_writer(d) == Some(i));
+            let was_liveout = slot.is_liveout;
+            slot.is_liveout = is_liveout;
+            // A live-out without a global register is a fresh middle slot
+            // or a preserved slot promoted to live-out. (A demoted slot
+            // keeps its register: younger traces may still name it.) The
+            // promoted slot's register starts as the one it would have had
+            // all along: its published result, visible to every PE from
+            // when it was published, as a value that was never a live-out
+            // never waited for a result bus.
+            if is_liveout && slot.global.is_none() {
+                let g = self.alloc_global(pe);
+                slot.global = Some(g);
+                let out = slot.out;
+                let r = self.pregs.get_mut(g);
+                (r.value, r.ready) = (out.value, out.produced);
+                (r.local_ready_at, r.global_ready_at) = (out.ready_at, out.ready_at);
+            }
             // A preserved slot promoted to live-out after completion must
             // still broadcast its value to other PEs.
             if (i < prefix_len || i >= middle_end)
                 && is_liveout
                 && !was_liveout
-                && slots[i].state == SlotState::Done
-                && slots[i].dest.is_some()
+                && slot.state == SlotState::Done
             {
-                let d = slots[i].dest.expect("checked");
-                self.pregs.get_mut(d).global_ready_at = u64::MAX;
+                let g = slot.global.expect("allocated above");
+                self.pregs.get_mut(g).global_ready_at = u64::MAX;
             }
         }
+        // The middle's length may have changed, shifting the suffix: relink
+        // every local consumer.
+        link_local_consumers(&mut slots);
         self.pes[pe].slots = slots;
         self.pes[pe].trace = repaired.clone();
         // Faults: the suffix carried its own and may have shifted, so the
@@ -698,27 +723,20 @@ impl TraceProcessor<'_> {
                 p.set_fault(i, fault);
             }
         }
-        // Recompute map_after.
-        let mut map_after = map_before;
-        for r in repaired.live_outs() {
-            let w = repaired.last_writer(*r).expect("live-out has a writer");
-            map_after[r.index()] = self.pes[pe].slots[w].dest.expect("writer has a destination");
-        }
-        self.pes[pe].map_after = map_after;
+        self.pes[pe].map_after = Self::map_after(&repaired, &self.pes[pe].slots, map_before);
         // Re-register readers and re-request buses under the new generation.
         for i in 0..self.pes[pe].slots.len() {
-            for k in 0..2 {
-                if let Some(preg) = self.pes[pe].slots[i].srcs[k] {
+            for q in self.pes[pe].slots[i].srcs.into_iter().flatten() {
+                if let Src::Global(preg) = q {
                     self.register_reader(preg, pe, i);
                 }
             }
             let s = &self.pes[pe].slots[i];
             if s.is_liveout && s.state == SlotState::Done {
-                if let Some(d) = s.dest {
-                    if self.pregs.get(d).global_ready_at == u64::MAX {
-                        let gen = self.pes[pe].gen;
-                        self.push_result_req(BusReq { pe, gen, slot: i, since: self.now });
-                    }
+                let g = s.global.expect("a live-out has a global register");
+                if self.pregs.get(g).global_ready_at == u64::MAX {
+                    let gen = self.pes[pe].gen;
+                    self.push_result_req(BusReq { pe, gen, slot: i, since: self.now });
                 }
             }
         }

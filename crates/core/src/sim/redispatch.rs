@@ -208,11 +208,11 @@ impl TraceProcessor<'_> {
                         // destination: live-outs keep their mappings, so the
                         // chain map can only hold strictly older registers.
                         assert!(
-                            slot.dest != Some(new_preg),
+                            slot.global != Some(new_preg),
                             "redispatch({origin}) bound slot {i} of pe {pe} to its own destination"
                         );
-                        if slot.srcs[k] != Some(new_preg) {
-                            slot.srcs[k] = Some(new_preg);
+                        if slot.srcs[k] != Some(Src::Global(new_preg)) {
+                            slot.srcs[k] = Some(Src::Global(new_preg));
                             changed = true;
                             new_readers.push((new_preg, i));
                         }
@@ -231,13 +231,9 @@ impl TraceProcessor<'_> {
         for i in requeue {
             self.rebind_reissue_slot(pe, i, now + 1);
         }
-        // Live-outs keep their physical registers; the map is re-asserted.
+        // Live-outs keep their global registers; the map is re-asserted.
         self.pes[pe].map_before = map_before;
-        let mut map_after = map_before;
-        for r in trace.live_outs() {
-            let w = trace.last_writer(*r).expect("live-out has a writer");
-            map_after[r.index()] = self.pes[pe].slots[w].dest.expect("writer has a destination");
-        }
+        let map_after = Self::map_after(&trace, &self.pes[pe].slots, map_before);
         self.pes[pe].map_after = map_after;
         self.current_map = map_after;
         self.pes[pe].hist_before = rolling.clone();

@@ -140,8 +140,8 @@ impl TraceProcessor<'_> {
                             continue;
                         }
                         let want = retired_map[r.index()];
-                        if slot.srcs[k] != Some(want) {
-                            slot.srcs[k] = Some(want);
+                        if slot.srcs[k] != Some(Src::Global(want)) {
+                            slot.srcs[k] = Some(Src::Global(want));
                             changed = true;
                             rebound.push((want, i));
                         }
@@ -173,12 +173,7 @@ impl TraceProcessor<'_> {
             map_before[r.index()] = retired_map[r.index()];
         }
         self.pes[head].map_before = map_before;
-        let mut map_after = map_before;
-        for r in trace.live_outs() {
-            let w = trace.last_writer(*r).expect("live-out has a writer");
-            map_after[r.index()] = self.pes[head].slots[w].dest.expect("writer has a destination");
-        }
-        self.pes[head].map_after = map_after;
+        self.pes[head].map_after = Self::map_after(&trace, &self.pes[head].slots, map_before);
     }
 
     fn retire_pe(&mut self, pe: usize) -> Result<(), SimError> {
@@ -199,8 +194,13 @@ impl TraceProcessor<'_> {
             };
             if let Some(r) = dest_arch {
                 self.arch_regs[r.index()] = value;
-                let preg = self.pes[pe].slots[slot].dest.expect("dest register allocated");
-                self.retired_map[r.index()] = preg;
+                // Slot order leaves each register's last writer, a live-out
+                // (so it has a global register), in the map; an earlier
+                // writer can hold a global register only if a repair
+                // demoted it.
+                if let Some(g) = self.pes[pe].slots[slot].global {
+                    self.retired_map[r.index()] = g;
+                }
             }
             if is_store {
                 let addr = addr.expect("completed store has an address");
@@ -347,7 +347,7 @@ impl TraceProcessor<'_> {
         // become visible to every PE even if a result-bus grant was still
         // pending (the grant request dies with the generation bump below).
         for slot in 0..self.pes[pe].slots.len() {
-            if let Some(d) = self.pes[pe].slots[slot].dest {
+            if let Some(d) = self.pes[pe].slots[slot].global {
                 let now = self.now;
                 let r = self.pregs.get_mut(d);
                 r.global_ready_at = r.global_ready_at.min(now);

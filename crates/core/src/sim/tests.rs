@@ -8,6 +8,7 @@ use tp_isa::asm::Asm;
 use tp_isa::func::Machine;
 use tp_isa::synth::{self, SynthConfig};
 use tp_isa::{AluOp, Cond};
+use tp_trace::TraceInst;
 
 fn run_verified(program: &Program, model: CiModel) -> RunResult {
     let cfg = TraceProcessorConfig::paper(model).with_oracle();
@@ -373,15 +374,14 @@ fn register_file_footprint_is_flat_in_run_length() {
         assert!(high_water <= capacity && capacity <= bound, "{n}: {capacity} > {bound}");
         (capacity, r.stats.dispatched_traces)
     };
-    let (short, short_dispatched) = footprint(400);
-    let (long, long_dispatched) = footprint(3200);
+    let (short, short_dispatched) = footprint(3200);
+    let (long, long_dispatched) = footprint(25600);
     assert!(long_dispatched > 7 * short_dispatched, "the long run must dispatch ~8x more");
     assert_eq!(short, long, "register file capacity grew with run length");
 }
 
 /// A packed window reference must round-trip its fields at their limits
-/// and order exactly like the `(pe, slot, gen)` tuple it replaced, so the
-/// completion heap pops ties in the same order.
+/// and order exactly like the `(pe, slot, gen)` tuple it replaced.
 #[test]
 fn slot_ref_round_trips_and_orders_like_its_tuple() {
     let max_gen = (1u64 << 48) - 1;
@@ -396,4 +396,244 @@ fn slot_ref_round_trips_and_orders_like_its_tuple() {
             assert_eq!(ra.cmp(&rb), a.cmp(&b), "{a:?} vs {b:?}");
         }
     }
+}
+
+/// Every `SimStats` counter, in declaration order: the numbers of its
+/// `Debug` form (no field name holds a digit).
+fn stats_fields(s: &SimStats) -> Vec<u64> {
+    let debug = format!("{s:?}");
+    let numbers = debug.split(|c: char| !c.is_ascii_digit()).filter(|n| !n.is_empty());
+    numbers.map(|n| n.parse().expect("a run of digits")).collect()
+}
+
+/// A store whose address resolves late (behind a divide) writes the word an
+/// independent younger load already read: the snoop reissues the load, its
+/// value changes, and the one consumer reading it in *both* operands is
+/// marked. `value_change_marks` counts operands, so the run adds exactly 2.
+fn double_read_reissue_program() -> Program {
+    let mut a = Asm::new("double-read");
+    let (r1, r3, r5, r6, r7) = (Reg::new(1), Reg::new(3), Reg::new(5), Reg::new(6), Reg::new(7));
+    a.li64(r5, tp_isa::DATA_BASE as i64);
+    a.li(r7, 42);
+    a.alui(AluOp::Div, r6, r5, 1); // r6 = r5, 35 cycles late
+    a.store(r7, r6, 0);
+    a.load(r1, r5, 0); // reads 0 before the store performs
+    a.add(r3, r1, r1); // both operands: the load, a local producer
+    a.halt();
+    a.assemble().unwrap()
+}
+
+/// A loop body holding a hammock whose arms differ in length, so an FGCI
+/// repair changes the repaired trace's physical length and shifts the
+/// preserved common suffix. The suffix reads a local producer from the
+/// prefix (in both operands), one from the suffix itself, and one from the
+/// repaired middle.
+fn shifting_hammock_program() -> Program {
+    let mut a = Asm::new("shift-hammock");
+    let r = Reg::new;
+    let (r1, r2, r3, r4, r5, r6, r7, r8) = (r(1), r(2), r(3), r(4), r(5), r(6), r(7), r(8));
+    a.li64(r5, tp_isa::DATA_BASE as i64);
+    a.li(r1, 160);
+    a.li(r2, 0);
+    a.label("top");
+    a.alui(AluOp::And, r3, r1, 63);
+    a.alui(AluOp::Shl, r3, r3, 3);
+    a.add(r3, r3, r5);
+    a.load(r4, r3, 0);
+    a.addi(r6, r1, 7); // prefix producer read by the suffix
+    a.branch(Cond::Lt, r4, Reg::ZERO, "else");
+    a.addi(r2, r2, 1);
+    a.jump("join");
+    a.label("else");
+    a.addi(r2, r2, 2);
+    a.alu(AluOp::Xor, r7, r2, r6);
+    a.addi(r2, r7, 3);
+    a.label("join");
+    a.add(r7, r6, r6); // both operands: the prefix producer
+    a.add(r8, r7, r2); // a suffix producer and a middle producer
+    a.alui(AluOp::And, r2, r8, 0xffff);
+    a.addi(r1, r1, -1);
+    a.branch(Cond::Gt, r1, Reg::ZERO, "top");
+    a.store(r2, r5, 0);
+    a.halt();
+    let mut x: i64 = 0x5eed;
+    for i in 0..64u64 {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        a.data_word(tp_isa::DATA_BASE + 8 * i, x >> 11);
+    }
+    a.assemble().unwrap()
+}
+
+/// Whether repairing `old` into `new` (of a different length) keeps a
+/// common suffix with a slot reading one prefix producer (same index and
+/// instruction in both traces, before the suffix) in both operands, and a
+/// slot reading a producer inside the suffix.
+fn shifted_suffix_reads_locals(old: &Trace, new: &Trace) -> bool {
+    let (o, n) = (old.insts(), new.insts());
+    let same = |a: &TraceInst, b: &TraceInst| a.pc == b.pc && a.inst == b.inst;
+    let common = o.iter().rev().zip(n.iter().rev()).take_while(|(a, b)| same(a, b)).count();
+    let start = n.len() - common;
+    let local = |ti: &TraceInst, k: usize| match ti.srcs[k] {
+        Some((_, OperandRef::Local(j))) => Some(j as usize),
+        _ => None,
+    };
+    let suffix = &n[start..];
+    let prefix_pair = suffix.iter().any(|ti| {
+        local(ti, 0).is_some_and(|j| j < start && local(ti, 1) == Some(j) && same(&o[j], &n[j]))
+    });
+    let inner = suffix.iter().any(|ti| (0..2).any(|k| local(ti, k).is_some_and(|j| j >= start)));
+    prefix_pair && inner
+}
+
+/// Two-level registers: a dispatched trace allocates global registers for
+/// its live-outs only, and only its live-in operands enter the global
+/// reader and wait lists; local operands are reached through the trace's
+/// consumer masks.
+#[test]
+fn dispatch_allocates_globals_for_live_outs_only() {
+    use tp_isa::Inst;
+    use tp_trace::TraceId;
+    let r = Reg::new;
+    let addi = |rd, rs, imm| Inst::AluImm { op: AluOp::Add, rd: r(rd), rs: r(rs), imm };
+    let add = |rd, rs, rt| Inst::Alu { op: AluOp::Add, rd: r(rd), rs: r(rs), rt: r(rt) };
+    // Five destinations, three live-outs (the last writers of r1, r2 and
+    // r3), four local operands and three live-in operands (all r4, which
+    // architectural state has produced).
+    let first = [addi(1, 0, 5), addi(1, 1, 1), add(2, 1, 1), add(2, 2, 4), add(3, 4, 4)];
+    // Live-ins r1 and r2 are `first`'s unproduced live-outs; r5 and r6 are
+    // read locally (r5 in both operands). Three live-outs: r5, r6, r1.
+    let second = [add(5, 1, 2), add(6, 5, 5), addi(1, 6, 1)];
+    let program = straightline_program();
+    let mut sim = TraceProcessor::new(&program, TraceProcessorConfig::paper(CiModel::None));
+    let dispatch = |sim: &mut TraceProcessor, pe: usize, insts: &[Inst]| {
+        let raw: Vec<_> =
+            insts.iter().enumerate().map(|(i, &x)| (i as Pc, x, None, false)).collect();
+        let next = Some(raw.len() as Pc);
+        let trace = Arc::new(Trace::assemble(TraceId::new(0, 0, 0), &raw, EndReason::MaxLen, next));
+        let hist_before = sim.fetch_hist.clone();
+        let pending = Pending { trace, ready_at: 0, hist_before, source: FetchSource::Fallback };
+        let before = sim.work_counters();
+        sim.dispatch_trace(pe, pending, None, &CycleCtx { now: 0 });
+        let after = sim.work_counters();
+        (
+            after.global_regs_allocated - before.global_regs_allocated,
+            after.reader_pushes - before.reader_pushes,
+            after.waiter_pushes - before.waiter_pushes,
+        )
+    };
+    assert_eq!(dispatch(&mut sim, 0, &first), (3, 3, 0), "(allocated, readers, waiters)");
+    assert_eq!(dispatch(&mut sim, 1, &second), (3, 2, 2), "(allocated, readers, waiters)");
+    for pe in [0, 1] {
+        for (i, s) in sim.pes[pe].slots.iter().enumerate() {
+            assert_eq!(s.global.is_some(), s.is_liveout, "pe{pe} slot {i}");
+        }
+    }
+    let consumers: Vec<[u64; 2]> = sim.pes[0].slots.iter().map(|s| s.consumers).collect();
+    assert_eq!(consumers, [[0b10, 0], [0b100, 0b100], [0b1000, 0], [0, 0], [0, 0]]);
+    for (lists, what) in [(&sim.readers, "reader"), (&sim.wakeup.waiters, "waiter")] {
+        for (id, list) in lists.iter().enumerate() {
+            for e in list {
+                let s = &sim.pes[e.pe()].slots[e.slot()];
+                let operand = Some(Src::Global(PhysRegId(id as u32)));
+                assert!(s.srcs.contains(&operand), "{what} entry {e:?} on p{id}: {:?}", s.srcs);
+            }
+        }
+    }
+    sim.assert_event_index_coherent();
+}
+
+/// A changed local value marks its consumers once per operand: the one
+/// consumer reading the reissued load in both operands adds 2 to
+/// `value_change_marks`, as when each operand registered as a reader.
+#[test]
+fn a_double_local_read_counts_two_value_change_marks() {
+    let p = double_read_reissue_program();
+    for model in CiModel::ALL {
+        let r = run_verified(&p, model);
+        assert!(r.stats.load_snoop_reissues > 0, "{model:?}: the load never reissued");
+        assert_eq!(r.stats.value_change_marks, 2, "{model:?}");
+    }
+}
+
+/// The hard parts of a trace repair under two-level registers: an FGCI
+/// repair whose middle changes length shifts the preserved suffix, whose
+/// local operands read producers in the prefix, in the suffix itself and
+/// in the repaired middle. Run with the oracle on and the wakeup index and
+/// local register files checked after every cycle, every model must
+/// reproduce the statistics pinned from the everything-global register
+/// file this design replaced.
+#[test]
+fn shifted_suffix_repairs_match_the_pinned_statistics() {
+    #[rustfmt::skip]
+    let pinned: [(CiModel, [u64; 26]); 5] = [
+        (CiModel::None, [2400, 2144, 67, 320, 59, 334, 25, 43, 610, 0, 0, 0, 0, 0, 0, 61, 267,
+            0, 0, 3772, 0, 0, 0, 0, 0, 0]),
+        (CiModel::Ret, [2437, 2144, 67, 320, 60, 331, 25, 43, 601, 0, 0, 0, 0, 0, 0, 61, 264,
+            0, 0, 3761, 5, 0, 2, 0, 0, 0]),
+        (CiModel::MlbRet, [2437, 2144, 68, 320, 60, 332, 25, 43, 601, 0, 0, 0, 0, 0, 0, 61, 264,
+            0, 0, 3761, 5, 0, 2, 0, 0, 0]),
+        (CiModel::Fg, [1602, 2144, 72, 320, 69, 72, 44, 52, 475, 0, 1, 7, 68, 0, 0, 1, 0, 121,
+            78, 3086, 783, 0, 757, 3, 0, 0]),
+        (CiModel::FgMlbRet, [1602, 2144, 73, 320, 69, 73, 44, 52, 475, 0, 1, 7, 68, 0, 0, 1, 0,
+            121, 78, 3086, 783, 0, 757, 3, 0, 0]),
+    ];
+    let p = shifting_hammock_program();
+    for (model, want) in pinned {
+        let cfg = TraceProcessorConfig::paper(model).with_oracle();
+        let mut sim = TraceProcessor::new(&p, cfg);
+        // Repairs that changed a trace's length in place (same dispatch, new
+        // length) and kept a common suffix reading one prefix producer in
+        // both operands and another producer inside the suffix.
+        let mut seen: Vec<Option<(u64, Arc<Trace>)>> = vec![None; sim.pes.len()];
+        let mut shifted = 0;
+        while !sim.halted() {
+            sim.step_cycle().unwrap_or_else(|e| panic!("{model:?}: {e}"));
+            sim.assert_event_index_coherent();
+            assert!(sim.now() < 200_000, "{model:?} did not halt");
+            for (i, pe) in sim.pes.iter().enumerate().filter(|(_, pe)| pe.occupied) {
+                if let Some((at, old)) = &seen[i] {
+                    if *at == pe.dispatched_at && old.len() != pe.trace.len() {
+                        shifted += usize::from(shifted_suffix_reads_locals(old, &pe.trace));
+                    }
+                }
+                seen[i] = Some((pe.dispatched_at, pe.trace.clone()));
+            }
+        }
+        if matches!(model, CiModel::Fg | CiModel::FgMlbRet) {
+            assert!(sim.stats().fgci_recoveries > 0, "{model:?}: no FGCI repair");
+            assert!(shifted > 0, "{model:?}: no repair shifted a suffix reading locals");
+        }
+        assert_eq!(stats_fields(sim.stats()), want, "{model:?}: {:?}", sim.stats());
+    }
+}
+
+/// The completion wheel hands every event to the completion stage exactly
+/// in its due cycle: near events through the buckets, far, due-now and
+/// overdue ones through the overflow heap. No bucket exists before the
+/// first near event.
+#[test]
+fn completion_wheel_drains_each_event_in_its_cycle() {
+    let mut wheel = CompletionWheel::default();
+    let r = |slot| SlotRef::new(1, slot, 7);
+    for (done_at, slot) in [(10, 0), (5, 1), (74, 2), (200, 3)] {
+        wheel.push(10, done_at, r(slot));
+    }
+    assert!(wheel.buckets.is_empty(), "no near event yet");
+    for (done_at, slot) in [(11, 4), (73, 5), (11, 6)] {
+        wheel.push(10, done_at, r(slot));
+    }
+    assert_eq!(wheel.len(), 7);
+    assert!(wheel.contains((74, r(2))) && wheel.contains((73, r(5))));
+    assert!(!wheel.contains((73, r(2))));
+    let mut drained = Vec::new();
+    for now in 10..=200 {
+        let mut due = Vec::new();
+        wheel.drain_due(now, |slot, done_at| due.push((now, done_at, slot.slot())));
+        due.sort_unstable_by_key(|&(_, _, slot)| slot);
+        drained.extend(due);
+    }
+    let want = [(10, 10, 0), (10, 5, 1), (11, 11, 4), (11, 11, 6), (73, 73, 5), (74, 74, 2)];
+    assert_eq!(drained[..6], want);
+    assert_eq!(drained[6..], [(200, 200, 3)]);
+    assert_eq!(wheel.len(), 0);
 }

@@ -117,6 +117,37 @@ impl SimStats {
     }
 }
 
+/// Deterministic counters of the simulator's own bookkeeping work
+/// ([`crate::TraceProcessor::work_counters`]). Like [`SimStats`] they
+/// depend only on the program and the configuration, never on the host,
+/// but they measure how the simulator keeps its books rather than what the
+/// simulated machine did, so they stay out of [`SimStats`] (whose whole
+/// `Debug` the golden fixtures pin).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Global physical registers allocated by renames (dispatch and trace
+    /// repair): one per live-out.
+    pub global_regs_allocated: u64,
+    /// Entries pushed onto global registers' reader lists.
+    pub reader_pushes: u64,
+    /// Entries pushed onto global registers' wait lists.
+    pub waiter_pushes: u64,
+    /// Mark-sweep passes over the global register file.
+    pub sweeps: u64,
+}
+
+impl WorkCounters {
+    /// Each counter with its name, in declaration order.
+    pub fn named(&self) -> [(&'static str, u64); 4] {
+        [
+            ("global_regs_allocated", self.global_regs_allocated),
+            ("reader_pushes", self.reader_pushes),
+            ("waiter_pushes", self.waiter_pushes),
+            ("sweeps", self.sweeps),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
