@@ -106,14 +106,12 @@ fn inspect(args: &[String]) {
         None => println!("warm      : none"),
         Some(w) => {
             println!(
-                "warm      : selection {}, btb {} entries ({} indirect targets), gshare {} \
-                 entries / {} history bits, ras {}/{}, predictor {}+{} entries, tcache {} \
-                 lines ({}x{}), icache {} lines, dcache {} lines, history {}/{}",
+                "warm      : selection {}, btb {} entries ({} indirect targets), ras {}/{}, \
+                 predictor {}+{} entries, tcache {} lines ({}x{}), icache {} lines, dcache {} \
+                 lines, history {}/{}",
                 w.selection.name(),
                 w.btb.counters.len(),
                 w.btb.targets.len(),
-                w.gshare.counters.len(),
-                w.gshare.history_bits,
                 w.ras.len(),
                 w.ras_capacity,
                 w.predictor.path.len(),

@@ -7,8 +7,8 @@
 //!   [`MetricsSink`](tp_metrics::MetricsSink) and the host stage profiler
 //!   attached — and prints per-cell distribution, stage-profile and
 //!   work-counter tables (the simulator's deterministic bookkeeping per
-//!   1000 retired instructions: global registers allocated, reader and
-//!   wait-list pushes, register-file sweeps). `--json PATH` writes the
+//!   1000 retired instructions: global registers allocated, reader-list
+//!   pushes, register-file sweeps). `--json PATH` writes the
 //!   `tp-bench/metrics/v1` document, `--md PATH` the markdown report.
 //!   `--sample` additionally runs each cell under sampled simulation and
 //!   appends the cold/steady/ffwd phase series.

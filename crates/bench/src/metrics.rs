@@ -78,7 +78,7 @@ pub struct MetricsCell {
 
 impl MetricsCell {
     /// The bookkeeping counters per 1000 retired instructions, by name.
-    pub fn work_per_kinstr(&self) -> [(&'static str, f64); 4] {
+    pub fn work_per_kinstr(&self) -> [(&'static str, f64); 3] {
         self.work.named().map(|(name, n)| (name, per_kilo(n, self.stats.retired_instrs)))
     }
 

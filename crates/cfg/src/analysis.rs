@@ -110,7 +110,6 @@ pub struct CfgAnalysis {
     /// Virtual exit node (index `len`): targets of `ret`/`halt` edges.
     vexit: u32,
     flow: Graph,
-    dom: DomTree,
     pdom: DomTree,
     fn_entries: Vec<Pc>,
     summaries: BTreeMap<Pc, FnSummary>,
@@ -324,7 +323,6 @@ impl CfgAnalysis {
             entry: program.entry(),
             vexit,
             flow,
-            dom,
             pdom,
             fn_entries,
             summaries,
@@ -499,18 +497,6 @@ impl CfgAnalysis {
     /// Function entries: the program entry plus every call target.
     pub fn function_entries(&self) -> &[Pc] {
         &self.fn_entries
-    }
-
-    /// The dominator tree of the re-convergence flow graph (rooted at the
-    /// virtual entry; instruction PCs are node indices).
-    pub fn dom_tree(&self) -> &DomTree {
-        &self.dom
-    }
-
-    /// The post-dominator tree (dominators of the reversed flow graph,
-    /// rooted at the virtual exit).
-    pub fn pdom_tree(&self) -> &DomTree {
-        &self.pdom
     }
 
     /// Whether `pc` is reachable from the entry (interprocedurally).

@@ -2,9 +2,9 @@
 //!
 //! A checkpoint records everything needed to resume a program mid-run:
 //! the architectural state (PC, registers, and the *dirty-page memory
-//! delta* against the program's initial data image) plus, optionally, the
-//! functionally warmed predictor images accumulated by
-//! [`FastForward`](crate::FastForward).
+//! delta* against the program's initial data image) plus, optionally,
+//! images of the functionally warmed structures a detailed boot takes
+//! ([`WarmBoot`]), accumulated by [`FastForward`](crate::FastForward).
 //!
 //! # Wire layout
 //!
@@ -12,12 +12,11 @@
 //!
 //! ```text
 //! magic      b"TPCK"
-//! version    u32 (= 3; version-1/2 streams still decode)
+//! version    u32 (= 4; older versions are rejected)
 //! name       str          program name
-//! fpr       u64          program fingerprint (FNV-1a; see below)
-//! frontend   u8           frontend/ISA kind (version >= 2; 0 = synth,
-//!            1 = rv64 — [`tp_isa::Frontend::code`]). A version-1 stream
-//!            predates the RV frontend and decodes as synth.
+//! fpr        u64          program fingerprint (FNV-1a; see below)
+//! frontend   u8           frontend/ISA kind (0 = synth, 1 = rv64 —
+//!            [`tp_isa::Frontend::code`])
 //! pc         u32          resume PC
 //! retired    u64          instructions retired before the checkpoint
 //! halted     u8           0 | 1
@@ -29,7 +28,6 @@
 //! warm       u8 flag (0 = none), then:
 //!   btb      u32 entries, entries x u8 counters,
 //!            u32 targets, targets x (u32 index, u32 pc)
-//!   gshare   u32 entries, u32 history bits, u64 history, entries x u8
 //!   ras      u32 capacity, u32 depth, depth x u32
 //!   ntp      u32 index bits, u32 path depth, u8 confidence threshold,
 //!            2 x (u32 entries, entries x (u32 index, u16 tag,
@@ -40,11 +38,15 @@
 //!   dcache   u32 lines, lines x u64 line id               -- LRU-first
 //!   history  u32 depth, u32 len, len x trace id
 //!   selection u32 max len, u8 ntb, u8 fg
-//! checksum   u64          FNV-1a over every preceding byte (version >= 3;
-//!            verified before the body is decoded, so any corruption —
-//!            bit flip, truncation, appended garbage — is reported as a
-//!            checksum mismatch rather than a field-level symptom)
+//! checksum   u64          FNV-1a over every preceding byte (verified
+//!            before the body is decoded, so any corruption — bit flip,
+//!            truncation, appended garbage — is reported as a checksum
+//!            mismatch rather than a field-level symptom)
 //! ```
+//!
+//! Version 4 dropped the gshare image versions 1–3 carried (nothing booted
+//! from it); version 3 added the checksum and version 2 the frontend
+//! byte.
 //!
 //! A trace id is `u32 start, u32 mask, u8 branches`.
 //!
@@ -64,20 +66,16 @@ use tp_isa::func::{Machine, MachineState};
 use tp_isa::{Frontend, Pc, Program, Reg, Word};
 use tp_predict::trace_pred::ImageEntry;
 use tp_predict::{
-    Btb, BtbImage, GshareImage, NextTracePredictor, Ras, TraceHistory, TracePredictorConfig,
-    TracePredictorImage,
+    Btb, BtbImage, NextTracePredictor, Ras, TraceHistory, TracePredictorConfig, TracePredictorImage,
 };
 use tp_trace::{Bit, ClosureOutcomes, SelectionConfig, Selector, TraceId};
 
-use crate::ffwd::{FastForward, Warm};
+use crate::ffwd::FastForward;
 use crate::wire::{Reader, WireError, Writer};
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"TPCK";
-const VERSION: u32 = 3;
-/// Oldest version this build still decodes (v1 lacked the frontend kind,
-/// v2 the trailing integrity checksum).
-const MIN_VERSION: u32 = 1;
+const VERSION: u32 = 4;
 
 /// FNV-1a over a byte slice (the same hash the program fingerprint uses).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -132,8 +130,8 @@ pub enum CkptError {
         /// The trace id that failed to rebuild.
         id: TraceId,
     },
-    /// The trailing integrity checksum does not match the stream contents
-    /// (version >= 3): the file was corrupted after capture.
+    /// The trailing integrity checksum does not match the stream contents:
+    /// the file was corrupted after capture.
     ChecksumMismatch {
         /// Checksum recorded in the stream.
         stored: u64,
@@ -218,8 +216,6 @@ pub struct TraceLine {
 pub struct WarmImages {
     /// BTB counters and indirect targets.
     pub btb: BtbImage,
-    /// Gshare counters and history.
-    pub gshare: GshareImage,
     /// RAS capacity.
     pub ras_capacity: u32,
     /// RAS contents, oldest first.
@@ -271,13 +267,14 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Captures a checkpoint from a machine state and optional warm set.
-    /// (Most callers use [`FastForward::checkpoint`].)
+    /// Captures a checkpoint from a machine state and an optional warm set
+    /// with the selection its traces were cut with. (Most callers use
+    /// [`FastForward::checkpoint`].)
     pub fn capture(
         program: &Program,
         frontend: Frontend,
         state: &MachineState,
-        warm: Option<&Warm>,
+        warm: Option<(&WarmBoot, SelectionConfig)>,
     ) -> Checkpoint {
         let initial: std::collections::BTreeMap<u64, Word> =
             program.data().map(|(a, w)| (a >> 3, w)).collect();
@@ -296,7 +293,7 @@ impl Checkpoint {
             halted: state.halted,
             regs: state.regs,
             mem_delta,
-            warm: warm.map(Warm::images),
+            warm: warm.map(|(w, selection)| WarmImages::capture(w, selection)),
         }
     }
 
@@ -310,7 +307,7 @@ impl Checkpoint {
     pub fn capture_machine(
         machine: &Machine<'_>,
         frontend: Frontend,
-        warm: Option<&Warm>,
+        warm: Option<(&WarmBoot, SelectionConfig)>,
     ) -> Checkpoint {
         let program = machine.program();
         Checkpoint {
@@ -322,7 +319,7 @@ impl Checkpoint {
             halted: machine.halted(),
             regs: machine.regs(),
             mem_delta: machine.mem_delta(),
-            warm: warm.map(Warm::images),
+            warm: warm.map(|(w, selection)| WarmImages::capture(w, selection)),
         }
     }
 
@@ -454,7 +451,7 @@ impl Checkpoint {
         })
     }
 
-    /// Encodes the checkpoint into the version-3 wire format (trailing
+    /// Encodes the checkpoint into the version-4 wire format (trailing
     /// FNV-1a checksum over everything before it).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -506,10 +503,7 @@ impl Checkpoint {
         bytes
     }
 
-    /// Decodes a checkpoint (current version 3; version-1 streams decode
-    /// with the frontend defaulted to [`Frontend::Synth`], which is the
-    /// only frontend that existed when they were written, and pre-3
-    /// streams carry no checksum).
+    /// Decodes a version-4 checkpoint.
     ///
     /// # Errors
     ///
@@ -525,28 +519,23 @@ impl Checkpoint {
             return Err(CkptError::BadMagic);
         }
         let version = r.u32("version").map_err(CkptError::Wire)?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(CkptError::UnsupportedVersion(version));
         }
         // Verify the trailing checksum before touching the body: any
         // corruption — bit flips, truncation, appended bytes — fails here
         // with one uniform error instead of whatever field-level symptom
         // it happens to produce.
-        let body_end = if version >= 3 {
-            let Some(split) = bytes.len().checked_sub(8).filter(|&s| s >= 8) else {
-                return Err(CkptError::Wire(WireError::Truncated { field: "checksum" }));
-            };
-            let stored = u64::from_le_bytes(bytes[split..].try_into().expect("length checked"));
-            let computed = fnv1a(&bytes[..split]);
-            if stored != computed {
-                return Err(CkptError::ChecksumMismatch { stored, computed });
-            }
-            split
-        } else {
-            bytes.len()
+        let Some(body_end) = bytes.len().checked_sub(8).filter(|&s| s >= 8) else {
+            return Err(CkptError::Wire(WireError::Truncated { field: "checksum" }));
         };
+        let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("length checked"));
+        let computed = fnv1a(&bytes[..body_end]);
+        if stored != computed {
+            return Err(CkptError::ChecksumMismatch { stored, computed });
+        }
         let mut r = Reader::new(&bytes[8..body_end]);
-        let ckpt = decode_body(&mut r, version).map_err(CkptError::Wire)?;
+        let ckpt = decode_body(&mut r).map_err(CkptError::Wire)?;
         if r.remaining() != 0 {
             return Err(CkptError::Wire(WireError::Corrupt(format!(
                 "{} trailing bytes after checkpoint body",
@@ -557,16 +546,12 @@ impl Checkpoint {
     }
 }
 
-fn decode_body(r: &mut Reader<'_>, version: u32) -> Result<Checkpoint, WireError> {
+fn decode_body(r: &mut Reader<'_>) -> Result<Checkpoint, WireError> {
     let program_name = r.str("program name")?;
     let program_fingerprint = r.u64("program fingerprint")?;
-    let frontend = if version >= 2 {
-        let code = r.u8("frontend")?;
-        Frontend::from_code(code)
-            .ok_or_else(|| WireError::Corrupt(format!("frontend: unknown kind {code}")))?
-    } else {
-        Frontend::Synth
-    };
+    let code = r.u8("frontend")?;
+    let frontend = Frontend::from_code(code)
+        .ok_or_else(|| WireError::Corrupt(format!("frontend: unknown kind {code}")))?;
     let pc = r.u32("pc")?;
     let retired = r.u64("retired")?;
     let halted = r.u8("halted")? != 0;
@@ -636,10 +621,6 @@ fn encode_warm(w: &mut Writer, images: &WarmImages) {
         w.u32(i);
         w.u32(pc);
     }
-    w.u32(images.gshare.counters.len() as u32);
-    w.u32(images.gshare.history_bits);
-    w.u64(images.gshare.history);
-    w.bytes(&images.gshare.counters);
     w.u32(images.ras_capacity);
     w.u32(images.ras.len() as u32);
     for &pc in &images.ras {
@@ -684,7 +665,7 @@ fn encode_warm(w: &mut Writer, images: &WarmImages) {
 fn decode_warm(r: &mut Reader<'_>) -> Result<WarmImages, WireError> {
     // Geometry fields are validated here so a corrupt stream reports a
     // named error instead of tripping a constructor assert (the warm
-    // images feed `Btb::new`/`Gshare::new`/`Ras::new`/`TraceCache::new`,
+    // images feed `Btb::new`/`Ras::new`/`TraceCache::new`,
     // all of which panic on impossible geometry).
     let n = r.len("btb counters")?;
     if !n.is_power_of_two() {
@@ -701,18 +682,6 @@ fn decode_warm(r: &mut Reader<'_>) -> Result<WarmImages, WireError> {
         }
         btb_targets.push((idx, r.u32("btb target pc")?));
     }
-    let gshare_entries = r.len("gshare counters")?;
-    if !gshare_entries.is_power_of_two() {
-        return Err(WireError::Corrupt(format!(
-            "gshare counters: {gshare_entries} not a power of two"
-        )));
-    }
-    let history_bits = r.u32("gshare history bits")?;
-    if history_bits > 32 {
-        return Err(WireError::Corrupt(format!("gshare history bits: {history_bits} > 32")));
-    }
-    let gshare_history = r.u64("gshare history")?;
-    let gshare_counters = r.bytes(gshare_entries, "gshare counters")?.to_vec();
     let ras_capacity = r.u32("ras capacity")?;
     if ras_capacity == 0 {
         return Err(WireError::Corrupt("ras capacity: 0".to_string()));
@@ -794,7 +763,6 @@ fn decode_warm(r: &mut Reader<'_>) -> Result<WarmImages, WireError> {
     let fg = r.u8("selection fg")? != 0;
     Ok(WarmImages {
         btb: BtbImage { counters: btb_counters, targets: btb_targets },
-        gshare: GshareImage { counters: gshare_counters, history_bits, history: gshare_history },
         ras_capacity,
         ras,
         predictor: TracePredictorImage {
@@ -813,18 +781,18 @@ fn decode_warm(r: &mut Reader<'_>) -> Result<WarmImages, WireError> {
     })
 }
 
-impl Warm {
-    /// Captures the warm set as serializable [`WarmImages`].
-    pub fn images(&self) -> WarmImages {
+impl WarmImages {
+    /// Captures a warm set whose traces were cut with `selection` as
+    /// serializable images.
+    pub fn capture(warm: &WarmBoot, selection: SelectionConfig) -> WarmImages {
         WarmImages {
-            btb: self.btb.image(),
-            gshare: self.gshare.image(),
-            ras_capacity: self.ras.capacity() as u32,
-            ras: self.ras.entries().to_vec(),
-            predictor: self.predictor.image(),
-            tcache_sets: self.tcache.geometry().0 as u32,
-            tcache_ways: self.tcache.geometry().1 as u32,
-            tcache: self
+            btb: warm.btb.image(),
+            ras_capacity: warm.ras.capacity() as u32,
+            ras: warm.ras.entries().to_vec(),
+            predictor: warm.predictor.image(),
+            tcache_sets: warm.tcache.geometry().0 as u32,
+            tcache_ways: warm.tcache.geometry().1 as u32,
+            tcache: warm
                 .tcache
                 .lines_lru()
                 .into_iter()
@@ -833,11 +801,11 @@ impl Warm {
                     TraceLine { id: t.id(), next_pc: t.next_pc(), len: t.len() as u8 }
                 })
                 .collect(),
-            icache_lines: self.icache.warm_lines(),
-            dcache_lines: self.dcache.warm_lines(),
-            history_depth: self.history.depth() as u32,
-            history: self.history.ids().to_vec(),
-            selection: self.selection,
+            icache_lines: warm.icache.warm_lines(),
+            dcache_lines: warm.dcache.warm_lines(),
+            history_depth: warm.history.depth() as u32,
+            history: warm.history.ids().to_vec(),
+            selection,
         }
     }
 }
@@ -847,6 +815,10 @@ impl FastForward<'_> {
     /// (via the incremental dirty-page path; see
     /// [`Checkpoint::capture_machine`]).
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint::capture_machine(self.machine(), self.frontend(), Some(self.warm()))
+        Checkpoint::capture_machine(
+            self.machine(),
+            self.frontend(),
+            Some((self.warm(), self.selection())),
+        )
     }
 }

@@ -48,24 +48,21 @@
 //! cannot change residency or LRU capture order, so warm images stay
 //! bit-identical to the interpreter path's.
 //!
-//! A third class of skip rests on the serialization contract: the BTB,
-//! gshare, and next-trace-predictor images capture *tables* (counters,
-//! targets, tags, history registers) and explicitly exclude statistics.
-//! Replaying an entry's updates against already-converged tables is
-//! therefore unobservable in any capture, and each entry caches a proof
-//! of that — separately for the branch side (every BTB counter saturated
-//! in its update's direction, indirect target already recorded, every
-//! gshare counter saturated along the simulated history shifts) and the
-//! predictor side (both components tag-match with the right prediction at
-//! full confidence). A cached proof is valid while its side's epoch
-//! counter (bumped by any mutating apply) and its recorded context (the
-//! masked gshare history / the trace-history contents, which change the
-//! indexed slots) still match; failed probes back off exponentially so
-//! genuinely oscillating workloads pay at most a periodic probe. What
-//! must still advance always does: the gshare history register shifts by
-//! the entry's outcome bits, the trace history pushes, the RAS walks, and
-//! the BIT replays its probes (its LRU ticks are observable in `Debug`
-//! output).
+//! A third class of skip rests on the serialization contract: the BTB and
+//! next-trace-predictor images capture *tables* (counters, targets, tags)
+//! and explicitly exclude statistics. Replaying an entry's updates against
+//! already-converged tables is therefore unobservable in any capture, and
+//! each entry caches a proof of that — separately for the branch side
+//! (every BTB counter saturated in its update's direction, indirect target
+//! already recorded) and the predictor side (both components tag-match
+//! with the right prediction at full confidence). A cached proof is valid
+//! while its side's epoch counter (bumped by any mutating apply) still
+//! matches, and on the predictor side while the trace-history contents,
+//! which change the indexed slots, do too; failed probes back off
+//! exponentially so genuinely oscillating workloads pay at most a periodic
+//! probe. What must still advance always does: the trace history pushes,
+//! the RAS walks, and the BIT replays its probes (its LRU ticks are
+//! observable in `Debug` output).
 //!
 //! Store invalidation: every page (`pc >> 6`, under the checkpoint
 //! format's identity word↔pc mapping) holding cached blocks or memoized
@@ -79,13 +76,14 @@
 use std::sync::Arc;
 
 use tp_cache::DCache;
+use tp_core::WarmBoot;
 use tp_isa::func::{Machine, PcOutOfRange, Step};
 use tp_isa::fxhash::FxHashMap;
 use tp_isa::{Inst, Pc, Program};
 use tp_trace::{OutcomeSource, SelectionConfig, Selector, Trace, TraceId};
 
+use super::apply_trace_warming;
 use super::block::{BlockCache, BlockEnd, Edge};
-use super::{apply_trace_warming, Warm};
 
 /// Memoized trace variants kept per start PC; beyond this the slow path
 /// still executes correctly, it just stops memoizing new variants.
@@ -140,7 +138,7 @@ struct MemoEntry {
     /// The trace's instructions in order, flattened from cached blocks.
     code: Vec<(Pc, Inst)>,
     trace: Arc<Trace>,
-    /// `(pc, taken)` per conditional branch, in trace order (BTB + gshare).
+    /// `(pc, taken)` per conditional branch, in trace order (BTB).
     branch_updates: Vec<(Pc, bool)>,
     /// RAS walk, in trace order.
     ras_ops: Vec<RasOp>,
@@ -150,9 +148,6 @@ struct MemoEntry {
     bit_pcs: Vec<Pc>,
     /// Indirect-target training at the trace end, if any.
     indirect_train: Option<(Pc, Pc)>,
-    /// The trace's branch outcomes as gshare history bits (first branch in
-    /// the most significant of the low `branch_updates.len()` bits).
-    gshare_bits: u64,
     /// Cached divergence resolutions, one per embedded branch: what the
     /// follow loop resolved to the first time actual control flow flipped
     /// that branch while running this image ([`UNRESOLVED`] until then).
@@ -162,11 +157,9 @@ struct MemoEntry {
     /// until observed); every entry's successor is deterministic (direct
     /// ends have a fixed next PC, indirect variants embed their target).
     next_slot: u32,
-    /// Saturation cache, branch side: the epoch and gshare history context
-    /// under which this entry's BTB/gshare updates were proven no-ops
-    /// ([`u64::MAX`] epoch = no valid probe).
+    /// Saturation cache, branch side: the epoch under which this entry's
+    /// BTB updates were proven no-ops ([`u64::MAX`] = no valid probe).
     sat_br_epoch: u64,
-    sat_ghr: u64,
     /// Saturation cache, predictor side: the epoch and trace-history
     /// context under which this entry's predictor training was proven a
     /// no-op.
@@ -244,7 +237,7 @@ pub(crate) struct Engine {
     cur_icache: Vec<u64>,
     /// The hit that advanced the previous trace (successor chaining).
     last_hit: Option<(u32, u32)>,
-    /// Bumped whenever warming mutates the BTB/gshare tables (or they are
+    /// Bumped whenever warming mutates the BTB tables (or they are
     /// replaced under the engine); branch-side saturation probes cached
     /// against an older epoch are invalid.
     br_epoch: u64,
@@ -299,7 +292,7 @@ impl Engine {
         &mut self,
         program: &Program,
         machine: &mut Machine<'_>,
-        warm: &mut Warm,
+        warm: &mut WarmBoot,
     ) -> Result<(), PcOutOfRange> {
         let start = machine.pc();
         let before = machine.retired();
@@ -481,18 +474,18 @@ impl Engine {
     /// dcache was warmed inline during the image run), except that table
     /// updates *proven to be no-ops* are elided:
     ///
-    /// When the BTB/gshare counters this entry trains are all saturated in
-    /// their update's direction, the trained indirect target already
-    /// matches, and both predictor components already predict this trace
-    /// at full confidence, replaying the updates would change nothing but
+    /// When the BTB counters this entry trains are all saturated in their
+    /// update's direction, the trained indirect target already matches,
+    /// and both predictor components already predict this trace at full
+    /// confidence, replaying the updates would change nothing but
     /// unserialized statistics — checkpoint images carry tables, not
     /// stats. That proof is cached per entry against the engine epoch
-    /// (bumped by any table-mutating apply) plus the exact gshare/trace
-    /// history context it was made under, so stable phases validate it
-    /// with a few compares per trace. Serialized history registers (the
-    /// gshare outcome history, the trace history) and the BIT (whose
-    /// consult ticks are observable) always advance.
-    fn apply_memo(&mut self, program: &Program, warm: &mut Warm, slot: u32, idx: usize) {
+    /// (bumped by any table-mutating apply), plus, on the predictor side,
+    /// the exact trace-history context it was made under, so stable phases
+    /// validate it with a few compares per trace. The serialized trace
+    /// history and the BIT (whose consult ticks are observable) always
+    /// advance.
+    fn apply_memo(&mut self, program: &Program, warm: &mut WarmBoot, slot: u32, idx: usize) {
         let Engine {
             sets,
             selector,
@@ -508,19 +501,16 @@ impl Engine {
         for &pc in &e.bit_pcs {
             selector.replay_bit(program, &mut warm.bit, pc);
         }
-        // Branch side: BTB counters, the indirect target, and gshare
-        // counters (the gshare history register still advances).
-        let mut br_sat = e.sat_br_epoch == *br_epoch && e.sat_ghr == warm.gshare.masked_history();
+        // Branch side: BTB counters and the indirect target.
+        let mut br_sat = e.sat_br_epoch == *br_epoch;
         if !br_sat {
             if e.sat_br_cooldown > 0 {
                 e.sat_br_cooldown -= 1;
             } else if warm.btb.cond_run_saturated(&e.branch_updates)
                 && e.indirect_train.is_none_or(|(pc, t)| warm.btb.indirect_is(pc, t))
-                && warm.gshare.run_saturated(&e.branch_updates)
             {
                 br_sat = true;
                 e.sat_br_epoch = *br_epoch;
-                e.sat_ghr = warm.gshare.masked_history();
                 e.sat_br_backoff = 0;
             } else {
                 e.sat_br_epoch = u64::MAX;
@@ -528,12 +518,9 @@ impl Engine {
                 e.sat_br_cooldown = 1 << e.sat_br_backoff;
             }
         }
-        if br_sat {
-            warm.gshare.push_outcomes(e.branch_updates.len() as u32, e.gshare_bits);
-        } else {
+        if !br_sat {
             for &(pc, taken) in &e.branch_updates {
                 warm.btb.update_cond(pc, taken);
-                warm.gshare.update(pc, taken);
             }
             if let Some((pc, target)) = e.indirect_train {
                 warm.btb.update_indirect(pc, target);
@@ -604,7 +591,7 @@ impl Engine {
         &mut self,
         program: &Program,
         machine: &mut Machine<'_>,
-        warm: &mut Warm,
+        warm: &mut WarmBoot,
         before: u64,
         start: Pc,
         prefix: Prefix,
@@ -733,8 +720,6 @@ impl Engine {
                 users.memos.push(start);
             }
         }
-        let gshare_bits =
-            branch_updates.iter().fold(0u64, |bits, &(_, taken)| (bits << 1) | taken as u64);
         let set = &mut self.sets[slot as usize];
         set.mru = set.entries.len() as u32;
         set.entries.push(MemoEntry {
@@ -748,11 +733,9 @@ impl Engine {
             icache_segs,
             bit_pcs,
             indirect_train,
-            gshare_bits,
             resolve: vec![UNRESOLVED; id.branches() as usize],
             next_slot: NO_SLOT,
             sat_br_epoch: u64::MAX,
-            sat_ghr: 0,
             sat_pred_epoch: u64::MAX,
             sat_hist: Vec::new(),
             sat_br_cooldown: 0,

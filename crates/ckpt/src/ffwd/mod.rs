@@ -3,9 +3,9 @@
 //! [`FastForward`] drives the architectural simulator
 //! ([`tp_isa::func::Machine`]) through the program far faster than the
 //! detailed cycle model, while *functionally warming* the frontend
-//! structures a detailed interval will boot with: every committed
-//! conditional branch trains the BTB and a gshare predictor, calls and
-//! returns walk the return address stack, and the committed stream is cut
+//! structures a detailed interval will boot with ([`WarmBoot`]): every
+//! committed conditional branch trains the BTB, calls and returns walk the
+//! return address stack, and the committed stream is cut
 //! into canonical traces (by the same selection algorithm the detailed
 //! frontend uses) that fill the trace cache and train the next-trace
 //! predictor. A detailed measurement interval booted from a checkpoint
@@ -37,76 +37,13 @@ use std::sync::Arc;
 
 use engine::Engine;
 pub use engine::EngineStats;
-use tp_cache::{DCache, ICache, TraceCache};
+use tp_cache::DCache;
 use tp_core::{TraceProcessor, TraceProcessorConfig, WarmBoot};
 use tp_isa::func::{Machine, MachineState, PcOutOfRange, Step};
 use tp_isa::{Frontend, Inst, Pc, Program};
-use tp_predict::{Btb, Gshare, NextTracePredictor, Ras, TraceHistory};
-use tp_trace::{Bit, OutcomeSource, SelectionConfig, Selector, Trace};
+use tp_trace::{OutcomeSource, SelectionConfig, Selector, Trace};
 
 use crate::CkptError;
-
-/// The warm structures maintained during fast-forward: everything
-/// [`WarmBoot`] carries into the detailed simulator, plus a gshare
-/// predictor (not consumed by the cycle model; warmed for the profiling
-/// harness and recorded in checkpoints).
-#[derive(Clone, Debug)]
-pub struct Warm {
-    /// Conditional/indirect branch predictor.
-    pub btb: Btb,
-    /// Gshare branch predictor (profiling-harness consumer).
-    pub gshare: Gshare,
-    /// Return address stack.
-    pub ras: Ras,
-    /// Next-trace predictor.
-    pub predictor: NextTracePredictor,
-    /// Trace cache.
-    pub tcache: TraceCache,
-    /// Branch information table (FGCI region analyses).
-    pub bit: Bit,
-    /// Instruction-cache tag state (warmed per selected trace).
-    pub icache: ICache,
-    /// Data-cache tag state (warmed per executed load/store).
-    pub dcache: DCache,
-    /// Rolling trace history feeding the next-trace predictor.
-    pub history: TraceHistory,
-    /// The trace selection the stream is cut with (must match the detailed
-    /// configuration the warm state will boot).
-    pub selection: SelectionConfig,
-}
-
-impl Warm {
-    /// Cold structures sized for `cfg` (the state a fresh
-    /// [`tp_core::TraceProcessor`] starts with, plus a paper-sized gshare).
-    pub fn cold(cfg: &TraceProcessorConfig) -> Warm {
-        Warm {
-            btb: Btb::new(cfg.btb_entries),
-            gshare: Gshare::paper(),
-            ras: Ras::new(cfg.ras_depth),
-            predictor: NextTracePredictor::new(cfg.predictor),
-            tcache: TraceCache::new(cfg.tcache_sets, cfg.tcache_ways),
-            bit: Bit::new(cfg.bit_entries, cfg.bit_ways),
-            icache: ICache::paper(),
-            dcache: DCache::paper(),
-            history: TraceHistory::new(cfg.predictor.path_depth),
-            selection: cfg.selection,
-        }
-    }
-
-    /// Converts into the subset the detailed simulator boots with.
-    pub fn into_boot(self) -> WarmBoot {
-        WarmBoot {
-            btb: self.btb,
-            ras: self.ras,
-            predictor: self.predictor,
-            tcache: self.tcache,
-            bit: self.bit,
-            icache: self.icache,
-            dcache: self.dcache,
-            history: self.history,
-        }
-    }
-}
 
 /// Summary of one [`FastForward::skip`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -198,8 +135,10 @@ impl OutcomeSource for StreamOutcomes<'_, '_> {
 pub struct FastForward<'p> {
     program: &'p Program,
     machine: Machine<'p>,
+    /// Cuts the committed stream into traces; its selection must match the
+    /// detailed configuration the warm state will boot.
     selector: Selector,
-    warm: Warm,
+    warm: WarmBoot,
     frontend: Frontend,
     /// `Some` = superblock engine (default), `None` = interpreter.
     engine: Option<Engine>,
@@ -209,23 +148,12 @@ impl<'p> FastForward<'p> {
     /// A fast-forward at the program entry with cold structures sized for
     /// `cfg`.
     pub fn new(program: &'p Program, cfg: &TraceProcessorConfig) -> FastForward<'p> {
-        FastForward::on_machine(Machine::new(program), Warm::cold(cfg))
-    }
-
-    /// Resumes a fast-forward from an explicit machine state and warm set
-    /// (continuing after a detailed interval, or from a decoded
-    /// checkpoint).
-    pub fn with_warm(program: &'p Program, state: MachineState, warm: Warm) -> FastForward<'p> {
-        FastForward::on_machine(Machine::from_state(program, state), warm)
-    }
-
-    fn on_machine(machine: Machine<'p>, warm: Warm) -> FastForward<'p> {
         FastForward {
-            program: machine.program(),
-            machine,
-            selector: Selector::new(warm.selection),
-            engine: Some(Engine::new(warm.selection)),
-            warm,
+            program,
+            machine: Machine::new(program),
+            selector: Selector::new(cfg.selection),
+            engine: Some(Engine::new(cfg.selection)),
+            warm: WarmBoot::cold(cfg),
             frontend: Frontend::Synth,
         }
     }
@@ -237,7 +165,7 @@ impl<'p> FastForward<'p> {
     /// back on drops its block cache and trace memos.
     pub fn set_superblock(&mut self, on: bool) {
         match (on, self.engine.is_some()) {
-            (true, false) => self.engine = Some(Engine::new(self.warm.selection)),
+            (true, false) => self.engine = Some(Engine::new(self.selector.config())),
             (false, true) => self.engine = None,
             _ => {}
         }
@@ -266,9 +194,8 @@ impl<'p> FastForward<'p> {
     }
 
     /// Adopts the architectural frontier and trained structures of a
-    /// finished detailed interval (the gshare predictor, which the cycle
-    /// model does not maintain, carries over from this driver's own
-    /// warming and simply misses the interval's branches).
+    /// finished detailed interval, or any machine state and warm set (a
+    /// decoded checkpoint's, say).
     ///
     /// This rebuilds the machine from a full state, O(memory image);
     /// [`FastForward::adopt_interval`] is the O(interval) equivalent.
@@ -319,14 +246,7 @@ impl<'p> FastForward<'p> {
         if let Some(engine) = &mut self.engine {
             engine.warm_reset();
         }
-        self.warm.btb = warm.btb;
-        self.warm.ras = warm.ras;
-        self.warm.predictor = warm.predictor;
-        self.warm.tcache = warm.tcache;
-        self.warm.bit = warm.bit;
-        self.warm.icache = warm.icache;
-        self.warm.dcache = warm.dcache;
-        self.warm.history = warm.history;
+        self.warm = warm;
     }
 
     /// The underlying functional machine.
@@ -335,12 +255,17 @@ impl<'p> FastForward<'p> {
     }
 
     /// The warm structures accumulated so far.
-    pub fn warm(&self) -> &Warm {
+    pub fn warm(&self) -> &WarmBoot {
         &self.warm
     }
 
+    /// The trace selection the committed stream is cut with.
+    pub(crate) fn selection(&self) -> SelectionConfig {
+        self.selector.config()
+    }
+
     /// Consumes the driver, returning its warm structures.
-    pub fn into_warm(self) -> Warm {
+    pub fn into_warm(self) -> WarmBoot {
         self.warm
     }
 
@@ -381,9 +306,9 @@ impl<'p> FastForward<'p> {
 
     /// Executes exactly one canonical trace: selects it from the committed
     /// stream, catches the machine up past its tail, and applies all
-    /// warming updates in the order the detailed pipeline would (BTB and
-    /// gshare per branch, RAS per call/return, indirect targets at the
-    /// trace end, next-trace predictor and trace cache per trace).
+    /// warming updates in the order the detailed pipeline would (BTB per
+    /// branch, RAS per call/return, indirect targets at the trace end,
+    /// next-trace predictor and trace cache per trace).
     fn advance_trace(&mut self) -> Result<(), PcOutOfRange> {
         let start = self.machine.pc();
         let before = self.machine.retired();
@@ -416,20 +341,19 @@ impl<'p> FastForward<'p> {
 }
 
 /// Applies every post-selection warming update one committed trace
-/// implies, in the order the detailed pipeline would: BTB and gshare per
-/// branch, RAS per call/return, icache per contiguous fetch segment,
+/// implies, in the order the detailed pipeline would: BTB per branch, RAS
+/// per call/return, icache per contiguous fetch segment,
 /// indirect-target training at the trace end, then next-trace predictor
 /// and trace cache. Shared by the interpreter path and the superblock
 /// engine's miss path (the engine's hit path replays a precomputed image
 /// of exactly these updates).
-pub(crate) fn apply_trace_warming(program: &Program, warm: &mut Warm, trace: &Arc<Trace>) {
+pub(crate) fn apply_trace_warming(program: &Program, warm: &mut WarmBoot, trace: &Arc<Trace>) {
     // Per-instruction warming, in commit order.
     for ti in trace.insts() {
         match ti.inst {
             Inst::Branch { .. } => {
                 let taken = ti.embedded_taken.expect("actual-outcome trace embeds outcomes");
                 warm.btb.update_cond(ti.pc, taken);
-                warm.gshare.update(ti.pc, taken);
             }
             Inst::Call { .. } | Inst::CallIndirect { .. } => warm.ras.push(ti.pc + 1),
             Inst::Ret => {

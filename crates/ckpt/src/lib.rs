@@ -6,10 +6,12 @@
 //! simulation* pipeline:
 //!
 //! 1. [`FastForward`] executes the program functionally with **functional
-//!    warming**: branch outcomes train the BTB/gshare, calls and returns
-//!    walk the RAS, and the committed stream is cut into canonical traces
-//!    (using the detailed frontend's own [`Selector`](tp_trace::Selector))
-//!    that fill the trace cache and train the next-trace predictor.
+//!    warming** of the structures a detailed boot takes
+//!    ([`WarmBoot`](tp_core::WarmBoot)): branch outcomes train the BTB,
+//!    calls and returns walk the RAS, and the committed stream is cut into
+//!    canonical traces (using the detailed frontend's own
+//!    [`Selector`](tp_trace::Selector)) that fill the trace cache and train
+//!    the next-trace predictor.
 //! 2. [`Checkpoint`] freezes the architectural state (PC, registers, a
 //!    dirty-page memory delta) plus the warmed predictor images into a
 //!    compact versioned binary format, and rebuilds a
@@ -31,7 +33,7 @@ pub mod ffwd;
 pub mod wire;
 
 pub use checkpoint::{Checkpoint, CkptError, TraceLine, WarmImages};
-pub use ffwd::{EngineStats, FastForward, SkipSummary, Warm};
+pub use ffwd::{EngineStats, FastForward, SkipSummary};
 pub use wire::WireError;
 
 #[cfg(test)]
@@ -109,15 +111,16 @@ mod tests {
         for split in [1u64, 63, 500, 1777] {
             ff.skip(split).unwrap();
             let fast = ff.checkpoint();
-            let slow =
-                Checkpoint::capture(&w, ff.frontend(), &ff.machine().capture(), Some(ff.warm()));
+            let warm = Some((ff.warm(), ff.selection()));
+            let slow = Checkpoint::capture(&w, ff.frontend(), &ff.machine().capture(), warm);
             assert_eq!(fast, slow, "split {split}");
             assert_eq!(fast.encode(), slow.encode(), "split {split}");
         }
         // Resume from a captured state and keep running both drivers in
         // lockstep: the rebuilt machine's stored-word classification must
         // keep its deltas identical to the continuously tracked one's.
-        let mut resumed = FastForward::with_warm(&w, ff.machine().capture(), ff.warm().clone());
+        let mut resumed = FastForward::new(&w, &cfg);
+        resumed.adopt(ff.machine().capture(), ff.warm().clone());
         resumed.skip(500).unwrap();
         ff.skip(500).unwrap();
         assert_eq!(resumed.checkpoint().encode(), ff.checkpoint().encode());
@@ -234,39 +237,6 @@ mod tests {
         );
     }
 
-    /// A version-1 stream (no frontend byte) still decodes, defaulting the
-    /// frontend to synth — the only frontend that existed when v1 streams
-    /// were written.
-    #[test]
-    fn version_1_streams_decode_as_synth() {
-        use tp_isa::Frontend;
-        let w = by_name("compress", Size::Tiny).unwrap().program;
-        let cfg = TraceProcessorConfig::paper(CiModel::None);
-        let mut ff = FastForward::new(&w, &cfg);
-        ff.skip(50).unwrap();
-        let v3 = ff.checkpoint().encode();
-        // Reconstruct the v1 layout: version 1, no frontend byte, no
-        // trailing checksum. The frontend byte sits immediately after the
-        // length-prefixed name and the u64 fingerprint.
-        let name_len = u32::from_le_bytes(v3[8..12].try_into().unwrap()) as usize;
-        let frontend_pos = 12 + name_len + 8;
-        let mut v1 = v3[..v3.len() - 8].to_vec();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        v1.remove(frontend_pos);
-        let ckpt = Checkpoint::decode(&v1).expect("v1 stream decodes");
-        assert_eq!(ckpt.frontend, Frontend::Synth);
-        assert_eq!(ckpt, Checkpoint::decode(&v3).unwrap(), "payload identical apart from kind");
-        // A version-2 stream (frontend byte, no checksum) also decodes.
-        let mut v2 = v3[..v3.len() - 8].to_vec();
-        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(Checkpoint::decode(&v2).expect("v2 stream decodes"), ckpt);
-        // An unknown frontend code in a v2 stream is named corrupt.
-        let mut bad = v2.clone();
-        bad[frontend_pos] = 7;
-        let err = Checkpoint::decode(&bad).unwrap_err();
-        assert!(err.to_string().contains("frontend"), "{err}");
-    }
-
     /// Truncated and corrupted streams produce named errors, not panics.
     #[test]
     fn decode_rejects_garbage() {
@@ -279,8 +249,13 @@ mod tests {
         for cut in [3, 9, 30, bytes.len() / 2, bytes.len() - 1] {
             assert!(Checkpoint::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        let mut versioned = bytes;
-        versioned[4] = 9; // version little-endian low byte
-        assert_eq!(Checkpoint::decode(&versioned), Err(CkptError::UnsupportedVersion(9)));
+        // Unknown versions, including v3 (which carried a gshare image),
+        // are rejected before the body is read.
+        for version in [3, 9] {
+            let mut versioned = bytes.clone();
+            versioned[4] = version; // version little-endian low byte
+            let err = Checkpoint::decode(&versioned);
+            assert_eq!(err, Err(CkptError::UnsupportedVersion(version.into())));
+        }
     }
 }

@@ -69,11 +69,9 @@ fn superblock_is_bit_exact_under_random_interleavings() {
                 // engine's block cache and memos survive (the program is
                 // immutable) and must stay coherent with the fresh state.
                 let state = fast.machine().capture();
-                let boot = fast.warm().clone().into_boot();
-                fast.adopt(state, boot);
+                fast.adopt(state, fast.warm().clone());
                 let state = slow.machine().capture();
-                let boot = slow.warm().clone().into_boot();
-                slow.adopt(state, boot);
+                slow.adopt(state, slow.warm().clone());
                 assert_lockstep(w.name, &fast, &slow, &format!("after adopt {boundary}"));
             }
             boundary += 1;

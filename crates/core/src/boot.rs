@@ -19,14 +19,14 @@ use tp_isa::{Pc, Program, Reg, Word};
 use tp_predict::{Btb, NextTracePredictor, Ras, TraceHistory};
 use tp_trace::Bit;
 
-use crate::config::ConfigError;
+use crate::config::{ConfigError, TraceProcessorConfig};
 
 /// Warmed frontend structures to install at boot: the branch predictor,
 /// return-address stack, next-trace predictor, trace cache, branch
 /// information table, and the trace history feeding the predictors.
 ///
-/// Geometry must match the [`TraceProcessorConfig`](crate::TraceProcessorConfig)
-/// the processor is booted with; mismatches are rejected as
+/// Geometry must match the [`TraceProcessorConfig`] the processor is
+/// booted with; mismatches are rejected as
 /// [`BootError::WarmGeometry`] rather than silently mispredicting.
 #[derive(Clone, Debug)]
 pub struct WarmBoot {
@@ -50,6 +50,24 @@ pub struct WarmBoot {
     /// Trace history as of the checkpoint (seeds both the fetch-side and
     /// retirement-side histories).
     pub history: TraceHistory,
+}
+
+impl WarmBoot {
+    /// Cold structures sized for `cfg`: the state a fresh
+    /// [`TraceProcessor`](crate::TraceProcessor) starts with, and the state
+    /// a fast-forward from the program entry starts warming.
+    pub fn cold(cfg: &TraceProcessorConfig) -> WarmBoot {
+        WarmBoot {
+            btb: Btb::new(cfg.btb_entries),
+            ras: Ras::new(cfg.ras_depth),
+            predictor: NextTracePredictor::new(cfg.predictor),
+            tcache: TraceCache::new(cfg.tcache_sets, cfg.tcache_ways),
+            bit: Bit::new(cfg.bit_entries, cfg.bit_ways),
+            icache: ICache::paper(),
+            dcache: DCache::paper(),
+            history: TraceHistory::new(cfg.predictor.path_depth),
+        }
+    }
 }
 
 /// A resumable boot state for [`TraceProcessor::from_checkpoint`]

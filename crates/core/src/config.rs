@@ -202,8 +202,7 @@ pub struct TraceProcessorConfig {
     /// post-dominator analysis (`tp-cfg`) and abort with
     /// [`SimError::OracleMismatch`](crate::SimError::OracleMismatch) on an
     /// unclassifiable detection. Read-only: the check never alters model
-    /// behaviour. Also enabled by the `TP_CFG_ORACLE` environment
-    /// variable (read once at construction).
+    /// behaviour. The fuzz bin's `--cfg-oracle` flag sets it.
     ///
     /// [`SimError::OracleMismatch`]: crate::SimError::OracleMismatch
     pub cfg_oracle: bool,

@@ -39,8 +39,9 @@
 //! however long the run.
 //!
 //! A recycled register restarts in exactly the state of a fresh
-//! allocation, so reuse is invisible to simulated behaviour: no statistic
-//! depends on register numbering. Freed registers are marked, and
+//! allocation, and the simulator clears a freed register's reader list
+//! (the only per-register list it keeps), so reuse is invisible to
+//! simulated behaviour: no statistic depends on register numbering. Freed registers are marked, and
 //! [`PhysRegFile::get`]/[`PhysRegFile::get_mut`] debug-assert that the id is
 //! allocated, so a missed root fails loudly instead of silently aliasing.
 

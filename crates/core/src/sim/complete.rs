@@ -5,9 +5,11 @@
 //! elements (§2, "Trace processor microarchitecture"): slots whose
 //! execution latency has elapsed publish their destination value in their
 //! PE (and to their global register, if they have one), request a global
-//! result bus when the value is a trace live-out, and — because the
-//! simulator is execution-driven — re-trigger selective reissue of
-//! consumers when a reissued producer's value actually changed (§5's
+//! result bus when the value is a trace live-out, wake the consumers
+//! waiting on a first publication (local ones through the slot's consumer
+//! masks, global ones through its register's reader list), and — because
+//! the simulator is execution-driven — re-trigger selective reissue of the
+//! same consumers when a reissued producer's value actually changed (§5's
 //! selective recovery model). Completing control instructions are
 //! verified here: conditional branches against the outcome embedded in the
 //! trace, and trace-ending indirect transfers against the successor trace
@@ -98,7 +100,7 @@ impl TraceProcessor<'_> {
                 // First production: wake the consumers waiting on it.
                 self.wake_local_consumers(pe, slot);
                 if let Some(g) = global {
-                    self.wake_waiters(g);
+                    self.wake_readers(g);
                 }
             } else if value_changed {
                 self.propagate_value_change(pe, slot, now + 1);

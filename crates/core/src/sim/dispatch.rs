@@ -14,10 +14,11 @@
 //! The register file has two levels, as in the paper: values produced and
 //! consumed inside the trace stay in the PE. A `Local(j)` operand is bound
 //! to slot `j`'s published result, and only live-ins and live-outs touch
-//! the global file. So only live-outs allocate a global register, only
-//! live-in operands register as readers, and only unproduced live-ins are
-//! subscribed to wait lists. Local producers reach their consumers through
-//! per-slot consumer masks linked here from the bound operands.
+//! the global file. So only live-outs allocate a global register, and only
+//! live-in operands register as readers; a reader list serves both the
+//! register's first production and its value changes. Local producers
+//! reach their consumers through per-slot consumer masks linked here from
+//! the bound operands.
 //!
 //! **Mutates:** the fetch queue/mode, the target PE (slots, rename maps,
 //! generation), the PE list, the speculative rename-map chain, reader
@@ -118,14 +119,11 @@ impl TraceProcessor<'_> {
     /// seeds the wakeup index, in one pass over its slots: what
     /// [`Self::register_reader`] and [`Self::index_enqueue`] do slot by
     /// slot. Every slot starts `Waiting` and every local producer is fresh,
-    /// so a slot with a local operand is not ready and only unproduced
-    /// live-ins subscribe to wait lists. Local operands touch no list: the
-    /// consumer masks name their readers.
+    /// so a slot with a local operand is not ready. Local operands touch no
+    /// list: the consumer masks name their readers.
     fn seed_dispatched(&mut self, pe: usize) {
-        let gen = self.pes[pe].gen;
         let mut ready = 0u64;
         for i in 0..self.pes[pe].slots.len() {
-            let r = SlotRef::new(pe, i, gen);
             let mut all_produced = true;
             for q in self.pes[pe].slots[i].srcs.into_iter().flatten() {
                 let Src::Global(p) = q else {
@@ -133,13 +131,7 @@ impl TraceProcessor<'_> {
                     continue;
                 };
                 self.register_reader(p, pe, i);
-                if !self.pregs.get(p).ready {
-                    all_produced = false;
-                    let pes = &self.pes;
-                    let pushes = &mut self.work.waiter_pushes;
-                    let waiters = &mut self.wakeup.waiters;
-                    push_pruned(waiters, pushes, p, r, |&r| waiter_live(pes, r, p));
-                }
+                all_produced &= self.pregs.get(p).ready;
             }
             ready |= u64::from(all_produced) << i;
         }

@@ -275,7 +275,7 @@ impl SlotRef {
 /// # Invariants
 ///
 /// Kept coherent by the slot-lifecycle hooks ([`TraceProcessor::index_enqueue`],
-/// [`TraceProcessor::wake_waiters`], [`TraceProcessor::note_inflight`],
+/// [`TraceProcessor::wake_readers`], [`TraceProcessor::note_inflight`],
 /// [`TraceProcessor::note_load_sampled`], [`TraceProcessor::mark_reissue_slot`])
 /// and checked wholesale against a brute-force window rescan by
 /// [`TraceProcessor::assert_event_index_coherent`]:
@@ -288,19 +288,19 @@ impl SlotRef {
 ///    part of the bit: the issue stage re-polls those cheap comparisons,
 ///    because global visibility can move (result-bus re-arm sets it to
 ///    `u64::MAX` until a bus is granted). Bits for unoccupied PEs are zero.
-/// 2. **Waiters.** A `Waiting` slot whose bit is clear is registered in
-///    `waiters[p]` (under its PE's current generation) for *every* global
-///    source `p` that is not yet produced. Production is monotone per
-///    register *incarnation* (from allocation until the register is
-///    freed), so firing `p` can only shrink the unproduced set; the entry
-///    for `p` is consumed at fire time while registrations on the
-///    remaining unproduced sources keep the slot reachable. A register's
-///    list is cleared when the register is freed, so a recycled id starts
-///    with no subscribers. Stale entries (gen mismatch, slot no longer
-///    `Waiting`) are dropped at fire time, or pruned when a push finds the
-///    list at capacity; the transition back into `Waiting` always
-///    re-enqueues. Local sources are never subscribed: invariant 7 covers
-///    them.
+/// 2. **Readers.** Every global operand `Src::Global(p)` of every occupied
+///    slot, except the zero register, has an entry in `readers[p]` under
+///    its PE's current generation. Every rebind site (dispatch,
+///    `replace_trace`, re-dispatch, the head re-ground) registers the
+///    slot, and pruning drops only entries [`reader_live`] rejects. One
+///    list serves both events on a register: its first production sets
+///    the ready bit of each live `Waiting` reader whose sources are now
+///    all produced, and a changed value marks each live reader for
+///    reissue. Visiting a reader that is not waiting on `p` does nothing,
+///    because a ready bit is only ORed in where invariant 1 demands it. A
+///    register's list is cleared when the register is freed, so a
+///    recycled id starts with no readers. Local sources are never
+///    registered: invariant 7 covers them.
 /// 3. **Completions.** Every slot in `Executing`/`MemAccess { done_at }`
 ///    has a `(done_at, pe, slot, gen)` entry in `completions`. Entries are
 ///    drained when due and validated (generation *and* exact `done_at`)
@@ -333,14 +333,15 @@ impl SlotRef {
 ///    head whose `map_before` agrees with `retired_map` on every live-in
 ///    has nothing to rebind. Every `Local(j)` operand is bound to
 ///    [`Src::Local`]`(j)`, the published result of slot `j`.
-/// 7. **Consumer masks.** Local values never touch the global lists. Each
+/// 7. **Consumer masks.** Local values never touch the reader lists. Each
 ///    slot carries the masks of the slots whose first and second operands
 ///    read it ([`Slot::consumers`]), linked from the bound operands
 ///    whenever a whole trace is (re)bound: at dispatch and at repair, which
 ///    shifts slots. Slot `j`'s first publication sets the ready bit of
 ///    every `Waiting` consumer whose sources are now all produced, and a
-///    changed value marks every consumer for reissue. The published
-///    results move with their slots.
+///    changed value marks every consumer for reissue: the local
+///    counterpart of invariant 2. The published results move with their
+///    slots.
 ///
 /// All structures tolerate stale entries (validation is cheap and local);
 /// what they must never do is *lose* a live slot — that turns into a
@@ -349,9 +350,6 @@ struct WakeupIndex {
     /// Per-PE bitmask of issue candidates (invariant 1). Trace length is
     /// bounded at 32 by selection, so a `u64` per PE always suffices.
     ready: Vec<u64>,
-    /// Per-physical-register wait lists, indexed by register id
-    /// (invariant 2).
-    waiters: Vec<Vec<SlotRef>>,
     /// `(done_at, slot)` completion events (invariant 3).
     completions: CompletionWheel,
     /// Loads that sampled memory, indexed by word address (invariant 4).
@@ -436,13 +434,6 @@ fn reader_live(pes: &[Pe], r: SlotRef, preg: PhysRegId) -> bool {
     r.live(pes).is_some_and(|s| s.srcs.contains(&Some(Src::Global(preg))))
 }
 
-/// Whether a wait-list subscription on `preg` can still wake anything: a
-/// live reader ([`reader_live`]) that is still `Waiting`.
-fn waiter_live(pes: &[Pe], r: SlotRef, preg: PhysRegId) -> bool {
-    r.live(pes)
-        .is_some_and(|s| s.state == SlotState::Waiting && s.srcs.contains(&Some(Src::Global(preg))))
-}
-
 /// Links each slot of a PE to its local consumers ([`Slot::consumers`]):
 /// bit `i` of `slots[j].consumers[k]` is set iff slot `i`'s `k`-th operand
 /// is `Src::Local(j)`. Run whenever a whole trace's operands were bound.
@@ -473,34 +464,6 @@ fn all_produced(slots: &[Slot], pregs: &PhysRegFile, slot: &Slot) -> bool {
     slot.srcs.iter().flatten().all(|&q| src_produced(slots, pregs, q))
 }
 
-/// Appends `entry` to `preg`'s list in a dense per-register table,
-/// counting the push. A push that finds the list at capacity first prunes
-/// it in place with `keep` (and still grows it if that leaves it over half
-/// full), so a register that stays live for a whole run, such as an
-/// untouched `retired_map` entry, cannot collect dead wrong-path
-/// subscriptions without bound. The pruned entries are exactly those the
-/// list's consumer would skip.
-fn push_pruned(
-    lists: &mut Vec<Vec<SlotRef>>,
-    pushes: &mut u64,
-    preg: PhysRegId,
-    entry: SlotRef,
-    keep: impl FnMut(&SlotRef) -> bool,
-) {
-    *pushes += 1;
-    if lists.len() <= preg.index() {
-        lists.resize_with(preg.index() + 1, Vec::new);
-    }
-    let list = &mut lists[preg.index()];
-    if list.len() == list.capacity() {
-        list.retain(keep);
-        if list.len() > list.capacity() / 2 {
-            list.reserve(list.len());
-        }
-    }
-    list.push(entry);
-}
-
 /// Every physical register the simulator can still name (the roots listed
 /// in [`crate::physreg`], except the zero register, which the file keeps
 /// itself).
@@ -520,7 +483,6 @@ impl WakeupIndex {
     fn new(num_pes: usize) -> WakeupIndex {
         WakeupIndex {
             ready: vec![0; num_pes],
-            waiters: Vec::new(),
             completions: CompletionWheel::default(),
             loads_by_word: FxHashMap::default(),
         }
@@ -548,9 +510,10 @@ pub struct TraceProcessor<'p> {
     list: PeList,
     pregs: PhysRegFile,
     /// Per-physical-register reader lists, indexed by register id: the
-    /// slots to reissue when the register's value changes (global sources
-    /// only; a local value reaches its readers through its slot's
-    /// consumer masks). Cleared when the register is freed: a re-dispatched
+    /// slots to wake on the register's first production and to reissue
+    /// when its value changes ([`WakeupIndex`] invariant 2; global sources
+    /// only, a local value reaches its readers through its slot's consumer
+    /// masks). Cleared when the register is freed: a re-dispatched
     /// slot keeps its generation, so a stale entry could otherwise become
     /// valid again against a recycled id.
     readers: Vec<Vec<SlotRef>>,
@@ -607,7 +570,7 @@ pub struct TraceProcessor<'p> {
     arch_regs: [Word; Reg::COUNT],
     oracle: Option<Machine<'p>>,
     /// Static post-dominator re-convergence oracle
-    /// ([`TraceProcessorConfig::cfg_oracle`] or `TP_CFG_ORACLE`).
+    /// ([`TraceProcessorConfig::cfg_oracle`]).
     /// Read-only with respect to model behaviour: it observes CGCI
     /// attempts, it never steers them.
     reconv_oracle: Option<Box<CfgAnalysis>>,
@@ -746,19 +709,8 @@ impl<'p> TraceProcessor<'p> {
         for r in Reg::all().skip(1) {
             arch_map[r.index()] = pregs.alloc_ready(boot.regs[r.index()]);
         }
-        let (btb, ras, predictor, tcache, bit, icache, dcache, hist) = match boot.warm {
-            Some(w) => (w.btb, w.ras, w.predictor, w.tcache, w.bit, w.icache, w.dcache, w.history),
-            None => (
-                Btb::new(cfg.btb_entries),
-                Ras::new(cfg.ras_depth),
-                NextTracePredictor::new(cfg.predictor),
-                TraceCache::new(cfg.tcache_sets, cfg.tcache_ways),
-                Bit::new(cfg.bit_entries, cfg.bit_ways),
-                ICache::paper(),
-                DCache::paper(),
-                TraceHistory::new(cfg.predictor.path_depth),
-            ),
-        };
+        let WarmBoot { btb, ras, predictor, tcache, bit, icache, dcache, history: hist } =
+            boot.warm.unwrap_or_else(|| WarmBoot::cold(&cfg));
         let pes = (0..cfg.num_pes).map(|_| Pe::empty(hist.clone())).collect();
         // Committed memory is the program's data image with the boot delta
         // on top; the delta is not "committed since boot", so it is unmarked.
@@ -817,8 +769,7 @@ impl<'p> TraceProcessor<'p> {
             paranoid: std::env::var("TP_PARANOID").is_ok(),
             arch_regs: boot.regs,
             oracle,
-            reconv_oracle: (cfg.cfg_oracle || std::env::var("TP_CFG_ORACLE").is_ok())
-                .then(|| Box::new(CfgAnalysis::build(program))),
+            reconv_oracle: cfg.cfg_oracle.then(|| Box::new(CfgAnalysis::build(program))),
             reconv_oracle_violation: None,
             reconv_oracle_counts: [0; ReconvClass::ALL.len()],
             now: 0,
@@ -878,11 +829,6 @@ impl<'p> TraceProcessor<'p> {
         }
     }
 
-    /// The attached stage profiler, if any.
-    pub fn stage_profiler(&self) -> Option<&StageProfiler> {
-        self.profiler.as_deref()
-    }
-
     /// Detaches and returns the stage profiler (subsequent cycles run
     /// unprofiled).
     pub fn take_stage_profiler(&mut self) -> Option<Box<StageProfiler>> {
@@ -900,7 +846,7 @@ impl<'p> TraceProcessor<'p> {
     }
 
     /// Bookkeeping work done so far: global registers allocated, reader
-    /// and wait-list pushes, register-file sweeps. Deterministic (a function
+    /// list pushes, register-file sweeps. Deterministic (a function
     /// of the program and configuration, not of the host), and kept out of
     /// [`SimStats`] so the golden statistics rows do not depend on how the
     /// simulator does its bookkeeping.
@@ -1353,15 +1299,30 @@ impl<'p> TraceProcessor<'p> {
     }
 
     /// Registers slot `slot` of `pe` (under its current generation) as a
-    /// reader of `preg`, for selective reissue on a value change.
+    /// reader of `preg`, to be woken by its first production and reissued
+    /// on a value change (invariant 2). A push that finds the list at
+    /// capacity first prunes it in place (and still grows it if that
+    /// leaves it over half full), so a register that stays live for a
+    /// whole run, such as an untouched `retired_map` entry, cannot collect
+    /// dead wrong-path readers without bound. The pruned entries are
+    /// exactly those both consumers of the list skip.
     fn register_reader(&mut self, preg: PhysRegId, pe: usize, slot: usize) {
         if preg == PhysRegId::ZERO {
             return;
         }
-        let r = SlotRef::new(pe, slot, self.pes[pe].gen);
+        self.work.reader_pushes += 1;
+        if self.readers.len() <= preg.index() {
+            self.readers.resize_with(preg.index() + 1, Vec::new);
+        }
         let pes = &self.pes;
-        let pushes = &mut self.work.reader_pushes;
-        push_pruned(&mut self.readers, pushes, preg, r, |&r| reader_live(pes, r, preg));
+        let list = &mut self.readers[preg.index()];
+        if list.len() == list.capacity() {
+            list.retain(|&r| reader_live(pes, r, preg));
+            if list.len() > list.capacity() / 2 {
+                list.reserve(list.len());
+            }
+        }
+        list.push(SlotRef::new(pe, slot, pes[pe].gen));
     }
 
     /// Marks every consumer of slot `slot`'s changed result for selective
@@ -1373,10 +1334,9 @@ impl<'p> TraceProcessor<'p> {
     /// producer in both operands sits in both masks and counts 2. The
     /// marking order does not matter: [`Self::mark_reissue_slot`] only
     /// raises the slot's `not_before` to a maximum and sets its own state
-    /// flags, and the [`Self::index_enqueue`] it may trigger only ORs a
-    /// ready bit or appends to wait lists, whose consumers act on the set
-    /// of entries, not their order. A slot marked twice (both masks, or a
-    /// duplicate registration) is a no-op the second time.
+    /// flags, and the [`Self::index_enqueue`] it may trigger only sets or
+    /// clears that slot's own ready bit. A slot marked twice (both masks,
+    /// or a duplicate registration) is a no-op the second time.
     fn propagate_value_change(&mut self, pe: usize, slot: usize, not_before: u64) {
         let [first, second] = self.pes[pe].slots[slot].consumers;
         self.stats.value_change_marks += u64::from(first.count_ones() + second.count_ones());
@@ -1391,7 +1351,7 @@ impl<'p> TraceProcessor<'p> {
         let pes = &self.pes;
         list.retain(|&r| reader_live(pes, r, preg));
         self.stats.value_change_marks += list.len() as u64;
-        // Marking only touches slot state and the wait lists, never this
+        // Marking only touches slot state and ready bits, never this
         // reader list, so indexing it stays valid across the calls.
         for k in 0..self.readers[preg.index()].len() {
             let r = self.readers[preg.index()][k];
@@ -1418,9 +1378,9 @@ impl<'p> TraceProcessor<'p> {
     /// Rebind-aware reissue hook: marks the slot and *unconditionally*
     /// re-enqueues it while it is `Waiting` — required whenever the slot's
     /// source registers were just rebound (re-dispatch, head re-ground),
-    /// since the wait-list subscriptions of an already-`Waiting` slot
-    /// cover its old sources only. Slots left in flight (pending reissue)
-    /// re-enqueue when their discarded completion arrives.
+    /// since the ready bit of an already-`Waiting` slot reflects its old
+    /// sources only. Slots left in flight (pending reissue) re-enqueue when
+    /// their discarded completion arrives.
     fn rebind_reissue_slot(&mut self, pe: usize, slot: usize, not_before: u64) {
         self.stats.rebind_marks += 1;
         let _ = self.pes[pe].slots[slot].mark_reissue(not_before);
@@ -1430,32 +1390,19 @@ impl<'p> TraceProcessor<'p> {
     }
 
     /// Registers a `Waiting` slot with the wakeup index: sets its ready
-    /// bit when every source has been produced, otherwise subscribes it to
-    /// each unproduced global source's wait list (invariants 1 and 2; an
-    /// unproduced local source is covered by its producer's consumer mask,
-    /// invariant 7). Must be called on every transition into `Waiting` and
-    /// after every source rebind of a `Waiting` slot.
+    /// bit when every source has been produced and clears it otherwise
+    /// (invariant 1). An unproduced source needs no subscription: the
+    /// slot is already in its register's reader list (invariant 2) or its
+    /// producer's consumer mask (invariant 7). Must be called on every
+    /// transition into `Waiting` and after every source rebind of a
+    /// `Waiting` slot.
     fn index_enqueue(&mut self, pe: usize, slot: usize) {
         if self.paranoid {
             assert_eq!(self.pes[pe].slots[slot].state, SlotState::Waiting);
             assert!(slot < 64, "trace longer than the ready bitmask");
         }
-        let r = SlotRef::new(pe, slot, self.pes[pe].gen);
-        let srcs = self.pes[pe].slots[slot].srcs;
-        let mut all_produced = true;
-        for &q in srcs.iter().flatten() {
-            if src_produced(&self.pes[pe].slots, &self.pregs, q) {
-                continue;
-            }
-            all_produced = false;
-            if let Src::Global(p) = q {
-                let pes = &self.pes;
-                let pushes = &mut self.work.waiter_pushes;
-                let waiters = &mut self.wakeup.waiters;
-                push_pruned(waiters, pushes, p, r, |&r| waiter_live(pes, r, p));
-            }
-        }
-        if all_produced {
+        let slots = &self.pes[pe].slots;
+        if all_produced(slots, &self.pregs, &slots[slot]) {
             self.wakeup.ready[pe] |= 1 << slot;
         } else {
             // A rebind can move a previously all-produced slot onto an
@@ -1464,31 +1411,27 @@ impl<'p> TraceProcessor<'p> {
         }
     }
 
-    /// Fires the wait list of a just-produced physical register: every
-    /// still-`Waiting` subscriber whose sources are now all produced gets
-    /// its ready bit set. Called exactly once per register, on its first
-    /// production (value *changes* go through selective reissue instead).
-    fn wake_waiters(&mut self, preg: PhysRegId) {
-        let Some(list) = self.wakeup.waiters.get_mut(preg.index()) else { return };
-        // Taken out and handed back emptied, keeping its capacity.
-        let mut entries = std::mem::take(list);
-        for &r in &entries {
+    /// Wakes the readers of a just-produced global register: every live
+    /// `Waiting` reader whose sources are now all produced gets its ready
+    /// bit set (invariant 2). Called once per register incarnation, on its
+    /// first production (value *changes* go through selective reissue
+    /// instead). The list is kept: the same readers are reissued if the
+    /// value later changes.
+    fn wake_readers(&mut self, preg: PhysRegId) {
+        let Some(list) = self.readers.get(preg.index()) else { return };
+        for &r in list {
             let Some(s) = r.live(&self.pes) else {
                 continue; // stale: squashed or replaced
             };
-            if s.state != SlotState::Waiting {
-                continue; // re-enqueued on its next transition into Waiting
-            }
-            if all_produced(&self.pes[r.pe()].slots, &self.pregs, s) {
+            if s.state == SlotState::Waiting
+                && all_produced(&self.pes[r.pe()].slots, &self.pregs, s)
+            {
                 self.wakeup.ready[r.pe()] |= 1 << r.slot();
             }
-            // else: still subscribed to the remaining unproduced source(s).
         }
-        entries.clear();
-        self.wakeup.waiters[preg.index()] = entries;
     }
 
-    /// The local counterpart of [`Self::wake_waiters`], called once per
+    /// The local counterpart of [`Self::wake_readers`], called once per
     /// slot occupancy on the slot's first publication: every `Waiting`
     /// consumer in its consumer masks whose sources are now all produced
     /// gets its ready bit set. Visiting consumers that were not
@@ -1564,18 +1507,16 @@ impl<'p> TraceProcessor<'p> {
     }
 
     /// Reclaims every physical register no root names (the roots of
-    /// [`crate::physreg`]), clearing each freed register's reader and wait
-    /// lists so a recycled id starts with none. Never called while a
-    /// half-renamed trace's registers are unrooted.
+    /// [`crate::physreg`]), clearing each freed register's reader list so
+    /// a recycled id starts with none. Never called while a half-renamed
+    /// trace's registers are unrooted.
     fn sweep_pregs(&mut self) {
         self.work.sweeps += 1;
         let roots = preg_roots(&self.pes, [&self.current_map, &self.retired_map]);
-        let (readers, waiters) = (&mut self.readers, &mut self.wakeup.waiters);
+        let readers = &mut self.readers;
         self.pregs.sweep(roots, |id| {
-            for lists in [&mut *readers, &mut *waiters] {
-                if let Some(list) = lists.get_mut(id.index()) {
-                    list.clear();
-                }
+            if let Some(list) = readers.get_mut(id.index()) {
+                list.clear();
             }
         });
     }
@@ -1597,16 +1538,10 @@ impl<'p> TraceProcessor<'p> {
     }
 
     /// Footprint of the wakeup index, for leak diagnostics and tests:
-    /// `(waiter entries, registers with waiters, completion events, load
-    /// entries)`.
+    /// `(completion events, load entries)`.
     #[doc(hidden)]
-    pub fn index_footprint(&self) -> (usize, usize, usize, usize) {
-        (
-            self.wakeup.waiters.iter().map(Vec::len).sum(),
-            self.wakeup.waiters.iter().filter(|w| !w.is_empty()).count(),
-            self.wakeup.completions.len(),
-            self.wakeup.loads_by_word.values().map(Vec::len).sum(),
-        )
+    pub fn index_footprint(&self) -> (usize, usize) {
+        (self.wakeup.completions.len(), self.wakeup.loads_by_word.values().map(Vec::len).sum())
     }
 
     /// Footprint of the physical register file, for leak diagnostics and
@@ -1655,17 +1590,21 @@ impl<'p> TraceProcessor<'p> {
                         self.now
                     );
                 }
+                // A local source needs no registration: its producer's
+                // consumer mask names this slot.
+                for q in s.srcs.iter().flatten() {
+                    let &Src::Global(q) = q else { continue };
+                    assert!(
+                        q == PhysRegId::ZERO
+                            || self.readers.get(q.index()).is_some_and(|w| w.contains(&this)),
+                        "cycle {}: pe{pe} slot {i} reads {q:?} but is not in its reader list",
+                        self.now
+                    );
+                }
                 let bit = self.wakeup.ready[pe] >> i & 1 == 1;
                 match s.state {
                     SlotState::Waiting => {
-                        let unproduced: Vec<Src> = s
-                            .srcs
-                            .iter()
-                            .flatten()
-                            .copied()
-                            .filter(|&q| !src_produced(&p.slots, &self.pregs, q))
-                            .collect();
-                        if unproduced.is_empty() {
+                        if all_produced(&p.slots, &self.pregs, s) {
                             assert!(
                                 bit,
                                 "cycle {}: pe{pe} slot {i} is issuable but not in the ready \
@@ -1680,20 +1619,6 @@ impl<'p> TraceProcessor<'p> {
                                  ready bit is set",
                                 self.now
                             );
-                            for q in unproduced {
-                                // A local source needs no subscription: its
-                                // producer's consumer mask names this slot.
-                                let Src::Global(q) = q else { continue };
-                                assert!(
-                                    self.wakeup
-                                        .waiters
-                                        .get(q.index())
-                                        .is_some_and(|w| w.contains(&this)),
-                                    "cycle {}: pe{pe} slot {i} waits on {q:?} but is not \
-                                     subscribed to it",
-                                    self.now
-                                );
-                            }
                         }
                     }
                     SlotState::Executing { done_at } | SlotState::MemAccess { done_at } => {

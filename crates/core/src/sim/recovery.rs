@@ -569,7 +569,7 @@ impl TraceProcessor<'_> {
     /// (§3's fine-grain repair: only the incorrect control-dependent
     /// instructions are replaced). Re-registers readers under a new
     /// generation.
-    fn replace_trace(&mut self, pe: usize, fault_slot: usize, repaired: Arc<Trace>) {
+    pub(super) fn replace_trace(&mut self, pe: usize, fault_slot: usize, repaired: Arc<Trace>) {
         // Middle live-outs and promoted slots together need at most one
         // global register per live-out.
         self.reserve_pregs(repaired.live_outs().len());
@@ -814,7 +814,7 @@ impl TraceProcessor<'_> {
         self.pes[pe].gen += 1;
         self.pes[pe].slots.clear();
         self.pes[pe].recompute_faults();
-        // The gen bump invalidates the PE's waiter/completion/load-registry
+        // The gen bump invalidates the PE's reader/completion/load-registry
         // entries; the ready bits are positional and must clear eagerly.
         self.index_reset_pe(pe);
         self.list.remove(pe);

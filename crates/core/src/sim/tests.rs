@@ -318,7 +318,7 @@ fn index_footprint_counters_stay_exact() {
         let cfg = TraceProcessorConfig::paper(model);
         let mut sim = TraceProcessor::new(&p, cfg);
         sim.run(5_000_000).unwrap();
-        let (_, _, _, loads) = sim.index_footprint();
+        let (_, loads) = sim.index_footprint();
         assert_eq!(loads, sim.load_count, "{model:?} load count drifted");
     }
 }
@@ -487,8 +487,8 @@ fn shifted_suffix_reads_locals(old: &Trace, new: &Trace) -> bool {
 
 /// Two-level registers: a dispatched trace allocates global registers for
 /// its live-outs only, and only its live-in operands enter the global
-/// reader and wait lists; local operands are reached through the trace's
-/// consumer masks.
+/// reader lists; local operands are reached through the trace's consumer
+/// masks.
 #[test]
 fn dispatch_allocates_globals_for_live_outs_only() {
     use tp_isa::Inst;
@@ -518,11 +518,10 @@ fn dispatch_allocates_globals_for_live_outs_only() {
         (
             after.global_regs_allocated - before.global_regs_allocated,
             after.reader_pushes - before.reader_pushes,
-            after.waiter_pushes - before.waiter_pushes,
         )
     };
-    assert_eq!(dispatch(&mut sim, 0, &first), (3, 3, 0), "(allocated, readers, waiters)");
-    assert_eq!(dispatch(&mut sim, 1, &second), (3, 2, 2), "(allocated, readers, waiters)");
+    assert_eq!(dispatch(&mut sim, 0, &first), (3, 3), "(allocated, readers)");
+    assert_eq!(dispatch(&mut sim, 1, &second), (3, 2), "(allocated, readers)");
     for pe in [0, 1] {
         for (i, s) in sim.pes[pe].slots.iter().enumerate() {
             assert_eq!(s.global.is_some(), s.is_liveout, "pe{pe} slot {i}");
@@ -530,13 +529,11 @@ fn dispatch_allocates_globals_for_live_outs_only() {
     }
     let consumers: Vec<[u64; 2]> = sim.pes[0].slots.iter().map(|s| s.consumers).collect();
     assert_eq!(consumers, [[0b10, 0], [0b100, 0b100], [0b1000, 0], [0, 0], [0, 0]]);
-    for (lists, what) in [(&sim.readers, "reader"), (&sim.wakeup.waiters, "waiter")] {
-        for (id, list) in lists.iter().enumerate() {
-            for e in list {
-                let s = &sim.pes[e.pe()].slots[e.slot()];
-                let operand = Some(Src::Global(PhysRegId(id as u32)));
-                assert!(s.srcs.contains(&operand), "{what} entry {e:?} on p{id}: {:?}", s.srcs);
-            }
+    for (id, list) in sim.readers.iter().enumerate() {
+        for e in list {
+            let s = &sim.pes[e.pe()].slots[e.slot()];
+            let operand = Some(Src::Global(PhysRegId(id as u32)));
+            assert!(s.srcs.contains(&operand), "reader entry {e:?} on p{id}: {:?}", s.srcs);
         }
     }
     sim.assert_event_index_coherent();
@@ -636,4 +633,104 @@ fn completion_wheel_drains_each_event_in_its_cycle() {
     assert_eq!(drained[..6], want);
     assert_eq!(drained[6..], [(200, 200, 3)]);
     assert_eq!(wheel.len(), 0);
+}
+
+/// A loop whose hammock writes `r7` on one arm only: on the else path the
+/// iteration's first instruction (`addi r7, r7, 1`) is the trace's last
+/// `r7` writer, on the then path the arm's `addi r7, r7, 5` is. The else
+/// arm writes `r8`, which the join overwrites, so neither arm leaves any
+/// other live-out.
+fn one_arm_writer_program(n: i32) -> Program {
+    let mut a = Asm::new("one-arm-writer");
+    let (r1, r3, r7, r8) = (Reg::new(1), Reg::new(3), Reg::new(7), Reg::new(8));
+    a.li(r1, n);
+    a.li(r7, 0);
+    a.label("top");
+    a.addi(r7, r7, 1);
+    a.alui(AluOp::And, r3, r1, 1);
+    a.branch(Cond::Eq, r3, Reg::ZERO, "else");
+    a.addi(r7, r7, 5);
+    a.jump("join");
+    a.label("else");
+    a.addi(r8, r1, 3);
+    a.jump("join");
+    a.label("join");
+    a.alui(AluOp::And, r8, r1, 7);
+    a.addi(r1, r1, -1);
+    a.branch(Cond::Gt, r1, Reg::ZERO, "top");
+    a.halt();
+    a.assemble().unwrap()
+}
+
+/// A demoted slot keeps its global register, so promoting it again must
+/// not allocate one. Mid-run, one trace is repaired twice at the same
+/// branch: first onto the arm that writes `r7` after a completed live-out
+/// writer of `r7` (demoting it), then back onto the arm that does not
+/// (promoting it again). The second repair allocates nothing and hands the
+/// slot its old register, so the trace's live-out map is restored and the
+/// run, continued with the oracle on and the wakeup index checked every
+/// cycle, completes correctly.
+#[test]
+fn a_repromoted_slot_keeps_its_global_register() {
+    use tp_isa::Inst;
+    let p = one_arm_writer_program(64);
+    let pc_of = |want: Inst| p.insts().iter().position(|&i| i == want).unwrap() as Pc;
+    let r = Reg::new;
+    let x_pc = pc_of(Inst::AluImm { op: AluOp::Add, rd: r(7), rs: r(7), imm: 1 });
+    let w_pc = pc_of(Inst::AluImm { op: AluOp::Add, rd: r(7), rs: r(7), imm: 5 });
+    let b_pc = x_pc + 2;
+    let cfg = TraceProcessorConfig::paper(CiModel::Fg).with_oracle();
+    let mut sim = TraceProcessor::new(&p, cfg);
+    let mut repaired = false;
+    while !sim.halted() {
+        sim.step_cycle().unwrap();
+        sim.assert_event_index_coherent();
+        assert!(sim.now() < 100_000, "did not halt");
+        if repaired || sim.recovery.is_some() || sim.redispatch.is_some() {
+            continue;
+        }
+        // A trace whose completed live-out `r7` writer is followed by the
+        // hammock's branch on its else path, with the join in the trace.
+        let found = sim.list.iter().find_map(|pe| {
+            let slots = &sim.pes[pe].slots;
+            let x = slots
+                .iter()
+                .position(|s| s.ti.pc == x_pc && s.is_liveout && s.state == SlotState::Done)?;
+            let k = (x..slots.len()).find(|&k| slots[k].ti.pc == b_pc)?;
+            (slots[k].ti.embedded_taken == Some(true) && k + 3 < slots.len()).then_some((pe, x, k))
+        });
+        let Some((pe, x, k)) = found else { continue };
+        let t0 = sim.pes[pe].trace.clone();
+        let (g, map_after) = (sim.pes[pe].slots[x].global, sim.pes[pe].map_after);
+        assert!(g.is_some(), "a live-out has a global register");
+        // The same trace with the hammock's branch flipped onto the then
+        // arm (same length: both arms are two instructions).
+        let flip = t0.insts()[..k].iter().filter(|ti| ti.inst.is_cond_branch()).count() as u8;
+        let id = t0.id();
+        let mut outcomes =
+            tp_trace::ClosureOutcomes::new(|i, _, _| id.outcome(i) != (i == flip), |_, _| None);
+        let mut bit = sim.bit.clone();
+        let t1 = Arc::new(sim.selector.select(&p, id.start(), &mut bit, &mut outcomes).trace);
+        assert_eq!((t1.len(), t1.insts()[k + 1].pc), (t0.len(), w_pc));
+        let allocated = |sim: &TraceProcessor| sim.work_counters().global_regs_allocated;
+
+        let before = allocated(&sim);
+        sim.replace_trace(pe, k, t1);
+        let slot = &sim.pes[pe].slots[x];
+        assert!(!slot.is_liveout && slot.global == g, "the new writer demotes the slot");
+        assert_eq!(allocated(&sim) - before, 1, "the then arm's writer allocates");
+
+        let before = allocated(&sim);
+        sim.replace_trace(pe, k, t0);
+        let slot = &sim.pes[pe].slots[x];
+        assert!(slot.is_liveout && slot.global == g, "the promoted slot keeps its register");
+        assert_eq!(allocated(&sim) - before, 0, "promotion again allocates nothing");
+        assert_eq!(sim.pes[pe].map_after, map_after);
+        sim.assert_event_index_coherent();
+        repaired = true;
+    }
+    assert!(repaired, "no trace had a completed r7 writer before an else-path hammock");
+    let mut oracle = Machine::new(&p);
+    oracle.run(u64::MAX).unwrap();
+    assert_eq!(sim.arch_state(), oracle.arch_state());
 }

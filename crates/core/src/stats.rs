@@ -130,19 +130,16 @@ pub struct WorkCounters {
     pub global_regs_allocated: u64,
     /// Entries pushed onto global registers' reader lists.
     pub reader_pushes: u64,
-    /// Entries pushed onto global registers' wait lists.
-    pub waiter_pushes: u64,
     /// Mark-sweep passes over the global register file.
     pub sweeps: u64,
 }
 
 impl WorkCounters {
     /// Each counter with its name, in declaration order.
-    pub fn named(&self) -> [(&'static str, u64); 4] {
+    pub fn named(&self) -> [(&'static str, u64); 3] {
         [
             ("global_regs_allocated", self.global_regs_allocated),
             ("reader_pushes", self.reader_pushes),
-            ("waiter_pushes", self.waiter_pushes),
             ("sweeps", self.sweeps),
         ]
     }

@@ -269,12 +269,6 @@ impl<'p> Machine<'p> {
         self.mem.peek(addr >> 3)
     }
 
-    /// Whether the word containing byte address `addr` is in the capture
-    /// image (initial data or written by a store).
-    pub fn mem_touched(&self, addr: Addr) -> bool {
-        self.mem.is_touched(addr >> 3)
-    }
-
     /// Takes a normalized snapshot of the architectural state.
     pub fn arch_state(&self) -> ArchState {
         ArchState { regs: self.regs, mem: self.mem.touched().filter(|&(_, w)| w != 0).collect() }

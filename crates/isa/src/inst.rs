@@ -281,12 +281,6 @@ impl Inst {
         self.is_cond_branch() || self.is_unconditional_transfer()
     }
 
-    /// Whether this is a memory access (load or store).
-    #[inline]
-    pub fn is_mem(self) -> bool {
-        matches!(self, Inst::Load { .. } | Inst::Store { .. })
-    }
-
     /// Execution latency in cycles once issued (excluding address generation
     /// and memory access for loads/stores, which the timing model adds
     /// separately).

@@ -15,19 +15,17 @@
 //!   single cold discriminant test per cycle when disabled.
 //!
 //! The building blocks — fixed-layout log2 [`Histogram`]s with exact low
-//! buckets and associative merge, [`Counter`]/[`Gauge`] scalars, and the
-//! per-interval [`SeriesRecorder`] — are usable on their own; the
+//! buckets and associative merge, and [`Counter`]/[`Gauge`] scalars — are
+//! usable on their own; the
 //! `simprof` bin in `tp-bench` renders them as `tp-bench/metrics/v1`
 //! reports.
 
 pub mod counter;
 pub mod hist;
 pub mod profiler;
-pub mod series;
 pub mod sink;
 
 pub use counter::{Counter, Gauge};
 pub use hist::{Histogram, EXACT_BUCKETS, LOG_BUCKETS};
 pub use profiler::{ScopedStageTimer, Stage, StageProfiler};
-pub use series::{SeriesPoint, SeriesRecorder};
 pub use sink::{Metrics, MetricsSink};

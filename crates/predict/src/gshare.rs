@@ -9,18 +9,6 @@
 
 use tp_isa::Pc;
 
-/// A plain-data image of a gshare predictor's trained state
-/// ([`Gshare::image`] / [`Gshare::from_image`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GshareImage {
-    /// The 2-bit counter array, one byte per entry.
-    pub counters: Vec<u8>,
-    /// Number of global-history bits.
-    pub history_bits: u32,
-    /// The global outcome-history register.
-    pub history: u64,
-}
-
 /// A gshare predictor: 2-bit counters indexed by `pc XOR global history`.
 ///
 /// # Example
@@ -89,60 +77,6 @@ impl Gshare {
         }
         self.history = (self.history << 1) | taken as u64;
     }
-
-    /// The history bits that currently feed table indexing.
-    #[inline]
-    pub fn masked_history(&self) -> u64 {
-        self.history & self.history_mask
-    }
-
-    /// Whether replaying `updates` through [`Gshare::update`] would leave
-    /// every counter unchanged: simulating the history shifts each update
-    /// performs, every indexed counter is already saturated in the
-    /// update's direction. The history register itself still advances on a
-    /// replay — apply that part with [`Gshare::push_outcomes`].
-    pub fn run_saturated(&self, updates: &[(Pc, bool)]) -> bool {
-        let mut h = self.history;
-        for &(pc, taken) in updates {
-            let i = ((pc as u64 ^ (h & self.history_mask)) & self.mask) as usize;
-            if self.counters[i] != if taken { 3 } else { 0 } {
-                return false;
-            }
-            h = (h << 1) | taken as u64;
-        }
-        true
-    }
-
-    /// Shifts `n` outcome bits into the global history without training —
-    /// the history half of a run [`Gshare::run_saturated`] proved to be a
-    /// counter no-op. `bits` holds the outcomes with the first update in
-    /// the most significant of the low `n` bits, exactly as `n` successive
-    /// [`Gshare::update`] calls would shift them in.
-    #[inline]
-    pub fn push_outcomes(&mut self, n: u32, bits: u64) {
-        self.history = (self.history << n) | bits;
-    }
-
-    /// Captures the trained state as a plain-data [`GshareImage`].
-    pub fn image(&self) -> GshareImage {
-        GshareImage {
-            counters: self.counters.clone(),
-            history_bits: self.history_mask.count_ones(),
-            history: self.history,
-        }
-    }
-
-    /// Creates a warmed predictor from an image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image's geometry is invalid (see [`Gshare::new`]).
-    pub fn from_image(image: &GshareImage) -> Gshare {
-        let mut g = Gshare::new(image.counters.len(), image.history_bits);
-        g.counters.copy_from_slice(&image.counters);
-        g.history = image.history;
-        g
-    }
 }
 
 #[cfg(test)]
@@ -188,25 +122,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_geometry_rejected() {
         let _ = Gshare::new(100, 8);
-    }
-
-    /// An image round-trip reproduces predictions *and* the history
-    /// register — a restored predictor must continue the stream exactly.
-    #[test]
-    fn image_roundtrip_continues_the_stream() {
-        let mut g = Gshare::new(1 << 10, 6);
-        for i in 0..200 {
-            g.update(40 + (i % 3), i % 5 < 2);
-        }
-        let mut warm = Gshare::from_image(&g.image());
-        for step in 0..50 {
-            let pc = 40 + (step % 3);
-            assert_eq!(warm.predict(pc), g.predict(pc), "step {step}");
-            let t = step % 7 < 4;
-            g.update(pc, t);
-            warm.update(pc, t);
-        }
-        assert_eq!(warm.image(), g.image());
     }
 
     /// Two PCs that collide modulo the table size share a counter when the

@@ -25,7 +25,7 @@ pub mod ras;
 pub mod trace_pred;
 
 pub use btb::{Btb, BtbImage};
-pub use gshare::{Gshare, GshareImage};
+pub use gshare::Gshare;
 pub use ras::Ras;
 pub use trace_pred::{
     NextTracePredictor, PredictionSource, TraceHistory, TracePredictorConfig, TracePredictorImage,

@@ -100,9 +100,9 @@ fuzz-ci SEEDS="500":
 
 # Bounded fuzz pass with the window invariants armed after every stage
 # (TP_PARANOID: rename, ARB, wakeup-index and register-root checks),
-# exactly as CI runs it.
-fuzz-paranoid SEEDS="400":
-    TP_PARANOID=1 cargo run --release -p tp-bench --bin fuzz -- --count {{SEEDS}} --quiet
+# exactly as CI runs it; CI runs it on both machines (paper|small).
+fuzz-paranoid SEEDS="400" MACHINE="paper":
+    TP_PARANOID=1 cargo run --release -p tp-bench --bin fuzz -- --count {{SEEDS}} --machine {{MACHINE}} --quiet
 
 # Bounded fuzz pass with the static re-convergence oracle armed: every
 # CGCI detection must be classifiable by tp-cfg or the seed diverges.
