@@ -17,7 +17,7 @@
 //! the 4/8/16 PE-count axis. `--guard` exits non-zero if any CI model
 //! loses more than 1% IPC to the base model on any cell. `--sample`
 //! switches to sampled execution (the only tractable mode for `--size
-//! long`) and emits the `tp-bench/sampled/v2` schema instead, defaulting
+//! long`) and emits the `tp-bench/sampled/v3` schema instead, defaulting
 //! `--out` to `BENCH_sampled.json`; it rejects
 //! `--guard`/`--pes`/`--pe-sweep`, which only apply to the detailed grid.
 //! `--ffwd-bench` additionally benchmarks the fast-forward engines

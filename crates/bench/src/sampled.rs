@@ -7,12 +7,15 @@
 //! executes the skips functionally *with predictor warming* and carries
 //! the detailed model's own trained structures across each skip
 //! ([`FastForward::adopt_interval`]), so every interval starts with the predictor
-//! state an uninterrupted detailed run would have had. Every checkpoint
-//! handed to the detailed model goes through a full encode/decode of the
-//! binary format — there is exactly one boot path, the one the `ckpt`
-//! binary and CI artifacts use.
+//! state an uninterrupted detailed run would have had. Each round boots
+//! the detailed model from the fast-forward's own structures, lent by move
+//! ([`FastForward::boot`]) and taken back at the hand-back: no round
+//! captures, encodes, decodes or rebuilds a checkpoint. The loan applies
+//! exactly what a TPCK byte round trip does to the warm set, so a round
+//! measures what a boot from the `ckpt` binary's files would
+//! (`tests/sampling.rs` keeps the byte path as the reference).
 //!
-//! The round protocol — checkpoint boot → warmup → measured interval →
+//! The round protocol — lent boot → warmup → measured interval →
 //! warm hand-back → jittered skip — is written once, in
 //! [`run_sampled_with`]. Analyses attach to it as a [`RoundObserver`]
 //! with hooks after boot, after warmup, at interval end (before the
@@ -28,7 +31,7 @@
 
 use std::time::Instant;
 
-use tp_ckpt::{Checkpoint, FastForward};
+use tp_ckpt::FastForward;
 use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::{Frontend, Program};
 use tp_stats::json::Json;
@@ -210,7 +213,7 @@ impl SampledRun {
 ///
 /// # Panics
 ///
-/// Panics if the simulator deadlocks, a checkpoint fails to round-trip,
+/// Panics if the simulator deadlocks, a boot or hand-back is rejected,
 /// or the committed path leaves the program image — all bugs, not
 /// results.
 pub fn run_sampled(
@@ -221,9 +224,9 @@ pub fn run_sampled(
     run_sampled_as(program, Frontend::Synth, cfg, sample)
 }
 
-/// [`run_sampled`] with an explicit frontend kind, recorded in every
-/// internal checkpoint the run round-trips through (rv workloads pass
-/// [`Frontend::Rv64`]).
+/// [`run_sampled`] with an explicit frontend kind (rv workloads pass
+/// [`Frontend::Rv64`]); the fast-forward records it in any checkpoint it
+/// captures.
 ///
 /// # Panics
 ///
@@ -242,10 +245,10 @@ pub fn run_sampled_as(
 /// watches. `round` counts detailed legs from 0; the simulator handed to a
 /// hook is the round's freshly booted detailed model.
 pub trait RoundObserver {
-    /// The round booted from `ckpt` (the fast-forward's frontier after a
-    /// round trip through the binary format; `ckpt.retired` is where the
-    /// round starts). The warmup leg runs next.
-    fn booted(&mut self, _round: u64, _ckpt: &Checkpoint, _sim: &mut TraceProcessor<'_>) {}
+    /// The round booted at the fast-forward's frontier, after `retired`
+    /// program instructions (where the round starts). The warmup leg runs
+    /// next.
+    fn booted(&mut self, _round: u64, _retired: u64, _sim: &mut TraceProcessor<'_>) {}
 
     /// The warmup leg finished; the measured interval runs next.
     fn warmed(&mut self, _round: u64, _sim: &mut TraceProcessor<'_>) {}
@@ -288,6 +291,18 @@ pub fn run_sampled_with<O: RoundObserver>(
     sample: &SampleConfig,
     obs: &mut O,
 ) -> SampledRun {
+    drive(program, frontend, cfg, sample, obs).0
+}
+
+/// [`run_sampled_with`], also returning the host seconds spent at the
+/// round boundaries: booting each detailed leg and handing it back.
+fn drive<O: RoundObserver>(
+    program: &Program,
+    frontend: Frontend,
+    cfg: &TraceProcessorConfig,
+    sample: &SampleConfig,
+    obs: &mut O,
+) -> (SampledRun, f64) {
     let name = program.name();
     let t = Instant::now();
     let mut ff = FastForward::new(program, cfg);
@@ -298,17 +313,17 @@ pub fn run_sampled_with<O: RoundObserver>(
     let mut detailed_instrs = 0;
     let mut halted = false;
     let mut round = 0u64;
-    let mut ffwd_wall = 0.0f64;
+    let (mut ffwd_wall, mut boot_wall) = (0.0f64, 0.0f64);
     while !halted && !ff.halted() && !obs.done() {
-        // Detailed leg, booted through the binary checkpoint format.
-        let ckpt = Checkpoint::decode(&ff.checkpoint().encode())
-            .unwrap_or_else(|e| panic!("{name}: checkpoint round-trip failed: {e}"));
-        let boot = ckpt
-            .boot_image(program, cfg)
-            .unwrap_or_else(|e| panic!("{name}: checkpoint boot failed: {e}"));
+        // Detailed leg, booted from the fast-forward's warm set, lent by
+        // move until the hand-back below.
+        let boot_start = ff.retired();
+        let clock = Instant::now();
+        let boot = ff.boot(cfg).unwrap_or_else(|e| panic!("{name}: boot failed: {e}"));
         let mut sim = TraceProcessor::from_checkpoint(program, cfg.clone(), boot)
             .unwrap_or_else(|e| panic!("{name}: boot rejected: {e}"));
-        obs.booted(round, &ckpt, &mut sim);
+        boot_wall += clock.elapsed().as_secs_f64();
+        obs.booted(round, boot_start, &mut sim);
         // The first round boots the *initial* state — bit-identical to how
         // a full run starts — so its cold-start cycles are real cost and
         // must be measured, not discarded. Later rounds boot mid-program
@@ -327,7 +342,7 @@ pub fn run_sampled_with<O: RoundObserver>(
         let instrs = r.stats.retired_instrs - w_instrs;
         let cycles = r.stats.cycles - w_cycles;
         let interval = (instrs > 0).then_some(Interval {
-            start_retired: ckpt.retired + w_instrs,
+            start_retired: boot_start + w_instrs,
             instrs,
             cycles,
         });
@@ -340,11 +355,13 @@ pub fn run_sampled_with<O: RoundObserver>(
         obs.interval_end(round, interval.as_ref(), &mut sim);
         round += 1;
         // Hand the interval back to the fast-forward engine, which still
-        // stands at the checkpoint this round booted from: it applies the
+        // stands at the frontier this round booted from: it applies the
         // interval's architectural frontier and committed words in place
-        // (a store of zero over non-zero data included) and adopts the
-        // trained structures.
+        // (a store of zero over non-zero data included) and takes the
+        // trained structures back.
+        let clock = Instant::now();
         ff.adopt_interval(sim).unwrap_or_else(|e| panic!("{name}: hand-back rejected: {e}"));
+        boot_wall += clock.elapsed().as_secs_f64();
         if halted {
             break;
         }
@@ -370,7 +387,7 @@ pub fn run_sampled_with<O: RoundObserver>(
         halted = s.halted;
         obs.skipped(before, ff.retired() - before);
     }
-    SampledRun {
+    let run = SampledRun {
         intervals,
         total_instrs: ff.retired(),
         detailed_instrs,
@@ -380,7 +397,8 @@ pub fn run_sampled_with<O: RoundObserver>(
         wall_seconds: t.elapsed().as_secs_f64(),
         ffwd_wall_seconds: ffwd_wall,
         attribution,
-    }
+    };
+    (run, boot_wall)
 }
 
 /// The sampling regime conventionally paired with a suite size: sparse
@@ -401,6 +419,11 @@ pub struct SampledCell {
     pub model: CiModel,
     /// The sampled run.
     pub run: SampledRun,
+    /// Host wall-clock seconds spent at the run's round boundaries:
+    /// booting each detailed leg from the fast-forward's warm set and
+    /// handing it back (a subset of the run's `wall_seconds`, disjoint
+    /// from its `ffwd_wall_seconds`).
+    pub boot_wall_seconds: f64,
 }
 
 /// Runs every workload in `workloads` sampled under every model in
@@ -416,19 +439,17 @@ pub fn run_sampled_grid_on(
 ) -> Vec<SampledCell> {
     let cell = |w: &Workload, model: CiModel| {
         let cfg = TraceProcessorConfig::paper(model);
-        SampledCell {
-            workload: w.name,
-            model,
-            run: run_sampled_as(&w.program, w.frontend, &cfg, sample),
-        }
+        let (run, boot_wall_seconds) = drive(&w.program, w.frontend, &cfg, sample, &mut ());
+        SampledCell { workload: w.name, model, run, boot_wall_seconds }
     };
     workloads.iter().flat_map(|w| models.iter().map(move |&m| cell(w, m))).collect()
 }
 
-/// Renders a sampled grid as the `tp-bench/sampled/v2` JSON document
-/// (see README "Sampled simulation"). v2 adds the per-cell fast-forward
+/// Renders a sampled grid as the `tp-bench/sampled/v3` JSON document
+/// (see README "Sampled simulation"). v2 added the per-cell fast-forward
 /// throughput (`ffwd_instrs_per_sec`, superblock engine) and its wall
-/// time; the interpreter-vs-superblock comparison lives in the `sampled`
+/// time; v3 adds the round-boundary host time (`boot_wall_seconds`) beside
+/// it. The interpreter-vs-superblock comparison lives in the `sampled`
 /// section of `BENCH_speed.json` (see [`crate::ffwd`]).
 pub fn sampled_to_json(cells: &[SampledCell], size: Size, sample: &SampleConfig) -> Json {
     let total_wall: f64 = cells.iter().map(|c| c.run.wall_seconds).sum();
@@ -443,6 +464,7 @@ pub fn sampled_to_json(cells: &[SampledCell], size: Size, sample: &SampleConfig)
             ("warmup_instrs", r.warmup_instrs.into()),
             ("ffwd_instrs", r.ffwd_instrs.into()),
             ("ffwd_wall_seconds", r.ffwd_wall_seconds.into()),
+            ("boot_wall_seconds", c.boot_wall_seconds.into()),
             ("ffwd_instrs_per_sec", r.ffwd_instrs_per_sec().into()),
             ("ipc_estimate", r.ipc_estimate().into()),
             ("ipc_ci95", r.ipc_ci95().into()),
@@ -453,7 +475,7 @@ pub fn sampled_to_json(cells: &[SampledCell], size: Size, sample: &SampleConfig)
         ])
     };
     Json::obj([
-        ("schema", "tp-bench/sampled/v2".into()),
+        ("schema", "tp-bench/sampled/v3".into()),
         ("suite_size", crate::speed::size_name(size).into()),
         (
             "sample",
@@ -568,6 +590,23 @@ mod tests {
         let b = run_sampled(&w, &cfg, &SampleConfig::dense());
         assert_eq!(a.intervals, b.intervals);
         assert_eq!(a.total_instrs, b.total_instrs);
+    }
+
+    /// The grid reports each cell's round-boundary host time in
+    /// `sampled/v3`, apart from the fast-forward legs and inside the run.
+    #[test]
+    fn grid_cells_report_boundary_time() {
+        let w = by_name("compress", Size::Tiny).unwrap();
+        let sample = SampleConfig { warmup: 100, interval: 400, skip: 800 };
+        let cells = run_sampled_grid_on(&[w], &[CiModel::MlbRet], &sample);
+        let c = &cells[0];
+        assert!(c.run.intervals.len() > 2);
+        assert!(c.boot_wall_seconds > 0.0);
+        assert!(c.boot_wall_seconds + c.run.ffwd_wall_seconds <= c.run.wall_seconds);
+        let doc = sampled_to_json(&cells, Size::Tiny, &sample);
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("tp-bench/sampled/v3"));
+        let cell = &doc.get("cells").and_then(Json::as_array).unwrap()[0];
+        assert!(cell.get("boot_wall_seconds").is_some());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use tp_ckpt::Checkpoint;
 use tp_core::{TraceProcessor, TraceProcessorConfig};
 use tp_events::ChromeTraceSink;
 use tp_isa::{Frontend, Program};
@@ -143,10 +142,10 @@ struct CaptureObserver {
 }
 
 impl RoundObserver for CaptureObserver {
-    fn booted(&mut self, round: u64, ckpt: &Checkpoint, sim: &mut TraceProcessor<'_>) {
+    fn booted(&mut self, round: u64, retired: u64, sim: &mut TraceProcessor<'_>) {
         let mut sink = self.sink.take().expect("returned at interval end");
         sink.set_base(self.base);
-        sink.mark_interval(round, ckpt.retired);
+        sink.mark_interval(round, retired);
         sim.attach_event_sink(sink);
         self.rounds += 1;
     }

@@ -68,7 +68,7 @@ use tp_predict::trace_pred::ImageEntry;
 use tp_predict::{
     Btb, BtbImage, NextTracePredictor, Ras, TraceHistory, TracePredictorConfig, TracePredictorImage,
 };
-use tp_trace::{Bit, ClosureOutcomes, SelectionConfig, Selector, TraceId};
+use tp_trace::{Bit, ClosureOutcomes, SelectionConfig, Selector, Trace, TraceId};
 
 use crate::ffwd::FastForward;
 use crate::wire::{Reader, WireError, Writer};
@@ -209,6 +209,45 @@ pub struct TraceLine {
     pub next_pc: Option<Pc>,
     /// Physical instruction count.
     pub len: u8,
+}
+
+impl TraceLine {
+    /// The line recording a cached trace.
+    pub(crate) fn of(trace: &Trace) -> TraceLine {
+        debug_assert!(trace.len() <= u8::MAX as usize);
+        TraceLine { id: trace.id(), next_pc: trace.next_pc(), len: trace.len() as u8 }
+    }
+}
+
+/// Re-selects cached trace-cache lines, least-recently-used first, from
+/// the program image into a fresh BIT sized for `cfg`, handing each
+/// rebuilt trace to `fill`. This is the BIT every detailed boot starts
+/// with: [`Checkpoint::warm_boot`] refills its trace cache through `fill`,
+/// and [`FastForward::boot`] keeps the lent trace cache and takes only the
+/// BIT, so both boots see the same BIT state.
+///
+/// # Errors
+///
+/// [`CkptError::TraceReconstruct`] when a line does not rebuild to its
+/// recorded id and length (only possible against a mismatched program).
+pub(crate) fn refill_bit(
+    program: &Program,
+    cfg: &TraceProcessorConfig,
+    lines: impl IntoIterator<Item = TraceLine>,
+    mut fill: impl FnMut(Trace),
+) -> Result<Bit, CkptError> {
+    let selector = Selector::new(cfg.selection);
+    let mut bit = Bit::new(cfg.bit_entries, cfg.bit_ways);
+    for line in lines {
+        let mut outcomes = ClosureOutcomes::new(|i, _, _| line.id.outcome(i), |_, _| line.next_pc);
+        let stop = line.next_pc.map(|p| (p, line.len as usize));
+        let sel = selector.select_bounded(program, line.id.start(), &mut bit, &mut outcomes, stop);
+        if sel.trace.id() != line.id || sel.trace.len() != line.len as usize {
+            return Err(CkptError::TraceReconstruct { id: line.id });
+        }
+        fill(sel.trace);
+    }
+    Ok(bit)
 }
 
 /// The warmed predictor images of a checkpoint.
@@ -394,20 +433,9 @@ impl Checkpoint {
                 offered: cfg.selection,
             });
         }
-        let selector = Selector::new(images.selection);
-        let mut bit = Bit::new(cfg.bit_entries, cfg.bit_ways);
         let mut tcache = TraceCache::new(images.tcache_sets as usize, images.tcache_ways as usize);
-        for line in &images.tcache {
-            let mut outcomes =
-                ClosureOutcomes::new(|i, _, _| line.id.outcome(i), |_, _| line.next_pc);
-            let stop = line.next_pc.map(|p| (p, line.len as usize));
-            let sel =
-                selector.select_bounded(program, line.id.start(), &mut bit, &mut outcomes, stop);
-            if sel.trace.id() != line.id || sel.trace.len() != line.len as usize {
-                return Err(CkptError::TraceReconstruct { id: line.id });
-            }
-            tcache.fill(Arc::new(sel.trace));
-        }
+        let bit =
+            refill_bit(program, cfg, images.tcache.iter().copied(), |t| tcache.fill(Arc::new(t)))?;
         let mut history = TraceHistory::new(images.history_depth as usize);
         for &id in &images.history {
             history.push(id);
@@ -792,15 +820,7 @@ impl WarmImages {
             predictor: warm.predictor.image(),
             tcache_sets: warm.tcache.geometry().0 as u32,
             tcache_ways: warm.tcache.geometry().1 as u32,
-            tcache: warm
-                .tcache
-                .lines_lru()
-                .into_iter()
-                .map(|t| {
-                    debug_assert!(t.len() <= u8::MAX as usize);
-                    TraceLine { id: t.id(), next_pc: t.next_pc(), len: t.len() as u8 }
-                })
-                .collect(),
+            tcache: warm.tcache.lines_lru().into_iter().map(|t| TraceLine::of(&t)).collect(),
             icache_lines: warm.icache.warm_lines(),
             dcache_lines: warm.dcache.warm_lines(),
             history_depth: warm.history.depth() as u32,
@@ -814,6 +834,10 @@ impl FastForward<'_> {
     /// Captures a checkpoint of the current machine state and warm set
     /// (via the incremental dirty-page path; see
     /// [`Checkpoint::capture_machine`]).
+    ///
+    /// # Panics
+    ///
+    /// While the warm set is lent ([`FastForward::boot`]).
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint::capture_machine(
             self.machine(),

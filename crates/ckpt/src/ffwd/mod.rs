@@ -9,8 +9,9 @@
 //! into canonical traces (by the same selection algorithm the detailed
 //! frontend uses) that fill the trace cache and train the next-trace
 //! predictor. A detailed measurement interval booted from a checkpoint
-//! taken here therefore starts with the predictor state a long-running
-//! detailed simulation would have accumulated — not cold.
+//! taken here, or from the warm set lent by [`FastForward::boot`],
+//! therefore starts with the predictor state a long-running detailed
+//! simulation would have accumulated — not cold.
 //!
 //! Trace segmentation reuses [`Selector`] verbatim rather than
 //! re-implementing its rules: the machine itself is the selector's
@@ -38,12 +39,18 @@ use std::sync::Arc;
 use engine::Engine;
 pub use engine::EngineStats;
 use tp_cache::DCache;
-use tp_core::{TraceProcessor, TraceProcessorConfig, WarmBoot};
+use tp_core::{BootImage, TraceProcessor, TraceProcessorConfig, WarmBoot};
 use tp_isa::func::{Machine, MachineState, PcOutOfRange, Step};
 use tp_isa::{Frontend, Inst, Pc, Program};
 use tp_trace::{OutcomeSource, SelectionConfig, Selector, Trace};
 
+use crate::checkpoint::{refill_bit, TraceLine};
 use crate::CkptError;
+
+/// The panic message of an operation that needs the warm set while it is
+/// lent.
+const LENT: &str = "the fast-forward's warm set is lent to a detailed boot \
+                    (FastForward::boot); hand the interval back with adopt_interval first";
 
 /// Summary of one [`FastForward::skip`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,7 +145,9 @@ pub struct FastForward<'p> {
     /// Cuts the committed stream into traces; its selection must match the
     /// detailed configuration the warm state will boot.
     selector: Selector,
-    warm: WarmBoot,
+    /// The warm set; `None` while it is lent to a detailed boot
+    /// ([`FastForward::boot`]) and not yet handed back.
+    warm: Option<WarmBoot>,
     frontend: Frontend,
     /// `Some` = superblock engine (default), `None` = interpreter.
     engine: Option<Engine>,
@@ -153,7 +162,7 @@ impl<'p> FastForward<'p> {
             machine: Machine::new(program),
             selector: Selector::new(cfg.selection),
             engine: Some(Engine::new(cfg.selection)),
-            warm: WarmBoot::cold(cfg),
+            warm: Some(WarmBoot::cold(cfg)),
             frontend: Frontend::Synth,
         }
     }
@@ -195,7 +204,7 @@ impl<'p> FastForward<'p> {
 
     /// Adopts the architectural frontier and trained structures of a
     /// finished detailed interval, or any machine state and warm set (a
-    /// decoded checkpoint's, say).
+    /// decoded checkpoint's, say). A lent warm set is replaced.
     ///
     /// This rebuilds the machine from a full state, O(memory image);
     /// [`FastForward::adopt_interval`] is the O(interval) equivalent.
@@ -205,10 +214,11 @@ impl<'p> FastForward<'p> {
     }
 
     /// Adopts a finished detailed interval booted from this driver's
-    /// current frontier (a checkpoint taken here and not skipped past
-    /// since): its registers, retired frontier, halt flag and committed
-    /// memory words are applied to the live machine in place, and its
-    /// trained structures are taken as [`FastForward::adopt`] takes them.
+    /// current frontier ([`FastForward::boot`], or a checkpoint taken here,
+    /// not skipped past since): its registers, retired frontier, halt flag
+    /// and committed memory words are applied to the live machine in
+    /// place, and its trained structures are taken as
+    /// [`FastForward::adopt`] takes them, which ends a loan.
     /// The cost scales with the words the interval committed, not with
     /// the program's memory. The result is the state `adopt` would build
     /// from the interval's full committed image, so every later checkpoint
@@ -246,7 +256,50 @@ impl<'p> FastForward<'p> {
         if let Some(engine) = &mut self.engine {
             engine.warm_reset();
         }
-        self.warm = warm;
+        self.warm = Some(warm);
+    }
+
+    /// Boots a detailed interval at the current frontier, lending it this
+    /// driver's warm set by move: the image is what
+    /// [`Checkpoint::boot_image`](crate::Checkpoint::boot_image) builds
+    /// from this driver's encoded and decoded
+    /// [`checkpoint`](FastForward::checkpoint), without the bytes. A byte
+    /// round trip changes two things in the warm set, and the loan applies
+    /// exactly those: the BIT is rebuilt by re-selecting every cached
+    /// trace, least-recently-used first (the refill
+    /// [`Checkpoint::warm_boot`](crate::Checkpoint::warm_boot) runs), and
+    /// the next-trace predictor's statistics start at zero. Every other
+    /// structure moves as it is, so a round costs no capture, encode,
+    /// decode or table rebuild.
+    ///
+    /// Until the interval comes back through
+    /// [`FastForward::adopt_interval`] (or a warm set through
+    /// [`FastForward::adopt`]), the driver holds no warm set: `skip`,
+    /// `checkpoint`, `warm` and `boot` panic.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::SelectionMismatch`] when `cfg` cuts traces differently
+    /// from this driver, and [`CkptError::TraceReconstruct`] if a cached
+    /// trace does not re-select; the warm set stays here on error.
+    pub fn boot(&mut self, cfg: &TraceProcessorConfig) -> Result<BootImage, CkptError> {
+        let (stored, offered) = (self.selection(), cfg.selection);
+        if stored != offered {
+            return Err(CkptError::SelectionMismatch { stored, offered });
+        }
+        let lines = self.warm().tcache.lines_lru();
+        let bit = refill_bit(self.program, cfg, lines.iter().map(|t| TraceLine::of(t)), drop)?;
+        let mut warm = self.warm.take().expect("checked by warm()");
+        warm.bit = bit;
+        warm.predictor.reset_stats();
+        Ok(BootImage {
+            pc: self.machine.pc(),
+            regs: self.machine.regs(),
+            mem_delta: self.machine.mem_delta(),
+            retired: self.machine.retired(),
+            halted: self.machine.halted(),
+            warm: Some(warm),
+        })
     }
 
     /// The underlying functional machine.
@@ -255,18 +308,17 @@ impl<'p> FastForward<'p> {
     }
 
     /// The warm structures accumulated so far.
+    ///
+    /// # Panics
+    ///
+    /// While the warm set is lent ([`FastForward::boot`]).
     pub fn warm(&self) -> &WarmBoot {
-        &self.warm
+        self.warm.as_ref().expect(LENT)
     }
 
     /// The trace selection the committed stream is cut with.
     pub(crate) fn selection(&self) -> SelectionConfig {
         self.selector.config()
-    }
-
-    /// Consumes the driver, returning its warm structures.
-    pub fn into_warm(self) -> WarmBoot {
-        self.warm
     }
 
     /// Whether the program has halted.
@@ -287,13 +339,18 @@ impl<'p> FastForward<'p> {
     ///
     /// Returns [`PcOutOfRange`] if the committed path leaves the program
     /// image (a malformed program; validated workloads halt instead).
+    ///
+    /// # Panics
+    ///
+    /// While the warm set is lent ([`FastForward::boot`]).
     pub fn skip(&mut self, budget: u64) -> Result<SkipSummary, PcOutOfRange> {
         let start = self.machine.retired();
         let mut traces = 0;
+        let warm = self.warm.as_mut().expect(LENT);
         while !self.machine.halted() && self.machine.retired() - start < budget {
             match &mut self.engine {
-                Some(eng) => eng.advance_trace(self.program, &mut self.machine, &mut self.warm)?,
-                None => self.advance_trace()?,
+                Some(eng) => eng.advance_trace(self.program, &mut self.machine, warm)?,
+                None => advance_trace(self.program, &self.selector, &mut self.machine, warm)?,
             }
             traces += 1;
         }
@@ -303,41 +360,42 @@ impl<'p> FastForward<'p> {
             halted: self.machine.halted(),
         })
     }
+}
 
-    /// Executes exactly one canonical trace: selects it from the committed
-    /// stream, catches the machine up past its tail, and applies all
-    /// warming updates in the order the detailed pipeline would (BTB per
-    /// branch, RAS per call/return, indirect targets at the trace end,
-    /// next-trace predictor and trace cache per trace).
-    fn advance_trace(&mut self) -> Result<(), PcOutOfRange> {
-        let start = self.machine.pc();
-        let before = self.machine.retired();
-        let selection = {
-            let mut outcomes = StreamOutcomes {
-                machine: &mut self.machine,
-                dcache: &mut self.warm.dcache,
-                err: None,
-            };
-            let sel = self.selector.select(self.program, start, &mut self.warm.bit, &mut outcomes);
-            if let Some(e) = outcomes.err {
-                return Err(e);
-            }
-            sel
-        };
-        let trace = Arc::new(selection.trace);
-        // The selector only stepped the machine up to its last branch or
-        // indirect query; execute the remaining tail of the trace.
-        while self.machine.retired() - before < trace.len() as u64 {
-            step_warm(&mut self.machine, &mut self.warm.dcache)?;
+/// Executes exactly one canonical trace on the interpreter path: selects
+/// it from the committed stream, catches the machine up past its tail, and
+/// applies all warming updates in the order the detailed pipeline would
+/// (BTB per branch, RAS per call/return, indirect targets at the trace
+/// end, next-trace predictor and trace cache per trace).
+fn advance_trace(
+    program: &Program,
+    selector: &Selector,
+    machine: &mut Machine<'_>,
+    warm: &mut WarmBoot,
+) -> Result<(), PcOutOfRange> {
+    let start = machine.pc();
+    let before = machine.retired();
+    let selection = {
+        let mut outcomes = StreamOutcomes { machine, dcache: &mut warm.dcache, err: None };
+        let sel = selector.select(program, start, &mut warm.bit, &mut outcomes);
+        if let Some(e) = outcomes.err {
+            return Err(e);
         }
-        debug_assert_eq!(
-            self.machine.retired() - before,
-            trace.len() as u64,
-            "machine and selection disagree on trace length at pc {start}"
-        );
-        apply_trace_warming(self.program, &mut self.warm, &trace);
-        Ok(())
+        sel
+    };
+    let trace = Arc::new(selection.trace);
+    // The selector only stepped the machine up to its last branch or
+    // indirect query; execute the remaining tail of the trace.
+    while machine.retired() - before < trace.len() as u64 {
+        step_warm(machine, &mut warm.dcache)?;
     }
+    debug_assert_eq!(
+        machine.retired() - before,
+        trace.len() as u64,
+        "machine and selection disagree on trace length at pc {start}"
+    );
+    apply_trace_warming(program, warm, &trace);
+    Ok(())
 }
 
 /// Applies every post-selection warming update one committed trace
@@ -504,6 +562,19 @@ mod tests {
         assert!(stats.memo_hits > stats.memo_misses, "hot loop should hit the memo: {stats:?}");
         assert!(stats.blocks_built > 0);
         assert_eq!(stats.pages_invalidated, 0, "no stores touch code pages: {stats:?}");
+    }
+
+    /// While the warm set is lent to a detailed boot there is nothing to
+    /// warm: a skip before the hand-back is a bug, and the panic says so.
+    #[test]
+    #[should_panic(expected = "warm set is lent")]
+    fn skip_while_lent_panics() {
+        let p = loop_program(200);
+        let cfg = TraceProcessorConfig::small(CiModel::None);
+        let mut ff = FastForward::new(&p, &cfg);
+        ff.skip(50).unwrap();
+        let _boot = ff.boot(&cfg).unwrap();
+        let _ = ff.skip(50);
     }
 
     #[test]

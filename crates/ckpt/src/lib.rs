@@ -17,11 +17,16 @@
 //!    compact versioned binary format, and rebuilds a
 //!    [`BootImage`](tp_core::BootImage) from it.
 //! 3. [`tp_core::TraceProcessor::from_checkpoint`] boots the detailed
-//!    model at the checkpoint for a measurement interval; its trained
-//!    structures, architectural frontier and committed memory words then
-//!    flow back into the next fast-forward leg as a delta
-//!    ([`FastForward::adopt_interval`]), so warming is continuous across
-//!    the whole run and a round costs O(interval), not O(memory).
+//!    model for a measurement interval. A sampled round does not
+//!    serialize: [`FastForward::boot`] lends the fast-forward's own warm
+//!    structures by move, after applying exactly what a byte round trip
+//!    through [`Checkpoint`] would (a re-selected BIT, zeroed next-trace
+//!    predictor statistics). The interval's trained structures,
+//!    architectural frontier and committed memory words then flow back
+//!    into the next fast-forward leg as a delta
+//!    ([`FastForward::adopt_interval`]), which ends the loan, so warming
+//!    is continuous across the whole run and a round costs O(interval),
+//!    not O(memory) or O(warm tables).
 //!
 //! The sampled *runner* that alternates these legs and aggregates
 //! per-interval IPC with error bounds lives in `tp-bench`
@@ -209,6 +214,9 @@ mod tests {
         let ckpt = ff.checkpoint();
         let other = TraceProcessorConfig::paper(CiModel::None);
         assert!(matches!(ckpt.boot_image(&w, &other), Err(CkptError::SelectionMismatch { .. })));
+        // A lent boot fails the same way and keeps the warm set.
+        assert!(matches!(ff.boot(&other), Err(CkptError::SelectionMismatch { .. })));
+        assert_eq!(ff.checkpoint(), ckpt);
     }
 
     /// The frontend kind round-trips through the wire format, and a

@@ -383,6 +383,12 @@ impl NextTracePredictor {
         self.stats
     }
 
+    /// Zeroes the statistics, keeping the tables: the state
+    /// [`NextTracePredictor::from_image`] of this predictor's image has.
+    pub fn reset_stats(&mut self) {
+        self.stats = TracePredictorStats::default();
+    }
+
     /// Captures the trained state as a plain-data [`TracePredictorImage`].
     pub fn image(&self) -> TracePredictorImage {
         fn entries(c: &Component) -> Vec<ImageEntry> {

@@ -127,7 +127,7 @@ sample-smoke:
     cargo run --release -p tp-bench --bin ckpt -- smoke --out ckpt_smoke.tpckpt
 
 # Sampled baseline over the long suite (the workloads only tractable
-# sampled): writes BENCH_sampled.json (tp-bench/sampled/v2).
+# sampled): writes BENCH_sampled.json (tp-bench/sampled/v3).
 sample-baseline:
     cargo run --release -p tp-bench --bin baseline -- --sample --size long --out BENCH_sampled.json
 

@@ -20,9 +20,10 @@
 //! * `sampled.txt` — one sampled-mode row (base model, gcc, tiny): the
 //!   per-interval `(start, instrs, cycles)` triples and the aggregate
 //!   estimate of a checkpointed fast-forward + detailed-interval run.
-//!   Pins the whole sampled pipeline — functional warming, the binary
-//!   checkpoint round-trip, warm boots, and interval accounting — at
-//!   cycle granularity.
+//!   Pins the whole sampled pipeline — functional warming, the lent warm
+//!   boots and delta hand-backs, and interval accounting — at cycle
+//!   granularity. `tests/sampling.rs` ties the lent boots to the binary
+//!   checkpoint format.
 //!
 //! Both tests run in tier-1 (`cargo test`). On an *intentional* behaviour
 //! change, bless new fixtures with:

@@ -13,12 +13,16 @@
 //! * the in-place delta hand-back is exact: every round's checkpoint
 //!   bytes, the intervals and the final state equal those of the
 //!   full-state hand-back, a stale interval is rejected, and the words a
-//!   detailed run reports as committed are exactly the functional stores.
+//!   detailed run reports as committed are exactly the functional stores;
+//! * the lending law: a boot lent from the fast-forward's warm set equals
+//!   the boot image of its checkpoint's bytes, and the driver, which only
+//!   lends, measures exactly the intervals of a loop that boots through
+//!   the bytes every round.
 
 use std::collections::BTreeMap;
 
 use tp_bench::sampled::{cross_check, run_sampled_with, Interval, RoundObserver, SampleConfig};
-use trace_processor::tp_ckpt::{Checkpoint, CkptError, FastForward};
+use trace_processor::tp_ckpt::{Checkpoint, CkptError, FastForward, WarmImages};
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_isa::asm::Asm;
 use trace_processor::tp_isa::func::{ArchState, Machine, MachineState};
@@ -265,22 +269,36 @@ fn zero_store_kernel() -> Program {
     a.assemble().expect("valid program")
 }
 
+/// The hand-back and lending laws' programs: the tiny suite of both
+/// frontends plus the zero-store kernel.
+fn hand_back_programs() -> Vec<(String, Program, Frontend)> {
+    let mut programs: Vec<(String, Program, Frontend)> = suite(Size::Tiny)
+        .into_iter()
+        .chain(rv_suite(Size::Tiny))
+        .map(|w| (w.name.to_string(), w.program, w.frontend))
+        .collect();
+    programs.push(("zero-stores".to_string(), zero_store_kernel(), Frontend::Synth));
+    programs
+}
+
 /// What one sampled run produced, round by round.
 #[derive(Debug, PartialEq)]
 struct Rounds {
     /// Every round's boot checkpoint, encoded.
     ckpts: Vec<Vec<u8>>,
+    /// Every round's boot position (instructions retired).
+    boots: Vec<u64>,
     intervals: Vec<Interval>,
     total_instrs: u64,
 }
 
-/// Records the driver's boot checkpoints.
+/// Records the driver's boot positions.
 #[derive(Default)]
-struct CkptLog(Vec<Vec<u8>>);
+struct CkptLog(Vec<u64>);
 
 impl RoundObserver for CkptLog {
-    fn booted(&mut self, _round: u64, ckpt: &Checkpoint, _sim: &mut TraceProcessor<'_>) {
-        self.0.push(ckpt.encode());
+    fn booted(&mut self, _round: u64, retired: u64, _sim: &mut TraceProcessor<'_>) {
+        self.0.push(retired);
     }
 }
 
@@ -303,7 +321,9 @@ fn delta_handback<'p>(ff: &mut FastForward<'p>, sim: TraceProcessor<'p>) {
 }
 
 /// The sampled round protocol of `run_sampled_with`, written out with a
-/// pluggable hand-back. Returns the rounds and the final machine state.
+/// pluggable hand-back and every boot taken through the TPCK bytes (the
+/// reference the driver's lent boots must match). Returns the rounds and
+/// the final machine state.
 fn rounds_with<'p>(
     program: &'p Program,
     frontend: Frontend,
@@ -313,11 +333,13 @@ fn rounds_with<'p>(
 ) -> (Rounds, ArchState) {
     let mut ff = FastForward::new(program, cfg);
     ff.set_frontend(frontend);
-    let mut out = Rounds { ckpts: Vec::new(), intervals: Vec::new(), total_instrs: 0 };
+    let mut out =
+        Rounds { ckpts: Vec::new(), boots: Vec::new(), intervals: Vec::new(), total_instrs: 0 };
     for round in 0u64.. {
         let bytes = ff.checkpoint().encode();
         let ckpt = Checkpoint::decode(&bytes).expect("round-trip");
         out.ckpts.push(bytes);
+        out.boots.push(ckpt.retired);
         let boot = ckpt.boot_image(program, cfg).expect("boot image");
         let mut sim = TraceProcessor::from_checkpoint(program, cfg.clone(), boot).expect("boot");
         sim.run_interval(if round == 0 { 0 } else { sample.warmup }).expect("warmup");
@@ -343,21 +365,17 @@ fn rounds_with<'p>(
     (out, ff.machine().arch_state())
 }
 
-/// The delta hand-back is exactly the full-state one: through the driver
-/// and through a local loop, every round boots from byte-identical
-/// checkpoint bytes, measures identical intervals, and the run ends in the
-/// same state as a straight functional run — on the tiny suite of both
-/// frontends plus the zero-store kernel, under base and MLB-RET.
+/// The delta hand-back is exactly the full-state one: in a local loop
+/// that boots through the TPCK bytes, every round boots from
+/// byte-identical checkpoint bytes, measures identical intervals, and the
+/// run ends in the same state as a straight functional run. The driver,
+/// which boots from lent warm sets instead, boots at the same positions
+/// and measures the same intervals — on the tiny suite of both frontends
+/// plus the zero-store kernel, under base and MLB-RET.
 #[test]
 fn delta_handback_equals_full_state_handback() {
     let sample = SampleConfig { warmup: 30, interval: 100, skip: 80 };
-    let mut programs: Vec<(String, Program, Frontend)> = suite(Size::Tiny)
-        .into_iter()
-        .chain(rv_suite(Size::Tiny))
-        .map(|w| (w.name.to_string(), w.program, w.frontend))
-        .collect();
-    programs.push(("zero-stores".to_string(), zero_store_kernel(), Frontend::Synth));
-    for (name, program, frontend) in &programs {
+    for (name, program, frontend) in &hand_back_programs() {
         let mut straight = Machine::new(program);
         straight.run(u64::MAX).expect("halts");
         for model in [CiModel::None, CiModel::MlbRet] {
@@ -374,9 +392,55 @@ fn delta_handback_equals_full_state_handback() {
 
             let mut log = CkptLog::default();
             let run = run_sampled_with(program, *frontend, &cfg, &sample, &mut log);
-            let driver =
-                Rounds { ckpts: log.0, intervals: run.intervals, total_instrs: run.total_instrs };
-            assert_eq!(driver, reference, "{ctx}: driver diverged from the full-state hand-back");
+            assert_eq!(log.0, reference.boots, "{ctx}: driver booted elsewhere");
+            assert_eq!(run.intervals, reference.intervals, "{ctx}: driver intervals diverged");
+            assert_eq!(run.total_instrs, reference.total_instrs, "{ctx}: driver length diverged");
+        }
+    }
+}
+
+/// The lending law: a boot lent from the fast-forward's own warm set
+/// ([`FastForward::boot`]) equals the boot image of its checkpoint taken
+/// through the TPCK bytes, in every field a detailed run reads, at round 0
+/// and after several delta hand-backs — on the tiny suite of both
+/// frontends plus the zero-store kernel, under all five models.
+#[test]
+fn lent_boot_equals_checkpoint_boot() {
+    let sample = SampleConfig { warmup: 30, interval: 100, skip: 80 };
+    const ROUNDS: u64 = 3;
+    for (name, program, frontend) in &hand_back_programs() {
+        for model in CiModel::ALL {
+            let cfg = TraceProcessorConfig::paper(model);
+            let mut ff = FastForward::new(program, &cfg);
+            ff.set_frontend(*frontend);
+            let mut round = 0;
+            while round < ROUNDS && !ff.halted() {
+                let ctx = format!("{name} {} round {round}", model.name());
+                let want = Checkpoint::decode(&ff.checkpoint().encode())
+                    .and_then(|c| c.boot_image(program, &cfg))
+                    .expect("byte boot");
+                let got = ff.boot(&cfg).expect("lent boot");
+                assert_eq!(got.pc, want.pc, "{ctx}: pc");
+                assert_eq!(got.regs, want.regs, "{ctx}: regs");
+                assert_eq!(got.mem_delta, want.mem_delta, "{ctx}: mem delta");
+                assert_eq!(got.retired, want.retired, "{ctx}: retired");
+                assert_eq!(got.halted, want.halted, "{ctx}: halted");
+                let (g, w) = (got.warm.as_ref().unwrap(), want.warm.as_ref().unwrap());
+                let images = |warm| WarmImages::capture(warm, cfg.selection);
+                assert_eq!(images(g), images(w), "{ctx}: warm images");
+                assert_eq!(format!("{:?}", g.bit), format!("{:?}", w.bit), "{ctx}: BIT");
+                assert_eq!(g.predictor.stats(), w.predictor.stats(), "{ctx}: predictor stats");
+
+                let mut sim = TraceProcessor::from_checkpoint(program, cfg.clone(), got).unwrap();
+                sim.run_interval(sample.warmup + sample.interval).expect("interval");
+                let halted = sim.halted();
+                ff.adopt_interval(sim).expect("hand-back");
+                round += 1;
+                if halted || ff.skip(sample.skip).expect("skip").halted {
+                    break;
+                }
+            }
+            assert_eq!(round, ROUNDS, "{name} {}: too few rounds", model.name());
         }
     }
 }
