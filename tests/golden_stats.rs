@@ -1,6 +1,6 @@
 //! Golden-stats regression corpus.
 //!
-//! Two fixture files under `tests/golden/` pin the simulator's observable
+//! Five fixture files under `tests/golden/` pin the simulator's observable
 //! behaviour:
 //!
 //! * `oracle_probes.txt` — the 25 oracle-verified probe cells (5 kernels x
@@ -24,8 +24,15 @@
 //!   boots and delta hand-backs, and interval accounting — at cycle
 //!   granularity. `tests/sampling.rs` ties the lent boots to the binary
 //!   checkpoint format.
+//! * `events.txt` — the structured event stream of every workload of the
+//!   tiny battery (both suites) under all five models, one line per cell:
+//!   the count of each event kind and an FNV-1a digest of the
+//!   `(cycle, name)` sequence, read from a full-interest sink after
+//!   `release_event_bus` (so the run-end drained closes are included).
+//!   Pins which happening is reported when, so a refactor of the
+//!   accounting sites cannot drop, duplicate or reorder an event.
 //!
-//! Both tests run in tier-1 (`cargo test`). On an *intentional* behaviour
+//! All of these run in tier-1 (`cargo test`). On an *intentional* behaviour
 //! change, bless new fixtures with:
 //!
 //! ```text
@@ -35,12 +42,16 @@
 //! and commit the diff — the point is that cycle-level changes are always
 //! explicit in review, never accidental.
 
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use tp_bench::corpus::simstats_rows;
-use trace_processor::tp_core::{CiModel, TraceProcessorConfig};
-use trace_processor::tp_workloads::{suite, Size};
+use tp_bench::run_cell;
+use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use trace_processor::tp_events::{CategoryMask, Event, EventSink};
+use trace_processor::tp_workloads::{all_workloads, suite, Size};
 
 fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file)
@@ -134,4 +145,60 @@ fn simstats_match_golden() {
 fn rv_simstats_match_golden() {
     use trace_processor::tp_workloads::rv_suite;
     check_against_golden("rv_simstats.txt", &simstats_rows(&rv_suite(Size::Tiny), |_, _| {}));
+}
+
+/// A full-interest sink folding the event stream into per-name counts and
+/// an FNV-1a digest of the `(cycle, name)` sequence.
+struct StreamDigest {
+    counts: BTreeMap<&'static str, u64>,
+    fnv: u64,
+}
+
+impl StreamDigest {
+    fn new() -> StreamDigest {
+        StreamDigest { counts: BTreeMap::new(), fnv: 0xcbf2_9ce4_8422_2325 }
+    }
+}
+
+impl EventSink for StreamDigest {
+    fn interests(&self) -> CategoryMask {
+        CategoryMask::ALL
+    }
+
+    fn record(&mut self, cycle: u64, event: &Event) {
+        *self.counts.entry(event.name()).or_default() += 1;
+        for &b in cycle.to_le_bytes().iter().chain(event.name().as_bytes()).chain(&[0]) {
+            self.fnv = (self.fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
+/// The event stream of every tiny-battery cell (both suites x all five
+/// models) must match the fixture: per-kind counts and the digest of the
+/// `(cycle, name)` sequence, drained closes included.
+#[test]
+fn event_stream_matches_golden() {
+    let mut actual = String::new();
+    for w in all_workloads(Size::Tiny) {
+        for model in CiModel::ALL {
+            let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model));
+            sim.attach_event_sink(Box::new(StreamDigest::new()));
+            run_cell(&mut sim, w.name, model.name());
+            let d = sim.release_event_bus().take::<StreamDigest>().expect("attached above");
+            let _ = write!(actual, "{} {} fnv={:016x}", w.name, model.name(), d.fnv);
+            for (name, n) in &d.counts {
+                let _ = write!(actual, " {name}={n}");
+            }
+            actual.push('\n');
+        }
+    }
+    check_against_golden("events.txt", &actual);
 }

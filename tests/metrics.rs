@@ -23,9 +23,9 @@ use tp_bench::corpus::simstats_rows;
 use tp_bench::metrics::ipdom_map;
 use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
-use trace_processor::tp_events::RingSink;
+use trace_processor::tp_events::{Category, CategoryMask, Event, RingSink};
 use trace_processor::tp_metrics::{Histogram, MetricsSink, EXACT_BUCKETS};
-use trace_processor::tp_stats::{BranchClass, Heuristic, RecoveryOutcome};
+use trace_processor::tp_stats::{AttrCell, BranchClass, Heuristic, RecoveryOutcome};
 use trace_processor::tp_workloads::{all_workloads, by_name, suite, Size};
 
 /// Attaching the metrics sink (ipdom-joined) and enabling the stage
@@ -219,31 +219,88 @@ fn cgci_battery_distance_histogram_matches_ledger_exactly() {
     assert!(total_detections > 0, "the battery must exercise CGCI detections");
 }
 
-/// The event stream and `SimStats` count the same trace lifecycle: the
-/// sink's dispatch/retire/squash/preserve/re-dispatch counters equal the
-/// simulator's on every cell, and every CGCI attempt opens one window.
+/// The event stream, the attribution ledger and `SimStats` count the same
+/// trace lifecycle, on the paper machine and on the small one (which
+/// saturates its 4-PE window and takes other recovery paths). On every
+/// cell of the tiny battery:
+///
+/// * the sink's dispatch/retire/squash/preserve/re-dispatch counters equal
+///   the simulator's, and every CGCI attempt opens one window;
+/// * `fgci_recoveries` is the ledger's `FgciRepair` event count,
+///   `cgci_reconverged` its `CgciReconverged` count, `cgci_attempts` its
+///   `CgciReconverged` plus `CgciFailed` counts, and `preserved_traces` its
+///   `traces_preserved`;
+/// * the ledger's `traces_redispatched` never exceeds
+///   `redispatched_traces` (a pass resuming a preempted pass's walk debt
+///   charges no cell for the owed walks; see `AttrCell`);
+/// * a run cut short at 1500 instructions closes every dispatched trace
+///   exactly once: retired, squashed, or drained when the bus is released.
+///
 /// (Mispredicts and recovery starts are not equated with the ledger:
 /// transient faults and indirect full squashes legitimately differ.)
 #[test]
 fn counter_conservation_event_counts_match_simstats() {
-    for w in all_workloads(Size::Tiny) {
-        for model in CiModel::ALL {
-            let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model));
-            sim.attach_event_sink(Box::new(MetricsSink::new()));
-            let s = run_cell(&mut sim, w.name, model.name()).result.stats;
-            let m = sim.release_event_bus().take::<MetricsSink>().expect("attached").into_metrics();
-            let cell = format!("{} {}", w.name, model.name());
-            for (what, events, stats) in [
-                ("dispatched", m.traces_dispatched, s.dispatched_traces),
-                ("retired", m.traces_retired, s.retired_traces),
-                ("squashed", m.traces_squashed, s.squashed_traces),
-                ("preserved", m.traces_preserved, s.preserved_traces),
-                ("redispatched", m.traces_redispatched, s.redispatched_traces),
-                ("cgci opened vs attempts", m.cgci_opened, s.cgci_attempts),
-            ] {
-                assert_eq!(events.get(), stats, "{cell}: {what}: events vs SimStats");
+    let paper: fn(CiModel) -> TraceProcessorConfig = TraceProcessorConfig::paper;
+    let machines = [("paper", paper), ("small", TraceProcessorConfig::small)];
+    for (machine, config) in machines {
+        for w in all_workloads(Size::Tiny) {
+            for model in CiModel::ALL {
+                let cell = format!("{} {} {machine}", w.name, model.name());
+                let mut sim = TraceProcessor::new(&w.program, config(model));
+                sim.attach_event_sink(Box::new(MetricsSink::new()));
+                let r = run_cell(&mut sim, w.name, model.name()).result;
+                let s = r.stats;
+                let m = sim.release_event_bus().take::<MetricsSink>().expect("attached");
+                let m = m.into_metrics();
+                for (what, events, stats) in [
+                    ("dispatched", m.traces_dispatched, s.dispatched_traces),
+                    ("retired", m.traces_retired, s.retired_traces),
+                    ("squashed", m.traces_squashed, s.squashed_traces),
+                    ("preserved", m.traces_preserved, s.preserved_traces),
+                    ("redispatched", m.traces_redispatched, s.redispatched_traces),
+                    ("cgci opened vs attempts", m.cgci_opened, s.cgci_attempts),
+                ] {
+                    assert_eq!(events.get(), stats, "{cell}: {what}: events vs SimStats");
+                }
+                assert!(m.cgci_closed.get() <= m.cgci_opened.get(), "{cell}: more closes");
+
+                let ledger = |outcome: RecoveryOutcome, f: fn(&AttrCell) -> u64| -> u64 {
+                    r.attribution.nonzero().filter(|(k, _)| k.2 == outcome).map(|(_, c)| f(c)).sum()
+                };
+                let events = |c: &AttrCell| c.events;
+                let reconverged = ledger(RecoveryOutcome::CgciReconverged, events);
+                let failed = ledger(RecoveryOutcome::CgciFailed, events);
+                let preserved: u64 = r.attribution.nonzero().map(|(_, c)| c.traces_preserved).sum();
+                let walked: u64 = r.attribution.nonzero().map(|(_, c)| c.traces_redispatched).sum();
+                for (what, ledger, stats) in [
+                    ("fgci", ledger(RecoveryOutcome::FgciRepair, events), s.fgci_recoveries),
+                    ("cgci reconverged", reconverged, s.cgci_reconverged),
+                    ("cgci attempts", reconverged + failed, s.cgci_attempts),
+                    ("preserved", preserved, s.preserved_traces),
+                ] {
+                    assert_eq!(ledger, stats, "{cell}: {what}: ledger vs SimStats");
+                }
+                assert!(walked <= s.redispatched_traces, "{cell}: ledger walks more traces");
+
+                let mut sim = TraceProcessor::new(&w.program, config(model));
+                sim.attach_event_sink(Box::new(RingSink::with_interests(
+                    1 << 16,
+                    CategoryMask::of(&[Category::Trace]),
+                )));
+                let s = sim.run(1500).unwrap_or_else(|e| panic!("{cell} cut: {e}")).stats;
+                let ring = sim.release_event_bus().take::<RingSink>().expect("attached");
+                assert_eq!(ring.dropped(), 0, "{cell} cut: ring overflowed");
+                let drained = ring
+                    .events()
+                    .iter()
+                    .filter(|(_, e)| matches!(e, Event::TraceSquashed { drained: true, .. }))
+                    .count() as u64;
+                assert_eq!(
+                    s.dispatched_traces,
+                    s.retired_traces + s.squashed_traces + drained,
+                    "{cell} cut: dispatched traces vs retired + squashed + drained"
+                );
             }
-            assert!(m.cgci_closed.get() <= m.cgci_opened.get(), "{cell}: more closes than opens");
         }
     }
 }
