@@ -18,6 +18,7 @@ use tp_bench::json::Json;
 use tp_bench::runner::run_cell;
 use tp_bench::speed::predictor_json;
 use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use tp_events::{Category, CategoryMask, Event, FetchPath, RingSink};
 use tp_isa::Pc;
 use tp_trace::SelectionConfig;
 
@@ -31,9 +32,12 @@ fn main() {
     }
     if let Some(m) = model_arg {
         let model = cli::parse_model(&m).unwrap_or_else(|e| cli::usage_error(e));
-        let mut cfg = TraceProcessorConfig::paper(model);
-        cfg.log_mispredicts = true;
+        let cfg = TraceProcessorConfig::paper(model);
         let mut sim = TraceProcessor::new(&w.program, cli::validated(cfg, model.name()));
+        if !json {
+            let recovery = CategoryMask::of(&[Category::Recovery]);
+            sim.attach_event_sink(Box::new(RingSink::with_interests(usize::MAX, recovery)));
+        }
         let run = run_cell(&mut sim, &name, model.name()).result;
         let s = run.stats;
         if json {
@@ -74,23 +78,22 @@ fn main() {
             p.simple_tag_evictions,
             p.simple_repoints,
         );
-        // Per-PC provenance of confirmed mispredictions: `beyond-depth`
-        // counts wrong outcomes past the predicted id's branches (BTB/
-        // fallback-predicted), `fallback` those in traces built with no
-        // next-trace prediction at all.
+        let ring = sim.release_event_bus().take::<RingSink>().expect("attached above");
+        // Per-PC provenance of confirmed mispredictions (`RecoveryApplied`):
+        // `beyond-id-depth` counts wrong outcomes past the predicted id's
+        // branches (BTB/fallback-predicted), `in-fallback-trace` those in
+        // traces built with no next-trace prediction at all.
         let mut per_pc: HashMap<Pc, (u64, u64, u64)> = HashMap::new();
-        for rec in sim.mispredict_log() {
-            let e = per_pc.entry(rec.pc).or_default();
-            e.0 += 1;
-            if rec.branch_idx >= rec.id_branches {
-                e.1 += 1;
-            }
-            if rec.source == tp_core::pe::FetchSource::Fallback {
-                e.2 += 1;
+        for &(_, e) in ring.events() {
+            if let Event::RecoveryApplied { branch_pc, branch_idx, id_branches, source, .. } = e {
+                let row = per_pc.entry(branch_pc).or_default();
+                row.0 += 1;
+                row.1 += u64::from(branch_idx >= id_branches);
+                row.2 += u64::from(source == FetchPath::Fallback);
             }
         }
         let mut rows: Vec<_> = per_pc.into_iter().collect();
-        rows.sort_by_key(|&(_, (n, _, _))| std::cmp::Reverse(n));
+        rows.sort_by_key(|&(pc, (n, _, _))| (std::cmp::Reverse(n), pc));
         println!("hottest mispredicting branches (confirmed recovery events):");
         let mut t =
             tp_stats::Table::new("pc", &["events", "beyond-id-depth", "in-fallback-trace", "inst"]);

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use tp_events::FetchPath;
 use tp_isa::{Addr, Pc, Word};
 use tp_predict::TraceHistory;
 use tp_stats::attr::AttrKey;
@@ -134,7 +135,8 @@ pub struct Slot {
     /// How many times the slot issued (statistics).
     pub issues: u32,
     /// Set when a repair replaced this slot's embedded outcome (the slot's
-    /// original prediction was wrong); counted at retirement.
+    /// original prediction was wrong); counted at retirement. Written by
+    /// the simulator's books, like `attr`.
     pub was_mispredicted: bool,
     /// Attribution-ledger coordinate of the last recovery this slot's
     /// misprediction went through (class, heuristic, outcome); `None` until
@@ -210,18 +212,6 @@ impl Slot {
     }
 }
 
-/// Why a PE's trace was fetched (statistics and predictor training).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FetchSource {
-    /// Predicted by the next-trace predictor and found in the trace cache.
-    PredictedHit,
-    /// Predicted by the next-trace predictor, constructed on a trace cache
-    /// miss.
-    PredictedMiss,
-    /// No prediction: constructed from the fall-through PC with the BTB.
-    Fallback,
-}
-
 /// A processing element: holds one trace and its execution state.
 #[derive(Clone, Debug)]
 pub struct Pe {
@@ -245,8 +235,8 @@ pub struct Pe {
     /// Speculative fetch history checkpoint taken before this trace was
     /// predicted (restored on recovery).
     pub hist_before: TraceHistory,
-    /// How the trace entered the window.
-    pub source: FetchSource,
+    /// How fetch obtained the trace.
+    pub source: FetchPath,
     /// Times the trace was repaired in place (committed-path trace
     /// mispredictions when it retires).
     pub repairs: u32,
@@ -274,7 +264,7 @@ impl Pe {
             map_before: [PhysRegId::ZERO; tp_isa::Reg::COUNT],
             map_after: [PhysRegId::ZERO; tp_isa::Reg::COUNT],
             hist_before: hist,
-            source: FetchSource::Fallback,
+            source: FetchPath::Fallback,
             repairs: 0,
             dispatched_at: 0,
         }

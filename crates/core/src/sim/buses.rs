@@ -22,53 +22,47 @@
 //! **Mutates:** the bus request queues and their horizons, slot state and
 //! values, the ARB and data cache, physical-register global visibility,
 //! the wakeup index (completion events, load registry, reissue wakeups),
-//! and snoop-reissue statistics.
+//! and the snoop-reissue count in the books.
 
 use super::*;
+use tp_events::BusChannel;
 use tp_isa::{Addr, Inst};
-
-/// Which shared interconnect an arbiter pass serves. The two buses share
-/// one grant skeleton ([`TraceProcessor::grant_buses`]); only the limits,
-/// the request-validity predicate, and the grant action differ.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BusKind {
-    /// ARB/data-cache buses: grants perform the memory access.
-    Cache,
-    /// Global result buses: grants make a live-out globally visible.
-    Result,
-}
 
 impl TraceProcessor<'_> {
     pub(super) fn bus_stage(&mut self, ctx: &CycleCtx) {
-        self.grant_buses(ctx, BusKind::Cache);
-        self.grant_buses(ctx, BusKind::Result);
+        self.grant_buses(ctx, BusChannel::Cache);
+        self.grant_buses(ctx, BusChannel::Result);
     }
 
-    /// One arbiter pass: a single in-place `retain` sweep over the queue,
+    /// One arbiter pass over the ARB/data-cache buses, whose grants perform
+    /// the memory access, or the global result buses, whose grants make a
+    /// live-out globally visible. The two share this grant skeleton; only
+    /// the limits, the request-validity predicate, and the grant action
+    /// differ. The pass is a single in-place `retain` sweep over the queue,
     /// granting in request order up to the total and per-PE limits,
     /// dropping requests whose generation died, and recomputing the
     /// `next_due` horizon that lets idle cycles skip the pass entirely
     /// (`now + 1` whenever a grantable request was blocked by a limit).
-    fn grant_buses(&mut self, ctx: &CycleCtx, kind: BusKind) {
+    fn grant_buses(&mut self, ctx: &CycleCtx, kind: BusChannel) {
         let now = ctx.now;
         let horizon = match kind {
-            BusKind::Cache => self.cache_bus_next_due,
-            BusKind::Result => self.result_bus_next_due,
+            BusChannel::Cache => self.cache_bus_next_due,
+            BusChannel::Result => self.result_bus_next_due,
         };
         if horizon > now {
             return; // nothing could be granted this cycle
         }
         let (total_limit, per_pe_limit) = match kind {
-            BusKind::Cache => (self.cfg.cache_buses, self.cfg.cache_buses_per_pe),
-            BusKind::Result => (self.cfg.result_buses, self.cfg.result_buses_per_pe),
+            BusChannel::Cache => (self.cfg.cache_buses, self.cfg.cache_buses_per_pe),
+            BusChannel::Result => (self.cfg.result_buses, self.cfg.result_buses_per_pe),
         };
         let mut granted_total = 0;
         let mut granted_per_pe = std::mem::take(&mut self.scratch_grants);
         granted_per_pe.clear();
         granted_per_pe.resize(self.cfg.num_pes, 0);
         let mut queue = match kind {
-            BusKind::Cache => std::mem::take(&mut self.cache_bus_queue),
-            BusKind::Result => std::mem::take(&mut self.result_bus_queue),
+            BusChannel::Cache => std::mem::take(&mut self.cache_bus_queue),
+            BusChannel::Result => std::mem::take(&mut self.result_bus_queue),
         };
         let waiting_at_start = queue.len();
         // Grant actions may (now or in the future) push *new* requests via
@@ -77,8 +71,8 @@ impl TraceProcessor<'_> {
         // such pushes — and their horizon updates — from being lost when
         // the swept queue is restored.
         match kind {
-            BusKind::Cache => self.cache_bus_next_due = u64::MAX,
-            BusKind::Result => self.result_bus_next_due = u64::MAX,
+            BusChannel::Cache => self.cache_bus_next_due = u64::MAX,
+            BusChannel::Result => self.result_bus_next_due = u64::MAX,
         }
         let mut next_due = u64::MAX;
         queue.retain(|&req| {
@@ -91,11 +85,11 @@ impl TraceProcessor<'_> {
                 let p = &self.pes[req.pe];
                 let live = p.occupied && p.gen == req.gen && req.slot < p.slots.len();
                 live && match kind {
-                    BusKind::Cache => {
+                    BusChannel::Cache => {
                         matches!(p.slots[req.slot].state, SlotState::WaitingBus { .. })
                             && self.list.contains(req.pe)
                     }
-                    BusKind::Result => p.slots[req.slot].is_liveout,
+                    BusChannel::Result => p.slots[req.slot].is_liveout,
                 }
             };
             if !valid {
@@ -112,8 +106,8 @@ impl TraceProcessor<'_> {
             granted_total += 1;
             granted_per_pe[req.pe] += 1;
             match kind {
-                BusKind::Cache => self.perform_mem_access(req.pe, req.slot),
-                BusKind::Result => {
+                BusChannel::Cache => self.perform_mem_access(req.pe, req.slot),
+                BusChannel::Result => {
                     let slot = &self.pes[req.pe].slots[req.slot];
                     let dest = slot.global.expect("a live-out has a global register");
                     let r = self.pregs.get_mut(dest);
@@ -125,32 +119,19 @@ impl TraceProcessor<'_> {
             false
         });
         match kind {
-            BusKind::Cache => {
+            BusChannel::Cache => {
                 queue.append(&mut self.cache_bus_queue); // mid-pass pushes, if any
                 self.cache_bus_queue = queue;
                 self.cache_bus_next_due = self.cache_bus_next_due.min(next_due);
             }
-            BusKind::Result => {
+            BusChannel::Result => {
                 queue.append(&mut self.result_bus_queue);
                 self.result_bus_queue = queue;
                 self.result_bus_next_due = self.result_bus_next_due.min(next_due);
             }
         }
         self.scratch_grants = granted_per_pe;
-        if waiting_at_start > 0 && self.events.wants(Category::Bus) {
-            let bus = match kind {
-                BusKind::Cache => tp_events::BusChannel::Cache,
-                BusKind::Result => tp_events::BusChannel::Result,
-            };
-            self.events.emit(
-                now,
-                Event::BusSample {
-                    bus,
-                    waiting: waiting_at_start.min(255) as u8,
-                    granted: granted_total.min(255usize) as u8,
-                },
-            );
-        }
+        self.books.bus_arbitrated(kind, waiting_at_start, granted_total);
     }
 
     fn perform_mem_access(&mut self, pe: usize, slot: usize) {
@@ -289,8 +270,8 @@ impl TraceProcessor<'_> {
             self.wakeup.loads_by_word.insert(word, entries);
         }
         let _ = store_pe;
+        self.books.load_snoop_reissued(reissues.len() as u64);
         for (pe, i) in reissues {
-            self.stats.load_snoop_reissues += 1;
             self.mark_reissue_slot(pe, i, now + penalty);
         }
     }
@@ -315,8 +296,8 @@ impl TraceProcessor<'_> {
         if !entries.is_empty() {
             self.wakeup.loads_by_word.insert(word, entries);
         }
+        self.books.load_snoop_reissued(reissues.len() as u64);
         for (pe, i) in reissues {
-            self.stats.load_snoop_reissues += 1;
             self.mark_reissue_slot(pe, i, now + penalty);
         }
     }

@@ -23,6 +23,7 @@
 
 use super::*;
 use crate::pe::{Fault, Published};
+use tp_events::MispredictKind;
 
 impl TraceProcessor<'_> {
     pub(super) fn complete_stage(&mut self, ctx: &CycleCtx) {
@@ -115,16 +116,8 @@ impl TraceProcessor<'_> {
                 (s.ti.pc, s.branch_fault())
             };
             self.pes[pe].set_fault(slot, fault);
-            if fault.is_some() && self.events.wants(Category::Recovery) {
-                self.events.emit(
-                    now,
-                    Event::MispredictDetected {
-                        pe: pe as u8,
-                        slot: slot.min(255) as u8,
-                        pc,
-                        kind: tp_events::MispredictKind::CondBranch,
-                    },
-                );
+            if fault.is_some() {
+                self.books.mispredict_detected(pe, slot, pc, MispredictKind::CondBranch);
             }
         } else if inst.is_indirect() {
             self.verify_indirect(pe, slot);
@@ -147,16 +140,8 @@ impl TraceProcessor<'_> {
             Some(succ) => {
                 let ok = Some(self.pes[succ].trace.id().start()) == actual;
                 self.pes[pe].set_fault(slot, (!ok).then_some(Fault::Indirect { actual }));
-                if !ok && self.events.wants(Category::Recovery) {
-                    self.events.emit(
-                        self.now,
-                        Event::MispredictDetected {
-                            pe: pe as u8,
-                            slot: slot.min(255) as u8,
-                            pc,
-                            kind: tp_events::MispredictKind::Indirect,
-                        },
-                    );
+                if !ok {
+                    self.books.mispredict_detected(pe, slot, pc, MispredictKind::Indirect);
                 }
             }
             None => {
@@ -167,7 +152,7 @@ impl TraceProcessor<'_> {
                     (Some(f), Some(t)) if f == t => {}
                     (Some(_), t) => {
                         // Mispredicted successor still in the fetch queue.
-                        self.stats.trace_mispredictions += 1;
+                        self.books.successor_mispredicted();
                         self.fetch_queue.clear();
                         self.fetch_hist = self.rebuild_history();
                         self.expected = match t {

@@ -22,7 +22,7 @@
 //!
 //! **Mutates:** the fetch queue/mode, the target PE (slots, rename maps,
 //! generation), the PE list, the speculative rename-map chain, reader
-//! registrations, the global register file (allocations), and statistics.
+//! registrations, the global register file (allocations), and the books.
 
 use super::*;
 use crate::pe::Slot;
@@ -92,12 +92,9 @@ impl TraceProcessor<'_> {
                         v.extend(self.list.iter_after(before));
                         v
                     };
-                    if let Some(p) = self.cgci_pending.as_mut() {
-                        p.squashed += victims.len() as u64;
-                    }
+                    self.books.insertion_abandoned(victims.len() as u64);
                     for v in victims {
                         self.squash_pe(v);
-                        self.stats.tail_reclaims += 1;
                     }
                     self.set_mode(FetchMode::Normal);
                     // The fetch queue holds correct-path (post-branch)
@@ -203,18 +200,7 @@ impl TraceProcessor<'_> {
             None => self.list.push_tail(pe),
         }
         self.seed_dispatched(pe);
-        self.stats.dispatched_traces += 1;
-        if self.events.wants(Category::Trace) {
-            let pc = self.pes[pe].trace.id().start();
-            self.events.emit(
-                ctx.now,
-                Event::TraceDispatched {
-                    pe: pe as u8,
-                    pc,
-                    len: num_slots.min(255) as u8,
-                    cgci_insert: insert_before.is_some(),
-                },
-            );
-        }
+        let pc = self.pes[pe].trace.id().start();
+        self.books.dispatched(pe, pc, num_slots, insert_before.is_some());
     }
 }

@@ -92,25 +92,15 @@ impl TraceProcessor<'_> {
         // the preserved control-independent trace.
         if let FetchMode::CgciInsert { before, reconv_start, .. } = self.mode {
             if start == reconv_start {
-                self.stats.cgci_reconverged += 1;
                 let preserved: Vec<usize> = {
                     let mut v = vec![before];
                     v.extend(self.list.iter_after(before));
                     v
                 };
-                self.stats.preserved_traces += preserved.len() as u64;
-                // Resolve the pending attempt as re-converged *before*
+                // Close the pending attempt as re-converged *before*
                 // leaving insertion mode (set_mode treats any still-pending
                 // teardown as a failure).
-                if self.events.wants(Category::Trace) {
-                    for &pe in &preserved {
-                        let pc = self.pes[pe].trace.id().start();
-                        self.events.emit(ctx.now, Event::TracePreserved { pe: pe as u8, pc });
-                    }
-                }
-                let attr = self.cgci_pending.take().map(|p| {
-                    self.resolve_cgci(p, RecoveryOutcome::CgciReconverged, preserved.len() as u64)
-                });
+                let attr = self.books.cgci_reconverged(&preserved, &mut self.pes);
                 // The predecessor is usually the repaired faulting trace,
                 // but the entire control-dependent path may already have
                 // retired — then the pass chains from retired state.
@@ -132,11 +122,8 @@ impl TraceProcessor<'_> {
         let now = ctx.now;
         let (trace, ready_at, source) = match prediction {
             Some(id) => {
-                self.stats.tcache_lookups += 1;
                 let looked = self.tcache.lookup(id);
-                if looked.is_none() {
-                    self.stats.tcache_misses += 1;
-                }
+                self.books.tcache_probed(looked.is_some());
                 // A cached trace that crosses the re-convergent PC
                 // mid-trace is unusable during insertion: construct a
                 // bounded one instead.
@@ -145,14 +132,14 @@ impl TraceProcessor<'_> {
                     Some(sp) => !t.insts()[1..].iter().any(|ti| ti.pc == sp),
                 });
                 match usable {
-                    Some(t) => (t, now + self.cfg.frontend_latency, FetchSource::PredictedHit),
+                    Some(t) => (t, now + self.cfg.frontend_latency, FetchPath::PredictedHit),
                     None => {
                         let (t, cycles) = self.construct_trace(start, Some(id), stop);
                         let ready = now.max(self.construction_busy_until)
                             + cycles as u64
                             + self.cfg.frontend_latency;
                         self.construction_busy_until = ready;
-                        (t, ready, FetchSource::PredictedMiss)
+                        (t, ready, FetchPath::PredictedMiss)
                     }
                 }
             }
@@ -162,24 +149,10 @@ impl TraceProcessor<'_> {
                     + cycles as u64
                     + self.cfg.frontend_latency;
                 self.construction_busy_until = ready;
-                (t, ready, FetchSource::Fallback)
+                (t, ready, FetchPath::Fallback)
             }
         };
-        if self.events.wants(Category::Trace) {
-            let path = match source {
-                FetchSource::PredictedHit => tp_events::FetchPath::PredictedHit,
-                FetchSource::PredictedMiss => tp_events::FetchPath::PredictedMiss,
-                FetchSource::Fallback => tp_events::FetchPath::Fallback,
-            };
-            self.events.emit(
-                ctx.now,
-                Event::TraceFetched {
-                    pc: trace.id().start(),
-                    len: trace.len().min(255) as u8,
-                    source: path,
-                },
-            );
-        }
+        self.books.fetched(&trace, source);
         // Speculatively maintain the RAS and compute the next expected PC.
         self.expected = self.advance_ras_and_expected(&trace);
         self.fetch_hist.push(trace.id());
@@ -240,8 +213,7 @@ impl TraceProcessor<'_> {
             &mut outcomes,
             stop_before.map(|p| (p, 1)),
         );
-        self.stats.bit_miss_handlers += sel.stats.bit_misses as u64;
-        self.stats.bit_miss_cycles += sel.stats.bit_miss_cycles as u64;
+        self.books.bit_misses(sel.stats);
         let trace = Arc::new(sel.trace);
         let cycles = self.construction_cycles(&trace, 0) + sel.stats.bit_miss_cycles;
         // Bounded (insertion-mode) constructions are not cached: a trace

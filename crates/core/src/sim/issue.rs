@@ -24,7 +24,7 @@
 //!
 //! **Mutates:** slot state/values/outcomes, the cache-bus request queue,
 //! the wakeup index (ready bits consumed, completion events scheduled),
-//! and issue/reissue statistics.
+//! and the issue/reissue counts in the books.
 
 use super::*;
 use tp_isa::func::effective_address;
@@ -33,8 +33,7 @@ use tp_isa::Inst;
 impl TraceProcessor<'_> {
     pub(super) fn issue_stage(&mut self, ctx: &CycleCtx) {
         let now = ctx.now;
-        let issued_before = self.stats.issue_events;
-        let reissued_before = self.stats.reissue_events;
+        let (mut issued_total, mut reissued_total) = (0, 0);
         let mut order = std::mem::take(&mut self.scratch_order);
         order.clear();
         order.extend(self.list.iter());
@@ -62,27 +61,18 @@ impl TraceProcessor<'_> {
                     continue;
                 }
                 self.wakeup.ready[pe] &= !(1u64 << slot);
-                self.issue_slot(pe, slot);
+                reissued_total += u64::from(self.issue_slot(pe, slot));
                 issued += 1;
             }
+            issued_total += issued as u64;
         }
         self.scratch_order = order;
-        if self.events.wants(Category::Occupancy) {
-            let issued = self.stats.issue_events - issued_before;
-            if issued > 0 {
-                let reissued = self.stats.reissue_events - reissued_before;
-                self.events.emit(
-                    now,
-                    Event::IssueSample {
-                        issued: issued.min(255) as u8,
-                        reissued: reissued.min(255) as u8,
-                    },
-                );
-            }
-        }
+        self.books.issued(issued_total, reissued_total);
     }
 
-    fn issue_slot(&mut self, pe: usize, slot: usize) {
+    /// Issues one ready slot; returns whether this was a reissue (an issue
+    /// beyond the slot's first).
+    fn issue_slot(&mut self, pe: usize, slot: usize) -> bool {
         let now = self.now;
         let gen = self.pes[pe].gen;
         let (inst, a, b) = {
@@ -151,15 +141,12 @@ impl TraceProcessor<'_> {
                 s.state = SlotState::Executing { done_at };
             }
         }
-        self.stats.issue_events += 1;
-        if self.pes[pe].slots[slot].issues > 1 {
-            self.stats.reissue_events += 1;
-        }
         if let Some(done_at) = done_at {
             self.note_inflight(pe, slot, done_at);
         }
         if agen {
             self.push_cache_req(BusReq { pe, gen, slot, since: now + self.cfg.agen_latency });
         }
+        self.pes[pe].slots[slot].issues > 1
     }
 }

@@ -23,7 +23,11 @@
 //! This module owns [`TraceProcessor`], its public API ([`RunResult`],
 //! [`SimError`]), all cross-stage bookkeeping state, and the per-cycle
 //! [`CycleCtx`] handed to each stage by [`TraceProcessor::step_cycle`].
+//! Every stage keeps its accounting (statistics, the attribution ledger,
+//! work counters, events) through the [`books`] layer, one call per
+//! happening.
 
+mod books;
 mod buses;
 mod complete;
 mod dispatch;
@@ -43,7 +47,7 @@ use std::sync::Arc;
 
 use tp_cache::{Arb, DCache, ICache, SeqHandle, TraceCache};
 use tp_cfg::{CfgAnalysis, ReconvClass};
-use tp_events::{Category, Event, EventBus, EventSink};
+use tp_events::{EventBus, EventSink, FetchPath, RecoveryPlan};
 use tp_isa::func::{ArchState, Machine};
 use tp_isa::fxhash::FxHashMap;
 use tp_isa::mem::PagedMem;
@@ -55,10 +59,11 @@ use tp_trace::{Bit, EndReason, OperandRef, Selector, Trace};
 
 use crate::boot::{BootError, BootImage, WarmBoot};
 use crate::config::TraceProcessorConfig;
-use crate::pe::{FetchSource, Pe, Slot, SlotState, Src};
+use crate::pe::{Pe, Slot, SlotState, Src};
 use crate::pe_list::PeList;
 use crate::physreg::{PhysRegFile, PhysRegId, RenameMap};
 use crate::stats::{SimStats, WorkCounters};
+use books::{Books, BranchAt};
 
 /// Errors terminating a simulation abnormally.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -146,15 +151,7 @@ struct Pending {
     trace: Arc<Trace>,
     ready_at: u64,
     hist_before: TraceHistory,
-    source: FetchSource,
-}
-
-/// Recovery plan decided at fault detection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RecoveryPlan {
-    Fgci,
-    Cgci,
-    Full,
+    source: FetchPath,
 }
 
 /// An in-progress branch-misprediction recovery.
@@ -165,41 +162,12 @@ struct Recovery {
     slot: usize,
     repaired: Arc<Trace>,
     ready_at: u64,
+    /// Plan decided at fault detection.
     plan: RecoveryPlan,
     /// Ledger coordinate of the triggering misprediction.
     attr: AttrKey,
     /// Detection cycle (ledger occupancy accounting).
     started_at: u64,
-}
-
-/// An unresolved CGCI attempt awaiting its ledger outcome: resolved as
-/// `CgciReconverged` when fetch detects re-convergence, or as `CgciFailed`
-/// whenever the insertion mode is torn down any other way (window
-/// pressure, preserved trace lost, preemption by another recovery).
-#[derive(Clone, Copy, Debug)]
-struct CgciPending {
-    /// Ledger coordinate; its outcome field is provisional.
-    attr: AttrKey,
-    /// `(pe, slot, pc)` of the faulting branch, to back-annotate the
-    /// slot's attribution when the attempt resolves.
-    fault: (usize, usize, Pc),
-    /// Dispatch cycle of the faulting trace: generations are bumped by
-    /// every repair, but `(pe, dispatched_at)` uniquely identifies the
-    /// trace *instance* — without it, a freed-and-refilled PE holding the
-    /// same trace shape would be mis-annotated.
-    fault_dispatched_at: u64,
-    /// Cycle the attempt started (occupancy accounting).
-    started_at: u64,
-    /// Start PC of the detected re-convergent trace, reported in the
-    /// closing event so observers can judge the detection against static
-    /// CFG facts.
-    reconv_pc: Pc,
-    /// Traces squashed on behalf of this attempt so far.
-    squashed: u64,
-    /// The faulting branch already retired and was counted under the
-    /// provisional outcome; resolution must migrate that count if the
-    /// final outcome differs.
-    retired_provisionally: bool,
 }
 
 /// A re-dispatch pass over preserved (control independent) traces.
@@ -517,8 +485,6 @@ pub struct TraceProcessor<'p> {
     /// slot keeps its generation, so a stale entry could otherwise become
     /// valid again against a recycled id.
     readers: Vec<Vec<SlotRef>>,
-    /// Deterministic bookkeeping counters ([`TraceProcessor::work_counters`]).
-    work: WorkCounters,
     current_map: RenameMap,
     /// Architectural rename map of *retired* state: the physical register
     /// holding each architectural register's committed value.
@@ -531,8 +497,6 @@ pub struct TraceProcessor<'p> {
     mode: FetchMode,
     construction_busy_until: u64,
     recovery: Option<Recovery>,
-    /// The unresolved CGCI attempt backing the current `CgciInsert` mode.
-    cgci_pending: Option<CgciPending>,
     redispatch: Option<RedispatchPass>,
     // Buses.
     cache_bus_queue: VecDeque<BusReq>,
@@ -592,40 +556,21 @@ pub struct TraceProcessor<'p> {
     /// The architectural position booted from: resume PC and instructions
     /// retired before boot ([`TraceProcessor::boot_frontier`]).
     boot_frontier: (Pc, u64),
-    stats: SimStats,
-    /// The misprediction outcome-attribution ledger. Observation-only:
-    /// nothing in the simulator reads it back.
-    attribution: RecoveryAttribution,
-    /// Retired mispredicted branches with provenance
-    /// ([`TraceProcessorConfig::log_mispredicts`]).
-    misp_log: Vec<MispredictRecord>,
-    /// The structured event bus ([`TraceProcessor::attach_event_sink`]).
-    /// Strictly observation-only: every emission site is gated on the
-    /// bus's cached category mask and nothing in the simulator reads the
-    /// bus back, so runs with and without sinks are cycle-identical.
-    events: EventBus,
+    /// Statistics, the misprediction outcome-attribution ledger, the
+    /// bookkeeping work counters and the structured event bus
+    /// ([`TraceProcessor::attach_event_sink`]), kept by one call per
+    /// happening (the [`books`] module). Observation-only: the simulator
+    /// reads back only the retired-instruction count, and every event is
+    /// built only when a sink wants its category, so runs with and without
+    /// sinks are cycle-identical. The unresolved CGCI attempt's costs wait
+    /// here too until it closes.
+    books: Books,
     /// Host wall-time profiler for the pipeline-stage modules
     /// ([`TraceProcessor::attach_stage_profiler`]). `None` (the default)
     /// costs one discriminant test per cycle; attached, each stage call
     /// is wrapped in a scoped timer. Host-side only — simulated behaviour
     /// is identical either way.
     profiler: Option<Box<StageProfiler>>,
-}
-
-/// One retired mispredicted branch, with the provenance of its (wrong)
-/// embedded prediction ([`TraceProcessor::mispredict_log`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MispredictRecord {
-    /// The branch's PC.
-    pub pc: Pc,
-    /// Index of the branch among its trace's conditional branches.
-    pub branch_idx: u8,
-    /// Number of branches the trace's id embeds (a `branch_idx` at or
-    /// beyond this depth was predicted by the construction fallback, not
-    /// the next-trace prediction).
-    pub id_branches: u8,
-    /// How the trace entered the window.
-    pub source: FetchSource,
 }
 
 impl<'p> TraceProcessor<'p> {
@@ -739,7 +684,6 @@ impl<'p> TraceProcessor<'p> {
             list: PeList::new(cfg.num_pes),
             pregs,
             readers: Vec::new(),
-            work: WorkCounters::default(),
             current_map: arch_map,
             retired_map: arch_map,
             fetch_hist: hist.clone(),
@@ -753,7 +697,6 @@ impl<'p> TraceProcessor<'p> {
             mode: FetchMode::Normal,
             construction_busy_until: 0,
             recovery: None,
-            cgci_pending: None,
             redispatch: None,
             cache_bus_queue: VecDeque::new(),
             result_bus_queue: VecDeque::new(),
@@ -777,10 +720,7 @@ impl<'p> TraceProcessor<'p> {
             halted: boot.halted,
             retired_next_pc: boot.pc,
             boot_frontier: (boot.pc, boot.retired),
-            stats: SimStats::default(),
-            attribution: RecoveryAttribution::new(),
-            misp_log: Vec::new(),
-            events: EventBus::new(),
+            books: Books::default(),
             profiler: None,
             cfg,
         }
@@ -790,12 +730,12 @@ impl<'p> TraceProcessor<'p> {
     /// Sinks observe only: attaching one has zero effect on simulated
     /// behaviour (golden statistics rows stay byte-identical).
     pub fn attach_event_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.events.attach(sink);
+        self.books.attach(sink);
     }
 
     /// Whether any event sink is currently attached.
     pub fn events_attached(&self) -> bool {
-        self.events.is_attached()
+        self.books.attached()
     }
 
     /// Detaches and returns the event bus (with its sinks) so captured
@@ -804,18 +744,9 @@ impl<'p> TraceProcessor<'p> {
     /// still resident in a PE, so each `TraceDispatched` is matched by
     /// exactly one close even when the run ends mid-flight.
     pub fn release_event_bus(&mut self) -> EventBus {
-        if self.events.wants(Category::Trace) {
-            let resident: Vec<(u8, u32)> = self
-                .list
-                .iter()
-                .filter(|&pe| self.pes[pe].occupied)
-                .map(|pe| (pe as u8, self.pes[pe].trace.id().start()))
-                .collect();
-            for (pe, pc) in resident {
-                self.events.emit(self.now, Event::TraceSquashed { pe, pc, drained: true });
-            }
-        }
-        std::mem::take(&mut self.events)
+        let pes = &self.pes;
+        let resident = self.list.iter().filter(|&pe| pes[pe].occupied);
+        self.books.release(resident.map(|pe| (pe, pes[pe].trace.id().start())))
     }
 
     /// Attaches a host wall-time stage profiler: from the next cycle on,
@@ -842,7 +773,7 @@ impl<'p> TraceProcessor<'p> {
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        self.books.stats()
     }
 
     /// Bookkeeping work done so far: global registers allocated, reader
@@ -851,23 +782,17 @@ impl<'p> TraceProcessor<'p> {
     /// [`SimStats`] so the golden statistics rows do not depend on how the
     /// simulator does its bookkeeping.
     pub fn work_counters(&self) -> WorkCounters {
-        self.work
+        self.books.work()
     }
 
     /// The misprediction outcome-attribution ledger accumulated so far.
     pub fn attribution(&self) -> &RecoveryAttribution {
-        &self.attribution
+        self.books.ledger()
     }
 
     /// Next-trace predictor statistics (component hits, index pollution).
     pub fn predictor_stats(&self) -> TracePredictorStats {
         self.predictor.stats()
-    }
-
-    /// Retired mispredicted conditional branches, in retirement order
-    /// (empty unless [`TraceProcessorConfig::log_mispredicts`]).
-    pub fn mispredict_log(&self) -> &[MispredictRecord] {
-        &self.misp_log
     }
 
     /// CGCI re-convergence detections by static classification (all zero
@@ -932,7 +857,7 @@ impl<'p> TraceProcessor<'p> {
     /// the state a functional machine needs to continue the program from
     /// where the detailed interval left off.
     pub fn retired_frontier(&self) -> (Pc, u64) {
-        (self.retired_next_pc, self.stats.retired_instrs)
+        (self.retired_next_pc, self.books.stats().retired_instrs)
     }
 
     /// Consumes the processor and hands back its trained frontend
@@ -965,7 +890,7 @@ impl<'p> TraceProcessor<'p> {
     /// configured watchdog window, or [`SimError::OracleMismatch`] when
     /// oracle verification is enabled and committed state diverges.
     pub fn run(&mut self, max_instrs: u64) -> Result<RunResult, SimError> {
-        while !self.halted && self.stats.retired_instrs < max_instrs {
+        while !self.halted && self.books.stats().retired_instrs < max_instrs {
             self.step_cycle()?;
             if self.now - self.last_retire_cycle > self.cfg.deadlock_cycles {
                 return Err(SimError::Deadlock { cycle: self.now, detail: self.dump_window() });
@@ -973,8 +898,8 @@ impl<'p> TraceProcessor<'p> {
         }
         Ok(RunResult {
             halted: self.halted,
-            stats: self.stats,
-            attribution: self.attribution.clone(),
+            stats: *self.books.stats(),
+            attribution: self.books.ledger().clone(),
             predictor: self.predictor.stats(),
         })
     }
@@ -989,7 +914,7 @@ impl<'p> TraceProcessor<'p> {
     ///
     /// As [`TraceProcessor::run`].
     pub fn run_interval(&mut self, n: u64) -> Result<RunResult, SimError> {
-        let target = self.stats.retired_instrs.saturating_add(n);
+        let target = self.books.stats().retired_instrs.saturating_add(n);
         self.run(target)
     }
 
@@ -1050,17 +975,8 @@ impl<'p> TraceProcessor<'p> {
             let _t = ScopedStageTimer::new(prof, Stage::Buses);
             self.bus_stage(&ctx);
         }
-        if self.events.wants(Category::Occupancy) {
-            self.events.emit(
-                ctx.now,
-                Event::WindowSample {
-                    occupied: self.list.len().min(255) as u8,
-                    fetch_queue: self.fetch_queue.len().min(255) as u8,
-                },
-            );
-        }
+        self.books.cycle_ended(self.list.len(), self.fetch_queue.len());
         self.now += 1;
-        self.stats.cycles = self.now;
         Ok(())
     }
 
@@ -1129,77 +1045,14 @@ impl<'p> TraceProcessor<'p> {
 
     /// Changes the frontend fetch mode. This is the single chokepoint for
     /// leaving (or restarting) `CgciInsert`: any teardown that is not the
-    /// explicit success path in fetch re-convergence detection resolves
-    /// the pending CGCI attempt as failed in the attribution ledger.
-    /// Ledger-only — the mode change itself is exactly `self.mode = mode`.
+    /// explicit success path in fetch re-convergence detection closes the
+    /// pending CGCI attempt as failed in the books. Accounting only — the
+    /// mode change itself is exactly `self.mode = mode`.
     fn set_mode(&mut self, mode: FetchMode) {
         if matches!(self.mode, FetchMode::CgciInsert { .. }) {
-            if let Some(p) = self.cgci_pending.take() {
-                self.resolve_cgci(p, RecoveryOutcome::CgciFailed, 0);
-            }
+            self.books.cgci_closed(RecoveryOutcome::CgciFailed, 0, &mut self.pes);
         }
         self.mode = mode;
-    }
-
-    /// Resolves a CGCI attempt in the ledger: flushes its accumulated
-    /// costs into the `(class, heuristic, outcome)` cell and back-annotates
-    /// the faulting slot's attribution when it is still identifiable (the
-    /// slot may have been replaced or retired while the attempt ran; the
-    /// stored PC validates it). Returns the resolved ledger key.
-    fn resolve_cgci(
-        &mut self,
-        p: CgciPending,
-        outcome: RecoveryOutcome,
-        preserved: u64,
-    ) -> AttrKey {
-        let key = (p.attr.0, p.attr.1, outcome);
-        // The faulting branch may have retired mid-attempt; its retirement
-        // was counted under the provisional outcome and migrates with the
-        // resolution.
-        if p.retired_provisionally && key != p.attr {
-            self.attribution.cell_mut(p.attr).retired -= 1;
-            self.attribution.cell_mut(key).retired += 1;
-        }
-        let cell = self.attribution.cell_mut(key);
-        cell.events += 1;
-        cell.traces_squashed += p.squashed;
-        cell.traces_preserved += preserved;
-        cell.recovery_cycles += self.now.saturating_sub(p.started_at);
-        // This is the single site charging a CGCI attempt to the ledger,
-        // so emitting the close here makes the event-vs-ledger balance
-        // exact by construction: closes per (class, heuristic, outcome)
-        // equal that cell's `events`.
-        if self.events.wants(Category::Cgci) {
-            self.events.emit(
-                self.now,
-                Event::CgciClosed {
-                    class: key.0,
-                    heuristic: key.1,
-                    outcome,
-                    squashed: p.squashed as u32,
-                    preserved: preserved as u32,
-                    branch_pc: p.fault.2,
-                    reconv_pc: p.reconv_pc,
-                },
-            );
-        }
-        let (pe, slot, pc) = p.fault;
-        if self.pes[pe].occupied && self.pes[pe].dispatched_at == p.fault_dispatched_at {
-            if let Some(s) = self.pes[pe].slots.get_mut(slot) {
-                if s.ti.pc == pc && s.was_mispredicted {
-                    s.attr = Some(key);
-                }
-            }
-        }
-        key
-    }
-
-    /// Emits a head-stall sample when an occupancy sink is listening
-    /// (shared by retirement's early-return gates).
-    fn emit_head_stall(&mut self, now: u64, pe: usize, reason: tp_events::StallReason) {
-        if self.events.wants(Category::Occupancy) {
-            self.events.emit(now, Event::HeadStall { pe: pe as u8, reason });
-        }
     }
 
     fn handle(pe: usize, slot: usize) -> SeqHandle {
@@ -1294,7 +1147,7 @@ impl<'p> TraceProcessor<'p> {
 
     /// Allocates a global register for a live-out of the trace in `pe`.
     fn alloc_global(&mut self, pe: usize) -> PhysRegId {
-        self.work.global_regs_allocated += 1;
+        self.books.global_reg_allocated();
         self.pregs.alloc(Some(pe as u8))
     }
 
@@ -1310,7 +1163,7 @@ impl<'p> TraceProcessor<'p> {
         if preg == PhysRegId::ZERO {
             return;
         }
-        self.work.reader_pushes += 1;
+        self.books.reader_pushed();
         if self.readers.len() <= preg.index() {
             self.readers.resize_with(preg.index() + 1, Vec::new);
         }
@@ -1339,7 +1192,7 @@ impl<'p> TraceProcessor<'p> {
     /// or a duplicate registration) is a no-op the second time.
     fn propagate_value_change(&mut self, pe: usize, slot: usize, not_before: u64) {
         let [first, second] = self.pes[pe].slots[slot].consumers;
-        self.stats.value_change_marks += u64::from(first.count_ones() + second.count_ones());
+        self.books.value_change_marked(u64::from(first.count_ones() + second.count_ones()));
         let mut mask = first | second;
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
@@ -1350,7 +1203,7 @@ impl<'p> TraceProcessor<'p> {
         let Some(list) = self.readers.get_mut(preg.index()) else { return };
         let pes = &self.pes;
         list.retain(|&r| reader_live(pes, r, preg));
-        self.stats.value_change_marks += list.len() as u64;
+        self.books.value_change_marked(list.len() as u64);
         // Marking only touches slot state and ready bits, never this
         // reader list, so indexing it stays valid across the calls.
         for k in 0..self.readers[preg.index()].len() {
@@ -1382,7 +1235,7 @@ impl<'p> TraceProcessor<'p> {
     /// sources only. Slots left in flight (pending reissue) re-enqueue when
     /// their discarded completion arrives.
     fn rebind_reissue_slot(&mut self, pe: usize, slot: usize, not_before: u64) {
-        self.stats.rebind_marks += 1;
+        self.books.rebind_marked();
         let _ = self.pes[pe].slots[slot].mark_reissue(not_before);
         if self.pes[pe].slots[slot].state == SlotState::Waiting {
             self.index_enqueue(pe, slot);
@@ -1511,7 +1364,7 @@ impl<'p> TraceProcessor<'p> {
     /// a recycled id starts with none. Never called while a half-renamed
     /// trace's registers are unrooted.
     fn sweep_pregs(&mut self) {
-        self.work.sweeps += 1;
+        self.books.swept();
         let roots = preg_roots(&self.pes, [&self.current_map, &self.retired_map]);
         let readers = &mut self.readers;
         self.pregs.sweep(roots, |id| {
@@ -1795,7 +1648,7 @@ impl fmt::Debug for TraceProcessor<'_> {
             .field("cycle", &self.now)
             .field("halted", &self.halted)
             .field("window", &self.list.len())
-            .field("retired", &self.stats.retired_instrs)
+            .field("retired", &self.books.stats().retired_instrs)
             .finish()
     }
 }

@@ -19,7 +19,7 @@
 //! the repaired PE, squashed PEs and the PE list, the ARB (store undo), the
 //! BIT (re-selection), the fetch queue/history/mode/expectation, reader
 //! registrations, the global register file (fresh live-outs of a repaired
-//! trace), bus request queues, and statistics.
+//! trace), bus request queues, and the books.
 
 use super::*;
 use crate::config::CgciHeuristic;
@@ -137,19 +137,9 @@ impl TraceProcessor<'_> {
             Fault::Indirect { actual } => {
                 // The trace itself is correct; its successors are not.
                 // Squash everything younger and redirect fetch.
-                self.stats.trace_mispredictions += 1;
-                self.stats.full_squashes += 1;
-                if self.events.wants(Category::Recovery) {
-                    let branch_pc = self.pes[pe].slots[slot].ti.pc;
-                    self.events.emit(
-                        self.now,
-                        Event::RecoveryStarted {
-                            pe: pe as u8,
-                            branch_pc,
-                            plan: tp_events::RecoveryPlan::FullSquash,
-                        },
-                    );
-                }
+                self.books.successor_mispredicted();
+                let branch_pc = self.pes[pe].slots[slot].ti.pc;
+                self.books.recovery_started(pe, branch_pc, RecoveryPlan::FullSquash);
                 let victims: Vec<usize> = self.list.iter_after(pe).collect();
                 for v in victims {
                     self.squash_pe(v);
@@ -194,7 +184,6 @@ impl TraceProcessor<'_> {
                     let key = (class, Heuristic::Fgci, RecoveryOutcome::FgciRepair);
                     (RecoveryPlan::Fgci, key)
                 } else if let Some((reconv, matched, victims)) = self.viable_reconv(pe, slot) {
-                    self.stats.cgci_attempts += 1;
                     self.check_reconv_oracle(ti.pc, matched, self.pes[reconv].trace.id().start());
                     // Squash strictly between the faulting PE and the first
                     // control independent trace.
@@ -205,71 +194,39 @@ impl TraceProcessor<'_> {
                     self.fetch_queue.clear();
                     self.redispatch = None;
                     let gen = self.pes[reconv].gen;
-                    // The attempt's outcome is provisional until fetch
-                    // detects re-convergence or the insertion is torn down.
-                    let key = (class, matched, RecoveryOutcome::CgciReconverged);
+                    let reconv_pc = self.pes[reconv].trace.id().start();
                     self.set_mode(FetchMode::CgciInsert {
                         before: reconv,
                         before_gen: gen,
-                        reconv_start: self.pes[reconv].trace.id().start(),
+                        reconv_start: reconv_pc,
                         inserted: 0,
                     });
-                    self.cgci_pending = Some(CgciPending {
-                        attr: key,
-                        fault: (pe, slot, ti.pc),
-                        fault_dispatched_at: self.pes[pe].dispatched_at,
-                        started_at: self.now,
-                        reconv_pc: self.pes[reconv].trace.id().start(),
-                        squashed,
-                        retired_provisionally: false,
-                    });
-                    // The attempt is charged to the ledger at resolution
-                    // (`resolve_cgci`, which emits the matching close).
-                    if self.events.wants(Category::Cgci) {
-                        let reconv_pc = self.pes[reconv].trace.id().start();
-                        self.events.emit(
-                            self.now,
-                            Event::CgciOpened {
-                                class,
-                                heuristic: matched,
-                                branch_pc: ti.pc,
-                                reconv_pc,
-                            },
-                        );
-                    }
+                    // The attempt's outcome is provisional until fetch
+                    // detects re-convergence or the insertion is torn down;
+                    // the books charge it when it closes.
+                    let key = (class, matched, RecoveryOutcome::CgciReconverged);
+                    let dispatched_at = self.pes[pe].dispatched_at;
+                    let branch = BranchAt { pe, slot, pc: ti.pc, dispatched_at };
+                    self.books.cgci_opened(key, branch, reconv_pc, squashed);
                     (RecoveryPlan::Cgci, key)
                 } else {
-                    self.stats.full_squashes += 1;
                     let victims: Vec<usize> = self.list.iter_after(pe).collect();
                     let key = (class, self.consulted_heuristic(class), RecoveryOutcome::FullSquash);
-                    let cell = self.attribution.cell_mut(key);
-                    cell.events += 1;
-                    cell.traces_squashed += victims.len() as u64;
-                    cell.recovery_cycles += ready_at - self.now;
+                    self.books.full_squash_charged(key, victims.len() as u64, ready_at - self.now);
                     for v in victims {
                         self.squash_pe(v);
                     }
                     self.fetch_queue.clear();
                     self.redispatch = None;
                     self.set_mode(FetchMode::Normal);
-                    (RecoveryPlan::Full, key)
+                    (RecoveryPlan::FullSquash, key)
                 };
                 if plan == RecoveryPlan::Fgci {
                     // FGCI leaves the window untouched, but pending fetches
                     // were predicted under a stale history.
                     self.fetch_queue.clear();
                 }
-                if self.events.wants(Category::Recovery) {
-                    let event_plan = match plan {
-                        RecoveryPlan::Fgci => tp_events::RecoveryPlan::Fgci,
-                        RecoveryPlan::Cgci => tp_events::RecoveryPlan::Cgci,
-                        RecoveryPlan::Full => tp_events::RecoveryPlan::FullSquash,
-                    };
-                    self.events.emit(
-                        self.now,
-                        Event::RecoveryStarted { pe: pe as u8, branch_pc: ti.pc, plan: event_plan },
-                    );
-                }
+                self.books.recovery_started(pe, ti.pc, plan);
                 let gen = self.pes[pe].gen;
                 let started_at = self.now;
                 self.recovery =
@@ -431,8 +388,7 @@ impl TraceProcessor<'_> {
             ntb: self.cfg.selection.ntb,
         };
         let sel = selector.select(program, id.start(), bit, &mut outcomes);
-        self.stats.bit_miss_handlers += sel.stats.bit_misses as u64;
-        self.stats.bit_miss_cycles += sel.stats.bit_miss_cycles as u64;
+        self.books.bit_misses(sel.stats);
         Arc::new(sel.trace)
     }
 
@@ -450,9 +406,7 @@ impl TraceProcessor<'_> {
             s.fault.is_none() || (debounce && (s.state != SlotState::Done || s.pending_reissue))
         });
         if stale {
-            if self.events.wants(Category::Recovery) {
-                self.events.emit(self.now, Event::RecoveryAbandoned { pe: pe as u8 });
-            }
+            self.books.recovery_abandoned(pe);
             if let FetchMode::CgciInsert { .. } = self.mode {
                 self.set_mode(FetchMode::Normal);
             }
@@ -466,51 +420,20 @@ impl TraceProcessor<'_> {
             return;
         }
         // The fault stands: the branch's embedded prediction really was
-        // wrong. Record the misprediction and its ledger coordinate here —
-        // not at detection — so transient faults never count.
-        self.pes[pe].slots[rec.slot].was_mispredicted = true;
-        self.pes[pe].slots[rec.slot].attr = Some(rec.attr);
-        if self.cfg.log_mispredicts {
-            let branch_idx = self.pes[pe].slots[..rec.slot]
-                .iter()
-                .filter(|s| s.ti.inst.is_cond_branch())
-                .count() as u8;
-            self.misp_log.push(MispredictRecord {
-                pc: self.pes[pe].slots[rec.slot].ti.pc,
-                branch_idx,
-                id_branches: self.pes[pe].trace.id().branches(),
-                source: self.pes[pe].source,
-            });
-        }
-        let branch_pc = self.pes[pe].slots[rec.slot].ti.pc;
-        if self.events.wants(Category::Recovery) {
-            self.events.emit(self.now, Event::RecoveryApplied { pe: pe as u8, branch_pc });
-        }
-        if self.events.wants(Category::Trace) {
-            self.events.emit(self.now, Event::TraceRepaired { pe: pe as u8, branch_pc });
-        }
+        // wrong, and the books record the misprediction now.
+        self.books.recovery_applied(pe, &mut self.pes[pe], rec.slot, rec.attr);
         // Replace the faulting PE's trace with the repaired one (prefix
         // slots keep their state; suffix slots are squashed and replaced).
         self.pes[pe].repairs += 1;
         self.replace_trace(pe, rec.slot, rec.repaired.clone());
         match rec.plan {
             RecoveryPlan::Fgci => {
-                self.stats.fgci_recoveries += 1;
                 let preserved: Vec<usize> = self.list.iter_after(pe).collect();
-                self.stats.preserved_traces += preserved.len() as u64;
-                if self.events.wants(Category::Trace) {
-                    for &p in &preserved {
-                        let pc = self.pes[p].trace.id().start();
-                        self.events.emit(self.now, Event::TracePreserved { pe: p as u8, pc });
-                    }
-                }
-                let cell = self.attribution.cell_mut(rec.attr);
-                cell.events += 1;
-                cell.recovery_cycles += rec.ready_at - rec.started_at;
-                cell.traces_preserved += preserved.len() as u64;
+                let cycles = rec.ready_at - rec.started_at;
+                self.books.fgci_applied(rec.attr, cycles, &preserved, &self.pes);
                 self.begin_redispatch(pe, preserved, Some(rec.attr));
             }
-            RecoveryPlan::Cgci | RecoveryPlan::Full => {
+            RecoveryPlan::Cgci | RecoveryPlan::FullSquash => {
                 // Under CGCI, fetch will insert correct control-dependent
                 // traces before the preserved trace (re-dispatch happens at
                 // re-convergence); under a full squash nothing younger
@@ -803,10 +726,7 @@ impl TraceProcessor<'_> {
     }
 
     pub(super) fn squash_pe(&mut self, pe: usize) {
-        if self.events.wants(Category::Trace) {
-            let pc = self.pes[pe].trace.id().start();
-            self.events.emit(self.now, Event::TraceSquashed { pe: pe as u8, pc, drained: false });
-        }
+        self.books.squashed(pe, self.pes[pe].trace.id().start());
         for slot in 0..self.pes[pe].slots.len() {
             self.undo_store_if_performed(pe, slot);
         }
@@ -818,6 +738,5 @@ impl TraceProcessor<'_> {
         // entries; the ready bits are positional and must clear eagerly.
         self.index_reset_pe(pe);
         self.list.remove(pe);
-        self.stats.squashed_traces += 1;
     }
 }

@@ -20,8 +20,8 @@
 //!
 //! **Mutates:** the active [`RedispatchPass`], preserved PEs' slot sources
 //! and rename maps, the speculative rename-map chain and fetch
-//! history/expectation (at pass start), reader registrations, and
-//! statistics.
+//! history/expectation (at pass start), reader registrations, and the
+//! books.
 
 use super::*;
 use tp_trace::OperandRef;
@@ -238,14 +238,7 @@ impl TraceProcessor<'_> {
         self.current_map = map_after;
         self.pes[pe].hist_before = rolling.clone();
         rolling.push(trace.id());
-        self.stats.redispatched_traces += 1;
-        if self.events.wants(Category::Trace) {
-            self.events
-                .emit(now, Event::TraceRedispatched { pe: pe as u8, pc: trace.id().start() });
-        }
-        if let Some(key) = attr {
-            self.attribution.cell_mut(key).traces_redispatched += 1;
-        }
+        self.books.redispatched(pe, trace.id().start(), attr);
         if empty_after {
             // Fetch state was restored at pass start (and fetch may have
             // advanced past it since); the pass just releases the bus.

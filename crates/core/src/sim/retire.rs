@@ -16,10 +16,11 @@
 //!
 //! **Mutates:** architectural registers and the retired rename map, the
 //! ARB (store commit), predictors and trace cache (training/fill), the PE
-//! list and the freed PE, statistics, and — through the safety nets — the
+//! list and the freed PE, the books, and — through the safety nets — the
 //! fetch queue/history/mode and slot rename state.
 
 use super::*;
+use tp_events::StallReason;
 use tp_isa::Inst;
 use tp_trace::OperandRef;
 
@@ -32,20 +33,20 @@ impl TraceProcessor<'_> {
             return Ok(());
         }
         if !p.all_complete() {
-            self.emit_head_stall(ctx.now, head, tp_events::StallReason::Incomplete);
+            self.books.head_stall(head, StallReason::Incomplete);
             return Ok(());
         }
         // A head targeted by an in-flight recovery cannot retire.
         if let Some(rec) = &self.recovery {
             if rec.pe == head {
-                self.emit_head_stall(ctx.now, head, tp_events::StallReason::Recovery);
+                self.books.head_stall(head, StallReason::Recovery);
                 return Ok(());
             }
         }
         // A head awaiting a re-dispatch pass cannot retire.
         if let Some(pass) = &self.redispatch {
             if pass.queue.contains(&head) {
-                self.emit_head_stall(ctx.now, head, tp_events::StallReason::Redispatch);
+                self.books.head_stall(head, StallReason::Redispatch);
                 return Ok(());
             }
         }
@@ -53,7 +54,7 @@ impl TraceProcessor<'_> {
         // still placing control-dependent traces before it.
         if let FetchMode::CgciInsert { before, .. } = self.mode {
             if before == head {
-                self.emit_head_stall(ctx.now, head, tp_events::StallReason::CgciInsert);
+                self.books.head_stall(head, StallReason::CgciInsert);
                 return Ok(());
             }
         }
@@ -66,7 +67,7 @@ impl TraceProcessor<'_> {
         // frontier — squash the whole window and refetch from the frontier
         // instead.
         if !self.halted && self.pes[head].trace.id().start() != self.retired_next_pc {
-            self.stats.full_squashes += 1;
+            self.books.safety_squash();
             let victims: Vec<usize> = self.list.iter().collect();
             for v in victims {
                 self.squash_pe(v);
@@ -87,7 +88,7 @@ impl TraceProcessor<'_> {
         if let Some(next) = self.list.next(head) {
             let start = self.pes[next].trace.id().start();
             if !self.successor_consistent(head, start) {
-                self.stats.full_squashes += 1;
+                self.books.safety_squash();
                 let victims: Vec<usize> = self.list.iter_after(head).collect();
                 for v in victims {
                     self.squash_pe(v);
@@ -155,7 +156,7 @@ impl TraceProcessor<'_> {
         if rebound.is_empty() {
             return;
         }
-        self.stats.head_rebinds += rebound.len() as u64;
+        self.books.head_rebound(rebound.len() as u64);
         for (preg, i) in rebound {
             self.register_reader(preg, head, i);
         }
@@ -178,6 +179,7 @@ impl TraceProcessor<'_> {
 
     fn retire_pe(&mut self, pe: usize) -> Result<(), SimError> {
         let trace = self.pes[pe].trace.clone();
+        let dispatched_at = self.pes[pe].dispatched_at;
         // Commit in slot order: registers then stores.
         for slot in 0..self.pes[pe].slots.len() {
             let (dest_arch, value, is_store, addr, outcome, pc, inst) = {
@@ -211,28 +213,8 @@ impl TraceProcessor<'_> {
             if inst.is_cond_branch() {
                 let taken = outcome.expect("completed branch has an outcome");
                 self.btb.update_cond(pc, taken);
-                self.stats.retired_cond_branches += 1;
-                if self.pes[pe].slots[slot].was_mispredicted {
-                    self.stats.retired_cond_mispredicts += 1;
-                    // Retirement-side attribution: the per-class `retired`
-                    // counts sum to `retired_cond_mispredicts` exactly.
-                    let s = &self.pes[pe].slots[slot];
-                    let key = s.attr.unwrap_or((
-                        s.ti.ci_branch_class().expect("mispredicted slot is a cond branch"),
-                        tp_stats::attr::Heuristic::None,
-                        tp_stats::attr::RecoveryOutcome::FullSquash,
-                    ));
-                    self.attribution.cell_mut(key).retired += 1;
-                    // Retiring under a still-pending CGCI attempt: the
-                    // count above used the provisional outcome; flag it so
-                    // resolution can migrate it if the attempt fails.
-                    let dispatched_at = self.pes[pe].dispatched_at;
-                    if let Some(p) = self.cgci_pending.as_mut() {
-                        if p.fault == (pe, slot, pc) && p.fault_dispatched_at == dispatched_at {
-                            p.retired_provisionally = true;
-                        }
-                    }
-                }
+                let at = BranchAt { pe, slot, pc, dispatched_at };
+                self.books.branch_retired(&self.pes[pe].slots[slot], at);
             }
             // Oracle verification, one instruction at a time.
             if let Some(oracle) = &mut self.oracle {
@@ -296,7 +278,7 @@ impl TraceProcessor<'_> {
                             oracle.reg(r),
                             oracle.retired(),
                             oracle.halted(),
-                            self.stats.retired_instrs
+                            self.books.stats().retired_instrs
                         ),
                     });
                 }
@@ -320,25 +302,8 @@ impl TraceProcessor<'_> {
         self.predictor.train(&self.retire_hist, trace.id());
         self.retire_hist.push(trace.id());
         self.tcache.fill(trace.clone());
-        // Statistics.
-        self.stats.retired_traces += 1;
-        self.stats.retired_instrs += self.pes[pe].slots.len() as u64;
-        if self.events.wants(Category::Trace) {
-            self.events.emit(
-                self.now,
-                Event::TraceRetired {
-                    pe: pe as u8,
-                    pc: trace.id().start(),
-                    len: self.pes[pe].slots.len().min(255) as u8,
-                },
-            );
-        }
-        if self.pes[pe].source != FetchSource::Fallback {
-            self.stats.predicted_traces += 1;
-        }
-        if self.pes[pe].repairs > 0 {
-            self.stats.trace_mispredictions += 1;
-        }
+        let p = &self.pes[pe];
+        self.books.retired_trace(pe, &trace, p.source, p.repairs > 0);
         self.last_retire_cycle = self.now;
         if trace.end() == EndReason::Halt {
             self.halted = true;

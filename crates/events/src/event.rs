@@ -280,12 +280,23 @@ pub enum Event {
         /// The chosen plan.
         plan: RecoveryPlan,
     },
-    /// A scheduled selective recovery reached its apply point.
+    /// A scheduled selective recovery reached its apply point: the
+    /// branch's embedded prediction really was wrong (one confirmed
+    /// conditional-branch misprediction), with the provenance of that
+    /// wrong prediction.
     RecoveryApplied {
         /// Processing element holding the fault.
         pe: u8,
         /// PC of the mispredicted branch.
         branch_pc: u32,
+        /// Index of the branch among its trace's conditional branches.
+        branch_idx: u8,
+        /// Number of branches the trace's id embeds: a `branch_idx` at or
+        /// beyond this depth was predicted by the construction fallback,
+        /// not by the next-trace prediction.
+        id_branches: u8,
+        /// How fetch obtained the trace.
+        source: FetchPath,
     },
     /// A scheduled recovery was abandoned (its target went stale).
     RecoveryAbandoned {
@@ -442,7 +453,13 @@ mod tests {
             Event::TraceRedispatched { pe: 0, pc: 0 },
             Event::MispredictDetected { pe: 0, slot: 0, pc: 0, kind: MispredictKind::CondBranch },
             Event::RecoveryStarted { pe: 0, branch_pc: 0, plan: RecoveryPlan::Fgci },
-            Event::RecoveryApplied { pe: 0, branch_pc: 0 },
+            Event::RecoveryApplied {
+                pe: 0,
+                branch_pc: 0,
+                branch_idx: 0,
+                id_branches: 0,
+                source: FetchPath::Fallback,
+            },
             Event::RecoveryAbandoned { pe: 0 },
             Event::CgciOpened {
                 class: BranchClass::Backward,

@@ -345,7 +345,10 @@ mod tests {
             50,
             Event::RecoveryStarted { pe: 1, branch_pc: 7, plan: tp_events::RecoveryPlan::Fgci },
         );
-        bus.emit(57, Event::RecoveryApplied { pe: 1, branch_pc: 7 });
+        let source = tp_events::FetchPath::PredictedHit;
+        let applied =
+            Event::RecoveryApplied { pe: 1, branch_pc: 7, branch_idx: 0, id_branches: 1, source };
+        bus.emit(57, applied);
 
         let sink = bus.take::<MetricsSink>().expect("attached above");
         let m = sink.metrics();

@@ -154,7 +154,14 @@ pub struct AttrCell {
     pub traces_squashed: u64,
     /// Control-independent traces preserved by these events.
     pub traces_preserved: u64,
-    /// Preserved traces walked by the resulting re-dispatch passes.
+    /// Preserved traces walked by the re-dispatch passes these events
+    /// started. When a recovery replaces a pass that still owed walks, the
+    /// owed walks go to the replacing pass: to the new FGCI or CGCI
+    /// recovery's cell, or to no cell when the replacing pass is a bare
+    /// debt walk (an indirect-target recovery, or the apply of a CGCI or
+    /// full-squash repair). So the column's total can fall short of
+    /// `SimStats::redispatched_traces` (1,805 against 1,914 for li at size
+    /// small under MLB-RET).
     pub traces_redispatched: u64,
     /// Cycles the recovery machinery was occupied on behalf of these
     /// events (trace-repair construction, CGCI insertion windows).

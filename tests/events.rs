@@ -4,22 +4,25 @@
 //!   five models with a full-interest sink attached reproduces the golden
 //!   `simstats.txt` rows byte for byte. The bus observes; it never
 //!   perturbs.
-//! * **Residency spans balance** — every `TraceDispatched` is closed by
-//!   exactly one `TraceRetired` or `TraceSquashed` (run-end residents are
-//!   closed as synthetic `drained` squashes when the bus is released).
 //! * **The Chrome trace document is schema-valid** — it parses as JSON
 //!   (tp-bench's own JSON reader; the build is offline), every `traceEvents`
 //!   element carries the required `ph`/`ts`/`pid`/`tid` fields, `B`/`E`
 //!   spans are stack-balanced per track, and timestamps are monotone
 //!   per track.
+//!
+//! Residency spans (every `TraceDispatched` closed by exactly one
+//! `TraceRetired` or `TraceSquashed`, run-end residents as `drained`
+//! squashes) are checked on every tiny-battery cell by
+//! `tests/golden_stats.rs::event_stream_matches_golden`, next to the pinned
+//! stream; `tests/metrics.rs` checks that events, the ledger and `SimStats`
+//! count the same happenings, cut runs included.
 
 use std::collections::HashMap;
 
 use tp_bench::corpus::simstats_rows;
 use tp_bench::json::{parse, Json};
-use tp_bench::run_cell;
-use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
-use trace_processor::tp_events::{Category, CategoryMask, Event, RingSink};
+use trace_processor::tp_core::{CiModel, TraceProcessorConfig};
+use trace_processor::tp_events::RingSink;
 use trace_processor::tp_workloads::{by_name, suite, Size};
 
 /// Attaching a sink must not move a single counter: the tiny suite under
@@ -36,73 +39,6 @@ fn attached_bus_leaves_golden_simstats_rows_byte_identical() {
         actual,
         "attaching an event sink changed simulator behaviour — the bus must be observation-only"
     );
-}
-
-/// Every dispatched trace is closed by exactly one retire or squash, and
-/// releasing the bus drains still-resident traces so the books always
-/// balance — across models with very different squash/preserve behaviour.
-#[test]
-fn every_dispatch_is_closed_exactly_once() {
-    for (name, model) in [
-        ("compress", CiModel::None),
-        ("go", CiModel::MlbRet),
-        ("li", CiModel::Fg),
-        ("go", CiModel::FgMlbRet),
-    ] {
-        let w = by_name(name, Size::Tiny).unwrap();
-        let cfg = TraceProcessorConfig::paper(model);
-        let mut sim = TraceProcessor::new(&w.program, cfg);
-        sim.attach_event_sink(Box::new(RingSink::with_interests(
-            1 << 22,
-            CategoryMask::of(&[Category::Trace]),
-        )));
-        let r = run_cell(&mut sim, name, model.name()).result;
-        let mut bus = sim.release_event_bus();
-        let ring = bus.take::<RingSink>().expect("ring sink attached above");
-        assert_eq!(ring.dropped(), 0, "{name} {model:?}: ring overflowed; grow the capacity");
-
-        let mut open: HashMap<u8, u32> = HashMap::new();
-        let (mut dispatched, mut retired, mut squashed, mut drained) = (0u64, 0u64, 0u64, 0u64);
-        for &(cycle, event) in ring.events() {
-            match event {
-                Event::TraceDispatched { pe, pc, .. } => {
-                    dispatched += 1;
-                    assert_eq!(
-                        open.insert(pe, pc),
-                        None,
-                        "{name} {model:?}: dispatch into occupied PE {pe} at cycle {cycle}"
-                    );
-                }
-                Event::TraceRetired { pe, pc, .. } => {
-                    retired += 1;
-                    assert_eq!(
-                        open.remove(&pe),
-                        Some(pc),
-                        "{name} {model:?}: retire without matching dispatch on PE {pe} at \
-                         cycle {cycle}"
-                    );
-                }
-                Event::TraceSquashed { pe, pc, drained: d } => {
-                    squashed += 1;
-                    drained += u64::from(d);
-                    assert_eq!(
-                        open.remove(&pe),
-                        Some(pc),
-                        "{name} {model:?}: squash without matching dispatch on PE {pe} at \
-                         cycle {cycle}"
-                    );
-                }
-                _ => {}
-            }
-        }
-        assert!(open.is_empty(), "{name} {model:?}: unclosed residency spans: {open:?}");
-        assert_eq!(dispatched, retired + squashed, "{name} {model:?}: span books out of balance");
-        assert_eq!(
-            retired + squashed - drained,
-            r.stats.retired_traces + r.stats.squashed_traces,
-            "{name} {model:?}: span closes disagree with SimStats"
-        );
-    }
 }
 
 /// The Chrome trace-event document parses as JSON and satisfies the

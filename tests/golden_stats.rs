@@ -30,7 +30,8 @@
 //!   `(cycle, name)` sequence, read from a full-interest sink after
 //!   `release_event_bus` (so the run-end drained closes are included).
 //!   Pins which happening is reported when, so a refactor of the
-//!   accounting sites cannot drop, duplicate or reorder an event.
+//!   accounting sites cannot drop, duplicate or reorder an event. The same
+//!   runs check that residency spans balance.
 //!
 //! All of these run in tier-1 (`cargo test`). On an *intentional* behaviour
 //! change, bless new fixtures with:
@@ -42,15 +43,14 @@
 //! and commit the diff — the point is that cycle-level changes are always
 //! explicit in review, never accidental.
 
-use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use tp_bench::corpus::simstats_rows;
 use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
-use trace_processor::tp_events::{CategoryMask, Event, EventSink};
+use trace_processor::tp_events::{Event, RingSink};
 use trace_processor::tp_workloads::{all_workloads, suite, Size};
 
 fn golden_path(file: &str) -> PathBuf {
@@ -147,54 +147,47 @@ fn rv_simstats_match_golden() {
     check_against_golden("rv_simstats.txt", &simstats_rows(&rv_suite(Size::Tiny), |_, _| {}));
 }
 
-/// A full-interest sink folding the event stream into per-name counts and
-/// an FNV-1a digest of the `(cycle, name)` sequence.
-struct StreamDigest {
-    counts: BTreeMap<&'static str, u64>,
-    fnv: u64,
-}
-
-impl StreamDigest {
-    fn new() -> StreamDigest {
-        StreamDigest { counts: BTreeMap::new(), fnv: 0xcbf2_9ce4_8422_2325 }
-    }
-}
-
-impl EventSink for StreamDigest {
-    fn interests(&self) -> CategoryMask {
-        CategoryMask::ALL
-    }
-
-    fn record(&mut self, cycle: u64, event: &Event) {
-        *self.counts.entry(event.name()).or_default() += 1;
-        for &b in cycle.to_le_bytes().iter().chain(event.name().as_bytes()).chain(&[0]) {
-            self.fnv = (self.fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-}
-
-/// The event stream of every tiny-battery cell (both suites x all five
-/// models) must match the fixture: per-kind counts and the digest of the
-/// `(cycle, name)` sequence, drained closes included.
+/// Every tiny-battery cell (both suites x all five models), run with a
+/// full-interest ring attached:
+///
+/// * the event stream matches `events.txt`: per-kind counts and an FNV-1a
+///   digest of the `(cycle, name)` sequence, drained closes included;
+/// * residency spans balance: every `TraceDispatched` enters a free PE and
+///   is closed by exactly one `TraceRetired` or `TraceSquashed` of the
+///   same trace (run-end residents close as `drained` squashes when the
+///   bus is released).
 #[test]
 fn event_stream_matches_golden() {
     let mut actual = String::new();
     for w in all_workloads(Size::Tiny) {
         for model in CiModel::ALL {
+            let cell = format!("{} {}", w.name, model.name());
             let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model));
-            sim.attach_event_sink(Box::new(StreamDigest::new()));
+            sim.attach_event_sink(Box::new(RingSink::new(usize::MAX)));
             run_cell(&mut sim, w.name, model.name());
-            let d = sim.release_event_bus().take::<StreamDigest>().expect("attached above");
-            let _ = write!(actual, "{} {} fnv={:016x}", w.name, model.name(), d.fnv);
-            for (name, n) in &d.counts {
+            let ring = sim.release_event_bus().take::<RingSink>().expect("attached above");
+            let (mut counts, mut fnv) = (BTreeMap::<&str, u64>::new(), 0xcbf2_9ce4_8422_2325u64);
+            let mut open: HashMap<u8, u32> = HashMap::new();
+            for &(cycle, e) in ring.events() {
+                *counts.entry(e.name()).or_default() += 1;
+                for &b in cycle.to_le_bytes().iter().chain(e.name().as_bytes()).chain(&[0]) {
+                    fnv = (fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                match e {
+                    Event::TraceDispatched { pe, pc, .. } => {
+                        let prev = open.insert(pe, pc);
+                        assert_eq!(prev, None, "{cell}: dispatch into busy PE {pe} at {cycle}");
+                    }
+                    Event::TraceRetired { pe, pc, .. } | Event::TraceSquashed { pe, pc, .. } => {
+                        let opened = open.remove(&pe);
+                        assert_eq!(opened, Some(pc), "{cell}: stray close on PE {pe} at {cycle}");
+                    }
+                    _ => {}
+                }
+            }
+            assert!(open.is_empty(), "{cell}: unclosed residency spans: {open:?}");
+            let _ = write!(actual, "{cell} fnv={fnv:016x}");
+            for (name, n) in &counts {
                 let _ = write!(actual, " {name}={n}");
             }
             actual.push('\n');

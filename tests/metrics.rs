@@ -10,14 +10,16 @@
 //! * **RingSink edges** — the drop counter accounts for every event
 //!   beyond capacity, and `take::<T>` after `release_event_bus` yields
 //!   each sink exactly once.
-//! * **CGCI reconvergence-distance battery** — across the full 14-workload
-//!   x 5-model grid, every CGCI detection lands in the distance histogram
-//!   or the unmapped counter, and their sum equals the attribution
-//!   ledger's CGCI event count exactly.
-//! * **Counter conservation** — over the same grid, every trace count the
-//!   `MetricsSink` derives from the event stream equals the simulator's
-//!   own `SimStats` tally: one counter vocabulary, two independent
-//!   derivations that must agree.
+//! * **Counter conservation** — on every cell of the tiny battery (both
+//!   suites x 5 models), on the paper and the small machine: the trace
+//!   counts the `MetricsSink` derives from the event stream, the
+//!   attribution ledger and the simulator's own `SimStats` agree. The
+//!   simulator's books write all three from one call per happening, so
+//!   they agree by construction; these laws pin it. Every CGCI close also
+//!   lands in the reconvergence-distance histogram or its unmapped
+//!   counter, and runs cut short close every dispatched trace exactly once.
+
+use std::collections::HashMap;
 
 use tp_bench::corpus::simstats_rows;
 use tp_bench::metrics::ipdom_map;
@@ -25,7 +27,7 @@ use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_events::{Category, CategoryMask, Event, RingSink};
 use trace_processor::tp_metrics::{Histogram, MetricsSink, EXACT_BUCKETS};
-use trace_processor::tp_stats::{AttrCell, BranchClass, Heuristic, RecoveryOutcome};
+use trace_processor::tp_stats::{AttrKey, RecoveryOutcome};
 use trace_processor::tp_workloads::{all_workloads, by_name, suite, Size};
 
 /// Attaching the metrics sink (ipdom-joined) and enabling the stage
@@ -177,59 +179,22 @@ fn take_after_release_yields_each_sink_once() {
     assert!(bus.take::<RingSink>().is_none());
 }
 
-/// The paper-scale battery: all 14 workloads under all 5 models. Every
-/// CGCI detection must land in the reconvergence-distance histogram or
-/// the unmapped counter, and their sum must equal both the sink's close
-/// count and the attribution ledger's CGCI event total — exactly.
-#[test]
-fn cgci_battery_distance_histogram_matches_ledger_exactly() {
-    let mut total_detections = 0u64;
-    for w in all_workloads(Size::Tiny) {
-        let ipdom = ipdom_map(&w.program);
-        for model in CiModel::ALL {
-            let cfg = TraceProcessorConfig::paper(model);
-            let mut sim = TraceProcessor::new(&w.program, cfg);
-            sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom.clone())));
-            let r = run_cell(&mut sim, w.name, model.name()).result;
-            let mut bus = sim.release_event_bus();
-            let m = bus.take::<MetricsSink>().expect("attached above").into_metrics();
-            let mut ledger_cgci = 0;
-            for class in BranchClass::ALL {
-                for heuristic in Heuristic::ALL {
-                    for outcome in [RecoveryOutcome::CgciReconverged, RecoveryOutcome::CgciFailed] {
-                        ledger_cgci += r.attribution.cell((class, heuristic, outcome)).events;
-                    }
-                }
-            }
-            let bucketed = m.reconv_distance.count() + m.reconv_unmapped.get();
-            assert_eq!(
-                bucketed,
-                m.cgci_closed.get(),
-                "{} {model:?}: every close must be bucketed or counted unmapped",
-                w.name
-            );
-            assert_eq!(
-                bucketed, ledger_cgci,
-                "{} {model:?}: distance accounting disagrees with the attribution ledger",
-                w.name
-            );
-            total_detections += ledger_cgci;
-        }
-    }
-    assert!(total_detections > 0, "the battery must exercise CGCI detections");
-}
-
 /// The event stream, the attribution ledger and `SimStats` count the same
-/// trace lifecycle, on the paper machine and on the small one (which
-/// saturates its 4-PE window and takes other recovery paths). On every
-/// cell of the tiny battery:
+/// happenings, on the paper machine and on the small one (which saturates
+/// its 4-PE window and takes other recovery paths). The books write all
+/// three from one call per happening; these laws pin that, on every cell
+/// of the tiny battery:
 ///
 /// * the sink's dispatch/retire/squash/preserve/re-dispatch counters equal
-///   the simulator's, and every CGCI attempt opens one window;
+///   the simulator's, every CGCI attempt opens one window, and every
+///   `CgciClosed` is one `events` of its own `(class, heuristic, outcome)`
+///   ledger cell and lands in the reconvergence-distance histogram
+///   (joined against tp-cfg's static ipdoms) or its unmapped counter;
 /// * `fgci_recoveries` is the ledger's `FgciRepair` event count,
 ///   `cgci_reconverged` its `CgciReconverged` count, `cgci_attempts` its
-///   `CgciReconverged` plus `CgciFailed` counts, and `preserved_traces` its
-///   `traces_preserved`;
+///   `CgciReconverged` plus `CgciFailed` counts, `preserved_traces` its
+///   `traces_preserved`, and `retired_cond_mispredicts` its `retired`
+///   total (and the sum of its per-class `retired` counts);
 /// * the ledger's `traces_redispatched` never exceeds
 ///   `redispatched_traces` (a pass resuming a preempted pass's walk debt
 ///   charges no cell for the owed walks; see `AttrCell`);
@@ -240,47 +205,66 @@ fn cgci_battery_distance_histogram_matches_ledger_exactly() {
 /// transient faults and indirect full squashes legitimately differ.)
 #[test]
 fn counter_conservation_event_counts_match_simstats() {
+    let mut detections = 0;
     let paper: fn(CiModel) -> TraceProcessorConfig = TraceProcessorConfig::paper;
     let machines = [("paper", paper), ("small", TraceProcessorConfig::small)];
     for (machine, config) in machines {
         for w in all_workloads(Size::Tiny) {
+            let ipdom = ipdom_map(&w.program);
             for model in CiModel::ALL {
                 let cell = format!("{} {} {machine}", w.name, model.name());
                 let mut sim = TraceProcessor::new(&w.program, config(model));
-                sim.attach_event_sink(Box::new(MetricsSink::new()));
+                sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom.clone())));
+                let cgci = CategoryMask::of(&[Category::Cgci]);
+                sim.attach_event_sink(Box::new(RingSink::with_interests(usize::MAX, cgci)));
                 let r = run_cell(&mut sim, w.name, model.name()).result;
-                let s = r.stats;
-                let m = sim.release_event_bus().take::<MetricsSink>().expect("attached");
-                let m = m.into_metrics();
-                for (what, events, stats) in [
-                    ("dispatched", m.traces_dispatched, s.dispatched_traces),
-                    ("retired", m.traces_retired, s.retired_traces),
-                    ("squashed", m.traces_squashed, s.squashed_traces),
-                    ("preserved", m.traces_preserved, s.preserved_traces),
-                    ("redispatched", m.traces_redispatched, s.redispatched_traces),
-                    ("cgci opened vs attempts", m.cgci_opened, s.cgci_attempts),
-                ] {
-                    assert_eq!(events.get(), stats, "{cell}: {what}: events vs SimStats");
+                let (s, a) = (r.stats, &r.attribution);
+                let mut bus = sim.release_event_bus();
+                let m = bus.take::<MetricsSink>().expect("attached").into_metrics();
+                // Every `CgciClosed` is one `events` of its own ledger cell.
+                let mut closes: HashMap<AttrKey, u64> = HashMap::new();
+                for &(_, e) in bus.take::<RingSink>().expect("attached").events() {
+                    if let Event::CgciClosed { class, heuristic, outcome, .. } = e {
+                        *closes.entry((class, heuristic, outcome)).or_default() += 1;
+                    }
                 }
-                assert!(m.cgci_closed.get() <= m.cgci_opened.get(), "{cell}: more closes");
-
-                let ledger = |outcome: RecoveryOutcome, f: fn(&AttrCell) -> u64| -> u64 {
-                    r.attribution.nonzero().filter(|(k, _)| k.2 == outcome).map(|(_, c)| f(c)).sum()
+                let cgci_cell = |k: &AttrKey| {
+                    matches!(k.2, RecoveryOutcome::CgciReconverged | RecoveryOutcome::CgciFailed)
                 };
-                let events = |c: &AttrCell| c.events;
-                let reconverged = ledger(RecoveryOutcome::CgciReconverged, events);
-                let failed = ledger(RecoveryOutcome::CgciFailed, events);
-                let preserved: u64 = r.attribution.nonzero().map(|(_, c)| c.traces_preserved).sum();
-                let walked: u64 = r.attribution.nonzero().map(|(_, c)| c.traces_redispatched).sum();
-                for (what, ledger, stats) in [
-                    ("fgci", ledger(RecoveryOutcome::FgciRepair, events), s.fgci_recoveries),
-                    ("cgci reconverged", reconverged, s.cgci_reconverged),
-                    ("cgci attempts", reconverged + failed, s.cgci_attempts),
-                    ("preserved", preserved, s.preserved_traces),
-                ] {
-                    assert_eq!(ledger, stats, "{cell}: {what}: ledger vs SimStats");
+                for (key, c) in a.nonzero().filter(|(k, _)| cgci_cell(k)) {
+                    let n = closes.remove(&key).unwrap_or(0);
+                    assert_eq!(n, c.events, "{cell}: CgciClosed vs ledger cell {key:?}");
                 }
+                assert!(closes.is_empty(), "{cell}: closes with no ledger cell: {closes:?}");
+                let ledger = |outcome: RecoveryOutcome| -> u64 {
+                    a.nonzero().filter(|(k, _)| k.2 == outcome).map(|(_, c)| c.events).sum()
+                };
+                let cgci_closed =
+                    ledger(RecoveryOutcome::CgciReconverged) + ledger(RecoveryOutcome::CgciFailed);
+                let bucketed = m.reconv_distance.count() + m.reconv_unmapped.get();
+                let preserved = a.nonzero().map(|(_, c)| c.traces_preserved).sum();
+                let by_class = a.retired_by_class().iter().sum();
+                for (what, got, want) in [
+                    ("dispatched events", m.traces_dispatched.get(), s.dispatched_traces),
+                    ("retired events", m.traces_retired.get(), s.retired_traces),
+                    ("squashed events", m.traces_squashed.get(), s.squashed_traces),
+                    ("preserved events", m.traces_preserved.get(), s.preserved_traces),
+                    ("redispatched events", m.traces_redispatched.get(), s.redispatched_traces),
+                    ("cgci opened events", m.cgci_opened.get(), s.cgci_attempts),
+                    ("cgci closed events vs ledger", m.cgci_closed.get(), cgci_closed),
+                    ("cgci closes bucketed", bucketed, cgci_closed),
+                    ("fgci ledger", ledger(RecoveryOutcome::FgciRepair), s.fgci_recoveries),
+                    ("cgci ledger", ledger(RecoveryOutcome::CgciReconverged), s.cgci_reconverged),
+                    ("cgci attempts ledger", cgci_closed, s.cgci_attempts),
+                    ("preserved ledger", preserved, s.preserved_traces),
+                    ("retired ledger", a.retired_total(), s.retired_cond_mispredicts),
+                    ("retired by class", by_class, s.retired_cond_mispredicts),
+                ] {
+                    assert_eq!(got, want, "{cell}: {what}");
+                }
+                let walked: u64 = a.nonzero().map(|(_, c)| c.traces_redispatched).sum();
                 assert!(walked <= s.redispatched_traces, "{cell}: ledger walks more traces");
+                detections += cgci_closed;
 
                 let mut sim = TraceProcessor::new(&w.program, config(model));
                 sim.attach_event_sink(Box::new(RingSink::with_interests(
@@ -303,4 +287,5 @@ fn counter_conservation_event_counts_match_simstats() {
             }
         }
     }
+    assert!(detections > 0, "the battery must exercise CGCI detections");
 }
