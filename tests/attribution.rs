@@ -8,15 +8,18 @@
 //! one heuristic each: a data-dependent loop exit (MLB-RET's target) and a
 //! data-dependent hammock (FG's target). Each kernel regression-tests the
 //! class attribution too: the ledger must localize the recoveries to the
-//! branch class the kernel was built around. The ledger's laws against
-//! `SimStats` and the event stream over the whole tiny battery (CGCI closes
-//! equal its CGCI events, ...) live in `tests/metrics.rs`.
+//! branch class the kernel was built around. The CGCI event stream must
+//! balance against the ledger cell by cell; the ledger's laws against
+//! `SimStats` over the whole tiny battery live in `tests/metrics.rs`.
+
+use std::collections::HashMap;
 
 use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use trace_processor::tp_events::{Category, CategoryMask, Event, RingSink};
 use trace_processor::tp_isa::asm::Asm;
 use trace_processor::tp_isa::{AluOp, Cond, Program, Reg};
-use trace_processor::tp_stats::attr::{BranchClass, RecoveryOutcome};
+use trace_processor::tp_stats::attr::{BranchClass, Heuristic, RecoveryOutcome};
 use trace_processor::tp_workloads::{by_name, Size};
 
 fn run(program: &Program, model: CiModel) -> trace_processor::tp_core::RunResult {
@@ -219,4 +222,60 @@ fn failed_cgci_attempts_are_attributed() {
         failed,
         r.stats.cgci_attempts
     );
+}
+
+/// The event stream and the attribution ledger are two independent
+/// recordings of the same CGCI attempts, and they must balance *exactly*:
+/// `CgciClosed` events per `(class, heuristic, outcome)` cell equal that
+/// cell's ledger `events` count, and opens exceed closes by at most the
+/// one attempt the end of the run can strand.
+#[test]
+fn cgci_events_balance_against_ledger() {
+    for (name, model) in
+        [("go", CiModel::MlbRet), ("compress", CiModel::MlbRet), ("go", CiModel::FgMlbRet)]
+    {
+        let w = by_name(name, Size::Tiny).unwrap();
+        let cfg = TraceProcessorConfig::paper(model).with_oracle();
+        let mut sim = TraceProcessor::new(&w.program, cfg);
+        sim.attach_event_sink(Box::new(RingSink::with_interests(
+            1 << 20,
+            CategoryMask::of(&[Category::Cgci]),
+        )));
+        let r = run_cell(&mut sim, name, model.name()).result;
+        let mut bus = sim.release_event_bus();
+        let ring = bus.take::<RingSink>().expect("ring sink attached above");
+        assert_eq!(ring.dropped(), 0, "{name} {model:?}: ring overflowed");
+
+        let mut opens = 0u64;
+        let mut closes: HashMap<(BranchClass, Heuristic, RecoveryOutcome), u64> = HashMap::new();
+        for &(_, event) in ring.events() {
+            match event {
+                Event::CgciOpened { .. } => opens += 1,
+                Event::CgciClosed { class, heuristic, outcome, .. } => {
+                    *closes.entry((class, heuristic, outcome)).or_default() += 1;
+                }
+                _ => {}
+            }
+        }
+        let total_closes: u64 = closes.values().sum();
+        for ((class, heur, outcome), cell) in r.attribution.nonzero() {
+            if matches!(outcome, RecoveryOutcome::CgciReconverged | RecoveryOutcome::CgciFailed) {
+                assert_eq!(
+                    closes.remove(&(class, heur, outcome)).unwrap_or(0),
+                    cell.events,
+                    "{name} {model:?}: event/ledger mismatch in cell \
+                     ({class:?}, {heur:?}, {outcome:?})"
+                );
+            }
+        }
+        assert!(
+            closes.is_empty(),
+            "{name} {model:?}: CgciClosed events with no ledger cell: {closes:?}"
+        );
+        assert!(
+            opens == total_closes || opens == total_closes + 1,
+            "{name} {model:?}: {opens} opens vs {total_closes} closes (at most one attempt \
+             may be stranded by the end of the run)"
+        );
+    }
 }

@@ -10,6 +10,10 @@
 //! * **RingSink edges** — the drop counter accounts for every event
 //!   beyond capacity, and `take::<T>` after `release_event_bus` yields
 //!   each sink exactly once.
+//! * **CGCI reconvergence-distance battery** — on the paper machine, every
+//!   CGCI detection lands in the distance histogram or the unmapped
+//!   counter, and their sum equals the attribution ledger's CGCI event
+//!   count exactly.
 //! * **Counter conservation** — on every cell of the tiny battery (both
 //!   suites x 5 models), on the paper and the small machine: the trace
 //!   counts the `MetricsSink` derives from the event stream, the
@@ -27,7 +31,7 @@ use tp_bench::run_cell;
 use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_events::{Category, CategoryMask, Event, RingSink};
 use trace_processor::tp_metrics::{Histogram, MetricsSink, EXACT_BUCKETS};
-use trace_processor::tp_stats::{AttrKey, RecoveryOutcome};
+use trace_processor::tp_stats::{AttrKey, BranchClass, Heuristic, RecoveryOutcome};
 use trace_processor::tp_workloads::{all_workloads, by_name, suite, Size};
 
 /// Attaching the metrics sink (ipdom-joined) and enabling the stage
@@ -177,6 +181,48 @@ fn take_after_release_yields_each_sink_once() {
     let ring = bus.take::<RingSink>().expect("ring sink still attachable by type");
     assert!(!ring.events().is_empty());
     assert!(bus.take::<RingSink>().is_none());
+}
+
+/// The paper-scale battery: all 14 workloads under all 5 models. Every
+/// CGCI detection must land in the reconvergence-distance histogram or
+/// the unmapped counter, and their sum must equal both the sink's close
+/// count and the attribution ledger's CGCI event total — exactly.
+#[test]
+fn cgci_battery_distance_histogram_matches_ledger_exactly() {
+    let mut total_detections = 0u64;
+    for w in all_workloads(Size::Tiny) {
+        let ipdom = ipdom_map(&w.program);
+        for model in CiModel::ALL {
+            let cfg = TraceProcessorConfig::paper(model);
+            let mut sim = TraceProcessor::new(&w.program, cfg);
+            sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom.clone())));
+            let r = run_cell(&mut sim, w.name, model.name()).result;
+            let mut bus = sim.release_event_bus();
+            let m = bus.take::<MetricsSink>().expect("attached above").into_metrics();
+            let mut ledger_cgci = 0;
+            for class in BranchClass::ALL {
+                for heuristic in Heuristic::ALL {
+                    for outcome in [RecoveryOutcome::CgciReconverged, RecoveryOutcome::CgciFailed] {
+                        ledger_cgci += r.attribution.cell((class, heuristic, outcome)).events;
+                    }
+                }
+            }
+            let bucketed = m.reconv_distance.count() + m.reconv_unmapped.get();
+            assert_eq!(
+                bucketed,
+                m.cgci_closed.get(),
+                "{} {model:?}: every close must be bucketed or counted unmapped",
+                w.name
+            );
+            assert_eq!(
+                bucketed, ledger_cgci,
+                "{} {model:?}: distance accounting disagrees with the attribution ledger",
+                w.name
+            );
+            total_detections += ledger_cgci;
+        }
+    }
+    assert!(total_detections > 0, "the battery must exercise CGCI detections");
 }
 
 /// The event stream, the attribution ledger and `SimStats` count the same
