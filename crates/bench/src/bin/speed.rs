@@ -63,7 +63,8 @@ fn main() {
             other => usage_error(format!(
                 "unknown argument {other:?}\n\
                  usage: speed [--size tiny|small|full|long] [--suite synth|rv|all] \
-                 [--sample] [--ckpt DIR] [--ffwd-bench [--out PATH] [--gate MIN]]"
+                 [--sample] [--ckpt DIR] [--ffwd-bench [--out PATH] [--gate MIN]] \
+                 [--events-guard PCT]"
             )),
         }
     }

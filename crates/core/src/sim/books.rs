@@ -14,11 +14,15 @@
 //! the books only through these methods. Every method is `#[inline]` and
 //! statically dispatched, and builds its event only when an attached sink
 //! wants the event's category: an unattached run pays one mask test per
-//! happening and never calls a sink. Events are stamped with the current
-//! cycle, which is `SimStats::cycles` (the cycles elapsed before this one).
-//! The books are observation-only: the simulator reads back only the
-//! retired-instruction count (run budgets, the retired frontier, error
-//! messages), never anything that steers it.
+//! happening and never calls a sink.
+//!
+//! The books keep the simulator's only clock: `SimStats::cycles`, the
+//! cycles elapsed before the current one, advanced once per cycle by
+//! [`Books::cycle_ended`]. Events are stamped with it, and the stages read
+//! it as `TraceProcessor::now`, so an event cannot be stamped off by a
+//! cycle. Otherwise the books are observation-only: the simulator reads
+//! back the clock and the retired-instruction count (run budgets, the
+//! retired frontier, error messages), never anything that steers it.
 //!
 //! The books also hold the unresolved CGCI attempt. The attempt itself is
 //! driven by the fetch mode; its costs, its close event and the migration

@@ -29,9 +29,9 @@ use tp_events::BusChannel;
 use tp_isa::{Addr, Inst};
 
 impl TraceProcessor<'_> {
-    pub(super) fn bus_stage(&mut self, ctx: &CycleCtx) {
-        self.grant_buses(ctx, BusChannel::Cache);
-        self.grant_buses(ctx, BusChannel::Result);
+    pub(super) fn bus_stage(&mut self) {
+        self.grant_buses(BusChannel::Cache);
+        self.grant_buses(BusChannel::Result);
     }
 
     /// One arbiter pass over the ARB/data-cache buses, whose grants perform
@@ -43,8 +43,8 @@ impl TraceProcessor<'_> {
     /// dropping requests whose generation died, and recomputing the
     /// `next_due` horizon that lets idle cycles skip the pass entirely
     /// (`now + 1` whenever a grantable request was blocked by a limit).
-    fn grant_buses(&mut self, ctx: &CycleCtx, kind: BusChannel) {
-        let now = ctx.now;
+    fn grant_buses(&mut self, kind: BusChannel) {
+        let now = self.now();
         let horizon = match kind {
             BusChannel::Cache => self.cache_bus_next_due,
             BusChannel::Result => self.result_bus_next_due,
@@ -135,7 +135,7 @@ impl TraceProcessor<'_> {
     }
 
     fn perform_mem_access(&mut self, pe: usize, slot: usize) {
-        let now = self.now;
+        let now = self.now();
         let h = Self::handle(pe, slot);
         let (inst, ea, data) = {
             let s = &self.pes[pe].slots[slot];
@@ -200,7 +200,7 @@ impl TraceProcessor<'_> {
                     s.state = SlotState::MemAccess { done_at };
                 }
                 self.note_inflight(pe, slot, done_at);
-                self.snoop_store(ea, h, data, pe);
+                self.snoop_store(ea, h);
             }
             _ => unreachable!("only memory ops use cache buses"),
         }
@@ -228,67 +228,43 @@ impl TraceProcessor<'_> {
 
     /// Loads snoop store traffic: a load must reissue if the store is
     /// program-order earlier than the load but later than the load's data
-    /// source, or if it *is* the load's data source and the value changed.
-    /// Victims come from the per-word load registry, not a window rescan.
-    fn snoop_store(&mut self, addr: Addr, store_h: SeqHandle, value: Word, store_pe: usize) {
-        let word = addr >> 3;
-        let Some(mut entries) = self.wakeup.loads_by_word.remove(&word) else { return };
+    /// source, or if it *is* the load's data source (the ARB has already
+    /// been updated; the value it supplied may differ, so conservatively
+    /// reissue). Only loads that already sampled memory can be victims.
+    fn snoop_store(&mut self, addr: Addr, store_h: SeqHandle) {
         let store_key = self.seq_key(store_h);
-        let penalty = self.cfg.load_reissue_penalty;
-        let now = self.now;
-        let mut reissues: Vec<(usize, usize)> = Vec::new();
-        let before = entries.len();
-        entries.retain(|&r| {
-            let Some(s) = self.live_load(r, word) else { return false };
-            let (pe, i) = (r.pe(), r.slot());
-            // Only loads that already sampled memory can be victims.
-            if !matches!(s.state, SlotState::MemAccess { .. } | SlotState::Done) {
-                return true;
+        self.snoop(addr, |sim, r, s| {
+            if !matches!(s.state, SlotState::MemAccess { .. } | SlotState::Done)
+                || store_key >= sim.seq_key(Self::handle(r.pe(), r.slot()))
+            {
+                return false; // not yet sampled, or the store is later
             }
-            let load_key = self.seq_key(Self::handle(pe, i));
-            if store_key >= load_key {
-                return true; // store is later in program order
-            }
-            let must_reissue = match s.load_src {
-                Some(src) if src == store_h.0 => {
-                    // Same source store re-executed: reissue if the value
-                    // it previously supplied could differ. (The ARB has
-                    // already been updated; conservatively reissue.)
-                    let _ = value;
-                    true
-                }
-                Some(src) => self.seq_key(SeqHandle(src)) < store_key,
+            match s.load_src {
+                Some(src) if src == store_h.0 => true,
+                Some(src) => sim.seq_key(SeqHandle(src)) < store_key,
                 None => true, // loaded from architectural memory
-            };
-            if must_reissue {
-                reissues.push((pe, i));
             }
-            true
         });
-        self.load_count -= before - entries.len();
-        if !entries.is_empty() {
-            self.wakeup.loads_by_word.insert(word, entries);
-        }
-        let _ = store_pe;
-        self.books.load_snoop_reissued(reissues.len() as u64);
-        for (pe, i) in reissues {
-            self.mark_reissue_slot(pe, i, now + penalty);
-        }
     }
 
     /// Loads snoop store-undo traffic: any load whose data came from the
-    /// undone store must reissue.
+    /// undone store must reissue, except those in `skip_pe`.
     pub(super) fn snoop_undo(&mut self, addr: Addr, store_h: SeqHandle, skip_pe: usize) {
+        self.snoop(addr, |_, r, s| r.pe() != skip_pe && s.load_src == Some(store_h.0));
+    }
+
+    /// The snoop walk: visits every live load registered on `addr`'s word
+    /// (the per-word load registry, not a window rescan), drops the stale
+    /// entries, and reissues each load `victim` picks.
+    fn snoop(&mut self, addr: Addr, mut victim: impl FnMut(&Self, SlotRef, &Slot) -> bool) {
         let word = addr >> 3;
         let Some(mut entries) = self.wakeup.loads_by_word.remove(&word) else { return };
-        let penalty = self.cfg.load_reissue_penalty;
-        let now = self.now;
-        let mut reissues: Vec<(usize, usize)> = Vec::new();
+        let mut reissues: Vec<SlotRef> = Vec::new();
         let before = entries.len();
         entries.retain(|&r| {
             let Some(s) = self.live_load(r, word) else { return false };
-            if r.pe() != skip_pe && s.load_src == Some(store_h.0) {
-                reissues.push((r.pe(), r.slot()));
+            if victim(self, r, s) {
+                reissues.push(r);
             }
             true
         });
@@ -297,8 +273,9 @@ impl TraceProcessor<'_> {
             self.wakeup.loads_by_word.insert(word, entries);
         }
         self.books.load_snoop_reissued(reissues.len() as u64);
-        for (pe, i) in reissues {
-            self.mark_reissue_slot(pe, i, now + penalty);
+        let at = self.now() + self.cfg.load_reissue_penalty;
+        for r in reissues {
+            self.mark_reissue_slot(r.pe(), r.slot(), at);
         }
     }
 
@@ -306,7 +283,7 @@ impl TraceProcessor<'_> {
     /// of the registered generation whose sampled address maps to `word`.
     /// Returns the slot, or `None` for stale entries (which the caller
     /// garbage-collects from the registry).
-    fn live_load(&self, r: SlotRef, word: Addr) -> Option<&crate::pe::Slot> {
+    fn live_load(&self, r: SlotRef, word: Addr) -> Option<&Slot> {
         let s = r.live(&self.pes)?;
         if !self.list.contains(r.pe()) || !matches!(s.ti.inst, Inst::Load { .. }) {
             return None;

@@ -26,8 +26,8 @@ use crate::pe::{Fault, Published};
 use tp_events::MispredictKind;
 
 impl TraceProcessor<'_> {
-    pub(super) fn complete_stage(&mut self, ctx: &CycleCtx) {
-        let now = ctx.now;
+    pub(super) fn complete_stage(&mut self) {
+        let now = self.now();
         // Drain every completion event due this cycle from the timing
         // wheel instead of rescanning the window. Events are validated
         // (generation, state, exact `done_at`) so stale entries from
@@ -62,7 +62,7 @@ impl TraceProcessor<'_> {
     }
 
     fn complete_slot(&mut self, pe: usize, slot: usize) {
-        let now = self.now;
+        let now = self.now();
         {
             let s = &mut self.pes[pe].slots[slot];
             if s.pending_reissue {
@@ -148,24 +148,14 @@ impl TraceProcessor<'_> {
                 // This PE is the tail: redirect pending fetches if needed.
                 self.pes[pe].set_fault(slot, None);
                 let front_start = self.fetch_queue.front().map(|p| p.trace.id().start());
-                match (front_start, actual) {
-                    (Some(f), Some(t)) if f == t => {}
-                    (Some(_), t) => {
+                if front_start.is_none() || front_start != actual {
+                    if front_start.is_some() {
                         // Mispredicted successor still in the fetch queue.
                         self.books.successor_mispredicted();
                         self.fetch_queue.clear();
                         self.fetch_hist = self.rebuild_history();
-                        self.expected = match t {
-                            Some(t) => ExpectedNext::Known(t),
-                            None => ExpectedNext::Stalled,
-                        };
                     }
-                    (None, Some(t)) => {
-                        if self.expected != ExpectedNext::Known(t) {
-                            self.expected = ExpectedNext::Known(t);
-                        }
-                    }
-                    (None, None) => self.expected = ExpectedNext::Stalled,
+                    self.expected = ExpectedNext::resolved(actual);
                 }
             }
         }

@@ -28,7 +28,7 @@ use super::*;
 use crate::pe::Slot;
 
 impl TraceProcessor<'_> {
-    pub(super) fn dispatch_stage(&mut self, ctx: &CycleCtx, prof: Option<&StageProfiler>) {
+    pub(super) fn dispatch_stage(&mut self, prof: Option<&StageProfiler>) {
         if self.halted {
             return;
         }
@@ -36,21 +36,18 @@ impl TraceProcessor<'_> {
         // re-dispatch is its own stage module, merely sharing the slot).
         if self.redispatch.is_some() {
             let _t = ScopedStageTimer::new(prof, Stage::Redispatch);
-            self.redispatch_step(ctx);
+            self.redispatch_step();
             return;
         }
         let _t = ScopedStageTimer::new(prof, Stage::Dispatch);
         let Some(front_ready_at) = self.fetch_queue.front().map(|p| p.ready_at) else { return };
-        if ctx.now < front_ready_at {
+        if self.now() < front_ready_at {
             return;
         }
         // Pick the PE: insertion point (CGCI) or tail.
         let insert_before = match self.mode {
             FetchMode::CgciInsert { before, before_gen, .. } => {
-                if !self.pes[before].occupied
-                    || self.pes[before].gen != before_gen
-                    || !self.list.contains(before)
-                {
+                if !self.pe_live(before, before_gen) {
                     self.set_mode(FetchMode::Normal);
                     None
                 } else {
@@ -109,7 +106,7 @@ impl TraceProcessor<'_> {
         if let FetchMode::CgciInsert { ref mut inserted, .. } = self.mode {
             *inserted += 1;
         }
-        self.dispatch_trace(pe, pending, insert_before, ctx);
+        self.dispatch_trace(pe, pending, insert_before);
     }
 
     /// Registers a just-dispatched trace's live-in operands as readers and
@@ -160,7 +157,6 @@ impl TraceProcessor<'_> {
         pe: usize,
         pending: Pending,
         insert_before: Option<usize>,
-        ctx: &CycleCtx,
     ) {
         let trace = pending.trace;
         self.reserve_pregs(trace.live_outs().len());
@@ -183,6 +179,7 @@ impl TraceProcessor<'_> {
         link_local_consumers(&mut slots);
         let map_after = Self::map_after(&trace, &slots, map_before);
         let num_slots = slots.len();
+        let now = self.now();
         let p = &mut self.pes[pe];
         p.occupied = true;
         p.trace = trace;
@@ -193,7 +190,7 @@ impl TraceProcessor<'_> {
         p.hist_before = pending.hist_before;
         p.source = pending.source;
         p.repairs = 0;
-        p.dispatched_at = ctx.now;
+        p.dispatched_at = now;
         self.current_map = map_after;
         match insert_before {
             Some(b) => self.list.insert_before(pe, b),

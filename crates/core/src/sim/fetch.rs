@@ -22,7 +22,7 @@ use tp_isa::Inst;
 use tp_trace::{OutcomeSource, TraceId};
 
 impl TraceProcessor<'_> {
-    pub(super) fn fetch_stage(&mut self, ctx: &CycleCtx) {
+    pub(super) fn fetch_stage(&mut self) {
         // Fetch stalls only while a recovery redirect is in flight; a
         // re-dispatch pass owns the dispatch bus, not the frontend (fetch
         // state is restored eagerly when the pass starts).
@@ -34,10 +34,7 @@ impl TraceProcessor<'_> {
         }
         // Validate CGCI insertion mode.
         if let FetchMode::CgciInsert { before, before_gen, .. } = self.mode {
-            if !self.pes[before].occupied
-                || self.pes[before].gen != before_gen
-                || !self.list.contains(before)
-            {
+            if !self.pe_live(before, before_gen) {
                 self.set_mode(FetchMode::Normal);
                 self.fetch_hist = self.rebuild_history();
                 self.expected = self.expected_after_tail();
@@ -104,8 +101,7 @@ impl TraceProcessor<'_> {
                 // The predecessor is usually the repaired faulting trace,
                 // but the entire control-dependent path may already have
                 // retired — then the pass chains from retired state.
-                let repaired_pred = self.list.prev(before);
-                self.begin_redispatch_from_map(preserved, repaired_pred, attr);
+                self.begin_redispatch(self.list.prev(before), preserved, attr);
                 self.set_mode(FetchMode::Normal);
                 return;
             }
@@ -119,7 +115,7 @@ impl TraceProcessor<'_> {
             FetchMode::Normal => None,
         };
         // Obtain the trace: trace cache, or construction.
-        let now = ctx.now;
+        let now = self.now();
         let (trace, ready_at, source) = match prediction {
             Some(id) => {
                 let looked = self.tcache.lookup(id);
@@ -215,7 +211,7 @@ impl TraceProcessor<'_> {
         );
         self.books.bit_misses(sel.stats);
         let trace = Arc::new(sel.trace);
-        let cycles = self.construction_cycles(&trace, 0) + sel.stats.bit_miss_cycles;
+        let cycles = self.construction_cycles(&trace, 0, trace.len()) + sel.stats.bit_miss_cycles;
         // Bounded (insertion-mode) constructions are not cached: a trace
         // truncated at the re-convergent PC can share its id with the
         // full-length trace normal selection would build from the same
@@ -227,17 +223,12 @@ impl TraceProcessor<'_> {
         (trace, cycles)
     }
 
-    /// Construction-engine latency to (re)build `trace` starting at
-    /// `from_slot`: one cycle per basic block plus instruction cache miss
-    /// penalties. (Also used by recovery to time trace repair.)
-    pub(super) fn construction_cycles(&mut self, trace: &Trace, from_slot: usize) -> u32 {
-        self.construction_cycles_span(trace, from_slot, trace.len())
-    }
-
-    /// [`Self::construction_cycles`] bounded to `end_slot` (exclusive):
-    /// recovery charges only the slots a repair actually refetches — a
-    /// preserved common suffix costs nothing to rebuild.
-    pub(super) fn construction_cycles_span(
+    /// Construction-engine latency to (re)build `trace` from `from_slot` up
+    /// to `end_slot` (exclusive): one cycle per basic block plus
+    /// instruction cache miss penalties. (Also used by recovery to time
+    /// trace repair, which charges only the slots it actually refetches —
+    /// a preserved common suffix costs nothing to rebuild.)
+    pub(super) fn construction_cycles(
         &mut self,
         trace: &Trace,
         from_slot: usize,

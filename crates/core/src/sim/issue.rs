@@ -31,8 +31,8 @@ use tp_isa::func::effective_address;
 use tp_isa::Inst;
 
 impl TraceProcessor<'_> {
-    pub(super) fn issue_stage(&mut self, ctx: &CycleCtx) {
-        let now = ctx.now;
+    pub(super) fn issue_stage(&mut self) {
+        let now = self.now();
         let (mut issued_total, mut reissued_total) = (0, 0);
         let mut order = std::mem::take(&mut self.scratch_order);
         order.clear();
@@ -73,7 +73,7 @@ impl TraceProcessor<'_> {
     /// Issues one ready slot; returns whether this was a reissue (an issue
     /// beyond the slot's first).
     fn issue_slot(&mut self, pe: usize, slot: usize) -> bool {
-        let now = self.now;
+        let now = self.now();
         let gen = self.pes[pe].gen;
         let (inst, a, b) = {
             let slots = &self.pes[pe].slots;

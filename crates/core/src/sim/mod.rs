@@ -21,11 +21,13 @@
 //!    store snooping) and global result buses (inter-PE value bypass).
 //!
 //! This module owns [`TraceProcessor`], its public API ([`RunResult`],
-//! [`SimError`]), all cross-stage bookkeeping state, and the per-cycle
-//! [`CycleCtx`] handed to each stage by [`TraceProcessor::step_cycle`].
-//! Every stage keeps its accounting (statistics, the attribution ledger,
-//! work counters, events) through the [`books`] layer, one call per
-//! happening.
+//! [`SimError`]), all cross-stage bookkeeping state, and the window-repair
+//! helpers the stages share (squash-and-refetch, the live-in rebind walk,
+//! pass start). Every stage keeps its accounting (statistics, the
+//! attribution ledger, work counters, events) through the [`books`] layer,
+//! one call per happening. The books also keep the one clock: stages read
+//! the current cycle from [`TraceProcessor::now`], which is
+//! `SimStats::cycles`, advanced once per cycle when the cycle ends.
 
 mod books;
 mod buses;
@@ -75,8 +77,11 @@ pub enum SimError {
         /// Human-readable window dump.
         detail: String,
     },
-    /// Committed state diverged from the functional oracle
-    /// (only with [`TraceProcessorConfig::verify_with_oracle`]).
+    /// Committed state diverged from the functional oracle (only with
+    /// [`TraceProcessorConfig::verify_with_oracle`]), or a CGCI
+    /// re-convergence detection could not be classified by the static
+    /// post-dominator oracle (only with
+    /// [`TraceProcessorConfig::cfg_oracle`]).
     OracleMismatch {
         /// Cycle of the divergence.
         cycle: u64,
@@ -113,16 +118,6 @@ pub struct RunResult {
     pub predictor: TracePredictorStats,
 }
 
-/// Per-cycle context handed to every pipeline stage by
-/// [`TraceProcessor::step_cycle`]. The simulated clock only advances
-/// between cycles, so stages read the cycle number from here rather than
-/// re-deriving it from mutable simulator state.
-#[derive(Clone, Copy, Debug)]
-struct CycleCtx {
-    /// The current cycle.
-    now: u64,
-}
-
 /// What PC the frontend expects to fetch next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ExpectedNext {
@@ -135,6 +130,14 @@ enum ExpectedNext {
     Predicted(Pc),
     /// Unknown until recovery or an indirect resolution redirects fetch.
     Stalled,
+}
+
+impl ExpectedNext {
+    /// After a resolved indirect transfer: its target, if it is in the
+    /// program.
+    fn resolved(target: Option<Pc>) -> ExpectedNext {
+        target.map_or(ExpectedNext::Stalled, ExpectedNext::Known)
+    }
 }
 
 /// Frontend mode: normal tail dispatch, or CGCI insertion before a
@@ -175,7 +178,6 @@ struct Recovery {
 struct RedispatchPass {
     queue: VecDeque<usize>,
     rolling: TraceHistory,
-    origin: &'static str,
     /// Ledger coordinate charged for each re-dispatched trace.
     attr: Option<AttrKey>,
 }
@@ -259,8 +261,10 @@ impl SlotRef {
 /// 2. **Readers.** Every global operand `Src::Global(p)` of every occupied
 ///    slot, except the zero register, has an entry in `readers[p]` under
 ///    its PE's current generation. Every rebind site (dispatch,
-///    `replace_trace`, re-dispatch, the head re-ground) registers the
-///    slot, and pruning drops only entries [`reader_live`] rejects. One
+///    `replace_trace`, and the live-in rebind walk
+///    [`TraceProcessor::rebind_live_ins`] that the re-dispatch pass and the
+///    head re-ground share) registers the slot, and pruning drops only
+///    entries [`reader_live`] rejects. One
 ///    list serves both events on a register: its first production sets
 ///    the ready bit of each live `Waiting` reader whose sources are now
 ///    all produced, and a changed value marks each live reader for
@@ -296,8 +300,7 @@ impl SlotRef {
 ///    Recovery's oldest-fault search is then one word test per PE.
 /// 6. **Binding.** Every occupied slot's `LiveIn(r)` operand is bound to
 ///    its PE's `map_before[r]` (`r0` to the zero register). Dispatch,
-///    `replace_trace`, the re-dispatch pass and the head re-ground each
-///    establish it. It makes the head re-ground exact on its fast path: a
+///    `replace_trace` and the live-in rebind walk each establish it. It makes the head re-ground exact on its fast path: a
 ///    head whose `map_before` agrees with `retired_map` on every live-in
 ///    has nothing to rebind. Every `Local(j)` operand is bound to
 ///    [`Src::Local`]`(j)`, the published result of slot `j`.
@@ -545,8 +548,6 @@ pub struct TraceProcessor<'p> {
     /// [`ReconvClass::ALL`]). Kept out of [`SimStats`] so golden
     /// statistics rows are byte-identical with the oracle on or off.
     reconv_oracle_counts: [u64; ReconvClass::ALL.len()],
-    // Time.
-    now: u64,
     last_retire_cycle: u64,
     halted: bool,
     /// The PC following the last retired instruction — the architectural
@@ -715,7 +716,6 @@ impl<'p> TraceProcessor<'p> {
             reconv_oracle: cfg.cfg_oracle.then(|| Box::new(CfgAnalysis::build(program))),
             reconv_oracle_violation: None,
             reconv_oracle_counts: [0; ReconvClass::ALL.len()],
-            now: 0,
             last_retire_cycle: 0,
             halted: boot.halted,
             retired_next_pc: boot.pc,
@@ -877,9 +877,11 @@ impl<'p> TraceProcessor<'p> {
         }
     }
 
-    /// Current cycle.
+    /// Current cycle: the cycles elapsed before this one, the books' clock
+    /// (`SimStats::cycles`), the only one the simulator keeps.
+    #[inline]
     pub fn now(&self) -> u64 {
-        self.now
+        self.books.stats().cycles
     }
 
     /// Runs until the program halts or `max_instrs` instructions retire.
@@ -887,13 +889,13 @@ impl<'p> TraceProcessor<'p> {
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] if no instruction retires for the
-    /// configured watchdog window, or [`SimError::OracleMismatch`] when
-    /// oracle verification is enabled and committed state diverges.
+    /// configured watchdog window, or [`SimError::OracleMismatch`] as
+    /// [`TraceProcessor::step_cycle`] does.
     pub fn run(&mut self, max_instrs: u64) -> Result<RunResult, SimError> {
         while !self.halted && self.books.stats().retired_instrs < max_instrs {
             self.step_cycle()?;
-            if self.now - self.last_retire_cycle > self.cfg.deadlock_cycles {
-                return Err(SimError::Deadlock { cycle: self.now, detail: self.dump_window() });
+            if self.now() - self.last_retire_cycle > self.cfg.deadlock_cycles {
+                return Err(SimError::Deadlock { cycle: self.now(), detail: self.dump_window() });
             }
         }
         Ok(RunResult {
@@ -922,7 +924,11 @@ impl<'p> TraceProcessor<'p> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::OracleMismatch`] under oracle verification.
+    /// Returns [`SimError::OracleMismatch`] when, under
+    /// [`TraceProcessorConfig::verify_with_oracle`], committed state
+    /// diverges from the functional oracle, or when, under
+    /// [`TraceProcessorConfig::cfg_oracle`], a CGCI re-convergence
+    /// detection is one the static CFG cannot justify.
     pub fn step_cycle(&mut self) -> Result<(), SimError> {
         // Amortized collection of the load registry (behaviour-invisible:
         // only entries that validation would skip are dropped).
@@ -941,42 +947,40 @@ impl<'p> TraceProcessor<'p> {
     /// The eight pipeline-stage modules of one cycle, each wrapped in a
     /// host stage timer (no-ops when `prof` is `None`).
     fn run_stages(&mut self, prof: Option<&StageProfiler>) -> Result<(), SimError> {
-        let ctx = CycleCtx { now: self.now };
         {
             let _t = ScopedStageTimer::new(prof, Stage::Complete);
-            self.complete_stage(&ctx);
+            self.complete_stage();
         }
         self.paranoid_check("complete");
         {
             let _t = ScopedStageTimer::new(prof, Stage::Retire);
-            self.retire_stage(&ctx)?;
+            self.retire_stage()?;
         }
         self.paranoid_check("retire");
         {
             let _t = ScopedStageTimer::new(prof, Stage::Recovery);
-            self.recovery_stage(&ctx);
+            self.recovery_stage();
         }
         self.paranoid_check("recovery");
         if let Some(detail) = self.reconv_oracle_violation.take() {
-            return Err(SimError::OracleMismatch { cycle: self.now, detail });
+            return Err(SimError::OracleMismatch { cycle: self.now(), detail });
         }
         {
             let _t = ScopedStageTimer::new(prof, Stage::Fetch);
-            self.fetch_stage(&ctx);
+            self.fetch_stage();
         }
         self.paranoid_check("fetch");
-        self.dispatch_stage(&ctx, prof);
+        self.dispatch_stage(prof);
         self.paranoid_check("dispatch");
         {
             let _t = ScopedStageTimer::new(prof, Stage::Issue);
-            self.issue_stage(&ctx);
+            self.issue_stage();
         }
         {
             let _t = ScopedStageTimer::new(prof, Stage::Buses);
-            self.bus_stage(&ctx);
+            self.bus_stage();
         }
         self.books.cycle_ended(self.list.len(), self.fetch_queue.len());
-        self.now += 1;
         Ok(())
     }
 
@@ -996,7 +1000,7 @@ impl<'p> TraceProcessor<'p> {
             assert!(
                 self.pregs.is_allocated(preg),
                 "cycle {} after {stage}: root {preg:?} names a freed physical register\n{}",
-                self.now,
+                self.now(),
                 self.dump_window()
             );
         }
@@ -1016,7 +1020,7 @@ impl<'p> TraceProcessor<'p> {
                 owner_ok,
                 "cycle {} after {stage}: ARB version at word {word:#x} owned by pe{pe} slot \
                  {slot} has no live performed store\n{}",
-                self.now,
+                self.now(),
                 self.dump_window()
             );
         }
@@ -1030,7 +1034,7 @@ impl<'p> TraceProcessor<'p> {
                             panic!(
                                 "cycle {} after {stage}: pe{q} map_before[{r}] = {preg:?} \
                                  is produced by pe{younger} slot {si} (not older)\n{}",
-                                self.now,
+                                self.now(),
                                 self.dump_window()
                             );
                         }
@@ -1308,7 +1312,7 @@ impl<'p> TraceProcessor<'p> {
     /// `Executing`/`MemAccess` with the given `done_at` (invariant 3).
     fn note_inflight(&mut self, pe: usize, slot: usize, done_at: u64) {
         let r = SlotRef::new(pe, slot, self.pes[pe].gen);
-        self.wakeup.completions.push(self.now, done_at, r);
+        self.wakeup.completions.push(self.now(), done_at, r);
     }
 
     /// Indexes a load that sampled memory at `addr` so store/undo snoops
@@ -1420,9 +1424,10 @@ impl<'p> TraceProcessor<'p> {
         for (pe, p) in self.pes.iter().enumerate() {
             if !p.occupied {
                 assert_eq!(
-                    self.wakeup.ready[pe], 0,
+                    self.wakeup.ready[pe],
+                    0,
                     "cycle {}: ready bits set on unoccupied pe{pe}",
-                    self.now
+                    self.now()
                 );
                 continue;
             }
@@ -1430,7 +1435,7 @@ impl<'p> TraceProcessor<'p> {
                 p.faults(),
                 p.scan_faults(),
                 "cycle {}: pe{pe} fault mask disagrees with its slots",
-                self.now
+                self.now()
             );
             self.assert_local_file_coherent(pe);
             for (i, s) in p.slots.iter().enumerate() {
@@ -1440,7 +1445,7 @@ impl<'p> TraceProcessor<'p> {
                         s.srcs[k],
                         Some(Self::bind(oref, &p.map_before)),
                         "cycle {}: pe{pe} slot {i} operand {r} is not bound to its {oref:?}",
-                        self.now
+                        self.now()
                     );
                 }
                 // A local source needs no registration: its producer's
@@ -1451,7 +1456,7 @@ impl<'p> TraceProcessor<'p> {
                         q == PhysRegId::ZERO
                             || self.readers.get(q.index()).is_some_and(|w| w.contains(&this)),
                         "cycle {}: pe{pe} slot {i} reads {q:?} but is not in its reader list",
-                        self.now
+                        self.now()
                     );
                 }
                 let bit = self.wakeup.ready[pe] >> i & 1 == 1;
@@ -1462,7 +1467,7 @@ impl<'p> TraceProcessor<'p> {
                                 bit,
                                 "cycle {}: pe{pe} slot {i} is issuable but not in the ready \
                                  index\n{}",
-                                self.now,
+                                self.now(),
                                 self.dump_window()
                             );
                         } else {
@@ -1470,7 +1475,7 @@ impl<'p> TraceProcessor<'p> {
                                 !bit,
                                 "cycle {}: pe{pe} slot {i} has unproduced sources but its \
                                  ready bit is set",
-                                self.now
+                                self.now()
                             );
                         }
                     }
@@ -1479,19 +1484,20 @@ impl<'p> TraceProcessor<'p> {
                             self.wakeup.completions.contains((done_at, this)),
                             "cycle {}: pe{pe} slot {i} in flight (done_at={done_at}) without \
                              a completion event",
-                            self.now
+                            self.now()
                         );
                         assert!(
                             !bit,
                             "cycle {}: in-flight pe{pe} slot {i} has a ready bit",
-                            self.now
+                            self.now()
                         );
                     }
                     _ => {
                         assert!(
                             !bit,
                             "cycle {}: pe{pe} slot {i} is {:?} with a ready bit set",
-                            self.now, s.state
+                            self.now(),
+                            s.state
                         );
                     }
                 }
@@ -1504,7 +1510,7 @@ impl<'p> TraceProcessor<'p> {
                                 .is_some_and(|w| w.contains(&this)),
                             "cycle {}: pe{pe} slot {i} sampled word {:#x} but is not in the \
                              load snoop index",
-                            self.now,
+                            self.now(),
                             a >> 3
                         );
                     }
@@ -1521,9 +1527,9 @@ impl<'p> TraceProcessor<'p> {
         ] {
             for req in queue {
                 assert!(
-                    next_due <= req.since || next_due <= self.now + 1,
+                    next_due <= req.since || next_due <= self.now() + 1,
                     "cycle {}: queued bus request due at {} not covered by horizon {}",
-                    self.now,
+                    self.now(),
                     req.since,
                     next_due
                 );
@@ -1538,7 +1544,7 @@ impl<'p> TraceProcessor<'p> {
     /// and its global register, if any.
     fn assert_local_file_coherent(&self, pe: usize) {
         let p = &self.pes[pe];
-        let now = self.now;
+        let now = self.now();
         let mut masks = vec![[0u64; 2]; p.slots.len()];
         for (i, s) in p.slots.iter().enumerate() {
             for (k, q) in s.srcs.iter().enumerate() {
@@ -1585,21 +1591,48 @@ impl<'p> TraceProcessor<'p> {
         }
     }
 
-    /// Rebuilds the speculative fetch history as of the end of the current
-    /// window: the tail trace's checkpointed history plus the tail itself.
-    /// (Using the checkpoints keeps histories at full path depth — a
-    /// history built from the surviving window alone would be shorter than
-    /// the retirement-side training contexts, and the path-based predictor
-    /// would tag-miss after every squash.)
-    fn rebuild_history(&self) -> TraceHistory {
-        match self.list.tail() {
-            Some(t) => {
-                let mut h = self.pes[t].hist_before.clone();
-                h.push(self.pes[t].trace.id());
+    /// The speculative fetch history after the trace in `pe`: its
+    /// checkpointed history plus the trace itself, or the retirement-side
+    /// history for `None` (the retired frontier). (Using the checkpoints
+    /// keeps histories at full path depth — a history built from the
+    /// surviving window alone would be shorter than the retirement-side
+    /// training contexts, and the path-based predictor would tag-miss after
+    /// every squash.)
+    fn hist_after(&self, pe: Option<usize>) -> TraceHistory {
+        match pe {
+            Some(p) => {
+                let mut h = self.pes[p].hist_before.clone();
+                h.push(self.pes[p].trace.id());
                 h
             }
             None => self.retire_hist.clone(),
         }
+    }
+
+    /// The speculative fetch history as of the end of the current window.
+    fn rebuild_history(&self) -> TraceHistory {
+        self.hist_after(self.list.tail())
+    }
+
+    /// Restarts fetch after the window's tail (the retired frontier when
+    /// the window is empty): fetch history, rename map and expectation.
+    /// Not for a path where the rename map must survive: an in-flight
+    /// re-dispatch pass or a CGCI insertion owns it.
+    fn refetch_after_tail(&mut self) {
+        let tail = self.list.tail();
+        self.fetch_hist = self.hist_after(tail);
+        self.current_map = match tail {
+            Some(t) => self.pes[t].map_after,
+            None => self.retired_map,
+        };
+        self.expected = self.expected_after_tail();
+    }
+
+    /// Whether `pe` still holds, in the window, the trace it held under
+    /// generation `gen`.
+    fn pe_live(&self, pe: usize, gen: u64) -> bool {
+        let p = &self.pes[pe];
+        p.occupied && p.gen == gen && self.list.contains(pe)
     }
 
     /// Expected fetch PC following the trace in `pe`.
@@ -1645,7 +1678,7 @@ impl<'p> TraceProcessor<'p> {
 impl fmt::Debug for TraceProcessor<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceProcessor")
-            .field("cycle", &self.now)
+            .field("cycle", &self.now())
             .field("halted", &self.halted)
             .field("window", &self.list.len())
             .field("retired", &self.books.stats().retired_instrs)

@@ -29,6 +29,13 @@ use tp_stats::attr::{BranchClass, Heuristic};
 use tp_trace::{OperandRef, OutcomeSource, TraceId};
 
 impl TraceProcessor<'_> {
+    /// Whether a control-independence model (FGCI or CGCI) is enabled: its
+    /// recoveries preserve work, so faults are debounced, repairs reuse the
+    /// suffix's outcomes and keep its common instructions.
+    fn ci_model(&self) -> bool {
+        self.cfg.fgci || self.cfg.cgci.is_some()
+    }
+
     /// `(a_pe, a_slot)` strictly older than `(b_pe, b_slot)` in program
     /// order?
     fn older(&self, a: (usize, usize), b: (usize, usize)) -> bool {
@@ -52,7 +59,7 @@ impl TraceProcessor<'_> {
     /// younger than a fault, has no preserved-value ripple, and keeps the
     /// paper's act-at-detection behaviour.
     fn oldest_fault(&self) -> Option<(usize, usize)> {
-        let debounce = self.cfg.fgci || self.cfg.cgci.is_some();
+        let debounce = self.ci_model();
         for pe in self.list.iter() {
             if let Some(slot) = self.pes[pe].first_fault() {
                 if !debounce || self.fault_inputs_settled(pe, slot) {
@@ -103,12 +110,11 @@ impl TraceProcessor<'_> {
         true
     }
 
-    pub(super) fn recovery_stage(&mut self, ctx: &CycleCtx) {
+    pub(super) fn recovery_stage(&mut self) {
         // Validate the active recovery (its PE may have been squashed by an
         // older recovery preempting it).
         if let Some(rec) = &self.recovery {
-            let p = &self.pes[rec.pe];
-            if !p.occupied || p.gen != rec.gen || !self.list.contains(rec.pe) {
+            if !self.pe_live(rec.pe, rec.gen) {
                 self.recovery = None;
             }
         }
@@ -121,7 +127,7 @@ impl TraceProcessor<'_> {
             }
             (Some(_), _) => {
                 let rec = self.recovery.clone().expect("checked above");
-                if ctx.now >= rec.ready_at {
+                if self.now() >= rec.ready_at {
                     self.recovery = None;
                     self.apply_recovery(rec);
                 }
@@ -140,25 +146,10 @@ impl TraceProcessor<'_> {
                 self.books.successor_mispredicted();
                 let branch_pc = self.pes[pe].slots[slot].ti.pc;
                 self.books.recovery_started(pe, branch_pc, RecoveryPlan::FullSquash);
-                let victims: Vec<usize> = self.list.iter_after(pe).collect();
-                for v in victims {
-                    self.squash_pe(v);
-                }
-                self.fetch_queue.clear();
-                // An in-flight re-dispatch pass may still owe rename walks
-                // to surviving traces at or before this one; carry that
-                // debt instead of dropping it (see `resume_walk_debt`).
-                if !self.resume_walk_debt(pe, Vec::new(), "repair-debt", None) {
-                    self.redispatch = None;
-                    self.current_map = self.pes[pe].map_after;
-                }
+                self.squash_after(Some(pe), None);
                 self.set_mode(FetchMode::Normal);
                 self.pes[pe].set_fault(slot, None);
-                self.fetch_hist = self.rebuild_history();
-                self.expected = match actual {
-                    Some(t) => ExpectedNext::Known(t),
-                    None => ExpectedNext::Stalled,
-                };
+                self.restart_fetch_after(pe, ExpectedNext::resolved(actual));
             }
             Fault::CondBranch { actual } => {
                 let ti = self.pes[pe].slots[slot].ti;
@@ -171,9 +162,8 @@ impl TraceProcessor<'_> {
                 // charged.
                 let prefix_len = (slot + 1).min(repaired.len());
                 let suffix = self.common_suffix_len(pe, prefix_len, &repaired);
-                let cycles =
-                    self.construction_cycles_span(&repaired, slot, repaired.len() - suffix);
-                let ready_at = self.now.max(self.construction_busy_until) + cycles as u64;
+                let cycles = self.construction_cycles(&repaired, slot, repaired.len() - suffix);
+                let ready_at = self.now().max(self.construction_busy_until) + cycles as u64;
                 self.construction_busy_until = ready_at;
                 // Decide the recovery plan now; squash at detection.
                 let covered = self.cfg.fgci && ti.fgci_covered;
@@ -183,15 +173,11 @@ impl TraceProcessor<'_> {
                     // fault's abandoned repair is not an FGCI recovery).
                     let key = (class, Heuristic::Fgci, RecoveryOutcome::FgciRepair);
                     (RecoveryPlan::Fgci, key)
-                } else if let Some((reconv, matched, victims)) = self.viable_reconv(pe, slot) {
+                } else if let Some((reconv, matched)) = self.viable_reconv(pe, slot) {
                     self.check_reconv_oracle(ti.pc, matched, self.pes[reconv].trace.id().start());
                     // Squash strictly between the faulting PE and the first
                     // control independent trace.
-                    let squashed = victims.len() as u64;
-                    for v in victims {
-                        self.squash_pe(v);
-                    }
-                    self.fetch_queue.clear();
+                    let squashed = self.squash_after(Some(pe), Some(reconv));
                     self.redispatch = None;
                     let gen = self.pes[reconv].gen;
                     let reconv_pc = self.pes[reconv].trace.id().start();
@@ -210,13 +196,9 @@ impl TraceProcessor<'_> {
                     self.books.cgci_opened(key, branch, reconv_pc, squashed);
                     (RecoveryPlan::Cgci, key)
                 } else {
-                    let victims: Vec<usize> = self.list.iter_after(pe).collect();
                     let key = (class, self.consulted_heuristic(class), RecoveryOutcome::FullSquash);
-                    self.books.full_squash_charged(key, victims.len() as u64, ready_at - self.now);
-                    for v in victims {
-                        self.squash_pe(v);
-                    }
-                    self.fetch_queue.clear();
+                    let squashed = self.squash_after(Some(pe), None);
+                    self.books.full_squash_charged(key, squashed, ready_at - self.now());
                     self.redispatch = None;
                     self.set_mode(FetchMode::Normal);
                     (RecoveryPlan::FullSquash, key)
@@ -228,7 +210,7 @@ impl TraceProcessor<'_> {
                 }
                 self.books.recovery_started(pe, ti.pc, plan);
                 let gen = self.pes[pe].gen;
-                let started_at = self.now;
+                let started_at = self.now();
                 self.recovery =
                     Some(Recovery { pe, gen, slot, repaired, ready_at, plan, attr, started_at });
             }
@@ -270,12 +252,13 @@ impl TraceProcessor<'_> {
     }
 
     /// [`Self::find_reconv`] plus the attempt's profitability bound: the
-    /// control-dependent traces to squash, rejected (full squash instead)
-    /// when they outnumber [`TraceProcessorConfig::cgci_max_dependent`].
-    fn viable_reconv(&self, pe: usize, slot: usize) -> Option<(usize, Heuristic, Vec<usize>)> {
+    /// control-dependent traces between `pe` and the re-convergent trace,
+    /// which the attempt squashes, must not outnumber
+    /// [`TraceProcessorConfig::cgci_max_dependent`] (a full squash instead).
+    fn viable_reconv(&self, pe: usize, slot: usize) -> Option<(usize, Heuristic)> {
         let (reconv, matched) = self.find_reconv(pe, slot)?;
-        let victims: Vec<usize> = self.list.iter_after(pe).take_while(|&q| q != reconv).collect();
-        (victims.len() <= self.cfg.cgci_max_dependent).then_some((reconv, matched, victims))
+        let dependent = self.list.iter_after(pe).take_while(|&q| q != reconv).count();
+        (dependent <= self.cfg.cgci_max_dependent).then_some((reconv, matched))
     }
 
     /// Locates the first assumed control-independent trace after `pe` using
@@ -316,8 +299,7 @@ impl TraceProcessor<'_> {
         let fault_branch_idx =
             trace.insts()[..slot].iter().filter(|ti| ti.inst.is_cond_branch()).count() as u8;
         let id = trace.id();
-        let reuse_suffix = self.cfg.fgci || self.cfg.cgci.is_some();
-        let suffix_outcomes: Vec<(Pc, bool)> = if reuse_suffix {
+        let suffix_outcomes: Vec<(Pc, bool)> = if self.ci_model() {
             self.pes[pe].slots[slot + 1..]
                 .iter()
                 .filter_map(|s| {
@@ -401,21 +383,17 @@ impl TraceProcessor<'_> {
         // re-verification at the slot's next completion decides what
         // happens next. The squashes performed at detection stand — refetch
         // proceeds normally.
-        let debounce = self.cfg.fgci || self.cfg.cgci.is_some();
+        let debounce = self.ci_model();
         let stale = self.pes[pe].slots.get(rec.slot).is_none_or(|s| {
             s.fault.is_none() || (debounce && (s.state != SlotState::Done || s.pending_reissue))
         });
         if stale {
             self.books.recovery_abandoned(pe);
-            if let FetchMode::CgciInsert { .. } = self.mode {
-                self.set_mode(FetchMode::Normal);
-            }
+            self.set_mode(FetchMode::Normal);
             // An in-flight re-dispatch pass owns the map/history chain; it
             // restores fetch state itself when it completes.
             if self.redispatch.is_none() {
-                self.fetch_hist = self.rebuild_history();
-                self.current_map = self.pes[self.list.tail().expect("window non-empty")].map_after;
-                self.expected = self.expected_after_tail();
+                self.refetch_after_tail();
             }
             return;
         }
@@ -431,27 +409,32 @@ impl TraceProcessor<'_> {
                 let preserved: Vec<usize> = self.list.iter_after(pe).collect();
                 let cycles = rec.ready_at - rec.started_at;
                 self.books.fgci_applied(rec.attr, cycles, &preserved, &self.pes);
-                self.begin_redispatch(pe, preserved, Some(rec.attr));
+                self.begin_redispatch(Some(pe), preserved, Some(rec.attr));
+                self.set_mode(FetchMode::Normal);
             }
             RecoveryPlan::Cgci | RecoveryPlan::FullSquash => {
                 // Under CGCI, fetch will insert correct control-dependent
                 // traces before the preserved trace (re-dispatch happens at
                 // re-convergence); under a full squash nothing younger
                 // survives. Either way the fetch frontier restarts after
-                // the repaired trace — but an in-flight re-dispatch pass
-                // may still owe rename walks to *older* surviving traces,
-                // and that debt must be paid, not dropped (a preempted
-                // walk leaves committed-path live-ins renamed through a
-                // stale map chain).
-                let mut h = self.pes[pe].hist_before.clone();
-                h.push(rec.repaired.id());
-                self.fetch_hist = h;
-                self.expected = self.expected_after_pe(pe);
-                if !self.resume_walk_debt(pe, Vec::new(), "repair-debt", None) {
-                    self.redispatch = None;
-                    self.current_map = self.pes[pe].map_after;
-                }
+                // the repaired trace.
+                self.restart_fetch_after(pe, self.expected_after_pe(pe));
             }
+        }
+    }
+
+    /// Restarts fetch after the trace in `pe`, expecting `expected` next.
+    /// An in-flight re-dispatch pass may still owe rename walks to
+    /// surviving traces at or before `pe`; that debt is carried, not
+    /// dropped (a preempted walk leaves committed-path live-ins renamed
+    /// through a stale map chain; see `resume_walk_debt`). Otherwise the
+    /// pass is dropped and renaming restarts after `pe`.
+    fn restart_fetch_after(&mut self, pe: usize, expected: ExpectedNext) {
+        self.fetch_hist = self.hist_after(Some(pe));
+        self.expected = expected;
+        if !self.resume_walk_debt(pe, Vec::new(), None) {
+            self.redispatch = None;
+            self.current_map = self.pes[pe].map_after;
         }
     }
 
@@ -466,7 +449,7 @@ impl TraceProcessor<'_> {
         prefix_len: usize,
         repaired: &Trace,
     ) -> usize {
-        if !(self.cfg.fgci || self.cfg.cgci.is_some()) {
+        if !self.ci_model() {
             return 0;
         }
         let old = &self.pes[pe].slots;
@@ -504,6 +487,7 @@ impl TraceProcessor<'_> {
         }
         let common = self.common_suffix_len(pe, prefix_len, &repaired);
         let middle_end = new_len - common;
+        let reissue_at = self.now() + 1;
         // Undo stores in the squashed middle. Unlike a full-suffix squash,
         // the preserved common suffix survives in the same PE and may hold
         // loads fed by these dying stores, so the undo snoop must not skip
@@ -521,7 +505,7 @@ impl TraceProcessor<'_> {
         if shift {
             for slot in old_len - common..old_len {
                 if self.undo_store_snooping(pe, slot, usize::MAX) {
-                    let _ = self.pes[pe].slots[slot].mark_reissue(self.now + 1);
+                    let _ = self.pes[pe].slots[slot].mark_reissue(reissue_at);
                 }
             }
         }
@@ -595,7 +579,7 @@ impl TraceProcessor<'_> {
             let changed = |(old, new): (&Option<Src>, &Option<Src>)| old.and_then(moved) != *new;
             if i >= middle_end && old_srcs.iter().zip(&srcs).any(changed) {
                 rebound |= 1 << i;
-                let _ = slot.mark_reissue(self.now + 1);
+                let _ = slot.mark_reissue(reissue_at);
             }
             let is_liveout = ti.dest.is_some_and(|d| repaired.last_writer(d) == Some(i));
             let was_liveout = slot.is_liveout;
@@ -659,7 +643,7 @@ impl TraceProcessor<'_> {
                 let g = s.global.expect("a live-out has a global register");
                 if self.pregs.get(g).global_ready_at == u64::MAX {
                     let gen = self.pes[pe].gen;
-                    self.push_result_req(BusReq { pe, gen, slot: i, since: self.now });
+                    self.push_result_req(BusReq { pe, gen, slot: i, since: self.now() });
                 }
             }
         }
@@ -719,16 +703,33 @@ impl TraceProcessor<'_> {
         true
     }
 
-    /// Store undo for paths where every same-PE slot dies with the store
-    /// (squash): same-PE loads need no snoop.
-    pub(super) fn undo_store_if_performed(&mut self, pe: usize, slot: usize) {
-        self.undo_store_snooping(pe, slot, pe);
+    /// Squashes every trace after `pe` (from the window head for `None`)
+    /// up to, not including, `until` (to the tail for `None`), oldest
+    /// first, and clears the fetch queue, whose traces were fetched after
+    /// the squashed ones. Returns the number of traces squashed. When
+    /// `until` is `None`, `pe` is the tail afterwards (the window is empty
+    /// for `None`).
+    pub(super) fn squash_after(&mut self, pe: Option<usize>, until: Option<usize>) -> u64 {
+        let mut squashed = 0;
+        loop {
+            let next = match pe {
+                Some(p) => self.list.next(p),
+                None => self.list.head(),
+            };
+            let Some(v) = next.filter(|&v| Some(v) != until) else { break };
+            self.squash_pe(v);
+            squashed += 1;
+        }
+        self.fetch_queue.clear();
+        squashed
     }
 
     pub(super) fn squash_pe(&mut self, pe: usize) {
         self.books.squashed(pe, self.pes[pe].trace.id().start());
+        // Every same-PE slot dies with the store: same-PE loads need no
+        // snoop.
         for slot in 0..self.pes[pe].slots.len() {
-            self.undo_store_if_performed(pe, slot);
+            self.undo_store_snooping(pe, slot, pe);
         }
         self.pes[pe].occupied = false;
         self.pes[pe].gen += 1;

@@ -1,15 +1,20 @@
-//! The **re-dispatch pass** over preserved control-independent traces.
+//! The **re-dispatch pass** over preserved control-independent traces,
+//! and the live-in rebind walk it shares with the head re-ground.
 //!
 //! Implements the register-dependence repair half of control independence
 //! (§3/§4): after an FGCI repair, or after CGCI insertion re-converges,
 //! the preserved traces' live-in renames are walked forward through the
 //! corrected rename-map chain — one trace per cycle, sharing the dispatch
-//! bus with normal dispatch ([`dispatch`](super::dispatch)). Only
+//! bus with normal dispatch ([`dispatch`](super::dispatch)). Both models
+//! start the pass through one entry point, `begin_redispatch`, from the
+//! map after the trace preceding the preserved ones, or from retired
+//! state when none is left. Each step is one `rebind_live_ins` walk: only
 //! instructions whose source names actually changed are marked for
 //! selective reissue (the paper's key cost saving: preserved instructions
 //! with unchanged names keep their results). Live-outs keep their physical
 //! registers, so the chained map can only ever bind strictly older
-//! producers.
+//! producers. Retirement runs the same walk to re-ground a stale head on
+//! the retired rename map.
 //!
 //! The pass owns the *dispatch bus* only: fetch keeps running while it
 //! drains. The speculative fetch history and expectation are restored
@@ -27,135 +32,84 @@ use super::*;
 use tp_trace::OperandRef;
 
 impl TraceProcessor<'_> {
-    /// What an in-flight re-dispatch pass still owes when a new recovery at
-    /// `pivot` wants to replace it: the pending PEs at or before `pivot` in
-    /// logical order, plus the old pass's walk position (its rolling
-    /// history; `self.current_map` *is* the walk map at that position).
-    ///
-    /// A replacement pass that walks only from `pivot` forward would
+    /// Carries what an in-flight re-dispatch pass still owes when a new
+    /// recovery at `pivot` replaces it: the pending PEs at or before
+    /// `pivot` in logical order, walked from the old pass's position (its
+    /// rolling history; `self.current_map` *is* the walk map there). A
+    /// replacement pass that walked only from `pivot` forward would
     /// silently drop these — the older traces would commit live-in values
     /// renamed through a map chain that a previous repair already
-    /// invalidated. `None` means the old pass (if any) owes nothing older:
-    /// plain replacement is safe.
-    pub(super) fn stale_walk_prefix(&self, pivot: usize) -> Option<(TraceHistory, Vec<usize>)> {
-        let old = self.redispatch.as_ref()?;
-        let pl = self.list.logical(pivot);
-        let prefix: Vec<usize> = old
-            .queue
-            .iter()
-            .copied()
-            .filter(|&pe| {
-                self.list.contains(pe) && self.pes[pe].occupied && self.list.logical(pe) <= pl
-            })
-            .collect();
-        if prefix.is_empty() {
-            return None;
-        }
-        Some((old.rolling.clone(), prefix))
-    }
-
-    /// If an in-flight pass owes rename walks at or before `pivot`
-    /// ([`Self::stale_walk_prefix`]), installs a replacement pass that
-    /// resumes from the old walk position and covers the debt, then
-    /// `pivot` itself, then `suffix` — and returns `true`.
-    /// `self.current_map` is left untouched in that case: the pass owns it
-    /// while in flight, so the chain re-derives every map from the old
-    /// position, including `pivot`'s own (whose `map_before` predates the
-    /// older repair). Returns `false` when nothing is owed; the caller
-    /// then starts its walk fresh from `pivot`'s map.
+    /// invalidated.
+    ///
+    /// If anything is owed, installs a replacement pass that resumes from
+    /// the old walk position and covers the debt, then `pivot` itself, then
+    /// `suffix` — and returns `true`. `self.current_map` is left untouched
+    /// in that case: the pass owns it while in flight, so the chain
+    /// re-derives every map from the old position, including `pivot`'s own
+    /// (whose `map_before` predates the older repair). Returns `false` when
+    /// nothing is owed (plain replacement is safe); the caller then starts
+    /// its walk fresh from `pivot`'s map.
     pub(super) fn resume_walk_debt(
         &mut self,
         pivot: usize,
         suffix: Vec<usize>,
-        origin: &'static str,
         attr: Option<AttrKey>,
     ) -> bool {
-        let Some((rolling, mut queue)) = self.stale_walk_prefix(pivot) else { return false };
+        let Some(old) = &self.redispatch else { return false };
+        let pl = self.list.logical(pivot);
+        let owed = |&pe: &usize| {
+            self.list.contains(pe) && self.pes[pe].occupied && self.list.logical(pe) <= pl
+        };
+        let mut queue: Vec<usize> = old.queue.iter().copied().filter(owed).collect();
+        if queue.is_empty() {
+            return false;
+        }
+        let rolling = old.rolling.clone();
         if queue.last() != Some(&pivot) {
             queue.push(pivot);
         }
         queue.extend(suffix);
-        self.redispatch = Some(RedispatchPass { queue: queue.into(), rolling, origin, attr });
+        self.redispatch = Some(RedispatchPass { queue: queue.into(), rolling, attr });
         true
     }
 
-    /// Restores the speculative fetch past to cover everything the active
-    /// pass will walk (its rolling history plus every queued trace).
-    fn restore_fetch_from_pass(&mut self) {
-        let Some(pass) = &self.redispatch else { return };
-        let rolling = pass.rolling.clone();
-        let queue: Vec<usize> = pass.queue.iter().copied().collect();
-        self.restore_fetch_past(&rolling, &queue);
-    }
-
-    /// Starts a re-dispatch pass over the given preserved traces (in logical
-    /// order), which updates their live-in renames one trace per cycle.
-    /// Replaces any pass already in flight, but never drops its debt: if
-    /// the old pass still had pending traces at or before the repair
-    /// point, the new pass resumes from the old walk position and covers
-    /// them (and the repaired trace itself) before the preserved suffix.
+    /// Starts a re-dispatch pass over the `preserved` traces (in logical
+    /// order), which re-renames their live-ins one trace per cycle from the
+    /// map after `pred`: the repaired trace (FGCI), the last inserted
+    /// control-dependent trace or the repaired trace (CGCI), or *retired*
+    /// state when the whole control-dependent path committed before
+    /// re-convergence was observed (`pred == None`: the preserved traces
+    /// are then the whole window, so no older walk can be owed). Replaces
+    /// any pass already in flight, but never drops its debt: if the old
+    /// pass still had pending traces at or before `pred`, the new pass
+    /// resumes from the old walk position and covers them (and `pred`
+    /// itself) before the preserved suffix. Fetch history and expectation
+    /// are restored to the end of the preserved suffix at once.
     pub(super) fn begin_redispatch(
         &mut self,
-        repaired_pe: usize,
-        preserved: Vec<usize>,
-        attr: Option<AttrKey>,
-    ) {
-        if self.resume_walk_debt(repaired_pe, preserved.clone(), "fgci", attr) {
-            self.restore_fetch_from_pass();
-            self.set_mode(FetchMode::Normal);
-            return;
-        }
-        let mut rolling = self.pes[repaired_pe].hist_before.clone();
-        rolling.push(self.pes[repaired_pe].trace.id());
-        self.current_map = self.pes[repaired_pe].map_after;
-        if preserved.is_empty() {
-            self.redispatch = None;
-            self.fetch_hist = rolling;
-            self.expected = self.expected_after_pe(repaired_pe);
-            self.set_mode(FetchMode::Normal);
-            return;
-        }
-        self.restore_fetch_past(&rolling, &preserved);
-        self.redispatch =
-            Some(RedispatchPass { queue: preserved.into(), rolling, origin: "fgci", attr });
-        self.set_mode(FetchMode::Normal);
-    }
-
-    /// Starts the CGCI re-dispatch pass: `preserved` traces re-rename from
-    /// the map after `pred` (the last inserted control-dependent trace or
-    /// the repaired trace itself), or from *retired* state when the whole
-    /// control-dependent path committed before re-convergence was observed
-    /// (`pred == None` — the preserved trace is then the window head).
-    /// Like [`begin_redispatch`], an in-flight pass's pending older traces
-    /// are carried over, not dropped.
-    pub(super) fn begin_redispatch_from_map(
-        &mut self,
-        preserved: Vec<usize>,
         pred: Option<usize>,
+        preserved: Vec<usize>,
         attr: Option<AttrKey>,
     ) {
-        let Some(pred) = pred else {
-            // No live predecessor: the pass chains from the committed
-            // frontier. The preserved list spans the entire remaining
-            // window, so any in-flight pass's unwalked traces are re-walked
-            // from scratch here — no debt can be dropped.
-            let rolling = self.retire_hist.clone();
-            self.current_map = self.retired_map;
-            self.restore_fetch_past(&rolling, &preserved);
-            self.redispatch =
-                Some(RedispatchPass { queue: preserved.into(), rolling, origin: "cgci", attr });
-            return;
-        };
-        if self.resume_walk_debt(pred, preserved.clone(), "cgci", attr) {
-            self.restore_fetch_from_pass();
-            return;
+        if let Some(p) = pred {
+            if self.resume_walk_debt(p, preserved.clone(), attr) {
+                let pass = self.redispatch.as_ref().expect("installed above");
+                let (rolling, queue) = (pass.rolling.clone(), Vec::from(pass.queue.clone()));
+                self.restore_fetch_past(&rolling, &queue);
+                return;
+            }
         }
-        let mut rolling = self.pes[pred].hist_before.clone();
-        rolling.push(self.pes[pred].trace.id());
-        self.current_map = self.pes[pred].map_after;
+        let rolling = self.hist_after(pred);
+        self.current_map = match pred {
+            Some(p) => self.pes[p].map_after,
+            None => self.retired_map,
+        };
         self.restore_fetch_past(&rolling, &preserved);
-        self.redispatch =
-            Some(RedispatchPass { queue: preserved.into(), rolling, origin: "cgci", attr });
+        self.redispatch = (!preserved.is_empty()).then(|| RedispatchPass {
+            queue: preserved.into(),
+            rolling,
+            attr,
+        });
     }
 
     /// Restores the speculative fetch history and expectation to the end of
@@ -171,16 +125,62 @@ impl TraceProcessor<'_> {
         self.expected = self.expected_after_tail();
     }
 
+    /// The live-in rebind walk, shared by the re-dispatch pass and the
+    /// head re-ground: installs `map_before` as the rename map before the
+    /// trace in `pe`, binds every live-in operand to it, and recomputes the
+    /// map after the trace (live-outs keep their global registers). Each
+    /// moved operand registers its slot as a reader of the new register,
+    /// and each slot with a moved operand selectively reissues; nothing
+    /// else in the PE moved. Returns the number of moved operands.
+    pub(super) fn rebind_live_ins(&mut self, pe: usize, map_before: RenameMap) -> u64 {
+        let mut moved: Vec<(PhysRegId, usize)> = Vec::new();
+        for (i, slot) in self.pes[pe].slots.iter_mut().enumerate() {
+            for (k, &(_, oref)) in slot.ti.srcs.iter().flatten().enumerate() {
+                let OperandRef::LiveIn(r) = oref else { continue };
+                if r.is_zero() {
+                    continue;
+                }
+                let preg = map_before[r.index()];
+                // Never a slot's own destination: live-outs keep their
+                // mappings, so a map before the trace can only hold
+                // strictly older registers.
+                assert!(
+                    slot.global != Some(preg),
+                    "rebind bound slot {i} of pe {pe} to its own destination"
+                );
+                if slot.srcs[k] != Some(Src::Global(preg)) {
+                    slot.srcs[k] = Some(Src::Global(preg));
+                    moved.push((preg, i));
+                }
+            }
+        }
+        for &(preg, i) in &moved {
+            self.register_reader(preg, pe, i);
+        }
+        let reissue_at = self.now() + 1;
+        let mut last = None;
+        for &(_, i) in &moved {
+            if last != Some(i) {
+                self.rebind_reissue_slot(pe, i, reissue_at);
+                last = Some(i);
+            }
+        }
+        let p = &mut self.pes[pe];
+        p.map_before = map_before;
+        p.map_after = Self::map_after(&p.trace, &p.slots, map_before);
+        moved.len() as u64
+    }
+
     /// One step of a re-dispatch pass: update one preserved trace's live-in
     /// renames; only instructions with changed source names reissue.
-    pub(super) fn redispatch_step(&mut self, ctx: &CycleCtx) {
-        let (pe, mut rolling, empty_after, origin, attr) = {
+    pub(super) fn redispatch_step(&mut self) {
+        let (pe, mut rolling, empty_after, attr) = {
             let Some(pass) = &mut self.redispatch else { return };
             let Some(pe) = pass.queue.pop_front() else {
                 self.redispatch = None;
                 return;
             };
-            (pe, pass.rolling.clone(), pass.queue.is_empty(), pass.origin, pass.attr)
+            (pe, pass.rolling.clone(), pass.queue.is_empty(), pass.attr)
         };
         if !self.pes[pe].occupied || !self.list.contains(pe) {
             // Squashed while queued (e.g. tail reclamation): skip.
@@ -189,56 +189,12 @@ impl TraceProcessor<'_> {
             }
             return;
         }
-        let map_before = self.current_map;
-        let now = ctx.now;
-        let trace = self.pes[pe].trace.clone();
-        let mut new_readers: Vec<(PhysRegId, usize)> = Vec::new();
-        let mut requeue: Vec<usize> = Vec::new();
-        {
-            let slots = &mut self.pes[pe].slots;
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let mut changed = false;
-                for (k, &(_, oref)) in slot.ti.srcs.iter().flatten().enumerate() {
-                    if let OperandRef::LiveIn(r) = oref {
-                        if r.is_zero() {
-                            continue;
-                        }
-                        let new_preg = map_before[r.index()];
-                        // A re-dispatch must never bind a slot to its own
-                        // destination: live-outs keep their mappings, so the
-                        // chain map can only hold strictly older registers.
-                        assert!(
-                            slot.global != Some(new_preg),
-                            "redispatch({origin}) bound slot {i} of pe {pe} to its own destination"
-                        );
-                        if slot.srcs[k] != Some(Src::Global(new_preg)) {
-                            slot.srcs[k] = Some(Src::Global(new_preg));
-                            changed = true;
-                            new_readers.push((new_preg, i));
-                        }
-                    }
-                }
-                if changed {
-                    requeue.push(i);
-                }
-            }
-        }
-        for (preg, i) in new_readers {
-            self.register_reader(preg, pe, i);
-        }
-        // Selective reissue re-enqueues exactly the re-dispatched consumers
-        // whose source names changed — nothing else moved in this PE.
-        for i in requeue {
-            self.rebind_reissue_slot(pe, i, now + 1);
-        }
-        // Live-outs keep their global registers; the map is re-asserted.
-        self.pes[pe].map_before = map_before;
-        let map_after = Self::map_after(&trace, &self.pes[pe].slots, map_before);
-        self.pes[pe].map_after = map_after;
-        self.current_map = map_after;
+        self.rebind_live_ins(pe, self.current_map);
+        self.current_map = self.pes[pe].map_after;
         self.pes[pe].hist_before = rolling.clone();
-        rolling.push(trace.id());
-        self.books.redispatched(pe, trace.id().start(), attr);
+        let id = self.pes[pe].trace.id();
+        rolling.push(id);
+        self.books.redispatched(pe, id.start(), attr);
         if empty_after {
             // Fetch state was restored at pass start (and fetch may have
             // advanced past it since); the pass just releases the bus.

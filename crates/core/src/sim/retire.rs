@@ -22,12 +22,11 @@
 use super::*;
 use tp_events::StallReason;
 use tp_isa::Inst;
-use tp_trace::OperandRef;
 
 impl TraceProcessor<'_> {
-    pub(super) fn retire_stage(&mut self, ctx: &CycleCtx) -> Result<(), SimError> {
+    pub(super) fn retire_stage(&mut self) -> Result<(), SimError> {
         let Some(head) = self.list.head() else { return Ok(()) };
-        self.reground_head(head, ctx);
+        self.reground_head(head);
         let p = &self.pes[head];
         if !p.occupied {
             return Ok(());
@@ -58,49 +57,30 @@ impl TraceProcessor<'_> {
                 return Ok(());
             }
         }
-        // Safety net: the head must continue the committed path. A
+        // Safety nets. The head must continue the committed path: a
         // recovery-corner sequence (e.g. an indirect fault whose correct
         // successor was later squashed by an abandoned CGCI attempt) can
         // promote stale wrong-path residue to the head position; its
         // predecessors retired, so no successor check upstream can see it
         // any more. Committing it would teleport the architectural
         // frontier — squash the whole window and refetch from the frontier
-        // instead.
-        if !self.halted && self.pes[head].trace.id().start() != self.retired_next_pc {
+        // instead. And the head must be followed by a consistent successor:
+        // an abandoned CGCI insertion (e.g. preempted by a younger
+        // recovery) can leave a stale boundary in the window; discovering
+        // it here squashes the inconsistent tail and refetches. Either way
+        // any in-flight recovery targeted a squashed trace.
+        let stale_head = !self.halted && self.pes[head].trace.id().start() != self.retired_next_pc;
+        let stale_next = self.list.next(head).is_some_and(|next| {
+            !self.successor_consistent(head, self.pes[next].trace.id().start())
+        });
+        if stale_head || stale_next {
             self.books.safety_squash();
-            let victims: Vec<usize> = self.list.iter().collect();
-            for v in victims {
-                self.squash_pe(v);
-            }
-            self.fetch_queue.clear();
+            self.squash_after((!stale_head).then_some(head), None);
             self.redispatch = None;
             self.recovery = None;
             self.set_mode(FetchMode::Normal);
-            self.fetch_hist = self.rebuild_history();
-            self.current_map = self.retired_map;
-            self.expected = ExpectedNext::Known(self.retired_next_pc);
+            self.refetch_after_tail();
             return Ok(());
-        }
-        // Safety net: the head must be followed by a consistent successor.
-        // An abandoned CGCI insertion (e.g. preempted by a younger recovery)
-        // can leave a stale boundary in the window; discovering it here
-        // squashes the inconsistent tail and refetches.
-        if let Some(next) = self.list.next(head) {
-            let start = self.pes[next].trace.id().start();
-            if !self.successor_consistent(head, start) {
-                self.books.safety_squash();
-                let victims: Vec<usize> = self.list.iter_after(head).collect();
-                for v in victims {
-                    self.squash_pe(v);
-                }
-                self.fetch_queue.clear();
-                self.redispatch = None;
-                self.set_mode(FetchMode::Normal);
-                self.fetch_hist = self.rebuild_history();
-                self.current_map = self.pes[head].map_after;
-                self.expected = self.expected_after_pe(head);
-                return Ok(());
-            }
         }
         self.retire_pe(head)
     }
@@ -115,8 +95,9 @@ impl TraceProcessor<'_> {
     /// Under the binding invariant (every live-in operand is bound to its
     /// PE's `map_before`; see [`WakeupIndex`]) a head whose `map_before`
     /// already agrees with retired state on every live-in has nothing to
-    /// rebind, so the slot walk is skipped.
-    fn reground_head(&mut self, head: usize, ctx: &CycleCtx) {
+    /// rebind, so the slot walk is skipped, and one that disagrees has at
+    /// least one operand to move (a live-in is read before it is written).
+    fn reground_head(&mut self, head: usize) {
         let p = &self.pes[head];
         if !p.occupied
             || p.trace
@@ -126,60 +107,23 @@ impl TraceProcessor<'_> {
         {
             return;
         }
-        let retired_map = self.retired_map;
-        let now = ctx.now;
-        let mut rebound: Vec<(PhysRegId, usize)> = Vec::new();
-        let mut requeue: Vec<usize> = Vec::new();
-        {
-            let slots = &mut self.pes[head].slots;
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let tis = slot.ti.srcs;
-                let mut changed = false;
-                for (k, &(_, oref)) in tis.iter().flatten().enumerate() {
-                    if let OperandRef::LiveIn(r) = oref {
-                        if r.is_zero() {
-                            continue;
-                        }
-                        let want = retired_map[r.index()];
-                        if slot.srcs[k] != Some(Src::Global(want)) {
-                            slot.srcs[k] = Some(Src::Global(want));
-                            changed = true;
-                            rebound.push((want, i));
-                        }
-                    }
-                }
-                if changed {
-                    requeue.push(i);
-                }
-            }
+        // The map chain after the head starts from its corrected map, so
+        // later re-dispatch passes chain correctly.
+        let mut map_before = p.map_before;
+        for r in p.trace.live_ins() {
+            map_before[r.index()] = self.retired_map[r.index()];
         }
-        if rebound.is_empty() {
-            return;
+        let moved = self.rebind_live_ins(head, map_before);
+        if self.paranoid {
+            assert!(moved > 0, "cycle {}: re-ground of pe{head} moved no operand", self.now());
         }
-        self.books.head_rebound(rebound.len() as u64);
-        for (preg, i) in rebound {
-            self.register_reader(preg, head, i);
-        }
-        // Rebound live-ins re-enter the wakeup index (retired registers
-        // are always produced, so these become issue candidates at once).
-        for i in requeue {
-            self.rebind_reissue_slot(head, i, now + 1);
-        }
-        // The map chain after the head starts from its (possibly corrected)
-        // map; recompute map_before/map_after so later re-dispatch passes
-        // chain correctly.
-        let trace = self.pes[head].trace.clone();
-        let mut map_before = self.pes[head].map_before;
-        for r in trace.live_ins() {
-            map_before[r.index()] = retired_map[r.index()];
-        }
-        self.pes[head].map_before = map_before;
-        self.pes[head].map_after = Self::map_after(&trace, &self.pes[head].slots, map_before);
+        self.books.head_rebound(moved);
     }
 
     fn retire_pe(&mut self, pe: usize) -> Result<(), SimError> {
         let trace = self.pes[pe].trace.clone();
         let dispatched_at = self.pes[pe].dispatched_at;
+        let now = self.now();
         // Commit in slot order: registers then stores.
         for slot in 0..self.pes[pe].slots.len() {
             let (dest_arch, value, is_store, addr, outcome, pc, inst) = {
@@ -219,12 +163,12 @@ impl TraceProcessor<'_> {
             // Oracle verification, one instruction at a time.
             if let Some(oracle) = &mut self.oracle {
                 let step = oracle.step().map_err(|e| SimError::OracleMismatch {
-                    cycle: self.now,
+                    cycle: now,
                     detail: format!("oracle left program: {e}"),
                 })?;
                 if step.pc != pc {
                     return Err(SimError::OracleMismatch {
-                        cycle: self.now,
+                        cycle: now,
                         detail: format!(
                             "retired pc {pc} but oracle executed pc {} (trace {})",
                             step.pc,
@@ -241,7 +185,7 @@ impl TraceProcessor<'_> {
                     let oracle_ea = step.ea.unwrap_or(u64::MAX);
                     if committed >> 3 != oracle_ea >> 3 {
                         return Err(SimError::OracleMismatch {
-                            cycle: self.now,
+                            cycle: now,
                             detail: format!(
                                 "store at pc {pc} committed word {:#x} but oracle wrote {:#x} \
                                  (trace {})",
@@ -254,7 +198,7 @@ impl TraceProcessor<'_> {
                     let oracle_val = oracle.mem_word(oracle_ea);
                     if oracle_val != value {
                         return Err(SimError::OracleMismatch {
-                            cycle: self.now,
+                            cycle: now,
                             detail: format!(
                                 "store at pc {pc} committed value {value} but oracle wrote \
                                  {oracle_val} (trace {})",
@@ -269,7 +213,7 @@ impl TraceProcessor<'_> {
             for r in Reg::all() {
                 if oracle.reg(r) != self.arch_regs[r.index()] {
                     return Err(SimError::OracleMismatch {
-                        cycle: self.now,
+                        cycle: now,
                         detail: format!(
                             "after trace {}: {r} committed {} but oracle has {} (oracle retired \
                              {} halted {}, sim retired {})",
@@ -304,7 +248,7 @@ impl TraceProcessor<'_> {
         self.tcache.fill(trace.clone());
         let p = &self.pes[pe];
         self.books.retired_trace(pe, &trace, p.source, p.repairs > 0);
-        self.last_retire_cycle = self.now;
+        self.last_retire_cycle = now;
         if trace.end() == EndReason::Halt {
             self.halted = true;
         }
@@ -313,7 +257,6 @@ impl TraceProcessor<'_> {
         // pending (the grant request dies with the generation bump below).
         for slot in 0..self.pes[pe].slots.len() {
             if let Some(d) = self.pes[pe].slots[slot].global {
-                let now = self.now;
                 let r = self.pregs.get_mut(d);
                 r.global_ready_at = r.global_ready_at.min(now);
                 r.local_ready_at = r.local_ready_at.min(now);

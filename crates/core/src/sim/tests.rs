@@ -513,7 +513,7 @@ fn dispatch_allocates_globals_for_live_outs_only() {
         let hist_before = sim.fetch_hist.clone();
         let pending = Pending { trace, ready_at: 0, hist_before, source: FetchPath::Fallback };
         let before = sim.work_counters();
-        sim.dispatch_trace(pe, pending, None, &CycleCtx { now: 0 });
+        sim.dispatch_trace(pe, pending, None);
         let after = sim.work_counters();
         (
             after.global_regs_allocated - before.global_regs_allocated,
