@@ -44,7 +44,7 @@ use tp_bench::cli::{usage_error, Args};
 use tp_bench::tap::capture_program;
 use tp_fuzz::emit::{emit_rv, emit_synth};
 use tp_fuzz::gen::generate;
-use tp_fuzz::harness::{Divergence, Harness, Isa, Outcome};
+use tp_fuzz::harness::{Divergence, Harness, Isa, Outcome, SIM_SLACK};
 use tp_fuzz::shrink::shrink;
 use tp_fuzz::{emit_rv_source, FuzzConfig};
 
@@ -187,7 +187,7 @@ fn capture_divergence(harness: &Harness, config: &FuzzConfig, seed: u64, d: &Div
             }
         },
     };
-    let budget = harness.oracle_budget.saturating_add(harness.sim_slack);
+    let budget = harness.oracle_budget.saturating_add(SIM_SLACK);
     let cap = capture_program(&program, harness.config(model), budget);
     let path = format!("divergence-{seed}.trace.json");
     match std::fs::write(&path, &cap.chrome_json) {

@@ -31,7 +31,7 @@ use tp_bench::cli::{self, usage_error, Args};
 use tp_bench::json;
 use tp_bench::metrics::{
     collect_grid, collect_phases, diff_documents, metrics_to_json, metrics_to_markdown,
-    DiffThresholds, MetricsCell, PhaseReport,
+    MetricsCell, PhaseReport, DEFAULT_IPC_TOL_PCT,
 };
 use tp_bench::sampled::default_sample_for;
 use tp_bench::speed::SuiteChoice;
@@ -57,7 +57,7 @@ fn main() {
     let mut md_out: Option<String> = None;
     let mut diff: Option<(String, String)> = None;
     let mut gate = false;
-    let mut thresholds = DiffThresholds::default();
+    let mut ipc_tol = DEFAULT_IPC_TOL_PCT;
     let mut args = Args::from_env();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -70,12 +70,12 @@ fn main() {
             "--md" => md_out = Some(args.value("--md")),
             "--diff" => diff = Some((args.value("--diff"), args.value("--diff"))),
             "--gate" => gate = true,
-            "--ipc-tol" => thresholds.ipc_pct = args.num("--ipc-tol"),
+            "--ipc-tol" => ipc_tol = args.num("--ipc-tol"),
             _ => usage(),
         }
     }
     if let Some((old_path, new_path)) = diff {
-        run_diff(&old_path, &new_path, &thresholds, gate, md_out.as_deref());
+        run_diff(&old_path, &new_path, ipc_tol, gate, md_out.as_deref());
         return;
     }
     if gate {
@@ -157,13 +157,7 @@ fn run_report(
     }
 }
 
-fn run_diff(
-    old_path: &str,
-    new_path: &str,
-    thresholds: &DiffThresholds,
-    gate: bool,
-    md_out: Option<&str>,
-) {
+fn run_diff(old_path: &str, new_path: &str, ipc_tol_pct: f64, gate: bool, md_out: Option<&str>) {
     let read = |path: &str| -> json::Json {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             usage_error(format!("reading {path}: {e}"));
@@ -173,7 +167,7 @@ fn run_diff(
         })
     };
     let (old, new) = (read(old_path), read(new_path));
-    let report = diff_documents(&old, &new, thresholds).unwrap_or_else(|e| {
+    let report = diff_documents(&old, &new, ipc_tol_pct).unwrap_or_else(|e| {
         usage_error(format!("diff failed: {e}"));
     });
     println!(

@@ -331,27 +331,20 @@ pub fn metrics_to_markdown(cells: &[MetricsCell], phases: &[PhaseReport]) -> Str
     s
 }
 
-/// Thresholds of the perf-trend comparator.
-#[derive(Clone, Copy, Debug)]
-pub struct DiffThresholds {
-    /// Maximum tolerated IPC drop, percent. IPC is deterministic, so this
-    /// is a hard gate.
-    pub ipc_pct: f64,
-    /// Host-throughput drop that earns a warning, percent. Wall-clock is
-    /// machine-dependent, so never gated.
-    pub host_pct: f64,
-    /// Maximum tolerated increase of a distribution percentile, percent.
-    /// Percentiles above 64 are bucket-quantized (error < 2×), so the
-    /// default absorbs one sub-bucket drift; deterministic runs make any
-    /// larger move a real change.
-    pub percentile_pct: f64,
-}
+/// Host-throughput drop that earns a perf-trend warning, percent.
+/// Wall-clock is machine-dependent, so never gated.
+const DIFF_HOST_PCT: f64 = 20.0;
 
-impl Default for DiffThresholds {
-    fn default() -> DiffThresholds {
-        DiffThresholds { ipc_pct: 1.0, host_pct: 20.0, percentile_pct: 25.0 }
-    }
-}
+/// Maximum tolerated increase of a distribution percentile, percent.
+/// Percentiles above 64 are bucket-quantized (error < 2×), so this absorbs
+/// one sub-bucket drift; deterministic runs make any larger move a real
+/// change.
+const DIFF_PERCENTILE_PCT: f64 = 25.0;
+
+/// The default maximum tolerated IPC drop of the perf-trend comparator,
+/// percent (`simprof --ipc-tol` overrides it). IPC is deterministic, so
+/// this is a hard gate.
+pub const DEFAULT_IPC_TOL_PCT: f64 = 1.0;
 
 /// One compared figure, kept for the markdown artifact.
 #[derive(Clone, Debug)]
@@ -442,14 +435,15 @@ impl DiffReport {
 /// Compares two harness JSON documents cell by cell.
 ///
 /// Both documents must carry the same `schema`; `tp-bench/speed/v2` and
-/// `tp-bench/metrics/v1` are supported. See [`DiffThresholds`] for what
-/// gates versus warns.
+/// `tp-bench/metrics/v1` are supported. An IPC drop beyond `ipc_tol_pct`
+/// percent and a distribution percentile rising beyond 25% gate; a host
+/// throughput drop beyond 20% only warns.
 ///
 /// # Errors
 ///
 /// Returns a message when a document is malformed or the schemas are
 /// missing, different, or unsupported.
-pub fn diff_documents(old: &Json, new: &Json, th: &DiffThresholds) -> Result<DiffReport, String> {
+pub fn diff_documents(old: &Json, new: &Json, ipc_tol_pct: f64) -> Result<DiffReport, String> {
     let so = old.str("schema").ok_or("baseline document has no \"schema\"")?;
     let sn = new.str("schema").ok_or("candidate document has no \"schema\"")?;
     if so != sn {
@@ -491,7 +485,7 @@ pub fn diff_documents(old: &Json, new: &Json, th: &DiffThresholds) -> Result<Dif
             continue;
         };
         report.compared_cells += 1;
-        diff_cell(&k, oc, nc, th, &mut report);
+        diff_cell(&k, oc, nc, ipc_tol_pct, &mut report);
         matched.insert(k);
     }
     for nc in new_cells {
@@ -503,15 +497,15 @@ pub fn diff_documents(old: &Json, new: &Json, th: &DiffThresholds) -> Result<Dif
     }
     // Suite-level host throughput (speed/v2 only).
     if let (Some(o), Some(n)) = (old.num("instrs_per_sec_total"), new.num("instrs_per_sec_total")) {
-        push_host_row(&mut report, "suite", "instrs_per_sec_total", o, n, th);
+        push_host_row(&mut report, "suite", "instrs_per_sec_total", o, n);
     }
     Ok(report)
 }
 
-fn diff_cell(k: &str, oc: &Json, nc: &Json, th: &DiffThresholds, report: &mut DiffReport) {
+fn diff_cell(k: &str, oc: &Json, nc: &Json, ipc_tol_pct: f64, report: &mut DiffReport) {
     // IPC: deterministic — hard gate.
     if let (Some(o), Some(n)) = (oc.num("ipc"), nc.num("ipc")) {
-        let regressed = n < o * (1.0 - th.ipc_pct / 100.0);
+        let regressed = n < o * (1.0 - ipc_tol_pct / 100.0);
         report.rows.push(DiffRow {
             cell: k.to_string(),
             metric: "ipc".into(),
@@ -521,15 +515,14 @@ fn diff_cell(k: &str, oc: &Json, nc: &Json, th: &DiffThresholds, report: &mut Di
         });
         if regressed {
             report.regressions.push(format!(
-                "{k}: ipc {n:.4} is {:.2}% below baseline {o:.4} (gate {:.2}%)",
+                "{k}: ipc {n:.4} is {:.2}% below baseline {o:.4} (gate {ipc_tol_pct:.2}%)",
                 100.0 * (o - n) / o,
-                th.ipc_pct
             ));
         }
     }
     // Host throughput: machine-dependent — warn only.
     if let (Some(o), Some(n)) = (oc.num("instrs_per_sec"), nc.num("instrs_per_sec")) {
-        push_host_row(report, k, "instrs_per_sec", o, n, th);
+        push_host_row(report, k, "instrs_per_sec", o, n);
     }
     // Distribution percentiles (metrics/v1 cells): deterministic — gated.
     // Compared in the baseline document's order.
@@ -541,7 +534,7 @@ fn diff_cell(k: &str, oc: &Json, nc: &Json, th: &DiffThresholds, report: &mut Di
             };
             for p in ["p50", "p90", "p99"] {
                 let (Some(o), Some(n)) = (oh.num(p), nh.num(p)) else { continue };
-                let regressed = o > 0.0 && n > o * (1.0 + th.percentile_pct / 100.0);
+                let regressed = o > 0.0 && n > o * (1.0 + DIFF_PERCENTILE_PCT / 100.0);
                 if regressed || n != o {
                     report.rows.push(DiffRow {
                         cell: k.to_string(),
@@ -553,8 +546,7 @@ fn diff_cell(k: &str, oc: &Json, nc: &Json, th: &DiffThresholds, report: &mut Di
                 }
                 if regressed {
                     report.regressions.push(format!(
-                        "{k}: {name} {p} rose {o:.0} -> {n:.0} (gate +{:.0}%)",
-                        th.percentile_pct
+                        "{k}: {name} {p} rose {o:.0} -> {n:.0} (gate +{DIFF_PERCENTILE_PCT:.0}%)"
                     ));
                 }
             }
@@ -569,15 +561,8 @@ fn diff_cell(k: &str, oc: &Json, nc: &Json, th: &DiffThresholds, report: &mut Di
     }
 }
 
-fn push_host_row(
-    report: &mut DiffReport,
-    cell: &str,
-    metric: &str,
-    old: f64,
-    new: f64,
-    th: &DiffThresholds,
-) {
-    let drifted = new < old * (1.0 - th.host_pct / 100.0);
+fn push_host_row(report: &mut DiffReport, cell: &str, metric: &str, old: f64, new: f64) {
+    let drifted = new < old * (1.0 - DIFF_HOST_PCT / 100.0);
     report.rows.push(DiffRow {
         cell: cell.to_string(),
         metric: metric.to_string(),
@@ -669,7 +654,7 @@ mod tests {
     #[test]
     fn identical_documents_produce_zero_regressions() {
         let (a, b) = (speed_doc(1.5, 1e6), speed_doc(1.5, 1e6));
-        let r = diff_documents(&a, &b, &DiffThresholds::default()).unwrap();
+        let r = diff_documents(&a, &b, DEFAULT_IPC_TOL_PCT).unwrap();
         assert!(r.gate_ok(), "{:?}", r.regressions);
         assert!(r.warnings.is_empty(), "{:?}", r.warnings);
         assert_eq!(r.compared_cells, 1);
@@ -679,12 +664,11 @@ mod tests {
     fn ipc_drop_trips_gate_but_host_drop_only_warns() {
         let base = speed_doc(1.5, 1e6);
         // A 5% IPC drop: hard regression.
-        let r =
-            diff_documents(&base, &speed_doc(1.5 * 0.95, 1e6), &DiffThresholds::default()).unwrap();
+        let r = diff_documents(&base, &speed_doc(1.5 * 0.95, 1e6), DEFAULT_IPC_TOL_PCT).unwrap();
         assert!(!r.gate_ok());
         assert!(r.regressions[0].contains("ipc"));
         // A 50% host-throughput drop: warning only.
-        let r = diff_documents(&base, &speed_doc(1.5, 0.5e6), &DiffThresholds::default()).unwrap();
+        let r = diff_documents(&base, &speed_doc(1.5, 0.5e6), DEFAULT_IPC_TOL_PCT).unwrap();
         assert!(r.gate_ok(), "{:?}", r.regressions);
         assert!(!r.warnings.is_empty());
     }
@@ -693,12 +677,12 @@ mod tests {
     fn missing_cells_and_schema_mismatches_are_reported() {
         let a = speed_doc(1.5, 1e6);
         let empty = parse(r#"{"schema": "tp-bench/speed/v2", "cells": []}"#).unwrap();
-        let r = diff_documents(&a, &empty, &DiffThresholds::default()).unwrap();
+        let r = diff_documents(&a, &empty, DEFAULT_IPC_TOL_PCT).unwrap();
         assert!(r.warnings.iter().any(|w| w.contains("missing from candidate")));
         let m = parse(r#"{"schema": "tp-bench/metrics/v1", "cells": []}"#).unwrap();
-        assert!(diff_documents(&a, &m, &DiffThresholds::default()).is_err());
+        assert!(diff_documents(&a, &m, DEFAULT_IPC_TOL_PCT).is_err());
         let bad = parse(r#"{"cells": []}"#).unwrap();
-        assert!(diff_documents(&bad, &a, &DiffThresholds::default()).is_err());
+        assert!(diff_documents(&bad, &a, DEFAULT_IPC_TOL_PCT).is_err());
     }
 
     #[test]
@@ -713,7 +697,7 @@ mod tests {
         let a = run_grid_on(&workloads, &models, &DEFAULT_PES);
         let b = run_grid_on(&workloads, &models, &DEFAULT_PES);
         let (da, db) = (to_json(&a, Size::Tiny, None), to_json(&b, Size::Tiny, None));
-        let r = diff_documents(&da, &db, &DiffThresholds::default()).unwrap();
+        let r = diff_documents(&da, &db, DEFAULT_IPC_TOL_PCT).unwrap();
         assert!(r.gate_ok(), "spurious regressions: {:?}", r.regressions);
         assert_eq!(r.compared_cells, 16, "8 workloads x 2 models");
         // A synthetic -5% IPC perturbation (cycles inflated ~5.3%) must
@@ -723,7 +707,7 @@ mod tests {
             c.stats.cycles = c.stats.cycles * 20 / 19;
         }
         let dp = to_json(&perturbed, Size::Tiny, None);
-        let r = diff_documents(&da, &dp, &DiffThresholds::default()).unwrap();
+        let r = diff_documents(&da, &dp, DEFAULT_IPC_TOL_PCT).unwrap();
         assert!(!r.gate_ok(), "a 5% IPC drop must trip the gate");
         assert_eq!(r.regressions.len(), 16, "{:?}", r.regressions);
     }
@@ -740,9 +724,9 @@ mod tests {
             ))
             .expect("valid")
         };
-        let r = diff_documents(&doc(16), &doc(16), &DiffThresholds::default()).unwrap();
+        let r = diff_documents(&doc(16), &doc(16), DEFAULT_IPC_TOL_PCT).unwrap();
         assert!(r.gate_ok() && r.warnings.is_empty());
-        let r = diff_documents(&doc(16), &doc(64), &DiffThresholds::default()).unwrap();
+        let r = diff_documents(&doc(16), &doc(64), DEFAULT_IPC_TOL_PCT).unwrap();
         assert!(!r.gate_ok());
         assert!(r.regressions[0].contains("recovery_latency p99"));
         let md = r.to_markdown();

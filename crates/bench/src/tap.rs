@@ -90,7 +90,7 @@ pub struct SampledCapture {
 /// Captures a sampled run's events on one coherent timeline.
 ///
 /// An observer of the one sampled driver
-/// ([`run_sampled_with`](crate::sampled::run_sampled_with)) that reuses a
+/// ([`run_sampled_with`]) that reuses a
 /// *single* [`ChromeTraceSink`] across the detailed intervals, attached at
 /// each boot: each interval's simulator restarts at cycle 0, so before
 /// re-attaching the sink its timeline base is advanced past everything
@@ -174,7 +174,7 @@ pub enum ObsVariant {
     /// A `NullSink` attached (empty interest mask: attach plumbing live,
     /// every emission site masked off).
     NullSink,
-    /// A full-interest [`MetricsSink`](tp_metrics::MetricsSink) attached.
+    /// A full-interest [`MetricsSink`] attached.
     MetricsAttached,
     /// The host stage profiler enabled.
     ProfilerEnabled,

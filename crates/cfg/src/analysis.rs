@@ -3,7 +3,7 @@
 //! [`CfgAnalysis::build`] recovers an instruction-level control-flow graph
 //! from a decoded [`Program`] (either frontend — both lower to the same
 //! [`Inst`] stream), resolves indirect transfers through their jump tables
-//! ([`crate::resolve`]), summarizes calls (so a branch's re-convergence is
+//! (`resolve`), summarizes calls (so a branch's re-convergence is
 //! computed *within its function*, with callees collapsed to their
 //! can-return / can-halt behaviour), and computes dominator and
 //! post-dominator trees over the result.

@@ -21,7 +21,7 @@
 //!   PC onto the static structure ([`ReconvClass`]); the simulator's
 //!   differential oracle mode asserts every CGCI attempt lands in a
 //!   classified bucket.
-//! * [`lint`] flags structural workload defects (unreachable code,
+//! * [`lint()`] flags structural workload defects (unreachable code,
 //!   fall-through off the end, escaping code pointers).
 //! * [`CfgReport`] summarizes the static control-independence opportunity
 //!   a workload offers — the ceiling the dynamic heuristics chase.

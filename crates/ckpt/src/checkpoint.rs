@@ -4,7 +4,7 @@
 //! the architectural state (PC, registers, and the *dirty-page memory
 //! delta* against the program's initial data image) plus, optionally,
 //! images of the functionally warmed structures a detailed boot takes
-//! ([`WarmBoot`]), accumulated by [`FastForward`](crate::FastForward).
+//! ([`WarmBoot`]), accumulated by [`FastForward`].
 //!
 //! # Wire layout
 //!
@@ -237,7 +237,7 @@ pub(crate) fn refill_bit(
     mut fill: impl FnMut(Trace),
 ) -> Result<Bit, CkptError> {
     let selector = Selector::new(cfg.selection);
-    let mut bit = Bit::new(cfg.bit_entries, cfg.bit_ways);
+    let mut bit = Bit::paper();
     for line in lines {
         let mut outcomes = ClosureOutcomes::new(|i, _, _| line.id.outcome(i), |_, _| line.next_pc);
         let stop = line.next_pc.map(|p| (p, line.len as usize));

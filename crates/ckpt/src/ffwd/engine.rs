@@ -111,7 +111,7 @@ pub struct EngineStats {
     /// against the speculated MRU candidate).
     pub lead_switches: u64,
     /// Hits whose predictor-table updates were skipped as proven no-ops
-    /// (see [`Engine`]'s saturation cache).
+    /// (see the engine's saturation cache).
     pub saturated_hits: u64,
     /// Superblocks decoded.
     pub blocks_built: u64,

@@ -25,8 +25,8 @@
 //!
 //! - the **interpreter** path above (one selection plus per-instruction
 //!   stepping and warming per trace), kept as the reference;
-//! - the **superblock** path ([`engine`]): straight-line code is decoded
-//!   once into chained blocks ([`block`]), whole traces are memoized by
+//! - the **superblock** path (`engine`): straight-line code is decoded
+//!   once into chained blocks (`block`), whole traces are memoized by
 //!   start PC and outcome path, and warming updates replay from
 //!   precomputed per-trace arrays. It is the default; see
 //!   [`FastForward::set_superblock`].

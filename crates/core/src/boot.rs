@@ -19,7 +19,7 @@ use tp_isa::{Pc, Program, Reg, Word};
 use tp_predict::{Btb, NextTracePredictor, Ras, TraceHistory};
 use tp_trace::Bit;
 
-use crate::config::{ConfigError, TraceProcessorConfig};
+use crate::config::{ConfigError, TraceProcessorConfig, RAS_DEPTH, TCACHE_WAYS};
 
 /// Warmed frontend structures to install at boot: the branch predictor,
 /// return-address stack, next-trace predictor, trace cache, branch
@@ -59,10 +59,10 @@ impl WarmBoot {
     pub fn cold(cfg: &TraceProcessorConfig) -> WarmBoot {
         WarmBoot {
             btb: Btb::new(cfg.btb_entries),
-            ras: Ras::new(cfg.ras_depth),
+            ras: Ras::new(RAS_DEPTH),
             predictor: NextTracePredictor::new(cfg.predictor),
-            tcache: TraceCache::new(cfg.tcache_sets, cfg.tcache_ways),
-            bit: Bit::new(cfg.bit_entries, cfg.bit_ways),
+            tcache: TraceCache::new(cfg.tcache_sets, TCACHE_WAYS),
+            bit: Bit::paper(),
             icache: ICache::paper(),
             dcache: DCache::paper(),
             history: TraceHistory::new(cfg.predictor.path_depth),
@@ -70,9 +70,10 @@ impl WarmBoot {
     }
 }
 
-/// A resumable boot state for [`TraceProcessor::from_checkpoint`]
-/// (crate::TraceProcessor::from_checkpoint): plain data, produced by the
-/// `tp-ckpt` crate's checkpoint decoder (or any other driver).
+/// A resumable boot state for
+/// [`TraceProcessor::from_checkpoint`](crate::TraceProcessor::from_checkpoint):
+/// plain data, produced by the `tp-ckpt` crate's checkpoint decoder (or any
+/// other driver).
 #[derive(Clone, Debug)]
 pub struct BootImage {
     /// Program counter to resume fetching at.

@@ -1,4 +1,13 @@
 //! Trace processor configuration (the paper's Table 1).
+//!
+//! [`TraceProcessorConfig`] holds what callers vary. The rest of the
+//! machine is fixed: the Table 1 constants [`PE_ISSUE_WIDTH`],
+//! [`FRONTEND_LATENCY`], [`RESULT_BUSES`], [`RESULT_BUSES_PER_PE`],
+//! [`CACHE_BUSES`], [`CACHE_BUSES_PER_PE`], [`BYPASS_LATENCY`],
+//! [`AGEN_LATENCY`], [`LOAD_REISSUE_PENALTY`] and [`TCACHE_WAYS`], plus
+//! [`RAS_DEPTH`] and the CGCI distance bound [`CGCI_MAX_DEPENDENT`]. The
+//! I-cache, D-cache and BIT (8K entries, 4-way) geometry is fixed by
+//! their own `paper()` constructors.
 
 use std::fmt;
 
@@ -8,6 +17,39 @@ use tp_trace::SelectionConfig;
 /// The largest supported `num_pes`: PE indices are narrowed to one byte
 /// wherever the core stores them.
 pub const MAX_PES: usize = 256;
+
+/// Issue width per PE (4).
+pub const PE_ISSUE_WIDTH: usize = 4;
+/// Frontend latency in cycles from prediction to dispatch (2).
+pub const FRONTEND_LATENCY: u64 = 2;
+/// Global result buses per cycle (8).
+pub const RESULT_BUSES: usize = 8;
+/// Result buses usable by one PE per cycle (4).
+pub const RESULT_BUSES_PER_PE: usize = 4;
+/// Cache buses per cycle (8).
+pub const CACHE_BUSES: usize = 8;
+/// Cache buses usable by one PE per cycle (4).
+pub const CACHE_BUSES_PER_PE: usize = 4;
+/// Extra bypass latency for inter-PE (global) values (1).
+pub const BYPASS_LATENCY: u64 = 1;
+/// Address generation latency for loads and stores (1).
+pub const AGEN_LATENCY: u64 = 1;
+/// Penalty when a load reissues after a snoop hit (1).
+pub const LOAD_REISSUE_PENALTY: u64 = 1;
+/// Trace cache ways (4); the set count is
+/// [`TraceProcessorConfig::tcache_sets`].
+pub const TCACHE_WAYS: usize = 4;
+/// Return address stack depth (64).
+pub const RAS_DEPTH: usize = 64;
+
+/// Maximum control-dependent traces a CGCI attempt may squash between the
+/// mispredicted branch and the assumed re-convergent trace. A longer gap
+/// means the frontend must refill that many traces before re-convergence
+/// can even be detected, while the preserved suffix sits on
+/// mostly-invalidated data — at that distance a full squash is cheaper.
+/// The heuristics target *near* re-convergent points (§4.2: loop exits,
+/// return continuations), so a small bound keeps their profitable firings.
+pub const CGCI_MAX_DEPENDENT: usize = 2;
 
 /// An invalid parameter combination, naming the offending field so CLI
 /// frontends can report it without a panic backtrace.
@@ -24,26 +66,10 @@ pub enum ConfigError {
         /// The configured value.
         num_pes: usize,
     },
-    /// `pe_issue_width` of zero.
-    ZeroIssueWidth,
-    /// `fgci` enabled without `fg` trace selection.
+    /// An FGCI model without `fg` trace selection.
     FgciWithoutFgSelection,
     /// The `MLB-RET` heuristic without `ntb` trace selection.
     MlbWithoutNtbSelection,
-    /// `result_buses_per_pe` exceeding `result_buses`.
-    ResultBusesPerPe {
-        /// The configured per-PE value.
-        per_pe: usize,
-        /// The configured total.
-        total: usize,
-    },
-    /// `cache_buses_per_pe` exceeding `cache_buses`.
-    CacheBusesPerPe {
-        /// The configured per-PE value.
-        per_pe: usize,
-        /// The configured total.
-        total: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -55,38 +81,17 @@ impl fmt::Display for ConfigError {
             ConfigError::TooManyPes { num_pes } => {
                 write!(f, "num_pes = {num_pes}: at most {MAX_PES} PEs are supported")
             }
-            ConfigError::ZeroIssueWidth => {
-                write!(f, "pe_issue_width = 0: issue width must be non-zero")
-            }
             ConfigError::FgciWithoutFgSelection => {
-                write!(f, "fgci = true: FGCI recovery requires fg trace selection")
+                write!(f, "model: FGCI recovery requires fg trace selection")
             }
             ConfigError::MlbWithoutNtbSelection => {
-                write!(f, "cgci = MLB-RET: requires ntb trace selection to expose loop exits")
-            }
-            ConfigError::ResultBusesPerPe { per_pe, total } => {
-                write!(f, "result_buses_per_pe = {per_pe}: exceeds result_buses = {total}")
-            }
-            ConfigError::CacheBusesPerPe { per_pe, total } => {
-                write!(f, "cache_buses_per_pe = {per_pe}: exceeds cache_buses = {total}")
+                write!(f, "model: MLB-RET requires ntb trace selection to expose loop exits")
             }
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Which coarse-grain control independence heuristic the frontend uses to
-/// locate a trace-level re-convergent point (paper Section 4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CgciHeuristic {
-    /// `RET`: the trace following the nearest return-ending trace is assumed
-    /// control independent.
-    Ret,
-    /// `MLB-RET`: for mispredicted backward branches, the nearest trace
-    /// starting at the branch's not-taken target; otherwise `RET`.
-    MlbRet,
-}
 
 /// The control-independence models evaluated in the paper's Section 6.2,
 /// plus the selection-only baselines of Section 6.1.
@@ -137,61 +142,43 @@ impl CiModel {
             CiModel::FgMlbRet => SelectionConfig::with_fg_ntb(),
         }
     }
+
+    /// Whether the model repairs with fine-grain control independence (§3).
+    pub fn fgci(self) -> bool {
+        matches!(self, CiModel::Fg | CiModel::FgMlbRet)
+    }
+
+    /// Whether the model attempts coarse-grain control independence (§4).
+    pub fn cgci(self) -> bool {
+        matches!(self, CiModel::Ret | CiModel::MlbRet | CiModel::FgMlbRet)
+    }
+
+    /// Whether the model's CGCI heuristic is `MLB-RET` rather than `RET`
+    /// (§4.2).
+    pub fn mlb(self) -> bool {
+        matches!(self, CiModel::MlbRet | CiModel::FgMlbRet)
+    }
 }
 
-/// Full configuration of the trace processor (defaults follow Table 1).
+/// Configuration of the trace processor: what callers vary. The values
+/// [`TraceProcessorConfig::paper`] sets follow Table 1; the fixed rest of
+/// the machine is the constants of this module.
 #[derive(Clone, Debug)]
 pub struct TraceProcessorConfig {
     /// Number of processing elements (16).
     pub num_pes: usize,
-    /// Issue width per PE (4).
-    pub pe_issue_width: usize,
+    /// The control-independence model: whether FGCI, CGCI and `MLB-RET`
+    /// apply.
+    pub model: CiModel,
     /// Trace selection configuration (max trace length 32 plus the
     /// `ntb`/`fg` constraints).
     pub selection: SelectionConfig,
-    /// Enable fine-grain control independence recovery.
-    pub fgci: bool,
-    /// Enable coarse-grain control independence recovery with a heuristic.
-    pub cgci: Option<CgciHeuristic>,
-    /// Maximum control-dependent traces a CGCI attempt may squash between
-    /// the mispredicted branch and the assumed re-convergent trace. A
-    /// longer gap means the frontend must refill that many traces before
-    /// re-convergence can even be detected, while the preserved suffix sits
-    /// on mostly-invalidated data — at that distance a full squash is
-    /// cheaper. The heuristics target *near* re-convergent points (§4.2:
-    /// loop exits, return continuations), so a small bound keeps their
-    /// profitable firings.
-    pub cgci_max_dependent: usize,
-    /// Frontend latency in cycles from prediction to dispatch (2).
-    pub frontend_latency: u64,
-    /// Global result buses per cycle (8).
-    pub result_buses: usize,
-    /// Result buses usable by one PE per cycle (4).
-    pub result_buses_per_pe: usize,
-    /// Cache buses per cycle (8).
-    pub cache_buses: usize,
-    /// Cache buses usable by one PE per cycle (4).
-    pub cache_buses_per_pe: usize,
-    /// Extra bypass latency for inter-PE (global) values (1).
-    pub bypass_latency: u64,
-    /// Address generation latency for loads/stores (1).
-    pub agen_latency: u64,
-    /// Penalty when a load reissues due to a snoop hit (1).
-    pub load_reissue_penalty: u64,
     /// Next-trace predictor configuration.
     pub predictor: TracePredictorConfig,
     /// BTB entries (16K, tagless).
     pub btb_entries: usize,
-    /// Return address stack depth.
-    pub ras_depth: usize,
-    /// BIT entries (8K) and associativity (4).
-    pub bit_entries: usize,
-    /// BIT associativity.
-    pub bit_ways: usize,
-    /// Trace cache sets (256) and ways (4).
+    /// Trace cache sets (256; [`TCACHE_WAYS`] ways each).
     pub tcache_sets: usize,
-    /// Trace cache ways.
-    pub tcache_ways: usize,
     /// Verify committed state against the functional oracle at every trace
     /// retirement. Cheap enough for measured runs: it added 3.9% wall time
     /// over the 14 full-size workloads under base and FG+MLB-RET (best of
@@ -221,35 +208,13 @@ impl TraceProcessorConfig {
     /// The paper's Table 1 configuration with the given control-independence
     /// model (which also fixes the trace selection constraints).
     pub fn paper(model: CiModel) -> TraceProcessorConfig {
-        let (fgci, cgci) = match model {
-            CiModel::None => (false, None),
-            CiModel::Ret => (false, Some(CgciHeuristic::Ret)),
-            CiModel::MlbRet => (false, Some(CgciHeuristic::MlbRet)),
-            CiModel::Fg => (true, None),
-            CiModel::FgMlbRet => (true, Some(CgciHeuristic::MlbRet)),
-        };
         TraceProcessorConfig {
             num_pes: 16,
-            pe_issue_width: 4,
+            model,
             selection: model.selection(),
-            fgci,
-            cgci,
-            cgci_max_dependent: 2,
-            frontend_latency: 2,
-            result_buses: 8,
-            result_buses_per_pe: 4,
-            cache_buses: 8,
-            cache_buses_per_pe: 4,
-            bypass_latency: 1,
-            agen_latency: 1,
-            load_reissue_penalty: 1,
             predictor: TracePredictorConfig::paper(),
             btb_entries: 16 * 1024,
-            ras_depth: 64,
-            bit_entries: 8192,
-            bit_ways: 4,
             tcache_sets: 256,
-            tcache_ways: 4,
             verify_with_oracle: false,
             cfg_oracle: false,
             deadlock_cycles: 50_000,
@@ -294,8 +259,8 @@ impl TraceProcessorConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the model's requirements are violated
-    /// (e.g. FGCI without `fg` selection, MLB-RET without `ntb` selection,
-    /// zero sizes).
+    /// (FGCI without `fg` selection, MLB-RET without `ntb` selection) or
+    /// `num_pes` is out of range.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_pes < 2 {
             return Err(ConfigError::TooFewPes { num_pes: self.num_pes });
@@ -303,26 +268,11 @@ impl TraceProcessorConfig {
         if self.num_pes > MAX_PES {
             return Err(ConfigError::TooManyPes { num_pes: self.num_pes });
         }
-        if self.pe_issue_width < 1 {
-            return Err(ConfigError::ZeroIssueWidth);
-        }
-        if self.fgci && !self.selection.fg {
+        if self.model.fgci() && !self.selection.fg {
             return Err(ConfigError::FgciWithoutFgSelection);
         }
-        if self.cgci == Some(CgciHeuristic::MlbRet) && !self.selection.ntb {
+        if self.model.mlb() && !self.selection.ntb {
             return Err(ConfigError::MlbWithoutNtbSelection);
-        }
-        if self.result_buses_per_pe > self.result_buses {
-            return Err(ConfigError::ResultBusesPerPe {
-                per_pe: self.result_buses_per_pe,
-                total: self.result_buses,
-            });
-        }
-        if self.cache_buses_per_pe > self.cache_buses {
-            return Err(ConfigError::CacheBusesPerPe {
-                per_pe: self.cache_buses_per_pe,
-                total: self.cache_buses,
-            });
         }
         Ok(())
     }
@@ -340,6 +290,20 @@ mod tests {
         let c = TraceProcessorConfig::paper(CiModel::FgMlbRet);
         assert!(c.selection.fg && c.selection.ntb);
         c.validate().unwrap();
+        // Which recovery mechanisms each model applies: (FGCI, CGCI, MLB-RET).
+        let table = [
+            (CiModel::None, (false, false, false)),
+            (CiModel::Ret, (false, true, false)),
+            (CiModel::MlbRet, (false, true, true)),
+            (CiModel::Fg, (true, false, false)),
+            (CiModel::FgMlbRet, (true, true, true)),
+        ];
+        for (m, want) in table {
+            assert_eq!((m.fgci(), m.cgci(), m.mlb()), want, "{}", m.name());
+            let c = TraceProcessorConfig::paper(m);
+            assert_eq!(c.model, m);
+            c.validate().unwrap();
+        }
     }
 
     #[test]
@@ -395,23 +359,12 @@ mod tests {
         let mut c = TraceProcessorConfig::paper(CiModel::None);
         c.num_pes = 1;
         assert!(c.validate().unwrap_err().to_string().contains("num_pes = 1"));
-        let mut c = TraceProcessorConfig::paper(CiModel::None);
-        c.result_buses_per_pe = 99;
-        assert!(c.validate().unwrap_err().to_string().contains("result_buses_per_pe = 99"));
-        let mut c = TraceProcessorConfig::paper(CiModel::None);
-        c.cache_buses_per_pe = 9;
-        c.cache_buses = 8;
-        assert!(c.validate().unwrap_err().to_string().contains("cache_buses_per_pe = 9"));
-        let mut c = TraceProcessorConfig::paper(CiModel::None);
-        c.pe_issue_width = 0;
-        assert!(c.validate().unwrap_err().to_string().contains("pe_issue_width"));
     }
 
     #[test]
     fn baseline_has_no_ci() {
         let c = TraceProcessorConfig::baseline(SelectionConfig::with_fg_ntb());
-        assert!(!c.fgci);
-        assert!(c.cgci.is_none());
+        assert_eq!(c.model, CiModel::None);
         c.validate().unwrap();
     }
 }

@@ -64,6 +64,6 @@ pub mod sim;
 pub mod stats;
 
 pub use boot::{BootError, BootImage, WarmBoot};
-pub use config::{CgciHeuristic, CiModel, ConfigError, TraceProcessorConfig, MAX_PES};
+pub use config::{CiModel, ConfigError, TraceProcessorConfig, MAX_PES};
 pub use sim::{RunResult, SimError, TraceProcessor};
 pub use stats::{SimStats, WorkCounters};

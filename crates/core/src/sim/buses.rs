@@ -25,6 +25,10 @@
 //! and the snoop-reissue count in the books.
 
 use super::*;
+use crate::config::{
+    BYPASS_LATENCY, CACHE_BUSES, CACHE_BUSES_PER_PE, LOAD_REISSUE_PENALTY, RESULT_BUSES,
+    RESULT_BUSES_PER_PE,
+};
 use tp_events::BusChannel;
 use tp_isa::{Addr, Inst};
 
@@ -53,8 +57,8 @@ impl TraceProcessor<'_> {
             return; // nothing could be granted this cycle
         }
         let (total_limit, per_pe_limit) = match kind {
-            BusChannel::Cache => (self.cfg.cache_buses, self.cfg.cache_buses_per_pe),
-            BusChannel::Result => (self.cfg.result_buses, self.cfg.result_buses_per_pe),
+            BusChannel::Cache => (CACHE_BUSES, CACHE_BUSES_PER_PE),
+            BusChannel::Result => (RESULT_BUSES, RESULT_BUSES_PER_PE),
         };
         let mut granted_total = 0;
         let mut granted_per_pe = std::mem::take(&mut self.scratch_grants);
@@ -112,7 +116,7 @@ impl TraceProcessor<'_> {
                     let dest = slot.global.expect("a live-out has a global register");
                     let r = self.pregs.get_mut(dest);
                     if r.ready && r.global_ready_at == u64::MAX {
-                        r.global_ready_at = now + self.cfg.bypass_latency;
+                        r.global_ready_at = now + BYPASS_LATENCY;
                     }
                 }
             }
@@ -273,7 +277,7 @@ impl TraceProcessor<'_> {
             self.wakeup.loads_by_word.insert(word, entries);
         }
         self.books.load_snoop_reissued(reissues.len() as u64);
-        let at = self.now() + self.cfg.load_reissue_penalty;
+        let at = self.now() + LOAD_REISSUE_PENALTY;
         for r in reissues {
             self.mark_reissue_slot(r.pe(), r.slot(), at);
         }

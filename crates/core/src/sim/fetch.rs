@@ -18,6 +18,7 @@
 //! the re-dispatch pass and rename-map chain.
 
 use super::*;
+use crate::config::FRONTEND_LATENCY;
 use tp_isa::Inst;
 use tp_trace::{OutcomeSource, TraceId};
 
@@ -128,12 +129,12 @@ impl TraceProcessor<'_> {
                     Some(sp) => !t.insts()[1..].iter().any(|ti| ti.pc == sp),
                 });
                 match usable {
-                    Some(t) => (t, now + self.cfg.frontend_latency, FetchPath::PredictedHit),
+                    Some(t) => (t, now + FRONTEND_LATENCY, FetchPath::PredictedHit),
                     None => {
                         let (t, cycles) = self.construct_trace(start, Some(id), stop);
                         let ready = now.max(self.construction_busy_until)
                             + cycles as u64
-                            + self.cfg.frontend_latency;
+                            + FRONTEND_LATENCY;
                         self.construction_busy_until = ready;
                         (t, ready, FetchPath::PredictedMiss)
                     }
@@ -141,9 +142,8 @@ impl TraceProcessor<'_> {
             }
             None => {
                 let (t, cycles) = self.construct_trace(start, None, stop);
-                let ready = now.max(self.construction_busy_until)
-                    + cycles as u64
-                    + self.cfg.frontend_latency;
+                let ready =
+                    now.max(self.construction_busy_until) + cycles as u64 + FRONTEND_LATENCY;
                 self.construction_busy_until = ready;
                 (t, ready, FetchPath::Fallback)
             }
@@ -176,18 +176,8 @@ impl TraceProcessor<'_> {
             fn cond_outcome(&mut self, index: u8, pc: Pc, inst: Inst) -> bool {
                 match self.id {
                     Some(id) if index < id.branches() => id.outcome(index),
-                    // Beyond the prediction's depth. Under `ntb` selection a
-                    // loop-exit counter hovers between its weak states (it
-                    // is retrained on every exit), making its guesses near
-                    // coin flips that both terminate traces spuriously and
-                    // embed wrong exits; static backward-taken beats a
-                    // hovering counter, while a *saturated* counter is
-                    // trusted (the next-trace predictor, when it has an
-                    // opinion, still decides the exits).
-                    _ if self.ntb && inst.is_backward_branch(pc) && self.btb.cond_is_weak(pc) => {
-                        true
-                    }
-                    _ => self.btb.predict_cond(pc),
+                    // Beyond the prediction's depth.
+                    _ => btb_cond_guess(self.btb, self.ntb, pc, inst),
                 }
             }
             fn indirect_target(&mut self, pc: Pc, inst: Inst) -> Option<Pc> {
@@ -279,4 +269,15 @@ impl TraceProcessor<'_> {
             EndReason::Halt | EndReason::OutOfProgram => ExpectedNext::Stalled,
         }
     }
+}
+
+/// The BTB's guess for a conditional branch that trace construction or
+/// repair has no better outcome for. Under `ntb` selection a loop-exit
+/// counter hovers between its weak states (it is retrained on every
+/// exit), making its guesses near coin flips that both terminate traces
+/// spuriously and embed wrong exits; static backward-taken beats a
+/// hovering counter, while a *saturated* counter is trusted (the
+/// next-trace predictor, when it has an opinion, still decides the exits).
+pub(super) fn btb_cond_guess(btb: &Btb, ntb: bool, pc: Pc, inst: Inst) -> bool {
+    (ntb && inst.is_backward_branch(pc) && btb.cond_is_weak(pc)) || btb.predict_cond(pc)
 }

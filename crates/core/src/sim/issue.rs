@@ -2,7 +2,7 @@
 //! them.
 //!
 //! Implements the per-PE issue logic (§2): each PE independently selects up
-//! to `pe_issue_width` waiting instructions whose sources are readable (a
+//! to [`PE_ISSUE_WIDTH`] waiting instructions whose sources are readable (a
 //! local source from its producer slot's published result, a live-in from
 //! the global register file once it is visible: at once to its producing
 //! PE, to the others after a result-bus broadcast) and begins execution.
@@ -27,6 +27,7 @@
 //! and the issue/reissue counts in the books.
 
 use super::*;
+use crate::config::{AGEN_LATENCY, PE_ISSUE_WIDTH};
 use tp_isa::func::effective_address;
 use tp_isa::Inst;
 
@@ -42,7 +43,7 @@ impl TraceProcessor<'_> {
             // Snapshot the candidate mask; bits are consumed from the live
             // mask as slots issue (issuing never adds candidates).
             let mut mask = self.wakeup.ready[pe];
-            while mask != 0 && issued < self.cfg.pe_issue_width {
+            while mask != 0 && issued < PE_ISSUE_WIDTH {
                 let slot = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let ready = {
@@ -103,7 +104,7 @@ impl TraceProcessor<'_> {
                 }
                 Inst::Load { offset, .. } => {
                     s.value = 0;
-                    s.state = SlotState::WaitingBus { since: now + self.cfg.agen_latency };
+                    s.state = SlotState::WaitingBus { since: now + AGEN_LATENCY };
                     let ea = effective_address(a, offset);
                     s.indirect_target = Some(ea as Word); // staging for bus grant
                     agen = true;
@@ -113,7 +114,7 @@ impl TraceProcessor<'_> {
                     let ea = effective_address(a, offset);
                     s.value = b;
                     s.indirect_target = Some(ea as Word);
-                    s.state = SlotState::WaitingBus { since: now + self.cfg.agen_latency };
+                    s.state = SlotState::WaitingBus { since: now + AGEN_LATENCY };
                     agen = true;
                 }
                 Inst::Branch { cond, .. } => {
@@ -145,7 +146,7 @@ impl TraceProcessor<'_> {
             self.note_inflight(pe, slot, done_at);
         }
         if agen {
-            self.push_cache_req(BusReq { pe, gen, slot, since: now + self.cfg.agen_latency });
+            self.push_cache_req(BusReq { pe, gen, slot, since: now + AGEN_LATENCY });
         }
         self.pes[pe].slots[slot].issues > 1
     }

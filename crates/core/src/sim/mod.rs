@@ -4,27 +4,27 @@
 //! cycle at a time through seven phases, each implemented in its own
 //! submodule (one file per pipeline stage):
 //!
-//! 1. [`complete`] — finish in-flight instructions, publish values, verify
+//! 1. `complete` — finish in-flight instructions, publish values, verify
 //!    branch outcomes and indirect targets (registering faults);
-//! 2. [`retire`] — commit the head trace when every slot has completed;
-//! 3. [`recovery`] — start/apply misprediction recoveries (oldest first),
+//! 2. `retire` — commit the head trace when every slot has completed;
+//! 3. `recovery` — start/apply misprediction recoveries (oldest first),
 //!    including FGCI/CGCI preservation decisions and squashes;
-//! 4. [`fetch`] — predict the next trace, probe the trace cache, construct
+//! 4. `fetch` — predict the next trace, probe the trace cache, construct
 //!    missing traces through the instruction cache;
-//! 5. [`dispatch`] — rename and allocate one trace per cycle to a PE (or run
+//! 5. `dispatch` — rename and allocate one trace per cycle to a PE (or run
 //!    one step of a re-dispatch pass — the dispatch bus is shared; the pass
-//!    itself lives in [`redispatch`]);
-//! 6. [`issue`] — select up to four ready instructions per PE and begin
+//!    itself lives in `redispatch`);
+//! 6. `issue` — select up to four ready instructions per PE and begin
 //!    execution (values are computed here: the simulator is
 //!    execution-driven, wrong paths execute for real);
-//! 7. [`buses`] — arbitrate the shared cache buses (ARB/data cache access,
+//! 7. `buses` — arbitrate the shared cache buses (ARB/data cache access,
 //!    store snooping) and global result buses (inter-PE value bypass).
 //!
 //! This module owns [`TraceProcessor`], its public API ([`RunResult`],
 //! [`SimError`]), all cross-stage bookkeeping state, and the window-repair
 //! helpers the stages share (squash-and-refetch, the live-in rebind walk,
 //! pass start). Every stage keeps its accounting (statistics, the
-//! attribution ledger, work counters, events) through the [`books`] layer,
+//! attribution ledger, work counters, events) through the `books` layer,
 //! one call per happening. The books also keep the one clock: stages read
 //! the current cycle from [`TraceProcessor::now`], which is
 //! `SimStats::cycles`, advanced once per cycle when the cycle ends.
@@ -60,7 +60,7 @@ use tp_stats::attr::{AttrKey, RecoveryAttribution, RecoveryOutcome};
 use tp_trace::{Bit, EndReason, OperandRef, Selector, Trace};
 
 use crate::boot::{BootError, BootImage, WarmBoot};
-use crate::config::TraceProcessorConfig;
+use crate::config::{TraceProcessorConfig, RAS_DEPTH, TCACHE_WAYS};
 use crate::pe::{Pe, Slot, SlotState, Src};
 use crate::pe_list::PeList;
 use crate::physreg::{PhysRegFile, PhysRegId, RenameMap};
@@ -560,7 +560,7 @@ pub struct TraceProcessor<'p> {
     /// Statistics, the misprediction outcome-attribution ledger, the
     /// bookkeeping work counters and the structured event bus
     /// ([`TraceProcessor::attach_event_sink`]), kept by one call per
-    /// happening (the [`books`] module). Observation-only: the simulator
+    /// happening (the `books` module). Observation-only: the simulator
     /// reads back only the retired-instruction count, and every event is
     /// built only when a sink wants its category, so runs with and without
     /// sinks are cycle-identical. The unresolved CGCI attempt's costs wait
@@ -613,8 +613,8 @@ impl<'p> TraceProcessor<'p> {
             if w.btb.entries() != cfg.btb_entries {
                 return mismatch("btb", w.btb.entries().to_string(), cfg.btb_entries.to_string());
             }
-            if w.ras.capacity() != cfg.ras_depth {
-                return mismatch("ras", w.ras.capacity().to_string(), cfg.ras_depth.to_string());
+            if w.ras.capacity() != RAS_DEPTH {
+                return mismatch("ras", w.ras.capacity().to_string(), RAS_DEPTH.to_string());
             }
             if w.predictor.config() != cfg.predictor {
                 return mismatch(
@@ -623,11 +623,11 @@ impl<'p> TraceProcessor<'p> {
                     format!("{:?}", cfg.predictor),
                 );
             }
-            if w.tcache.geometry() != (cfg.tcache_sets, cfg.tcache_ways) {
+            if w.tcache.geometry() != (cfg.tcache_sets, TCACHE_WAYS) {
                 return mismatch(
                     "trace cache",
                     format!("{:?}", w.tcache.geometry()),
-                    format!("{:?}", (cfg.tcache_sets, cfg.tcache_ways)),
+                    format!("{:?}", (cfg.tcache_sets, TCACHE_WAYS)),
                 );
             }
             if w.history.depth() != cfg.predictor.path_depth {

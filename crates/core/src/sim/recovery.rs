@@ -22,7 +22,7 @@
 //! trace), bus request queues, and the books.
 
 use super::*;
-use crate::config::CgciHeuristic;
+use crate::config::{CiModel, CGCI_MAX_DEPENDENT};
 use crate::pe::{Fault, Slot};
 use tp_isa::Inst;
 use tp_stats::attr::{BranchClass, Heuristic};
@@ -33,7 +33,7 @@ impl TraceProcessor<'_> {
     /// recoveries preserve work, so faults are debounced, repairs reuse the
     /// suffix's outcomes and keep its common instructions.
     fn ci_model(&self) -> bool {
-        self.cfg.fgci || self.cfg.cgci.is_some()
+        self.cfg.model != CiModel::None
     }
 
     /// `(a_pe, a_slot)` strictly older than `(b_pe, b_slot)` in program
@@ -166,7 +166,7 @@ impl TraceProcessor<'_> {
                 let ready_at = self.now().max(self.construction_busy_until) + cycles as u64;
                 self.construction_busy_until = ready_at;
                 // Decide the recovery plan now; squash at detection.
-                let covered = self.cfg.fgci && ti.fgci_covered;
+                let covered = self.cfg.model.fgci() && ti.fgci_covered;
                 let (plan, attr) = if covered {
                     // Event and occupancy are recorded at apply time, when
                     // the fault is confirmed still standing (a transient
@@ -221,10 +221,10 @@ impl TraceProcessor<'_> {
     /// `class` under the current configuration (ledger labelling for
     /// recoveries where no re-convergent trace was found).
     fn consulted_heuristic(&self, class: BranchClass) -> Heuristic {
-        match self.cfg.cgci {
-            None => Heuristic::None,
-            Some(CgciHeuristic::MlbRet) if class == BranchClass::Backward => Heuristic::Mlb,
-            Some(_) => Heuristic::Ret,
+        match self.cfg.model {
+            m if !m.cgci() => Heuristic::None,
+            m if m.mlb() && class == BranchClass::Backward => Heuristic::Mlb,
+            _ => Heuristic::Ret,
         }
     }
 
@@ -254,19 +254,21 @@ impl TraceProcessor<'_> {
     /// [`Self::find_reconv`] plus the attempt's profitability bound: the
     /// control-dependent traces between `pe` and the re-convergent trace,
     /// which the attempt squashes, must not outnumber
-    /// [`TraceProcessorConfig::cgci_max_dependent`] (a full squash instead).
+    /// [`CGCI_MAX_DEPENDENT`] (a full squash instead).
     fn viable_reconv(&self, pe: usize, slot: usize) -> Option<(usize, Heuristic)> {
         let (reconv, matched) = self.find_reconv(pe, slot)?;
         let dependent = self.list.iter_after(pe).take_while(|&q| q != reconv).count();
-        (dependent <= self.cfg.cgci_max_dependent).then_some((reconv, matched))
+        (dependent <= CGCI_MAX_DEPENDENT).then_some((reconv, matched))
     }
 
     /// Locates the first assumed control-independent trace after `pe` using
     /// the configured CGCI heuristic, reporting which heuristic matched.
     fn find_reconv(&self, pe: usize, slot: usize) -> Option<(usize, Heuristic)> {
-        let heuristic = self.cfg.cgci?;
+        if !self.cfg.model.cgci() {
+            return None;
+        }
         let ti = &self.pes[pe].slots[slot].ti;
-        if heuristic == CgciHeuristic::MlbRet && ti.inst.is_backward_branch(ti.pc) {
+        if self.cfg.model.mlb() && ti.inst.is_backward_branch(ti.pc) {
             // MLB: nearest trace starting at the branch's not-taken target.
             let target = ti.pc + 1;
             if let Some(q) =
@@ -337,17 +339,8 @@ impl TraceProcessor<'_> {
                             let (_, outcome) = self.suffix[self.cursor + hit];
                             self.cursor += hit + 1;
                             outcome
-                        } else if self.ntb
-                            && inst.is_backward_branch(pc)
-                            && self.btb.cond_is_weak(pc)
-                        {
-                            // Same static backward-taken fallback as trace
-                            // construction under `ntb` selection (a
-                            // hovering loop-exit counter is a coin flip; a
-                            // saturated one is trusted).
-                            true
                         } else {
-                            self.btb.predict_cond(pc)
+                            fetch::btb_cond_guess(self.btb, self.ntb, pc, inst)
                         }
                     }
                 }

@@ -174,13 +174,13 @@ impl TraceProcessor<'_> {
     /// One step of a re-dispatch pass: update one preserved trace's live-in
     /// renames; only instructions with changed source names reissue.
     pub(super) fn redispatch_step(&mut self) {
-        let (pe, mut rolling, empty_after, attr) = {
+        let (pe, empty_after, attr) = {
             let Some(pass) = &mut self.redispatch else { return };
             let Some(pe) = pass.queue.pop_front() else {
                 self.redispatch = None;
                 return;
             };
-            (pe, pass.rolling.clone(), pass.queue.is_empty(), pass.attr)
+            (pe, pass.queue.is_empty(), pass.attr)
         };
         if !self.pes[pe].occupied || !self.list.contains(pe) {
             // Squashed while queued (e.g. tail reclamation): skip.
@@ -191,16 +191,15 @@ impl TraceProcessor<'_> {
         }
         self.rebind_live_ins(pe, self.current_map);
         self.current_map = self.pes[pe].map_after;
-        self.pes[pe].hist_before = rolling.clone();
         let id = self.pes[pe].trace.id();
-        rolling.push(id);
+        let pass = self.redispatch.as_mut().expect("the pass is still running");
+        self.pes[pe].hist_before = pass.rolling.clone();
+        pass.rolling.push(id);
         self.books.redispatched(pe, id.start(), attr);
         if empty_after {
             // Fetch state was restored at pass start (and fetch may have
             // advanced past it since); the pass just releases the bus.
             self.redispatch = None;
-        } else if let Some(pass) = self.redispatch.as_mut() {
-            pass.rolling = rolling;
         }
     }
 }

@@ -734,3 +734,30 @@ fn a_repromoted_slot_keeps_its_global_register() {
     oracle.run(u64::MAX).unwrap();
     assert_eq!(sim.arch_state(), oracle.arch_state());
 }
+
+#[test]
+fn from_checkpoint_rejects_a_mismatched_warm_geometry() {
+    use crate::config::{RAS_DEPTH, TCACHE_WAYS};
+    let p = straightline_program();
+    let cfg = TraceProcessorConfig::paper(CiModel::None);
+    let cold = WarmBoot::cold(&cfg);
+    let boot = |warm: WarmBoot| {
+        let image = BootImage { warm: Some(warm), ..BootImage::fresh(&p) };
+        TraceProcessor::from_checkpoint(&p, cfg.clone(), image).err()
+    };
+    assert_eq!(boot(cold.clone()), None);
+    let tiny = NextTracePredictor::new(tp_predict::TracePredictorConfig::tiny());
+    let depth = cfg.predictor.path_depth;
+    let cases = [
+        ("btb", WarmBoot { btb: Btb::new(cfg.btb_entries / 2), ..cold.clone() }),
+        ("ras", WarmBoot { ras: Ras::new(RAS_DEPTH + 1), ..cold.clone() }),
+        ("next-trace predictor", WarmBoot { predictor: tiny, ..cold.clone() }),
+        ("trace cache", WarmBoot { tcache: TraceCache::new(256, TCACHE_WAYS * 2), ..cold.clone() }),
+        ("trace history", WarmBoot { history: TraceHistory::new(depth + 1), ..cold }),
+    ];
+    for (what, warm) in cases {
+        let err = boot(warm);
+        let Some(BootError::WarmGeometry(msg)) = &err else { panic!("{what}: got {err:?}") };
+        assert!(msg.starts_with(&format!("{what}: checkpoint ")), "{what}: {msg}");
+    }
+}

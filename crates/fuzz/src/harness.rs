@@ -82,15 +82,16 @@ impl Outcome {
     }
 }
 
+/// Extra retired instructions granted to the pipeline beyond the oracle's
+/// count before "did not halt" is declared.
+pub const SIM_SLACK: u64 = 64;
+
 /// Differential-check configuration.
 #[derive(Clone, Debug)]
 pub struct Harness {
     /// Functional-oracle instruction budget; programs that exceed it are
     /// skipped ([`Outcome::TooLong`]), not failed.
     pub oracle_budget: u64,
-    /// Extra retired instructions granted to the pipeline beyond the
-    /// oracle's count before "did not halt" is declared.
-    pub sim_slack: u64,
     /// Models to check (defaults to all five).
     pub models: Vec<CiModel>,
     /// Frontends to check (defaults to both).
@@ -116,7 +117,6 @@ impl Default for Harness {
     fn default() -> Harness {
         Harness {
             oracle_budget: 2_000_000,
-            sim_slack: 64,
             models: CiModel::ALL.to_vec(),
             isas: vec![Isa::Synth, Isa::Rv],
             small_machine: false,
@@ -200,7 +200,7 @@ impl Harness {
             // escapes the unwind.)
             let run = std::panic::catch_unwind(|| {
                 let mut sim = TraceProcessor::new(program, self.config(model));
-                sim.run(summary.retired + self.sim_slack)
+                sim.run(summary.retired + SIM_SLACK)
                     .map(|r| (r.halted, r.stats.retired_instrs, sim.arch_state()))
             });
             let (halted, retired_instrs, arch) = match run {
@@ -223,7 +223,7 @@ impl Harness {
             if !halted {
                 return fail(format!(
                     "did not halt within {} retired instructions (oracle: {})",
-                    summary.retired + self.sim_slack,
+                    summary.retired + SIM_SLACK,
                     summary.retired
                 ));
             }

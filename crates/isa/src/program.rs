@@ -12,7 +12,7 @@ use crate::{Addr, Inst, Pc, Word};
 ///
 /// Programs are produced by the [`asm::Asm`](crate::asm::Asm) assembler (or
 /// the [`synth`](crate::synth) generator) and consumed by both the functional
-/// simulator and the trace processor. [`Program::validate`] checks the static
+/// simulator and the trace processor. `Program::validate` checks the static
 /// well-formedness invariants that the rest of the system relies on.
 #[derive(Clone, Debug)]
 pub struct Program {

@@ -18,7 +18,7 @@
 //! * `.org ADDR` — set the data cursor (byte address, 8-aligned).
 //! * `.word VALUE` — place a 64-bit word at the cursor, advance by 8.
 //! * `.wordpc LABEL` — place the label's *instruction index* at the cursor
-//!   (the frontend's jump-table convention; see [`crate::lower`]).
+//!   (the frontend's jump-table convention; see [`mod@crate::lower`]).
 //!
 //! Pseudo-instructions: `li`, `mv`, `nop`, `j`, `jr`, `call`, `ret`,
 //! `beqz`, `bnez`, `bltz`, `bgez`, `ble`, `bgt`, `bleu`, `bgtu`, `seqz`,

@@ -15,7 +15,7 @@
 //! | `fsm` | bytecode interpreter: indirect dispatch through a jump table |
 //!
 //! Every builder takes the suite iteration scale `n`
-//! ([`tp_workloads::Size::iters`] upstream) and produces a validated
+//! (`tp_workloads::Size::iters` upstream) and produces a validated
 //! [`Program`] through the full assemble → encode → **decode** path, so
 //! simply constructing the suite exercises the frontend end to end. Input
 //! data is generated from fixed per-program seeds; builds are bit-for-bit

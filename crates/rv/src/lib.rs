@@ -8,7 +8,7 @@
 //!   `RvInst` onto the internal [`tp_isa::Inst`] stream — one instruction
 //!   to one instruction, with RV branches/`jal`/`jalr` mapped onto the
 //!   branch classes the trace selector, CGCI detection and the attribution
-//!   ledger already understand (see the table in [`lower`]);
+//!   ledger already understand (see the table in [`mod@lower`]);
 //! * an embedded **assembler** ([`asm::RvAsm`]): the container has no
 //!   RISC-V cross-compiler, so corpus programs are assembly text
 //!   assembled in-process, and the assemble → decode round trip is the

@@ -23,10 +23,11 @@ verify: build test
 loc:
     find crates src tests examples -name '*.rs' | xargs wc -l | tail -1
 
-# Format + lint exactly as CI runs them.
+# Format, lint and rustdoc exactly as CI runs them.
 lint:
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Paper tables and figures (sequential, full-size workloads).
 bench:
