@@ -39,7 +39,7 @@ struct Line {
 ///
 /// let id = TraceId::new(0, 0, 0);
 /// let trace = Arc::new(Trace::assemble(id, &[(0, Inst::Halt, None, false)], EndReason::Halt, None));
-/// let mut tc = TraceCache::paper();
+/// let mut tc = TraceCache::new(256, 4);
 /// assert!(tc.lookup(id).is_none());
 /// tc.fill(trace.clone());
 /// assert!(tc.lookup(id).is_some());
@@ -67,12 +67,6 @@ impl TraceCache {
             tick: 0,
             stats: TraceCacheStats::default(),
         }
-    }
-
-    /// The paper's configuration: 128 kB / 4-way / 32-instruction lines —
-    /// 256 sets of 4.
-    pub fn paper() -> TraceCache {
-        TraceCache::new(256, 4)
     }
 
     fn set_index(&self, id: TraceId) -> usize {
@@ -179,7 +173,7 @@ mod tests {
     fn path_associativity_distinguishes_same_start() {
         // Two traces with the same start PC but different branch outcomes
         // coexist (path associativity).
-        let mut tc = TraceCache::paper();
+        let mut tc = TraceCache::new(256, 4);
         let a = trace(10, 0b0, 1);
         let b = trace(10, 0b1, 1);
         tc.fill(a.clone());

@@ -14,8 +14,6 @@
 //! Clean corpora keep these at zero; the golden fixture in the repo's
 //! integration tests pins that.
 
-use std::collections::BTreeMap;
-
 use tp_isa::{Addr, Pc, Program, Word};
 
 use crate::analysis::CfgAnalysis;
@@ -112,9 +110,8 @@ pub fn lint(program: &Program, analysis: &CfgAnalysis) -> Vec<LintFinding> {
     }
 
     // Escaping code pointers: declared slots whose value is not a PC.
-    let data: BTreeMap<Addr, Word> = program.data().collect();
     for addr in program.code_ptrs() {
-        let value = data.get(&addr).copied().unwrap_or(0);
+        let value = program.data_word(addr).unwrap_or(0);
         if value < 0 || value >= n as Word {
             out.push(LintFinding::EscapingCodePtr { addr, value });
         }

@@ -21,7 +21,7 @@
 //! Anything that doesn't fit the domain returns `None`, and the caller
 //! falls back to the conservative set of all code-pointer slots.
 
-use tp_isa::{AluOp, Inst, Pc, Program, Word};
+use tp_isa::{AluOp, Inst, Pc, Program};
 
 /// Largest `and` mask accepted as an index bound (table index sets beyond
 /// this are treated as unresolved rather than enumerated).
@@ -120,10 +120,9 @@ pub(crate) fn leaders(program: &Program) -> Vec<bool> {
 
 /// The values stored in code-pointer data slots, filtered to valid PCs.
 pub(crate) fn code_ptr_values(program: &Program) -> Vec<Pc> {
-    let data: std::collections::BTreeMap<u64, Word> = program.data().collect();
     let mut out: Vec<Pc> = program
         .code_ptrs()
-        .filter_map(|addr| data.get(&addr).copied())
+        .filter_map(|addr| program.data_word(addr))
         .filter(|&w| w >= 0 && program.contains(w as Pc))
         .map(|w| w as Pc)
         .collect();
@@ -161,7 +160,8 @@ struct Slicer<'a> {
     program: &'a Program,
     leaders: &'a [bool],
     consts: &'a [Option<i64>; 32],
-    data: std::collections::BTreeMap<u64, Word>,
+    /// The program's code-pointer slots (the only trusted data words).
+    slots: std::collections::BTreeSet<u64>,
 }
 
 impl Slicer<'_> {
@@ -255,8 +255,8 @@ impl Slicer<'_> {
         let mut words = Vec::with_capacity(addrs.len());
         for a in addrs {
             let Ok(a) = u64::try_from(a) else { return AbsVal::Top };
-            match self.data.get(&a) {
-                Some(&w) => words.push(w),
+            match self.program.data_word(a).filter(|_| self.slots.contains(&a)) {
+                Some(w) => words.push(w),
                 None => return AbsVal::Top,
             }
         }
@@ -280,9 +280,8 @@ pub fn resolve_indirect(
     let Some(Inst::JumpIndirect { rs } | Inst::CallIndirect { rs }) = program.fetch(pc) else {
         return None;
     };
-    let table_slots: std::collections::BTreeSet<u64> = program.code_ptrs().collect();
-    let data = program.data().filter(|(addr, _)| table_slots.contains(addr)).collect();
-    let slicer = Slicer { program, leaders, consts, data };
+    let slots = program.code_ptrs().collect();
+    let slicer = Slicer { program, leaders, consts, slots };
     match slicer.eval(pc as usize, rs, 0) {
         AbsVal::Values(vs) => {
             let mut out: Vec<Pc> =

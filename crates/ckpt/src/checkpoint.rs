@@ -315,12 +315,10 @@ impl Checkpoint {
         state: &MachineState,
         warm: Option<(&WarmBoot, SelectionConfig)>,
     ) -> Checkpoint {
-        let initial: std::collections::BTreeMap<u64, Word> =
-            program.data().map(|(a, w)| (a >> 3, w)).collect();
         let mem_delta: Vec<(u64, Word)> = state
             .mem
             .iter()
-            .filter(|(w, v)| initial.get(w).copied().unwrap_or(0) != **v)
+            .filter(|(&w, &v)| program.data_word(w << 3).unwrap_or(0) != v)
             .map(|(&w, &v)| (w, v))
             .collect();
         Checkpoint {

@@ -104,9 +104,7 @@ pub fn emit_synth_with_truth(ast: &FuzzAst, name: &str) -> (Program, ReconvTruth
         e.a.addi(Reg::SP, Reg::SP, frame);
         e.a.ret();
     }
-    for (i, &v) in ast.data.iter().enumerate() {
-        e.a.data_word(DATA_BASE + 8 * i as u64, v);
-    }
+    e.a.data_words(DATA_BASE, &ast.data);
     for (i, label) in e.tables.iter().enumerate() {
         e.a.data_label(TABLE_BASE + 8 * i as u64, label.clone());
     }
@@ -362,7 +360,7 @@ pub fn emit_rv_with_truth(ast: &FuzzAst, name: &str) -> Result<(Program, ReconvT
             })
             .collect(),
     };
-    let program = tp_rv::module_to_program(&a.assemble()?)?;
+    let program = tp_rv::module_to_program(a.assemble()?)?;
     Ok((program, truth))
 }
 

@@ -21,6 +21,6 @@ fn generated_programs_roundtrip_word_exactly() {
             assert_eq!(inst.encode(), word, "seed {seed} pc {pc}: {inst}");
         }
         // And the decoded stream lowers into a valid program.
-        module_to_program(&module).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        module_to_program(module).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }

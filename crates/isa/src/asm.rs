@@ -3,11 +3,13 @@
 //! [`Asm`] is the builder used throughout the repository (workloads, tests,
 //! examples) to write programs: it resolves forward label references, places
 //! data words, and can embed resolved instruction addresses into the data
-//! image (for jump tables).
+//! image (for jump tables). [`PendingData`] is the data side, shared with
+//! the RV64 assembler.
 
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::mem::DataImage;
 use crate::{Addr, AluOp, Cond, Inst, Pc, Program, ProgramError, Reg, Word};
 
 /// A branch/jump target: either an already-resolved PC or a named label.
@@ -27,10 +29,78 @@ enum Pending {
     Call { target: Target },
 }
 
+/// A data image under assembly: value words go straight into its pages;
+/// label slots (words that will hold a label's resolved PC) wait in a
+/// small side list until [`PendingData::resolve`].
+///
+/// Writes keep program order: when a value word and a label slot share an
+/// address, the later one supplies the word. Every label slot is a code
+/// pointer, whether or not a later value overwrote it.
+#[derive(Clone, Debug, Default)]
+pub struct PendingData {
+    image: DataImage,
+    slots: Vec<LabelSlot>,
+}
+
 #[derive(Clone, Debug)]
-enum DataWord {
-    Value(Word),
-    LabelPc(String),
+struct LabelSlot {
+    addr: Addr,
+    label: String,
+    /// False once a later value word landed on `addr`.
+    live: bool,
+}
+
+impl PendingData {
+    /// Places `value` at byte address `addr`.
+    pub fn word(&mut self, addr: Addr, value: Word) {
+        self.image.write(addr, value);
+        self.supersede(addr, addr);
+    }
+
+    /// Places `values` at consecutive words from byte address `base`.
+    pub fn words(&mut self, base: Addr, values: &[Word]) {
+        self.image.write_words(base, values);
+        if let Some(last) = values.len().checked_sub(1) {
+            self.supersede(base, base.saturating_add(8 * last as Addr));
+        }
+    }
+
+    /// Places the resolved PC of `label` at byte address `addr`.
+    pub fn label(&mut self, addr: Addr, label: String) {
+        self.slots.push(LabelSlot { addr, label, live: true });
+    }
+
+    /// Retires the label slots in `lo..=hi`: a value word written there
+    /// later wins.
+    fn supersede(&mut self, lo: Addr, hi: Addr) {
+        for slot in self.slots.iter_mut().filter(|s| (lo..=hi).contains(&s.addr)) {
+            slot.live = false;
+        }
+    }
+
+    /// Resolves every label slot through `pc_of` (an unknown label fails
+    /// even where a later value overwrote the slot) and returns the
+    /// finished image with the code-pointer addresses.
+    ///
+    /// # Errors
+    ///
+    /// The first error `pc_of` returns.
+    pub fn resolve<E>(
+        self,
+        mut pc_of: impl FnMut(&str) -> Result<Pc, E>,
+    ) -> Result<(DataImage, Vec<Addr>), E> {
+        let mut image = self.image;
+        let mut code_ptrs = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            let pc = pc_of(&slot.label)?;
+            if slot.live {
+                image.write(slot.addr, pc as Word);
+            }
+            code_ptrs.push(slot.addr);
+        }
+        image.shrink_to_fit();
+        Ok((image, code_ptrs))
+    }
 }
 
 /// Error produced by [`Asm::assemble`].
@@ -93,7 +163,7 @@ pub struct Asm {
     insts: Vec<Pending>,
     labels: HashMap<String, Pc>,
     duplicate: Option<String>,
-    data: Vec<(Addr, DataWord)>,
+    data: PendingData,
     entry: Option<Target>,
     fresh: u64,
 }
@@ -248,14 +318,20 @@ impl Asm {
 
     /// Places `value` at byte address `addr` in the initial data image.
     pub fn data_word(&mut self, addr: Addr, value: Word) {
-        self.data.push((addr, DataWord::Value(value)));
+        self.data.word(addr, value);
+    }
+
+    /// Places `values` at consecutive words from byte address `base` in the
+    /// initial data image (one bulk write for a whole array).
+    pub fn data_words(&mut self, base: Addr, values: &[Word]) {
+        self.data.words(base, values);
     }
 
     /// Places the resolved PC of `label` (as a plain integer) at byte address
     /// `addr` in the data image. Used to build jump tables for
     /// [`Inst::JumpIndirect`].
     pub fn data_label(&mut self, addr: Addr, label: impl Into<String>) {
-        self.data.push((addr, DataWord::LabelPc(label.into())));
+        self.data.label(addr, label.into());
     }
 
     /// Resolves all labels and produces a validated [`Program`].
@@ -292,24 +368,14 @@ impl Asm {
             None => 0,
             Some(t) => resolve(t)?,
         };
-        let mut data = Vec::with_capacity(self.data.len());
-        for (addr, w) in &self.data {
-            let value = match w {
-                DataWord::Value(v) => *v,
-                DataWord::LabelPc(l) => resolve(&Target::Label(l.clone()))? as Word,
-            };
-            data.push((*addr, value));
-        }
-        // Slots placed via `data_label` hold resolved instruction PCs; record
-        // them as code-pointer metadata so static analysis can bound the
+        // Slots placed via `data_label` hold resolved instruction PCs; they
+        // become code-pointer metadata so static analysis can bound the
         // targets of indirect jumps and calls.
-        let code_ptrs: Vec<Addr> = self
-            .data
-            .iter()
-            .filter(|(_, w)| matches!(w, DataWord::LabelPc(_)))
-            .map(|(addr, _)| *addr)
-            .collect();
-        Ok(Program::new(self.name, insts, entry, data)?.with_code_ptrs(code_ptrs)?)
+        let labels = &self.labels;
+        let (data, code_ptrs) = self.data.resolve(|l| {
+            labels.get(l).copied().ok_or_else(|| AsmError::UnknownLabel(l.to_string()))
+        })?;
+        Ok(Program::from_image(self.name, insts, entry, data)?.with_code_ptrs(code_ptrs)?)
     }
 }
 
@@ -377,6 +443,35 @@ mod tests {
         // The jump-table slot is recorded as code-pointer metadata; the plain
         // data word is not.
         assert_eq!(p.code_ptrs().collect::<Vec<_>>(), vec![0x100]);
+    }
+
+    /// A value word and a label slot on one address: the later write
+    /// supplies the word, and the slot stays a code pointer either way.
+    #[test]
+    fn label_and_value_slots_sharing_an_address_keep_program_order() {
+        let mut a = Asm::new("t");
+        a.nop();
+        a.label("tgt");
+        a.halt();
+        a.data_label(0x100, "tgt");
+        a.data_word(0x100, -5); // value after label: the value wins
+        a.data_word(0x108, 7);
+        a.data_label(0x108, "tgt"); // label after value: the PC wins
+        a.data_label(0x110, "tgt");
+        a.data_words(0x0f8, &[1, 2, 3, 4]); // bulk over two slots
+        a.data_label(0x118, "tgt"); // relabels the bulk word
+        let p = a.assemble().unwrap();
+        assert_eq!(
+            p.data().collect::<Vec<_>>(),
+            vec![(0xf8, 1), (0x100, 2), (0x108, 3), (0x110, 4), (0x118, 1)]
+        );
+        assert_eq!(p.code_ptrs().collect::<Vec<_>>(), vec![0x100, 0x108, 0x110, 0x118]);
+        // An overwritten slot's label must still resolve.
+        let mut a = Asm::new("t");
+        a.halt();
+        a.data_label(0x100, "missing");
+        a.data_word(0x100, 1);
+        assert_eq!(a.assemble().unwrap_err(), AsmError::UnknownLabel("missing".into()));
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Programs: instruction images plus initial data.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::RangeBounds;
 use std::sync::OnceLock;
 
+use crate::mem::DataImage;
 use crate::{Addr, Inst, Pc, Word};
 
 /// A complete executable program: an instruction image, an entry point and an
 /// initial data image.
+///
+/// The data image is a [`DataImage`]: ascending 64-word pages in the one
+/// page layout of [`tp_isa::mem`](crate::mem), which the assemblers write
+/// straight into and which [`PagedMem`](crate::mem::PagedMem) copies at
+/// every boot.
 ///
 /// Programs are produced by the [`asm::Asm`](crate::asm::Asm) assembler (or
 /// the [`synth`](crate::synth) generator) and consumed by both the functional
@@ -19,7 +25,7 @@ pub struct Program {
     name: String,
     insts: Vec<Inst>,
     entry: Pc,
-    data: BTreeMap<Addr, Word>,
+    data: DataImage,
     /// Data-image addresses whose words are known to hold code pointers
     /// (instruction PCs): jump-table slots and function-pointer slots. Pure
     /// metadata for static analysis — execution and checkpoint fingerprints
@@ -56,7 +62,8 @@ pub enum ProgramError {
     TargetOutOfRange { pc: Pc, target: Pc, len: usize },
     /// The program exceeds the maximum supported size (2^24 instructions).
     TooLarge { len: usize },
-    /// A data-image address is not 8-byte aligned.
+    /// A data-image address is not 8-byte aligned (the lowest one is
+    /// named).
     UnalignedData { addr: Addr },
 }
 
@@ -102,11 +109,26 @@ impl Program {
         entry: Pc,
         data: impl IntoIterator<Item = (Addr, Word)>,
     ) -> Result<Program, ProgramError> {
+        Program::from_image(name, insts, entry, data.into_iter().collect())
+    }
+
+    /// Creates and validates a program around a built data image (the
+    /// assemblers' path: the pages move in, nothing is copied).
+    ///
+    /// # Errors
+    ///
+    /// As [`Program::new`].
+    pub fn from_image(
+        name: impl Into<String>,
+        insts: Vec<Inst>,
+        entry: Pc,
+        data: DataImage,
+    ) -> Result<Program, ProgramError> {
         let program = Program {
             name: name.into(),
             insts,
             entry,
-            data: data.into_iter().collect(),
+            data,
             code_ptrs: BTreeSet::new(),
             fingerprint: OnceLock::new(),
         };
@@ -130,7 +152,7 @@ impl Program {
         addrs: impl IntoIterator<Item = Addr>,
     ) -> Result<Program, ProgramError> {
         for addr in addrs {
-            if addr % 8 != 0 || !self.data.contains_key(&addr) {
+            if self.data.get(addr).is_none() {
                 return Err(ProgramError::UnalignedData { addr });
             }
             self.code_ptrs.insert(addr);
@@ -159,12 +181,10 @@ impl Program {
                 return Err(ProgramError::TargetOutOfRange { pc: pc as Pc, target, len });
             }
         }
-        for &addr in self.data.keys() {
-            if addr % 8 != 0 {
-                return Err(ProgramError::UnalignedData { addr });
-            }
+        match self.data.first_unaligned() {
+            Some(addr) => Err(ProgramError::UnalignedData { addr }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// The program's name (used in reports and error messages).
@@ -193,9 +213,20 @@ impl Program {
         self.entry
     }
 
-    /// The initial data image as `(byte address, word)` pairs.
+    /// The initial data image as ascending `(byte address, word)` pairs.
     pub fn data(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
-        self.data.iter().map(|(&a, &w)| (a, w))
+        self.data.iter()
+    }
+
+    /// The initial data word at byte address `addr`, or `None` when the
+    /// image holds none there.
+    pub fn data_word(&self, addr: Addr) -> Option<Word> {
+        self.data.get(addr)
+    }
+
+    /// The initial data image's pages.
+    pub fn image(&self) -> &DataImage {
+        &self.data
     }
 
     /// The initial data words whose byte addresses fall in `addrs`, as
@@ -204,7 +235,7 @@ impl Program {
         &self,
         addrs: impl RangeBounds<Addr>,
     ) -> impl Iterator<Item = (Addr, Word)> + '_ {
-        self.data.range(addrs).map(|(&a, &w)| (a, w))
+        self.data.range(addrs)
     }
 
     /// A stable FNV-1a fingerprint of the program: name, entry point,
@@ -354,6 +385,77 @@ mod tests {
     fn error_display_messages() {
         assert!(ProgramError::Empty.to_string().contains("no instructions"));
         assert!(ProgramError::UnalignedData { addr: 3 }.to_string().contains("aligned"));
+    }
+
+    /// The page image answers every data query exactly as an ordered map
+    /// of the same writes does: random order, repeated addresses (the last
+    /// write wins), explicit zeros, and ranges whose bounds fall inside,
+    /// on and across page boundaries.
+    #[test]
+    fn page_image_matches_an_ordered_map_reference() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        use std::ops::Bound;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1a9e);
+        for round in 0..40 {
+            // Words over a few pages, some far apart, a quarter of them zero.
+            let spread = [40u64, 200, 5_000][round % 3];
+            let mut writes = Vec::new();
+            for _ in 0..rng.gen_range(0..300usize) {
+                let word = rng.gen_range(0..spread) + [0, 1 << 20][rng.gen_range(0..2usize)];
+                let value = if rng.gen_range(0..4) == 0 { 0 } else { rng.gen_range(-99..99i64) };
+                writes.push((8 * word, value));
+            }
+            let reference: BTreeMap<Addr, Word> = writes.iter().copied().collect();
+            let p = Program::new("t", nop_program(1), 0, writes.iter().copied()).unwrap();
+            let want = Program::new("t", nop_program(1), 0, reference.clone()).unwrap();
+            assert_eq!(p.data().collect::<BTreeMap<_, _>>(), reference, "round {round}");
+            assert!(p.data().map(|(a, _)| a).is_sorted(), "data() ascends");
+            assert_eq!(p.fingerprint(), want.fingerprint(), "write order must not matter");
+            assert_eq!(p, want);
+            for _ in 0..20 {
+                let addr =
+                    8 * rng.gen_range(0..spread + 70) + [0, 1 << 23][rng.gen_range(0..2usize)];
+                let probe = addr + [0, 0, 3][rng.gen_range(0..3usize)];
+                assert_eq!(p.data_word(probe), reference.get(&probe).copied(), "word {probe:#x}");
+                // Bounds on, inside and across 512-byte pages.
+                let lo = addr - addr % 512 + [0, 8, 504, 5][rng.gen_range(0..4usize)];
+                let hi = lo + rng.gen_range(1..2_000u64);
+                let bounds = [
+                    (Bound::Included(lo), Bound::Included(hi)),
+                    (Bound::Excluded(lo), Bound::Excluded(hi)),
+                    (Bound::Unbounded, Bound::Excluded(hi)),
+                    (Bound::Included(lo), Bound::Unbounded),
+                ];
+                for b in bounds {
+                    let got: Vec<_> = p.data_range(b).collect();
+                    let want: Vec<_> = reference.range(b).map(|(&a, &w)| (a, w)).collect();
+                    assert_eq!(got, want, "range {b:?}");
+                }
+            }
+        }
+        let empty = Program::new("t", nop_program(1), 0, [(8u64, 1i64)]).unwrap();
+        assert_eq!(empty.data_range(8..8).count(), 0);
+        assert_eq!(empty.data_range((Bound::Excluded(u64::MAX), Bound::Unbounded)).count(), 0);
+    }
+
+    /// An unaligned address is named whatever the write order, and it is
+    /// the lowest one, as an ordered scan of the image would find.
+    #[test]
+    fn unaligned_data_names_the_lowest_unaligned_address() {
+        let writes = [(0x40u64, 1i64), (0x31, 2), (0x100, 3), (0x13, 4), (0x2000, 5)];
+        for rotation in 0..writes.len() {
+            let mut order = writes.to_vec();
+            order.rotate_left(rotation);
+            let err = Program::new("t", nop_program(1), 0, order).unwrap_err();
+            assert_eq!(err, ProgramError::UnalignedData { addr: 0x13 });
+        }
+        let mut a = crate::asm::Asm::new("t");
+        a.halt();
+        a.data_words(0x205, &[1, 2]);
+        a.data_word(0x300, 0);
+        let err = a.assemble().unwrap_err();
+        assert_eq!(err, crate::asm::AsmError::Program(ProgramError::UnalignedData { addr: 0x205 }));
     }
 
     /// The fingerprint is pinned (checkpoint files record it), and the

@@ -66,11 +66,6 @@ impl Btb {
         }
     }
 
-    /// The paper's 16K-entry configuration.
-    pub fn paper() -> Btb {
-        Btb::new(16 * 1024)
-    }
-
     #[inline]
     fn index(&self, pc: Pc) -> usize {
         pc as usize & self.mask

@@ -28,6 +28,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use tp_isa::asm::PendingData;
+use tp_isa::mem::DataImage;
 use tp_isa::{Addr, Pc, Word};
 
 use crate::inst::{parse_reg, RvCond, RvIOp, RvInst, RvOp, RvReg, RvShift};
@@ -80,12 +82,6 @@ enum Pending {
     Jal { rd: RvReg, label: String, line: usize },
 }
 
-#[derive(Clone, Debug)]
-enum DataVal {
-    Value(Word),
-    LabelPc(String),
-}
-
 /// An assembled module: encodings plus data image, ready to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RvModule {
@@ -95,8 +91,9 @@ pub struct RvModule {
     pub words: Vec<u32>,
     /// Entry point (word index).
     pub entry: Pc,
-    /// Initial data image as `(byte address, word)` pairs.
-    pub data: Vec<(Addr, Word)>,
+    /// Initial data image (moved into the [`Program`](tp_isa::Program)
+    /// as it is).
+    pub data: DataImage,
     /// Data addresses placed via `.wordpc` — their words are resolved
     /// instruction PCs (jump-table / function-pointer slots). Carried into
     /// [`Program`](tp_isa::Program) code-pointer metadata for static
@@ -111,7 +108,7 @@ pub struct RvAsm {
     insts: Vec<Pending>,
     labels: HashMap<String, Pc>,
     duplicate: Option<String>,
-    data: Vec<(Addr, DataVal)>,
+    data: PendingData,
     data_cursor: Addr,
     entry: Option<String>,
     line: usize,
@@ -125,7 +122,7 @@ impl RvAsm {
             insts: Vec::new(),
             labels: HashMap::new(),
             duplicate: None,
-            data: Vec::new(),
+            data: PendingData::default(),
             data_cursor: 0,
             entry: None,
             line: 0,
@@ -166,7 +163,13 @@ impl RvAsm {
 
     /// Places `value` at byte address `addr` in the data image.
     pub fn data_word(&mut self, addr: Addr, value: Word) {
-        self.data.push((addr, DataVal::Value(value)));
+        self.data.word(addr, value);
+    }
+
+    /// Places `values` at consecutive words from byte address `base` in the
+    /// data image (one bulk write for a whole array).
+    pub fn data_words(&mut self, base: Addr, values: &[Word]) {
+        self.data.words(base, values);
     }
 
     /// The word-indexed PC a defined label resolves to, or `None` if the
@@ -203,12 +206,12 @@ impl RvAsm {
             "word" => {
                 let a = arg.ok_or_else(|| perr(".word needs a value".into()))?;
                 let v = parse_imm(a).ok_or_else(|| perr(format!("bad value `{a}`")))?;
-                self.data.push((self.data_cursor, DataVal::Value(v)));
+                self.data.word(self.data_cursor, v);
                 self.data_cursor += 8;
             }
             "wordpc" => {
                 let l = arg.ok_or_else(|| perr(".wordpc needs a label".into()))?;
-                self.data.push((self.data_cursor, DataVal::LabelPc(l.to_string())));
+                self.data.label(self.data_cursor, l.to_string());
                 self.data_cursor += 8;
             }
             other => return Err(perr(format!("unknown directive `.{other}`"))),
@@ -491,20 +494,7 @@ impl RvAsm {
             None => 0,
             Some(l) => resolve(l)?,
         };
-        let mut data = Vec::with_capacity(self.data.len());
-        for (addr, v) in &self.data {
-            let value = match v {
-                DataVal::Value(w) => *w,
-                DataVal::LabelPc(l) => resolve(l)? as Word,
-            };
-            data.push((*addr, value));
-        }
-        let code_ptrs = self
-            .data
-            .iter()
-            .filter(|(_, v)| matches!(v, DataVal::LabelPc(_)))
-            .map(|(addr, _)| *addr)
-            .collect();
+        let (data, code_ptrs) = self.data.resolve(resolve)?;
         Ok(RvModule { name: self.name, words, entry, data, code_ptrs })
     }
 }
@@ -575,7 +565,7 @@ mod tests {
         use tp_isa::func::Machine;
         for v in [0i64, 1, -1, 2047, -2048, 2048, 0x10000, 0x7ffff000, -0x8000_0000, 0x1234_5678] {
             let m = assemble(&format!("li a0, {v}\n ecall\n"));
-            let p = crate::module_to_program(&m).unwrap();
+            let p = crate::module_to_program(m).unwrap();
             let mut mach = Machine::new(&p);
             mach.run(10).unwrap();
             assert_eq!(mach.reg(crate::lower::map_reg(10)), v, "li {v:#x}");
@@ -631,10 +621,29 @@ mod tests {
         let m = assemble(
             ".org 0x100\n.word 42\n.wordpc handler\n  nop\nhandler:\n  ecall\n.entry handler\n",
         );
-        assert_eq!(m.data, vec![(0x100, 42), (0x108, 1)]);
+        assert_eq!(m.data.iter().collect::<Vec<_>>(), vec![(0x100, 42), (0x108, 1)]);
         assert_eq!(m.entry, 1);
         // Only the `.wordpc` slot is recorded as a code pointer.
         assert_eq!(m.code_ptrs, vec![0x108]);
+    }
+
+    /// A value word and a `.wordpc` slot on one address: the later write
+    /// supplies the word, and the slot stays a code pointer either way.
+    #[test]
+    fn wordpc_and_value_slots_sharing_an_address_keep_program_order() {
+        let mut a = RvAsm::new("t");
+        a.source(".org 0x100\n.wordpc h\n.word 5\n.org 0x100\n.word 9\n.org 0x108\n.wordpc h\n")
+            .unwrap();
+        a.source("  nop\nh:\n  ecall\n").unwrap();
+        a.data_words(0x108, &[3, 4]);
+        a.data_word(0x118, 6);
+        a.source(".org 0x118\n.wordpc h\n").unwrap();
+        let m = a.assemble().unwrap();
+        assert_eq!(
+            m.data.iter().collect::<Vec<_>>(),
+            vec![(0x100, 9), (0x108, 3), (0x110, 4), (0x118, 1)]
+        );
+        assert_eq!(m.code_ptrs, vec![0x100, 0x108, 0x118]);
     }
 
     #[test]

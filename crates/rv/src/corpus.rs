@@ -42,35 +42,23 @@ pub const OUT: Addr = 0x8000;
 /// the largest long-suite input stream).
 pub const RV_STACK: Addr = 0x80_0000;
 
-/// One corpus entry.
-#[derive(Clone, Debug)]
-pub struct RvProgram {
-    /// Program name (the workload registry key).
-    pub name: &'static str,
-    /// One-line description.
-    pub description: &'static str,
-    /// The decoded, validated program.
-    pub program: Program,
-}
-
-/// One corpus program before assembly: name, source text, data image.
+/// One corpus program before assembly: name, source text, and the input
+/// array placed at [`DATA`].
 struct Spec {
     name: &'static str,
     src: String,
-    data: Vec<(Addr, Word)>,
+    data: Vec<Word>,
 }
 
 fn assemble_spec(spec: &Spec) -> RvModule {
     let mut a = RvAsm::new(spec.name);
     a.source(&spec.src).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    for &(addr, v) in &spec.data {
-        a.data_word(addr, v);
-    }
+    a.data_words(DATA, &spec.data);
     a.assemble().unwrap_or_else(|e| panic!("{}: {e}", spec.name))
 }
 
 fn build_spec(spec: &Spec) -> Program {
-    module_to_program(&assemble_spec(spec)).unwrap_or_else(|e| panic!("{}: {e}", spec.name))
+    module_to_program(assemble_spec(spec)).unwrap_or_else(|e| panic!("{}: {e}", spec.name))
 }
 
 fn specs(n: u32) -> Vec<Spec> {
@@ -132,9 +120,7 @@ fn crc32_spec(n: u32) -> Spec {
             ecall
         "
     );
-    let data: Vec<(Addr, Word)> =
-        crc32_data(n).into_iter().enumerate().map(|(i, b)| (DATA + 8 * i as Addr, b)).collect();
-    Spec { name: "crc32", src, data }
+    Spec { name: "crc32", src, data: crc32_data(n) }
 }
 
 #[doc = "See the corpus table in the module docs."]
@@ -236,9 +222,7 @@ fn qsort_spec(n: u32) -> Spec {
             ret
         ",
     );
-    let data: Vec<(Addr, Word)> =
-        qsort_data(n).into_iter().enumerate().map(|(i, v)| (DATA + 8 * i as Addr, v)).collect();
-    Spec { name: "qsort", src, data }
+    Spec { name: "qsort", src, data: qsort_data(n) }
 }
 
 #[doc = "See the corpus table in the module docs."]
@@ -352,9 +336,7 @@ fn dijkstra_spec(n: u32) -> Spec {
         v = DIJKSTRA_V,
         row = 8 * DIJKSTRA_V,
     );
-    let data: Vec<(Addr, Word)> =
-        dijkstra_data(n).into_iter().enumerate().map(|(i, w)| (DATA + 8 * i as Addr, w)).collect();
-    Spec { name: "dijkstra", src, data }
+    Spec { name: "dijkstra", src, data: dijkstra_data(n) }
 }
 
 #[doc = "See the corpus table in the module docs."]
@@ -437,9 +419,7 @@ fn matmul_spec(n: u32) -> Spec {
         ",
         last_c = 8 * (k * k - 1),
     );
-    let data: Vec<(Addr, Word)> =
-        matmul_data(n).into_iter().enumerate().map(|(i, v)| (DATA + 8 * i as Addr, v)).collect();
-    Spec { name: "matmul", src, data }
+    Spec { name: "matmul", src, data: matmul_data(n) }
 }
 
 #[doc = "See the corpus table in the module docs."]
@@ -495,9 +475,7 @@ fn strhash_spec(n: u32) -> Spec {
             ecall
         "
     );
-    let data: Vec<(Addr, Word)> =
-        strhash_data(n).into_iter().enumerate().map(|(i, v)| (DATA + 8 * i as Addr, v)).collect();
-    Spec { name: "strhash", src, data }
+    Spec { name: "strhash", src, data: strhash_data(n) }
 }
 
 #[doc = "See the corpus table in the module docs."]
@@ -598,9 +576,7 @@ fn fsm_spec(n: u32) -> Spec {
             ecall
         "
     );
-    let data: Vec<(Addr, Word)> =
-        fsm_data(n).into_iter().enumerate().map(|(i, v)| (DATA + 8 * i as Addr, v)).collect();
-    Spec { name: "fsm", src, data }
+    Spec { name: "fsm", src, data: fsm_data(n) }
 }
 
 #[doc = "See the corpus table in the module docs."]
@@ -608,41 +584,51 @@ pub fn fsm(n: u32) -> Program {
     build_spec(&fsm_spec(n))
 }
 
-/// Builds the whole corpus at iteration scale `n`, in canonical order.
-pub fn all(n: u32) -> Vec<RvProgram> {
-    vec![
-        RvProgram {
-            name: "crc32",
-            description: "bitwise CRC-32: counted bit loop + ~50% XOR hammock",
-            program: crc32(n),
-        },
-        RvProgram {
-            name: "qsort",
-            description: "recursive quicksort: unpredictable partition, deep call/ret",
-            program: qsort(n),
-        },
-        RvProgram {
-            name: "dijkstra",
-            description: "dense-graph shortest paths: argmin scan + relaxation hammocks",
-            program: dijkstra(n),
-        },
-        RvProgram {
-            name: "matmul",
-            description: "dense 6x6 integer matmul: fully counted, highly predictable",
-            program: matmul(n),
-        },
-        RvProgram {
-            name: "strhash",
-            description: "FNV-1a stream hash with 1-in-8 bucket-update hammock",
-            program: strhash(n),
-        },
-        RvProgram {
-            name: "fsm",
-            description: "bytecode interpreter: indirect dispatch through a jump table",
-            program: fsm(n),
-        },
-    ]
+/// One corpus program's registry entry: what a lookup needs before
+/// anything is assembled.
+#[derive(Clone, Copy, Debug)]
+pub struct CorpusEntry {
+    /// Program name (the workload registry key).
+    pub name: &'static str,
+    /// One-line description.
+    pub description: &'static str,
+    /// Builds the program at iteration scale `n`.
+    pub build: fn(u32) -> Program,
 }
+
+/// The corpus in canonical order.
+pub const ENTRIES: [CorpusEntry; 6] = [
+    CorpusEntry {
+        name: "crc32",
+        description: "bitwise CRC-32: counted bit loop + ~50% XOR hammock",
+        build: crc32,
+    },
+    CorpusEntry {
+        name: "qsort",
+        description: "recursive quicksort: unpredictable partition, deep call/ret",
+        build: qsort,
+    },
+    CorpusEntry {
+        name: "dijkstra",
+        description: "dense-graph shortest paths: argmin scan + relaxation hammocks",
+        build: dijkstra,
+    },
+    CorpusEntry {
+        name: "matmul",
+        description: "dense 6x6 integer matmul: fully counted, highly predictable",
+        build: matmul,
+    },
+    CorpusEntry {
+        name: "strhash",
+        description: "FNV-1a stream hash with 1-in-8 bucket-update hammock",
+        build: strhash,
+    },
+    CorpusEntry {
+        name: "fsm",
+        description: "bytecode interpreter: indirect dispatch through a jump table",
+        build: fsm,
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -651,6 +637,11 @@ mod tests {
     use tp_isa::func::Machine;
 
     const N: u32 = 60; // the tiny-suite scale
+
+    /// The whole corpus at iteration scale `n`, in canonical order.
+    fn corpus(n: u32) -> Vec<Program> {
+        ENTRIES.iter().map(|e| (e.build)(n)).collect()
+    }
 
     fn run(p: &Program) -> Machine<'_> {
         let mut m = Machine::new(p);
@@ -770,33 +761,44 @@ mod tests {
 
     #[test]
     fn corpus_is_deterministic_and_scales() {
-        let a = all(60);
-        let b = all(60);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.program, y.program, "{}", x.name);
+        for (x, y) in corpus(60).iter().zip(&corpus(60)) {
+            assert_eq!(x, y, "{}", x.name());
         }
-        for (small, big) in all(60).iter().zip(all(600).iter()) {
-            let mut ms = Machine::new(&small.program);
-            let mut mb = Machine::new(&big.program);
+        for (small, big) in corpus(60).iter().zip(&corpus(600)) {
+            let mut ms = Machine::new(small);
+            let mut mb = Machine::new(big);
             let rs = ms.run(100_000_000).unwrap();
             let rb = mb.run(100_000_000).unwrap();
             assert!(rs.halted && rb.halted);
             assert!(
                 rb.retired > 3 * rs.retired,
                 "{}: {} !>> {}",
-                small.name,
+                small.name(),
                 rb.retired,
                 rs.retired
             );
         }
     }
 
+    /// The long-suite images are stored as full pages: at most 9 bytes per
+    /// data word (an ordered map of the same words took about 18).
+    #[test]
+    fn long_images_hold_at_most_nine_bytes_per_word() {
+        const LONG: u32 = 60_000; // the long-suite scale
+        for p in [strhash(LONG), fsm(LONG)] {
+            let words = p.data().count();
+            assert!(words >= 240_000, "{}: {words} words", p.name());
+            let per_word = p.image().heap_bytes() as f64 / words as f64;
+            assert!(per_word <= 9.0, "{}: {per_word:.2} bytes per data word", p.name());
+        }
+    }
+
     #[test]
     fn corpus_register_use_respects_the_zero_register() {
         // No corpus program may write a meaningful value through x0.
-        for p in all(60) {
-            let m = run(&p.program);
-            assert_eq!(m.reg(map_reg(0)), 0, "{}", p.name);
+        for p in corpus(60) {
+            let m = run(&p);
+            assert_eq!(m.reg(map_reg(0)), 0, "{}", p.name());
         }
     }
 }

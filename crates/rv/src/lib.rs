@@ -128,21 +128,22 @@ impl From<ProgramError> for RvError {
 /// This is the only path from encodings to the simulator: the program the
 /// machine runs is built from the 32-bit words, not from the assembler's
 /// internal instruction list, so every corpus program exercises the
-/// decoder end to end.
+/// decoder end to end. The module's data image moves into the program
+/// without a copy.
 ///
 /// # Errors
 ///
 /// Decode, lowering, and program-validation failures, each naming the
 /// offending instruction.
-pub fn module_to_program(module: &RvModule) -> Result<Program, RvError> {
+pub fn module_to_program(module: RvModule) -> Result<Program, RvError> {
     let mut insts = Vec::with_capacity(module.words.len());
     for (i, &word) in module.words.iter().enumerate() {
         let pc = i as Pc;
         let rv = decode::decode(word).map_err(|err| RvError::Decode { pc, err })?;
         insts.push(lower::lower(rv, pc).map_err(|err| RvError::Lower { pc, err })?);
     }
-    Ok(Program::new(module.name.clone(), insts, module.entry, module.data.iter().copied())?
-        .with_code_ptrs(module.code_ptrs.iter().copied())?)
+    Ok(Program::from_image(module.name, insts, module.entry, module.data)?
+        .with_code_ptrs(module.code_ptrs)?)
 }
 
 /// Assembles source text straight into a validated [`Program`]
@@ -154,7 +155,7 @@ pub fn module_to_program(module: &RvModule) -> Result<Program, RvError> {
 pub fn assemble_program(name: impl Into<String>, src: &str) -> Result<Program, RvError> {
     let mut a = RvAsm::new(name);
     a.source(src)?;
-    module_to_program(&a.assemble()?)
+    module_to_program(a.assemble()?)
 }
 
 #[cfg(test)]
@@ -168,11 +169,11 @@ mod tests {
         let mut a = RvAsm::new("t");
         a.source("  li a0, 7\n  ecall\n").unwrap();
         let mut m = a.assemble().unwrap();
-        let p = module_to_program(&m).unwrap();
+        let p = module_to_program(m.clone()).unwrap();
         assert!(matches!(p.insts()[1], Inst::Halt));
         // Corrupt a word: the error comes from the decoder and names the pc.
         m.words[0] = 0x0000_0007; // unassigned opcode
-        let e = module_to_program(&m).unwrap_err();
+        let e = module_to_program(m).unwrap_err();
         assert!(matches!(e, RvError::Decode { pc: 0, .. }), "{e}");
         assert!(e.to_string().contains("instruction 0"), "{e}");
     }

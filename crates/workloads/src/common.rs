@@ -44,10 +44,8 @@ pub fn emit_random_words(
     lo: Word,
     hi: Word,
 ) {
-    for i in 0..words {
-        let v = rng.gen_range(lo..hi);
-        a.data_word(base + 8 * i as u64, v);
-    }
+    let values: Vec<Word> = (0..words).map(|_| rng.gen_range(lo..hi)).collect();
+    a.data_words(base, &values);
 }
 
 /// Emits the standard prologue: stack pointer, data/table/output base

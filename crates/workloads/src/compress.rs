@@ -103,10 +103,8 @@ pub fn build(iters: u32) -> Program {
     // remaining mispredictions come from the value-dependent hammocks, at a
     // compress-like overall rate).
     let _ = &mut rng;
-    for i in 0..INPUT_WORDS {
-        let v = ((i as i64) * 167 + 13) & 255;
-        a.data_word(common::DATA_REGION + 8 * i as u64, v);
-    }
+    let input: Vec<i64> = (0..INPUT_WORDS as i64).map(|i| (i * 167 + 13) & 255).collect();
+    a.data_words(common::DATA_REGION, &input);
     a.assemble().expect("compress kernel is well-formed")
 }
 

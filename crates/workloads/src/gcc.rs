@@ -113,22 +113,25 @@ pub fn build(iters: u32) -> Program {
     // has strong local structure) with ~1-in-8 random deviations; payloads
     // are fully random, so hammock outcomes stay data dependent.
     let pattern = [0i64, 1, 0, 3, 2, 0, 1, 1, 3, 0, 2, 1];
-    for i in 0..IR_WORDS {
-        let op = if rng.gen_range(0..8) == 0 {
-            rng.gen_range(0..OPS as i64)
-        } else {
-            pattern[i % pattern.len()]
-        };
-        // Payloads: mostly a deterministic function of the position (so
-        // hammock outcomes correlate with the opcode pattern and predictors
-        // do reasonably well), with 1-in-6 fully random.
-        let payload: i64 = if rng.gen_range(0..6) == 0 {
-            rng.gen_range(0..1 << 18)
-        } else {
-            ((i as i64).wrapping_mul(2654435761) >> 7) & ((1 << 18) - 1)
-        };
-        a.data_word(common::DATA_REGION + 8 * i as u64, (payload << 2) | op);
-    }
+    let ir: Vec<i64> = (0..IR_WORDS)
+        .map(|i| {
+            let op = if rng.gen_range(0..8) == 0 {
+                rng.gen_range(0..OPS as i64)
+            } else {
+                pattern[i % pattern.len()]
+            };
+            // Payloads: mostly a deterministic function of the position (so
+            // hammock outcomes correlate with the opcode pattern and
+            // predictors do reasonably well), with 1-in-6 fully random.
+            let payload: i64 = if rng.gen_range(0..6) == 0 {
+                rng.gen_range(0..1 << 18)
+            } else {
+                ((i as i64).wrapping_mul(2654435761) >> 7) & ((1 << 18) - 1)
+            };
+            (payload << 2) | op
+        })
+        .collect();
+    a.data_words(common::DATA_REGION, &ir);
     a.assemble().expect("gcc kernel is well-formed")
 }
 

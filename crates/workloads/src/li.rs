@@ -100,12 +100,18 @@ pub fn build(iters: u32) -> Program {
     // follow a fixed pattern, the rest are random. Walk lengths (bits 2..4)
     // stay fully random — the unpredictable loop exits are li's signature.
     let pattern = [0i64, 2, 0, 1, 0, 3, 2, 0];
-    for i in 0..CODE_WORDS {
-        let op =
-            if rng.gen_range(0..4) == 0 { rng.gen_range(0..4) } else { pattern[i % pattern.len()] };
-        let walk: i64 = rng.gen_range(0..1 << 12);
-        a.data_word(common::DATA_REGION + 8 * i as u64, (walk << 2) | op);
-    }
+    let code: Vec<i64> = (0..CODE_WORDS)
+        .map(|i| {
+            let op = if rng.gen_range(0..4) == 0 {
+                rng.gen_range(0..4)
+            } else {
+                pattern[i % pattern.len()]
+            };
+            let walk: i64 = rng.gen_range(0..1 << 12);
+            (walk << 2) | op
+        })
+        .collect();
+    a.data_words(common::DATA_REGION, &code);
     // Heap initial contents, after the 64-entry jump-table area.
     emit_random_words(&mut a, &mut rng, common::TABLE_REGION + 64 * 8, HEAP_WORDS, -50, 50);
     a.assemble().expect("li kernel is well-formed")

@@ -94,49 +94,63 @@ impl Size {
     }
 }
 
+/// A workload before it is built: what a lookup by name needs.
+#[derive(Clone, Copy)]
+struct Kernel {
+    name: &'static str,
+    description: &'static str,
+    frontend: Frontend,
+    build: fn(u32) -> Program,
+}
+
+impl Kernel {
+    fn build(&self, size: Size) -> Workload {
+        Workload {
+            name: self.name,
+            description: self.description,
+            program: (self.build)(size.iters()),
+            frontend: self.frontend,
+        }
+    }
+}
+
+const fn synth(name: &'static str, description: &'static str, build: fn(u32) -> Program) -> Kernel {
+    Kernel { name, description, frontend: Frontend::Synth, build }
+}
+
+/// The synthetic suite, in the paper's order.
+const SYNTH: [Kernel; 8] = [
+    synth("compress", "LZW-style hash-table kernel: unpredictable small hammocks", compress::build),
+    synth("gcc", "IR-walk with switch dispatch, medium hammocks and helpers", gcc::build),
+    synth("go", "board evaluation with deep data-dependent conditionals", go::build),
+    synth("jpeg", "block transform with counted loops and a large clamp region", jpeg::build),
+    synth("li", "interpreter with short data-dependent list walks", li::build),
+    synth("m88ksim", "decode/dispatch over a repeating instruction pattern", m88ksim::build),
+    synth("perl", "text scan with occasional short match loops", perl::build),
+    synth("vortex", "record validation with predictable error checks", vortex::build),
+];
+
+/// The rv suite, in the corpus's canonical order.
+fn rv_kernels() -> impl Iterator<Item = Kernel> {
+    tp_rv::corpus::ENTRIES.iter().map(|e| Kernel {
+        name: e.name,
+        description: e.description,
+        frontend: Frontend::Rv64,
+        build: e.build,
+    })
+}
+
 /// Builds all eight synthetic benchmarks at the given size, in the
 /// paper's order.
 pub fn suite(size: Size) -> Vec<Workload> {
-    let n = size.iters();
-    let synth = |name, description, program| Workload {
-        name,
-        description,
-        program,
-        frontend: Frontend::Synth,
-    };
-    vec![
-        synth(
-            "compress",
-            "LZW-style hash-table kernel: unpredictable small hammocks",
-            compress::build(n),
-        ),
-        synth("gcc", "IR-walk with switch dispatch, medium hammocks and helpers", gcc::build(n)),
-        synth("go", "board evaluation with deep data-dependent conditionals", go::build(n)),
-        synth(
-            "jpeg",
-            "block transform with counted loops and a large clamp region",
-            jpeg::build(n),
-        ),
-        synth("li", "interpreter with short data-dependent list walks", li::build(n)),
-        synth("m88ksim", "decode/dispatch over a repeating instruction pattern", m88ksim::build(n)),
-        synth("perl", "text scan with occasional short match loops", perl::build(n)),
-        synth("vortex", "record validation with predictable error checks", vortex::build(n)),
-    ]
+    SYNTH.iter().map(|k| k.build(size)).collect()
 }
 
 /// Builds the six-program RV64 suite at the given size, in the corpus's
 /// canonical order. Construction runs the full assemble → encode →
 /// decode path of the `tp-rv` frontend.
 pub fn rv_suite(size: Size) -> Vec<Workload> {
-    tp_rv::corpus::all(size.iters())
-        .into_iter()
-        .map(|p| Workload {
-            name: p.name,
-            description: p.description,
-            program: p.program,
-            frontend: Frontend::Rv64,
-        })
-        .collect()
+    rv_kernels().map(|k| k.build(size)).collect()
 }
 
 /// Every workload of both suites (synthetic first, then rv).
@@ -165,12 +179,12 @@ impl std::error::Error for UnknownWorkload {}
 
 /// The synthetic-suite names, in the paper's order.
 pub fn suite_names() -> [&'static str; 8] {
-    ["compress", "gcc", "go", "jpeg", "li", "m88ksim", "perl", "vortex"]
+    SYNTH.map(|k| k.name)
 }
 
 /// The rv-suite names, in the corpus's canonical order.
 pub fn rv_names() -> [&'static str; 6] {
-    ["crc32", "qsort", "dijkstra", "matmul", "strhash", "fsm"]
+    tp_rv::corpus::ENTRIES.map(|e| e.name)
 }
 
 /// The names of both suites without building any program (cheap; used
@@ -187,16 +201,13 @@ pub fn workload_names() -> Vec<&'static str> {
 /// Returns [`UnknownWorkload`] listing every valid name when `name`
 /// matches neither suite.
 pub fn by_name(name: &str, size: Size) -> Result<Workload, UnknownWorkload> {
-    // Resolve the name first, then build only the suite that holds it —
-    // a lookup never pays for assembling the other frontend's programs.
-    let found = if suite_names().contains(&name) {
-        suite(size).into_iter().find(|w| w.name == name)
-    } else if rv_names().contains(&name) {
-        rv_suite(size).into_iter().find(|w| w.name == name)
-    } else {
-        None
-    };
-    found.ok_or_else(|| UnknownWorkload { name: name.to_string(), available: workload_names() })
+    // Resolve the name first, then build only that program.
+    SYNTH
+        .into_iter()
+        .chain(rv_kernels())
+        .find(|k| k.name == name)
+        .map(|k| k.build(size))
+        .ok_or_else(|| UnknownWorkload { name: name.to_string(), available: workload_names() })
 }
 
 #[cfg(test)]
@@ -266,6 +277,20 @@ mod tests {
     fn by_name_finds_each_across_both_suites() {
         for name in workload_names() {
             assert_eq!(by_name(name, Size::Tiny).unwrap().name, name);
+        }
+    }
+
+    #[test]
+    fn by_name_equals_the_suite_entry() {
+        for size in [Size::Tiny, Size::Small] {
+            for w in all_workloads(size) {
+                let one = by_name(w.name, size).unwrap();
+                assert_eq!(
+                    (one.name, one.description, one.frontend),
+                    (w.name, w.description, w.frontend)
+                );
+                assert_eq!(one.program, w.program, "{} at {size:?}", w.name);
+            }
         }
     }
 

@@ -63,9 +63,7 @@ pub fn build(iters: u32) -> Program {
 
     // The fixed simulated program: a hand-written periodic pattern.
     let pattern: [i64; PATTERN] = [0, 4, 1, 0, 8, 2, 0, 1, 12, 0, 2, 4, 0, 1, 0, 6];
-    for (i, w) in pattern.iter().enumerate() {
-        a.data_word(common::DATA_REGION + 8 * i as u64, *w);
-    }
+    a.data_words(common::DATA_REGION, &pattern);
     a.assemble().expect("m88ksim kernel is well-formed")
 }
 
