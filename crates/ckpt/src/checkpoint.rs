@@ -318,7 +318,10 @@ impl Checkpoint {
         let mem_delta: Vec<(u64, Word)> = state
             .mem
             .iter()
-            .filter(|(&w, &v)| program.data_word(w << 3).unwrap_or(0) != v)
+            // A word index past every byte address has no image word.
+            .filter(|(&w, &v)| {
+                w.checked_mul(8).and_then(|a| program.data_word(a)).unwrap_or(0) != v
+            })
             .map(|(&w, &v)| (w, v))
             .collect();
         Checkpoint {

@@ -105,3 +105,27 @@ fn repeated_delta_word_encodes_last_write_once() {
     assert_eq!(bytes, clean.encode());
     assert_eq!(Checkpoint::decode(&bytes).expect("decodes"), clean);
 }
+
+/// A word index at or above 2^61 has no byte address (`ea >> 3` never
+/// reaches it), but a TPCK delta can name one. A machine resumed from such
+/// a checkpoint hands the word back unchanged through both capture paths,
+/// also when `word << 3` would wrap onto an image word holding the same
+/// value.
+#[test]
+fn delta_words_past_every_byte_address_round_trip() {
+    let program = by_name("compress", Size::Tiny).unwrap().program;
+    let (mut ckpt, _) = sample_bytes();
+    let (addr, value) = program.data().find(|&(_, v)| v != 0).expect("a nonzero data word");
+    let high = [((addr >> 3) | 1 << 61, value), (u64::MAX, 7)];
+    ckpt.mem_delta.extend(high);
+    let decoded = Checkpoint::decode(&ckpt.encode()).expect("decodes");
+    assert_eq!(decoded, ckpt);
+    let machine = decoded.machine(&program).unwrap();
+    let state = machine.capture();
+    for (word, v) in high {
+        assert_eq!(state.mem.get(&word), Some(&v), "word {word:#x}");
+    }
+    let frontend = decoded.frontend;
+    assert_eq!(Checkpoint::capture(&program, frontend, &state, None).mem_delta, ckpt.mem_delta);
+    assert_eq!(Checkpoint::capture_machine(&machine, frontend, None).mem_delta, ckpt.mem_delta);
+}

@@ -222,9 +222,13 @@ impl<'p> Machine<'p> {
             if word >> 6 != page {
                 page = word >> 6;
                 initial = [0; PAGE_WORDS];
-                let base = page << 9;
-                for (addr, w) in self.program.data_range(base..=base + 8 * PAGE_WORDS as Addr - 1) {
-                    initial[(addr >> 3) as usize & 63] = w;
+                // A page past every byte address has no image words.
+                if let Some(base) = page.checked_mul(8 * PAGE_WORDS as Addr) {
+                    for (addr, w) in
+                        self.program.data_range(base..=base + 8 * PAGE_WORDS as Addr - 1)
+                    {
+                        initial[(addr >> 3) as usize & 63] = w;
+                    }
                 }
             }
             if initial[(word & 63) as usize] != value {

@@ -4,19 +4,22 @@
 //! processor's committed memory, the ARB backing).
 //!
 //! A page holds 64 words keyed by `word index >> 6` (the same granularity
-//! as the checkpoint format's dirty-page delta) and a word-granular
-//! presence mask: which words hold a value, an explicit zero included.
-//! Absent words read as zero. A data image keeps its pages in ascending
-//! page order; a [`PagedMem`] starts as a copy of them, so booting a
-//! machine or a processor copies pages instead of walking words.
+//! as the checkpoint format's dirty-page delta) and two word-granular
+//! masks:
 //!
-//! A [`PagedMem`] page carries a second word-granular mask, `marked`: the
-//! words written with `mark = true`. The functional machine marks its
-//! stores (only those can diverge from the data image, so a checkpoint
-//! delta never scans the rest); the ARB marks its commits (the words a
-//! detailed interval hands back). A memory's present words are the set
-//! [`PagedMem::touched`] reproduces: the loaded image plus every written
-//! word.
+//! - `present`: which words hold a value, an explicit zero included.
+//!   Absent words read as zero. A memory's present words are the set
+//!   [`PagedMem::touched`] reproduces: the loaded image plus every written
+//!   word;
+//! - `marked`: the words a [`PagedMem`] wrote with `mark = true` (always
+//!   empty in a data image). The functional machine marks its stores (only
+//!   those can diverge from the data image, so a checkpoint delta never
+//!   scans the rest); the ARB marks its commits (the words a detailed
+//!   interval hands back).
+//!
+//! A data image keeps its pages in ascending page order; a [`PagedMem`]
+//! starts as a copy of them, so booting a machine or a processor copies
+//! pages instead of walking words.
 //!
 //! Marks are bits, not a log, so memory stays flat however long a run is.
 
@@ -28,7 +31,7 @@ use crate::{Addr, Program, Word};
 /// Words per memory page (page index = word index >> 6).
 pub const PAGE_WORDS: usize = 64;
 
-/// One 64-word page: its number, its words and their presence mask.
+/// One 64-word page: its number, its words and their two masks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Page {
     /// Page number (`word index >> 6`).
@@ -36,24 +39,34 @@ struct Page {
     words: [Word; PAGE_WORDS],
     /// Bit `i` set: word `i` holds a value (absent words are zero).
     present: u64,
+    /// Bit `i` set: word `i` was written with `mark = true`.
+    marked: u64,
 }
 
 impl Page {
     fn empty(no: u64) -> Page {
-        Page { no, words: [0; PAGE_WORDS], present: 0 }
+        Page { no, words: [0; PAGE_WORDS], present: 0, marked: 0 }
     }
 
-    /// The present words as ascending `(byte address, word)` pairs.
-    fn entries(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
-        let mut bits = self.present;
+    /// The words whose bit is set in `mask`, as ascending
+    /// `(word index, word)` pairs.
+    fn words_in(&self, mask: u64) -> impl Iterator<Item = (u64, Word)> + '_ {
+        let mut bits = mask;
         std::iter::from_fn(move || {
             if bits == 0 {
                 return None;
             }
             let i = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            Some(((self.no << 9) | (i as Addr) << 3, self.words[i]))
+            Some(((self.no << 6) | i as u64, self.words[i]))
         })
+    }
+
+    /// The present words as ascending `(byte address, word)` pairs. A data
+    /// image holds byte addresses only, so its page numbers stay below
+    /// 2^55 and the shift loses nothing.
+    fn entries(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
+        self.words_in(self.present).map(|(word, w)| (word << 3, w))
     }
 }
 
@@ -64,7 +77,7 @@ impl Page {
 /// inserts in place. A repeated address keeps its last value. Writes to
 /// an address that is not 8-byte aligned store nothing; the lowest such
 /// address is kept for [`Program`] validation to report. The image costs
-/// about 8.25 bytes per data word when its pages are full.
+/// about 8.4 bytes per data word when its pages are full.
 ///
 /// # Example
 ///
@@ -261,8 +274,6 @@ impl FromIterator<(Addr, Word)> for DataImage {
 #[derive(Clone, Debug)]
 pub struct PagedMem {
     pages: Vec<Page>,
-    /// Each page's `marked` mask, parallel to `pages`.
-    marked: Vec<u64>,
     index: FxHashMap<u64, u32>,
     /// Page number of the cached slot; `u64::MAX` when nothing is cached.
     last_page: u64,
@@ -273,7 +284,6 @@ impl Default for PagedMem {
     fn default() -> PagedMem {
         PagedMem {
             pages: Vec::new(),
-            marked: Vec::new(),
             index: FxHashMap::default(),
             last_page: u64::MAX,
             last_slot: 0,
@@ -281,8 +291,11 @@ impl Default for PagedMem {
     }
 }
 
-/// Pages of room a booted memory reserves past its image, so the first
-/// stores of a run (stack, output) do not re-copy every page.
+/// Pages of room a booted memory reserves past its image, so the pages a
+/// run adds (stack, output) do not re-copy every image page into a
+/// doubled vector. On the benchmark's three workloads a boot adds at most
+/// 5 pages (median 1-2), and 24 of the 55 boots of the 2 MB strhash and
+/// fsm images add one or two.
 const BOOT_SPARE_PAGES: usize = 8;
 
 impl PagedMem {
@@ -293,7 +306,7 @@ impl PagedMem {
         let mut pages = Vec::with_capacity(image.len() + BOOT_SPARE_PAGES);
         pages.extend_from_slice(image);
         let index = image.iter().enumerate().map(|(slot, p)| (p.no, slot as u32)).collect();
-        PagedMem { marked: vec![0; pages.len()], pages, index, ..PagedMem::default() }
+        PagedMem { pages, index, ..PagedMem::default() }
     }
 
     /// Slot of `page_no` if the page exists, refreshing the lookup cache.
@@ -341,7 +354,6 @@ impl PagedMem {
             None => {
                 let s = self.pages.len() as u32;
                 self.pages.push(Page::empty(page_no));
-                self.marked.push(0);
                 self.index.insert(page_no, s);
                 self.last_page = page_no;
                 self.last_slot = s;
@@ -353,7 +365,7 @@ impl PagedMem {
         page.words[(word & 63) as usize] = value;
         page.present |= bit;
         if mark {
-            self.marked[slot as usize] |= bit;
+            page.marked |= bit;
         }
     }
 
@@ -366,28 +378,16 @@ impl PagedMem {
 
     /// Every touched word as `(word index, value)`, unordered.
     pub fn touched(&self) -> impl Iterator<Item = (u64, Word)> + '_ {
-        self.pages.iter().flat_map(Page::entries).map(|(addr, w)| (addr >> 3, w))
+        self.pages.iter().flat_map(|p| p.words_in(p.present))
     }
 
     /// Every marked word as `(word index, value)`, ascending. Only pages
     /// holding a mark are visited, so the cost scales with the marked
     /// working set, not with the whole memory.
     pub fn marked(&self) -> impl Iterator<Item = (u64, Word)> + '_ {
-        let mut slots: Vec<usize> =
-            (0..self.pages.len()).filter(|&s| self.marked[s] != 0).collect();
-        slots.sort_unstable_by_key(|&s| self.pages[s].no);
-        slots.into_iter().flat_map(|s| {
-            let p = &self.pages[s];
-            let mut bits = self.marked[s];
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let i = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(((p.no << 6) | i as u64, p.words[i]))
-            })
-        })
+        let mut pages: Vec<&Page> = self.pages.iter().filter(|p| p.marked != 0).collect();
+        pages.sort_unstable_by_key(|p| p.no);
+        pages.into_iter().flat_map(|p| p.words_in(p.marked))
     }
 }
 
