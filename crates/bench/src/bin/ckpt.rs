@@ -26,14 +26,14 @@
 //! strhash variants (in aggregate, and on the large-image strhash alone).
 
 use tp_bench::cli::{
-    self, boot_checkpoint, file_error, find_program, read_checkpoint, usage_error,
+    self, boot_checkpoint, check_level, file_error, find_program, read_checkpoint, usage_error,
     validated_config, warm_model, Args,
 };
 use tp_bench::ffwd::{run_ffwd_bench, speedup_geomean};
 use tp_bench::sampled::{cross_check, SampleConfig};
 use tp_bench::speed::size_name;
 use tp_ckpt::FastForward;
-use tp_core::CiModel;
+use tp_core::{CheckLevel, CiModel};
 use tp_isa::func::Machine;
 use tp_workloads::{all_workloads, suite, Size};
 
@@ -181,7 +181,7 @@ fn verify(args: &[String]) {
     }
 
     // 3. A detailed interval boots and runs under full oracle verification.
-    let cfg = validated_config(model).with_oracle();
+    let cfg = validated_config(model).with_check(check_level(CheckLevel::Oracle));
     let mut sim = boot_checkpoint(path, &ckpt, &program, cfg);
     let r = sim
         .run_interval(resume.min(5_000))

@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --release -p tp-bench --bin fuzz -- \
 //!     [--seed S] [--count N] [--budget B] [--config default|small] \
-//!     [--jobs J] [--cfg-oracle] [--shrink] [--quiet]
+//!     [--machine paper|small] [--jobs J] [--shrink] [--inject-bug] [--quiet]
 //! ```
 //!
 //! * `--seed S`   first seed (default 0)
@@ -17,15 +17,16 @@
 //! * `--machine`  simulated machine: `paper` (16 PEs) or `small` (4 PEs,
 //!   short traces — keeps the window saturated; default `paper`)
 //! * `--jobs J`   worker threads (default: available cores)
-//! * `--cfg-oracle` also check every CGCI re-convergence detection against
-//!   the static post-dominator analysis (`tp-cfg`); an unjustifiable
-//!   detection is reported as a divergence
 //! * `--shrink`   on divergence, shrink to a minimal reproducer and print
 //!   its AST and RV64 source
 //! * `--inject-bug` re-introduce the fixed CGCI retired-upstream stall
 //!   bug, making divergences certain — a self-test of the whole
 //!   divergence pipeline (reporting, event capture, shrinking)
 //! * `--quiet`    suppress per-chunk progress
+//!
+//! Runs are checked at `CheckLevel::Oracle`, so a CGCI re-convergence the
+//! static CFG cannot justify is a divergence too, or at `CheckLevel::Full`
+//! with `TP_PARANOID` set.
 //!
 //! Exit status is non-zero iff any seed diverged. Every divergent seed is
 //! printed (`DIVERGE seed=... [isa model] detail`), so a failing run can
@@ -40,7 +41,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use tp_bench::cli::{usage_error, Args};
+use tp_bench::cli::{check_level, usage_error, Args};
 use tp_bench::tap::capture_program;
 use tp_fuzz::emit::{emit_rv, emit_synth};
 use tp_fuzz::gen::generate;
@@ -55,7 +56,6 @@ struct FuzzArgs {
     config: FuzzConfig,
     small_machine: bool,
     jobs: usize,
-    cfg_oracle: bool,
     inject_bug: bool,
     do_shrink: bool,
     quiet: bool,
@@ -69,7 +69,6 @@ fn parse_args() -> FuzzArgs {
         config: FuzzConfig::default(),
         small_machine: false,
         jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        cfg_oracle: false,
         inject_bug: false,
         do_shrink: false,
         quiet: false,
@@ -90,7 +89,6 @@ fn parse_args() -> FuzzArgs {
             "--machine" => {
                 args.small_machine = it.pick("--machine", &[("paper", false), ("small", true)]);
             }
-            "--cfg-oracle" => args.cfg_oracle = true,
             "--inject-bug" => args.inject_bug = true,
             "--shrink" => args.do_shrink = true,
             "--quiet" => args.quiet = true,
@@ -105,7 +103,7 @@ fn main() {
     let harness = Harness {
         oracle_budget: args.budget,
         small_machine: args.small_machine,
-        cfg_oracle: args.cfg_oracle,
+        check: check_level(tp_core::CheckLevel::Oracle),
         inject_cgci_stall_bug: args.inject_bug,
         ..Harness::default()
     };

@@ -1,14 +1,14 @@
 //! The command-line layer every bin shares: flag values with an exit-2
 //! usage error on a missing or malformed value, size/suite/model parsing,
 //! workload lookup with the registry's friendly unknown-name message,
-//! configuration validation, and the checkpoint-file helpers of the
-//! `ckpt` and `tracetap` bins.
+//! configuration validation, the `TP_PARANOID` override, and the
+//! checkpoint-file helpers of the `ckpt` and `tracetap` bins.
 
 use std::fmt::Display;
 use std::str::FromStr;
 
 use tp_ckpt::Checkpoint;
-use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use tp_core::{CheckLevel, CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::{Frontend, Program};
 use tp_workloads::{all_workloads, Size, Workload};
 
@@ -118,6 +118,12 @@ pub fn positional_and_switch(switch: &str) -> (Vec<String>, bool) {
     let (hits, rest): (Vec<String>, Vec<String>) =
         std::env::args().skip(1).partition(|a| a == switch);
     (rest, !hits.is_empty())
+}
+
+/// [`CheckLevel::Full`] when `TP_PARANOID` is set, else `otherwise`: the
+/// one read of the variable, for the bins and tests CI runs under it.
+pub fn check_level(otherwise: CheckLevel) -> CheckLevel {
+    std::env::var_os("TP_PARANOID").map_or(otherwise, |_| CheckLevel::Full)
 }
 
 /// Looks up workload `name` at `size`, exiting 2 with the registry's

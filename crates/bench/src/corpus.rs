@@ -1,9 +1,9 @@
 //! The oracle-verified determinism probe corpus.
 //!
 //! A fixed set of kernels, each run under every control-independence model
-//! with per-trace oracle checking enabled. The cycle count, retired
-//! instruction count, and a digest of committed architectural state are
-//! fully deterministic, so two runs (or a run and a checked-in fixture)
+//! at a caller's [`CheckLevel`]. The cycle count, retired instruction
+//! count, and a digest of committed architectural state are fully
+//! deterministic, so two runs (or a run and a checked-in fixture)
 //! can be diffed to prove that a refactor left cycle-level behaviour and
 //! committed state bit-identical.
 //!
@@ -11,7 +11,7 @@
 //! `tests/golden_stats.rs` (the golden-stats regression corpus); keeping
 //! one implementation guarantees the two can never drift apart.
 
-use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use tp_core::{CheckLevel, CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::asm::Asm;
 use tp_isa::func::{ArchState, Machine};
 use tp_isa::synth::{self, SynthConfig};
@@ -94,8 +94,8 @@ pub fn oracle_state(program: &Program) -> ArchState {
     oracle.arch_state()
 }
 
-/// Runs one `(program, model)` probe cell under full oracle verification,
-/// checking final committed state against a precomputed [`oracle_state`].
+/// Runs one `(program, model)` probe cell at `check`, checking final
+/// committed state against a precomputed [`oracle_state`].
 ///
 /// # Panics
 ///
@@ -107,8 +107,9 @@ pub fn run_probe_against(
     program: &Program,
     model: CiModel,
     expected: &ArchState,
+    check: CheckLevel,
 ) -> ProbeResult {
-    let cfg = TraceProcessorConfig::paper(model).with_oracle();
+    let cfg = TraceProcessorConfig::paper(model).with_check(check);
     let mut sim = TraceProcessor::new(program, cfg);
     let stats = run_cell(&mut sim, name, model.name()).result.stats;
     assert_eq!(&sim.arch_state(), expected, "{name} {model:?} diverged");
@@ -129,17 +130,19 @@ pub fn probe_row(name: &str, model: CiModel, r: ProbeResult) -> String {
 }
 
 /// The `simstats.txt` fixture rows: every workload in `workloads` under
-/// every model, one `{workload} {model:?} {stats:?}` line per cell.
-/// `attach` prepares each simulator before its run, so observation-only
-/// checks can attach sinks and still compare the same bytes.
+/// every model at `check`, one `{workload} {model:?} {stats:?}` line per
+/// cell. `attach` prepares each simulator before its run, so observers can
+/// attach sinks and still compare the same bytes.
 pub fn simstats_rows(
     workloads: &[Workload],
+    check: CheckLevel,
     mut attach: impl FnMut(&Workload, &mut TraceProcessor<'_>),
 ) -> String {
     let mut rows = String::new();
     for w in workloads {
         for model in CiModel::ALL {
-            let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model));
+            let cfg = TraceProcessorConfig::paper(model).with_check(check);
+            let mut sim = TraceProcessor::new(&w.program, cfg);
             attach(w, &mut sim);
             let stats = run_cell(&mut sim, w.name, model.name()).result.stats;
             rows.push_str(&format!("{} {model:?} {stats:?}\n", w.name));
@@ -148,14 +151,14 @@ pub fn simstats_rows(
     rows
 }
 
-/// Runs the full 25-cell corpus (5 programs x 5 models) and returns the
-/// canonical rows in order.
-pub fn probe_rows() -> Vec<String> {
+/// Runs the full 25-cell corpus (5 programs x 5 models) at `check` and
+/// returns the canonical rows in order.
+pub fn probe_rows(check: CheckLevel) -> Vec<String> {
     let mut rows = Vec::new();
     for (name, program) in probe_programs() {
         let expected = oracle_state(&program);
         for model in CiModel::ALL {
-            let r = run_probe_against(name, &program, model, &expected);
+            let r = run_probe_against(name, &program, model, &expected, check);
             rows.push(probe_row(name, model, r));
         }
     }
@@ -170,8 +173,8 @@ mod tests {
     fn quickstart_probe_is_deterministic() {
         let p = quickstart_program();
         let expected = oracle_state(&p);
-        let a = run_probe_against("quickstart", &p, CiModel::None, &expected);
-        let b = run_probe_against("quickstart", &p, CiModel::None, &expected);
+        let a = run_probe_against("quickstart", &p, CiModel::None, &expected, CheckLevel::Oracle);
+        let b = run_probe_against("quickstart", &p, CiModel::None, &expected, CheckLevel::Oracle);
         assert_eq!(a, b);
         assert!(a.cycles > 0 && a.retired > 0);
     }

@@ -44,7 +44,7 @@ pub use wire::WireError;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+    use tp_core::{CheckLevel, CiModel, TraceProcessor, TraceProcessorConfig};
     use tp_isa::func::Machine;
     use tp_isa::Program;
     use tp_workloads::{by_name, Size};
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn detailed_interval_from_checkpoint_is_oracle_exact() {
         let w = by_name("compress", Size::Tiny).unwrap().program;
-        let cfg = TraceProcessorConfig::paper(CiModel::MlbRet).with_oracle();
+        let cfg = TraceProcessorConfig::paper(CiModel::MlbRet).with_check(CheckLevel::Oracle);
         let mut ff = FastForward::new(&w, &cfg);
         ff.skip(1200).unwrap();
         assert!(!ff.halted());

@@ -160,6 +160,26 @@ impl CiModel {
     }
 }
 
+/// What a run checks against independent models. Checks only observe:
+/// statistics, events and committed state are the same at every level.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum CheckLevel {
+    /// No checks (what measured runs use).
+    Off,
+    /// Committed state against the functional oracle at every trace
+    /// retirement, and every CGCI re-convergence against `tp-cfg`'s static
+    /// post-dominator analysis; a failure is a
+    /// [`SimError::OracleMismatch`](crate::SimError::OracleMismatch). Cost
+    /// over the 14 full workloads under base and FG+MLB-RET, best of 3 per
+    /// cell: +3.2% (median of four sets reading −0.6% to +7.0%), nearly all
+    /// of it the functional oracle.
+    Oracle,
+    /// `Oracle` plus the O(window²) window invariants after every pipeline
+    /// stage, which panic on a violation, and a register-file sweep before
+    /// every rename, so a missed root surfaces in short runs too.
+    Full,
+}
+
 /// Configuration of the trace processor: what callers vary. The values
 /// [`TraceProcessorConfig::paper`] sets follow Table 1; the fixed rest of
 /// the machine is the constants of this module.
@@ -179,19 +199,9 @@ pub struct TraceProcessorConfig {
     pub btb_entries: usize,
     /// Trace cache sets (256; [`TCACHE_WAYS`] ways each).
     pub tcache_sets: usize,
-    /// Verify committed state against the functional oracle at every trace
-    /// retirement. Cheap enough for measured runs: it added 3.9% wall time
-    /// over the 14 full-size workloads under base and FG+MLB-RET (best of
-    /// 3 per cell).
-    pub verify_with_oracle: bool,
-    /// Check every CGCI re-convergence detection against the static
-    /// post-dominator analysis (`tp-cfg`) and abort with
-    /// [`SimError::OracleMismatch`](crate::SimError::OracleMismatch) on an
-    /// unclassifiable detection. Read-only: the check never alters model
-    /// behaviour. The fuzz bin's `--cfg-oracle` flag sets it.
-    ///
-    /// [`SimError::OracleMismatch`]: crate::SimError::OracleMismatch
-    pub cfg_oracle: bool,
+    /// What the run checks against independent models ([`CheckLevel::Off`]
+    /// in [`TraceProcessorConfig::paper`]).
+    pub check: CheckLevel,
     /// Abort the run if no instruction retires for this many cycles.
     pub deadlock_cycles: u64,
     /// Re-introduces a fixed recovery bug — during CGCI insertion, a
@@ -215,8 +225,7 @@ impl TraceProcessorConfig {
             predictor: TracePredictorConfig::paper(),
             btb_entries: 16 * 1024,
             tcache_sets: 256,
-            verify_with_oracle: false,
-            cfg_oracle: false,
+            check: CheckLevel::Off,
             deadlock_cycles: 50_000,
             inject_cgci_stall_bug: false,
         }
@@ -241,16 +250,9 @@ impl TraceProcessorConfig {
         c
     }
 
-    /// Enables per-trace verification against the functional oracle.
-    pub fn with_oracle(mut self) -> TraceProcessorConfig {
-        self.verify_with_oracle = true;
-        self
-    }
-
-    /// Enables the static-CFG re-convergence oracle
-    /// (see [`TraceProcessorConfig::cfg_oracle`]).
-    pub fn with_cfg_oracle(mut self) -> TraceProcessorConfig {
-        self.cfg_oracle = true;
+    /// The same configuration checked at `check`.
+    pub fn with_check(mut self, check: CheckLevel) -> TraceProcessorConfig {
+        self.check = check;
         self
     }
 

@@ -28,9 +28,9 @@
 //!   loads caught by ARB snooping) selectively reissue.
 //!
 //! The simulator is execution-driven: wrong-path instructions execute with
-//! real (possibly wrong) values. Committed architectural state is optionally
-//! verified against the [`tp_isa::func::Machine`] oracle every trace
-//! ([`TraceProcessorConfig::verify_with_oracle`]).
+//! real (possibly wrong) values. At [`CheckLevel::Oracle`] committed state
+//! is verified against the [`tp_isa::func::Machine`] oracle every trace and
+//! each CGCI re-convergence against the static CFG.
 //!
 //! # Example
 //!
@@ -64,6 +64,6 @@ pub mod sim;
 pub mod stats;
 
 pub use boot::{BootError, BootImage, WarmBoot};
-pub use config::{CiModel, ConfigError, TraceProcessorConfig, MAX_PES};
+pub use config::{CheckLevel, CiModel, ConfigError, TraceProcessorConfig, MAX_PES};
 pub use sim::{RunResult, SimError, TraceProcessor};
 pub use stats::{SimStats, WorkCounters};

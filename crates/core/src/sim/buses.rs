@@ -158,7 +158,7 @@ impl TraceProcessor<'_> {
                         // A version whose owner left the window cannot be
                         // architectural (commit removes versions), so it
                         // must never win forwarding: rank it younger than
-                        // every live access. The paranoid ARB sweep proves
+                        // every live access. The `Full` ARB sweep proves
                         // this is unreachable; keep it safe, not oldest.
                         return u64::MAX;
                     }

@@ -133,7 +133,7 @@ impl TraceProcessor<'_> {
         if let Some(t) = actual {
             self.btb.update_indirect(pc, t);
         }
-        if self.paranoid {
+        if self.cfg.check == CheckLevel::Full {
             assert_eq!(slot, self.pes[pe].slots.len() - 1, "indirect must end its trace");
         }
         match self.list.next(pe) {

@@ -60,7 +60,7 @@ use tp_stats::attr::{AttrKey, RecoveryAttribution, RecoveryOutcome};
 use tp_trace::{Bit, EndReason, OperandRef, Selector, Trace};
 
 use crate::boot::{BootError, BootImage, WarmBoot};
-use crate::config::{TraceProcessorConfig, RAS_DEPTH, TCACHE_WAYS};
+use crate::config::{CheckLevel, TraceProcessorConfig, RAS_DEPTH, TCACHE_WAYS};
 use crate::pe::{Pe, Slot, SlotState, Src};
 use crate::pe_list::PeList;
 use crate::physreg::{PhysRegFile, PhysRegId, RenameMap};
@@ -77,11 +77,10 @@ pub enum SimError {
         /// Human-readable window dump.
         detail: String,
     },
-    /// Committed state diverged from the functional oracle (only with
-    /// [`TraceProcessorConfig::verify_with_oracle`]), or a CGCI
+    /// Committed state diverged from the functional oracle, or a CGCI
     /// re-convergence detection could not be classified by the static
-    /// post-dominator oracle (only with
-    /// [`TraceProcessorConfig::cfg_oracle`]).
+    /// post-dominator oracle (its detail starts `cfg-oracle:`). Raised only
+    /// at [`CheckLevel::Oracle`] and above.
     OracleMismatch {
         /// Cycle of the divergence.
         cycle: u64,
@@ -530,14 +529,10 @@ pub struct TraceProcessor<'p> {
     /// Per-PE masks of the slots completing this cycle.
     scratch_due: Vec<u64>,
     scratch_grants: Vec<u32>,
-    /// Cached `TP_PARANOID` environment flag (reading the environment once
-    /// per stage per cycle is measurable on the hot path).
-    paranoid: bool,
     // Architectural state.
     arch_regs: [Word; Reg::COUNT],
     oracle: Option<Machine<'p>>,
-    /// Static post-dominator re-convergence oracle
-    /// ([`TraceProcessorConfig::cfg_oracle`]).
+    /// Static post-dominator re-convergence oracle ([`CheckLevel::Oracle`]).
     /// Read-only with respect to model behaviour: it observes CGCI
     /// attempts, it never steers them.
     reconv_oracle: Option<Box<CfgAnalysis>>,
@@ -664,7 +659,8 @@ impl<'p> TraceProcessor<'p> {
         for &(word, value) in &boot.mem_delta {
             mem.set(word, value, false);
         }
-        let oracle = cfg.verify_with_oracle.then(|| {
+        let checked = cfg.check >= CheckLevel::Oracle;
+        let oracle = checked.then(|| {
             let mut m = Machine::new(program);
             let delta = boot.mem_delta.iter().copied();
             m.apply_delta(boot.regs, boot.pc, boot.retired, boot.halted, delta);
@@ -710,10 +706,9 @@ impl<'p> TraceProcessor<'p> {
             scratch_order: Vec::new(),
             scratch_due: Vec::new(),
             scratch_grants: Vec::new(),
-            paranoid: std::env::var("TP_PARANOID").is_ok(),
             arch_regs: boot.regs,
             oracle,
-            reconv_oracle: cfg.cfg_oracle.then(|| Box::new(CfgAnalysis::build(program))),
+            reconv_oracle: checked.then(|| Box::new(CfgAnalysis::build(program))),
             reconv_oracle_violation: None,
             reconv_oracle_counts: [0; ReconvClass::ALL.len()],
             last_retire_cycle: 0,
@@ -796,14 +791,9 @@ impl<'p> TraceProcessor<'p> {
     }
 
     /// CGCI re-convergence detections by static classification (all zero
-    /// unless the `tp-cfg` oracle is enabled; see
-    /// [`TraceProcessorConfig::cfg_oracle`]).
+    /// below [`CheckLevel::Oracle`]).
     pub fn cfg_oracle_counts(&self) -> [(ReconvClass, u64); ReconvClass::ALL.len()] {
-        let mut out = [(ReconvClass::Exact, 0); ReconvClass::ALL.len()];
-        for (i, &c) in ReconvClass::ALL.iter().enumerate() {
-            out[i] = (c, self.reconv_oracle_counts[i]);
-        }
-        out
+        ReconvClass::ALL.map(|c| (c, self.reconv_oracle_counts[c.index()]))
     }
 
     /// Committed architectural state (registers plus memory), normalized for
@@ -924,11 +914,9 @@ impl<'p> TraceProcessor<'p> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::OracleMismatch`] when, under
-    /// [`TraceProcessorConfig::verify_with_oracle`], committed state
-    /// diverges from the functional oracle, or when, under
-    /// [`TraceProcessorConfig::cfg_oracle`], a CGCI re-convergence
-    /// detection is one the static CFG cannot justify.
+    /// Returns [`SimError::OracleMismatch`] when, at [`CheckLevel::Oracle`]
+    /// or above, committed state diverges from the functional oracle or a
+    /// CGCI re-convergence detection is one the static CFG cannot justify.
     pub fn step_cycle(&mut self) -> Result<(), SimError> {
         // Amortized collection of the load registry (behaviour-invisible:
         // only entries that validation would skip are dropped).
@@ -951,17 +939,17 @@ impl<'p> TraceProcessor<'p> {
             let _t = ScopedStageTimer::new(prof, Stage::Complete);
             self.complete_stage();
         }
-        self.paranoid_check("complete");
+        self.check_window("complete");
         {
             let _t = ScopedStageTimer::new(prof, Stage::Retire);
             self.retire_stage()?;
         }
-        self.paranoid_check("retire");
+        self.check_window("retire");
         {
             let _t = ScopedStageTimer::new(prof, Stage::Recovery);
             self.recovery_stage();
         }
-        self.paranoid_check("recovery");
+        self.check_window("recovery");
         if let Some(detail) = self.reconv_oracle_violation.take() {
             return Err(SimError::OracleMismatch { cycle: self.now(), detail });
         }
@@ -969,9 +957,9 @@ impl<'p> TraceProcessor<'p> {
             let _t = ScopedStageTimer::new(prof, Stage::Fetch);
             self.fetch_stage();
         }
-        self.paranoid_check("fetch");
+        self.check_window("fetch");
         self.dispatch_stage(prof);
-        self.paranoid_check("dispatch");
+        self.check_window("dispatch");
         {
             let _t = ScopedStageTimer::new(prof, Stage::Issue);
             self.issue_stage();
@@ -986,13 +974,13 @@ impl<'p> TraceProcessor<'p> {
 
     /// Window-wide rename invariant: a trace's `map_before` must never
     /// reference a physical register produced by that trace or any younger
-    /// trace. Gated behind `TP_PARANOID` (read once at construction)
-    /// because it is O(window^2). Also cross-checks the wakeup index
-    /// against a brute-force rescan after every stage, and checks that
-    /// every register root names an allocated register (a missed root
-    /// would otherwise alias a recycled register silently).
-    fn paranoid_check(&self, stage: &str) {
-        if !self.paranoid {
+    /// trace. Run only at [`CheckLevel::Full`] because it is O(window^2).
+    /// Also cross-checks the wakeup index against a brute-force rescan
+    /// after every stage, and checks that every register root names an
+    /// allocated register (a missed root would otherwise alias a recycled
+    /// register silently).
+    fn check_window(&self, stage: &str) {
+        if self.cfg.check != CheckLevel::Full {
             return;
         }
         self.assert_event_index_coherent();
@@ -1254,7 +1242,7 @@ impl<'p> TraceProcessor<'p> {
     /// transition into `Waiting` and after every source rebind of a
     /// `Waiting` slot.
     fn index_enqueue(&mut self, pe: usize, slot: usize) {
-        if self.paranoid {
+        if self.cfg.check == CheckLevel::Full {
             assert_eq!(self.pes[pe].slots[slot].state, SlotState::Waiting);
             assert!(slot < 64, "trace longer than the ready bitmask");
         }
@@ -1354,11 +1342,12 @@ impl<'p> TraceProcessor<'p> {
     /// Makes room in the register file for renaming a trace with
     /// `live_outs` live-outs, sweeping when the file has reached its
     /// threshold (the policy of [`crate::physreg`]). Called before the
-    /// rename starts, while every live register is rooted. Paranoid runs
-    /// sweep before every rename, recycling registers as early as the roots
-    /// allow, so a missed root surfaces in short runs too.
+    /// rename starts, while every live register is rooted. Runs at
+    /// [`CheckLevel::Full`] sweep before every rename, recycling registers
+    /// as early as the roots allow, so a missed root surfaces in short runs
+    /// too.
     fn reserve_pregs(&mut self, live_outs: usize) {
-        if self.pregs.grow_for(live_outs) || self.paranoid {
+        if self.pregs.grow_for(live_outs) || self.cfg.check == CheckLevel::Full {
             self.sweep_pregs();
         }
     }
@@ -1413,8 +1402,8 @@ impl<'p> TraceProcessor<'p> {
     /// Brute-force cross-check of the wakeup index, the fault masks and the
     /// live-in binding against the window (the [`WakeupIndex`] invariants,
     /// verbatim). O(window x slots); used by tests after every cycle of
-    /// adversarial runs and by `TP_PARANOID` runs after every stage. Not
-    /// part of the public API.
+    /// adversarial runs and by [`CheckLevel::Full`] runs after every
+    /// stage. Not part of the public API.
     ///
     /// # Panics
     ///

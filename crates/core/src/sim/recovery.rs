@@ -229,14 +229,13 @@ impl TraceProcessor<'_> {
     }
 
     /// Checks one CGCI re-convergence detection against the static
-    /// post-dominator oracle (no-op unless
-    /// [`TraceProcessorConfig::cfg_oracle`] is on). Every detection must
-    /// land in a classified bucket of [`ReconvClass`]; the first
+    /// post-dominator oracle (no-op below [`CheckLevel::Oracle`]). Every
+    /// detection must land in a classified bucket of [`ReconvClass`]; the first
     /// unclassifiable one is recorded and surfaced from `step_cycle` as
     /// [`SimError::OracleMismatch`]. Observation-only: the attempt
     /// proceeds unchanged either way, so enabling the oracle can never
     /// alter simulated behaviour.
-    fn check_reconv_oracle(&mut self, branch_pc: Pc, matched: Heuristic, detected: Pc) {
+    pub(super) fn check_reconv_oracle(&mut self, branch_pc: Pc, matched: Heuristic, detected: Pc) {
         let Some(oracle) = &self.reconv_oracle else { return };
         let class = oracle.classify(branch_pc, detected);
         self.reconv_oracle_counts[class.index()] += 1;
@@ -475,7 +474,7 @@ impl TraceProcessor<'_> {
         let old_len = self.pes[pe].slots.len();
         let new_len = repaired.len();
         let prefix_len = (fault_slot + 1).min(new_len);
-        if self.paranoid {
+        if self.cfg.check == CheckLevel::Full {
             assert!(fault_slot < old_len);
         }
         let common = self.common_suffix_len(pe, prefix_len, &repaired);
@@ -514,7 +513,7 @@ impl TraceProcessor<'_> {
         // fault branch re-verifies against its new embedded outcome below.
         for (i, s) in slots.iter_mut().enumerate() {
             let new_ti = repaired.insts()[i];
-            if self.paranoid {
+            if self.cfg.check == CheckLevel::Full {
                 assert_eq!(s.ti.inst, new_ti.inst, "repair changed a prefix instruction");
             }
             s.ti = new_ti;
@@ -529,7 +528,7 @@ impl TraceProcessor<'_> {
         // only meaningful while the slot's inputs still stand.
         for (k, mut s) in suffix.drain(..).enumerate() {
             let new_ti = repaired.insts()[middle_end + k];
-            if self.paranoid {
+            if self.cfg.check == CheckLevel::Full {
                 assert_eq!(s.ti.inst, new_ti.inst, "suffix match changed an instruction");
             }
             s.ti = new_ti;

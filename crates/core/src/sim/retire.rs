@@ -4,15 +4,14 @@
 //! trace has completed, its register results are written to architectural
 //! state, its stores are committed through the ARB, the conditional-branch
 //! predictor is trained, and the trace-level predictor/trace cache are
-//! updated with the *actual* trace. Under
-//! [`TraceProcessorConfig::verify_with_oracle`] every retiring instruction
-//! is checked against the functional oracle — per-instruction PC,
-//! committed store address/value against the oracle's memory, and
-//! per-trace register state. The stage also contains the repair safety
-//! nets for recovery corner cases (§3/§4): re-grounding the head's
-//! live-ins to retired state, squashing a head that does not continue the
-//! committed frontier, and squashing an inconsistent tail left behind by
-//! an abandoned CGCI insertion.
+//! updated with the *actual* trace. At [`CheckLevel::Oracle`] and above
+//! every retiring instruction is checked against the functional oracle —
+//! per-instruction PC, committed store address/value against the oracle's
+//! memory, and per-trace register state. The stage also contains the
+//! repair safety nets for recovery corner cases (§3/§4): re-grounding the
+//! head's live-ins to retired state, squashing a head that does not
+//! continue the committed frontier, and squashing an inconsistent tail left
+//! behind by an abandoned CGCI insertion.
 //!
 //! **Mutates:** architectural registers and the retired rename map, the
 //! ARB (store commit), predictors and trace cache (training/fill), the PE
@@ -114,7 +113,7 @@ impl TraceProcessor<'_> {
             map_before[r.index()] = self.retired_map[r.index()];
         }
         let moved = self.rebind_live_ins(head, map_before);
-        if self.paranoid {
+        if self.cfg.check == CheckLevel::Full {
             assert!(moved > 0, "cycle {}: re-ground of pe{head} moved no operand", self.now());
         }
         self.books.head_rebound(moved);
@@ -265,7 +264,7 @@ impl TraceProcessor<'_> {
         // Free the PE. The gen bump invalidates its wakeup-index entries;
         // a fully-complete trace holds no ready bits to clear, but reset
         // defensively to keep the positional mask invariant unconditional.
-        if self.paranoid {
+        if self.cfg.check == CheckLevel::Full {
             assert_eq!(self.wakeup.ready[pe], 0, "retiring pe{pe} with ready bits set");
         }
         self.index_reset_pe(pe);

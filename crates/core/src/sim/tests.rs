@@ -8,10 +8,11 @@ use tp_isa::asm::Asm;
 use tp_isa::func::Machine;
 use tp_isa::synth::{self, SynthConfig};
 use tp_isa::{AluOp, Cond};
+use tp_stats::attr::Heuristic;
 use tp_trace::TraceInst;
 
 fn run_verified(program: &Program, model: CiModel) -> RunResult {
-    let cfg = TraceProcessorConfig::paper(model).with_oracle();
+    let cfg = TraceProcessorConfig::paper(model).with_check(CheckLevel::Oracle);
     let mut sim = TraceProcessor::new(program, cfg);
     let result = sim.run(5_000_000).unwrap_or_else(|e| panic!("{}: {e}", program.name()));
     assert!(result.halted, "{} did not halt under {model:?}", program.name());
@@ -190,7 +191,7 @@ fn hammock_loop_all_models() {
 #[test]
 fn fgci_recoveries_trigger_on_hammocks() {
     let p = hammock_loop_program();
-    let cfg = TraceProcessorConfig::paper(CiModel::Fg).with_oracle();
+    let cfg = TraceProcessorConfig::paper(CiModel::Fg).with_check(CheckLevel::Oracle);
     let mut sim = TraceProcessor::new(&p, cfg);
     sim.run(5_000_000).unwrap();
     assert!(sim.stats().fgci_recoveries > 0, "expected FGCI recoveries: {:?}", sim.stats());
@@ -199,7 +200,7 @@ fn fgci_recoveries_trigger_on_hammocks() {
 #[test]
 fn mlb_recoveries_trigger_on_unpredictable_loops() {
     let p = unpredictable_loops_program();
-    let cfg = TraceProcessorConfig::paper(CiModel::MlbRet).with_oracle();
+    let cfg = TraceProcessorConfig::paper(CiModel::MlbRet).with_check(CheckLevel::Oracle);
     let mut sim = TraceProcessor::new(&p, cfg);
     sim.run(5_000_000).unwrap();
     assert!(sim.stats().cgci_attempts > 0, "expected CGCI attempts: {:?}", sim.stats());
@@ -216,7 +217,7 @@ fn unpredictable_loops_all_models() {
 #[test]
 fn ret_recoveries_trigger_on_calls() {
     let p = call_heavy_program();
-    let cfg = TraceProcessorConfig::paper(CiModel::Ret).with_oracle();
+    let cfg = TraceProcessorConfig::paper(CiModel::Ret).with_check(CheckLevel::Oracle);
     let mut sim = TraceProcessor::new(&p, cfg);
     sim.run(5_000_000).unwrap();
     assert!(sim.stats().cgci_attempts > 0, "expected CGCI attempts: {:?}", sim.stats());
@@ -269,7 +270,7 @@ fn stats_are_consistent() {
 #[test]
 fn small_config_works() {
     for model in CiModel::ALL {
-        let cfg = TraceProcessorConfig::small(model).with_oracle();
+        let cfg = TraceProcessorConfig::small(model).with_check(CheckLevel::Oracle);
         let p = counted_loop_program(50);
         let mut sim = TraceProcessor::new(&p, cfg);
         let r = sim.run(1_000_000).unwrap();
@@ -294,7 +295,7 @@ fn wakeup_index_matches_rescan_every_cycle() {
     ];
     for p in &programs {
         for model in CiModel::ALL {
-            let cfg = TraceProcessorConfig::paper(model).with_oracle();
+            let cfg = TraceProcessorConfig::paper(model).with_check(CheckLevel::Oracle);
             let mut sim = TraceProcessor::new(p, cfg);
             let mut cycles = 0u64;
             while !sim.halted() && cycles < 200_000 {
@@ -335,7 +336,7 @@ fn register_sweeps_are_behaviour_invisible() {
     let programs = [hammock_loop_program(), unpredictable_loops_program(), call_heavy_program()];
     for p in &programs {
         for model in CiModel::ALL {
-            let cfg = TraceProcessorConfig::paper(model).with_oracle();
+            let cfg = TraceProcessorConfig::paper(model).with_check(CheckLevel::Oracle);
             let mut base = TraceProcessor::new(p, cfg.clone());
             let base_r = base.run(5_000_000).unwrap();
             let mut swept = TraceProcessor::new(p, cfg);
@@ -361,12 +362,11 @@ fn register_sweeps_are_behaviour_invisible() {
 fn register_file_footprint_is_flat_in_run_length() {
     let footprint = |n: i32| {
         let p = hammock_loop_program_n(n);
-        let cfg = TraceProcessorConfig::paper(CiModel::FgMlbRet);
+        // The production sweep policy: `Full` sweeps before every rename
+        // and so sizes the file differently.
+        let cfg = TraceProcessorConfig::paper(CiModel::FgMlbRet).with_check(CheckLevel::Off);
         let bound = cfg.num_pes * 32 * 4 + Reg::COUNT;
         let mut sim = TraceProcessor::new(&p, cfg);
-        // The production sweep policy, even under TP_PARANOID (which
-        // sweeps before every rename and so sizes the file differently).
-        sim.paranoid = false;
         let r = sim.run(50_000_000).unwrap();
         assert!(r.halted);
         let (capacity, high_water) = sim.preg_footprint();
@@ -378,6 +378,37 @@ fn register_file_footprint_is_flat_in_run_length() {
     let (long, long_dispatched) = footprint(25600);
     assert!(long_dispatched > 7 * short_dispatched, "the long run must dispatch ~8x more");
     assert_eq!(short, long, "register file capacity grew with run length");
+}
+
+/// At `Oracle` a CGCI re-convergence detection the static CFG cannot
+/// justify ends the run at the next cycle with a `cfg-oracle:` mismatch
+/// naming the branch; at `Off` the same detection goes unchecked.
+#[test]
+fn unjustifiable_reconvergence_fails_the_run_only_when_checked() {
+    let p = hammock_loop_program();
+    // The hammock's forward branch. Pc 0, the loop set-up, is neither on
+    // its paths nor after them, so nothing in the CFG justifies it.
+    let insts = p.insts().iter().enumerate();
+    let branch = insts
+        .filter(|&(pc, i)| i.is_cond_branch() && !i.is_backward_branch(pc as Pc))
+        .map(|(pc, _)| pc as Pc)
+        .next()
+        .expect("the kernel has a hammock");
+    for check in [CheckLevel::Off, CheckLevel::Oracle] {
+        let cfg = TraceProcessorConfig::paper(CiModel::Ret).with_check(check);
+        let mut sim = TraceProcessor::new(&p, cfg);
+        sim.check_reconv_oracle(branch, Heuristic::Ret, 0);
+        let unclassified = sim.cfg_oracle_counts()[ReconvClass::Unclassified.index()].1;
+        match sim.step_cycle() {
+            Ok(()) => assert_eq!((check, unclassified), (CheckLevel::Off, 0)),
+            Err(SimError::OracleMismatch { detail, .. }) => {
+                assert_eq!((check, unclassified), (CheckLevel::Oracle, 1));
+                assert!(detail.starts_with("cfg-oracle:"), "{detail}");
+                assert!(detail.contains(&format!("branch pc {branch} ")), "{detail}");
+            }
+            Err(e) => panic!("{check:?}: {e}"),
+        }
+    }
 }
 
 /// A packed window reference must round-trip its fields at their limits
@@ -576,7 +607,7 @@ fn shifted_suffix_repairs_match_the_pinned_statistics() {
     ];
     let p = shifting_hammock_program();
     for (model, want) in pinned {
-        let cfg = TraceProcessorConfig::paper(model).with_oracle();
+        let cfg = TraceProcessorConfig::paper(model).with_check(CheckLevel::Oracle);
         let mut sim = TraceProcessor::new(&p, cfg);
         // Repairs that changed a trace's length in place (same dispatch, new
         // length) and kept a common suffix reading one prefix producer in
@@ -679,7 +710,7 @@ fn a_repromoted_slot_keeps_its_global_register() {
     let x_pc = pc_of(Inst::AluImm { op: AluOp::Add, rd: r(7), rs: r(7), imm: 1 });
     let w_pc = pc_of(Inst::AluImm { op: AluOp::Add, rd: r(7), rs: r(7), imm: 5 });
     let b_pc = x_pc + 2;
-    let cfg = TraceProcessorConfig::paper(CiModel::Fg).with_oracle();
+    let cfg = TraceProcessorConfig::paper(CiModel::Fg).with_check(CheckLevel::Oracle);
     let mut sim = TraceProcessor::new(&p, cfg);
     let mut repaired = false;
     while !sim.halted() {

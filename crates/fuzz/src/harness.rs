@@ -3,17 +3,17 @@
 //!
 //! For each emission ([`Isa::Synth`], [`Isa::Rv`]) the harness first runs
 //! the functional [`Machine`] to get the reference architectural state and
-//! retired-instruction count, then runs all five pipeline models with
-//! per-retire oracle verification enabled
-//! ([`TraceProcessorConfig::with_oracle`]: PC stream, committed store
-//! address *and* value, per-trace registers). A run diverges if it raises
-//! [`SimError::OracleMismatch`], deadlocks, fails to halt within the
+//! retired-instruction count, then runs all five pipeline models at the
+//! harness's [`CheckLevel`] (by default [`CheckLevel::Oracle`]: PC stream,
+//! committed store address *and* value, per-trace registers, and every
+//! CGCI re-convergence against the static CFG). A run diverges if it
+//! raises [`SimError::OracleMismatch`], deadlocks, fails to halt within the
 //! oracle's retired count (plus slack), or halts with different final
 //! architectural state or retired count.
 
 use std::fmt;
 
-use tp_core::{CiModel, SimError, TraceProcessor, TraceProcessorConfig};
+use tp_core::{CheckLevel, CiModel, SimError, TraceProcessor, TraceProcessorConfig};
 use tp_isa::func::Machine;
 use tp_isa::Program;
 
@@ -105,12 +105,12 @@ pub struct Harness {
     /// from divergence through shrinking can be tested against a machine
     /// that is *known* bad. Only the shrinker self-test sets this.
     pub inject_cgci_stall_bug: bool,
-    /// Additionally run the static CFG re-convergence oracle
-    /// ([`TraceProcessorConfig::with_cfg_oracle`]): every CGCI attempt's
-    /// detected re-convergent PC must be statically classifiable, turning
-    /// a heuristic that "merely" loses coverage silently into a loud
-    /// divergence.
-    pub cfg_oracle: bool,
+    /// What every run checks. At [`CheckLevel::Oracle`] (the default)
+    /// every CGCI attempt's detected re-convergent PC must also be
+    /// statically classifiable, turning a heuristic that "merely" loses
+    /// coverage silently into a loud divergence; [`CheckLevel::Full`] adds
+    /// the window invariants after every stage.
+    pub check: CheckLevel,
 }
 
 impl Default for Harness {
@@ -121,7 +121,7 @@ impl Default for Harness {
             isas: vec![Isa::Synth, Isa::Rv],
             small_machine: false,
             inject_cgci_stall_bug: false,
-            cfg_oracle: false,
+            check: CheckLevel::Oracle,
         }
     }
 }
@@ -136,8 +136,7 @@ impl Harness {
             TraceProcessorConfig::paper(model)
         };
         cfg.inject_cgci_stall_bug = self.inject_cgci_stall_bug;
-        cfg.cfg_oracle = self.cfg_oracle;
-        cfg.with_oracle()
+        cfg.with_check(self.check)
     }
 
     /// Generates seed `seed` under `cfg` and differentially checks it.

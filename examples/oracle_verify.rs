@@ -1,6 +1,6 @@
 //! Oracle-verified determinism probe: runs a fixed set of kernels under
-//! every control-independence model with per-trace oracle checking enabled
-//! and prints cycle counts plus a digest of committed architectural state.
+//! every control-independence model at `CheckLevel::Oracle` and prints
+//! cycle counts plus a digest of committed architectural state.
 //!
 //! The output is fully deterministic, so diffing two runs proves that a
 //! refactor left cycle-level behaviour and committed state bit-identical.
@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example oracle_verify`
 
 fn main() {
-    for row in tp_bench::corpus::probe_rows() {
+    for row in tp_bench::corpus::probe_rows(trace_processor::tp_core::CheckLevel::Oracle) {
         println!("{row}");
     }
 }

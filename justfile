@@ -70,8 +70,9 @@ guard:
 
 # Static CFG + post-dominator analysis test battery: the tp-cfg unit
 # tests, the dom/pdom fixtures, the CGCI-vs-static differential oracle
-# over every workload x model, the 1000-seed fuzzer ground-truth
-# exactness test, and the workload corpus lint fixture.
+# over every workload x model, the FGCI scan against the static ipdoms,
+# the 1000-seed fuzzer ground-truth exactness test, and the workload
+# corpus lint fixture.
 cfg:
     cargo test --release -p tp-cfg
     cargo test --release -p tp-fuzz --test cfg_truth
@@ -94,21 +95,19 @@ bless:
     TP_BLESS=1 cargo test --release --test golden_stats
 
 # Bounded differential fuzz pass, exactly as CI runs it: SEEDS generated
-# programs through all five CI models on both frontends against the
-# functional oracle (exit non-zero on any divergence).
+# programs through all five CI models on both frontends at
+# CheckLevel::Oracle: the functional oracle, and every CGCI detection
+# against the static re-convergence oracle (exit non-zero on any
+# divergence).
 fuzz-ci SEEDS="500":
     cargo run --release -p tp-bench --bin fuzz -- --count {{SEEDS}}
 
-# Bounded fuzz pass with the window invariants armed after every stage
-# (TP_PARANOID: rename, ARB, wakeup-index and register-root checks),
-# exactly as CI runs it; CI runs it on both machines (paper|small).
+# Bounded fuzz pass at CheckLevel::Full (TP_PARANOID): the Oracle checks
+# plus the window invariants after every stage (rename, ARB,
+# wakeup-index and register-root checks), exactly as CI runs it; CI runs
+# it on both machines (paper|small).
 fuzz-paranoid SEEDS="400" MACHINE="paper":
     TP_PARANOID=1 cargo run --release -p tp-bench --bin fuzz -- --count {{SEEDS}} --machine {{MACHINE}} --quiet
-
-# Bounded fuzz pass with the static re-convergence oracle armed: every
-# CGCI detection must be classifiable by tp-cfg or the seed diverges.
-fuzz-cfg SEEDS="500":
-    cargo run --release -p tp-bench --bin fuzz -- --count {{SEEDS}} --cfg-oracle
 
 # Unbounded fuzz loop (Ctrl-C to stop). Every seed is logged on
 # divergence, so a failure replays exactly:

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use tp_bench::run_cell;
-use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use trace_processor::tp_core::{CheckLevel, CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_events::{Category, CategoryMask, Event, RingSink};
 use trace_processor::tp_isa::asm::Asm;
 use trace_processor::tp_isa::{AluOp, Cond, Program, Reg};
@@ -23,7 +23,7 @@ use trace_processor::tp_stats::attr::{BranchClass, Heuristic, RecoveryOutcome};
 use trace_processor::tp_workloads::{by_name, Size};
 
 fn run(program: &Program, model: CiModel) -> trace_processor::tp_core::RunResult {
-    let cfg = TraceProcessorConfig::paper(model).with_oracle();
+    let cfg = TraceProcessorConfig::paper(model).with_check(CheckLevel::Oracle);
     let mut sim = TraceProcessor::new(program, cfg);
     run_cell(&mut sim, program.name(), model.name()).result
 }
@@ -235,7 +235,7 @@ fn cgci_events_balance_against_ledger() {
         [("go", CiModel::MlbRet), ("compress", CiModel::MlbRet), ("go", CiModel::FgMlbRet)]
     {
         let w = by_name(name, Size::Tiny).unwrap();
-        let cfg = TraceProcessorConfig::paper(model).with_oracle();
+        let cfg = TraceProcessorConfig::paper(model).with_check(CheckLevel::Oracle);
         let mut sim = TraceProcessor::new(&w.program, cfg);
         sim.attach_event_sink(Box::new(RingSink::with_interests(
             1 << 20,

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use tp_bench::corpus::simstats_rows;
 use tp_bench::json::{parse, Json};
-use trace_processor::tp_core::{CiModel, TraceProcessorConfig};
+use trace_processor::tp_core::{CheckLevel, CiModel, TraceProcessorConfig};
 use trace_processor::tp_events::RingSink;
 use trace_processor::tp_workloads::{by_name, suite, Size};
 
@@ -30,7 +30,7 @@ use trace_processor::tp_workloads::{by_name, suite, Size};
 /// golden `simstats.txt` fixture byte for byte.
 #[test]
 fn attached_bus_leaves_golden_simstats_rows_byte_identical() {
-    let actual = simstats_rows(&suite(Size::Tiny), |_, sim| {
+    let actual = simstats_rows(&suite(Size::Tiny), CheckLevel::Off, |_, sim| {
         sim.attach_event_sink(Box::new(RingSink::new(4_096)));
         assert!(sim.events_attached());
     });

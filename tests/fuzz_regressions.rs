@@ -3,19 +3,26 @@
 //! Each kernel is a program shape that once diverged from the functional
 //! oracle, shrunk to a minimal reproducer and checked in here with the
 //! fix. The kernels run through the same [`Harness`] the fuzzer uses:
-//! every control-independence model, both frontends, per-retire oracle
-//! verification.
+//! every control-independence model, both frontends, checked at
+//! `CheckLevel::Oracle`, or at `CheckLevel::Full` with `TP_PARANOID` set.
 
+use tp_bench::cli::check_level;
+use tp_core::CheckLevel;
 use tp_fuzz::ast::{CondSpec, CondSrc, Func, FuzzAst, Op, Stmt};
 use tp_fuzz::harness::Harness;
 use tp_fuzz::{generate, FuzzConfig};
 use tp_isa::Cond;
 
+/// The fuzzer's harness at the level the run asks for.
+fn harness() -> Harness {
+    Harness { check: check_level(CheckLevel::Oracle), ..Harness::default() }
+}
+
 /// Runs `ast` through every model on both frontends and asserts no
 /// divergence, on both the paper and the small machine.
 fn assert_clean(ast: &FuzzAst, name: &str) {
     for small_machine in [false, true] {
-        let harness = Harness { small_machine, ..Harness::default() };
+        let harness = Harness { small_machine, ..harness() };
         let out = harness.check_ast(ast, name);
         assert!(!out.is_divergence(), "{name} (small_machine={small_machine}): {out:?}");
     }
@@ -75,7 +82,7 @@ fn cgci_retired_upstream_kernel() {
 /// [`cgci_retired_upstream_kernel`].
 #[test]
 fn formerly_divergent_seed_corpus() {
-    let harness = Harness::default();
+    let harness = harness();
     let cfg = FuzzConfig::default();
     for seed in [386, 1251, 1359, 1411, 2003, 2704] {
         let out = harness.check_ast(&generate(&cfg, seed), &format!("seed-{seed}"));

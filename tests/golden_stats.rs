@@ -33,6 +33,11 @@
 //!   accounting sites cannot drop, duplicate or reorder an event. The same
 //!   runs check that residency spans balance.
 //!
+//! The probes run at `CheckLevel::Oracle`, the other cells at
+//! `CheckLevel::Off`; with `TP_PARANOID` set every cell runs at
+//! `CheckLevel::Full` (`tp_bench::cli::check_level`), and the fixtures must
+//! still match, since checks observe and never steer.
+//!
 //! All of these run in tier-1 (`cargo test`). On an *intentional* behaviour
 //! change, bless new fixtures with:
 //!
@@ -47,9 +52,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use tp_bench::cli::check_level;
 use tp_bench::corpus::simstats_rows;
 use tp_bench::run_cell;
-use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use trace_processor::tp_core::{CheckLevel, CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_events::{Event, RingSink};
 use trace_processor::tp_workloads::{all_workloads, suite, Size};
 
@@ -95,7 +101,7 @@ fn check_against_golden(file: &str, actual: &str) {
 /// The 25 oracle-probe cells must match the fixture bit-for-bit.
 #[test]
 fn oracle_probes_match_golden() {
-    let mut actual = tp_bench::corpus::probe_rows().join("\n");
+    let mut actual = tp_bench::corpus::probe_rows(check_level(CheckLevel::Oracle)).join("\n");
     actual.push('\n');
     check_against_golden("oracle_probes.txt", &actual);
 }
@@ -106,7 +112,7 @@ fn oracle_probes_match_golden() {
 fn sampled_row_matches_golden() {
     use tp_bench::sampled::{run_sampled, SampleConfig};
     let w = trace_processor::tp_workloads::by_name("gcc", Size::Tiny).unwrap();
-    let cfg = TraceProcessorConfig::paper(CiModel::None);
+    let cfg = TraceProcessorConfig::paper(CiModel::None).with_check(check_level(CheckLevel::Off));
     // A deliberately small regime so the tiny run exercises several
     // warm-boot rounds and fast-forward legs.
     let sample = SampleConfig { warmup: 100, interval: 400, skip: 200 };
@@ -135,7 +141,8 @@ fn sampled_row_matches_golden() {
 /// match the fixture field-for-field.
 #[test]
 fn simstats_match_golden() {
-    check_against_golden("simstats.txt", &simstats_rows(&suite(Size::Tiny), |_, _| {}));
+    let rows = simstats_rows(&suite(Size::Tiny), check_level(CheckLevel::Off), |_, _| {});
+    check_against_golden("simstats.txt", &rows);
 }
 
 /// The RV64 suite's `SimStats` snapshots (tiny rv suite x all five models):
@@ -144,7 +151,8 @@ fn simstats_match_golden() {
 #[test]
 fn rv_simstats_match_golden() {
     use trace_processor::tp_workloads::rv_suite;
-    check_against_golden("rv_simstats.txt", &simstats_rows(&rv_suite(Size::Tiny), |_, _| {}));
+    let rows = simstats_rows(&rv_suite(Size::Tiny), check_level(CheckLevel::Off), |_, _| {});
+    check_against_golden("rv_simstats.txt", &rows);
 }
 
 /// Every tiny-battery cell (both suites x all five models), run with a
@@ -159,10 +167,12 @@ fn rv_simstats_match_golden() {
 #[test]
 fn event_stream_matches_golden() {
     let mut actual = String::new();
+    let check = check_level(CheckLevel::Off);
     for w in all_workloads(Size::Tiny) {
         for model in CiModel::ALL {
             let cell = format!("{} {}", w.name, model.name());
-            let mut sim = TraceProcessor::new(&w.program, TraceProcessorConfig::paper(model));
+            let cfg = TraceProcessorConfig::paper(model).with_check(check);
+            let mut sim = TraceProcessor::new(&w.program, cfg);
             sim.attach_event_sink(Box::new(RingSink::new(usize::MAX)));
             run_cell(&mut sim, w.name, model.name());
             let ring = sim.release_event_bus().take::<RingSink>().expect("attached above");

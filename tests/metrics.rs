@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use tp_bench::corpus::simstats_rows;
 use tp_bench::metrics::ipdom_map;
 use tp_bench::run_cell;
-use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use trace_processor::tp_core::{CheckLevel, CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_events::{Category, CategoryMask, Event, RingSink};
 use trace_processor::tp_metrics::{Histogram, MetricsSink, EXACT_BUCKETS};
 use trace_processor::tp_stats::{AttrKey, BranchClass, Heuristic, RecoveryOutcome};
@@ -39,7 +39,7 @@ use trace_processor::tp_workloads::{all_workloads, by_name, suite, Size};
 /// bytes, as the bare golden run.
 #[test]
 fn metrics_sink_and_profiler_leave_golden_simstats_rows_byte_identical() {
-    let actual = simstats_rows(&suite(Size::Tiny), |w, sim| {
+    let actual = simstats_rows(&suite(Size::Tiny), CheckLevel::Off, |w, sim| {
         sim.attach_event_sink(Box::new(MetricsSink::new().with_ipdom(ipdom_map(&w.program))));
         sim.attach_stage_profiler();
     });

@@ -22,7 +22,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tp_bench::run_cell;
-use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use trace_processor::tp_core::{CheckLevel, CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_isa::func::Machine;
 use trace_processor::tp_rv::{corpus, decode, RvCond, RvIOp, RvInst, RvOp, RvShift};
 use trace_processor::tp_workloads::{rv_suite, Size};
@@ -102,7 +102,7 @@ fn rv_suite_matches_functional_machine_under_all_models() {
         let mut oracle = Machine::new(&w.program);
         oracle.run(u64::MAX).expect("functional run completes");
         for model in CiModel::ALL {
-            let cfg = TraceProcessorConfig::paper(model).with_oracle();
+            let cfg = TraceProcessorConfig::paper(model).with_check(CheckLevel::Oracle);
             let mut sim = TraceProcessor::new(&w.program, cfg);
             let r = run_cell(&mut sim, w.name, model.name()).result;
             assert_eq!(

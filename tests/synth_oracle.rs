@@ -7,7 +7,7 @@
 //! across the generator's support and are stable run to run.
 
 use tp_bench::run_cell;
-use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use trace_processor::tp_core::{CheckLevel, CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_isa::func::Machine;
 use trace_processor::tp_isa::synth::{self, SynthConfig};
 
@@ -41,7 +41,7 @@ fn random_programs_with_larger_windows() {
         let mut oracle = Machine::new(&program);
         oracle.run(u64::MAX).expect("oracle in range");
         // Oracle-verified run (per-trace checking) with the full model.
-        let cfg = TraceProcessorConfig::paper(CiModel::FgMlbRet).with_oracle();
+        let cfg = TraceProcessorConfig::paper(CiModel::FgMlbRet).with_check(CheckLevel::Oracle);
         let mut sim = TraceProcessor::new(&program, cfg);
         run_cell(&mut sim, &format!("seed {seed}"), "FG+MLB-RET");
     }

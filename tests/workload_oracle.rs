@@ -2,7 +2,7 @@
 //! simulator's architectural state under every control-independence model.
 
 use tp_bench::run_cell;
-use tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use tp_core::{CheckLevel, CiModel, TraceProcessor, TraceProcessorConfig};
 use tp_isa::func::Machine;
 use tp_workloads::{suite, Size};
 
@@ -12,7 +12,7 @@ fn all_workloads_match_oracle_under_all_models() {
         let mut oracle = Machine::new(&w.program);
         oracle.run(u64::MAX).expect("oracle completes");
         for model in CiModel::ALL {
-            let cfg = TraceProcessorConfig::paper(model).with_oracle();
+            let cfg = TraceProcessorConfig::paper(model).with_check(CheckLevel::Oracle);
             let mut sim = TraceProcessor::new(&w.program, cfg);
             run_cell(&mut sim, w.name, model.name());
             assert_eq!(
