@@ -49,7 +49,9 @@ struct Version {
 ///
 /// The backing is a [`PagedMem`] whose marks record every word committed
 /// since the ARB was created ([`Arb::committed_since_boot`]) — the delta a
-/// detailed interval hands back to a functional machine.
+/// detailed interval hands back to a functional machine. A processor's
+/// backing shares its program's data image copy-on-write, so it holds only
+/// the pages the boot delta and the commits wrote.
 ///
 /// # Example
 ///

@@ -723,7 +723,7 @@ fn decode_warm(r: &mut Reader<'_>) -> Result<WarmImages, WireError> {
     let index_bits = r.u32("predictor index bits")?;
     let path_depth = r.u32("predictor path depth")? as usize;
     let confidence_threshold = r.u8("predictor confidence threshold")?;
-    if index_bits > 24 || path_depth == 0 {
+    if index_bits > 24 || !(1..=TraceHistory::MAX_DEPTH).contains(&path_depth) {
         return Err(WireError::Corrupt(format!(
             "predictor geometry: index_bits {index_bits}, path_depth {path_depth}"
         )));
@@ -776,8 +776,8 @@ fn decode_warm(r: &mut Reader<'_>) -> Result<WarmImages, WireError> {
         dcache_lines.push(r.u64("dcache line")?);
     }
     let history_depth = r.u32("history depth")?;
-    if history_depth == 0 {
-        return Err(WireError::Corrupt("history depth: 0".to_string()));
+    if !(1..=TraceHistory::MAX_DEPTH as u32).contains(&history_depth) {
+        return Err(WireError::Corrupt(format!("history depth: {history_depth}")));
     }
     let n = r.len("history len")?;
     let mut history = Vec::with_capacity(n.min(1 << 8));

@@ -266,4 +266,25 @@ mod tests {
             assert_eq!(err, Err(CkptError::UnsupportedVersion(version.into())));
         }
     }
+
+    /// A path or history depth deeper than a trace history holds decodes
+    /// to a named error, not a panic at boot.
+    #[test]
+    fn decode_rejects_history_deeper_than_its_capacity() {
+        let w = by_name("compress", Size::Tiny).unwrap().program;
+        let cfg = TraceProcessorConfig::paper(CiModel::None);
+        let mut ff = FastForward::new(&w, &cfg);
+        ff.skip(50).unwrap();
+        let deep = tp_predict::TraceHistory::MAX_DEPTH + 1;
+        let deepen: [fn(&mut WarmImages, usize); 2] = [
+            |warm, depth| warm.history_depth = depth as u32,
+            |warm, depth| warm.predictor.config.path_depth = depth,
+        ];
+        for (i, deepen) in deepen.iter().enumerate() {
+            let mut ckpt = ff.checkpoint();
+            deepen(ckpt.warm.as_mut().unwrap(), deep);
+            let err = Checkpoint::decode(&ckpt.encode()).unwrap_err();
+            assert!(err.to_string().contains(&deep.to_string()), "case {i}: {err}");
+        }
+    }
 }

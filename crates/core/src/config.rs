@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use tp_predict::TracePredictorConfig;
+use tp_predict::{TraceHistory, TracePredictorConfig};
 use tp_trace::SelectionConfig;
 
 /// The largest supported `num_pes`: PE indices are narrowed to one byte
@@ -70,6 +70,12 @@ pub enum ConfigError {
     FgciWithoutFgSelection,
     /// The `MLB-RET` heuristic without `ntb` trace selection.
     MlbWithoutNtbSelection,
+    /// A predictor path depth of zero or above
+    /// [`TraceHistory::MAX_DEPTH`](tp_predict::TraceHistory::MAX_DEPTH).
+    PathDepth {
+        /// The configured value.
+        path_depth: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -87,6 +93,11 @@ impl fmt::Display for ConfigError {
             ConfigError::MlbWithoutNtbSelection => {
                 write!(f, "model: MLB-RET requires ntb trace selection to expose loop exits")
             }
+            ConfigError::PathDepth { path_depth } => write!(
+                f,
+                "predictor.path_depth = {path_depth}: must be 1..={}",
+                TraceHistory::MAX_DEPTH
+            ),
         }
     }
 }
@@ -276,6 +287,10 @@ impl TraceProcessorConfig {
         if self.model.mlb() && !self.selection.ntb {
             return Err(ConfigError::MlbWithoutNtbSelection);
         }
+        let path_depth = self.predictor.path_depth;
+        if !(1..=TraceHistory::MAX_DEPTH).contains(&path_depth) {
+            return Err(ConfigError::PathDepth { path_depth });
+        }
         Ok(())
     }
 }
@@ -361,6 +376,21 @@ mod tests {
         let mut c = TraceProcessorConfig::paper(CiModel::None);
         c.num_pes = 1;
         assert!(c.validate().unwrap_err().to_string().contains("num_pes = 1"));
+    }
+
+    /// Path depths the fixed-size trace history cannot hold fail
+    /// validation instead of panicking at boot.
+    #[test]
+    fn path_depth_is_bounded_by_the_history_capacity() {
+        let mut c = TraceProcessorConfig::paper(CiModel::MlbRet);
+        c.predictor.path_depth = TraceHistory::MAX_DEPTH;
+        c.validate().unwrap();
+        for path_depth in [0, TraceHistory::MAX_DEPTH + 1] {
+            c.predictor.path_depth = path_depth;
+            let err = c.validate().unwrap_err();
+            assert_eq!(err, ConfigError::PathDepth { path_depth });
+            assert!(err.to_string().contains(&format!("path_depth = {path_depth}")), "{err}");
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl TraceProcessor<'_> {
             ExpectedNext::Predicted(pc) => (Some(pc), false),
             ExpectedNext::Stalled => (None, false),
         };
-        let hist_before = self.fetch_hist.clone();
+        let hist_before = self.fetch_hist;
         let prediction = self.predictor.predict(&self.fetch_hist);
         // Enforce statically-certain boundaries: a prediction contradicting
         // the known fall-through PC is discarded in favour of sequencing.

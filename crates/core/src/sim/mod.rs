@@ -652,9 +652,10 @@ impl<'p> TraceProcessor<'p> {
         }
         let WarmBoot { btb, ras, predictor, tcache, bit, icache, dcache, history: hist } =
             boot.warm.unwrap_or_else(|| WarmBoot::cold(&cfg));
-        let pes = (0..cfg.num_pes).map(|_| Pe::empty(hist.clone())).collect();
-        // Committed memory is the program's data image with the boot delta
-        // on top; the delta is not "committed since boot", so it is unmarked.
+        let pes = (0..cfg.num_pes).map(|_| Pe::empty(hist)).collect();
+        // Committed memory is the program's data image (shared, not copied)
+        // with the boot delta on top; the delta is not "committed since
+        // boot", so it is unmarked.
         let mut mem = PagedMem::from_program(program);
         for &(word, value) in &boot.mem_delta {
             mem.set(word, value, false);
@@ -683,7 +684,7 @@ impl<'p> TraceProcessor<'p> {
             readers: Vec::new(),
             current_map: arch_map,
             retired_map: arch_map,
-            fetch_hist: hist.clone(),
+            fetch_hist: hist,
             retire_hist: hist,
             fetch_queue: VecDeque::new(),
             expected: if boot.halted {
@@ -1590,11 +1591,11 @@ impl<'p> TraceProcessor<'p> {
     fn hist_after(&self, pe: Option<usize>) -> TraceHistory {
         match pe {
             Some(p) => {
-                let mut h = self.pes[p].hist_before.clone();
+                let mut h = self.pes[p].hist_before;
                 h.push(self.pes[p].trace.id());
                 h
             }
-            None => self.retire_hist.clone(),
+            None => self.retire_hist,
         }
     }
 

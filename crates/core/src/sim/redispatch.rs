@@ -64,7 +64,7 @@ impl TraceProcessor<'_> {
         if queue.is_empty() {
             return false;
         }
-        let rolling = old.rolling.clone();
+        let rolling = old.rolling;
         if queue.last() != Some(&pivot) {
             queue.push(pivot);
         }
@@ -94,7 +94,7 @@ impl TraceProcessor<'_> {
         if let Some(p) = pred {
             if self.resume_walk_debt(p, preserved.clone(), attr) {
                 let pass = self.redispatch.as_ref().expect("installed above");
-                let (rolling, queue) = (pass.rolling.clone(), Vec::from(pass.queue.clone()));
+                let (rolling, queue) = (pass.rolling, Vec::from(pass.queue.clone()));
                 self.restore_fetch_past(&rolling, &queue);
                 return;
             }
@@ -117,7 +117,7 @@ impl TraceProcessor<'_> {
     /// `rolling` is the history up to (excluding) the first preserved
     /// trace; the preserved ids extend it to the window tail.
     fn restore_fetch_past(&mut self, rolling: &TraceHistory, preserved: &[usize]) {
-        let mut h = rolling.clone();
+        let mut h = *rolling;
         for &pe in preserved {
             h.push(self.pes[pe].trace.id());
         }
@@ -193,7 +193,7 @@ impl TraceProcessor<'_> {
         self.current_map = self.pes[pe].map_after;
         let id = self.pes[pe].trace.id();
         let pass = self.redispatch.as_mut().expect("the pass is still running");
-        self.pes[pe].hist_before = pass.rolling.clone();
+        self.pes[pe].hist_before = pass.rolling;
         pass.rolling.push(id);
         self.books.redispatched(pe, id.start(), attr);
         if empty_after {

@@ -541,7 +541,7 @@ fn dispatch_allocates_globals_for_live_outs_only() {
             insts.iter().enumerate().map(|(i, &x)| (i as Pc, x, None, false)).collect();
         let next = Some(raw.len() as Pc);
         let trace = Arc::new(Trace::assemble(TraceId::new(0, 0, 0), &raw, EndReason::MaxLen, next));
-        let hist_before = sim.fetch_hist.clone();
+        let hist_before = sim.fetch_hist;
         let pending = Pending { trace, ready_at: 0, hist_before, source: FetchPath::Fallback };
         let before = sim.work_counters();
         sim.dispatch_trace(pe, pending, None);

@@ -60,14 +60,32 @@ impl PendingData {
     /// Places `values` at consecutive words from byte address `base`.
     pub fn words(&mut self, base: Addr, values: &[Word]) {
         self.image.write_words(base, values);
-        if let Some(last) = values.len().checked_sub(1) {
-            self.supersede(base, base.saturating_add(8 * last as Addr));
-        }
+        self.supersede_run(base, values.len());
     }
 
-    /// Places the resolved PC of `label` at byte address `addr`.
+    /// Places `values.len()` words, taken from `values` in order, at
+    /// consecutive words from byte address `base`: a generated array goes
+    /// straight into the pages, with no staging copy.
+    pub fn words_iter(&mut self, base: Addr, values: impl ExactSizeIterator<Item = Word>) {
+        let len = values.len();
+        self.image.write_iter(base, values);
+        self.supersede_run(base, len);
+    }
+
+    /// Places the resolved PC of `label` at byte address `addr`. The
+    /// slot's page is claimed now (the word reads zero until
+    /// [`PendingData::resolve`]), so resolving it never inserts a page in
+    /// front of a bulk array placed later.
     pub fn label(&mut self, addr: Addr, label: String) {
+        self.image.write(addr, 0);
         self.slots.push(LabelSlot { addr, label, live: true });
+    }
+
+    /// [`PendingData::supersede`] over the `len` words from `base`.
+    fn supersede_run(&mut self, base: Addr, len: usize) {
+        if let Some(last) = len.checked_sub(1) {
+            self.supersede(base, base.saturating_add(8 * last as Addr));
+        }
     }
 
     /// Retires the label slots in `lo..=hi`: a value word written there
@@ -98,7 +116,6 @@ impl PendingData {
             }
             code_ptrs.push(slot.addr);
         }
-        image.shrink_to_fit();
         Ok((image, code_ptrs))
     }
 }

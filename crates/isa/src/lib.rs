@@ -10,7 +10,8 @@
 //!   the golden reference for the cycle-level trace processor in `tp-core`,
 //! * a [`synth`] structured random-program generator used by property tests,
 //! * [`mem::PagedMem`], the sparse paged word memory behind both the
-//!   functional machine and the trace processor's committed memory.
+//!   functional machine and the trace processor's committed memory, laid
+//!   copy-on-write over the program's shared [`mem::DataImage`].
 //!
 //! Programs are word-indexed: a [`Pc`] is an index into [`Program::insts`],
 //! and every instruction occupies one slot. Memory is an array of 64-bit

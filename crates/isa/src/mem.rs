@@ -17,13 +17,17 @@
 //!   scans the rest); the ARB marks its commits (the words a detailed
 //!   interval hands back).
 //!
-//! A data image keeps its pages in ascending page order; a [`PagedMem`]
-//! starts as a copy of them, so booting a machine or a processor copies
-//! pages instead of walking words.
+//! A data image keeps its pages in ascending page order. A [`Program`]
+//! freezes its image once, behind an `Arc`, and every [`PagedMem`] booted
+//! from the program shares those pages copy-on-write: reads fall through
+//! to them, and the first write to an image page copies that one page. A
+//! boot therefore copies nothing, and a memory's own pages are the ones
+//! its run wrote.
 //!
 //! Marks are bits, not a log, so memory stays flat however long a run is.
 
 use std::ops::{Bound, RangeBounds};
+use std::sync::{Arc, OnceLock};
 
 use crate::fxhash::FxHashMap;
 use crate::{Addr, Program, Word};
@@ -70,14 +74,72 @@ impl Page {
     }
 }
 
+/// A frozen image's page number → slot table: open addressing over a
+/// power-of-two array, at most half full, probed linearly from the page
+/// number's Fibonacci hash. A bucket holds only the slot; a probe confirms
+/// the number against the page itself, so the table costs 4 bytes per
+/// bucket.
+#[derive(Clone, Debug, Default)]
+struct PageIndex {
+    buckets: Vec<u32>,
+    /// `64 - log2(buckets.len())`: the hash's top bits pick the bucket.
+    shift: u32,
+}
+
+/// An empty [`PageIndex`] bucket.
+const NO_SLOT: u32 = u32::MAX;
+
+impl PageIndex {
+    fn new(pages: &[Page]) -> PageIndex {
+        if pages.is_empty() {
+            return PageIndex::default();
+        }
+        let len = (2 * pages.len()).next_power_of_two();
+        let mut index = PageIndex { buckets: vec![NO_SLOT; len], shift: 64 - len.trailing_zeros() };
+        for (slot, page) in pages.iter().enumerate() {
+            let mut b = index.bucket(page.no);
+            while index.buckets[b] != NO_SLOT {
+                b = (b + 1) & (len - 1);
+            }
+            index.buckets[b] = slot as u32;
+        }
+        index
+    }
+
+    #[inline]
+    fn bucket(&self, no: u64) -> usize {
+        (no.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// Slot of page `no` among `pages` (the pages the index was built on).
+    #[inline]
+    fn find(&self, pages: &[Page], no: u64) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let mut b = self.bucket(no);
+        loop {
+            match self.buckets[b] {
+                NO_SLOT => return None,
+                slot if pages[slot as usize].no == no => return Some(slot),
+                _ => b = (b + 1) & (self.buckets.len() - 1),
+            }
+        }
+    }
+}
+
 /// A program's initial data image: 64-word pages in ascending page order.
 ///
 /// Writes find their page through the slot the previous write used, so an
 /// ascending build never searches; any other order binary-searches and
 /// inserts in place. A repeated address keeps its last value. Writes to
 /// an address that is not 8-byte aligned store nothing; the lowest such
-/// address is kept for [`Program`] validation to report. The image costs
-/// about 8.4 bytes per data word when its pages are full.
+/// address is kept for [`Program`] validation to report.
+///
+/// [`Program`] freezes the finished image (spare capacity released, a page
+/// index built) and shares it, never copies it: every [`PagedMem`] booted
+/// from the program reads these pages in place. A frozen image costs about
+/// 8.5 bytes per data word when its pages are full.
 ///
 /// # Example
 ///
@@ -95,9 +157,12 @@ pub struct DataImage {
     last: usize,
     /// The lowest unaligned address written.
     unaligned: Option<Addr>,
+    /// Built once by [`DataImage::freeze`]; empty while the image is built.
+    index: PageIndex,
 }
 
-/// Equality is over the contents; the write cursor is ignored.
+/// Equality is over the contents; the write cursor and the index are
+/// ignored.
 impl PartialEq for DataImage {
     fn eq(&self, other: &DataImage) -> bool {
         self.pages == other.pages && self.unaligned == other.unaligned
@@ -145,11 +210,12 @@ impl DataImage {
         page.present |= 1 << (word & 63);
     }
 
-    /// Places `values` at consecutive words from byte address `base`, a
-    /// page at a time. Pages appended past the current end are reserved
-    /// exactly, so a bulk array costs no spare capacity.
-    pub(crate) fn write_words(&mut self, base: Addr, values: &[Word]) {
-        if values.is_empty() {
+    /// Places `len` consecutive words from byte address `base`, a page at
+    /// a time: `fill` writes each page's run of words in order. Pages
+    /// appended past the current end are reserved exactly, so a bulk array
+    /// costs no spare capacity.
+    fn write_run(&mut self, base: Addr, len: usize, mut fill: impl FnMut(&mut [Word])) {
+        if len == 0 {
             return;
         }
         if !base.is_multiple_of(8) {
@@ -157,22 +223,47 @@ impl DataImage {
             return;
         }
         let mut word = base >> 3;
-        let end_page = (word + values.len() as u64 - 1) >> 6;
+        let end_page = (word + len as u64 - 1) >> 6;
         let next_new = self.pages.last().map_or(word >> 6, |p| (p.no + 1).max(word >> 6));
         if end_page >= next_new {
             self.pages.reserve_exact((end_page - next_new + 1) as usize);
         }
-        let mut rest = values;
-        while !rest.is_empty() {
+        let mut rest = len;
+        while rest > 0 {
             let slot = self.slot(word >> 6);
             let off = (word & 63) as usize;
-            let n = rest.len().min(PAGE_WORDS - off);
+            let n = rest.min(PAGE_WORDS - off);
             let page = &mut self.pages[slot];
-            page.words[off..off + n].copy_from_slice(&rest[..n]);
+            fill(&mut page.words[off..off + n]);
             page.present |= (u64::MAX >> (PAGE_WORDS - n)) << off;
             word += n as u64;
-            rest = &rest[n..];
+            rest -= n;
         }
+    }
+
+    /// Places `values` at consecutive words from byte address `base`.
+    pub(crate) fn write_words(&mut self, base: Addr, values: &[Word]) {
+        let mut rest = values;
+        self.write_run(base, values.len(), |run| {
+            let (head, tail) = rest.split_at(run.len());
+            run.copy_from_slice(head);
+            rest = tail;
+        });
+    }
+
+    /// Places `values.len()` words, taken from `values` in order, at
+    /// consecutive words from byte address `base`, straight into the pages
+    /// (a generated array needs no staging copy).
+    pub(crate) fn write_iter(
+        &mut self,
+        base: Addr,
+        mut values: impl ExactSizeIterator<Item = Word>,
+    ) {
+        self.write_run(base, values.len(), |run| {
+            for (dst, v) in run.iter_mut().zip(&mut values) {
+                *dst = v;
+            }
+        });
     }
 
     /// The word at byte address `addr`, or `None` when the image does not
@@ -222,9 +313,10 @@ impl DataImage {
             .filter(move |&(a, _)| a >= lo && a <= hi)
     }
 
-    /// Heap bytes the pages occupy (capacity included).
+    /// Heap bytes the pages and the page index occupy (capacity included).
     pub fn heap_bytes(&self) -> usize {
         self.pages.capacity() * std::mem::size_of::<Page>()
+            + self.index.buckets.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The lowest unaligned byte address written, if any.
@@ -232,9 +324,17 @@ impl DataImage {
         self.unaligned
     }
 
-    /// Releases spare page capacity (once the image is complete).
-    pub(crate) fn shrink_to_fit(&mut self) {
+    /// Finishes the image: releases spare page capacity and builds the
+    /// page index the memories sharing it look pages up through.
+    pub(crate) fn freeze(&mut self) {
         self.pages.shrink_to_fit();
+        self.index = PageIndex::new(&self.pages);
+    }
+
+    /// Slot of page `no` (a frozen image).
+    #[inline]
+    fn find(&self, no: u64) -> Option<u32> {
+        self.index.find(&self.pages, no)
     }
 }
 
@@ -246,18 +346,29 @@ impl FromIterator<(Addr, Word)> for DataImage {
         for (addr, value) in pairs {
             image.write(addr, value);
         }
-        image.shrink_to_fit();
         image
     }
 }
 
+/// Tag of a [`PagedMem`] slot naming a page of the shared image rather
+/// than one of the memory's own pages.
+const SHARED: u32 = 1 << 31;
+
 /// Sparse paged memory: 64-word zero-initialized pages keyed by
-/// `word index >> 6`.
+/// `word index >> 6`, laid copy-on-write over a shared [`DataImage`].
 ///
-/// Pages live in a flat vector; the hash index maps page number → slot and
-/// is consulted only when the one-entry lookup cache (the last page
-/// touched) misses, so a hot access loop pays one compare plus one array
-/// index per access instead of a hash probe.
+/// A memory booted by [`PagedMem::from_program`] owns no pages: reads
+/// fall through to the program's frozen image, and the first write to one
+/// of its pages copies that page into the memory's own vector (as does
+/// the first write to a page the image lacks, onto a zero page). Booting
+/// costs no copy, and a run's memory grows only by the pages it writes.
+///
+/// Own pages live in a flat vector behind a hash index; image pages are
+/// found through the image's own index, built once when the program froze
+/// it. Both are consulted only when the one-entry lookup cache (the last
+/// page touched) misses, so a hot access loop pays one compare plus one
+/// array index per access. A 64-bit filter of the own pages' numbers lets
+/// a miss on an unwritten image page skip the own-page probe.
 ///
 /// # Example
 ///
@@ -273,40 +384,60 @@ impl FromIterator<(Addr, Word)> for DataImage {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PagedMem {
+    /// The image this memory started from; never written.
+    image: Arc<DataImage>,
+    /// The memory's own pages: image pages copied on their first write,
+    /// and pages the image lacks.
     pages: Vec<Page>,
     index: FxHashMap<u64, u32>,
+    /// Bit `no & 63` set for the number `no` of every own page.
+    own_filter: u64,
     /// Page number of the cached slot; `u64::MAX` when nothing is cached.
     last_page: u64,
+    /// The cached slot, tagged [`SHARED`] for an image page.
     last_slot: u32,
 }
 
 impl Default for PagedMem {
     fn default() -> PagedMem {
+        static EMPTY: OnceLock<Arc<DataImage>> = OnceLock::new();
+        PagedMem::over(Arc::clone(EMPTY.get_or_init(Arc::default)))
+    }
+}
+
+impl PagedMem {
+    /// A memory holding exactly `image` (frozen), touched and unmarked.
+    fn over(image: Arc<DataImage>) -> PagedMem {
         PagedMem {
+            image,
             pages: Vec::new(),
             index: FxHashMap::default(),
+            own_filter: 0,
             last_page: u64::MAX,
             last_slot: 0,
         }
     }
-}
 
-/// Pages of room a booted memory reserves past its image, so the pages a
-/// run adds (stack, output) do not re-copy every image page into a
-/// doubled vector. On the benchmark's three workloads a boot adds at most
-/// 5 pages (median 1-2), and 24 of the 55 boots of the 2 MB strhash and
-/// fsm images add one or two.
-const BOOT_SPARE_PAGES: usize = 8;
-
-impl PagedMem {
-    /// The program's initial data image, touched and unmarked: a copy of
-    /// the image's pages (no per-word work).
+    /// The program's initial data image, touched and unmarked. The image's
+    /// pages are shared, not copied: booting allocates nothing.
     pub fn from_program(program: &Program) -> PagedMem {
-        let image = &program.image().pages;
-        let mut pages = Vec::with_capacity(image.len() + BOOT_SPARE_PAGES);
-        pages.extend_from_slice(image);
-        let index = image.iter().enumerate().map(|(slot, p)| (p.no, slot as u32)).collect();
-        PagedMem { pages, index, ..PagedMem::default() }
+        PagedMem::over(Arc::clone(program.image()))
+    }
+
+    /// Slot of page `no` among the memory's own pages.
+    #[inline]
+    fn own_slot(&self, no: u64) -> Option<u32> {
+        if self.own_filter >> (no & 63) & 1 == 0 {
+            return None;
+        }
+        self.index.get(&no).copied()
+    }
+
+    /// Slot of page `no`, tagged [`SHARED`] for an unwritten image page;
+    /// `None` if neither holds it. Leaves the lookup cache alone.
+    #[inline]
+    fn find(&self, no: u64) -> Option<u32> {
+        self.own_slot(no).or_else(|| self.image.find(no).map(|slot| slot | SHARED))
     }
 
     /// Slot of `page_no` if the page exists, refreshing the lookup cache.
@@ -315,17 +446,26 @@ impl PagedMem {
         if self.last_page == page_no {
             return Some(self.last_slot);
         }
-        let slot = *self.index.get(&page_no)?;
+        let slot = self.find(page_no)?;
         self.last_page = page_no;
         self.last_slot = slot;
         Some(slot)
+    }
+
+    #[inline]
+    fn page(&self, slot: u32) -> &Page {
+        if slot & SHARED == 0 {
+            &self.pages[slot as usize]
+        } else {
+            &self.image.pages[(slot & !SHARED) as usize]
+        }
     }
 
     /// Reads a word (0 if untouched). Never allocates.
     #[inline]
     pub fn load(&mut self, word: u64) -> Word {
         match self.slot_of(word >> 6) {
-            Some(s) => self.pages[s as usize].words[(word & 63) as usize],
+            Some(s) => self.page(s).words[(word & 63) as usize],
             None => 0,
         }
     }
@@ -334,13 +474,10 @@ impl PagedMem {
     /// inspection paths).
     pub fn peek(&self, word: u64) -> Word {
         let page_no = word >> 6;
-        let slot = if self.last_page == page_no {
-            Some(self.last_slot)
-        } else {
-            self.index.get(&page_no).copied()
-        };
+        let slot =
+            if self.last_page == page_no { Some(self.last_slot) } else { self.find(page_no) };
         match slot {
-            Some(s) => self.pages[s as usize].words[(word & 63) as usize],
+            Some(s) => self.page(s).words[(word & 63) as usize],
             None => 0,
         }
     }
@@ -350,15 +487,8 @@ impl PagedMem {
     pub fn set(&mut self, word: u64, value: Word, mark: bool) {
         let page_no = word >> 6;
         let slot = match self.slot_of(page_no) {
-            Some(s) => s,
-            None => {
-                let s = self.pages.len() as u32;
-                self.pages.push(Page::empty(page_no));
-                self.index.insert(page_no, s);
-                self.last_page = page_no;
-                self.last_slot = s;
-                s
-            }
+            Some(s) if s & SHARED == 0 => s,
+            shared => self.own(page_no, shared),
         };
         let page = &mut self.pages[slot as usize];
         let bit = 1u64 << (word & 63);
@@ -369,21 +499,35 @@ impl PagedMem {
         }
     }
 
+    /// Makes page `no` one of the memory's own: a copy of the image page
+    /// at `shared`, or a zero page. Returns (and caches) its slot.
+    #[cold]
+    fn own(&mut self, no: u64, shared: Option<u32>) -> u32 {
+        let page = shared.map_or_else(|| Page::empty(no), |s| *self.page(s));
+        let slot = self.pages.len() as u32;
+        self.pages.push(page);
+        self.index.insert(no, slot);
+        self.own_filter |= 1 << (no & 63);
+        self.last_page = no;
+        self.last_slot = slot;
+        slot
+    }
+
     /// Whether `word` is touched.
     pub fn is_touched(&self, word: u64) -> bool {
-        self.index
-            .get(&(word >> 6))
-            .is_some_and(|&s| self.pages[s as usize].present >> (word & 63) & 1 == 1)
+        self.find(word >> 6).is_some_and(|s| self.page(s).present >> (word & 63) & 1 == 1)
     }
 
     /// Every touched word as `(word index, value)`, unordered.
     pub fn touched(&self) -> impl Iterator<Item = (u64, Word)> + '_ {
-        self.pages.iter().flat_map(|p| p.words_in(p.present))
+        let unwritten = self.image.pages.iter().filter(|p| self.own_slot(p.no).is_none());
+        unwritten.chain(&self.pages).flat_map(|p| p.words_in(p.present))
     }
 
-    /// Every marked word as `(word index, value)`, ascending. Only pages
-    /// holding a mark are visited, so the cost scales with the marked
-    /// working set, not with the whole memory.
+    /// Every marked word as `(word index, value)`, ascending. Only the
+    /// memory's own pages can hold a mark, and only those holding one are
+    /// visited, so the cost scales with the marked working set, not with
+    /// the image.
     pub fn marked(&self) -> impl Iterator<Item = (u64, Word)> + '_ {
         let mut pages: Vec<&Page> = self.pages.iter().filter(|p| p.marked != 0).collect();
         pages.sort_unstable_by_key(|p| p.no);
@@ -415,36 +559,80 @@ mod tests {
         assert_eq!(touched, p.data().map(|(a, w)| (a >> 3, w)).collect::<Vec<_>>());
     }
 
-    /// Copying the image's pages builds the same memory as setting its
-    /// words one at a time, before and after a run's stores.
+    /// What a memory must hold: its touched words with their values, and
+    /// which of them were ever written with a mark.
+    type Reference = (std::collections::BTreeMap<u64, Word>, std::collections::BTreeSet<u64>);
+
+    /// Every read of `mem` agrees with `want`: `touched` and `marked` in
+    /// full, `load`, `peek` and `is_touched` at each probe.
+    fn assert_holds(mem: &mut PagedMem, want: &Reference, probes: &[u64], ctx: &str) {
+        let (words, marks) = want;
+        let mut touched: Vec<_> = mem.touched().collect();
+        touched.sort_unstable();
+        assert_eq!(touched, words.iter().map(|(&w, &v)| (w, v)).collect::<Vec<_>>(), "{ctx}");
+        let marked: Vec<_> = marks.iter().map(|&w| (w, words[&w])).collect();
+        assert_eq!(mem.marked().collect::<Vec<_>>(), marked, "{ctx}");
+        for &word in probes {
+            let value = words.get(&word).copied().unwrap_or(0);
+            assert_eq!(mem.peek(word), value, "{ctx}: peek {word}");
+            assert_eq!(mem.load(word), value, "{ctx}: load {word}");
+            assert_eq!(mem.is_touched(word), words.contains_key(&word), "{ctx}: word {word}");
+        }
+    }
+
+    /// Two memories booted from one program share its image copy-on-write:
+    /// random stores to either (zeros over non-zero image words, words on
+    /// pages outside the image, re-stores of written words, marked or not)
+    /// never show in the other memory or in the program's image, and every
+    /// read of each agrees with an ordered-map reference of the image plus
+    /// that memory's own stores.
     #[test]
-    fn page_copy_equals_a_word_by_word_build() {
-        let mut a = Asm::new("t");
-        a.halt();
-        a.data_words(0x1f0, &[5, 0, -1, 7]); // crosses a page, holds a zero
-        a.data_word(0x9000, 3);
-        a.data_word(0x100, 2); // out of order: a page before the others
-        let p = a.assemble().unwrap();
-        let mut copied = PagedMem::from_program(&p);
-        let mut by_word = PagedMem::default();
-        for (addr, value) in p.data() {
-            by_word.set(addr >> 3, value, false);
-        }
-        for mem in [&mut copied, &mut by_word] {
-            mem.set(0x1f8 >> 3, 9, true);
-            mem.set(0x5000 >> 3, 4, true);
-            mem.set(0x108 >> 3, 1, false);
-        }
-        let sorted = |mem: &PagedMem| {
-            let mut words: Vec<_> = mem.touched().collect();
-            words.sort_unstable();
-            words
-        };
-        assert_eq!(sorted(&copied), sorted(&by_word));
-        assert_eq!(copied.marked().collect::<Vec<_>>(), by_word.marked().collect::<Vec<_>>());
-        for word in (0..0x9100 >> 3).step_by(3) {
-            assert_eq!(copied.load(word), by_word.load(word), "word {word}");
-            assert_eq!(copied.is_touched(word), by_word.is_touched(word), "word {word}");
+    fn memories_booted_from_one_program_never_see_each_others_stores() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc0_1d);
+        for round in 0..24 {
+            let mut a = Asm::new("t");
+            a.halt();
+            for _ in 0..rng.gen_range(1..300usize) {
+                let value = if rng.gen_range(0..5) == 0 { 0 } else { rng.gen_range(1..99i64) };
+                a.data_word(8 * rng.gen_range(0..2_000u64), value);
+            }
+            let p = a.assemble().unwrap();
+            let image: Vec<_> = p.image().iter().collect();
+            let initial: Reference =
+                (p.data().map(|(a, w)| (a >> 3, w)).collect(), Default::default());
+            let image_words: Vec<u64> = initial.0.keys().copied().collect();
+            let mut mems = [PagedMem::from_program(&p), PagedMem::from_program(&p)];
+            let mut want = [initial.clone(), initial.clone()];
+            for step in 0..600 {
+                let m = rng.gen_range(0..2usize);
+                let written: Vec<u64> = want[m].0.keys().copied().collect();
+                let word = match rng.gen_range(0..4) {
+                    0 => image_words[rng.gen_range(0..image_words.len())],
+                    1 => written[rng.gen_range(0..written.len())],
+                    2 => rng.gen_range(0..2_100u64),
+                    _ => (1 << 40) + rng.gen_range(0..200u64),
+                };
+                let value = if rng.gen_range(0..2) == 0 { 0 } else { rng.gen_range(-50..50i64) };
+                let mark = rng.gen_range(0..2) == 0;
+                mems[m].set(word, value, mark);
+                want[m].0.insert(word, value);
+                if mark {
+                    want[m].1.insert(word);
+                }
+                if step % 60 == 59 {
+                    let mut probes: Vec<u64> =
+                        (0..40).map(|_| rng.gen_range(0..2_200u64)).collect();
+                    probes.extend(written.iter().step_by(7));
+                    probes.extend([1 << 40, (1 << 40) + 63, u64::MAX]);
+                    for (mem, want) in mems.iter_mut().zip(&want) {
+                        assert_holds(mem, want, &probes, &format!("round {round} step {step}"));
+                    }
+                }
+            }
+            assert_eq!(p.image().iter().collect::<Vec<_>>(), image, "round {round}: image moved");
+            // A memory booted after the stores still sees only the image.
+            assert_holds(&mut PagedMem::from_program(&p), &initial, &image_words, "fresh boot");
         }
     }
 

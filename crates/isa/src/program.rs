@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::RangeBounds;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::mem::DataImage;
 use crate::{Addr, Inst, Pc, Word};
@@ -13,8 +13,10 @@ use crate::{Addr, Inst, Pc, Word};
 ///
 /// The data image is a [`DataImage`]: ascending 64-word pages in the one
 /// page layout of [`tp_isa::mem`](crate::mem), which the assemblers write
-/// straight into and which [`PagedMem`](crate::mem::PagedMem) copies at
-/// every boot.
+/// straight into. The program freezes it once and holds it behind an
+/// `Arc`: every [`PagedMem`](crate::mem::PagedMem) booted from the program
+/// shares its pages copy-on-write, and cloning the program shares them
+/// too.
 ///
 /// Programs are produced by the [`asm::Asm`](crate::asm::Asm) assembler (or
 /// the [`synth`](crate::synth) generator) and consumed by both the functional
@@ -25,7 +27,7 @@ pub struct Program {
     name: String,
     insts: Vec<Inst>,
     entry: Pc,
-    data: DataImage,
+    data: Arc<DataImage>,
     /// Data-image addresses whose words are known to hold code pointers
     /// (instruction PCs): jump-table slots and function-pointer slots. Pure
     /// metadata for static analysis — execution and checkpoint fingerprints
@@ -113,7 +115,9 @@ impl Program {
     }
 
     /// Creates and validates a program around a built data image (the
-    /// assemblers' path: the pages move in, nothing is copied).
+    /// assemblers' path: the pages move in, nothing is copied). The image
+    /// is frozen here, once: spare capacity released and its page index
+    /// built.
     ///
     /// # Errors
     ///
@@ -122,13 +126,14 @@ impl Program {
         name: impl Into<String>,
         insts: Vec<Inst>,
         entry: Pc,
-        data: DataImage,
+        mut data: DataImage,
     ) -> Result<Program, ProgramError> {
+        data.freeze();
         let program = Program {
             name: name.into(),
             insts,
             entry,
-            data,
+            data: Arc::new(data),
             code_ptrs: BTreeSet::new(),
             fingerprint: OnceLock::new(),
         };
@@ -224,8 +229,11 @@ impl Program {
         self.data.get(addr)
     }
 
-    /// The initial data image's pages.
-    pub fn image(&self) -> &DataImage {
+    /// The initial data image's pages, frozen and shared: the memories
+    /// booted from this program read them in place and copy a page only
+    /// when they first write it, so the image never changes after
+    /// [`Program::from_image`].
+    pub fn image(&self) -> &Arc<DataImage> {
         &self.data
     }
 

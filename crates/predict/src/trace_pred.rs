@@ -37,8 +37,10 @@ impl TracePredictorConfig {
 /// A rolling history of recently committed (or speculatively fetched) trace
 /// ids.
 ///
-/// Histories are plain values so the trace processor can checkpoint one per
-/// dispatched trace and restore it on misprediction recovery.
+/// Histories are plain `Copy` values of fixed size (at most
+/// [`TraceHistory::MAX_DEPTH`] ids, no heap) so the trace processor can
+/// checkpoint one per dispatched trace and restore it on misprediction
+/// recovery without allocating.
 ///
 /// # Example
 ///
@@ -50,61 +52,81 @@ impl TracePredictorConfig {
 /// h.push(TraceId::new(20, 1, 1));
 /// assert_eq!(h.last(), Some(TraceId::new(20, 1, 1)));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceHistory {
-    ids: Vec<TraceId>,
-    depth: usize,
+    /// `ids[..len]` are the recorded ids, oldest first; the rest stay at
+    /// the filler [`TraceHistory::new`] put there, so equality holds.
+    ids: [TraceId; TraceHistory::MAX_DEPTH],
+    len: u8,
+    depth: u8,
 }
 
 impl TraceHistory {
+    /// The deepest history a `TraceHistory` holds (the paper uses 8).
+    /// Configuration validation and checkpoint decoding reject deeper
+    /// path depths.
+    pub const MAX_DEPTH: usize = 16;
+
     /// Creates an empty history with the given depth.
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero.
+    /// Panics if `depth` is zero or above [`TraceHistory::MAX_DEPTH`].
     pub fn new(depth: usize) -> TraceHistory {
-        assert!(depth > 0, "history depth must be non-zero");
-        TraceHistory { ids: Vec::with_capacity(depth), depth }
+        assert!(
+            (1..=TraceHistory::MAX_DEPTH).contains(&depth),
+            "history depth must be 1..={}",
+            TraceHistory::MAX_DEPTH
+        );
+        TraceHistory {
+            ids: [TraceId::new(0, 0, 0); TraceHistory::MAX_DEPTH],
+            len: 0,
+            depth: depth as u8,
+        }
     }
 
     /// Appends a trace id, discarding the oldest beyond the depth.
     pub fn push(&mut self, id: TraceId) {
-        if self.ids.len() == self.depth {
-            self.ids.remove(0);
+        let len = self.len as usize;
+        if len == self.depth as usize {
+            self.ids.copy_within(1..len, 0);
+            self.ids[len - 1] = id;
+        } else {
+            self.ids[len] = id;
+            self.len += 1;
         }
-        self.ids.push(id);
     }
 
     /// The most recent trace id.
     pub fn last(&self) -> Option<TraceId> {
-        self.ids.last().copied()
+        self.ids().last().copied()
     }
 
     /// Number of ids currently recorded.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len as usize
     }
 
     /// Whether no ids have been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
     }
 
     /// The configured depth.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.depth as usize
     }
 
     /// The recorded ids, oldest first (checkpoint capture; rebuild with
     /// [`TraceHistory::new`] plus [`TraceHistory::push`]).
     pub fn ids(&self) -> &[TraceId] {
-        &self.ids
+        &self.ids[..self.len as usize]
     }
 
     /// Hash of the full path history.
     fn path_hash(&self) -> u64 {
         let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-        for id in &self.ids {
+        for id in self.ids() {
             h = h.rotate_left(7) ^ id.hash64();
         }
         h
@@ -112,7 +134,7 @@ impl TraceHistory {
 
     /// Hash of the most recent id only.
     fn last_hash(&self) -> u64 {
-        self.ids.last().map_or(0x1234_5678_9abc_def0, |id| id.hash64())
+        self.last().map_or(0x1234_5678_9abc_def0, TraceId::hash64)
     }
 }
 
@@ -589,13 +611,20 @@ mod tests {
         h.push(id(3));
         assert_eq!(h.len(), 2);
         assert_eq!(h.last(), Some(id(3)));
+        assert_eq!(h.ids(), &[id(2), id(3)], "the oldest id goes first");
+        let mut deepest = TraceHistory::new(TraceHistory::MAX_DEPTH);
+        for i in 0..40 {
+            deepest.push(id(i));
+        }
+        let want: Vec<_> = (40 - TraceHistory::MAX_DEPTH as u32..40).map(id).collect();
+        assert_eq!(deepest.ids(), &want[..]);
     }
 
     #[test]
     fn histories_checkpoint_by_clone() {
         let mut h = TraceHistory::new(4);
         h.push(id(1));
-        let snap = h.clone();
+        let snap = h;
         h.push(id(2));
         assert_ne!(h, snap);
         let h = snap;

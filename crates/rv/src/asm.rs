@@ -172,6 +172,14 @@ impl RvAsm {
         self.data.words(base, values);
     }
 
+    /// Places `values.len()` words, taken from `values` in order, at
+    /// consecutive words from byte address `base` in the data image: a
+    /// generated array is written straight into the image's pages, with
+    /// no staging copy.
+    pub fn data_words_iter(&mut self, base: Addr, values: impl ExactSizeIterator<Item = Word>) {
+        self.data.words_iter(base, values);
+    }
+
     /// The word-indexed PC a defined label resolves to, or `None` if the
     /// label has not been defined. Labels resolve at parse time, so this is
     /// exact once the defining source block has been fed to [`RvAsm::source`].

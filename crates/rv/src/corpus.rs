@@ -42,23 +42,41 @@ pub const OUT: Addr = 0x8000;
 /// the largest long-suite input stream).
 pub const RV_STACK: Addr = 0x80_0000;
 
-/// One corpus program before assembly: name, source text, and the input
-/// array placed at [`DATA`].
+/// One corpus program before assembly: name, source text, and what places
+/// its input array at [`DATA`].
 struct Spec {
     name: &'static str,
     src: String,
-    data: Vec<Word>,
+    input: Box<dyn FnOnce(&mut RvAsm)>,
 }
 
-fn assemble_spec(spec: &Spec) -> RvModule {
+impl Spec {
+    /// A program whose input is a built array, placed with one bulk copy.
+    fn words(name: &'static str, src: String, data: Vec<Word>) -> Spec {
+        Spec { name, src, input: Box::new(move |a| a.data_words(DATA, &data)) }
+    }
+
+    /// A program whose input is generated as it is placed, straight into
+    /// the image's pages (the long-suite arrays run to megabytes).
+    fn stream(
+        name: &'static str,
+        src: String,
+        data: impl ExactSizeIterator<Item = Word> + 'static,
+    ) -> Spec {
+        Spec { name, src, input: Box::new(move |a| a.data_words_iter(DATA, data)) }
+    }
+}
+
+fn assemble_spec(spec: Spec) -> RvModule {
     let mut a = RvAsm::new(spec.name);
     a.source(&spec.src).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    a.data_words(DATA, &spec.data);
+    (spec.input)(&mut a);
     a.assemble().unwrap_or_else(|e| panic!("{}: {e}", spec.name))
 }
 
-fn build_spec(spec: &Spec) -> Program {
-    module_to_program(assemble_spec(spec)).unwrap_or_else(|e| panic!("{}: {e}", spec.name))
+fn build_spec(spec: Spec) -> Program {
+    let name = spec.name;
+    module_to_program(assemble_spec(spec)).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 fn specs(n: u32) -> Vec<Spec> {
@@ -76,7 +94,7 @@ fn specs(n: u32) -> Vec<Spec> {
 /// images — in canonical order. The round-trip tests decode and re-encode
 /// these words.
 pub fn all_modules(n: u32) -> Vec<RvModule> {
-    specs(n).iter().map(assemble_spec).collect()
+    specs(n).into_iter().map(assemble_spec).collect()
 }
 
 /// The random byte stream hashed by [`crc32`].
@@ -120,12 +138,12 @@ fn crc32_spec(n: u32) -> Spec {
             ecall
         "
     );
-    Spec { name: "crc32", src, data: crc32_data(n) }
+    Spec::words("crc32", src, crc32_data(n))
 }
 
 #[doc = "See the corpus table in the module docs."]
 pub fn crc32(n: u32) -> Program {
-    build_spec(&crc32_spec(n))
+    build_spec(crc32_spec(n))
 }
 
 /// Reference CRC-32 for the [`crc32`] input (what `OUT` must hold).
@@ -222,12 +240,12 @@ fn qsort_spec(n: u32) -> Spec {
             ret
         ",
     );
-    Spec { name: "qsort", src, data: qsort_data(n) }
+    Spec::words("qsort", src, qsort_data(n))
 }
 
 #[doc = "See the corpus table in the module docs."]
 pub fn qsort(n: u32) -> Program {
-    build_spec(&qsort_spec(n))
+    build_spec(qsort_spec(n))
 }
 
 /// Number of vertices in the [`dijkstra`] graph.
@@ -336,12 +354,12 @@ fn dijkstra_spec(n: u32) -> Spec {
         v = DIJKSTRA_V,
         row = 8 * DIJKSTRA_V,
     );
-    Spec { name: "dijkstra", src, data: dijkstra_data(n) }
+    Spec::words("dijkstra", src, dijkstra_data(n))
 }
 
 #[doc = "See the corpus table in the module docs."]
 pub fn dijkstra(n: u32) -> Program {
-    build_spec(&dijkstra_spec(n))
+    build_spec(dijkstra_spec(n))
 }
 
 /// Matrix order of [`matmul`].
@@ -419,18 +437,19 @@ fn matmul_spec(n: u32) -> Spec {
         ",
         last_c = 8 * (k * k - 1),
     );
-    Spec { name: "matmul", src, data: matmul_data(n) }
+    Spec::words("matmul", src, matmul_data(n))
 }
 
 #[doc = "See the corpus table in the module docs."]
 pub fn matmul(n: u32) -> Program {
-    build_spec(&matmul_spec(n))
+    build_spec(matmul_spec(n))
 }
 
-/// The random word stream hashed by [`strhash`].
-pub fn strhash_data(n: u32) -> Vec<Word> {
+/// The random word stream hashed by [`strhash`], generated a word at a
+/// time (the build streams it straight into the data image).
+pub fn strhash_data(n: u32) -> impl ExactSizeIterator<Item = Word> {
     let mut rng = StdRng::seed_from_u64(0x57a5_4a11);
-    (0..4 * n).map(|_| rng.gen::<u32>() as Word).collect()
+    (0..4 * n).map(move |_| rng.gen::<u32>() as Word)
 }
 
 /// FNV-1a over `4n` random words with a 1-in-8 data-dependent bucket
@@ -475,12 +494,12 @@ fn strhash_spec(n: u32) -> Spec {
             ecall
         "
     );
-    Spec { name: "strhash", src, data: strhash_data(n) }
+    Spec::stream("strhash", src, strhash_data(n))
 }
 
 #[doc = "See the corpus table in the module docs."]
 pub fn strhash(n: u32) -> Program {
-    build_spec(&strhash_spec(n))
+    build_spec(strhash_spec(n))
 }
 
 /// Reference FNV-1a hash for the [`strhash`] input.
@@ -494,16 +513,15 @@ pub fn strhash_reference(n: u32) -> u64 {
 }
 
 /// The packed opcode stream interpreted by [`fsm`]: low 3 bits opcode
-/// (0..6), the rest a signed operand.
-pub fn fsm_data(n: u32) -> Vec<Word> {
+/// (0..6), the rest a signed operand. Generated a word at a time (the
+/// build streams it straight into the data image).
+pub fn fsm_data(n: u32) -> impl ExactSizeIterator<Item = Word> {
     let mut rng = StdRng::seed_from_u64(0xf5a_0a77);
-    (0..4 * n.max(16))
-        .map(|_| {
-            let op = rng.gen_range(0..6i64);
-            let operand = rng.gen_range(-5_000..5_000i64);
-            (operand << 3) | op
-        })
-        .collect()
+    (0..4 * n.max(16)).map(move |_| {
+        let op = rng.gen_range(0..6i64);
+        let operand = rng.gen_range(-5_000..5_000i64);
+        (operand << 3) | op
+    })
 }
 
 /// A six-opcode bytecode interpreter dispatching through a `.wordpc` jump
@@ -576,12 +594,12 @@ fn fsm_spec(n: u32) -> Spec {
             ecall
         "
     );
-    Spec { name: "fsm", src, data: fsm_data(n) }
+    Spec::stream("fsm", src, fsm_data(n))
 }
 
 #[doc = "See the corpus table in the module docs."]
 pub fn fsm(n: u32) -> Program {
-    build_spec(&fsm_spec(n))
+    build_spec(fsm_spec(n))
 }
 
 /// One corpus program's registry entry: what a lookup needs before
@@ -733,7 +751,7 @@ mod tests {
     fn fsm_matches_a_reference_interpreter() {
         let p = fsm(N);
         let m = run(&p);
-        let stream = fsm_data(N);
+        let stream: Vec<Word> = fsm_data(N).collect();
         let (mut acc, mut state) = (0i64, 0i64);
         for &w in &stream {
             let (op, operand) = (w & 7, w >> 3);

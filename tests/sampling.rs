@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use tp_bench::sampled::{cross_check, run_sampled_with, Interval, RoundObserver, SampleConfig};
 use trace_processor::tp_ckpt::{Checkpoint, CkptError, FastForward, WarmImages};
-use trace_processor::tp_core::{CiModel, TraceProcessor, TraceProcessorConfig};
+use trace_processor::tp_core::{CheckLevel, CiModel, TraceProcessor, TraceProcessorConfig};
 use trace_processor::tp_isa::asm::Asm;
 use trace_processor::tp_isa::func::{ArchState, Machine, MachineState};
 use trace_processor::tp_isa::synth::{self, SynthConfig};
@@ -279,6 +279,37 @@ fn hand_back_programs() -> Vec<(String, Program, Frontend)> {
         .collect();
     programs.push(("zero-stores".to_string(), zero_store_kernel(), Frontend::Synth));
     programs
+}
+
+/// Every detailed leg of a sampled run lays its core, its ARB backing and
+/// its functional oracle over the program's one shared data image, copying
+/// only the pages it writes. On the largest images (strhash and fsm) and
+/// the zero-store kernel, a run at `CheckLevel::Oracle` (`Full` under
+/// `TP_PARANOID`) measures exactly the intervals of the unchecked run: a
+/// store leaking through a shared page would make an oracle diverge and
+/// fail the run.
+#[test]
+fn oracle_checked_sampled_run_shares_the_image() {
+    let sample = SampleConfig { warmup: 30, interval: 100, skip: 300 };
+    let level = tp_bench::cli::check_level(CheckLevel::Oracle);
+    let mut programs: Vec<(Program, Frontend)> = ["strhash", "fsm"]
+        .into_iter()
+        .map(|name| {
+            let w = by_name(name, Size::Small).expect("registered");
+            (w.program, w.frontend)
+        })
+        .collect();
+    programs.push((zero_store_kernel(), Frontend::Synth));
+    for (program, frontend) in &programs {
+        let cfg = TraceProcessorConfig::paper(CiModel::MlbRet);
+        let off = run_sampled_with(program, *frontend, &cfg, &sample, &mut ());
+        let checked =
+            run_sampled_with(program, *frontend, &cfg.with_check(level), &sample, &mut ());
+        let name = program.name();
+        assert!(off.intervals.len() > 2, "{name}: too few rounds");
+        assert_eq!(checked.intervals, off.intervals, "{name}: the checked run measured otherwise");
+        assert_eq!(checked.total_instrs, off.total_instrs, "{name}");
+    }
 }
 
 /// What one sampled run produced, round by round.
