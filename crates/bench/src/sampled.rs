@@ -69,8 +69,13 @@ impl SampleConfig {
 
     /// Sparse sampling for long workloads — the *speedup* regime: ~12% of
     /// instructions run detailed, the rest fast-forward functionally with
-    /// warming. Validated on the long suite at <0.5% IPC error against
-    /// full detailed runs.
+    /// warming. Cross-checked against full detailed runs on all 70 long
+    /// cells (14 workloads x 5 models): 68 read a mean IPC error of 0.37%
+    /// (worst: dijkstra under MLB-RET, 4.5%). The exception is compress
+    /// under FG and FG+MLB-RET, which reads 2.813 against 3.515 (−20.0%).
+    /// That error is not a sampling one (the dense regime shows it too): a
+    /// detailed interval booted from a checkpoint settles into a slower
+    /// steady state than the full run, for a reason not yet found.
     pub fn sparse() -> SampleConfig {
         SampleConfig { warmup: 1_500, interval: 12_000, skip: 100_000 }
     }

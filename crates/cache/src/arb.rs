@@ -71,6 +71,10 @@ struct Version {
 #[derive(Clone, Debug, Default)]
 pub struct Arb {
     versions: FxHashMap<u64, Vec<Version>>,
+    /// Emptied version lists, reused for the next newly written word so a
+    /// warm ARB stops allocating. Each list keeps its versions' order, so
+    /// recycling is invisible to readers.
+    spare: Vec<Vec<Version>>,
     backing: PagedMem,
 }
 
@@ -88,13 +92,15 @@ impl Arb {
     /// Creates an ARB over an already-built architectural memory (its
     /// marks, normally none, count as committed since boot).
     pub fn with_backing(backing: PagedMem) -> Arb {
-        Arb { versions: FxHashMap::default(), backing }
+        Arb { versions: FxHashMap::default(), spare: Vec::new(), backing }
     }
 
     /// Inserts (or, for a reissued store, replaces) the speculative version
     /// written by `handle` at `addr`.
     pub fn store(&mut self, addr: Addr, handle: SeqHandle, value: Word) {
-        let list = self.versions.entry(addr >> 3).or_default();
+        let spare = &mut self.spare;
+        let list =
+            self.versions.entry(addr >> 3).or_insert_with(|| spare.pop().unwrap_or_default());
         if let Some(v) = list.iter_mut().find(|v| v.handle == handle) {
             v.value = value;
         } else {
@@ -108,7 +114,7 @@ impl Arb {
         if let Some(list) = self.versions.get_mut(&(addr >> 3)) {
             list.retain(|v| v.handle != handle);
             if list.is_empty() {
-                self.versions.remove(&(addr >> 3));
+                self.retire_list(addr >> 3);
             }
         }
     }
@@ -152,9 +158,16 @@ impl Arb {
             list.iter().position(|v| v.handle == handle).expect("commit of unknown store version");
         let v = list.swap_remove(idx);
         if list.is_empty() {
-            self.versions.remove(&word);
+            self.retire_list(word);
         }
         self.backing.set(word, v.value, true);
+    }
+
+    /// Removes `word`'s emptied version list, keeping its storage.
+    fn retire_list(&mut self, word: u64) {
+        if let Some(list) = self.versions.remove(&word) {
+            self.spare.push(list);
+        }
     }
 
     /// Reads architectural memory (committed state only).

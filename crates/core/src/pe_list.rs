@@ -9,6 +9,92 @@
 //! is exactly what this module implements. The logical-number field exists
 //! solely to translate physical sequence numbers for memory disambiguation.
 
+use std::fmt;
+
+use crate::config::MAX_PES;
+
+/// A list of PE indices in window order held inline, so building and
+/// draining one allocates nothing: the traces a recovery preserves and a
+/// re-dispatch pass's queue. Pushed at the back, popped at the front; a
+/// list never holds more entries than there are PEs.
+#[derive(Clone, Copy)]
+pub struct PeQueue {
+    pes: [u8; MAX_PES],
+    start: u16,
+    end: u16,
+}
+
+impl PeQueue {
+    /// The empty list.
+    pub const EMPTY: PeQueue = PeQueue { pes: [0; MAX_PES], start: 0, end: 0 };
+
+    /// Appends `pe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list has had [`MAX_PES`] entries pushed.
+    pub fn push(&mut self, pe: usize) {
+        assert!((self.end as usize) < MAX_PES, "a PE list holds at most {MAX_PES} entries");
+        self.pes[self.end as usize] = pe as u8;
+        self.end += 1;
+    }
+
+    /// Removes and returns the first entry.
+    pub fn pop_front(&mut self) -> Option<usize> {
+        (self.start < self.end).then(|| {
+            self.start += 1;
+            usize::from(self.pes[self.start as usize - 1])
+        })
+    }
+
+    /// The number of entries.
+    pub fn len(&self) -> usize {
+        usize::from(self.end - self.start)
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// The last entry.
+    pub fn last(&self) -> Option<usize> {
+        self.iter().last()
+    }
+
+    /// Whether `pe` is listed.
+    pub fn contains(&self, pe: usize) -> bool {
+        self.iter().any(|q| q == pe)
+    }
+
+    /// The entries, first to last.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pes[self.start as usize..self.end as usize].iter().map(|&pe| usize::from(pe))
+    }
+}
+
+impl Extend<usize> for PeQueue {
+    fn extend<I: IntoIterator<Item = usize>>(&mut self, iter: I) {
+        for pe in iter {
+            self.push(pe);
+        }
+    }
+}
+
+impl FromIterator<usize> for PeQueue {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> PeQueue {
+        let mut q = PeQueue::EMPTY;
+        q.extend(iter);
+        q
+    }
+}
+
+impl fmt::Debug for PeQueue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The PE linked-list control structure.
 #[derive(Clone, Debug)]
 pub struct PeList {

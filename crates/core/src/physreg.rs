@@ -2,8 +2,8 @@
 //!
 //! The register file has two levels, as in the paper. A value produced and
 //! consumed inside one trace stays in its PE: the producing slot publishes
-//! it ([`crate::pe::Published`]) and its consumers read it as a
-//! [`crate::pe::Src::Local`] operand. Only trace live-outs are renamed into
+//! it ([`crate::pe::Published`]) and its consumers read it through their
+//! [`tp_trace::OperandRef::Local`] operands. Only trace live-outs are renamed into
 //! this global file: a dispatched instruction allocates a global register
 //! only when it is a live-out, and a trace repair allocates one for a
 //! preserved slot it promotes to live-out. Registers are recycled by

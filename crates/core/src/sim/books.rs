@@ -34,9 +34,10 @@ use tp_events::{
 };
 use tp_isa::Pc;
 use tp_stats::attr::{AttrKey, Heuristic, RecoveryAttribution, RecoveryOutcome};
-use tp_trace::{SelectionStats, Trace};
+use tp_trace::{SelectionStats, Trace, TraceInst};
 
-use crate::pe::{Pe, Slot};
+use crate::pe::{Pe, SlotSide};
+use crate::pe_list::PeQueue;
 use crate::stats::{SimStats, WorkCounters};
 
 /// One dynamic conditional branch in the window. Generations are bumped by
@@ -176,13 +177,13 @@ impl Books {
     /// attempt it counts under the provisional outcome, and the attempt's
     /// close migrates the count if needed.
     #[inline]
-    pub fn branch_retired(&mut self, s: &Slot, branch: BranchAt) {
+    pub fn branch_retired(&mut self, ti: &TraceInst, s: &SlotSide, branch: BranchAt) {
         self.stats.retired_cond_branches += 1;
         if !s.was_mispredicted {
             return;
         }
         self.stats.retired_cond_mispredicts += 1;
-        let class = s.ti.ci_branch_class().expect("mispredicted slot is a cond branch");
+        let class = ti.ci_branch_class().expect("mispredicted slot is a cond branch");
         let key = s.attr.unwrap_or((class, Heuristic::None, RecoveryOutcome::FullSquash));
         // The per-cell `retired` counts sum to `retired_cond_mispredicts`.
         self.ledger.cell_mut(key).retired += 1;
@@ -254,7 +255,8 @@ impl Books {
     /// faults never count.
     #[inline]
     pub fn recovery_applied(&mut self, pe: usize, p: &mut Pe, slot: usize, key: AttrKey) {
-        (p.slots[slot].was_mispredicted, p.slots[slot].attr) = (true, Some(key));
+        let side = p.side_mut(slot);
+        (side.was_mispredicted, side.attr) = (true, Some(key));
         let (trace, source) = (&p.trace, p.source);
         let (pe, branch_pc) = (pe as u8, trace.insts()[slot].pc);
         self.report(Category::Recovery, || {
@@ -269,7 +271,7 @@ impl Books {
     /// An FGCI repair charged to `key` completed after `cycles` of repair
     /// occupancy, preserving every younger trace (`kept`, in window order).
     #[inline]
-    pub fn fgci_applied(&mut self, key: AttrKey, cycles: u64, kept: &[usize], pes: &[Pe]) {
+    pub fn fgci_applied(&mut self, key: AttrKey, cycles: u64, kept: &PeQueue, pes: &[Pe]) {
         self.stats.fgci_recoveries += 1;
         self.preserved(kept, pes);
         let cell = self.ledger.cell_mut(key);
@@ -280,9 +282,9 @@ impl Books {
 
     /// The control-independent traces in `kept` survived a recovery.
     #[inline]
-    fn preserved(&mut self, kept: &[usize], pes: &[Pe]) {
+    fn preserved(&mut self, kept: &PeQueue, pes: &[Pe]) {
         self.stats.preserved_traces += kept.len() as u64;
-        for &pe in kept {
+        for pe in kept.iter() {
             let pc = pes[pe].trace.id().start();
             self.report(Category::Trace, || Event::TracePreserved { pe: pe as u8, pc });
         }
@@ -326,7 +328,7 @@ impl Books {
     /// Fetch detected re-convergence: the traces in `kept` (window order)
     /// are preserved, and the pending attempt closes as re-converged.
     #[inline]
-    pub fn cgci_reconverged(&mut self, kept: &[usize], pes: &mut [Pe]) -> Option<AttrKey> {
+    pub fn cgci_reconverged(&mut self, kept: &PeQueue, pes: &mut [Pe]) -> Option<AttrKey> {
         self.stats.cgci_reconverged += 1;
         self.preserved(kept, pes);
         self.cgci_closed(RecoveryOutcome::CgciReconverged, kept.len() as u64, pes)
@@ -367,9 +369,9 @@ impl Books {
         });
         let (b, q) = (p.branch, &mut pes[p.branch.pe]);
         if q.occupied && q.dispatched_at == b.dispatched_at {
-            let slot = q.slots.get_mut(b.slot).filter(|s| s.ti.pc == b.pc && s.was_mispredicted);
-            if let Some(s) = slot {
-                s.attr = Some(key);
+            let holds = b.slot < q.slots.len() && q.inst(b.slot).pc == b.pc;
+            if holds && q.side(b.slot).was_mispredicted {
+                q.side_mut(b.slot).attr = Some(key);
             }
         }
         Some(key)

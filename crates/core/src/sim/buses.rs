@@ -93,7 +93,7 @@ impl TraceProcessor<'_> {
                         matches!(p.slots[req.slot].state, SlotState::WaitingBus { .. })
                             && self.list.contains(req.pe)
                     }
-                    BusChannel::Result => p.slots[req.slot].is_liveout,
+                    BusChannel::Result => p.trace.is_live_out(req.slot),
                 }
             };
             if !valid {
@@ -113,7 +113,7 @@ impl TraceProcessor<'_> {
                 BusChannel::Cache => self.perform_mem_access(req.pe, req.slot),
                 BusChannel::Result => {
                     let slot = &self.pes[req.pe].slots[req.slot];
-                    let dest = slot.global.expect("a live-out has a global register");
+                    let dest = slot.global().expect("a live-out has a global register");
                     let r = self.pregs.get_mut(dest);
                     if r.ready && r.global_ready_at == u64::MAX {
                         r.global_ready_at = now + BYPASS_LATENCY;
@@ -142,9 +142,9 @@ impl TraceProcessor<'_> {
         let now = self.now();
         let h = Self::handle(pe, slot);
         let (inst, ea, data) = {
-            let s = &self.pes[pe].slots[slot];
-            let ea = s.indirect_target.expect("agen ran") as Addr;
-            (s.ti.inst, ea, s.value)
+            let p = &self.pes[pe];
+            let ea = p.side(slot).indirect_target.expect("agen ran") as Addr;
+            (p.inst(slot).inst, ea, p.slots[slot].value)
         };
         match inst {
             Inst::Load { .. } => {
@@ -166,10 +166,12 @@ impl TraceProcessor<'_> {
                 });
                 let done_at = now + latency as u64;
                 {
-                    let s = &mut self.pes[pe].slots[slot];
+                    let p = &mut self.pes[pe];
+                    let side = p.side_mut(slot);
+                    side.load_src = result.source.map(|sh| sh.0);
+                    side.mem_addr = Some(ea);
+                    let s = &mut p.slots[slot];
                     s.value = result.value;
-                    s.load_src = result.source.map(|sh| sh.0);
-                    s.mem_addr = Some(ea);
                     s.state = SlotState::MemAccess { done_at };
                 }
                 self.note_inflight(pe, slot, done_at);
@@ -178,8 +180,8 @@ impl TraceProcessor<'_> {
             Inst::Store { .. } => {
                 let _ = self.dcache.access(ea);
                 let (old_performed, old_addr) = {
-                    let s = &self.pes[pe].slots[slot];
-                    (s.store_performed, s.mem_addr)
+                    let side = self.pes[pe].side(slot);
+                    (side.store_performed, side.mem_addr)
                 };
                 // A reissued store that moved must undo its old version.
                 // The undo snoop must NOT skip this store's own PE: the PE
@@ -198,10 +200,11 @@ impl TraceProcessor<'_> {
                 self.arb.store(ea, h, data);
                 let done_at = now + 1;
                 {
-                    let s = &mut self.pes[pe].slots[slot];
-                    s.store_performed = true;
-                    s.mem_addr = Some(ea);
-                    s.state = SlotState::MemAccess { done_at };
+                    let p = &mut self.pes[pe];
+                    let side = p.side_mut(slot);
+                    side.store_performed = true;
+                    side.mem_addr = Some(ea);
+                    p.slots[slot].state = SlotState::MemAccess { done_at };
                 }
                 self.note_inflight(pe, slot, done_at);
                 self.snoop_store(ea, h);
@@ -220,13 +223,11 @@ impl TraceProcessor<'_> {
     pub(super) fn demote_committed_source(&mut self, addr: Addr, store_h: SeqHandle) {
         let word = addr >> 3;
         let Some(entries) = self.wakeup.loads_by_word.get(&word) else { return };
-        let victims: Vec<(usize, usize)> = entries
-            .iter()
-            .filter(|r| r.live(&self.pes).is_some_and(|s| s.load_src == Some(store_h.0)))
-            .map(|r| (r.pe(), r.slot()))
-            .collect();
-        for (pe, slot) in victims {
-            self.pes[pe].slots[slot].load_src = None;
+        let pes = &mut self.pes;
+        for r in entries {
+            if r.live(pes).is_some() && pes[r.pe()].side(r.slot()).load_src == Some(store_h.0) {
+                pes[r.pe()].side_mut(r.slot()).load_src = None;
+            }
         }
     }
 
@@ -243,7 +244,7 @@ impl TraceProcessor<'_> {
             {
                 return false; // not yet sampled, or the store is later
             }
-            match s.load_src {
+            match sim.pes[r.pe()].side(r.slot()).load_src {
                 Some(src) if src == store_h.0 => true,
                 Some(src) => sim.seq_key(SeqHandle(src)) < store_key,
                 None => true, // loaded from architectural memory
@@ -254,7 +255,9 @@ impl TraceProcessor<'_> {
     /// Loads snoop store-undo traffic: any load whose data came from the
     /// undone store must reissue, except those in `skip_pe`.
     pub(super) fn snoop_undo(&mut self, addr: Addr, store_h: SeqHandle, skip_pe: usize) {
-        self.snoop(addr, |_, r, s| r.pe() != skip_pe && s.load_src == Some(store_h.0));
+        self.snoop(addr, |sim, r, _| {
+            r.pe() != skip_pe && sim.pes[r.pe()].side(r.slot()).load_src == Some(store_h.0)
+        });
     }
 
     /// The snoop walk: visits every live load registered on `addr`'s word
@@ -263,7 +266,8 @@ impl TraceProcessor<'_> {
     fn snoop(&mut self, addr: Addr, mut victim: impl FnMut(&Self, SlotRef, &Slot) -> bool) {
         let word = addr >> 3;
         let Some(mut entries) = self.wakeup.loads_by_word.remove(&word) else { return };
-        let mut reissues: Vec<SlotRef> = Vec::new();
+        let mut reissues = std::mem::take(&mut self.scratch_refs);
+        reissues.clear();
         let before = entries.len();
         entries.retain(|&r| {
             let Some(s) = self.live_load(r, word) else { return false };
@@ -273,14 +277,17 @@ impl TraceProcessor<'_> {
             true
         });
         self.load_count -= before - entries.len();
-        if !entries.is_empty() {
+        if entries.is_empty() {
+            self.wakeup.spare_buckets.push(entries);
+        } else {
             self.wakeup.loads_by_word.insert(word, entries);
         }
         self.books.load_snoop_reissued(reissues.len() as u64);
         let at = self.now() + LOAD_REISSUE_PENALTY;
-        for r in reissues {
+        for &r in &reissues {
             self.mark_reissue_slot(r.pe(), r.slot(), at);
         }
+        self.scratch_refs = reissues;
     }
 
     /// Validates a load-registry entry: the slot must still be a live load
@@ -289,9 +296,10 @@ impl TraceProcessor<'_> {
     /// garbage-collects from the registry).
     fn live_load(&self, r: SlotRef, word: Addr) -> Option<&Slot> {
         let s = r.live(&self.pes)?;
-        if !self.list.contains(r.pe()) || !matches!(s.ti.inst, Inst::Load { .. }) {
+        let p = &self.pes[r.pe()];
+        if !self.list.contains(r.pe()) || !matches!(p.inst(r.slot()).inst, Inst::Load { .. }) {
             return None;
         }
-        (s.mem_addr? >> 3 == word).then_some(s)
+        (p.side(r.slot()).mem_addr? >> 3 == word).then_some(s)
     }
 }

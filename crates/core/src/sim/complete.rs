@@ -76,12 +76,15 @@ impl TraceProcessor<'_> {
         }
         // Publish the destination value: in the PE for its local
         // consumers, and to the global register, if the slot has one.
-        let s = &mut self.pes[pe].slots[slot];
-        if s.ti.dest.is_some() {
-            let (value, is_liveout, global) = (s.value, s.is_liveout, s.global);
-            let first_production = !s.out.produced;
-            let value_changed = s.out.produced && s.out.value != value;
-            s.out = Published { value, produced: true, ready_at: now };
+        let p = &mut self.pes[pe];
+        let ti = p.trace.insts()[slot];
+        let is_liveout = p.trace.is_live_out(slot);
+        let s = &mut p.slots[slot];
+        if ti.dest.is_some() {
+            let (value, global) = (s.value, s.global());
+            let first_production = !s.out.produced();
+            let value_changed = s.out.produced() && s.out.value != value;
+            s.out = Published { value, ready_at: now };
             if let Some(g) = global {
                 let r = self.pregs.get_mut(g);
                 r.value = value;
@@ -108,28 +111,27 @@ impl TraceProcessor<'_> {
             }
         }
         // Verify control instructions.
-        let inst = self.pes[pe].slots[slot].ti.inst;
-        if inst.is_cond_branch() {
+        if ti.inst.is_cond_branch() {
             let (pc, fault) = {
                 let s = &self.pes[pe].slots[slot];
                 assert!(s.outcome.is_some(), "branch executed");
-                (s.ti.pc, s.branch_fault())
+                (ti.pc, s.branch_fault(&ti))
             };
             self.pes[pe].set_fault(slot, fault);
             if fault.is_some() {
                 self.books.mispredict_detected(pe, slot, pc, MispredictKind::CondBranch);
             }
-        } else if inst.is_indirect() {
+        } else if ti.inst.is_indirect() {
             self.verify_indirect(pe, slot);
         }
     }
 
     /// Verifies a trace-ending indirect transfer against its successor.
     fn verify_indirect(&mut self, pe: usize, slot: usize) {
-        let raw = self.pes[pe].slots[slot].indirect_target.expect("indirect executed");
+        let raw = self.pes[pe].side(slot).indirect_target.expect("indirect executed");
         let actual: Option<Pc> =
             if raw >= 0 && self.program.contains(raw as Pc) { Some(raw as Pc) } else { None };
-        let pc = self.pes[pe].slots[slot].ti.pc;
+        let pc = self.pes[pe].inst(slot).pc;
         if let Some(t) = actual {
             self.btb.update_indirect(pc, t);
         }

@@ -12,20 +12,25 @@
 //! ([`redispatch`](super::redispatch)), which take priority.
 //!
 //! The register file has two levels, as in the paper: values produced and
-//! consumed inside the trace stay in the PE. A `Local(j)` operand is bound
-//! to slot `j`'s published result, and only live-ins and live-outs touch
-//! the global file. So only live-outs allocate a global register, and only
+//! consumed inside the trace stay in the PE. A `Local(j)` operand reads
+//! slot `j`'s published result, and only live-ins and live-outs touch the
+//! global file. So only live-outs allocate a global register, and only
 //! live-in operands register as readers; a reader list serves both the
-//! register's first production and its value changes. Local producers
-//! reach their consumers through per-slot consumer masks linked here from
-//! the bound operands.
+//! register's first production and its value changes.
+//!
+//! As in the paper, the trace arrives pre-renamed: everything that depends
+//! on the trace alone was built once, when the trace was assembled (its
+//! local operands and per-instruction consumer masks, its live-out slots,
+//! the positions of its live-in operands). Dispatch therefore fills the
+//! PE with blank one-cache-line slots and then works per live-in operand
+//! (bind, register as a reader, seed the ready mask) and per live-out
+//! (allocate a global register), never per instruction.
 //!
 //! **Mutates:** the fetch queue/mode, the target PE (slots, rename maps,
 //! generation), the PE list, the speculative rename-map chain, reader
 //! registrations, the global register file (allocations), and the books.
 
 use super::*;
-use crate::pe::Slot;
 
 impl TraceProcessor<'_> {
     pub(super) fn dispatch_stage(&mut self, prof: Option<&StageProfiler>) {
@@ -84,13 +89,11 @@ impl TraceProcessor<'_> {
                     // reclaiming the suffix one tail per cycle, which
                     // made a failed attempt cost strictly more than
                     // the full squash it degenerates to.
-                    let victims: Vec<usize> = {
-                        let mut v = vec![before];
-                        v.extend(self.list.iter_after(before));
-                        v
-                    };
+                    let mut victims = PeQueue::EMPTY;
+                    victims.push(before);
+                    victims.extend(self.list.iter_after(before));
                     self.books.insertion_abandoned(victims.len() as u64);
-                    for v in victims {
+                    for v in victims.iter() {
                         self.squash_pe(v);
                     }
                     self.set_mode(FetchMode::Normal);
@@ -110,24 +113,22 @@ impl TraceProcessor<'_> {
     }
 
     /// Registers a just-dispatched trace's live-in operands as readers and
-    /// seeds the wakeup index, in one pass over its slots: what
+    /// seeds the wakeup index, walking only the live-in operands: what
     /// [`Self::register_reader`] and [`Self::index_enqueue`] do slot by
     /// slot. Every slot starts `Waiting` and every local producer is fresh,
-    /// so a slot with a local operand is not ready. Local operands touch no
-    /// list: the consumer masks name their readers.
+    /// so a slot with a local operand is not ready, and one without is
+    /// ready once its live-ins are. Local operands touch no list: the
+    /// trace's consumer masks name their readers.
     fn seed_dispatched(&mut self, pe: usize) {
-        let mut ready = 0u64;
-        for i in 0..self.pes[pe].slots.len() {
-            let mut all_produced = true;
-            for q in self.pes[pe].slots[i].srcs.into_iter().flatten() {
-                let Src::Global(p) = q else {
-                    all_produced = false;
-                    continue;
-                };
-                self.register_reader(p, pe, i);
-                all_produced &= self.pregs.get(p).ready;
+        let trace = Arc::clone(&self.pes[pe].trace);
+        let all = u64::MAX >> (64 - trace.len());
+        let mut ready = all & !u64::from(trace.local_readers());
+        for (i, k, _) in trace.live_in_operands() {
+            let p = self.pes[pe].slots[i].srcs[k];
+            self.register_reader(p, pe, i);
+            if !self.pregs.get(p).ready {
+                ready &= !(1u64 << i);
             }
-            ready |= u64::from(all_produced) << i;
         }
         self.wakeup.ready[pe] = ready;
     }
@@ -143,7 +144,7 @@ impl TraceProcessor<'_> {
                 let last = self.pes[pred].slots.len() - 1;
                 let s = &self.pes[pred].slots[last];
                 if s.state == SlotState::Done && !s.pending_reissue {
-                    s.indirect_target == Some(start as Word)
+                    self.pes[pred].side(last).indirect_target == Some(start as Word)
                 } else {
                     true // unresolved: dispatch speculatively
                 }
@@ -162,29 +163,25 @@ impl TraceProcessor<'_> {
         self.reserve_pregs(trace.live_outs().len());
         let map_before = self.current_map;
         self.pes[pe].gen += 1;
-        // Refill the PE's slot buffer in place, keeping its capacity.
-        let mut slots = std::mem::take(&mut self.pes[pe].slots);
-        slots.clear();
-        for (i, ti) in trace.insts().iter().enumerate() {
-            slots.push(Slot::new(*ti));
-            let slot = slots.last_mut().expect("pushed above");
-            for (k, &(_, oref)) in ti.srcs.iter().flatten().enumerate() {
-                slot.srcs[k] = Some(Self::bind(oref, &map_before));
-            }
-            slot.is_liveout = ti.dest.is_some_and(|d| trace.last_writer(d) == Some(i));
-            if slot.is_liveout {
-                slot.global = Some(self.alloc_global(pe));
-            }
+        // Refill the PE's slot buffer in place, keeping its capacity, with
+        // blank slots; then bind the live-ins and allocate the live-outs
+        // (in slot order, so register ids follow program order).
+        self.pes[pe].reset_slots(trace.len());
+        for (i, k, r) in trace.live_in_operands() {
+            self.pes[pe].slots[i].srcs[k] = map_before[r.index()];
         }
-        link_local_consumers(&mut slots);
-        let map_after = Self::map_after(&trace, &slots, map_before);
-        let num_slots = slots.len();
+        let mut map_after = map_before;
+        for i in bits(u64::from(trace.live_out_slots())) {
+            let g = self.alloc_global(pe);
+            self.pes[pe].slots[i].set_global(g);
+            let dest = trace.insts()[i].dest.expect("a live-out slot has a destination");
+            map_after[dest.index()] = g;
+        }
+        let num_slots = trace.len();
         let now = self.now();
         let p = &mut self.pes[pe];
         p.occupied = true;
         p.trace = trace;
-        p.slots = slots;
-        p.recompute_faults();
         p.map_before = map_before;
         p.map_after = map_after;
         p.hist_before = pending.hist_before;

@@ -90,11 +90,9 @@ impl TraceProcessor<'_> {
         // the preserved control-independent trace.
         if let FetchMode::CgciInsert { before, reconv_start, .. } = self.mode {
             if start == reconv_start {
-                let preserved: Vec<usize> = {
-                    let mut v = vec![before];
-                    v.extend(self.list.iter_after(before));
-                    v
-                };
+                let mut preserved = PeQueue::EMPTY;
+                preserved.push(before);
+                preserved.extend(self.list.iter_after(before));
                 // Close the pending attempt as re-converged *before*
                 // leaving insertion mode (set_mode treats any still-pending
                 // teardown as a failure).

@@ -47,13 +47,17 @@ impl TraceProcessor<'_> {
                 let slot = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let ready = {
-                    let slots = &self.pes[pe].slots;
-                    let s = &slots[slot];
+                    let p = &self.pes[pe];
+                    let s = &p.slots[slot];
+                    let srcs = &p.inst(slot).srcs;
                     s.state == SlotState::Waiting
                         && s.not_before <= now
-                        && s.srcs.iter().flatten().all(|&q| match q {
-                            Src::Global(p) => self.pregs.readable_by(p, pe as u8, now),
-                            Src::Local(j) => slots[j as usize].out.readable(now),
+                        && (0..2).all(|k| match srcs[k] {
+                            Some((_, OperandRef::Local(j))) => {
+                                p.slots[j as usize].out.readable(now)
+                            }
+                            Some(_) => self.pregs.readable_by(s.srcs[k], pe as u8, now),
+                            None => true,
                         })
                 };
                 if !ready {
@@ -76,24 +80,27 @@ impl TraceProcessor<'_> {
     fn issue_slot(&mut self, pe: usize, slot: usize) -> bool {
         let now = self.now();
         let gen = self.pes[pe].gen;
-        let (inst, a, b) = {
-            let slots = &self.pes[pe].slots;
-            let value = |q: &Option<Src>| match *q {
-                Some(Src::Global(p)) => self.pregs.get(p).value,
-                Some(Src::Local(j)) => slots[j as usize].out.value,
+        let (ti, a, b) = {
+            let p = &self.pes[pe];
+            let ti = *p.inst(slot);
+            let value = |k: usize| match ti.srcs[k] {
+                Some((_, OperandRef::Local(j))) => p.slots[j as usize].out.value,
+                Some(_) => self.pregs.get(p.slots[slot].srcs[k]).value,
                 None => 0,
             };
-            let s = &slots[slot];
-            (s.ti.inst, value(&s.srcs[0]), value(&s.srcs[1]))
+            (ti, value(0), value(1))
         };
         // `done_at` for directly-executing slots; memory operations go to
         // the cache-bus queue instead and complete after their grant.
         let mut done_at = None;
         let mut agen = false;
+        // The indirect target, or a memory operation's effective address
+        // staged for its bus grant (the slot's side entry).
+        let mut target = None;
         {
             let s = &mut self.pes[pe].slots[slot];
-            s.issues += 1;
-            match inst {
+            s.issues = s.issues.saturating_add(1);
+            match ti.inst {
                 Inst::Alu { op, .. } => {
                     s.value = op.apply(a, b);
                     done_at = Some(now + op.latency() as u64);
@@ -105,15 +112,13 @@ impl TraceProcessor<'_> {
                 Inst::Load { offset, .. } => {
                     s.value = 0;
                     s.state = SlotState::WaitingBus { since: now + AGEN_LATENCY };
-                    let ea = effective_address(a, offset);
-                    s.indirect_target = Some(ea as Word); // staging for bus grant
+                    target = Some(effective_address(a, offset) as Word);
                     agen = true;
                 }
                 Inst::Store { offset, .. } => {
                     // srcs order is [base, data].
-                    let ea = effective_address(a, offset);
                     s.value = b;
-                    s.indirect_target = Some(ea as Word);
+                    target = Some(effective_address(a, offset) as Word);
                     s.state = SlotState::WaitingBus { since: now + AGEN_LATENCY };
                     agen = true;
                 }
@@ -125,22 +130,25 @@ impl TraceProcessor<'_> {
                     done_at = Some(now + 1);
                 }
                 Inst::Call { .. } => {
-                    s.value = s.ti.pc as Word + 1;
+                    s.value = ti.pc as Word + 1;
                     done_at = Some(now + 1);
                 }
                 Inst::CallIndirect { .. } => {
-                    s.value = s.ti.pc as Word + 1;
-                    s.indirect_target = Some(a);
+                    s.value = ti.pc as Word + 1;
+                    target = Some(a);
                     done_at = Some(now + 1);
                 }
                 Inst::JumpIndirect { .. } | Inst::Ret => {
-                    s.indirect_target = Some(a);
+                    target = Some(a);
                     done_at = Some(now + 1);
                 }
             }
             if let Some(done_at) = done_at {
                 s.state = SlotState::Executing { done_at };
             }
+        }
+        if target.is_some() {
+            self.pes[pe].side_mut(slot).indirect_target = target;
         }
         if let Some(done_at) = done_at {
             self.note_inflight(pe, slot, done_at);

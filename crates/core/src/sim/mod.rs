@@ -61,8 +61,8 @@ use tp_trace::{Bit, EndReason, OperandRef, Selector, Trace};
 
 use crate::boot::{BootError, BootImage, WarmBoot};
 use crate::config::{CheckLevel, TraceProcessorConfig, RAS_DEPTH, TCACHE_WAYS};
-use crate::pe::{Pe, Slot, SlotState, Src};
-use crate::pe_list::PeList;
+use crate::pe::{bits, Pe, Slot, SlotState};
+use crate::pe_list::{PeList, PeQueue};
 use crate::physreg::{PhysRegFile, PhysRegId, RenameMap};
 use crate::stats::{SimStats, WorkCounters};
 use books::{Books, BranchAt};
@@ -175,7 +175,7 @@ struct Recovery {
 /// A re-dispatch pass over preserved (control independent) traces.
 #[derive(Clone, Debug)]
 struct RedispatchPass {
-    queue: VecDeque<usize>,
+    queue: PeQueue,
     rolling: TraceHistory,
     /// Ledger coordinate charged for each re-dispatched trace.
     attr: Option<AttrKey>,
@@ -257,8 +257,8 @@ impl SlotRef {
 ///    part of the bit: the issue stage re-polls those cheap comparisons,
 ///    because global visibility can move (result-bus re-arm sets it to
 ///    `u64::MAX` until a bus is granted). Bits for unoccupied PEs are zero.
-/// 2. **Readers.** Every global operand `Src::Global(p)` of every occupied
-///    slot, except the zero register, has an entry in `readers[p]` under
+/// 2. **Readers.** Every live-in operand of every occupied slot bound to a
+///    register `p` other than the zero register has an entry in `readers[p]` under
 ///    its PE's current generation. Every rebind site (dispatch,
 ///    `replace_trace`, and the live-in rebind walk
 ///    [`TraceProcessor::rebind_live_ins`] that the re-dispatch pass and the
@@ -293,25 +293,30 @@ impl SlotRef {
 /// cross-check:
 ///
 /// 5. **Fault masks.** Each occupied PE's mask ([`Pe::faults`]) has bit
-///    `i` set *iff* `slots[i].fault` is `Some`. Every fault write goes
-///    through [`Pe::set_fault`]; `replace_trace` rebuilds the mask once
-///    after it moves the slots, and dispatch and squash reset it.
+///    `i` set *iff* slot `i`'s side entry holds a fault. Every fault write
+///    goes through [`Pe::set_fault`]; `replace_trace` rebuilds the mask
+///    once after it moves the side entries, and dispatch and squash reset
+///    it.
 ///    Recovery's oldest-fault search is then one word test per PE.
 /// 6. **Binding.** Every occupied slot's `LiveIn(r)` operand is bound to
-///    its PE's `map_before[r]` (`r0` to the zero register). Dispatch,
-///    `replace_trace` and the live-in rebind walk each establish it. It makes the head re-ground exact on its fast path: a
-///    head whose `map_before` agrees with `retired_map` on every live-in
-///    has nothing to rebind. Every `Local(j)` operand is bound to
-///    [`Src::Local`]`(j)`, the published result of slot `j`.
-/// 7. **Consumer masks.** Local values never touch the reader lists. Each
-///    slot carries the masks of the slots whose first and second operands
-///    read it ([`Slot::consumers`]), linked from the bound operands
-///    whenever a whole trace is (re)bound: at dispatch and at repair, which
-///    shifts slots. Slot `j`'s first publication sets the ready bit of
-///    every `Waiting` consumer whose sources are now all produced, and a
-///    changed value marks every consumer for reissue: the local
-///    counterpart of invariant 2. The published results move with their
-///    slots.
+///    its PE's `map_before[r]` in [`Slot::srcs`], and every other operand
+///    (`r0`, local, absent) to the zero register. Dispatch,
+///    `replace_trace` and the live-in rebind walk each establish it, and
+///    each visits only the trace's live-in operands
+///    ([`Trace::live_in_operands`]). It makes the head re-ground exact on
+///    its fast path: a head whose `map_before` agrees with `retired_map` on
+///    every live-in has nothing to rebind. A `Local(j)` operand reads the
+///    published result of slot `j`, named by the trace's pre-renames.
+/// 7. **Consumer masks.** Local values never touch the reader lists. The
+///    trace names each instruction's consumers, the slots whose first and
+///    second operands read it ([`tp_trace::TraceInst::consumers`]), built
+///    once when the trace is assembled. Slot `i` holds instruction `i` of
+///    its PE's trace, including after a repair that shifts slots, so the
+///    masks need no per-dispatch linking. Slot `j`'s first publication sets
+///    the ready bit of every `Waiting` consumer whose sources are now all
+///    produced, and a changed value marks every consumer for reissue: the
+///    local counterpart of invariant 2. The published results move with
+///    their slots.
 ///
 /// All structures tolerate stale entries (validation is cheap and local);
 /// what they must never do is *lose* a live slot — that turns into a
@@ -324,6 +329,9 @@ struct WakeupIndex {
     completions: CompletionWheel,
     /// Loads that sampled memory, indexed by word address (invariant 4).
     loads_by_word: FxHashMap<Addr, Vec<SlotRef>>,
+    /// Emptied `loads_by_word` buckets, kept for the next word a load
+    /// samples so the registry stops allocating once warm.
+    spare_buckets: Vec<Vec<SlotRef>>,
 }
 
 /// Buckets of the completion timing wheel: one per cycle of its horizon.
@@ -396,56 +404,62 @@ impl CompletionWheel {
 /// (comfortably above the live window's worst case of `16 PEs x 32 slots`).
 const GC_FLOOR: usize = 4096;
 
+/// Where a slot reads one source operand: the paper's two-level register
+/// file. Slots store only the global half ([`Slot::srcs`]); this is the
+/// operand as the trace's pre-renames and the slot's binding give it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Src {
+    /// A live-in: a register of the global file.
+    Global(PhysRegId),
+    /// A value produced inside the trace: the published result of this
+    /// slot of the same PE (the PE's local register file).
+    Local(u8),
+}
+
+/// An operand pre-renamed as `src` whose slot binds it to `global`.
+fn src_of(src: Option<(Reg, OperandRef)>, global: PhysRegId) -> Option<Src> {
+    src.map(|(_, oref)| match oref {
+        OperandRef::Local(j) => Src::Local(j),
+        OperandRef::LiveIn(_) => Src::Global(global),
+    })
+}
+
+/// Operand `k` of slot `i` of the trace in `p`.
+fn operand(p: &Pe, i: usize, k: usize) -> Option<Src> {
+    src_of(p.inst(i).srcs[k], p.slots[i].srcs[k])
+}
+
 /// Whether a reader registration on `preg` is still live: the slot exists
 /// under the registered generation and still reads `preg`. The keep
 /// predicate of [`TraceProcessor::propagate_value_change`] and of
-/// reader-list pruning.
+/// reader-list pruning. (`preg` is never the zero register, the stand-in
+/// of a slot's non-live-in operands.)
 fn reader_live(pes: &[Pe], r: SlotRef, preg: PhysRegId) -> bool {
-    r.live(pes).is_some_and(|s| s.srcs.contains(&Some(Src::Global(preg))))
+    r.live(pes).is_some_and(|s| s.srcs.contains(&preg))
 }
 
-/// Links each slot of a PE to its local consumers ([`Slot::consumers`]):
-/// bit `i` of `slots[j].consumers[k]` is set iff slot `i`'s `k`-th operand
-/// is `Src::Local(j)`. Run whenever a whole trace's operands were bound.
-fn link_local_consumers(slots: &mut [Slot]) {
-    for s in slots.iter_mut() {
-        s.consumers = [0; 2];
-    }
-    for i in 0..slots.len() {
-        for k in 0..2 {
-            if let Some(Src::Local(j)) = slots[i].srcs[k] {
-                slots[j as usize].consumers[k] |= 1 << i;
-            }
-        }
-    }
-}
-
-/// Whether a source operand of a slot in a PE holding `slots` has been
-/// produced (the dataflow condition of [`WakeupIndex`] invariant 1).
-fn src_produced(slots: &[Slot], pregs: &PhysRegFile, src: Src) -> bool {
-    match src {
-        Src::Global(p) => pregs.get(p).ready,
-        Src::Local(j) => slots[j as usize].out.produced,
-    }
-}
-
-/// Whether every source of `slot` (in a PE holding `slots`) is produced.
-fn all_produced(slots: &[Slot], pregs: &PhysRegFile, slot: &Slot) -> bool {
-    slot.srcs.iter().flatten().all(|&q| src_produced(slots, pregs, q))
+/// Whether every source of slot `i` of the trace in `p` is produced (the
+/// dataflow condition of [`WakeupIndex`] invariant 1): a local source's
+/// producer has published, a global source's register is ready.
+fn all_produced(p: &Pe, pregs: &PhysRegFile, i: usize) -> bool {
+    let srcs = &p.inst(i).srcs;
+    (0..2).all(|k| match srcs[k] {
+        Some((_, OperandRef::Local(j))) => p.slots[j as usize].out.produced(),
+        Some(_) => pregs.get(p.slots[i].srcs[k]).ready,
+        None => true,
+    })
 }
 
 /// Every physical register the simulator can still name (the roots listed
-/// in [`crate::physreg`], except the zero register, which the file keeps
-/// itself).
+/// in [`crate::physreg`]; the zero register among them is harmless, the
+/// file keeps it itself).
 fn preg_roots<'a>(pes: &'a [Pe], maps: [&'a RenameMap; 2]) -> impl Iterator<Item = PhysRegId> + 'a {
     let pe_maps = pes.iter().flat_map(|p| p.map_before.iter().chain(&p.map_after)).copied();
-    let slots = pes.iter().filter(|p| p.occupied).flat_map(|p| &p.slots).flat_map(|s| {
-        let globals = s.srcs.iter().filter_map(|&q| match q {
-            Some(Src::Global(p)) => Some(p),
-            _ => None,
-        });
-        globals.chain(s.global)
-    });
+    let slots = pes
+        .iter()
+        .filter(|p| p.occupied)
+        .flat_map(|p| &p.slots)
+        .flat_map(|s| s.srcs.into_iter().chain(s.global()));
     maps.into_iter().flatten().copied().chain(pe_maps).chain(slots)
 }
 
@@ -455,6 +469,7 @@ impl WakeupIndex {
             ready: vec![0; num_pes],
             completions: CompletionWheel::default(),
             loads_by_word: FxHashMap::default(),
+            spare_buckets: Vec::new(),
         }
     }
 }
@@ -523,8 +538,8 @@ pub struct TraceProcessor<'p> {
     load_count: usize,
     loads_gc_at: usize,
     // Reusable scratch buffers (avoid steady-state allocation).
-    /// Preserved trace-repair suffix (`replace_trace`).
-    scratch_slots: Vec<Slot>,
+    /// Loads a snoop reissues.
+    scratch_refs: Vec<SlotRef>,
     scratch_order: Vec<usize>,
     /// Per-PE masks of the slots completing this cycle.
     scratch_due: Vec<u64>,
@@ -703,7 +718,7 @@ impl<'p> TraceProcessor<'p> {
             wakeup: WakeupIndex::new(cfg.num_pes),
             load_count: 0,
             loads_gc_at: GC_FLOOR,
-            scratch_slots: Vec::new(),
+            scratch_refs: Vec::new(),
             scratch_order: Vec::new(),
             scratch_due: Vec::new(),
             scratch_grants: Vec::new(),
@@ -1003,8 +1018,8 @@ impl<'p> TraceProcessor<'p> {
             let owner_ok = self.list.contains(pe)
                 && self.pes[pe].occupied
                 && slot < self.pes[pe].slots.len()
-                && self.pes[pe].slots[slot].store_performed
-                && self.pes[pe].slots[slot].mem_addr.map(|a| a >> 3) == Some(word);
+                && self.pes[pe].side(slot).store_performed
+                && self.pes[pe].side(slot).mem_addr.map(|a| a >> 3) == Some(word);
             assert!(
                 owner_ok,
                 "cycle {} after {stage}: ARB version at word {word:#x} owned by pe{pe} slot \
@@ -1019,7 +1034,7 @@ impl<'p> TraceProcessor<'p> {
                 let preg = self.pes[q].map_before[r.index()];
                 for &younger in &order[qi..] {
                     for (si, sl) in self.pes[younger].slots.iter().enumerate() {
-                        if sl.global == Some(preg) {
+                        if sl.global() == Some(preg) {
                             panic!(
                                 "cycle {} after {stage}: pe{q} map_before[{r}] = {preg:?} \
                                  is produced by pe{younger} slot {si} (not older)\n{}",
@@ -1091,25 +1106,27 @@ impl<'p> TraceProcessor<'p> {
             );
             for (i, sl) in p.slots.iter().enumerate() {
                 if sl.state != SlotState::Done || sl.pending_reissue {
-                    let vals: Vec<(String, Word, bool)> = sl
-                        .srcs
-                        .iter()
-                        .flatten()
-                        .map(|&q| match q {
+                    let vals: Vec<(String, Word, bool)> = (0..2)
+                        .filter_map(|k| operand(p, i, k))
+                        .map(|q| match q {
                             Src::Global(pp) => {
                                 let r = self.pregs.get(pp);
                                 (format!("p{}", pp.0), r.value, r.ready)
                             }
                             Src::Local(j) => {
                                 let out = p.slots[j as usize].out;
-                                (format!("s{j}"), out.value, out.produced)
+                                (format!("s{j}"), out.value, out.produced())
                             }
                         })
                         .collect();
                     let _ = write!(
                         s,
                         "[slot {i} {:?} state={:?} pr={} nb={} iss={} srcs={vals:?}] ",
-                        sl.ti.inst, sl.state, sl.pending_reissue, sl.not_before, sl.issues
+                        p.inst(i).inst,
+                        sl.state,
+                        sl.pending_reissue,
+                        sl.not_before,
+                        sl.issues
                     );
                 }
             }
@@ -1133,7 +1150,7 @@ impl<'p> TraceProcessor<'p> {
         let mut map = map_before;
         for r in trace.live_outs() {
             let w = trace.last_writer(*r).expect("live-out has a writer");
-            map[r.index()] = slots[w].global.expect("a live-out has a global register");
+            map[r.index()] = slots[w].global().expect("a live-out has a global register");
         }
         map
     }
@@ -1184,15 +1201,12 @@ impl<'p> TraceProcessor<'p> {
     /// clears that slot's own ready bit. A slot marked twice (both masks,
     /// or a duplicate registration) is a no-op the second time.
     fn propagate_value_change(&mut self, pe: usize, slot: usize, not_before: u64) {
-        let [first, second] = self.pes[pe].slots[slot].consumers;
+        let [first, second] = self.pes[pe].inst(slot).consumers;
         self.books.value_change_marked(u64::from(first.count_ones() + second.count_ones()));
-        let mut mask = first | second;
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
+        for i in bits(u64::from(first | second)) {
             self.mark_reissue_slot(pe, i, not_before);
         }
-        let Some(preg) = self.pes[pe].slots[slot].global else { return };
+        let Some(preg) = self.pes[pe].slots[slot].global() else { return };
         let Some(list) = self.readers.get_mut(preg.index()) else { return };
         let pes = &self.pes;
         list.retain(|&r| reader_live(pes, r, preg));
@@ -1247,8 +1261,7 @@ impl<'p> TraceProcessor<'p> {
             assert_eq!(self.pes[pe].slots[slot].state, SlotState::Waiting);
             assert!(slot < 64, "trace longer than the ready bitmask");
         }
-        let slots = &self.pes[pe].slots;
-        if all_produced(slots, &self.pregs, &slots[slot]) {
+        if all_produced(&self.pes[pe], &self.pregs, slot) {
             self.wakeup.ready[pe] |= 1 << slot;
         } else {
             // A rebind can move a previously all-produced slot onto an
@@ -1270,7 +1283,7 @@ impl<'p> TraceProcessor<'p> {
                 continue; // stale: squashed or replaced
             };
             if s.state == SlotState::Waiting
-                && all_produced(&self.pes[r.pe()].slots, &self.pregs, s)
+                && all_produced(&self.pes[r.pe()], &self.pregs, r.slot())
             {
                 self.wakeup.ready[r.pe()] |= 1 << r.slot();
             }
@@ -1284,14 +1297,10 @@ impl<'p> TraceProcessor<'p> {
     /// waiting on this producer is harmless: a `Waiting` slot with all
     /// sources produced already has its bit (invariant 1).
     fn wake_local_consumers(&mut self, pe: usize, producer: usize) {
-        let [first, second] = self.pes[pe].slots[producer].consumers;
-        let mut mask = first | second;
-        let slots = &self.pes[pe].slots;
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let s = &slots[i];
-            if s.state == SlotState::Waiting && all_produced(slots, &self.pregs, s) {
+        let p = &self.pes[pe];
+        let [first, second] = p.inst(producer).consumers;
+        for i in bits(u64::from(first | second)) {
+            if p.slots[i].state == SlotState::Waiting && all_produced(p, &self.pregs, i) {
                 self.wakeup.ready[pe] |= 1 << i;
             }
         }
@@ -1308,7 +1317,12 @@ impl<'p> TraceProcessor<'p> {
     /// can find it without rescanning the window (invariant 4).
     fn note_load_sampled(&mut self, pe: usize, slot: usize, addr: Addr) {
         let r = SlotRef::new(pe, slot, self.pes[pe].gen);
-        let bucket = self.wakeup.loads_by_word.entry(addr >> 3).or_default();
+        let spare = &mut self.wakeup.spare_buckets;
+        let bucket = self
+            .wakeup
+            .loads_by_word
+            .entry(addr >> 3)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
         // A reissued load may sample the same word twice under one
         // generation; keep at most one entry so a snoop reissues (and
         // counts) it exactly once.
@@ -1373,11 +1387,16 @@ impl<'p> TraceProcessor<'p> {
     fn gc_loads(&mut self) {
         let pes = &self.pes;
         let list = &self.list;
+        let spare = &mut self.wakeup.spare_buckets;
         self.wakeup.loads_by_word.retain(|&word, entries| {
             entries.retain(|&r| {
                 list.contains(r.pe())
-                    && r.live(pes).is_some_and(|s| s.mem_addr.is_some_and(|a| a >> 3 == word))
+                    && r.live(pes).is_some()
+                    && pes[r.pe()].side(r.slot()).mem_addr.is_some_and(|a| a >> 3 == word)
             });
+            if entries.is_empty() {
+                spare.push(std::mem::take(entries));
+            }
             !entries.is_empty()
         });
         self.load_count = self.wakeup.loads_by_word.values().map(Vec::len).sum();
@@ -1430,18 +1449,26 @@ impl<'p> TraceProcessor<'p> {
             self.assert_local_file_coherent(pe);
             for (i, s) in p.slots.iter().enumerate() {
                 let this = SlotRef::new(pe, i, p.gen);
-                for (k, &(r, oref)) in s.ti.srcs.iter().flatten().enumerate() {
+                for k in 0..2 {
+                    let bound = match p.inst(i).srcs[k] {
+                        Some((_, oref)) => Self::bind(oref, &p.map_before),
+                        None => Src::Global(PhysRegId::ZERO),
+                    };
+                    let stored = match bound {
+                        Src::Local(_) => PhysRegId::ZERO,
+                        Src::Global(g) => g,
+                    };
                     assert_eq!(
                         s.srcs[k],
-                        Some(Self::bind(oref, &p.map_before)),
-                        "cycle {}: pe{pe} slot {i} operand {r} is not bound to its {oref:?}",
+                        stored,
+                        "cycle {}: pe{pe} slot {i} operand {k} is not bound to its {bound:?}",
                         self.now()
                     );
                 }
                 // A local source needs no registration: its producer's
                 // consumer mask names this slot.
-                for q in s.srcs.iter().flatten() {
-                    let &Src::Global(q) = q else { continue };
+                for k in 0..2 {
+                    let Some(Src::Global(q)) = operand(p, i, k) else { continue };
                     assert!(
                         q == PhysRegId::ZERO
                             || self.readers.get(q.index()).is_some_and(|w| w.contains(&this)),
@@ -1452,7 +1479,7 @@ impl<'p> TraceProcessor<'p> {
                 let bit = self.wakeup.ready[pe] >> i & 1 == 1;
                 match s.state {
                     SlotState::Waiting => {
-                        if all_produced(&p.slots, &self.pregs, s) {
+                        if all_produced(p, &self.pregs, i) {
                             assert!(
                                 bit,
                                 "cycle {}: pe{pe} slot {i} is issuable but not in the ready \
@@ -1491,8 +1518,8 @@ impl<'p> TraceProcessor<'p> {
                         );
                     }
                 }
-                if matches!(s.ti.inst, tp_isa::Inst::Load { .. }) {
-                    if let Some(a) = s.mem_addr {
+                if matches!(p.inst(i).inst, tp_isa::Inst::Load { .. }) {
+                    if let Some(a) = p.side(i).mem_addr {
                         assert!(
                             self.wakeup
                                 .loads_by_word
@@ -1528,52 +1555,61 @@ impl<'p> TraceProcessor<'p> {
     }
 
     /// The local half of the two-level register file of occupied PE `pe`
-    /// against a rescan ([`WakeupIndex`] invariant 7): each slot's
-    /// instruction against its trace's, its consumer masks against the
-    /// slots' local operands, and its published result against its state
-    /// and its global register, if any.
+    /// against a rescan ([`WakeupIndex`] invariant 7): the slots against
+    /// the trace's length, the trace's consumer masks and live-out slots
+    /// against its pre-renames, each slot's published result against its
+    /// state and its global register, if any, and the side entries holding
+    /// data against the slots.
     fn assert_local_file_coherent(&self, pe: usize) {
         let p = &self.pes[pe];
         let now = self.now();
-        let mut masks = vec![[0u64; 2]; p.slots.len()];
-        for (i, s) in p.slots.iter().enumerate() {
-            for (k, q) in s.srcs.iter().enumerate() {
-                if let Some(Src::Local(j)) = *q {
+        let insts = p.trace.insts();
+        assert_eq!(p.slots.len(), insts.len(), "cycle {now}: pe{pe} slots disagree with its trace");
+        assert_eq!(
+            p.side_valid() >> insts.len(),
+            0,
+            "cycle {now}: pe{pe} side entry past its slots"
+        );
+        let mut masks = vec![[0u32; 2]; insts.len()];
+        for (i, ti) in insts.iter().enumerate() {
+            for (k, q) in ti.srcs.iter().enumerate() {
+                if let Some((_, OperandRef::Local(j))) = *q {
                     assert!((j as usize) < i, "cycle {now}: pe{pe} slot {i} reads younger {j}");
                     masks[j as usize][k] |= 1 << i;
                 }
             }
         }
         for (j, s) in p.slots.iter().enumerate() {
+            let ti = &insts[j];
+            let is_liveout = ti.dest.is_some_and(|d| p.trace.last_writer(d) == Some(j));
             assert_eq!(
-                (s.ti, s.consumers),
-                (p.trace.insts()[j], masks[j]),
-                "cycle {now}: pe{pe} slot {j}'s consumer masks disagree with its operands"
+                (ti.consumers, p.trace.is_live_out(j)),
+                (masks[j], is_liveout),
+                "cycle {now}: pe{pe} slot {j}'s trace template disagrees with its operands"
             );
             let out = s.out;
             assert!(
-                out.produced == (out.ready_at != u64::MAX)
-                    && (!out.produced || out.ready_at <= now),
+                !out.produced() || out.ready_at <= now,
                 "cycle {now}: pe{pe} slot {j} published {out:?}"
             );
-            let has_dest = s.ti.dest.is_some();
+            let has_dest = ti.dest.is_some();
             assert!(
-                out.produced || !has_dest || s.state != SlotState::Done,
+                out.produced() || !has_dest || s.state != SlotState::Done,
                 "cycle {now}: pe{pe} slot {j} completed without publishing"
             );
             assert!(
-                has_dest || (!s.is_liveout && s.global.is_none() && masks[j] == [0, 0]),
+                has_dest || (!is_liveout && s.global().is_none() && masks[j] == [0, 0]),
                 "cycle {now}: pe{pe} slot {j} has no destination but a register or readers"
             );
             assert!(
-                !s.is_liveout || s.global.is_some(),
+                !is_liveout || s.global().is_some(),
                 "cycle {now}: pe{pe} live-out slot {j} has no global register"
             );
-            if let Some(g) = s.global {
+            if let Some(g) = s.global() {
                 let r = self.pregs.get(g);
                 assert!(
                     (r.ready, r.value, r.local_ready_at, r.producer_pe)
-                        == (out.produced, out.value, out.ready_at, Some(pe as u8)),
+                        == (out.produced(), out.value, out.ready_at, Some(pe as u8)),
                     "cycle {now}: pe{pe} slot {j}'s global register {g:?} ({r:?}) disagrees \
                      with its published result {out:?}"
                 );
@@ -1636,7 +1672,7 @@ impl<'p> TraceProcessor<'p> {
                 let last = self.pes[pe].slots.len() - 1;
                 let s = &self.pes[pe].slots[last];
                 if s.state == SlotState::Done {
-                    match s.indirect_target {
+                    match self.pes[pe].side(last).indirect_target {
                         Some(t) if t >= 0 && self.program.contains(t as Pc) => {
                             ExpectedNext::Known(t as Pc)
                         }

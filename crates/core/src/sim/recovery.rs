@@ -78,13 +78,14 @@ impl TraceProcessor<'_> {
     /// pending. `OperandRef::Local` references point strictly backward, so
     /// one reverse pass over a slot-index bitmask closes the set.
     fn fault_inputs_settled(&self, pe: usize, slot: usize) -> bool {
-        let slots = &self.pes[pe].slots;
-        let settled = |s: &Slot| s.state == SlotState::Done && !s.pending_reissue;
-        if !settled(&slots[slot]) {
+        let p = &self.pes[pe];
+        let settled = |i: usize| p.slots[i].state == SlotState::Done && !p.slots[i].pending_reissue;
+        if !settled(slot) {
             return false;
         }
-        let locals = |s: &Slot| {
-            s.ti.srcs
+        let locals = |i: usize| {
+            p.inst(i)
+                .srcs
                 .iter()
                 .flatten()
                 .filter_map(
@@ -98,13 +99,13 @@ impl TraceProcessor<'_> {
                 )
                 .fold(0u64, |m, j| m | 1 << j)
         };
-        let mut need = locals(&slots[slot]);
+        let mut need = locals(slot);
         for i in (0..slot).rev() {
             if need >> i & 1 == 1 {
-                if !settled(&slots[i]) {
+                if !settled(i) {
                     return false;
                 }
-                need |= locals(&slots[i]);
+                need |= locals(i);
             }
         }
         true
@@ -138,13 +139,13 @@ impl TraceProcessor<'_> {
     }
 
     fn start_recovery(&mut self, pe: usize, slot: usize) {
-        let fault = self.pes[pe].slots[slot].fault.expect("fault present");
+        let fault = self.pes[pe].side(slot).fault.expect("fault present");
         match fault {
             Fault::Indirect { actual } => {
                 // The trace itself is correct; its successors are not.
                 // Squash everything younger and redirect fetch.
                 self.books.successor_mispredicted();
-                let branch_pc = self.pes[pe].slots[slot].ti.pc;
+                let branch_pc = self.pes[pe].inst(slot).pc;
                 self.books.recovery_started(pe, branch_pc, RecoveryPlan::FullSquash);
                 self.squash_after(Some(pe), None);
                 self.set_mode(FetchMode::Normal);
@@ -152,7 +153,7 @@ impl TraceProcessor<'_> {
                 self.restart_fetch_after(pe, ExpectedNext::resolved(actual));
             }
             Fault::CondBranch { actual } => {
-                let ti = self.pes[pe].slots[slot].ti;
+                let ti = *self.pes[pe].inst(slot);
                 let class = ti.ci_branch_class().expect("cond-branch fault classifies");
                 let repaired = self.repair_trace(pe, slot, actual);
                 // Construction timing: refetch the repaired *middle*
@@ -266,7 +267,7 @@ impl TraceProcessor<'_> {
         if !self.cfg.model.cgci() {
             return None;
         }
-        let ti = &self.pes[pe].slots[slot].ti;
+        let ti = self.pes[pe].inst(slot);
         if self.cfg.model.mlb() && ti.inst.is_backward_branch(ti.pc) {
             // MLB: nearest trace starting at the branch's not-taken target.
             let target = ti.pc + 1;
@@ -300,23 +301,24 @@ impl TraceProcessor<'_> {
         let fault_branch_idx =
             trace.insts()[..slot].iter().filter(|ti| ti.inst.is_cond_branch()).count() as u8;
         let id = trace.id();
-        let suffix_outcomes: Vec<(Pc, bool)> = if self.ci_model() {
-            self.pes[pe].slots[slot + 1..]
-                .iter()
-                .filter_map(|s| {
-                    if !s.ti.inst.is_cond_branch() {
-                        return None;
-                    }
-                    match (s.state == SlotState::Done, s.outcome, s.ti.embedded_taken) {
-                        (true, Some(resolved), _) => Some((s.ti.pc, resolved)),
-                        (_, _, Some(embedded)) => Some((s.ti.pc, embedded)),
-                        _ => None,
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // A trace holds at most 32 branches, one per slot at most.
+        let mut suffix_outcomes = [(0, false); Trace::MAX_LEN];
+        let mut suffix_len = 0;
+        if self.ci_model() {
+            let slots = &self.pes[pe].slots;
+            for (s, ti) in slots.iter().zip(trace.insts()).skip(slot + 1) {
+                if !ti.inst.is_cond_branch() {
+                    continue;
+                }
+                let outcome = match (s.state == SlotState::Done, s.outcome, ti.embedded_taken) {
+                    (true, Some(resolved), _) => resolved,
+                    (_, _, Some(embedded)) => embedded,
+                    _ => continue,
+                };
+                suffix_outcomes[suffix_len] = (ti.pc, outcome);
+                suffix_len += 1;
+            }
+        }
         struct RepairOutcomes<'a> {
             id: TraceId,
             fault_idx: u8,
@@ -357,7 +359,7 @@ impl TraceProcessor<'_> {
             fault_idx: fault_branch_idx,
             actual,
             btb,
-            suffix: &suffix_outcomes,
+            suffix: &suffix_outcomes[..suffix_len],
             cursor: 0,
             ntb: self.cfg.selection.ntb,
         };
@@ -376,8 +378,10 @@ impl TraceProcessor<'_> {
         // happens next. The squashes performed at detection stand — refetch
         // proceeds normally.
         let debounce = self.ci_model();
-        let stale = self.pes[pe].slots.get(rec.slot).is_none_or(|s| {
-            s.fault.is_none() || (debounce && (s.state != SlotState::Done || s.pending_reissue))
+        let p = &self.pes[pe];
+        let stale = p.slots.get(rec.slot).is_none_or(|s| {
+            p.side(rec.slot).fault.is_none()
+                || (debounce && (s.state != SlotState::Done || s.pending_reissue))
         });
         if stale {
             self.books.recovery_abandoned(pe);
@@ -398,7 +402,7 @@ impl TraceProcessor<'_> {
         self.replace_trace(pe, rec.slot, rec.repaired.clone());
         match rec.plan {
             RecoveryPlan::Fgci => {
-                let preserved: Vec<usize> = self.list.iter_after(pe).collect();
+                let preserved: PeQueue = self.list.iter_after(pe).collect();
                 let cycles = rec.ready_at - rec.started_at;
                 self.books.fgci_applied(rec.attr, cycles, &preserved, &self.pes);
                 self.begin_redispatch(Some(pe), preserved, Some(rec.attr));
@@ -424,7 +428,7 @@ impl TraceProcessor<'_> {
     fn restart_fetch_after(&mut self, pe: usize, expected: ExpectedNext) {
         self.fetch_hist = self.hist_after(Some(pe));
         self.expected = expected;
-        if !self.resume_walk_debt(pe, Vec::new(), None) {
+        if !self.resume_walk_debt(pe, &PeQueue::EMPTY, None) {
             self.redispatch = None;
             self.current_map = self.pes[pe].map_after;
         }
@@ -444,12 +448,12 @@ impl TraceProcessor<'_> {
         if !self.ci_model() {
             return 0;
         }
-        let old = &self.pes[pe].slots;
+        let old = self.pes[pe].trace.insts();
         let new = repaired.insts();
         let max = old.len().saturating_sub(prefix_len).min(new.len().saturating_sub(prefix_len));
         let mut common = 0;
         while common < max {
-            let o = &old[old.len() - 1 - common].ti;
+            let o = &old[old.len() - 1 - common];
             let n = &new[new.len() - 1 - common];
             if o.pc == n.pc && o.inst == n.inst {
                 common += 1;
@@ -471,14 +475,25 @@ impl TraceProcessor<'_> {
         // Middle live-outs and promoted slots together need at most one
         // global register per live-out.
         self.reserve_pregs(repaired.live_outs().len());
-        let old_len = self.pes[pe].slots.len();
+        let old = Arc::clone(&self.pes[pe].trace);
+        let old_len = old.len();
         let new_len = repaired.len();
         let prefix_len = (fault_slot + 1).min(new_len);
-        if self.cfg.check == CheckLevel::Full {
-            assert!(fault_slot < old_len);
-        }
         let common = self.common_suffix_len(pe, prefix_len, &repaired);
         let middle_end = new_len - common;
+        // Old index of the preserved suffix slot at new index `i`.
+        let old_index = |i: usize| i + old_len - new_len;
+        if self.cfg.check == CheckLevel::Full {
+            assert!(fault_slot < old_len);
+            for i in (0..prefix_len).chain(middle_end..new_len) {
+                let j = if i < prefix_len { i } else { old_index(i) };
+                assert_eq!(
+                    old.insts()[j].inst,
+                    repaired.insts()[i].inst,
+                    "repair changed slot {i}"
+                );
+            }
+        }
         let reissue_at = self.now() + 1;
         // Undo stores in the squashed middle. Unlike a full-suffix squash,
         // the preserved common suffix survives in the same PE and may hold
@@ -493,8 +508,7 @@ impl TraceProcessor<'_> {
         // the move: undo it under the *old* handle (reissuing every load
         // that sourced it, same-PE included) and let the store re-perform
         // under its new handle.
-        let shift = old_len != new_len;
-        if shift {
+        if old_len != new_len {
             for slot in old_len - common..old_len {
                 if self.undo_store_snooping(pe, slot, usize::MAX) {
                     let _ = self.pes[pe].slots[slot].mark_reissue(reissue_at);
@@ -503,40 +517,7 @@ impl TraceProcessor<'_> {
         }
         self.pes[pe].gen += 1;
         let map_before = self.pes[pe].map_before;
-        let mut slots = std::mem::take(&mut self.pes[pe].slots);
-        let mut suffix = std::mem::take(&mut self.scratch_slots);
-        suffix.clear();
-        suffix.extend(slots.drain(old_len - common..));
-        slots.truncate(prefix_len);
-        // Refresh prefix metadata from the repaired trace (same
-        // instructions; embedded outcomes/coverage may differ). The (former)
-        // fault branch re-verifies against its new embedded outcome below.
-        for (i, s) in slots.iter_mut().enumerate() {
-            let new_ti = repaired.insts()[i];
-            if self.cfg.check == CheckLevel::Full {
-                assert_eq!(s.ti.inst, new_ti.inst, "repair changed a prefix instruction");
-            }
-            s.ti = new_ti;
-        }
-        // Fresh middle slots.
-        for i in prefix_len..middle_end {
-            slots.push(Slot::new(repaired.insts()[i]));
-        }
-        // Preserved suffix slots: keep execution state and refresh
-        // metadata. Branch re-verification happens below, once source
-        // rebinding has decided which slots reissue — a resolved outcome is
-        // only meaningful while the slot's inputs still stand.
-        for (k, mut s) in suffix.drain(..).enumerate() {
-            let new_ti = repaired.insts()[middle_end + k];
-            if self.cfg.check == CheckLevel::Full {
-                assert_eq!(s.ti.inst, new_ti.inst, "suffix match changed an instruction");
-            }
-            s.ti = new_ti;
-            slots.push(s);
-        }
-        self.scratch_slots = suffix;
-        // Preserved suffix slots whose operands moved (bit per slot).
-        let mut rebound = 0u64;
+        let p = &mut self.pes[pe];
         // Where an old operand's producer sits in the repaired trace: a
         // live-in names a global register, which cannot equal a local
         // producer (the rename invariant forbids a trace reading its own
@@ -552,30 +533,53 @@ impl TraceProcessor<'_> {
             Src::Local(_) => None,
             Src::Global(_) => Some(old),
         };
-        // Rebind all sources and allocate fresh middle live-outs; prefix
-        // and preserved suffix keep their published results and global
-        // registers.
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let ti = slot.ti;
-            let old_srcs = slot.srcs;
-            let mut srcs = [None; 2];
-            for (k, &(_, oref)) in ti.srcs.iter().flatten().enumerate() {
-                srcs[k] = Some(Self::bind(oref, &map_before));
-            }
-            slot.srcs = srcs;
-            // A preserved suffix slot whose operands moved (a value now
-            // comes from the repaired middle, or from a different producer)
-            // selectively reissues — the same rule the re-dispatch pass
-            // applies across traces. A fresh middle producer always counts
-            // as a change: no old operand maps into the middle.
-            let changed = |(old, new): (&Option<Src>, &Option<Src>)| old.and_then(moved) != *new;
-            if i >= middle_end && old_srcs.iter().zip(&srcs).any(changed) {
+        // The preserved suffix's operands before the repair, in the
+        // repaired trace's coordinates.
+        let mut before = [[None; 2]; Trace::MAX_LEN];
+        for (c, ops) in before.iter_mut().enumerate().take(common) {
+            let (io, s) = (old_len - common + c, &p.slots[old_len - common + c]);
+            *ops = [0, 1].map(|k| src_of(old.insts()[io].srcs[k], s.srcs[k]).and_then(moved));
+        }
+        // Prefix slots keep their state, squashed middle slots start fresh,
+        // and preserved suffix slots move (with their side entries) to the
+        // end of the repaired trace, keeping execution state.
+        if new_len > old_len {
+            p.slots.resize(new_len, Slot::EMPTY);
+        }
+        p.slots.copy_within(old_len - common..old_len, middle_end);
+        p.slots.truncate(new_len);
+        p.slots[prefix_len..middle_end].fill(Slot::EMPTY);
+        p.shift_side(prefix_len, old_len, new_len, common);
+        p.trace = Arc::clone(&repaired);
+        // Rebind the live-ins past the prefix: a prefix slot's operands,
+        // read from the same instructions before it, cannot have moved.
+        for s in &mut p.slots[middle_end..] {
+            s.srcs = [PhysRegId::ZERO; 2];
+        }
+        for (i, k, r) in repaired.live_in_operands().filter(|&(i, ..)| i >= prefix_len) {
+            p.slots[i].srcs[k] = map_before[r.index()];
+        }
+        // A preserved suffix slot whose operands moved (a value now comes
+        // from the repaired middle, or from a different producer)
+        // selectively reissues — the same rule the re-dispatch pass applies
+        // across traces. A fresh middle producer always counts as a change:
+        // no old operand maps into the middle.
+        let mut rebound = 0u64;
+        for (c, ops) in before.iter().enumerate().take(common) {
+            let i = middle_end + c;
+            if *ops != [0, 1].map(|k| operand(p, i, k)) {
                 rebound |= 1 << i;
-                let _ = slot.mark_reissue(reissue_at);
+                let _ = p.slots[i].mark_reissue(reissue_at);
             }
-            let is_liveout = ti.dest.is_some_and(|d| repaired.last_writer(d) == Some(i));
-            let was_liveout = slot.is_liveout;
-            slot.is_liveout = is_liveout;
+        }
+        // Allocate fresh live-outs; prefix and preserved suffix keep their
+        // published results and global registers.
+        for i in bits(u64::from(repaired.live_out_slots())) {
+            let was_liveout = if i < prefix_len {
+                old.is_live_out(i)
+            } else {
+                i >= middle_end && old.is_live_out(old_index(i))
+            };
             // A live-out without a global register is a fresh middle slot
             // or a preserved slot promoted to live-out. (A demoted slot
             // keeps its register: younger traces may still name it.) The
@@ -583,56 +587,49 @@ impl TraceProcessor<'_> {
             // all along: its published result, visible to every PE from
             // when it was published, as a value that was never a live-out
             // never waited for a result bus.
-            if is_liveout && slot.global.is_none() {
+            if self.pes[pe].slots[i].global().is_none() {
                 let g = self.alloc_global(pe);
-                slot.global = Some(g);
+                let slot = &mut self.pes[pe].slots[i];
+                slot.set_global(g);
                 let out = slot.out;
                 let r = self.pregs.get_mut(g);
-                (r.value, r.ready) = (out.value, out.produced);
+                (r.value, r.ready) = (out.value, out.produced());
                 (r.local_ready_at, r.global_ready_at) = (out.ready_at, out.ready_at);
             }
             // A preserved slot promoted to live-out after completion must
             // still broadcast its value to other PEs.
-            if (i < prefix_len || i >= middle_end)
-                && is_liveout
-                && !was_liveout
-                && slot.state == SlotState::Done
+            let slot = &self.pes[pe].slots[i];
+            if (i < prefix_len || i >= middle_end) && !was_liveout && slot.state == SlotState::Done
             {
-                let g = slot.global.expect("allocated above");
+                let g = slot.global().expect("allocated above");
                 self.pregs.get_mut(g).global_ready_at = u64::MAX;
             }
         }
-        // The middle's length may have changed, shifting the suffix: relink
-        // every local consumer.
-        link_local_consumers(&mut slots);
-        self.pes[pe].slots = slots;
-        self.pes[pe].trace = repaired.clone();
         // Faults: the suffix carried its own and may have shifted, so the
-        // mask is rebuilt once. A rebound suffix slot's stale outcome proves
-        // nothing, so its fault is dropped (re-execution re-verifies at
-        // completion); every other resolved branch of the prefix and suffix
-        // re-verifies against the repaired trace's embedded outcome.
+        // mask was rebuilt with the side entries. A rebound suffix slot's
+        // stale outcome proves nothing, so its fault is dropped
+        // (re-execution re-verifies at completion); every other resolved
+        // branch of the prefix and suffix re-verifies against the repaired
+        // trace's embedded outcome.
         let p = &mut self.pes[pe];
-        p.recompute_faults();
         for i in (0..prefix_len).chain(middle_end..new_len) {
+            let ti = &repaired.insts()[i];
             if rebound >> i & 1 == 1 {
                 p.set_fault(i, None);
-            } else if p.slots[i].ti.inst.is_cond_branch() && p.slots[i].state == SlotState::Done {
-                let fault = p.slots[i].branch_fault();
+            } else if ti.inst.is_cond_branch() && p.slots[i].state == SlotState::Done {
+                let fault = p.slots[i].branch_fault(ti);
                 p.set_fault(i, fault);
             }
         }
-        self.pes[pe].map_after = Self::map_after(&repaired, &self.pes[pe].slots, map_before);
+        p.map_after = Self::map_after(&repaired, &p.slots, map_before);
         // Re-register readers and re-request buses under the new generation.
-        for i in 0..self.pes[pe].slots.len() {
-            for q in self.pes[pe].slots[i].srcs.into_iter().flatten() {
-                if let Src::Global(preg) = q {
-                    self.register_reader(preg, pe, i);
-                }
-            }
+        for (i, k, _) in repaired.live_in_operands() {
+            self.register_reader(self.pes[pe].slots[i].srcs[k], pe, i);
+        }
+        for i in bits(u64::from(repaired.live_out_slots())) {
             let s = &self.pes[pe].slots[i];
-            if s.is_liveout && s.state == SlotState::Done {
-                let g = s.global.expect("a live-out has a global register");
+            if s.state == SlotState::Done {
+                let g = s.global().expect("a live-out has a global register");
                 if self.pregs.get(g).global_ready_at == u64::MAX {
                     let gen = self.pes[pe].gen;
                     self.push_result_req(BusReq { pe, gen, slot: i, since: self.now() });
@@ -643,7 +640,7 @@ impl TraceProcessor<'_> {
         // keep their bus requests (now stale-generation): requeue any that
         // were pending, under their possibly-shifted indices. Fresh middle
         // slots are `Waiting` and cannot be in `WaitingBus`.
-        for i in 0..self.pes[pe].slots.len() {
+        for i in 0..new_len {
             if let SlotState::WaitingBus { since } = self.pes[pe].slots[i].state {
                 let gen = self.pes[pe].gen;
                 self.push_cache_req(BusReq { pe, gen, slot: i, since });
@@ -655,7 +652,7 @@ impl TraceProcessor<'_> {
         // waiting slots re-enqueue, in-flight slots reschedule their
         // completions, and sampled loads re-enter the snoop registry.
         self.index_reset_pe(pe);
-        for i in 0..self.pes[pe].slots.len() {
+        for i in 0..new_len {
             match self.pes[pe].slots[i].state {
                 SlotState::Waiting => self.index_enqueue(pe, i),
                 SlotState::Executing { done_at } | SlotState::MemAccess { done_at } => {
@@ -663,8 +660,8 @@ impl TraceProcessor<'_> {
                 }
                 _ => {}
             }
-            if matches!(self.pes[pe].slots[i].ti.inst, Inst::Load { .. }) {
-                if let Some(a) = self.pes[pe].slots[i].mem_addr {
+            if matches!(repaired.insts()[i].inst, Inst::Load { .. }) {
+                if let Some(a) = self.pes[pe].side(i).mem_addr {
                     self.note_load_sampled(pe, i, a);
                 }
             }
@@ -681,7 +678,7 @@ impl TraceProcessor<'_> {
     /// version was undone.
     fn undo_store_snooping(&mut self, pe: usize, slot: usize, snoop_skip: usize) -> bool {
         let (performed, addr) = {
-            let s = &self.pes[pe].slots[slot];
+            let s = self.pes[pe].side(slot);
             (s.store_performed, s.mem_addr)
         };
         if !performed {
@@ -690,7 +687,7 @@ impl TraceProcessor<'_> {
         let addr = addr.expect("performed store has an address");
         let h = Self::handle(pe, slot);
         self.arb.undo(addr, h);
-        self.pes[pe].slots[slot].store_performed = false;
+        self.pes[pe].side_mut(slot).store_performed = false;
         self.snoop_undo(addr, h, snoop_skip);
         true
     }
@@ -725,8 +722,7 @@ impl TraceProcessor<'_> {
         }
         self.pes[pe].occupied = false;
         self.pes[pe].gen += 1;
-        self.pes[pe].slots.clear();
-        self.pes[pe].recompute_faults();
+        self.pes[pe].reset_slots(0);
         // The gen bump invalidates the PE's reader/completion/load-registry
         // entries; the ready bits are positional and must clear eagerly.
         self.index_reset_pe(pe);

@@ -29,7 +29,6 @@
 //! books.
 
 use super::*;
-use tp_trace::OperandRef;
 
 impl TraceProcessor<'_> {
     /// Carries what an in-flight re-dispatch pass still owes when a new
@@ -52,7 +51,7 @@ impl TraceProcessor<'_> {
     pub(super) fn resume_walk_debt(
         &mut self,
         pivot: usize,
-        suffix: Vec<usize>,
+        suffix: &PeQueue,
         attr: Option<AttrKey>,
     ) -> bool {
         let Some(old) = &self.redispatch else { return false };
@@ -60,16 +59,16 @@ impl TraceProcessor<'_> {
         let owed = |&pe: &usize| {
             self.list.contains(pe) && self.pes[pe].occupied && self.list.logical(pe) <= pl
         };
-        let mut queue: Vec<usize> = old.queue.iter().copied().filter(owed).collect();
+        let mut queue: PeQueue = old.queue.iter().filter(owed).collect();
         if queue.is_empty() {
             return false;
         }
         let rolling = old.rolling;
-        if queue.last() != Some(&pivot) {
+        if queue.last() != Some(pivot) {
             queue.push(pivot);
         }
-        queue.extend(suffix);
-        self.redispatch = Some(RedispatchPass { queue: queue.into(), rolling, attr });
+        queue.extend(suffix.iter());
+        self.redispatch = Some(RedispatchPass { queue, rolling, attr });
         true
     }
 
@@ -88,13 +87,13 @@ impl TraceProcessor<'_> {
     pub(super) fn begin_redispatch(
         &mut self,
         pred: Option<usize>,
-        preserved: Vec<usize>,
+        preserved: PeQueue,
         attr: Option<AttrKey>,
     ) {
         if let Some(p) = pred {
-            if self.resume_walk_debt(p, preserved.clone(), attr) {
+            if self.resume_walk_debt(p, &preserved, attr) {
                 let pass = self.redispatch.as_ref().expect("installed above");
-                let (rolling, queue) = (pass.rolling, Vec::from(pass.queue.clone()));
+                let (rolling, queue) = (pass.rolling, pass.queue);
                 self.restore_fetch_past(&rolling, &queue);
                 return;
             }
@@ -105,20 +104,17 @@ impl TraceProcessor<'_> {
             None => self.retired_map,
         };
         self.restore_fetch_past(&rolling, &preserved);
-        self.redispatch = (!preserved.is_empty()).then(|| RedispatchPass {
-            queue: preserved.into(),
-            rolling,
-            attr,
-        });
+        self.redispatch =
+            (!preserved.is_empty()).then_some(RedispatchPass { queue: preserved, rolling, attr });
     }
 
     /// Restores the speculative fetch history and expectation to the end of
     /// the preserved suffix so fetch can run concurrently with the pass:
     /// `rolling` is the history up to (excluding) the first preserved
     /// trace; the preserved ids extend it to the window tail.
-    fn restore_fetch_past(&mut self, rolling: &TraceHistory, preserved: &[usize]) {
+    fn restore_fetch_past(&mut self, rolling: &TraceHistory, preserved: &PeQueue) {
         let mut h = *rolling;
-        for &pe in preserved {
+        for pe in preserved.iter() {
             h.push(self.pes[pe].trace.id());
         }
         self.fetch_hist = h;
@@ -133,33 +129,32 @@ impl TraceProcessor<'_> {
     /// and each slot with a moved operand selectively reissues; nothing
     /// else in the PE moved. Returns the number of moved operands.
     pub(super) fn rebind_live_ins(&mut self, pe: usize, map_before: RenameMap) -> u64 {
-        let mut moved: Vec<(PhysRegId, usize)> = Vec::new();
-        for (i, slot) in self.pes[pe].slots.iter_mut().enumerate() {
-            for (k, &(_, oref)) in slot.ti.srcs.iter().flatten().enumerate() {
-                let OperandRef::LiveIn(r) = oref else { continue };
-                if r.is_zero() {
-                    continue;
-                }
-                let preg = map_before[r.index()];
-                // Never a slot's own destination: live-outs keep their
-                // mappings, so a map before the trace can only hold
-                // strictly older registers.
-                assert!(
-                    slot.global != Some(preg),
-                    "rebind bound slot {i} of pe {pe} to its own destination"
-                );
-                if slot.srcs[k] != Some(Src::Global(preg)) {
-                    slot.srcs[k] = Some(Src::Global(preg));
-                    moved.push((preg, i));
-                }
+        // Bit `2i + k` set: operand `k` of slot `i` moved.
+        let mut moved = 0u64;
+        let p = &mut self.pes[pe];
+        for (i, k, r) in p.trace.live_in_operands() {
+            let preg = map_before[r.index()];
+            let slot = &mut p.slots[i];
+            // Never a slot's own destination: live-outs keep their
+            // mappings, so a map before the trace can only hold strictly
+            // older registers.
+            assert!(
+                slot.global() != Some(preg),
+                "rebind bound slot {i} of pe {pe} to its own destination"
+            );
+            if slot.srcs[k] != preg {
+                slot.srcs[k] = preg;
+                moved |= 1 << (2 * i + k);
             }
         }
-        for &(preg, i) in &moved {
-            self.register_reader(preg, pe, i);
+        for bit in bits(moved) {
+            let (i, k) = (bit / 2, bit % 2);
+            self.register_reader(self.pes[pe].slots[i].srcs[k], pe, i);
         }
         let reissue_at = self.now() + 1;
         let mut last = None;
-        for &(_, i) in &moved {
+        for bit in bits(moved) {
+            let i = bit / 2;
             if last != Some(i) {
                 self.rebind_reissue_slot(pe, i, reissue_at);
                 last = Some(i);
@@ -168,7 +163,7 @@ impl TraceProcessor<'_> {
         let p = &mut self.pes[pe];
         p.map_before = map_before;
         p.map_after = Self::map_after(&p.trace, &p.slots, map_before);
-        moved.len() as u64
+        u64::from(moved.count_ones())
     }
 
     /// One step of a re-dispatch pass: update one preserved trace's live-in

@@ -43,7 +43,7 @@ impl TraceProcessor<'_> {
         }
         // A head awaiting a re-dispatch pass cannot retire.
         if let Some(pass) = &self.redispatch {
-            if pass.queue.contains(&head) {
+            if pass.queue.contains(head) {
                 self.books.head_stall(head, StallReason::Redispatch);
                 return Ok(());
             }
@@ -125,25 +125,19 @@ impl TraceProcessor<'_> {
         let now = self.now();
         // Commit in slot order: registers then stores.
         for slot in 0..self.pes[pe].slots.len() {
-            let (dest_arch, value, is_store, addr, outcome, pc, inst) = {
-                let s = &self.pes[pe].slots[slot];
-                (
-                    s.ti.dest,
-                    s.value,
-                    matches!(s.ti.inst, Inst::Store { .. }),
-                    s.mem_addr,
-                    s.outcome,
-                    s.ti.pc,
-                    s.ti.inst,
-                )
-            };
+            let ti = trace.insts()[slot];
+            let (dest_arch, pc, inst) = (ti.dest, ti.pc, ti.inst);
+            let is_store = matches!(inst, Inst::Store { .. });
+            let (value, outcome) =
+                (self.pes[pe].slots[slot].value, self.pes[pe].slots[slot].outcome);
+            let addr = self.pes[pe].side(slot).mem_addr;
             if let Some(r) = dest_arch {
                 self.arch_regs[r.index()] = value;
                 // Slot order leaves each register's last writer, a live-out
                 // (so it has a global register), in the map; an earlier
                 // writer can hold a global register only if a repair
                 // demoted it.
-                if let Some(g) = self.pes[pe].slots[slot].global {
+                if let Some(g) = self.pes[pe].slots[slot].global() {
                     self.retired_map[r.index()] = g;
                 }
             }
@@ -157,7 +151,7 @@ impl TraceProcessor<'_> {
                 let taken = outcome.expect("completed branch has an outcome");
                 self.btb.update_cond(pc, taken);
                 let at = BranchAt { pe, slot, pc, dispatched_at };
-                self.books.branch_retired(&self.pes[pe].slots[slot], at);
+                self.books.branch_retired(&ti, self.pes[pe].side(slot), at);
             }
             // Oracle verification, one instruction at a time.
             if let Some(oracle) = &mut self.oracle {
@@ -236,7 +230,7 @@ impl TraceProcessor<'_> {
         self.retired_next_pc = match trace.end() {
             EndReason::Halt => self.retired_next_pc,
             EndReason::Indirect => {
-                let last = self.pes[pe].slots.last().expect("trace is non-empty");
+                let last = self.pes[pe].side(trace.len() - 1);
                 last.indirect_target.expect("retired indirect transfer has a target") as Pc
             }
             _ => trace.next_pc().expect("static end has next"),
@@ -255,7 +249,7 @@ impl TraceProcessor<'_> {
         // become visible to every PE even if a result-bus grant was still
         // pending (the grant request dies with the generation bump below).
         for slot in 0..self.pes[pe].slots.len() {
-            if let Some(d) = self.pes[pe].slots[slot].global {
+            if let Some(d) = self.pes[pe].slots[slot].global() {
                 let r = self.pregs.get_mut(d);
                 r.global_ready_at = r.global_ready_at.min(now);
                 r.local_ready_at = r.local_ready_at.min(now);

@@ -554,17 +554,19 @@ fn dispatch_allocates_globals_for_live_outs_only() {
     assert_eq!(dispatch(&mut sim, 0, &first), (3, 3), "(allocated, readers)");
     assert_eq!(dispatch(&mut sim, 1, &second), (3, 2), "(allocated, readers)");
     for pe in [0, 1] {
-        for (i, s) in sim.pes[pe].slots.iter().enumerate() {
-            assert_eq!(s.global.is_some(), s.is_liveout, "pe{pe} slot {i}");
+        let p = &sim.pes[pe];
+        for (i, s) in p.slots.iter().enumerate() {
+            assert_eq!(s.global().is_some(), p.trace.is_live_out(i), "pe{pe} slot {i}");
         }
     }
-    let consumers: Vec<[u64; 2]> = sim.pes[0].slots.iter().map(|s| s.consumers).collect();
+    let consumers: Vec<[u32; 2]> = sim.pes[0].trace.insts().iter().map(|ti| ti.consumers).collect();
     assert_eq!(consumers, [[0b10, 0], [0b100, 0b100], [0b1000, 0], [0, 0], [0, 0]]);
     for (id, list) in sim.readers.iter().enumerate() {
         for e in list {
-            let s = &sim.pes[e.pe()].slots[e.slot()];
-            let operand = Some(Src::Global(PhysRegId(id as u32)));
-            assert!(s.srcs.contains(&operand), "reader entry {e:?} on p{id}: {:?}", s.srcs);
+            let p = &sim.pes[e.pe()];
+            let want = Some(Src::Global(PhysRegId(id as u32)));
+            let ops = [0, 1].map(|k| operand(p, e.slot(), k));
+            assert!(ops.contains(&want), "reader entry {e:?} on p{id}: {ops:?}");
         }
     }
     sim.assert_event_index_coherent();
@@ -723,16 +725,17 @@ fn a_repromoted_slot_keeps_its_global_register() {
         // A trace whose completed live-out `r7` writer is followed by the
         // hammock's branch on its else path, with the join in the trace.
         let found = sim.list.iter().find_map(|pe| {
-            let slots = &sim.pes[pe].slots;
-            let x = slots
-                .iter()
-                .position(|s| s.ti.pc == x_pc && s.is_liveout && s.state == SlotState::Done)?;
-            let k = (x..slots.len()).find(|&k| slots[k].ti.pc == b_pc)?;
-            (slots[k].ti.embedded_taken == Some(true) && k + 3 < slots.len()).then_some((pe, x, k))
+            let p = &sim.pes[pe];
+            let insts = p.trace.insts();
+            let x = (0..insts.len()).position(|i| {
+                insts[i].pc == x_pc && p.trace.is_live_out(i) && p.slots[i].state == SlotState::Done
+            })?;
+            let k = (x..insts.len()).find(|&k| insts[k].pc == b_pc)?;
+            (insts[k].embedded_taken == Some(true) && k + 3 < insts.len()).then_some((pe, x, k))
         });
         let Some((pe, x, k)) = found else { continue };
         let t0 = sim.pes[pe].trace.clone();
-        let (g, map_after) = (sim.pes[pe].slots[x].global, sim.pes[pe].map_after);
+        let (g, map_after) = (sim.pes[pe].slots[x].global(), sim.pes[pe].map_after);
         assert!(g.is_some(), "a live-out has a global register");
         // The same trace with the hammock's branch flipped onto the then
         // arm (same length: both arms are two instructions).
@@ -747,14 +750,14 @@ fn a_repromoted_slot_keeps_its_global_register() {
 
         let before = allocated(&sim);
         sim.replace_trace(pe, k, t1);
-        let slot = &sim.pes[pe].slots[x];
-        assert!(!slot.is_liveout && slot.global == g, "the new writer demotes the slot");
+        let (slot, trace) = (&sim.pes[pe].slots[x], &sim.pes[pe].trace);
+        assert!(!trace.is_live_out(x) && slot.global() == g, "the new writer demotes the slot");
         assert_eq!(allocated(&sim) - before, 1, "the then arm's writer allocates");
 
         let before = allocated(&sim);
         sim.replace_trace(pe, k, t0);
-        let slot = &sim.pes[pe].slots[x];
-        assert!(slot.is_liveout && slot.global == g, "the promoted slot keeps its register");
+        let (slot, trace) = (&sim.pes[pe].slots[x], &sim.pes[pe].trace);
+        assert!(trace.is_live_out(x) && slot.global() == g, "the promoted slot keeps its register");
         assert_eq!(allocated(&sim) - before, 0, "promotion again allocates nothing");
         assert_eq!(sim.pes[pe].map_after, map_after);
         sim.assert_event_index_coherent();

@@ -154,6 +154,39 @@ pub struct SelectionStats {
     pub pad_instructions: u32,
 }
 
+/// The raw records of the trace being selected, held inline: selection
+/// allocates nothing but the finished trace. A selected trace is at most
+/// [`Trace::MAX_LEN`] long, since padding accrues a region's longest path
+/// before any of its instructions are taken.
+struct RawTrace {
+    records: [(Pc, Inst, Option<bool>, bool); Trace::MAX_LEN],
+    len: usize,
+}
+
+impl RawTrace {
+    fn new() -> RawTrace {
+        RawTrace { records: [(0, Inst::Nop, None, false); Trace::MAX_LEN], len: 0 }
+    }
+
+    fn push(&mut self, record: (Pc, Inst, Option<bool>, bool)) {
+        assert!(self.len < Trace::MAX_LEN, "trace too long");
+        self.records[self.len] = record;
+        self.len += 1;
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn as_slice(&self) -> &[(Pc, Inst, Option<bool>, bool)] {
+        &self.records[..self.len]
+    }
+}
+
 /// A selected trace plus its selection bookkeeping.
 #[derive(Clone, Debug)]
 pub struct Selection {
@@ -292,7 +325,7 @@ impl Selector {
     ) -> Selection {
         assert!(program.contains(start), "trace start pc {start} out of program");
         let cfg = self.config;
-        let mut raw: Vec<(Pc, Inst, Option<bool>, bool)> = Vec::with_capacity(cfg.max_len as usize);
+        let mut raw = RawTrace::new();
         let mut stats = SelectionStats::default();
         let mut accrued: u32 = 0;
         let mut region_end: Option<Pc> = None;
@@ -425,7 +458,7 @@ impl Selector {
         stats.pad_instructions = accrued.saturating_sub(raw.len() as u32);
 
         let id = TraceId::new(start, mask, branches);
-        Selection { trace: Trace::assemble(id, &raw, end, next_pc), stats }
+        Selection { trace: Trace::assemble(id, raw.as_slice(), end, next_pc), stats }
     }
 
     /// Convenience wrapper around [`Selector::select`] taking closures.

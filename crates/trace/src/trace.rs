@@ -131,6 +131,10 @@ pub struct TraceInst {
     /// independence: the repaired trace is guaranteed to end at the same
     /// point.
     pub fgci_covered: bool,
+    /// The instruction's readers inside the trace, built by
+    /// [`Trace::assemble`]: bit `i` of element `k` is set iff instruction
+    /// `i`'s `k`-th source is [`OperandRef::Local`] of this instruction.
+    pub consumers: [u32; 2],
 }
 
 impl TraceInst {
@@ -169,31 +173,70 @@ pub enum EndReason {
     OutOfProgram,
 }
 
+/// A set of architectural registers in insertion order, held inline.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RegList {
+    regs: [Reg; Reg::COUNT],
+    len: u8,
+}
+
+impl RegList {
+    const EMPTY: RegList = RegList { regs: [Reg::ZERO; Reg::COUNT], len: 0 };
+
+    fn push(&mut self, r: Reg) {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
 /// A constructed trace: instructions plus the metadata the trace cache
 /// stores (pre-renames, live-ins/live-outs, end reason, fall-out PC).
+///
+/// Besides the pre-renames, [`Trace::assemble`] builds everything the
+/// processor derives from the trace alone when it dispatches it, so
+/// dispatch works per live-in and live-out, not per instruction: each
+/// instruction's local consumers ([`TraceInst::consumers`]), the live-out
+/// slots ([`Trace::live_out_slots`]) and the positions of the live-in
+/// operands ([`Trace::live_in_operands`]). All of it is a function of the
+/// instructions, so equality is unchanged.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
     id: TraceId,
     insts: Vec<TraceInst>,
     end: EndReason,
     next_pc: Option<Pc>,
-    live_ins: Vec<Reg>,
-    live_outs: Vec<Reg>,
-    /// Slot of each architectural register's last writer, built by
-    /// [`Trace::assemble`] (a function of `insts`, so equality is unchanged).
+    live_ins: RegList,
+    live_outs: RegList,
+    /// Slot of each architectural register's last writer.
     last_writer: [Option<u8>; Reg::COUNT],
+    /// Bit `i` set iff slot `i` is the last writer of its destination.
+    live_out_slots: u32,
+    /// Bit `2i + k` set iff slot `i`'s `k`-th source is a live-in of a
+    /// register other than `r0`.
+    live_in_operands: u64,
+    /// Bit `i` set iff slot `i` has a [`OperandRef::Local`] source.
+    local_readers: u32,
 }
 
 impl Trace {
+    /// The longest trace: selection never builds a longer one, and the
+    /// per-trace slot masks have one bit per instruction.
+    pub const MAX_LEN: usize = 32;
+
     /// Assembles a trace from raw per-instruction records, computing
-    /// pre-renames and live-in/live-out sets.
+    /// pre-renames, live-in/live-out sets and the dispatch template (local
+    /// consumers, live-out slots, live-in operand positions).
     ///
     /// `raw` carries `(pc, inst, embedded_taken, fgci_covered)` per
     /// instruction; `next_pc` is the PC the trace falls out to.
     ///
     /// # Panics
     ///
-    /// Panics if `raw` is empty or longer than 256 instructions.
+    /// Panics if `raw` is empty or longer than [`Trace::MAX_LEN`].
     pub fn assemble(
         id: TraceId,
         raw: &[(Pc, Inst, Option<bool>, bool)],
@@ -201,38 +244,66 @@ impl Trace {
         next_pc: Option<Pc>,
     ) -> Trace {
         assert!(!raw.is_empty(), "a trace holds at least one instruction");
-        assert!(raw.len() <= 256, "trace too long");
+        assert!(raw.len() <= Trace::MAX_LEN, "trace too long");
         let mut last_writer: [Option<u8>; Reg::COUNT] = [None; Reg::COUNT];
-        let mut live_ins: Vec<Reg> = Vec::new();
+        let mut live_ins = RegList::EMPTY;
+        let mut live_in_set = 0u32;
+        let (mut live_in_operands, mut local_readers) = (0u64, 0u32);
         let mut insts: Vec<TraceInst> = Vec::with_capacity(raw.len());
         for (slot, &(pc, inst, embedded_taken, fgci_covered)) in raw.iter().enumerate() {
             let mut srcs = [None; 2];
-            for (i, r) in inst.sources().iter().enumerate() {
+            for (k, r) in inst.sources().iter().enumerate() {
                 let op = if r.is_zero() {
                     // r0 always reads zero: model as a live-in of r0, which
                     // renames to the constant-zero physical register.
                     OperandRef::LiveIn(Reg::ZERO)
                 } else {
                     match last_writer[r.index()] {
-                        Some(s) => OperandRef::Local(s),
+                        Some(s) => {
+                            let producer: &mut TraceInst = &mut insts[s as usize];
+                            producer.consumers[k] |= 1 << slot;
+                            local_readers |= 1 << slot;
+                            OperandRef::Local(s)
+                        }
                         None => {
-                            if !live_ins.contains(&r) {
+                            if live_in_set >> r.index() & 1 == 0 {
+                                live_in_set |= 1 << r.index();
                                 live_ins.push(r);
                             }
+                            live_in_operands |= 1 << (2 * slot + k);
                             OperandRef::LiveIn(r)
                         }
                     }
                 };
-                srcs[i] = Some((r, op));
+                srcs[k] = Some((r, op));
             }
             let dest = inst.dest();
             if let Some(d) = dest {
                 last_writer[d.index()] = Some(slot as u8);
             }
-            insts.push(TraceInst { pc, inst, embedded_taken, srcs, dest, fgci_covered });
+            let consumers = [0; 2];
+            insts.push(TraceInst { pc, inst, embedded_taken, srcs, dest, fgci_covered, consumers });
         }
-        let live_outs: Vec<Reg> = Reg::all().filter(|r| last_writer[r.index()].is_some()).collect();
-        Trace { id, insts, end, next_pc, live_ins, live_outs, last_writer }
+        let mut live_outs = RegList::EMPTY;
+        let mut live_out_slots = 0u32;
+        for r in Reg::all() {
+            if let Some(w) = last_writer[r.index()] {
+                live_outs.push(r);
+                live_out_slots |= 1 << w;
+            }
+        }
+        Trace {
+            id,
+            insts,
+            end,
+            next_pc,
+            live_ins,
+            live_outs,
+            last_writer,
+            live_out_slots,
+            live_in_operands,
+            local_readers,
+        }
     }
 
     /// The trace's identifier.
@@ -268,15 +339,48 @@ impl Trace {
         self.next_pc
     }
 
-    /// Architectural registers read before being written inside the trace.
+    /// Architectural registers read before being written inside the trace,
+    /// in first-read order.
     pub fn live_ins(&self) -> &[Reg] {
-        &self.live_ins
+        self.live_ins.as_slice()
     }
 
     /// Architectural registers written by the trace (each register's last
-    /// writer defines the trace's live-out value).
+    /// writer defines the trace's live-out value), in register order.
     pub fn live_outs(&self) -> &[Reg] {
-        &self.live_outs
+        self.live_outs.as_slice()
+    }
+
+    /// The live-out slots as a mask: bit `i` is set iff slot `i` is the
+    /// last writer of its destination, so its value leaves the trace.
+    pub fn live_out_slots(&self) -> u32 {
+        self.live_out_slots
+    }
+
+    /// Whether slot `i` is the last writer of its destination.
+    #[inline]
+    pub fn is_live_out(&self, i: usize) -> bool {
+        self.live_out_slots >> i & 1 == 1
+    }
+
+    /// The slots with at least one [`OperandRef::Local`] source, as a mask.
+    pub fn local_readers(&self) -> u32 {
+        self.local_readers
+    }
+
+    /// The live-in operands other than `r0` as `(slot, operand, register)`,
+    /// in slot order and, within a slot, in operand order.
+    pub fn live_in_operands(&self) -> impl Iterator<Item = (usize, usize, Reg)> + '_ {
+        let mut mask = self.live_in_operands;
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let bit = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let (i, k) = (bit / 2, bit % 2);
+                let reg = self.insts[i].srcs[k].expect("a live-in operand exists").0;
+                (i, k, reg)
+            })
+        })
     }
 
     /// Slot index of the last writer of `r` inside the trace, if any.

@@ -23,6 +23,13 @@ verify: build test
 loc:
     find crates src tests examples -name '*.rs' | xargs wc -l | tail -1
 
+# Allocator calls per kinstr of the detailed core, per workload and model
+# (columns base, RET, MLB-RET, FG, FG+MLB-RET): the table the budget in
+# crates/core/tests/alloc_budget.rs is checked against. Refresh that budget
+# from this output after an allocation change.
+allocs:
+    cargo test -p tp-core --test alloc_budget -- --nocapture --test-threads 1
+
 # Format, lint and rustdoc exactly as CI runs them.
 lint:
     cargo fmt --check
