@@ -87,10 +87,15 @@ impl TraceCache {
         None
     }
 
-    /// Probes for a trace without updating LRU or statistics.
-    pub fn contains(&self, id: TraceId) -> bool {
+    /// The cached trace with this id, if any, without updating LRU or
+    /// statistics. Trace repair and trace construction look here for the
+    /// trace their selection walk chose ([`tp_trace::Walk::matches`]), and
+    /// assemble a new one only when the cache holds none: every repaired
+    /// and every constructed trace is filled here, so the cache is where
+    /// they find the traces already assembled.
+    pub fn peek(&self, id: TraceId) -> Option<&Arc<Trace>> {
         let set = self.set_index(id);
-        self.sets[set].iter().any(|l| l.id == id)
+        self.sets[set].iter().find(|l| l.id == id).map(|l| &l.trace)
     }
 
     /// Fills a trace, evicting the set's LRU line when full. Re-filling an
@@ -193,14 +198,20 @@ mod tests {
     }
 
     #[test]
-    fn contains_is_side_effect_free() {
-        let mut tc = TraceCache::new(8, 2);
-        let t = trace(1, 0, 0);
-        tc.fill(t.clone());
+    fn peek_is_side_effect_free() {
+        let mut tc = TraceCache::new(1, 2);
+        let (a, b) = (trace(1, 0, 0), trace(2, 0, 0));
+        tc.fill(a.clone());
+        tc.fill(b.clone());
         let before = tc.stats();
-        assert!(tc.contains(t.id()));
-        assert!(!tc.contains(TraceId::new(2, 0, 0)));
+        assert!(Arc::ptr_eq(tc.peek(a.id()).unwrap(), &a));
+        assert!(tc.peek(TraceId::new(3, 0, 0)).is_none());
         assert_eq!(tc.stats(), before);
+        // Peeking at `a` did not make it most recently used: it is still
+        // the victim.
+        tc.fill(trace(3, 0, 0));
+        assert!(tc.peek(a.id()).is_none());
+        assert!(tc.peek(b.id()).is_some());
     }
 
     /// Re-filling a fresh cache from `lines_lru` order reproduces the
@@ -220,8 +231,8 @@ mod tests {
             warm.fill(t);
         }
         warm.fill(trace(3, 0, 0)); // evicts the same victim (b)
-        assert!(warm.contains(a.id()));
-        assert!(!warm.contains(b.id()));
+        assert!(warm.peek(a.id()).is_some());
+        assert!(warm.peek(b.id()).is_none());
         assert_eq!(warm.geometry(), (1, 2));
     }
 
@@ -236,8 +247,8 @@ mod tests {
         tc.fill(b.clone());
         assert!(tc.lookup(a.id()).is_some()); // b becomes LRU
         tc.fill(c.clone());
-        assert!(tc.contains(a.id()));
-        assert!(!tc.contains(b.id()));
-        assert!(tc.contains(c.id()));
+        assert!(tc.peek(a.id()).is_some());
+        assert!(tc.peek(b.id()).is_none());
+        assert!(tc.peek(c.id()).is_some());
     }
 }

@@ -241,11 +241,12 @@ pub(crate) fn refill_bit(
     for line in lines {
         let mut outcomes = ClosureOutcomes::new(|i, _, _| line.id.outcome(i), |_, _| line.next_pc);
         let stop = line.next_pc.map(|p| (p, line.len as usize));
-        let sel = selector.select_bounded(program, line.id.start(), &mut bit, &mut outcomes, stop);
-        if sel.trace.id() != line.id || sel.trace.len() != line.len as usize {
+        let trace =
+            selector.walk(program, line.id.start(), &mut bit, &mut outcomes, stop).assemble();
+        if trace.id() != line.id || trace.len() != line.len as usize {
             return Err(CkptError::TraceReconstruct { id: line.id });
         }
-        fill(sel.trace);
+        fill(trace);
     }
     Ok(bit)
 }
@@ -740,6 +741,9 @@ fn decode_warm(r: &mut Reader<'_>) -> Result<WarmImages, WireError> {
             let tag = r.u16("predictor entry tag")?;
             let pred = decode_trace_id(r)?;
             let confidence = r.u8("predictor entry confidence")?;
+            if confidence > NextTracePredictor::MAX_CONFIDENCE {
+                return Err(WireError::Corrupt(format!("{which}: confidence {confidence}")));
+            }
             entries.push(ImageEntry { index, tag, pred, confidence });
         }
         components.push(entries);

@@ -24,6 +24,18 @@ fn sample_bytes() -> (Checkpoint, Vec<u8>) {
     (ckpt, bytes)
 }
 
+/// A checksum-valid stream whose predictor entry holds a confidence no
+/// training builds (the predictor's packed slots keep two bits of it) is
+/// rejected by name, not handed to the predictor to panic on.
+#[test]
+fn out_of_range_predictor_confidence_is_rejected() {
+    let (mut ckpt, _) = sample_bytes();
+    let warm = ckpt.warm.as_mut().expect("warm images");
+    warm.predictor.path[0].confidence = 4;
+    let err = Checkpoint::decode(&ckpt.encode()).expect_err("confidence 4 decoded");
+    assert!(err.to_string().contains("confidence 4"), "{err}");
+}
+
 /// Every proper prefix of a checkpoint fails to decode (and names what
 /// broke) — a partially written file can never load.
 #[test]

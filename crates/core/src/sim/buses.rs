@@ -224,7 +224,7 @@ impl TraceProcessor<'_> {
         let word = addr >> 3;
         let Some(entries) = self.wakeup.loads_by_word.get(&word) else { return };
         let pes = &mut self.pes;
-        for r in entries {
+        for r in entries.as_slice() {
             if r.live(pes).is_some() && pes[r.pe()].side(r.slot()).load_src == Some(store_h.0) {
                 pes[r.pe()].side_mut(r.slot()).load_src = None;
             }
@@ -269,8 +269,8 @@ impl TraceProcessor<'_> {
         let mut reissues = std::mem::take(&mut self.scratch_refs);
         reissues.clear();
         let before = entries.len();
-        entries.retain(|&r| {
-            let Some(s) = self.live_load(r, word) else { return false };
+        entries.retain(|r| {
+            let Some(s) = live_load(&self.pes, &self.list, r, word) else { return false };
             if victim(self, r, s) {
                 reissues.push(r);
             }
@@ -278,7 +278,7 @@ impl TraceProcessor<'_> {
         });
         self.load_count -= before - entries.len();
         if entries.is_empty() {
-            self.wakeup.spare_buckets.push(entries);
+            entries.recycle(&mut self.wakeup.spare_buckets);
         } else {
             self.wakeup.loads_by_word.insert(word, entries);
         }
@@ -288,18 +288,5 @@ impl TraceProcessor<'_> {
             self.mark_reissue_slot(r.pe(), r.slot(), at);
         }
         self.scratch_refs = reissues;
-    }
-
-    /// Validates a load-registry entry: the slot must still be a live load
-    /// of the registered generation whose sampled address maps to `word`.
-    /// Returns the slot, or `None` for stale entries (which the caller
-    /// garbage-collects from the registry).
-    fn live_load(&self, r: SlotRef, word: Addr) -> Option<&Slot> {
-        let s = r.live(&self.pes)?;
-        let p = &self.pes[r.pe()];
-        if !self.list.contains(r.pe()) || !matches!(p.inst(r.slot()).inst, Inst::Load { .. }) {
-            return None;
-        }
-        (p.side(r.slot()).mem_addr? >> 3 == word).then_some(s)
     }
 }

@@ -20,7 +20,7 @@
 use super::*;
 use crate::config::FRONTEND_LATENCY;
 use tp_isa::Inst;
-use tp_trace::{OutcomeSource, TraceId};
+use tp_trace::{OutcomeSource, TraceId, Walk};
 
 impl TraceProcessor<'_> {
     pub(super) fn fetch_stage(&mut self) {
@@ -190,25 +190,37 @@ impl TraceProcessor<'_> {
         let (program, bit, btb) = (self.program, &mut self.bit, &self.btb);
         let ntb = self.cfg.selection.ntb;
         let mut outcomes = ConstructOutcomes { id, btb, ras_top: self.ras.top(), ntb };
-        let sel = selector.select_bounded(
-            program,
-            start,
-            bit,
-            &mut outcomes,
-            stop_before.map(|p| (p, 1)),
-        );
-        self.books.bit_misses(sel.stats);
-        let trace = Arc::new(sel.trace);
-        let cycles = self.construction_cycles(&trace, 0, trace.len()) + sel.stats.bit_miss_cycles;
+        let walk = selector.walk(program, start, bit, &mut outcomes, stop_before.map(|p| (p, 1)));
+        self.books.bit_misses(walk.stats);
+        let trace = self.intern(&walk);
+        let cycles = self.construction_cycles(&trace, 0, trace.len()) + walk.stats.bit_miss_cycles;
         // Bounded (insertion-mode) constructions are not cached: a trace
         // truncated at the re-convergent PC can share its id with the
         // full-length trace normal selection would build from the same
         // start, and serving the truncated one outside insertion would
-        // permanently fragment that path.
+        // permanently fragment that path. (They may still reuse a cached
+        // trace: `intern` matches the length and successor too.)
         if stop_before.is_none() {
             self.tcache.fill(trace.clone());
         }
         (trace, cycles)
+    }
+
+    /// The trace `walk` selected: the trace cache's copy when it holds one
+    /// the walk matches (every constructed and repaired trace is filled
+    /// there), else a newly assembled one. Reuse is invisible: at
+    /// [`CheckLevel::Full`] each reused trace is checked against a fresh
+    /// assembly.
+    pub(super) fn intern(&self, walk: &Walk) -> Arc<Trace> {
+        match self.tcache.peek(walk.id()).filter(|t| walk.matches(t)) {
+            Some(t) => {
+                if self.cfg.check == CheckLevel::Full {
+                    assert_eq!(**t, walk.assemble(), "reused trace {} differs", walk.id());
+                }
+                Arc::clone(t)
+            }
+            None => Arc::new(walk.assemble()),
+        }
     }
 
     /// Construction-engine latency to (re)build `trace` from `from_slot` up

@@ -328,10 +328,99 @@ struct WakeupIndex {
     /// `(done_at, slot)` completion events (invariant 3).
     completions: CompletionWheel,
     /// Loads that sampled memory, indexed by word address (invariant 4).
-    loads_by_word: FxHashMap<Addr, Vec<SlotRef>>,
-    /// Emptied `loads_by_word` buckets, kept for the next word a load
-    /// samples so the registry stops allocating once warm.
+    loads_by_word: FxHashMap<Addr, LoadBucket>,
+    /// Emptied spilled lists of `loads_by_word`, kept for the next word
+    /// that outgrows its inline entries.
     spare_buckets: Vec<Vec<SlotRef>>,
+}
+
+/// The loads registered on one word of the load registry (invariant 4),
+/// in registration order. Most words hold a few, so up to
+/// [`LoadBucket::INLINE`] entries live in the bucket itself and a newly
+/// sampled word allocates nothing; a word with more spills into a heap
+/// list taken from the registry's spare lists, and an emptied bucket gives
+/// its list back ([`LoadBucket::recycle`]).
+enum LoadBucket {
+    Inline(u8, [SlotRef; LoadBucket::INLINE]),
+    Spilled(Vec<SlotRef>),
+}
+
+impl LoadBucket {
+    /// Entries held without a heap list (the bucket is as large as one).
+    const INLINE: usize = 3;
+    const EMPTY: LoadBucket = LoadBucket::Inline(0, [SlotRef(0); LoadBucket::INLINE]);
+
+    fn as_slice(&self) -> &[SlotRef] {
+        match self {
+            LoadBucket::Inline(n, refs) => &refs[..*n as usize],
+            LoadBucket::Spilled(list) => list,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// Appends an entry, spilling into a list from `spare` when the inline
+    /// entries are full.
+    fn push(&mut self, r: SlotRef, spare: &mut Vec<Vec<SlotRef>>) {
+        match self {
+            LoadBucket::Inline(n, refs) if (*n as usize) < LoadBucket::INLINE => {
+                refs[*n as usize] = r;
+                *n += 1;
+            }
+            LoadBucket::Inline(_, refs) => {
+                let mut list = spare.pop().unwrap_or_default();
+                list.extend_from_slice(refs);
+                list.push(r);
+                *self = LoadBucket::Spilled(list);
+            }
+            LoadBucket::Spilled(list) => list.push(r),
+        }
+    }
+
+    /// Keeps the entries `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(SlotRef) -> bool) {
+        match self {
+            LoadBucket::Inline(n, refs) => {
+                let mut kept = 0;
+                for i in 0..*n as usize {
+                    if keep(refs[i]) {
+                        refs[kept] = refs[i];
+                        kept += 1;
+                    }
+                }
+                *n = kept as u8;
+            }
+            LoadBucket::Spilled(list) => list.retain(|&r| keep(r)),
+        }
+    }
+
+    /// Returns a spilled bucket's list to `spare` (the bucket is being
+    /// dropped from the registry).
+    fn recycle(self, spare: &mut Vec<Vec<SlotRef>>) {
+        if let LoadBucket::Spilled(mut list) = self {
+            list.clear();
+            spare.push(list);
+        }
+    }
+}
+
+/// Validates a load-registry entry: the slot must still be a live load of
+/// the registered generation whose sampled address maps to `word`. Returns
+/// the slot, or `None` for a stale entry, which the registry may drop at
+/// any time: no snoop would act on it.
+fn live_load<'a>(pes: &'a [Pe], list: &PeList, r: SlotRef, word: Addr) -> Option<&'a Slot> {
+    let s = r.live(pes)?;
+    let p = &pes[r.pe()];
+    if !list.contains(r.pe()) || !matches!(p.inst(r.slot()).inst, tp_isa::Inst::Load { .. }) {
+        return None;
+    }
+    (p.side(r.slot()).mem_addr? >> 3 == word).then_some(s)
 }
 
 /// Buckets of the completion timing wheel: one per cycle of its horizon.
@@ -1317,19 +1406,20 @@ impl<'p> TraceProcessor<'p> {
     /// can find it without rescanning the window (invariant 4).
     fn note_load_sampled(&mut self, pe: usize, slot: usize, addr: Addr) {
         let r = SlotRef::new(pe, slot, self.pes[pe].gen);
-        let spare = &mut self.wakeup.spare_buckets;
-        let bucket = self
-            .wakeup
-            .loads_by_word
-            .entry(addr >> 3)
-            .or_insert_with(|| spare.pop().unwrap_or_default());
+        let word = addr >> 3;
+        let bucket = self.wakeup.loads_by_word.entry(word).or_insert(LoadBucket::EMPTY);
         // A reissued load may sample the same word twice under one
         // generation; keep at most one entry so a snoop reissues (and
-        // counts) it exactly once.
+        // counts) it exactly once. Stale entries go too, so a word's
+        // bucket holds only its live loads and rarely outgrows the inline
+        // entries.
         let before = bucket.len();
-        bucket.retain(|&e| !(e.pe() == pe && e.slot() == slot));
+        let (pes, list) = (&self.pes, &self.list);
+        bucket.retain(|e| {
+            !(e.pe() == pe && e.slot() == slot) && live_load(pes, list, e, word).is_some()
+        });
         self.load_count -= before - bucket.len();
-        bucket.push(r);
+        bucket.push(r, &mut self.wakeup.spare_buckets);
         self.load_count += 1;
     }
 
@@ -1389,17 +1479,14 @@ impl<'p> TraceProcessor<'p> {
         let list = &self.list;
         let spare = &mut self.wakeup.spare_buckets;
         self.wakeup.loads_by_word.retain(|&word, entries| {
-            entries.retain(|&r| {
-                list.contains(r.pe())
-                    && r.live(pes).is_some()
-                    && pes[r.pe()].side(r.slot()).mem_addr.is_some_and(|a| a >> 3 == word)
-            });
-            if entries.is_empty() {
-                spare.push(std::mem::take(entries));
+            entries.retain(|r| live_load(pes, list, r, word).is_some());
+            if !entries.is_empty() {
+                return true;
             }
-            !entries.is_empty()
+            std::mem::replace(entries, LoadBucket::EMPTY).recycle(spare);
+            false
         });
-        self.load_count = self.wakeup.loads_by_word.values().map(Vec::len).sum();
+        self.load_count = self.wakeup.loads_by_word.values().map(LoadBucket::len).sum();
         self.loads_gc_at = GC_FLOOR.max(self.load_count * 2);
     }
 
@@ -1407,7 +1494,10 @@ impl<'p> TraceProcessor<'p> {
     /// `(completion events, load entries)`.
     #[doc(hidden)]
     pub fn index_footprint(&self) -> (usize, usize) {
-        (self.wakeup.completions.len(), self.wakeup.loads_by_word.values().map(Vec::len).sum())
+        (
+            self.wakeup.completions.len(),
+            self.wakeup.loads_by_word.values().map(LoadBucket::len).sum(),
+        )
     }
 
     /// Footprint of the physical register file, for leak diagnostics and
@@ -1524,7 +1614,7 @@ impl<'p> TraceProcessor<'p> {
                             self.wakeup
                                 .loads_by_word
                                 .get(&(a >> 3))
-                                .is_some_and(|w| w.contains(&this)),
+                                .is_some_and(|w| w.as_slice().contains(&this)),
                             "cycle {}: pe{pe} slot {i} sampled word {:#x} but is not in the \
                              load snoop index",
                             self.now(),

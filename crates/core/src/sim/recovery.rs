@@ -283,7 +283,10 @@ impl TraceProcessor<'_> {
     }
 
     /// Re-selects the faulting trace with the branch's actual outcome
-    /// (prefix outcomes embedded, suffix outcomes from the BTB).
+    /// (prefix outcomes embedded, suffix outcomes from the BTB). The
+    /// selection walk always runs; the trace itself is usually the trace
+    /// cache's, since every repaired trace is filled there
+    /// ([`TraceProcessor::intern`]).
     ///
     /// Under a control-independence model the suffix does better than the
     /// BTB: the selective-recovery hardware (§5) still holds the faulting
@@ -363,9 +366,9 @@ impl TraceProcessor<'_> {
             cursor: 0,
             ntb: self.cfg.selection.ntb,
         };
-        let sel = selector.select(program, id.start(), bit, &mut outcomes);
-        self.books.bit_misses(sel.stats);
-        Arc::new(sel.trace)
+        let walk = selector.walk(program, id.start(), bit, &mut outcomes, None);
+        self.books.bit_misses(walk.stats);
+        self.intern(&walk)
     }
 
     fn apply_recovery(&mut self, rec: Recovery) {

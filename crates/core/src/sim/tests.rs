@@ -308,6 +308,34 @@ fn wakeup_index_matches_rescan_every_cycle() {
     }
 }
 
+/// A load bucket keeps its entries in registration order across the
+/// inline-to-spilled boundary, and an emptied spilled bucket gives its list
+/// back for the next word that spills.
+#[test]
+fn load_buckets_spill_in_order_and_recycle_their_lists() {
+    let refs: Vec<SlotRef> = (0..5).map(|i| SlotRef::new(i, i, 1)).collect();
+    let mut spare = Vec::new();
+    let mut bucket = LoadBucket::EMPTY;
+    for (n, &r) in refs.iter().enumerate() {
+        bucket.push(r, &mut spare);
+        assert_eq!(bucket.as_slice(), &refs[..=n]);
+        assert_eq!(matches!(bucket, LoadBucket::Spilled(_)), n >= LoadBucket::INLINE);
+    }
+    bucket.retain(|r| r.pe() % 2 == 0);
+    assert_eq!(bucket.as_slice(), [refs[0], refs[2], refs[4]]);
+    bucket.retain(|_| false);
+    assert!(bucket.is_empty());
+    bucket.recycle(&mut spare);
+    assert!(spare.len() == 1 && spare[0].is_empty() && spare[0].capacity() > 0);
+    let mut next = LoadBucket::EMPTY;
+    for &r in &refs {
+        next.push(r, &mut spare);
+    }
+    assert!(spare.is_empty(), "the spilling word took the spare list");
+    LoadBucket::EMPTY.recycle(&mut spare);
+    assert!(spare.is_empty(), "an inline bucket has no list to give back");
+}
+
 /// The load-registry entry counter drives its amortized sweep; if it
 /// drifts from the true size, collection either thrashes or never fires.
 /// After a run heavy enough to trigger the sweep, the counter must equal a

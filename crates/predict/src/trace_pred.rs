@@ -138,16 +138,47 @@ impl TraceHistory {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+/// A component entry, unpacked from its [`Component`] slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
     tag: u16,
     pred: TraceId,
     confidence: u8,
 }
 
+impl Entry {
+    /// The `meta` word's valid bit: the slot holds an entry.
+    const VALID: u32 = 1 << 24;
+
+    /// Packs the entry into a slot: `[start, mask, meta]`, where `meta` is
+    /// `tag | branches << 16 | confidence << 22 | VALID`. Branches (at most
+    /// 32) take six bits and confidence (at most 3) two.
+    fn pack(self) -> [u32; 3] {
+        let meta = u32::from(self.tag)
+            | u32::from(self.pred.branches()) << 16
+            | u32::from(self.confidence) << 22
+            | Entry::VALID;
+        [self.pred.start(), self.pred.mask(), meta]
+    }
+
+    /// The entry a slot holds; `None` for an empty slot (one without the
+    /// valid bit, such as the all-zero slot a fresh table holds).
+    fn unpack([start, mask, meta]: [u32; 3]) -> Option<Entry> {
+        (meta & Entry::VALID != 0).then(|| Entry {
+            tag: meta as u16,
+            pred: TraceId::new(start, mask, (meta >> 16 & 0x3f) as u8),
+            confidence: (meta >> 22 & 3) as u8,
+        })
+    }
+}
+
+/// One component table of 12-byte packed slots ([`Entry::pack`]; 768 KiB
+/// per table at the paper's 2^16 entries). The table is allocated zeroed
+/// and an all-zero slot is empty, so the pages of a table no training has
+/// reached are never written.
 #[derive(Clone, Debug)]
 struct Component {
-    entries: Vec<Option<Entry>>,
+    slots: Vec<[u32; 3]>,
     mask: u64,
 }
 
@@ -171,29 +202,34 @@ enum TrainEvent {
 impl Component {
     fn new(index_bits: u32) -> Component {
         let n = 1usize << index_bits;
-        Component { entries: vec![None; n], mask: n as u64 - 1 }
+        Component { slots: vec![[0; 3]; n], mask: n as u64 - 1 }
+    }
+
+    fn entry(&self, idx: usize) -> Option<Entry> {
+        Entry::unpack(self.slots[idx])
     }
 
     fn probe(&self, hash: u64) -> Option<Entry> {
         let idx = (hash & self.mask) as usize;
         let tag = (hash >> 16) as u16;
-        self.entries[idx].filter(|e| e.tag == tag)
+        self.entry(idx).filter(|e| e.tag == tag)
     }
 
     /// Whether training `(hash, actual)` would leave the table unchanged:
     /// the slot already holds this context's entry, predicting `actual`
     /// at saturated confidence.
     fn train_is_noop(&self, hash: u64, actual: TraceId) -> bool {
-        self.probe(hash).is_some_and(|e| e.pred == actual && e.confidence == 3)
+        self.probe(hash)
+            .is_some_and(|e| e.pred == actual && e.confidence == NextTracePredictor::MAX_CONFIDENCE)
     }
 
     fn train(&mut self, hash: u64, actual: TraceId) -> TrainEvent {
         let idx = (hash & self.mask) as usize;
         let tag = (hash >> 16) as u16;
-        match &mut self.entries[idx] {
-            Some(e) if e.tag == tag => {
-                if e.pred == actual {
-                    e.confidence = (e.confidence + 1).min(3);
+        let (entry, event) = match self.entry(idx) {
+            Some(mut e) if e.tag == tag => {
+                let event = if e.pred == actual {
+                    e.confidence = (e.confidence + 1).min(NextTracePredictor::MAX_CONFIDENCE);
                     TrainEvent::Trained
                 } else if e.confidence > 0 {
                     e.confidence -= 1;
@@ -202,18 +238,14 @@ impl Component {
                     e.pred = actual;
                     e.confidence = 1;
                     TrainEvent::Repointed
-                }
+                };
+                (e, event)
             }
-            slot => {
-                let evicted = slot.is_some();
-                *slot = Some(Entry { tag, pred: actual, confidence: 1 });
-                if evicted {
-                    TrainEvent::TagEvicted
-                } else {
-                    TrainEvent::Allocated
-                }
-            }
-        }
+            Some(_) => (Entry { tag, pred: actual, confidence: 1 }, TrainEvent::TagEvicted),
+            None => (Entry { tag, pred: actual, confidence: 1 }, TrainEvent::Allocated),
+        };
+        self.slots[idx] = entry.pack();
+        event
     }
 }
 
@@ -294,7 +326,11 @@ pub enum PredictionSource {
 /// The hybrid next-trace predictor.
 ///
 /// The path-based component indexes a 2^16-entry table with a hash of the
-/// last eight trace ids; the simple component uses only the last id. The
+/// last eight trace ids; the simple component uses only the last id. Each
+/// table holds 12-byte packed slots (successor start PC, outcome mask, and
+/// one word of tag, branch count, confidence and valid bit), so the paper's
+/// two tables take 1.5 MiB, allocated zeroed: a fresh predictor writes no
+/// table page until training reaches it. The
 /// path-based prediction is used when it tag-matches with sufficient
 /// confidence, otherwise the simple component's, otherwise there is no
 /// prediction and the frontend falls back to instruction-level sequencing
@@ -329,6 +365,9 @@ pub struct NextTracePredictor {
 }
 
 impl NextTracePredictor {
+    /// The saturated confidence counter value.
+    pub const MAX_CONFIDENCE: u8 = 3;
+
     /// Creates a predictor.
     pub fn new(config: TracePredictorConfig) -> NextTracePredictor {
         NextTracePredictor {
@@ -414,11 +453,9 @@ impl NextTracePredictor {
     /// Captures the trained state as a plain-data [`TracePredictorImage`].
     pub fn image(&self) -> TracePredictorImage {
         fn entries(c: &Component) -> Vec<ImageEntry> {
-            c.entries
-                .iter()
-                .enumerate()
-                .filter_map(|(i, e)| {
-                    e.map(|e| ImageEntry {
+            (0..c.slots.len())
+                .filter_map(|i| {
+                    c.entry(i).map(|e| ImageEntry {
                         index: i as u32,
                         tag: e.tag,
                         pred: e.pred,
@@ -438,13 +475,20 @@ impl NextTracePredictor {
     ///
     /// # Panics
     ///
-    /// Panics if an entry index is outside the configured table size.
+    /// Panics if an entry index is outside the configured table size or an
+    /// entry's confidence exceeds [`NextTracePredictor::MAX_CONFIDENCE`]
+    /// (training never builds one).
     pub fn from_image(image: &TracePredictorImage) -> NextTracePredictor {
         let mut p = NextTracePredictor::new(image.config);
         for (component, entries) in [(&mut p.path, &image.path), (&mut p.simple, &image.simple)] {
             for e in entries {
-                component.entries[e.index as usize] =
-                    Some(Entry { tag: e.tag, pred: e.pred, confidence: e.confidence });
+                assert!(
+                    e.confidence <= NextTracePredictor::MAX_CONFIDENCE,
+                    "predictor entry confidence {} out of range",
+                    e.confidence
+                );
+                component.slots[e.index as usize] =
+                    Entry { tag: e.tag, pred: e.pred, confidence: e.confidence }.pack();
             }
         }
         p
@@ -592,6 +636,64 @@ mod tests {
             assert_eq!(warm.predict(&g), p.predict(&g), "step {w}");
         }
         assert_eq!(warm.image(), p.image());
+    }
+
+    /// A slot packs and unpacks to the same entry at every field's
+    /// extremes, and an entry of all-zero fields is still not the empty
+    /// slot.
+    #[test]
+    fn packed_slots_round_trip_at_the_extremes() {
+        for pred in [
+            TraceId::new(u32::MAX, u32::MAX, 32),
+            TraceId::new(u32::MAX, 0, 32),
+            TraceId::new(0, 0, 0),
+            TraceId::new(7, 0b101, 3),
+        ] {
+            for tag in [0, 0xffff] {
+                for confidence in [0, NextTracePredictor::MAX_CONFIDENCE] {
+                    let e = Entry { tag, pred, confidence };
+                    assert_ne!(e.pack(), [0; 3], "{e:?} packs to the empty slot");
+                    assert_eq!(Entry::unpack(e.pack()), Some(e));
+                }
+            }
+        }
+        assert_eq!(Entry::unpack([0; 3]), None);
+    }
+
+    #[test]
+    fn a_fresh_table_reads_empty_everywhere() {
+        let c = Component::new(TracePredictorConfig::tiny().index_bits);
+        assert!((0..c.slots.len()).all(|i| c.entry(i).is_none()));
+        let image = NextTracePredictor::new(TracePredictorConfig::paper()).image();
+        assert!(image.path.is_empty() && image.simple.is_empty());
+    }
+
+    /// `from_image` then `image` is the identity on an image whose entries
+    /// sit at the table's ends and hold every field's extremes.
+    #[test]
+    fn image_of_from_image_is_the_image() {
+        let config = TracePredictorConfig::tiny();
+        let last = (1u32 << config.index_bits) - 1;
+        let entry = |index, tag, pred, confidence| ImageEntry { index, tag, pred, confidence };
+        let image = TracePredictorImage {
+            config,
+            path: vec![
+                entry(0, 0, TraceId::new(0, 0, 0), 0),
+                entry(last, 0xffff, TraceId::new(u32::MAX, u32::MAX, 32), 3),
+            ],
+            simple: vec![entry(last, 0x8001, TraceId::new(u32::MAX, 1 << 31, 32), 2)],
+        };
+        assert_eq!(NextTracePredictor::from_image(&image).image(), image);
+    }
+
+    #[test]
+    #[should_panic(expected = "confidence 4 out of range")]
+    fn from_image_rejects_an_untrainable_confidence() {
+        let config = TracePredictorConfig::tiny();
+        let pred = TraceId::new(1, 0, 0);
+        let path = vec![ImageEntry { index: 0, tag: 0, pred, confidence: 4 }];
+        let _ =
+            NextTracePredictor::from_image(&TracePredictorImage { config, path, simple: vec![] });
     }
 
     #[test]

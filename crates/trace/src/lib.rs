@@ -27,6 +27,6 @@ pub mod trace;
 pub use bit::Bit;
 pub use fgci::{analyze_region, RegionInfo};
 pub use select::{
-    ClosureOutcomes, IdOutcomes, OutcomeSource, SelectionConfig, SelectionStats, Selector,
+    ClosureOutcomes, IdOutcomes, OutcomeSource, SelectionConfig, SelectionStats, Selector, Walk,
 };
 pub use trace::{EndReason, OperandRef, Trace, TraceId, TraceInst};

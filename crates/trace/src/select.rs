@@ -158,6 +158,7 @@ pub struct SelectionStats {
 /// allocates nothing but the finished trace. A selected trace is at most
 /// [`Trace::MAX_LEN`] long, since padding accrues a region's longest path
 /// before any of its instructions are taken.
+#[derive(Clone, Debug)]
 struct RawTrace {
     records: [(Pc, Inst, Option<bool>, bool); Trace::MAX_LEN],
     len: usize,
@@ -196,11 +197,66 @@ pub struct Selection {
     pub stats: SelectionStats,
 }
 
+impl From<Walk> for Selection {
+    fn from(walk: Walk) -> Selection {
+        Selection { trace: walk.assemble(), stats: walk.stats }
+    }
+}
+
+/// A selected path before assembly ([`Selector::walk`]): the trace's id,
+/// instructions, end and successor, plus the selection bookkeeping.
+///
+/// Under one [`SelectionConfig`] and one program, the id, the length, the
+/// end and the successor fix the instructions: the id's outcomes choose
+/// the path from its start, and the rest tell apart the traces that share
+/// an id (a bounded CGCI construction cut short of the full trace, an
+/// indirect-ending trace's predicted target). So a trace assembled
+/// earlier from a walk that [`Walk::matches`] is the trace this walk
+/// would assemble, and a caller may reuse it instead of assembling
+/// another.
+#[derive(Clone, Debug)]
+pub struct Walk {
+    id: TraceId,
+    raw: RawTrace,
+    end: EndReason,
+    next_pc: Option<Pc>,
+    /// Selection bookkeeping (BIT miss stalls, padding counts).
+    pub stats: SelectionStats,
+}
+
+impl Walk {
+    /// The selected trace's id.
+    pub fn id(&self) -> TraceId {
+        self.id
+    }
+
+    /// Whether `trace` is the trace this walk assembles: the same id,
+    /// length, end and successor.
+    pub fn matches(&self, trace: &Trace) -> bool {
+        trace.id() == self.id
+            && trace.len() == self.raw.len()
+            && trace.end() == self.end
+            && trace.next_pc() == self.next_pc
+    }
+
+    /// Assembles the selected trace ([`Trace::assemble`]).
+    pub fn assemble(&self) -> Trace {
+        Trace::assemble(self.id, self.raw.as_slice(), self.end, self.next_pc)
+    }
+}
+
 /// The trace selector.
 ///
 /// A selector is stateless apart from its configuration; the BIT is passed
 /// in by the caller because it is a shared hardware structure with its own
 /// timing.
+///
+/// Selection is a walk ([`Selector::walk`]) followed by assembly
+/// ([`Walk::assemble`]). The trace processor's repair and construction
+/// walk every trace, so outcome queries, BIT consults and
+/// [`SelectionStats`] are those of a full selection, but they assemble
+/// only when the trace cache holds no trace the walk [matches](Walk::matches):
+/// the cache is where they find assembled traces.
 ///
 /// # Example
 ///
@@ -258,34 +314,40 @@ impl Selector {
         bit: &mut Bit,
         outcomes: &mut impl OutcomeSource,
     ) -> Selection {
-        self.select_bounded(program, start, bit, outcomes, None)
+        self.walk(program, start, bit, outcomes, None).into()
     }
 
-    /// Like [`Selector::select`], but terminates the trace just before
-    /// `stop_before = (pc, min_len)` whenever the selected path reaches
-    /// that PC with at least `min_len` instructions already selected
-    /// (`min_len` lets a caller skip over early encounters of a revisited
-    /// PC). Used by CGCI insertion to bound control-dependent traces at
-    /// the known re-convergent PC (`min_len = 1`), so the next trace
-    /// starts exactly there and re-convergence detection fires instead of
-    /// the path overshooting it mid-trace.
+    /// Walks the path [`Selector::select`] selects, with the same BIT
+    /// consults and bookkeeping, but leaves assembling the trace to the
+    /// caller ([`Walk::assemble`]), who may hold a matching trace already
+    /// ([`Walk::matches`]).
+    ///
+    /// With `stop_before = Some((pc, min_len))` the trace ends just before
+    /// `pc` whenever the path reaches it with at least `min_len`
+    /// instructions already selected (`min_len` lets a caller skip over
+    /// early encounters of a revisited PC). CGCI insertion bounds
+    /// control-dependent traces this way at the known re-convergent PC
+    /// (`min_len = 1`), so the next trace starts exactly there and
+    /// re-convergence detection fires instead of the path overshooting it
+    /// mid-trace.
     ///
     /// # Panics
     ///
     /// Panics if `start` is not a valid PC of `program`.
-    pub fn select_bounded(
+    pub fn walk(
         &self,
         program: &Program,
         start: Pc,
         bit: &mut Bit,
         outcomes: &mut impl OutcomeSource,
         stop_before: Option<(Pc, usize)>,
-    ) -> Selection {
-        self.select_inner(program, start, bit, outcomes, stop_before, None)
+    ) -> Walk {
+        self.walk_inner(program, start, bit, outcomes, stop_before, None)
     }
 
-    /// Like [`Selector::select_bounded`], recording into `consults` the PC
-    /// of every BIT query the selection makes, in query order.
+    /// Like [`Selector::walk`] followed by assembly, recording into
+    /// `consults` the PC of every BIT query the selection makes, in query
+    /// order.
     ///
     /// The consulted PCs are a function of the selected path alone (BIT
     /// contents change stats and LRU order, never the path), so a caller
@@ -301,20 +363,20 @@ impl Selector {
         stop_before: Option<(Pc, usize)>,
         consults: &mut Vec<Pc>,
     ) -> Selection {
-        self.select_inner(program, start, bit, outcomes, stop_before, Some(consults))
+        self.walk_inner(program, start, bit, outcomes, stop_before, Some(consults)).into()
     }
 
     /// Replays one recorded BIT consult: an LRU-touching lookup, with the
     /// miss path re-running the (pure) FGCI region analysis and inserting
     /// the result — exactly the BIT state transition
-    /// [`Selector::select_bounded`] performs at a forward branch.
+    /// [`Selector::walk`] performs at a forward branch.
     pub fn replay_bit(&self, program: &Program, bit: &mut Bit, pc: Pc) {
         if bit.lookup(pc).is_none() {
             bit.insert(pc, analyze_region(program, pc, self.config.max_len));
         }
     }
 
-    fn select_inner(
+    fn walk_inner(
         &self,
         program: &Program,
         start: Pc,
@@ -322,7 +384,7 @@ impl Selector {
         outcomes: &mut impl OutcomeSource,
         stop_before: Option<(Pc, usize)>,
         mut consults: Option<&mut Vec<Pc>>,
-    ) -> Selection {
+    ) -> Walk {
         assert!(program.contains(start), "trace start pc {start} out of program");
         let cfg = self.config;
         let mut raw = RawTrace::new();
@@ -457,8 +519,7 @@ impl Selector {
         // Realized padding: the accrued length minus the physical length.
         stats.pad_instructions = accrued.saturating_sub(raw.len() as u32);
 
-        let id = TraceId::new(start, mask, branches);
-        Selection { trace: Trace::assemble(id, raw.as_slice(), end, next_pc), stats }
+        Walk { id: TraceId::new(start, mask, branches), raw, end, next_pc, stats }
     }
 
     /// Convenience wrapper around [`Selector::select`] taking closures.
